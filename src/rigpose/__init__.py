@@ -5,116 +5,54 @@ pose EKF) against a non-overlapping layout (four individually aimed
 cameras, each with its own pose and structure filters, fused through the
 rig's rigidity constraints), with a Monte Carlo harness for the
 quantitative comparison.
+
+The package namespace holds what the `simulate` and `run-tracks`
+commands are built from; the submodules hold the rest.
 """
 
-from .ekf import (
-    FilterTuning,
-    MeasurementBatch,
-    PoseFilterState,
-    StructureFilterState,
-    measurement_jacobian,
-    pose_predict,
-    pose_update,
-    structure_update,
-)
-from .errors import RigPoseError
-from .fusion import (
-    CameraLocalPose,
-    ScaleSystem,
-    build_scale_system,
-    fuse_pose,
-    fuse_rotation_median,
-    solve_scales,
-)
+from .ekf import FilterTuning
+from .errors import InputError, RigPoseError
 from .geometry import (
-    Camera,
     CameraRig,
-    Intrinsics,
-    Pose,
-    angles_from_rot,
     default_nonoverlap_rig,
     default_overlap_rig,
-    equivalent_rotation,
-    project,
     read_rig,
-    rot_from_angles,
-    world_to_camera,
-    world_to_camera_k,
     write_rig,
 )
 from .harness import ExperimentReport, load_config, monte_carlo
 from .pipeline import (
     PipelineConfig,
-    PoseEstimateSeries,
     lowe_pose,
     pose_error_report,
     read_tracks,
+    read_truth,
     run_nonoverlap_sequence,
     run_stereo_sequence,
-    write_tracks,
+    write_poses,
 )
-from .simulate import SimConfig, Trajectory, gen_scene, gen_trajectory, render_frame
-from .stereo import (
-    FundamentalMatrix,
-    StereoPair,
-    epipolar_distance,
-    fundamental_from_calib,
-    make_stereo_pair,
-    triangulate,
-)
+from .simulate import SimConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Camera",
-    "CameraLocalPose",
     "CameraRig",
     "ExperimentReport",
     "FilterTuning",
-    "FundamentalMatrix",
-    "Intrinsics",
-    "MeasurementBatch",
+    "InputError",
     "PipelineConfig",
-    "Pose",
-    "PoseEstimateSeries",
-    "PoseFilterState",
     "RigPoseError",
-    "ScaleSystem",
     "SimConfig",
-    "StereoPair",
-    "StructureFilterState",
-    "Trajectory",
-    "angles_from_rot",
-    "build_scale_system",
     "default_nonoverlap_rig",
     "default_overlap_rig",
-    "epipolar_distance",
-    "equivalent_rotation",
-    "fundamental_from_calib",
-    "fuse_pose",
-    "fuse_rotation_median",
-    "gen_scene",
-    "gen_trajectory",
     "load_config",
     "lowe_pose",
-    "make_stereo_pair",
-    "measurement_jacobian",
     "monte_carlo",
     "pose_error_report",
-    "pose_predict",
-    "pose_update",
-    "project",
     "read_rig",
     "read_tracks",
-    "render_frame",
-    "rot_from_angles",
+    "read_truth",
     "run_nonoverlap_sequence",
     "run_stereo_sequence",
-    "solve_scales",
-    "structure_update",
-    "triangulate",
-    "world_to_camera",
-    "world_to_camera_k",
+    "write_poses",
     "write_rig",
-    "write_tracks",
 ]

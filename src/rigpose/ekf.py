@@ -4,8 +4,12 @@ Pose state layout: x = (tx, ty, tz, alpha, beta, gamma, and their per-frame
 derivatives), so x[:6] is the pose and x[6:] its velocity. The plant is
 constant velocity: pose += velocity each frame. Measurements are pixel
 locations of features with known 3D structure, so the measurement model is
-the rig transform composed with pinhole projection; its Jacobian w.r.t. the
-six pose parameters is analytic and the velocity columns are zero.
+the rig transform composed with pinhole projection (geometry.view_points);
+its Jacobian w.r.t. the six pose parameters is analytic. The velocity
+states do not enter the measurement, so the update works with the six
+pose columns J alone: the information matrix takes the 6x6 J^T J, the
+gain is formed from J, and the zero-padded (2n, 12) measurement matrix
+is never built.
 
 The update computes the Kalman gain in information form (well conditioned
 for large measurement counts and small pixel variance) and propagates the
@@ -29,9 +33,10 @@ from .geometry import (
     CameraRig,
     Intrinsics,
     Z_MIN,
-    project_jacobian,
-    rot_derivatives,
+    camera_placement,
     rot_from_angles,
+    rot_with_derivatives,
+    view_points,
 )
 
 N_STATE = 12
@@ -138,23 +143,11 @@ def pose_measurement_rows(pose_vec: np.ndarray, cam: Camera, points: np.ndarray)
     Returns (uv (N, 2), jac (N, 2, 6)); jac columns are d(pixel)/d(d, angles).
     Raises BehindCamera if any point has nonpositive depth.
     """
-    d, angles = pose_vec[:3], pose_vec[3:6]
-    rot = rot_from_angles(angles)
-    drs = rot_derivatives(angles)
-    orient = rot @ cam.R                       # camera-to-world
-    center = d + rot @ cam.D
-    p_cam = (points - center) @ orient
+    d = pose_vec[:3]
+    rot, drs = rot_with_derivatives(pose_vec[3:6])
+    p_cam, uv, jp, orient = view_points(points, rot, d, cam, jacobian=True)
     if np.any(p_cam[:, 2] <= Z_MIN):
         raise BehindCamera("measurement point behind its camera")
-    intr = cam.intrinsics
-    uv = np.stack(
-        [
-            intr.fx * p_cam[:, 0] / p_cam[:, 2] + intr.cx,
-            intr.fy * p_cam[:, 1] / p_cam[:, 2] + intr.cy,
-        ],
-        axis=-1,
-    )
-    jp = project_jacobian(p_cam, intr)         # (N, 2, 3)
     jac = np.empty((len(points), 2, 6))
     # dP_cam/dd = -orient^T, identical for every point
     jac[:, :, :3] = jp @ (-orient.T)
@@ -168,71 +161,44 @@ def pose_measurement_rows(pose_vec: np.ndarray, cam: Camera, points: np.ndarray)
 
 def predicted_depths(pose_vec: np.ndarray, cam: Camera, points: np.ndarray) -> np.ndarray:
     """Depth of each point in the camera at the given pose (for visibility masks)."""
-    d, angles = pose_vec[:3], pose_vec[3:6]
-    rot = rot_from_angles(angles)
-    orient = rot @ cam.R
-    center = d + rot @ cam.D
+    center, orient = camera_placement(rot_from_angles(pose_vec[3:6]), pose_vec[:3], cam)
     return (points - center) @ orient[:, 2]
-
-
-def _stack_batch(state: PoseFilterState, batch: MeasurementBatch, rig: CameraRig):
-    if batch.n_features == 0:
-        raise EmptyBatch("measurement batch is empty")
-    uvs, jacs, observed = [], [], []
-    for entry in batch.entries:
-        cam = rig.camera(entry.camera)
-        uv, jac = pose_measurement_rows(state.x, cam, entry.points)
-        uvs.append(uv)
-        jacs.append(jac)
-        observed.append(entry.uv)
-    predicted = np.concatenate(uvs).reshape(-1)
-    jac6 = np.concatenate(jacs).reshape(-1, 6)
-    h = np.zeros((len(jac6), N_STATE))
-    h[:, :6] = jac6
-    return predicted, np.concatenate(observed).reshape(-1), h
-
-
-def predict_measurements(state: PoseFilterState, batch: MeasurementBatch, rig: CameraRig) -> np.ndarray:
-    predicted, _, _ = _stack_batch(state, batch, rig)
-    return predicted
-
-
-def measurement_jacobian(state: PoseFilterState, batch: MeasurementBatch, rig: CameraRig) -> np.ndarray:
-    """Stacked (2n, 12) Jacobian of predicted pixels w.r.t. the state."""
-    _, _, h = _stack_batch(state, batch, rig)
-    return h
-
-
-def innovation_covariance(state: PoseFilterState, batch: MeasurementBatch, rig: CameraRig) -> np.ndarray:
-    """Dense S = H P H^T + R; intended for diagnostics on small batches."""
-    _, _, h = _stack_batch(state, batch, rig)
-    return h @ state.P @ h.T + state.r_var * np.eye(len(h))
 
 
 def pose_update(state: PoseFilterState, batch: MeasurementBatch, rig: CameraRig) -> PoseFilterState:
     """EKF measurement update over every camera's observations at once.
 
-    Gain is computed in information form, K = (P^-1 + H^T H / r)^-1 H^T / r,
-    algebraically identical to P H^T (H P H^T + R)^-1; covariance follows in
-    Joseph form. Raises SingularInnovationCovariance when the prior or the
-    information matrix cannot be factorized, in which case the caller may
-    skip the update for this frame.
+    With J the (2n, 6) pose Jacobian of the stacked pixel rows, H = [J 0]:
+    the velocity columns are zero and never formed. The gain is computed
+    in information form, K = (P^-1 + H^T H / r)^-1 H^T / r, where H^T H is
+    J^T J in its top-left 6x6 block and K = P+[:, :6] J^T / r; this is
+    algebraically identical to P H^T (H P H^T + R)^-1. Covariance follows
+    in Joseph form with K H = [K J 0]. Raises SingularInnovationCovariance
+    when the prior or the information matrix cannot be factorized, in
+    which case the caller may skip the update for this frame.
     """
-    predicted, observed, h = _stack_batch(state, batch, rig)
-    innovation = observed - predicted
+    if batch.n_features == 0:
+        raise EmptyBatch("measurement batch is empty")
+    jacs, innovations = [], []
+    for entry in batch.entries:
+        uv, jac = pose_measurement_rows(state.x, rig.camera(entry.camera), entry.points)
+        jacs.append(jac)
+        innovations.append(entry.uv - uv)
+    j = np.concatenate(jacs).reshape(-1, 6)
     r = state.r_var
     try:
-        p_inv = np.linalg.inv(state.P)
-        info = p_inv + (h.T @ h) / r
+        info = np.linalg.inv(state.P)
+        info[:6, :6] += (j.T @ j) / r
         l_inv = np.linalg.inv(np.linalg.cholesky(info))
         p_post = l_inv.T @ l_inv
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationCovariance(str(exc)) from exc
     if not np.all(np.isfinite(p_post)):
         raise SingularInnovationCovariance("non-finite posterior covariance")
-    gain = p_post @ h.T / r
-    x = state.x + gain @ innovation
-    ikh = np.eye(N_STATE) - gain @ h
+    gain = p_post[:, :6] @ j.T / r
+    x = state.x + gain @ np.concatenate(innovations).reshape(-1)
+    ikh = np.eye(N_STATE)
+    ikh[:, :6] -= gain @ j
     p_new = ikh @ state.P @ ikh.T + r * (gain @ gain.T)
     return PoseFilterState(x, 0.5 * (p_new + p_new.T), state.Q, state.r_var)
 
@@ -240,22 +206,6 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, rig: CameraRig)
 # ---------------------------------------------------------------------------
 # Per-point structure filters
 # ---------------------------------------------------------------------------
-
-@dataclass
-class StructureFilterState:
-    """One feature's 3D estimate (world/local frame) and covariance."""
-
-    m: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float).reshape(3)
-        self.P = np.asarray(self.P, dtype=float).reshape(3, 3)
-
-
-def structure_depths(points, pose_vec, cam: Camera) -> np.ndarray:
-    return predicted_depths(np.asarray(pose_vec, float), cam, np.asarray(points, float))
-
 
 def structure_update_batch(
     means: np.ndarray,
@@ -274,22 +224,10 @@ def structure_update_batch(
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     observed_uv = np.asarray(observed_uv, dtype=float)
-    d, angles = pose_vec[:3], pose_vec[3:6]
-    rot = rot_from_angles(angles)
-    orient = rot @ cam.R
-    center = d + rot @ cam.D
-    p_cam = (means - center) @ orient
+    rot = rot_from_angles(pose_vec[3:6])
+    p_cam, predicted, jp, orient = view_points(means, rot, pose_vec[:3], cam, jacobian=True)
     if np.any(p_cam[:, 2] <= Z_MIN):
         raise BehindCamera("structure point behind its camera")
-    intr = cam.intrinsics
-    predicted = np.stack(
-        [
-            intr.fx * p_cam[:, 0] / p_cam[:, 2] + intr.cx,
-            intr.fy * p_cam[:, 1] / p_cam[:, 2] + intr.cy,
-        ],
-        axis=-1,
-    )
-    jp = project_jacobian(p_cam, intr)                   # (N, 2, 3)
     jac = jp @ orient.T                                  # dP_cam/dM = orient^T
     innovation = observed_uv - predicted                 # (N, 2)
 
@@ -312,24 +250,6 @@ def structure_update_batch(
     )
     new_covs = 0.5 * (new_covs + np.swapaxes(new_covs, 1, 2))
     return new_means, new_covs
-
-
-def structure_update(
-    s: StructureFilterState,
-    observed,
-    pose,
-    rig: CameraRig,
-    k: int,
-    r_var: float = 0.25,
-) -> StructureFilterState:
-    """Single-point structure update through camera k of the rig."""
-    cam = rig.camera(k)
-    pose_vec = pose.as_vector() if hasattr(pose, "as_vector") else np.asarray(pose, float)
-    means, covs = structure_update_batch(
-        s.m[None, :], s.P[None, :, :], np.asarray(observed, float)[None, :],
-        pose_vec, cam, r_var,
-    )
-    return StructureFilterState(means[0], covs[0])
 
 
 def orthographic_init(uv: np.ndarray, intr: Intrinsics, depth: float) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything derives from RigPoseError so callers can catch the whole family.
 Numerical-degeneracy errors (IllConditioned, SingularInnovationCovariance,
-ParallelRays, ...) derive from DegenerateGeometry: the pipelines treat them
+BehindCamera, ...) derive from DegenerateGeometry: the pipelines treat them
 as recoverable per-frame conditions, not hard failures.
 """
 
@@ -37,14 +37,6 @@ class BehindCamera(DegenerateGeometry):
 
 class CoincidentCenters(DegenerateGeometry):
     """Two camera centers coincide; no epipolar geometry exists."""
-
-
-class DegenerateLine(DegenerateGeometry):
-    """An epipolar line with vanishing direction coefficients."""
-
-
-class ParallelRays(DegenerateGeometry):
-    """Back-projected rays too close to parallel to triangulate."""
 
 
 class EmptyBatch(InputError):

@@ -29,8 +29,9 @@ from .geometry import (
     Camera,
     CameraRig,
     Pose,
-    angles_from_rot,
-    equivalent_rotation,
+    camera_placement,
+    change_basis,
+    euler_angles,
 )
 
 COND_LIMIT = 1e12          # on A^T A
@@ -45,7 +46,6 @@ class CameraLocalPose:
     k: int
     l: np.ndarray
     r: np.ndarray
-    scale_free: bool = True
 
     def __post_init__(self):
         self.l = np.asarray(self.l, dtype=float).reshape(3)
@@ -54,10 +54,10 @@ class CameraLocalPose:
 
 def true_local_pose(pose: Pose, cam: Camera, k: int = 0) -> CameraLocalPose:
     """Ground-truth (l_kj, r_kj) of a rig camera for a given body pose."""
-    rot = pose.rotation()
-    l = cam.R.T @ (pose.d + rot @ cam.D - cam.D)
-    r = cam.R.T @ rot @ cam.R
-    return CameraLocalPose(k=k, l=l, r=r, scale_free=False)
+    center, orient = camera_placement(pose.rotation(), pose.d, cam)
+    l = cam.R.T @ (center - cam.D)
+    r = cam.R.T @ orient
+    return CameraLocalPose(k=k, l=l, r=r)
 
 
 def local_to_body_pose(local: CameraLocalPose, cam: Camera) -> Pose:
@@ -66,18 +66,25 @@ def local_to_body_pose(local: CameraLocalPose, cam: Camera) -> Pose:
     Rotation comes from the change of basis; translation from the rigidity
     relation d_j = R_k l_kj + (I - R_kj) D_k with both scales at 1.
     """
-    body_rot = equivalent_rotation(cam.R, local.r)
+    body_rot = change_basis(cam.R, local.r)
     d = cam.R @ local.l + (np.eye(3) - body_rot) @ cam.D
-    return Pose(d, angles_from_rot(body_rot))
+    return Pose(d, euler_angles(body_rot))
 
 
 def fuse_rotation_median(rotations) -> np.ndarray:
     """Per-axis median of the decomposed angles of equivalent rotations.
 
     With an even count the median is the mean of the two middle values.
+    Angles lie in (-pi, pi]. A set that spans more than pi on an axis but
+    fits in less than pi once its negative values are shifted by 2 pi
+    straddles the +-pi seam; its median is taken on the shifted values and
+    wrapped back.
     """
-    angle_sets = np.array([angles_from_rot(np.asarray(r, float)) for r in rotations])
-    return np.median(angle_sets, axis=0)
+    angle_sets = np.array([euler_angles(np.asarray(r, float)) for r in rotations])
+    shifted = np.where(angle_sets < 0, angle_sets + 2 * np.pi, angle_sets)
+    seam = (np.ptp(angle_sets, axis=0) > np.pi) & (np.ptp(shifted, axis=0) < np.pi)
+    fused = np.median(np.where(seam, shifted, angle_sets), axis=0)
+    return np.where(fused > np.pi, fused - 2 * np.pi, fused)
 
 
 @dataclass

@@ -62,10 +62,11 @@ def rot_from_angles(angles) -> np.ndarray:
     return rot_x(a) @ rot_y(b) @ rot_z(g)
 
 
-def rot_derivatives(angles) -> np.ndarray:
-    """Partial derivatives of rot_from_angles, shape (3, 3, 3).
+def rot_with_derivatives(angles) -> tuple[np.ndarray, np.ndarray]:
+    """rot_from_angles(angles) and its partial derivatives, shape (3, 3, 3),
+    from one evaluation of the three axis rotations.
 
-    Entry [i] is dR/d(angles[i]).
+    Entry [i] of the derivatives is dR/d(angles[i]).
     """
     a, b, g = angles
     rx, ry, rz = rot_x(a), rot_y(b), rot_z(g)
@@ -75,7 +76,7 @@ def rot_derivatives(angles) -> np.ndarray:
     drx = np.array([[0.0, 0.0, 0.0], [0.0, -sa, -ca], [0.0, ca, -sa]])
     dry = np.array([[-sb, 0.0, cb], [0.0, 0.0, 0.0], [-cb, 0.0, -sb]])
     drz = np.array([[-sg, -cg, 0.0], [cg, -sg, 0.0], [0.0, 0.0, 0.0]])
-    return np.stack([drx @ ry @ rz, rx @ dry @ rz, rx @ ry @ drz])
+    return rx @ ry @ rz, np.stack([drx @ ry @ rz, rx @ dry @ rz, rx @ ry @ drz])
 
 
 def check_rotation(rot: np.ndarray, tol: float = ORTHO_TOL) -> None:
@@ -89,14 +90,12 @@ def check_rotation(rot: np.ndarray, tol: float = ORTHO_TOL) -> None:
         raise NonOrthonormalInput("matrix has negative determinant (reflection)")
 
 
-def angles_from_rot(rot: np.ndarray) -> np.ndarray:
+def euler_angles(rot: np.ndarray) -> np.ndarray:
     """Decompose a rotation into (alpha, beta, gamma) with R = Rx Ry Rz.
 
-    Raises NonOrthonormalInput for non-rotations and GimbalProximity when
-    |cos(beta)| falls below GIMBAL_TOL.
+    Does not check orthonormality: for rotations the package built itself.
+    Raises GimbalProximity when |cos(beta)| falls below GIMBAL_TOL.
     """
-    rot = np.asarray(rot, dtype=float)
-    check_rotation(rot)
     # R[0,2] = sin(beta); R[1,2] = -sin(alpha)cos(beta); R[2,2] = cos(alpha)cos(beta)
     # R[0,0] = cos(beta)cos(gamma); R[0,1] = -cos(beta)sin(gamma)
     sb = np.clip(rot[0, 2], -1.0, 1.0)
@@ -109,12 +108,29 @@ def angles_from_rot(rot: np.ndarray) -> np.ndarray:
     return np.array([alpha, beta, gamma])
 
 
-def equivalent_rotation(rot_k: np.ndarray, rot_local: np.ndarray) -> np.ndarray:
-    """Change of basis R_k @ r @ R_k^T: a camera-local rotation expressed
-    about the reference axes."""
+def angles_from_rot(rot) -> np.ndarray:
+    """euler_angles of a matrix from outside the package.
+
+    Raises NonOrthonormalInput for non-rotations and GimbalProximity when
+    |cos(beta)| falls below GIMBAL_TOL.
+    """
+    rot = np.asarray(rot, dtype=float)
+    check_rotation(rot)
+    return euler_angles(rot)
+
+
+def change_basis(rot_k: np.ndarray, rot_local: np.ndarray) -> np.ndarray:
+    """R_k @ r @ R_k^T: a camera-local rotation expressed about the reference
+    axes. Does not check its inputs: for rotations the package built itself."""
+    return rot_k @ rot_local @ rot_k.T
+
+
+def equivalent_rotation(rot_k, rot_local) -> np.ndarray:
+    """change_basis of matrices from outside the package; raises
+    NonOrthonormalInput unless both are rotations."""
     check_rotation(rot_k)
     check_rotation(rot_local)
-    return rot_k @ rot_local @ rot_k.T
+    return change_basis(np.asarray(rot_k, dtype=float), np.asarray(rot_local, dtype=float))
 
 
 @dataclass
@@ -218,10 +234,39 @@ class CameraRig:
         return [(2 * i, 2 * i + 1) for i in range(len(self.cameras) // 2)]
 
 
-def camera_placement(pose: Pose, cam: Camera) -> tuple[np.ndarray, np.ndarray]:
-    """World center C and camera-to-world orientation W of a rig camera at a pose."""
-    rot = pose.rotation()
-    return pose.d + rot @ cam.D, rot @ cam.R
+def camera_placement(rot: np.ndarray, d: np.ndarray, cam: Camera) -> tuple[np.ndarray, np.ndarray]:
+    """World center C = d + R D_k and camera-to-world orientation W = R R_k
+    of a rig camera with the body at translation d and rotation rot."""
+    return d + rot @ cam.D, rot @ cam.R
+
+
+def _pinhole(p_cam: np.ndarray, intr: Intrinsics, jacobian: bool):
+    x, y, z = p_cam[..., 0], p_cam[..., 1], p_cam[..., 2]
+    uv = np.stack([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy], axis=-1)
+    if not jacobian:
+        return uv, None
+    zero = np.zeros_like(z)
+    row_u = np.stack([intr.fx / z, zero, -intr.fx * x / z**2], axis=-1)
+    row_v = np.stack([zero, intr.fy / z, -intr.fy * y / z**2], axis=-1)
+    return uv, np.stack([row_u, row_v], axis=-2)
+
+
+def view_points(points, rot: np.ndarray, d: np.ndarray, cam: Camera, jacobian: bool = False):
+    """World points (..., 3) seen through rig camera cam with the body at
+    translation d and rotation rot: the one placement-and-pinhole kernel.
+
+    Returns (p_cam, uv): camera-frame points P_k = W^T (M - C) and their
+    pixels. With jacobian=True it returns (p_cam, uv, jp, W), where jp
+    (..., 2, 3) is d(pixel)/d(P_k) and W the camera-to-world orientation,
+    so dP_k/dM = W^T. Pixels of points with depth <= Z_MIN carry no
+    meaning; callers mask or reject those points by p_cam[..., 2].
+    """
+    center, orient = camera_placement(rot, d, cam)
+    p_cam = (points - center) @ orient
+    uv, jp = _pinhole(p_cam, cam.intrinsics, jacobian)
+    if not jacobian:
+        return p_cam, uv
+    return p_cam, uv, jp, orient
 
 
 def world_to_camera(pose: Pose, points) -> np.ndarray:
@@ -233,9 +278,7 @@ def world_to_camera(pose: Pose, points) -> np.ndarray:
 def world_to_camera_k(pose: Pose, rig: CameraRig, k: int, points) -> np.ndarray:
     """Camera-k coordinates R_k^T R^T (M - d - R D_k). Accepts (..., 3) points."""
     cam = rig.camera(k)
-    points = np.asarray(points, dtype=float)
-    center, orient = camera_placement(pose, cam)
-    return (points - center) @ orient
+    return view_points(np.asarray(points, dtype=float), pose.rotation(), pose.d, cam)[0]
 
 
 def project(points_cam, intr: Intrinsics) -> np.ndarray:
@@ -244,24 +287,9 @@ def project(points_cam, intr: Intrinsics) -> np.ndarray:
     Raises BehindCamera if any point has z <= Z_MIN.
     """
     pts = np.asarray(points_cam, dtype=float)
-    z = pts[..., 2]
-    if np.any(z <= Z_MIN):
+    if np.any(pts[..., 2] <= Z_MIN):
         raise BehindCamera("point at or behind the image plane")
-    u = intr.fx * pts[..., 0] / z + intr.cx
-    v = intr.fy * pts[..., 1] / z + intr.cy
-    return np.stack([u, v], axis=-1)
-
-
-def project_jacobian(points_cam, intr: Intrinsics) -> np.ndarray:
-    """d(pixel)/d(camera point) for points (..., 3); returns (..., 2, 3)."""
-    pts = np.asarray(points_cam, dtype=float)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    if np.any(z <= Z_MIN):
-        raise BehindCamera("point at or behind the image plane")
-    zero = np.zeros_like(z)
-    row_u = np.stack([intr.fx / z, zero, -intr.fx * x / z**2], axis=-1)
-    row_v = np.stack([zero, intr.fy / z, -intr.fy * y / z**2], axis=-1)
-    return np.stack([row_u, row_v], axis=-2)
+    return _pinhole(pts, intr, jacobian=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +317,10 @@ def rig_to_dict(rig: CameraRig) -> dict:
 
 def angles_from_rig_rotation(rot: np.ndarray) -> np.ndarray:
     """Euler angles for a rig extrinsic rotation; allows beta = pi (a camera
-    facing straight back), which the general decomposition rejects."""
+    facing straight back), which the general decomposition rejects. The
+    rotation was validated when its Camera was built."""
     try:
-        return angles_from_rot(rot)
+        return euler_angles(rot)
     except GimbalProximity:
         # beta = +-pi/2 exactly: sideways-facing camera. gamma fixed to 0.
         sb = np.clip(rot[0, 2], -1.0, 1.0)
@@ -301,10 +330,15 @@ def angles_from_rig_rotation(rot: np.ndarray) -> np.ndarray:
 
 
 def rig_from_dict(data: dict) -> CameraRig:
+    if not isinstance(data, dict):
+        raise InputError(f"malformed rig: expected a JSON object, got {type(data).__name__}")
+    entries = data.get("cameras")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise InputError("malformed rig: 'cameras' must be a list of objects")
     try:
         layout = data.get("layout", "overlapping")
         cameras = []
-        for entry in data["cameras"]:
+        for entry in entries:
             intr = Intrinsics(
                 fx=float(entry.get("fx", 1000.0)),
                 fy=float(entry.get("fy", 1000.0)),
@@ -386,8 +420,3 @@ def default_overlap_rig(intrinsics: Intrinsics | None = None) -> CameraRig:
         layout="overlapping",
     )
 
-
-def front_pair_rig() -> CameraRig:
-    """The front stereo pair alone (the '2 cameras' method)."""
-    full = default_overlap_rig()
-    return CameraRig(cameras=full.cameras[:2], layout="overlapping")

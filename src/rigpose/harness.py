@@ -195,6 +195,10 @@ def monte_carlo(
     for m in setup.methods:
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+    if sim.n_runs < 1:
+        raise InputError(f"need at least 1 run, got {sim.n_runs}")
+    if sim.n_frames < 2:
+        raise InputError(f"need at least 2 frames to report errors, got {sim.n_frames}")
 
     started = time.monotonic()
     seeds = run_seed_sequences(sim.seed, sim.n_runs)
@@ -281,6 +285,11 @@ def load_config(path) -> dict:
         raise InputError(f"{path}: unknown config blocks {sorted(unknown)}")
 
     rigs = data.get("rigs", {})
+    if not isinstance(rigs, dict):
+        raise InputError(f"{path}: 'rigs' must be a JSON object")
+    min_visible = data.get("min_visible", 100)
+    if isinstance(min_visible, bool) or not isinstance(min_visible, int):
+        raise InputError(f"{path}: 'min_visible' must be an integer, got {min_visible!r}")
     overlap = (
         rig_from_dict(rigs["overlapping"])
         if "overlapping" in rigs
@@ -297,5 +306,5 @@ def load_config(path) -> dict:
         "rig_nonoverlap": nonoverlap,
         "tuning": _build(FilterTuning, data.get("tuning", {}), "tuning"),
         "pipeline": _build(PipelineConfig, data.get("pipeline", {}), "pipeline"),
-        "min_visible": int(data.get("min_visible", 100)),
+        "min_visible": min_visible,
     }

@@ -40,12 +40,15 @@ from .errors import (
     SingularInnovationCovariance,
 )
 from .geometry import (
+    Z_MIN,
     Camera,
     CameraRig,
     Intrinsics,
     Pose,
-    angles_from_rot,
+    change_basis,
+    euler_angles,
     rot_from_angles,
+    view_points,
 )
 from .simulate import Trajectory
 
@@ -91,11 +94,15 @@ class PoseEstimateSeries:
 def pose_error_report(series: PoseEstimateSeries, truth: Trajectory) -> np.ndarray:
     """Mean absolute error per pose parameter (tx, ty, tz, alpha, beta,
     gamma), averaged over frames 1..F-1. Frame 0 is identity by
-    construction and is excluded so it cannot dilute the average."""
+    construction and is excluded so it cannot dilute the average. Angles
+    that differ by a multiple of 2 pi are one rotation: an angle error
+    above pi is taken modulo 2 pi."""
     if len(series) != len(truth):
         raise LengthMismatch(f"series has {len(series)} frames, truth has {len(truth)}")
     err_d = np.abs(series.d_array()[1:] - truth.d[1:])
-    err_a = np.abs(series.angles_array()[1:] - truth.angles[1:])
+    diff_a = series.angles_array()[1:] - truth.angles[1:]
+    err_a = np.abs(diff_a)
+    err_a = np.where(err_a > np.pi, np.abs((diff_a + np.pi) % (2 * np.pi) - np.pi), err_a)
     return np.concatenate([err_d.mean(axis=0), err_a.mean(axis=0)])
 
 
@@ -125,7 +132,9 @@ def lowe_pose(
     cam = Camera(D=np.zeros(3), R=np.eye(3), intrinsics=intr)
 
     def cost_of(vec):
-        uv_pred, _ = ekf.pose_measurement_rows(np.concatenate([vec, np.zeros(6)]), cam, points)
+        p_cam, uv_pred = view_points(points, rot_from_angles(vec[3:]), vec[:3], cam)
+        if np.any(p_cam[:, 2] <= Z_MIN):
+            raise BehindCamera("match point behind the camera")
         res = (pixels - uv_pred).ravel()
         return res @ res
 
@@ -133,7 +142,7 @@ def lowe_pose(
     cost = cost_of(vec)   # BehindCamera here means init outside the basin
     fails = 0
     for _ in range(max_iter):
-        uv_pred, jac = ekf.pose_measurement_rows(np.concatenate([vec, np.zeros(6)]), cam, points)
+        uv_pred, jac = ekf.pose_measurement_rows(vec, cam, points)
         res = (pixels - uv_pred).ravel()
         j = jac.reshape(-1, 6)
         jtj = j.T @ j
@@ -470,7 +479,7 @@ def _structure_pass(store: _TrackStore, ids, uv, pose_vec, cam: Camera, tuning):
     rows = store.rows(ids)
     pts = store.means[rows]
     depths = ekf.predicted_depths(pose_vec, cam, pts)
-    front = depths > ekf.Z_MIN
+    front = depths > Z_MIN
     if not np.any(front):
         return
     rows = rows[front]
@@ -536,7 +545,7 @@ def run_nonoverlap_sequence(
             local_truth = []
             for j in range(min(2, n_frames)):
                 lp = fusion.true_local_pose(truth.pose(j), cam, k)
-                local_truth.append(np.concatenate([lp.l, angles_from_rot(lp.r)]))
+                local_truth.append(np.concatenate([lp.l, euler_angles(lp.r)]))
             if scene is not None:
                 ids0 = frames[0][k][0]
                 ideal_points = (scene[ids0] - cam.D) @ cam.R
@@ -547,28 +556,23 @@ def run_nonoverlap_sequence(
         diags_per_cam.append(diags)
 
     out: dict[str, PoseEstimateSeries] = {}
+    per_frame = [[] for _ in range(n_frames)]   # (local pose, equivalent rotation) per camera
     for k in range(4):
         series = PoseEstimateSeries()
         cam = rig.camera(k)
-        for j in range(n_frames):
-            vec = locals_per_cam[k][j]
+        for j, vec in enumerate(locals_per_cam[k]):
             local = fusion.CameraLocalPose(k, vec[:3], rot_from_angles(vec[3:]))
             series.append(
                 fusion.local_to_body_pose(local, cam), "local", diags_per_cam[k][j]
             )
+            per_frame[j].append((local, change_basis(cam.R, local.r)))
         out[f"cam{k + 1}"] = series
 
     rc = PoseEstimateSeries()
     rc.append(Pose.identity(), "init", {"scales": [1.0, 1.0, 1.0, 1.0]})
     prev_scales = np.ones(4)
     for j in range(1, n_frames):
-        per_camera = []
-        for k in range(4):
-            vec = locals_per_cam[k][j]
-            local = fusion.CameraLocalPose(k, vec[:3], rot_from_angles(vec[3:]))
-            eq_rot = fusion.equivalent_rotation(rig.camera(k).R, local.r)
-            per_camera.append((local, eq_rot))
-        result = fusion.fuse_pose(per_camera, rig, prev_scales)
+        result = fusion.fuse_pose(per_frame[j], rig, prev_scales)
         prev_scales = result.scales
         rc.append(
             result.pose,

@@ -17,7 +17,10 @@ from .geometry import (
     default_nonoverlap_rig,
     default_overlap_rig,
     equivalent_rotation,
+    project,
     rot_from_angles,
+    world_to_camera,
+    world_to_camera_k,
 )
 
 
@@ -44,16 +47,16 @@ def check_triangulation_roundtrip(rng) -> float:
     rig = default_overlap_rig()
     pair = stereo.make_stereo_pair(rig, 0, 1)
     pose = Pose(rng.uniform(-0.01, 0.01, 3), rng.uniform(-0.01, 0.01, 3))
-    worst = 0.0
-    for _ in range(50):
-        point = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.7, 1.0)])
-        from .geometry import project, world_to_camera_k
-
-        uv_a = project(world_to_camera_k(pose, rig, 0, point), rig.camera(0).intrinsics)
-        uv_b = project(world_to_camera_k(pose, rig, 1, point), rig.camera(1).intrinsics)
-        rec = stereo.triangulate(rig, pose, pair, uv_a, uv_b)
-        worst = max(worst, np.linalg.norm(rec - point))
-    return worst
+    points = np.array(
+        [[rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.7, 1.0)]
+         for _ in range(50)]
+    )
+    uv_a = project(world_to_camera_k(pose, rig, 0, points), rig.camera(0).intrinsics)
+    uv_b = project(world_to_camera_k(pose, rig, 1, points), rig.camera(1).intrinsics)
+    rec, ok = stereo.triangulate_batch(rig, pose, pair, uv_a, uv_b)
+    if not ok.all():
+        return np.inf
+    return float(np.linalg.norm(rec - points, axis=1).max())
 
 
 def check_scale_recovery(rng) -> float:
@@ -69,8 +72,6 @@ def check_scale_recovery(rng) -> float:
 
 
 def check_lowe_recovery(rng) -> float:
-    from .geometry import project, world_to_camera
-
     intr = default_overlap_rig().camera(0).intrinsics
     worst = 0.0
     for _ in range(10):

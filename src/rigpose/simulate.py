@@ -17,7 +17,8 @@ parallel without changing a single bit of the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .geometry import (
     CameraRig,
     Pose,
     Z_MIN,
-    angles_from_rot,
-    camera_placement,
+    euler_angles,
     rot_from_angles,
+    view_points,
 )
 
 
@@ -50,6 +51,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = Integral if f.type == "int" else Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InputError(f"sim.{f.name} must be {f.type}, got {value!r}")
         if not 0 < self.shell_inner < self.shell_outer:
             raise InputError("need 0 < shell_inner < shell_outer")
         if not 0 <= self.trans_min <= self.trans_max:
@@ -88,9 +94,6 @@ class Trajectory:
     def pose(self, j: int) -> Pose:
         return Pose(self.d[j], self.angles[j])
 
-    def pose_matrix(self, j: int) -> np.ndarray:
-        return self.rotations[j]
-
 
 def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
     """Random six-DOF walk: per frame each translation component has
@@ -110,7 +113,7 @@ def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
     for j in range(1, f):
         d[j] = d[j - 1] + deltas[j - 1, :3]
         rotations[j] = rot_from_angles(deltas[j - 1, 3:]) @ rotations[j - 1]
-        angles[j] = angles_from_rot(rotations[j])
+        angles[j] = euler_angles(rotations[j])
     return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)
 
 
@@ -140,18 +143,12 @@ def render_frame(
     projection lands inside the image; noise is added after the visibility
     test, in ascending id order, so the draw sequence is reproducible.
     """
-    center, orient = camera_placement(pose, cam)
-    p_cam = (scene - center) @ orient
-    z = p_cam[:, 2]
-    front = z > Z_MIN
+    p_cam, uv = view_points(scene, pose.rotation(), pose.d, cam)
     intr = cam.intrinsics
-    u = np.full(len(scene), -1.0)
-    v = np.full(len(scene), -1.0)
-    u[front] = intr.fx * p_cam[front, 0] / z[front] + intr.cx
-    v[front] = intr.fy * p_cam[front, 1] / z[front] + intr.cy
-    visible = front & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
+    u, v = uv[:, 0], uv[:, 1]
+    visible = (p_cam[:, 2] > Z_MIN) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
     ids = np.flatnonzero(visible)
-    uv = np.stack([u[ids], v[ids]], axis=-1)
+    uv = uv[ids]
     if noise_sigma > 0 and rng is not None and len(ids):
         uv = uv + rng.normal(0.0, noise_sigma, uv.shape)
     return ids, uv

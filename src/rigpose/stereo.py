@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BehindCamera,
-    CoincidentCenters,
-    DegenerateLine,
-    ParallelRays,
-)
+from .errors import CoincidentCenters
 from .geometry import Camera, CameraRig, Pose, camera_placement
 
 # Rays closer to parallel than this angle (radians) cannot be intersected.
@@ -71,33 +66,26 @@ def make_stereo_pair(rig: CameraRig, a: int, b: int) -> StereoPair:
     return StereoPair(a, b, fundamental_from_calib(rig, a, b), baseline)
 
 
-def epipolar_distance(fm: FundamentalMatrix, p_a, p_b) -> float:
-    """Distance (px) from p_b to the epipolar line of p_a."""
-    p_a = np.asarray(p_a, dtype=float)
-    line = fm.F @ np.array([p_a[0], p_a[1], 1.0])
-    norm = np.hypot(line[0], line[1])
-    if abs(line[0]) < 1e-15 and abs(line[1]) < 1e-15:
-        raise DegenerateLine("epipolar line has vanishing direction")
-    p_b = np.asarray(p_b, dtype=float)
-    return float(abs(line[0] * p_b[0] + line[1] * p_b[1] + line[2]) / norm)
-
-
 def epipolar_distances(fm: FundamentalMatrix, pts_a, pts_b) -> np.ndarray:
-    """Vectorized epipolar distances for matched pixel arrays (N, 2)."""
+    """Distances (px) from each p_b to the epipolar line of its p_a, for
+    matched pixel arrays (N, 2).
+
+    A line with vanishing direction coefficients has no distance to
+    measure; its entry is inf, so no gate accepts that match.
+    """
     pts_a = np.asarray(pts_a, dtype=float)
     pts_b = np.asarray(pts_b, dtype=float)
     ones = np.ones((len(pts_a), 1))
     lines = np.hstack([pts_a, ones]) @ fm.F.T
     norms = np.hypot(lines[:, 0], lines[:, 1])
-    norms = np.where(norms < 1e-15, np.inf, norms)
     num = np.abs(lines[:, 0] * pts_b[:, 0] + lines[:, 1] * pts_b[:, 1] + lines[:, 2])
-    return num / norms
+    return np.divide(num, norms, out=np.full_like(num, np.inf), where=norms >= 1e-15)
 
 
-def _back_project_rays(pose: Pose, cam: Camera, pixels: np.ndarray):
+def _back_project_rays(rot: np.ndarray, d: np.ndarray, cam: Camera, pixels: np.ndarray):
     """World-frame camera center and unnormalized ray directions with unit
     depth along the optical axis (so the ray parameter equals depth)."""
-    center, orient = camera_placement(pose, cam)
+    center, orient = camera_placement(rot, d, cam)
     intr = cam.intrinsics
     xn = (pixels[..., 0] - intr.cx) / intr.fx
     yn = (pixels[..., 1] - intr.cy) / intr.fy
@@ -115,8 +103,9 @@ def triangulate_batch(
     """
     pts_a = np.asarray(pts_a, dtype=float).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=float).reshape(-1, 2)
-    c_a, w_a = _back_project_rays(pose, rig.camera(pair.cam_a), pts_a)
-    c_b, w_b = _back_project_rays(pose, rig.camera(pair.cam_b), pts_b)
+    rot = pose.rotation()
+    c_a, w_a = _back_project_rays(rot, pose.d, rig.camera(pair.cam_a), pts_a)
+    c_b, w_b = _back_project_rays(rot, pose.d, rig.camera(pair.cam_b), pts_b)
 
     # Least-squares ray parameters: minimize |c_a + s w_a - c_b - t w_b|.
     waa = np.einsum("ni,ni->n", w_a, w_a)
@@ -135,21 +124,3 @@ def triangulate_batch(
     points = 0.5 * (c_a + s[:, None] * w_a + c_b + t[:, None] * w_b)
     return points, ok
 
-
-def triangulate(rig: CameraRig, pose: Pose, pair: StereoPair, p_a, p_b) -> np.ndarray:
-    """Midpoint of the common perpendicular of the two back-projected rays."""
-    pts_a = np.asarray(p_a, dtype=float).reshape(1, 2)
-    pts_b = np.asarray(p_b, dtype=float).reshape(1, 2)
-    c_a, w_a = _back_project_rays(pose, rig.camera(pair.cam_a), pts_a)
-    c_b, w_b = _back_project_rays(pose, rig.camera(pair.cam_b), pts_b)
-    w_a, w_b = w_a[0], w_b[0]
-    waa, wbb, wab = w_a @ w_a, w_b @ w_b, w_a @ w_b
-    det = waa * wbb - wab**2
-    if det <= (PARALLEL_TOL**2) * waa * wbb:
-        raise ParallelRays("back-projected rays are near parallel")
-    n = c_b - c_a
-    s = (wbb * (w_a @ n) - wab * (w_b @ n)) / det
-    t = (wab * (w_a @ n) - waa * (w_b @ n)) / det
-    if s <= 0 or t <= 0:
-        raise BehindCamera("triangulated point behind a camera")
-    return 0.5 * (c_a + s * w_a + c_b + t * w_b)

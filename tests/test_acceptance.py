@@ -21,6 +21,7 @@ from rigpose.geometry import (
     Pose,
     default_nonoverlap_rig,
     default_overlap_rig,
+    equivalent_rotation,
     project,
     read_rig,
     world_to_camera,
@@ -177,16 +178,15 @@ def test_criterion_4_noiseless_exactness():
     # (a) project -> triangulate round trip < 1e-9 m
     rig = default_overlap_rig()
     pair = stereo.make_stereo_pair(rig, 0, 1)
-    worst_tri = 0.0
     pose = Pose(rng.uniform(-0.02, 0.02, 3), rng.uniform(-0.02, 0.02, 3))
-    for _ in range(100):
-        point = np.array(
-            [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.7, 1.0)]
-        )
-        uv_a = project(world_to_camera_k(pose, rig, 0, point), rig.camera(0).intrinsics)
-        uv_b = project(world_to_camera_k(pose, rig, 1, point), rig.camera(1).intrinsics)
-        rec = stereo.triangulate(rig, pose, pair, uv_a, uv_b)
-        worst_tri = max(worst_tri, float(np.linalg.norm(rec - point)))
+    points = np.array(
+        [[rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.7, 1.0)]
+         for _ in range(100)]
+    )
+    uv_a = project(world_to_camera_k(pose, rig, 0, points), rig.camera(0).intrinsics)
+    uv_b = project(world_to_camera_k(pose, rig, 1, points), rig.camera(1).intrinsics)
+    rec, ok = stereo.triangulate_batch(rig, pose, pair, uv_a, uv_b)
+    worst_tri = float(np.linalg.norm(rec - points, axis=1).max()) if ok.all() else np.inf
 
     # (b) ground-truth scale system recovers (1,1,1,1) within 1e-9
     rig_n = default_nonoverlap_rig()
@@ -200,7 +200,7 @@ def test_criterion_4_noiseless_exactness():
 
     # (c) conjugation preserves the rotation angle within 1e-10
     worst_conj = 0.0
-    from rigpose.geometry import equivalent_rotation, rot_from_angles
+    from rigpose.geometry import rot_from_angles
 
     for _ in range(100):
         basis = rot_from_angles(rng.uniform(-0.5, 0.5, 3))
@@ -259,7 +259,7 @@ def test_criterion_5_degenerate_handling():
     for k in range(4):
         cam = rig_n.camera(k)
         local = fusion.true_local_pose(pure_rot, cam, k)
-        per_camera.append((local, fusion.equivalent_rotation(cam.R, local.r)))
+        per_camera.append((local, equivalent_rotation(cam.R, local.r)))
     prev = np.array([1.3, 0.9, 1.1, 1.0])
     result = fusion.fuse_pose(per_camera, rig_n, prev)
     fallback_ok = result.ill_conditioned and np.array_equal(result.scales, prev)

@@ -6,17 +6,12 @@ from rigpose.ekf import (
     FilterTuning,
     MeasurementBatch,
     PoseFilterState,
-    StructureFilterState,
     initial_structure_covariance,
-    innovation_covariance,
     make_pose_filter,
-    measurement_jacobian,
     orthographic_init,
     pose_measurement_rows,
     pose_predict,
     pose_update,
-    predict_measurements,
-    structure_update,
     structure_update_batch,
     transition_matrix,
 )
@@ -96,13 +91,22 @@ def test_predict_grows_covariance_with_q():
 # ---------------------------------------------------------------------------
 
 def test_jacobian_velocity_columns_zero():
+    # The measurement model reads only the pose states: changing the
+    # velocity leaves the prediction and the Jacobian untouched, so the
+    # velocity columns of H are zero and the update needs the six pose
+    # columns alone.
     rng = np.random.default_rng(1)
     rig = default_overlap_rig()
     state = make_pose_filter(rng.uniform(-0.05, 0.05, 6), np.zeros(6), TUNING)
-    batch = batch_for(rig, state.x, spread_points(rng, 10), cameras=(0, 1))
-    h = measurement_jacobian(state, batch, rig)
-    assert h.shape == (40, 12)
-    assert np.all(h[:, 6:] == 0.0)
+    moving = state.x.copy()
+    moving[6:] = rng.uniform(-0.05, 0.05, 6)
+    points = spread_points(rng, 10)
+    for k in (0, 1):
+        uv, jac = pose_measurement_rows(state.x, rig.camera(k), points)
+        uv_moving, jac_moving = pose_measurement_rows(moving, rig.camera(k), points)
+        assert jac.shape == (10, 2, 6)
+        np.testing.assert_array_equal(uv_moving, uv)
+        np.testing.assert_array_equal(jac_moving, jac)
 
 
 def test_jacobian_on_axis_translation_derivative():
@@ -252,9 +256,12 @@ def test_innovation_whiteness_on_consistent_model():
         truth[6:] += rng.normal(0, np.sqrt(tuning.q_vel), 6)
         state = pose_predict(state)
         batch = batch_for(rig, truth, points, noise=tuning.r_px, rng=rng)
-        predicted = predict_measurements(state, batch, rig)
+        rows = [pose_measurement_rows(state.x, rig.camera(e.camera), e.points)
+                for e in batch.entries]
+        predicted = np.concatenate([uv for uv, _ in rows]).ravel()
+        h = np.concatenate([jac for _, jac in rows]).reshape(-1, 6)
         observed = np.concatenate([e.uv for e in batch.entries]).ravel()
-        s = innovation_covariance(state, batch, rig)
+        s = h @ state.P[:6, :6] @ h.T + state.r_var * np.eye(len(h))
         innov = observed - predicted
         nis = innov @ np.linalg.solve(s, innov)
         state = pose_update(state, batch, rig)
@@ -268,20 +275,44 @@ def test_innovation_whiteness_on_consistent_model():
 # structure filters
 # ---------------------------------------------------------------------------
 
+def structure_update_reference(m, p, observed, pose_vec, cam, r_var):
+    """One point's EKF update written out with dense algebra: the oracle
+    the batched filter is checked against."""
+    pose = Pose.from_vector(pose_vec[:6])
+    rot = pose.rotation()
+    orient = rot @ cam.R
+    p_cam = orient.T @ (m - pose.d - rot @ cam.D)
+    if p_cam[2] <= 0:
+        raise BehindCamera("point behind the camera")
+    intr = cam.intrinsics
+    x, y, z = p_cam
+    predicted = np.array([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy])
+    jp = np.array([[intr.fx / z, 0.0, -intr.fx * x / z**2],
+                   [0.0, intr.fy / z, -intr.fy * y / z**2]])
+    h = jp @ orient.T
+    s = h @ p @ h.T + r_var * np.eye(2)
+    gain = p @ h.T @ np.linalg.inv(s)
+    ikh = np.eye(3) - gain @ h
+    return m + gain @ (observed - predicted), ikh @ p @ ikh.T + r_var * gain @ gain.T
+
+
 def test_structure_update_zero_innovation():
-    rig = reference_rig()
+    cam = reference_rig().camera(0)
     point = np.array([0.05, -0.03, 0.8])
-    uv = project(point, rig.camera(0).intrinsics)
-    s = StructureFilterState(point, np.diag([1e-2, 1e-2, 0.25]))
-    out = structure_update(s, uv, Pose.identity(), rig, 0, r_var=0.25)
-    np.testing.assert_allclose(out.m, point, atol=1e-12)
+    uv = project(point, cam.intrinsics)
+    m, _ = structure_update_batch(
+        point[None, :], np.diag([1e-2, 1e-2, 0.25])[None], uv[None, :], np.zeros(6), cam, 0.25
+    )
+    np.testing.assert_allclose(m[0], point, atol=1e-12)
 
 
 def test_structure_update_behind_camera():
-    rig = reference_rig()
-    s = StructureFilterState([0.0, 0.0, -0.5], np.eye(3))
+    cam = reference_rig().camera(0)
     with pytest.raises(BehindCamera):
-        structure_update(s, [320.0, 240.0], Pose.identity(), rig, 0)
+        structure_update_batch(
+            np.array([[0.0, 0.0, -0.5]]), np.eye(3)[None], np.array([[320.0, 240.0]]),
+            np.zeros(6), cam, 0.25,
+        )
 
 
 def test_structure_depth_converges_with_parallax():
@@ -337,18 +368,18 @@ def test_structure_stationary_camera_depth_stays_uncertain():
 
 def test_structure_batch_matches_single_updates():
     rng = np.random.default_rng(9)
-    rig = reference_rig()
-    cam = rig.camera(0)
-    pts = spread_points(rng, 8)
-    uv = project(pts, cam.intrinsics) + rng.normal(0, 0.5, (8, 2))
+    rig = default_nonoverlap_rig()
+    cam = rig.camera(1)
+    pose_vec = np.concatenate([rng.uniform(-0.02, 0.02, 6), np.zeros(6)])
+    pts = spread_points(rng, 8) @ cam.R.T + cam.D
+    uv = project(world_to_camera_k(Pose.from_vector(pose_vec[:6]), rig, 1, pts), cam.intrinsics)
+    uv = uv + rng.normal(0, 0.5, (8, 2))
     covs = initial_structure_covariance(TUNING, 8)
-    batch_m, batch_p = structure_update_batch(pts, covs, uv, np.zeros(6), cam, 0.25)
+    batch_m, batch_p = structure_update_batch(pts, covs, uv, pose_vec, cam, 0.25)
     for i in range(8):
-        s = structure_update(
-            StructureFilterState(pts[i], covs[i]), uv[i], Pose.identity(), rig, 0, r_var=0.25
-        )
-        np.testing.assert_allclose(s.m, batch_m[i], atol=1e-12)
-        np.testing.assert_allclose(s.P, batch_p[i], atol=1e-12)
+        m, p = structure_update_reference(pts[i], covs[i], uv[i], pose_vec, cam, 0.25)
+        np.testing.assert_allclose(m, batch_m[i], atol=1e-12)
+        np.testing.assert_allclose(p, batch_p[i], atol=1e-12)
 
 
 def test_orthographic_init_back_projects_to_plane():

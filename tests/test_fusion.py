@@ -76,6 +76,18 @@ def test_median_corruption_bounded_by_honest_spread():
         assert np.all(np.abs(dirty - clean) <= spread + 1e-12)
 
 
+def test_median_across_the_pi_seam():
+    # gamma near +-pi on both sides of the seam: the four rotations differ
+    # by at most 0.02 rad, so the fused gamma lies within 0.01 of pi
+    # (modulo 2 pi), not near 0 where the plain median of the signed
+    # angles falls.
+    gammas = [np.pi - 0.01, np.pi - 0.005, -(np.pi - 0.01), -(np.pi - 0.008)]
+    fused = fuse_rotation_median([rot_from_angles((0.01, -0.02, g)) for g in gammas])
+    assert abs(abs(fused[2]) - np.pi) < 0.01
+    assert -np.pi < fused[2] <= np.pi
+    np.testing.assert_allclose(fused[:2], [0.01, -0.02], atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # scale system
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from rigpose.geometry import (
     default_overlap_rig,
     equivalent_rotation,
     project,
-    project_jacobian,
     read_rig,
     rig_from_dict,
     rig_to_dict,
@@ -29,6 +28,7 @@ from rigpose.geometry import (
     rot_x,
     rot_y,
     rot_z,
+    view_points,
     world_to_camera,
     world_to_camera_k,
     write_rig,
@@ -237,11 +237,23 @@ def test_projection_chain_jacobian_matches_central_differences():
 
 
 def test_project_jacobian_shapes_and_behind_camera():
-    intr = Intrinsics()
-    jac = project_jacobian(np.array([[0.1, 0.2, 1.0]]), intr)
-    assert jac.shape == (1, 2, 3)
+    cam = default_nonoverlap_rig().camera(1)
+    rot = rot_from_angles((0.01, -0.02, 0.03))
+    d = np.array([0.01, 0.0, -0.02])
+    pts = np.array([[0.9, 0.1, 0.05], [0.8, -0.1, -0.1]])
+    p_cam, uv, jp, orient = view_points(pts, rot, d, cam, jacobian=True)
+    assert p_cam.shape == (2, 3) and uv.shape == (2, 2)
+    assert jp.shape == (2, 2, 3) and orient.shape == (3, 3)
+    np.testing.assert_allclose(uv, project(p_cam, cam.intrinsics), atol=1e-12)
+    # d(pixel)/d(camera point) against central differences
+    h = 1e-7
+    for i in range(3):
+        step = np.zeros(3)
+        step[i] = h
+        numeric = (project(p_cam + step, cam.intrinsics) - project(p_cam - step, cam.intrinsics)) / (2 * h)
+        np.testing.assert_allclose(jp[:, :, i], numeric, rtol=1e-6, atol=1e-4)
     with pytest.raises(BehindCamera):
-        project_jacobian(np.array([[0.0, 0.0, 0.0]]), intr)
+        project(np.array([[0.0, 0.0, 0.0]]), cam.intrinsics)
 
 
 def test_rig_requires_identity_reference():

@@ -5,7 +5,7 @@ import pytest
 
 from rigpose import cli, harness, pipeline
 from rigpose.errors import InputError
-from rigpose.geometry import default_nonoverlap_rig, default_overlap_rig, write_rig
+from rigpose.geometry import default_nonoverlap_rig, default_overlap_rig, rig_to_dict, write_rig
 from rigpose.pipeline import PipelineConfig, write_tracks, write_truth
 from rigpose.simulate import (
     SimConfig,
@@ -335,3 +335,46 @@ def test_cli_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok") >= 6
     assert "FAIL" not in out
+
+
+def _config(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return ["simulate", "--config", str(path)]
+
+
+def _run_tracks(tmp_path, rig_text, tracks_text):
+    rig_path = tmp_path / "rig.json"
+    rig_path.write_text(rig_text)
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text(tracks_text)
+    return ["run-tracks", "--layout", "stereo", "--rig", str(rig_path),
+            "--tracks", str(tracks), "--out", str(tmp_path / "p.csv")]
+
+
+THREE_CAMERA_TRACKS = "cam,frame,feature,u,v\n" + "".join(
+    f"{k},0,1,10.0,10.0\n" for k in range(3)
+)
+
+MALFORMED_INPUTS = [
+    pytest.param(lambda t: _config(t, {"min_visible": "abc"}), id="min_visible-string"),
+    pytest.param(lambda t: _config(t, {"min_visible": None}), id="min_visible-null"),
+    pytest.param(lambda t: _config(t, {"rigs": {"overlapping": 5}}), id="rig-block-number"),
+    pytest.param(lambda t: _run_tracks(t, "[]", THREE_CAMERA_TRACKS), id="rig-file-list"),
+    pytest.param(lambda t: _config(t, {"sim": {"n_points": "abc"}}), id="sim-field-string"),
+    pytest.param(lambda t: ["simulate", "--runs", "0"], id="zero-runs"),
+    pytest.param(lambda t: ["simulate", "--frames", "0"], id="zero-frames"),
+    pytest.param(lambda t: ["simulate", "--frames", "1"], id="one-frame"),
+    pytest.param(
+        lambda t: _run_tracks(t, json.dumps(rig_to_dict(default_overlap_rig())),
+                              THREE_CAMERA_TRACKS),
+        id="tracks-fewer-cameras-than-rig",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_argv", MALFORMED_INPUTS)
+def test_cli_malformed_input_exits_1(tmp_path, capsys, make_argv):
+    assert cli.main(make_argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err

@@ -142,6 +142,17 @@ def test_error_report_matches_brute_force():
     np.testing.assert_allclose(errors, brute, atol=1e-15)
 
 
+def test_error_report_angle_shifted_by_two_pi_is_no_error():
+    # The same rotation written with its angles shifted by +-2 pi.
+    traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=7), np.random.default_rng(7))
+    series = PoseEstimateSeries()
+    for j in range(len(traj)):
+        pose = traj.pose(j)
+        shift = 2 * np.pi * np.array([1.0, -1.0, 1.0]) * (j % 2)
+        series.append(Pose(pose.d, pose.angles + shift), "test")
+    np.testing.assert_allclose(pose_error_report(series, traj), np.zeros(6), atol=1e-12)
+
+
 def test_error_report_length_mismatch():
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=6), np.random.default_rng(6))
     short = PoseEstimateSeries()
