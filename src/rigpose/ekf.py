@@ -27,7 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCamera, EmptyBatch, SingularInnovationCovariance
+from .errors import (
+    BehindCamera,
+    EmptyBatch,
+    SingularInnovationCovariance,
+    check_config_fields,
+)
 from .geometry import (
     Camera,
     CameraRig,
@@ -54,6 +59,13 @@ class FilterTuning:
     p0_struct_lateral: float = 1e-2   # initial structure variance, image-plane axes (m^2)
     p0_struct_depth: float = 0.25     # initial structure variance, depth axis (m^2)
 
+    def __post_init__(self):
+        variances = ("q_pose", "q_vel", "p0_pose", "p0_vel",
+                     "p0_struct_lateral", "p0_struct_depth")
+        check_config_fields(
+            self, "tuning", at_least=dict.fromkeys(variances, 0), positive=("r_px",)
+        )
+
     def process_noise(self) -> np.ndarray:
         return np.diag([self.q_pose] * 6 + [self.q_vel] * 6)
 
@@ -74,13 +86,6 @@ class PoseFilterState:
         self.x = np.asarray(self.x, dtype=float).reshape(N_STATE)
         self.P = np.asarray(self.P, dtype=float).reshape(N_STATE, N_STATE)
         self.Q = np.asarray(self.Q, dtype=float).reshape(N_STATE, N_STATE)
-
-    @property
-    def pose_vector(self) -> np.ndarray:
-        return self.x[:6]
-
-    def copy(self) -> "PoseFilterState":
-        return PoseFilterState(self.x.copy(), self.P.copy(), self.Q, self.r_var)
 
 
 def make_pose_filter(pose_vec, vel_vec, tuning: FilterTuning) -> PoseFilterState:

@@ -1,10 +1,14 @@
-"""Exception types raised by the rigpose estimation stack.
+"""Exception types raised by the rigpose estimation stack, and the one
+check that config dataclasses run on their fields.
 
 Everything derives from RigPoseError so callers can catch the whole family.
 Numerical-degeneracy errors (IllConditioned, SingularInnovationCovariance,
 BehindCamera, ...) derive from DegenerateGeometry: the pipelines treat them
 as recoverable per-frame conditions, not hard failures.
 """
+
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class RigPoseError(Exception):
@@ -77,3 +81,21 @@ class LengthMismatch(InputError):
 
 class EstimationFailure(RigPoseError):
     """A sequence run aborted for numerical reasons (non-finite state)."""
+
+
+def check_config_fields(
+    config, block: str, at_least: dict | None = None, positive: tuple = ()
+) -> None:
+    """Raise InputError for the first field of a config dataclass whose
+    value is not of its annotated type (int or float; a bool is neither),
+    is below its at_least bound, or is listed in positive and not above 0."""
+    at_least = at_least or {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = Integral if f.type == "int" else Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InputError(f"{block}.{f.name} must be {f.type}, got {value!r}")
+        if f.name in at_least and not value >= at_least[f.name]:
+            raise InputError(f"{block}.{f.name} must be >= {at_least[f.name]}, got {value!r}")
+        if f.name in positive and not value > 0:
+            raise InputError(f"{block}.{f.name} must be > 0, got {value!r}")

@@ -159,9 +159,6 @@ class Pose:
     def rotation(self) -> np.ndarray:
         return rot_from_angles(self.angles)
 
-    def copy(self) -> "Pose":
-        return Pose(self.d.copy(), self.angles.copy())
-
 
 @dataclass
 class Intrinsics:

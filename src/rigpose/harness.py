@@ -102,23 +102,6 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def parse_report_csv(path) -> dict[str, np.ndarray]:
-    rows: dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "method," + ",".join(PARAM_NAMES):
-            raise InputError(f"{path}: line 1: unexpected report header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise InputError(f"{path}: line {lineno}: expected 7 fields")
-            rows[parts[0]] = np.array([float(x) for x in parts[1:]])
-    return rows
-
-
 def _run_one(args):
     """Execute every requested method for one run; returns
     (run_index, rows dict | None, error message | None)."""
@@ -195,6 +178,8 @@ def monte_carlo(
     for m in setup.methods:
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+    if sim.n_points < 1:
+        raise InputError(f"need at least 1 scene point, got {sim.n_points}")
     if sim.n_runs < 1:
         raise InputError(f"need at least 1 run, got {sim.n_runs}")
     if sim.n_frames < 2:

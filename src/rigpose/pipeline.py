@@ -38,6 +38,7 @@ from .errors import (
     InsufficientMatches,
     LengthMismatch,
     SingularInnovationCovariance,
+    check_config_fields,
 )
 from .geometry import (
     Z_MIN,
@@ -61,6 +62,12 @@ class PipelineConfig:
     epipolar_tol_px: float = 2.0    # stereo correspondence gate
     init_depth: float = 1.0         # z0 for orthographic structure init (m)
     min_matches: int = 4            # Lowe / startup minimum
+
+    def __post_init__(self):
+        check_config_fields(
+            self, "pipeline", at_least={"redetect_threshold": 0, "min_matches": 4},
+            positive=("epipolar_tol_px", "init_depth"),
+        )
 
 
 @dataclass
@@ -187,45 +194,88 @@ def lowe_pose(
 # Track bookkeeping
 # ---------------------------------------------------------------------------
 
-class _TrackStore:
-    """Feature structure estimates keyed by feature id, stored as arrays."""
+def _compact_ids(frames):
+    """Renumber the feature ids of an observation stream to their rank
+    among all of its ids. The map keeps id order, so every intersection and
+    mask sees the features in the order the original ids give, and a track
+    table needs one row per distinct feature only. Returns (frames, number
+    of distinct features)."""
+    all_ids = np.unique(np.concatenate([ids for frame in frames for ids, _ in frame]))
+    compact = [[(np.searchsorted(all_ids, ids), uv) for ids, uv in frame] for frame in frames]
+    return compact, len(all_ids)
 
-    def __init__(self, with_covs: bool = False):
-        self.index: dict[int, int] = {}
-        self.means = np.zeros((0, 3))
-        self.covs = np.zeros((0, 3, 3)) if with_covs else None
 
-    def __len__(self) -> int:
-        return len(self.index)
+class _TrackTable:
+    """Structure estimates indexed by compact feature id: live[i] marks a
+    feature with an estimate, means[i] is its point and covs[i] the
+    covariance of its structure filter (non-overlapping layout only)."""
 
-    def known(self, ids: np.ndarray) -> np.ndarray:
-        return np.fromiter((f in self.index for f in ids), dtype=bool, count=len(ids))
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        return np.fromiter((self.index[f] for f in ids), dtype=int, count=len(ids))
+    def __init__(self, n_features: int):
+        self.live = np.zeros(n_features, dtype=bool)
+        self.means = np.zeros((n_features, 3))
+        self.covs = np.zeros((n_features, 3, 3))
 
     def upsert(self, ids, means, covs=None):
-        ids = np.asarray(ids)
-        means = np.asarray(means, dtype=float).reshape(-1, 3)
-        fresh = [i for i, f in enumerate(ids) if int(f) not in self.index]
-        if fresh:
-            start = len(self.means)
-            self.means = np.vstack([self.means, np.zeros((len(fresh), 3))])
-            if self.covs is not None:
-                self.covs = np.concatenate(
-                    [self.covs, np.zeros((len(fresh), 3, 3))], axis=0
-                )
-            for offset, i in enumerate(fresh):
-                self.index[int(ids[i])] = start + offset
-        rows = self.rows(ids)
-        self.means[rows] = means
-        if covs is not None and self.covs is not None:
-            self.covs[rows] = np.asarray(covs, dtype=float).reshape(-1, 3, 3)
+        self.live[ids] = True
+        self.means[ids] = means
+        if covs is not None:
+            self.covs[ids] = covs
 
 
-def _finite_or_fail(state: ekf.PoseFilterState, frame: int):
+def _measurement_batch(
+    frame_obs, rig: CameraRig, pairs, store: _TrackTable, pose_vec, pcfg: PipelineConfig
+) -> tuple[ekf.MeasurementBatch, int]:
+    """Measurements of known-structure features at one frame, for a stereo
+    rig with its pairs or a one-camera rig with none.
+
+    Pair observations failing the epipolar gate are dropped for the frame;
+    points behind a camera at the current estimate are masked out. The
+    feature count returned is the number of distinct tracked ids measured.
+    """
+    usable = store.live.copy()
+    for pair in pairs:
+        ids_a, uv_a = frame_obs[pair.cam_a]
+        ids_b, uv_b = frame_obs[pair.cam_b]
+        common, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
+        if len(common) == 0:
+            continue
+        dist = stereo.epipolar_distances(pair.F, uv_a[ia], uv_b[ib])
+        usable[common[dist > pcfg.epipolar_tol_px]] = False
+
+    batch = ekf.MeasurementBatch()
+    measured = np.zeros_like(usable)
+    for k in range(len(rig.cameras)):
+        ids, uv = frame_obs[k]
+        mask = usable[ids]
+        if not np.any(mask):
+            continue
+        ids_k, uv_k = ids[mask], uv[mask]
+        pts = store.means[ids_k]
+        front = ekf.predicted_depths(pose_vec, rig.camera(k), pts) > 0
+        if not np.any(front):
+            continue
+        batch.entries.append(
+            ekf.CameraMeasurements(camera=k, ids=ids_k[front], uv=uv_k[front], points=pts[front])
+        )
+        measured[ids_k[front]] = True
+    return batch, int(np.count_nonzero(measured))
+
+
+def _update_or_skip(state: ekf.PoseFilterState, batch, rig: CameraRig, frame: int):
+    """Pose EKF update with one frame's batch. An empty batch or a
+    degenerate update keeps the predicted state and tags the frame
+    'ekf-skip'; a non-finite state aborts the sequence. Returns (state, tag)."""
+    method = "ekf-skip"
+    if batch.n_features:
+        try:
+            state = ekf.pose_update(state, batch, rig)
+        except (SingularInnovationCovariance, BehindCamera):
+            pass
+        else:
+            method = "ekf"
     if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.P))):
         raise EstimationFailure(f"filter state became non-finite at frame {frame}")
+    return state, method
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +283,7 @@ def _finite_or_fail(state: ekf.PoseFilterState, frame: int):
 # ---------------------------------------------------------------------------
 
 def _match_and_triangulate(
-    frame_obs, rig: CameraRig, pairs, pose: Pose, pcfg: PipelineConfig, store: _TrackStore
+    frame_obs, rig: CameraRig, pairs, pose: Pose, pcfg: PipelineConfig, store: _TrackTable
 ) -> int:
     """Stereo-match each pair at one frame, gate on the epipolar distance,
     triangulate with the given pose, and upsert the results. Returns the
@@ -258,49 +308,6 @@ def _match_and_triangulate(
     return accepted
 
 
-def _stereo_batch(
-    frame_obs, rig: CameraRig, pairs, store: _TrackStore, pose_vec, pcfg: PipelineConfig
-) -> tuple[ekf.MeasurementBatch, int]:
-    """Measurements of known-structure features at one frame.
-
-    Pair observations failing the epipolar gate are dropped for the frame;
-    points behind a camera at the current estimate are masked out. The
-    feature count returned is the number of distinct tracked ids observed.
-    """
-    dropped: set[int] = set()
-    for pair in pairs:
-        ids_a, uv_a = frame_obs[pair.cam_a]
-        ids_b, uv_b = frame_obs[pair.cam_b]
-        common, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
-        if len(common) == 0:
-            continue
-        dist = stereo.epipolar_distances(pair.F, uv_a[ia], uv_b[ib])
-        dropped.update(int(f) for f in common[dist > pcfg.epipolar_tol_px])
-
-    batch = ekf.MeasurementBatch()
-    seen: set[int] = set()
-    for k in range(len(rig.cameras)):
-        ids, uv = frame_obs[k]
-        if len(ids) == 0:
-            continue
-        mask = store.known(ids)
-        if dropped:
-            mask &= np.fromiter((int(f) not in dropped for f in ids), bool, len(ids))
-        if not np.any(mask):
-            continue
-        ids_k, uv_k = ids[mask], uv[mask]
-        pts = store.means[store.rows(ids_k)]
-        depths = ekf.predicted_depths(pose_vec, rig.camera(k), pts)
-        front = depths > 0
-        if not np.any(front):
-            continue
-        batch.entries.append(
-            ekf.CameraMeasurements(camera=k, ids=ids_k[front], uv=uv_k[front], points=pts[front])
-        )
-        seen.update(int(f) for f in ids_k[front])
-    return batch, len(seen)
-
-
 def run_stereo_sequence(
     frames,
     rig: CameraRig,
@@ -319,8 +326,9 @@ def run_stereo_sequence(
         raise InputError("empty observation stream")
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
+    frames, n_features = _compact_ids(frames)
     pairs = [stereo.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
-    store = _TrackStore()
+    store = _TrackTable(n_features)
     series = PoseEstimateSeries()
 
     pose0 = Pose.identity()
@@ -335,12 +343,11 @@ def run_stereo_sequence(
 
     # Lowe seed at frame 1 from the reference camera's tracked features.
     ids1, uv1 = frames[1][0]
-    mask = store.known(ids1)
+    mask = store.live[ids1]
     if ideal_init and truth is not None:
         pose1 = truth.pose(1)
     else:
-        pts = store.means[store.rows(ids1[mask])]
-        pose1 = lowe_pose(pts, uv1[mask], rig.camera(0).intrinsics, pose0)
+        pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], rig.camera(0).intrinsics, pose0)
     vel = pose1.as_vector() - pose0.as_vector()
     state = ekf.make_pose_filter(pose1.as_vector(), vel, tuning)
     series.append(pose1, "ideal-seed" if ideal_init else "lowe", {"features": int(mask.sum())})
@@ -349,22 +356,14 @@ def run_stereo_sequence(
         state = ekf.pose_predict(state)
         diag: dict = {"retriangulated": False}
 
-        batch, count = _stereo_batch(frames[j], rig, pairs, store, state.x, pcfg)
+        batch, count = _measurement_batch(frames[j], rig, pairs, store, state.x, pcfg)
         if count < pcfg.redetect_threshold:
             _match_and_triangulate(frames[j - 1], rig, pairs, series.pose(j - 1), pcfg, store)
             diag["retriangulated"] = True
-            batch, count = _stereo_batch(frames[j], rig, pairs, store, state.x, pcfg)
+            batch, count = _measurement_batch(frames[j], rig, pairs, store, state.x, pcfg)
         diag["features"] = count
 
-        method = "ekf"
-        if batch.n_features == 0:
-            method = "ekf-skip"
-        else:
-            try:
-                state = ekf.pose_update(state, batch, rig)
-            except (SingularInnovationCovariance, BehindCamera):
-                method = "ekf-skip"
-        _finite_or_fail(state, j)
+        state, method = _update_or_skip(state, batch, rig, j)
         series.append(Pose.from_vector(state.x[:6]), method, diag)
     return series
 
@@ -377,24 +376,9 @@ def _local_camera(cam: Camera) -> Camera:
     return Camera(D=np.zeros(3), R=np.eye(3), intrinsics=cam.intrinsics)
 
 
-def _mono_batch(store: _TrackStore, ids, uv, pose_vec, cam: Camera):
-    mask = store.known(ids)
-    if not np.any(mask):
-        return None, 0
-    ids_k, uv_k = ids[mask], uv[mask]
-    pts = store.means[store.rows(ids_k)]
-    depths = ekf.predicted_depths(pose_vec, cam, pts)
-    front = depths > 0
-    if not np.any(front):
-        return None, 0
-    batch = ekf.MeasurementBatch(
-        [ekf.CameraMeasurements(camera=0, ids=ids_k[front], uv=uv_k[front], points=pts[front])]
-    )
-    return batch, int(front.sum())
-
-
 def _run_monocular_chain(
     cam_frames,
+    n_features: int,
     cam: Camera,
     tuning: ekf.FilterTuning,
     pcfg: PipelineConfig,
@@ -402,12 +386,13 @@ def _run_monocular_chain(
     ideal_points: np.ndarray | None,
 ):
     """One camera's local-frame chain: orthographic init, structure EKFs,
-    Lowe seed, pose EKF, depletion backtracking. Returns per-frame local
-    pose vectors (6,) and diagnostics."""
+    Lowe seed, pose EKF, depletion backtracking. cam_frames holds the
+    camera's (compact ids, pixels) per frame. Returns per-frame local pose
+    vectors (6,) and diagnostics."""
     local_cam = _local_camera(cam)
     intr = cam.intrinsics
     rig1 = CameraRig([local_cam], layout="non-overlapping")
-    store = _TrackStore(with_covs=True)
+    store = _TrackTable(n_features)
 
     ids0, uv0 = cam_frames[0]
     if len(ids0) < pcfg.min_matches:
@@ -424,13 +409,12 @@ def _run_monocular_chain(
         return locals_, diags
 
     ids1, uv1 = cam_frames[1]
-    mask = store.known(ids1)
+    mask = store.live[ids1]
     if local_truth is not None:
         vec1 = local_truth[1]
         pose1 = Pose.from_vector(vec1)
     else:
-        pts = store.means[store.rows(ids1[mask])]
-        pose1 = lowe_pose(pts, uv1[mask], intr, Pose.identity())
+        pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], intr, Pose.identity())
         vec1 = pose1.as_vector()
     state = ekf.make_pose_filter(vec1, vec1, tuning)  # velocity seed: pose1 - identity
     locals_.append(vec1.copy())
@@ -442,62 +426,45 @@ def _run_monocular_chain(
         ids_j, uv_j = cam_frames[j]
         diag = {"redetected": False}
 
-        active = int(store.known(ids_j).sum()) if len(ids_j) else 0
-        if active < pcfg.redetect_threshold:
+        if int(store.live[ids_j].sum()) < pcfg.redetect_threshold:
             _redetect(store, cam_frames[j - 1], locals_[j - 1], intr, pcfg, tuning)
             diag["redetected"] = True
 
-        batch, count = (None, 0)
-        if len(ids_j):
-            batch, count = _mono_batch(store, ids_j, uv_j, state.x, local_cam)
-        diag["features"] = count
-
-        method = "ekf"
-        if batch is None:
-            method = "ekf-skip"
-        else:
-            try:
-                state = ekf.pose_update(state, batch, rig1)
-            except (SingularInnovationCovariance, BehindCamera):
-                method = "ekf-skip"
-        _finite_or_fail(state, j)
+        batch, diag["features"] = _measurement_batch(
+            [cam_frames[j]], rig1, [], store, state.x, pcfg
+        )
+        state, diag["method"] = _update_or_skip(state, batch, rig1, j)
         vec = state.x[:6].copy()
         locals_.append(vec)
-        diag["method"] = method
         diags.append(diag)
 
-        if len(ids_j):
-            mask = store.known(ids_j)
-            if np.any(mask):
-                _structure_pass(store, ids_j[mask], uv_j[mask], vec, local_cam, tuning)
+        mask = store.live[ids_j]
+        if np.any(mask):
+            _structure_pass(store, ids_j[mask], uv_j[mask], vec, local_cam, tuning)
     return locals_, diags
 
 
-def _structure_pass(store: _TrackStore, ids, uv, pose_vec, cam: Camera, tuning):
+def _structure_pass(store: _TrackTable, ids, uv, pose_vec, cam: Camera, tuning):
     """Update the structure filters of the observed features with the pose
     held fixed; features behind the camera are left untouched."""
-    rows = store.rows(ids)
-    pts = store.means[rows]
-    depths = ekf.predicted_depths(pose_vec, cam, pts)
+    depths = ekf.predicted_depths(pose_vec, cam, store.means[ids])
     front = depths > Z_MIN
     if not np.any(front):
         return
-    rows = rows[front]
+    ids = ids[front]
     means, covs = ekf.structure_update_batch(
-        store.means[rows], store.covs[rows], uv[front], pose_vec, cam, tuning.r_px**2
+        store.means[ids], store.covs[ids], uv[front], pose_vec, cam, tuning.r_px**2
     )
-    store.means[rows] = means
-    store.covs[rows] = covs
+    store.means[ids] = means
+    store.covs[ids] = covs
 
 
-def _redetect(store: _TrackStore, prev_obs, prev_vec, intr, pcfg, tuning):
+def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
     """Backtracked re-detection: orthographically initialize, at the
     previous frame's estimated pose, every feature observed there that has
     no live structure. Existing tracks keep their refined estimates."""
     ids_p, uv_p = prev_obs
-    if len(ids_p) == 0:
-        return
-    fresh = ~store.known(ids_p)
+    fresh = ~store.live[ids_p]
     if not np.any(fresh):
         return
     cam_pts = ekf.orthographic_init(uv_p[fresh], intr, pcfg.init_depth)
@@ -524,7 +491,8 @@ def run_nonoverlap_sequence(
     reference translation scale).
 
     With ideal_init, structure is initialized at the true local positions
-    and the filter seeds come from the ground-truth local poses.
+    (scene rows indexed by the stream's feature ids) and the filter seeds
+    come from the ground-truth local poses.
     """
     if not frames:
         raise InputError("empty observation stream")
@@ -533,12 +501,12 @@ def run_nonoverlap_sequence(
     if rig.layout != "non-overlapping" or len(rig.cameras) != 4:
         raise InputError("non-overlapping pipeline needs a 4-camera non-overlapping rig")
     n_frames = len(frames)
+    compact, n_features = _compact_ids(frames)
 
     locals_per_cam = []
     diags_per_cam = []
     for k in range(4):
         cam = rig.camera(k)
-        cam_frames = [frame[k] for frame in frames]
         local_truth = None
         ideal_points = None
         if ideal_init and truth is not None:
@@ -550,7 +518,8 @@ def run_nonoverlap_sequence(
                 ids0 = frames[0][k][0]
                 ideal_points = (scene[ids0] - cam.D) @ cam.R
         locals_, diags = _run_monocular_chain(
-            cam_frames, cam, tuning, pcfg, local_truth, ideal_points
+            [frame[k] for frame in compact], n_features, cam, tuning, pcfg,
+            local_truth, ideal_points,
         )
         locals_per_cam.append(locals_)
         diags_per_cam.append(diags)
@@ -620,58 +589,75 @@ def write_tracks(path, frames) -> None:
                     writer.writerow([k, j, int(f), repr(float(u)), repr(float(v))])
 
 
-def read_tracks(path):
-    """Parse a tracks CSV back into a per-frame, per-camera stream.
-
-    Malformed content raises InputError naming the offending line.
-    """
-    rows = []
-    max_cam = -1
-    max_frame = -1
+def _read_csv(path, header: list[str], n_int: int):
+    """Parse a CSV file whose first line is `header`. The first n_int
+    columns hold int64 values, the rest floats; empty lines are skipped.
+    Returns (line number per row, int columns (N, n_int), float columns
+    (N, len(header) - n_int)). Malformed content raises InputError naming
+    its line; a number that Python's int or float would accept but numpy's
+    parser does not (such as 1_0) is named by its value only."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: line 1: empty tracks file") from None
-        if [h.strip() for h in header] != TRACKS_HEADER:
-            raise InputError(
-                f"{path}: line 1: expected header {','.join(TRACKS_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise InputError(f"{path}: line {lineno}: expected 5 fields, got {len(row)}")
+        lines = fh.read().splitlines()
+    first = next(csv.reader(lines[:1]), [])
+    if [h.strip() for h in first] != header:
+        raise InputError(
+            f"{path}: line 1: expected header {','.join(header)!r}, got {','.join(first)!r}"
+        )
+    numbers = np.array([n for n, line in enumerate(lines[1:], start=2) if line], dtype=int)
+    if len(numbers) == 0:
+        raise InputError(f"{path}: no data rows")
+    dtype = np.dtype([("ints", np.int64, n_int), ("floats", float, len(header) - n_int)])
+    try:
+        data = np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
+    except ValueError as exc:
+        # Name the first offending line; the bulk parser reports rows only.
+        for n, row in zip(numbers, csv.reader(lines[n - 1] for n in numbers)):
+            if len(row) != len(header):
+                raise InputError(
+                    f"{path}: line {n}: expected {len(header)} fields, got {len(row)}"
+                ) from None
             try:
-                cam, frame, feature = int(row[0]), int(row[1]), int(row[2])
-                u, v = float(row[3]), float(row[4])
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from exc
-            if cam < 0 or frame < 0 or feature < 0:
-                raise InputError(f"{path}: line {lineno}: negative cam/frame/feature")
-            if not (np.isfinite(u) and np.isfinite(v)):
-                raise InputError(f"{path}: line {lineno}: non-finite pixel")
-            rows.append((cam, frame, feature, u, v))
-            max_cam = max(max_cam, cam)
-            max_frame = max(max_frame, frame)
-    if not rows:
-        raise InputError(f"{path}: no observations")
+                np.array([int(x) for x in row[:n_int]], dtype=np.int64)
+                [float(x) for x in row[n_int:]]
+            except (ValueError, OverflowError) as bad:
+                raise InputError(f"{path}: line {n}: {bad}") from None
+        raise InputError(f"{path}: {exc}") from None
+    return numbers, data["ints"], data["floats"]
 
-    grouped: dict[tuple[int, int], list] = {}
-    for cam, frame, feature, u, v in rows:
-        grouped.setdefault((frame, cam), []).append((feature, u, v))
-    frames = []
-    for j in range(max_frame + 1):
-        per_cam = []
-        for k in range(max_cam + 1):
-            entries = grouped.get((j, k), [])
-            ids = np.array([e[0] for e in entries], dtype=int)
-            uv = np.array([[e[1], e[2]] for e in entries], dtype=float).reshape(-1, 2)
-            per_cam.append((ids, uv))
-        frames.append(per_cam)
-    return frames
+
+def _reject_rows(path, lines: np.ndarray, bad: np.ndarray, what: str) -> None:
+    if np.any(bad):
+        raise InputError(f"{path}: line {lines[np.argmax(bad)]}: {what}")
+
+
+def read_tracks(path):
+    """Parse a tracks CSV back into a per-frame, per-camera stream, each
+    camera's rows in file order.
+
+    Feature ids are any non-negative integers; a (cam, frame, feature)
+    row may appear once. Malformed content raises InputError naming the
+    offending line.
+    """
+    lines, keys, uv = _read_csv(path, TRACKS_HEADER, n_int=3)
+    _reject_rows(path, lines, np.any(keys < 0, axis=1), "negative cam/frame/feature")
+    _reject_rows(path, lines, ~np.all(np.isfinite(uv), axis=1), "non-finite pixel")
+    cam, frame, feature = keys.T
+    by_key = np.lexsort((feature, cam, frame))   # stable: file order among equal keys
+    repeat = np.zeros(len(lines), dtype=bool)
+    repeat[by_key[1:]] = np.all(keys[by_key[1:]] == keys[by_key[:-1]], axis=1)
+    _reject_rows(path, lines, repeat, "repeated (cam, frame, feature) row")
+
+    n_frames, n_cams = int(frame.max()) + 1, int(cam.max()) + 1
+    order = np.lexsort((cam, frame))
+    groups = frame[order] * n_cams + cam[order]
+    bounds = np.searchsorted(groups, np.arange(n_frames * n_cams + 1))
+    ids, uv = feature[order], uv[order]
+    return [
+        [(ids[bounds[g]:bounds[g + 1]], uv[bounds[g]:bounds[g + 1]])
+         for g in range(j * n_cams, (j + 1) * n_cams)]
+        for j in range(n_frames)
+    ]
 
 
 def write_poses(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:
@@ -688,36 +674,13 @@ def write_poses(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:
 
 
 def read_truth(path) -> Trajectory:
-    """Parse a `frame,tx,ty,tz,alpha,beta,gamma` ground-truth CSV."""
-    entries = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: line 1: empty truth file") from None
-        if [h.strip() for h in header] != TRUTH_HEADER:
-            raise InputError(
-                f"{path}: line 1: expected header {','.join(TRUTH_HEADER)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise InputError(f"{path}: line {lineno}: expected 7 fields")
-            try:
-                frame = int(row[0])
-                vals = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from exc
-            entries[frame] = vals
-    if not entries:
-        raise InputError(f"{path}: no poses")
-    n = max(entries) + 1
-    if sorted(entries) != list(range(n)):
-        raise InputError(f"{path}: frames are not contiguous from 0")
-    d = np.array([entries[j][:3] for j in range(n)])
-    angles = np.array([entries[j][3:] for j in range(n)])
+    """Parse a `frame,tx,ty,tz,alpha,beta,gamma` ground-truth CSV holding
+    each frame 0..N-1 once, in any order."""
+    lines, frame, vals = _read_csv(path, TRUTH_HEADER, n_int=1)
+    order = np.argsort(frame[:, 0], kind="stable")
+    if not np.array_equal(frame[order, 0], np.arange(len(lines))):
+        raise InputError(f"{path}: frames are not 0..N-1, each once")
+    d, angles = vals[order, :3], vals[order, 3:]
     rotations = np.stack([rot_from_angles(a) for a in angles])
     return Trajectory(d=d, rotations=rotations, angles=angles)
 

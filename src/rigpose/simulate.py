@@ -17,12 +17,11 @@ parallel without changing a single bit of the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_config_fields
 from .geometry import (
     Camera,
     CameraRig,
@@ -51,11 +50,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = Integral if f.type == "int" else Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise InputError(f"sim.{f.name} must be {f.type}, got {value!r}")
+        check_config_fields(self, "sim", at_least={"n_points": 0, "seed": 0})
         if not 0 < self.shell_inner < self.shell_outer:
             raise InputError("need 0 < shell_inner < shell_outer")
         if not 0 <= self.trans_min <= self.trans_max:

@@ -84,7 +84,10 @@ def test_report_csv_roundtrip_exact(tmp_path):
     report = tiny_report()
     path = tmp_path / "report.csv"
     report.write_csv(path)
-    rows = harness.parse_report_csv(path)
+    header, *lines = path.read_text().splitlines()
+    assert header == "method," + ",".join(harness.PARAM_NAMES)
+    rows = {f[0]: np.array([float(x) for x in f[1:]]) for f in (ln.split(",") for ln in lines)}
+    assert list(rows) == report.methods
     for method in report.methods:
         np.testing.assert_array_equal(rows[method], report.rows[method])
 
@@ -271,6 +274,32 @@ def test_cli_run_tracks_nonoverlap_writes_five_series(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("layout", ["stereo", "nonoverlap"])
+def test_cli_run_tracks_sparse_feature_ids(tmp_path, capsys, layout):
+    # Feature ids need not be small or contiguous: spreading them far apart
+    # must not change a byte of the poses.
+    rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
+    rig_path = tmp_path / "rig.json"
+    write_rig(rig_path, rig)
+    sim = SimConfig(n_points=2500, n_frames=12, noise_sigma=0.5, n_runs=1, seed=4)
+    scene_rng, traj_rng, noise_ss = run_streams(run_seed_sequences(sim.seed, 1)[0])
+    scene = gen_scene(sim, scene_rng)
+    traj = gen_trajectory(sim, traj_rng)
+    frames = render_sequence(scene, traj, rig.cameras, sim.noise_sigma, noise_ss)
+    sparse = [[(ids * 1_000_003 + 2**40, uv) for ids, uv in frame] for frame in frames]
+
+    poses = {}
+    for name, stream in (("dense", frames), ("sparse", sparse)):
+        write_tracks(tmp_path / f"{name}.csv", stream)
+        poses[name] = tmp_path / f"{name}-poses.csv"
+        assert cli.main([
+            "run-tracks", "--layout", layout, "--rig", str(rig_path),
+            "--tracks", str(tmp_path / f"{name}.csv"), "--out", str(poses[name]),
+        ]) == 0
+    assert poses["sparse"].read_bytes() == poses["dense"].read_bytes()
+    capsys.readouterr()
+
+
 def test_cli_run_tracks_bad_header_exits_1(tmp_path, capsys):
     rig_path = tmp_path / "rig.json"
     write_rig(rig_path, default_overlap_rig())
@@ -356,20 +385,38 @@ THREE_CAMERA_TRACKS = "cam,frame,feature,u,v\n" + "".join(
     f"{k},0,1,10.0,10.0\n" for k in range(3)
 )
 
+OVERLAP_RIG_TEXT = json.dumps(rig_to_dict(default_overlap_rig()))
+REPEATED_ROW_TRACKS = "cam,frame,feature,u,v\n0,0,1,10.0,10.0\n0,0,1,11.0,10.0\n"
+BAD_CONFIG_VALUES = {
+    "pipeline-field-string": {"pipeline": {"redetect_threshold": "abc"}},
+    "tuning-field-string": {"tuning": {"r_px": "abc"}},
+    "sim-negative-points": {"sim": {"n_points": -5}},
+    "sim-zero-points": {"sim": {"n_points": 0}},
+    "tuning-zero-r_px": {"tuning": {"r_px": 0}},
+    "tuning-negative-q": {"tuning": {"q_vel": -1e-4}},
+    "tuning-negative-p0": {"tuning": {"p0_struct_depth": -0.25}},
+    "pipeline-negative-epipolar-tol": {"pipeline": {"epipolar_tol_px": -1}},
+    "pipeline-zero-init-depth": {"pipeline": {"init_depth": 0}},
+    "pipeline-three-min-matches": {"pipeline": {"min_matches": 3}},
+    "pipeline-negative-redetect": {"pipeline": {"redetect_threshold": -1}},
+}
+
 MALFORMED_INPUTS = [
+    *(pytest.param(lambda t, cfg=cfg: _config(t, cfg), id=name)
+      for name, cfg in BAD_CONFIG_VALUES.items()),
+    pytest.param(lambda t: _run_tracks(t, OVERLAP_RIG_TEXT, REPEATED_ROW_TRACKS),
+                 id="tracks-repeated-row"),
     pytest.param(lambda t: _config(t, {"min_visible": "abc"}), id="min_visible-string"),
     pytest.param(lambda t: _config(t, {"min_visible": None}), id="min_visible-null"),
     pytest.param(lambda t: _config(t, {"rigs": {"overlapping": 5}}), id="rig-block-number"),
     pytest.param(lambda t: _run_tracks(t, "[]", THREE_CAMERA_TRACKS), id="rig-file-list"),
     pytest.param(lambda t: _config(t, {"sim": {"n_points": "abc"}}), id="sim-field-string"),
+    pytest.param(lambda t: ["simulate", "--seed", "-1"], id="negative-seed"),
     pytest.param(lambda t: ["simulate", "--runs", "0"], id="zero-runs"),
     pytest.param(lambda t: ["simulate", "--frames", "0"], id="zero-frames"),
     pytest.param(lambda t: ["simulate", "--frames", "1"], id="one-frame"),
-    pytest.param(
-        lambda t: _run_tracks(t, json.dumps(rig_to_dict(default_overlap_rig())),
-                              THREE_CAMERA_TRACKS),
-        id="tracks-fewer-cameras-than-rig",
-    ),
+    pytest.param(lambda t: _run_tracks(t, OVERLAP_RIG_TEXT, THREE_CAMERA_TRACKS),
+                 id="tracks-fewer-cameras-than-rig"),
 ]
 
 

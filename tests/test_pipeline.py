@@ -242,18 +242,19 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
     assert events, "expected at least one re-triangulation event"
 
     from rigpose import stereo as st
-    from rigpose.pipeline import _TrackStore, _match_and_triangulate
+    from rigpose.pipeline import _compact_ids, _match_and_triangulate, _TrackTable
 
     j = events[0]
     pose = series.pose(j - 1)
-    store = _TrackStore()
+    compact, n_features = _compact_ids(frames)
+    store = _TrackTable(n_features)
     pairs = [st.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
-    _match_and_triangulate(frames[j - 1], rig, pairs, pose, pcfg, store)
+    _match_and_triangulate(compact[j - 1], rig, pairs, pose, pcfg, store)
     residuals = []
     for k in range(len(rig.cameras)):
-        ids, uv = frames[j - 1][k]
-        mask = store.known(ids)
-        pts = store.means[store.rows(ids[mask])]
+        ids, uv = compact[j - 1][k]
+        mask = store.live[ids]
+        pts = store.means[ids[mask]]
         predicted = project(world_to_camera_k(pose, rig, k, pts), rig.camera(k).intrinsics)
         residuals.extend(np.linalg.norm(predicted - uv[mask], axis=1))
     residuals = np.array(residuals)
@@ -440,9 +441,19 @@ def test_read_tracks_rejects_bad_header(tmp_path):
 
 def test_read_tracks_reports_bad_line_number(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("cam,frame,feature,u,v\n0,0,1,1.0,2.0\n0,zero,2,1.0,2.0\n")
-    with pytest.raises(InputError, match="line 3"):
-        read_tracks(path)
+    for bad_row, what in (("0,zero,2,1.0,2.0", "invalid literal"), ("0,0,1,3.0,4.0", "repeated")):
+        path.write_text(f"cam,frame,feature,u,v\n0,0,1,1.0,2.0\n{bad_row}\n1,0,1,1.0,2.0\n")
+        with pytest.raises(InputError, match=f"line 3: {what}"):
+            read_tracks(path)
+
+
+def test_read_tracks_groups_rows_per_frame_and_camera_in_file_order(tmp_path):
+    path = tmp_path / "tracks.csv"
+    path.write_text("cam,frame,feature,u,v\n0,2,7,1.0,2.0\n\n0,0,9,3.0,4.0\n0,0,5,5.0,6.0\n")
+    frames = read_tracks(path)
+    assert [[ids.tolist() for ids, _ in frame] for frame in frames] == [[[9, 5]], [[]], [[7]]]
+    np.testing.assert_array_equal(frames[0][0][1], [[3.0, 4.0], [5.0, 6.0]])
+    assert frames[1][0][1].shape == (0, 2)
 
 
 def test_poses_and_truth_csv_roundtrip(tmp_path):
