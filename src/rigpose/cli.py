@@ -107,12 +107,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_run_tracks(args) -> int:
     rig = read_rig(args.rig)
-    frames = pipeline.read_tracks(args.tracks)
-    if len(frames[0]) != len(rig):
-        raise InputError(
-            f"{args.tracks}: tracks cover {len(frames[0])} cameras, "
-            f"the rig file has {len(rig)}"
-        )
+    frames = pipeline.read_tracks(args.tracks, len(rig))
     if args.config:
         cfg = harness.load_config(args.config)
         tuning, pcfg = cfg["tuning"], cfg["pipeline"]

@@ -1,4 +1,4 @@
-"""Recursive estimators: the 12-state pose EKF and 3-state structure EKFs.
+"""Recursive estimators: stacks of 12-state pose EKFs and 3-state structure EKFs.
 
 Pose state layout: x = (tx, ty, tz, alpha, beta, gamma, and their per-frame
 derivatives), so x[:6] is the pose and x[6:] its velocity. The plant is
@@ -9,36 +9,37 @@ its Jacobian w.r.t. the six pose parameters is analytic. The velocity
 states do not enter the measurement, so the update works with the six
 pose columns J alone: the information matrix takes the 6x6 J^T J, the
 gain is formed from J, and the zero-padded (2n, 12) measurement matrix
-is never built.
+is never built. The gain is computed in information form (well
+conditioned for large measurement counts and small pixel variance) and
+the covariance propagated in Joseph form, which preserves symmetry and
+positive semidefiniteness for any gain.
 
-The update computes the Kalman gain in information form (well conditioned
-for large measurement counts and small pixel variance) and propagates the
-covariance in Joseph form, which preserves symmetry and positive
-semidefiniteness for any gain.
+Filters come in stacks of B: PoseFilterState holds x (B, 12) and
+P (B, 12, 12), and a measurement batch is flat over segments, each one
+camera of one filter (geometry.CameraStack): the four monocular chains
+are a stack of four with a camera each, the stereo rig a stack of one with
+a segment per camera. Prediction, depth masks, measurement rows and
+structure updates each run once per frame for the whole stack, building
+each filter's rotation once per call. The sums over a filter's measurement
+rows (J^T J, K r, K J, K K^T) run per filter on its contiguous slice: on a
+zero-padded stack they would sum in another order and change the last
+bits, and a filter must get the same bits whatever else is in its stack.
 
-Structure filters are 3-state per-point estimators updated with the current
-pose held fixed; they are stored as batched arrays so a camera's whole
-feature set updates in one vectorized call.
+Structure filters are 3-state per-point estimators updated with the pose
+held fixed; a whole stack's feature sets update in one vectorized call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BehindCamera,
-    EmptyBatch,
-    SingularInnovationCovariance,
-    check_config_fields,
-)
+from .errors import BehindCamera, EmptyBatch, check_config_fields
 from .geometry import (
-    Camera,
-    CameraRig,
-    Intrinsics,
     Z_MIN,
-    camera_placement,
+    CameraStack,
+    Intrinsics,
     rot_from_angles,
     rot_with_derivatives,
     view_points,
@@ -75,7 +76,8 @@ class FilterTuning:
 
 @dataclass
 class PoseFilterState:
-    """State vector, covariance, and noise settings of one pose EKF."""
+    """A stack of B pose EKFs: states x (B, 12) and covariances P (B, 12, 12),
+    sharing the process noise Q and the pixel variance r_var."""
 
     x: np.ndarray
     P: np.ndarray
@@ -83,19 +85,17 @@ class PoseFilterState:
     r_var: float
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).reshape(N_STATE)
-        self.P = np.asarray(self.P, dtype=float).reshape(N_STATE, N_STATE)
+        self.x = np.asarray(self.x, dtype=float).reshape(-1, N_STATE)
+        self.P = np.asarray(self.P, dtype=float).reshape(-1, N_STATE, N_STATE)
         self.Q = np.asarray(self.Q, dtype=float).reshape(N_STATE, N_STATE)
 
 
-def make_pose_filter(pose_vec, vel_vec, tuning: FilterTuning) -> PoseFilterState:
-    x = np.concatenate([np.asarray(pose_vec, float), np.asarray(vel_vec, float)])
-    return PoseFilterState(
-        x=x,
-        P=tuning.initial_covariance(),
-        Q=tuning.process_noise(),
-        r_var=tuning.r_px**2,
-    )
+def make_pose_filter(pose_vecs, vel_vecs, tuning: FilterTuning) -> PoseFilterState:
+    """Filters seeded at poses (B, 6) with velocities (B, 6); a single (6,)
+    pose and velocity give a stack of one."""
+    x = np.concatenate([np.atleast_2d(pose_vecs), np.atleast_2d(vel_vecs)], axis=-1)
+    p = np.repeat(tuning.initial_covariance()[None], len(x), axis=0)
+    return PoseFilterState(x, p, tuning.process_noise(), tuning.r_px**2)
 
 
 def transition_matrix() -> np.ndarray:
@@ -105,107 +105,108 @@ def transition_matrix() -> np.ndarray:
 
 
 def pose_predict(state: PoseFilterState) -> PoseFilterState:
-    """Constant-velocity prediction: pose += velocity, P <- A P A^T + Q."""
+    """Constant-velocity prediction of every filter: pose += velocity,
+    P <- A P A^T + Q."""
     a = transition_matrix()
-    x = a @ state.x
+    x = (a @ state.x[..., None])[..., 0]
     p = a @ state.P @ a.T + state.Q
-    return PoseFilterState(x, 0.5 * (p + p.T), state.Q, state.r_var)
-
-
-@dataclass
-class CameraMeasurements:
-    """One camera's share of a measurement batch."""
-
-    camera: int
-    ids: np.ndarray
-    uv: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids)
-        self.uv = np.asarray(self.uv, dtype=float).reshape(-1, 2)
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+    return PoseFilterState(x, 0.5 * (p + np.swapaxes(p, 1, 2)), state.Q, state.r_var)
 
 
 @dataclass
 class MeasurementBatch:
-    """Pixel observations of known-structure features, grouped per camera."""
+    """Pixel observations of known-structure features, flat over segments:
+    feature ids[i] at pixel uv[i] with structure points[i] is seen by camera
+    seg[i] of a CameraStack. Points are grouped by segment and segments by
+    filter, so each filter's rows are one contiguous slice."""
 
-    entries: list[CameraMeasurements] = field(default_factory=list)
-
-    @property
-    def n_features(self) -> int:
-        return sum(len(e.ids) for e in self.entries)
+    ids: np.ndarray
+    uv: np.ndarray
+    points: np.ndarray
+    seg: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return 2 * self.n_features
+        return 2 * len(self.ids)
 
 
-def pose_measurement_rows(pose_vec: np.ndarray, cam: Camera, points: np.ndarray):
-    """Predicted pixels and the analytic pose Jacobian for one camera.
+def pose_measurement_rows(x: np.ndarray, cams: CameraStack, seg, points: np.ndarray):
+    """Predicted pixels and the analytic pose Jacobian of a segmented batch:
+    point i is seen by camera seg[i] at its filter's pose x[cams.body[seg[i]], :6].
 
-    Returns (uv (N, 2), jac (N, 2, 6)); jac columns are d(pixel)/d(d, angles).
-    Raises BehindCamera if any point has nonpositive depth.
-    """
-    d = pose_vec[:3]
-    rot, drs = rot_with_derivatives(pose_vec[3:6])
-    p_cam, uv, jp, orient = view_points(points, rot, d, cam, jacobian=True)
-    if np.any(p_cam[:, 2] <= Z_MIN):
-        raise BehindCamera("measurement point behind its camera")
+    Returns (uv (N, 2), jac (N, 2, 6), front (N,)): jac columns are
+    d(pixel)/d(d, angles); only rows of points in front (depth > Z_MIN) mean
+    anything."""
+    d = x[:, :3]
+    rot, drs = rot_with_derivatives(x[:, 3:6])
+    p_cam, uv, jp, orient = view_points(points, rot, d, cams, jacobian=True, seg=seg)
+    owner = cams.body[seg]
     jac = np.empty((len(points), 2, 6))
-    # dP_cam/dd = -orient^T, identical for every point
-    jac[:, :, :3] = jp @ (-orient.T)
-    rel = points - d
-    for i in range(3):
-        # dP_cam/d(angle_i) = R_k^T dR^T/d(angle_i) (M - d)
-        dp = (rel @ drs[i]) @ cam.R
-        jac[:, :, 3 + i] = np.einsum("nij,nj->ni", jp, dp)
-    return uv, jac
+    # dP_cam/dd = -orient^T, identical for every point of a camera
+    jac[:, :, :3] = jp @ -np.swapaxes(orient, 1, 2)
+    # dP_cam/d(angle_i) = R_k^T dR^T/d(angle_i) (M - d), row i of dp
+    dp = ((points - d[owner])[:, None, None] @ drs[owner]) @ cams.R[seg][:, None]
+    jac[:, :, 3:] = np.einsum("nij,nkj->nik", jp, dp[:, :, 0])
+    return uv, jac, p_cam[:, 2] > Z_MIN
 
 
-def predicted_depths(pose_vec: np.ndarray, cam: Camera, points: np.ndarray) -> np.ndarray:
-    """Depth of each point in the camera at the given pose (for visibility masks)."""
-    center, orient = camera_placement(rot_from_angles(pose_vec[3:6]), pose_vec[:3], cam)
-    return (points - center) @ orient[:, 2]
+def predicted_depths(x: np.ndarray, cams: CameraStack, seg, points: np.ndarray) -> np.ndarray:
+    """Depth of each point in its camera at its filter's pose (for visibility masks)."""
+    return view_points(points, rot_from_angles(x[:, 3:6]), x[:, :3], cams, seg=seg)[0][:, 2]
 
 
-def pose_update(state: PoseFilterState, batch: MeasurementBatch, rig: CameraRig) -> PoseFilterState:
-    """EKF measurement update over every camera's observations at once.
-
-    With J the (2n, 6) pose Jacobian of the stacked pixel rows, H = [J 0]:
-    the velocity columns are zero and never formed. The gain is computed
-    in information form, K = (P^-1 + H^T H / r)^-1 H^T / r, where H^T H is
-    J^T J in its top-left 6x6 block and K = P+[:, :6] J^T / r; this is
-    algebraically identical to P H^T (H P H^T + R)^-1. Covariance follows
-    in Joseph form with K H = [K J 0]. Raises SingularInnovationCovariance
-    when the prior or the information matrix cannot be factorized, in
-    which case the caller may skip the update for this frame.
-    """
-    if batch.n_features == 0:
-        raise EmptyBatch("measurement batch is empty")
-    jacs, innovations = [], []
-    for entry in batch.entries:
-        uv, jac = pose_measurement_rows(state.x, rig.camera(entry.camera), entry.points)
-        jacs.append(jac)
-        innovations.append(entry.uv - uv)
-    j = np.concatenate(jacs).reshape(-1, 6)
-    r = state.r_var
+def _each(fn, mats: np.ndarray) -> np.ndarray:
+    """fn on a stack of matrices in one call; a matrix it fails on gives NaN."""
     try:
-        info = np.linalg.inv(state.P)
-        info[:6, :6] += (j.T @ j) / r
-        l_inv = np.linalg.inv(np.linalg.cholesky(info))
-        p_post = l_inv.T @ l_inv
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCovariance(str(exc)) from exc
-    if not np.all(np.isfinite(p_post)):
-        raise SingularInnovationCovariance("non-finite posterior covariance")
-    gain = p_post[:, :6] @ j.T / r
-    x = state.x + gain @ np.concatenate(innovations).reshape(-1)
-    ikh = np.eye(N_STATE)
-    ikh[:, :6] -= gain @ j
-    p_new = ikh @ state.P @ ikh.T + r * (gain @ gain.T)
-    return PoseFilterState(x, 0.5 * (p_new + p_new.T), state.Q, state.r_var)
+        return fn(mats)
+    except np.linalg.LinAlgError:
+        if len(mats) == 1:
+            return np.full_like(mats, np.nan)
+        return np.concatenate([_each(fn, mats[b:b + 1]) for b in range(len(mats))])
+
+
+def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraStack):
+    """EKF measurement update of every filter of the stack with its share of
+    the batch: filter b takes the rows of the cameras whose body is b.
+
+    With J the (2n, 6) pose Jacobian of a filter's stacked pixel rows,
+    H = [J 0] and K = (P^-1 + H^T H / r)^-1 H^T / r = P+[:, :6] J^T / r,
+    algebraically identical to P H^T (H P H^T + R)^-1; the covariance
+    follows in Joseph form with K H = [K J 0]. Rows, inversions and the
+    Joseph product run on the whole stack, the sums over rows per filter.
+
+    Returns (state, skipped (B,)). A filter without rows, with a point
+    behind its camera, or whose information matrix cannot be factorized
+    keeps its prior and is marked skipped. Raises EmptyBatch for a batch
+    without rows.
+    """
+    if batch.n_rows == 0:
+        raise EmptyBatch("measurement batch is empty")
+    uv, jac, front = pose_measurement_rows(state.x, cams, batch.seg, batch.points)
+    innovations = batch.uv - uv
+    bounds = np.searchsorted(cams.body[batch.seg], np.arange(len(state.x) + 1))
+    jacs = [jac[lo:hi].reshape(-1, 6) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    r = state.r_var
+    info = _each(np.linalg.inv, state.P)
+    for b, j in enumerate(jacs):
+        info[b, :6, :6] += (j.T @ j) / r
+    l_inv = _each(lambda m: np.linalg.inv(np.linalg.cholesky(m)), info)
+    x, kkt = state.x.copy(), np.zeros_like(state.P)
+    ikh = np.repeat(np.eye(N_STATE)[None], len(x), axis=0)
+    skipped = np.ones(len(x), dtype=bool)
+    for b, j in enumerate(jacs):
+        lo, hi = bounds[b], bounds[b + 1]
+        p_post = l_inv[b].T @ l_inv[b]
+        if lo == hi or not np.all(front[lo:hi]) or not np.all(np.isfinite(p_post)):
+            continue
+        gain = p_post[:, :6] @ j.T / r
+        x[b] = state.x[b] + gain @ innovations[lo:hi].reshape(-1)
+        ikh[b, :, :6] -= gain @ j
+        kkt[b] = gain @ gain.T
+        skipped[b] = False
+    p = ikh @ state.P @ np.swapaxes(ikh, 1, 2) + r * kkt
+    p = np.where(skipped[:, None, None], state.P, 0.5 * (p + np.swapaxes(p, 1, 2)))
+    return PoseFilterState(x, p, state.Q, r), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +217,26 @@ def structure_update_batch(
     means: np.ndarray,
     covs: np.ndarray,
     observed_uv: np.ndarray,
-    pose_vec: np.ndarray,
-    cam: Camera,
+    x: np.ndarray,
+    cams: CameraStack,
+    seg,
     r_var: float,
 ):
     """Vectorized EKF update of N independent 3-state point filters.
 
-    The pose is held fixed; each point is corrected by its own (u, v)
-    observation. All points must be in front of the camera. Returns updated
-    (means (N, 3), covs (N, 3, 3)).
+    Point i is seen by camera seg[i] of cams, with its filter's pose
+    x[cams.body[seg[i]], :6] held fixed; each point is corrected by its own
+    (u, v) observation. All points must be in front of their camera.
+    Returns updated (means (N, 3), covs (N, 3, 3)).
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     observed_uv = np.asarray(observed_uv, dtype=float)
-    rot = rot_from_angles(pose_vec[3:6])
-    p_cam, predicted, jp, orient = view_points(means, rot, pose_vec[:3], cam, jacobian=True)
+    rot = rot_from_angles(x[:, 3:6])
+    p_cam, predicted, jp, orient = view_points(means, rot, x[:, :3], cams, jacobian=True, seg=seg)
     if np.any(p_cam[:, 2] <= Z_MIN):
         raise BehindCamera("structure point behind its camera")
-    jac = jp @ orient.T                                  # dP_cam/dM = orient^T
+    jac = jp @ np.swapaxes(orient, 1, 2)                 # dP_cam/dM = orient^T
     innovation = observed_uv - predicted                 # (N, 2)
 
     pjt = np.einsum("nij,nkj->nik", covs, jac)           # P J^T, (N, 3, 2)

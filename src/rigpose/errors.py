@@ -47,10 +47,6 @@ class EmptyBatch(InputError):
     """A measurement batch with no entries."""
 
 
-class SingularInnovationCovariance(DegenerateGeometry):
-    """EKF innovation covariance is not invertible; caller may skip the update."""
-
-
 class WrongCameraCount(InputError):
     """The scale system needs exactly the three non-reference cameras."""
 

@@ -41,42 +41,41 @@ Z_MIN = 1e-6
 GIMBAL_TOL = 1e-6
 
 
-def rot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def _axis(i: int, c, s, one: float) -> np.ndarray:
+    """Stacked rotations (..., 3, 3) about axis i with cosines c and sines s
+    (...,); with (c, s, one) = (-sin, cos, 0) their derivatives instead."""
+    j, k = [(1, 2), (2, 0), (0, 1)][i]
+    m = np.zeros(np.shape(c) + (3, 3))
+    m[..., i, i] = one
+    m[..., j, j] = m[..., k, k] = c
+    m[..., j, k] = -s
+    m[..., k, j] = s
+    return m
 
 
 def rot_y(b: float) -> np.ndarray:
-    c, s = np.cos(b), np.sin(b)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(g: float) -> np.ndarray:
-    c, s = np.cos(g), np.sin(g)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return _axis(1, np.cos(b), np.sin(b), 1.0)
 
 
 def rot_from_angles(angles) -> np.ndarray:
-    """Build the rotation matrix R = Rx(alpha) @ Ry(beta) @ Rz(gamma)."""
-    a, b, g = angles
-    return rot_x(a) @ rot_y(b) @ rot_z(g)
+    """Build the rotation matrix R = Rx(alpha) @ Ry(beta) @ Rz(gamma); angles
+    (..., 3) give rotations (..., 3, 3)."""
+    angles = np.asarray(angles, dtype=float)
+    rx, ry, rz = (_axis(i, np.cos(angles[..., i]), np.sin(angles[..., i]), 1.0) for i in range(3))
+    return rx @ ry @ rz
 
 
 def rot_with_derivatives(angles) -> tuple[np.ndarray, np.ndarray]:
-    """rot_from_angles(angles) and its partial derivatives, shape (3, 3, 3),
+    """rot_from_angles(angles) and its partial derivatives, shape (..., 3, 3, 3),
     from one evaluation of the three axis rotations.
 
-    Entry [i] of the derivatives is dR/d(angles[i]).
+    Entry [..., i, :, :] of the derivatives is dR/d(angles[..., i]).
     """
-    a, b, g = angles
-    rx, ry, rz = rot_x(a), rot_y(b), rot_z(g)
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
-    cg, sg = np.cos(g), np.sin(g)
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sa, -ca], [0.0, ca, -sa]])
-    dry = np.array([[-sb, 0.0, cb], [0.0, 0.0, 0.0], [-cb, 0.0, -sb]])
-    drz = np.array([[-sg, -cg, 0.0], [cg, -sg, 0.0], [0.0, 0.0, 0.0]])
-    return rx @ ry @ rz, np.stack([drx @ ry @ rz, rx @ dry @ rz, rx @ ry @ drz])
+    angles = np.asarray(angles, dtype=float)
+    c, s = np.cos(angles), np.sin(angles)
+    rx, ry, rz = (_axis(i, c[..., i], s[..., i], 1.0) for i in range(3))
+    drx, dry, drz = (_axis(i, -s[..., i], c[..., i], 0.0) for i in range(3))
+    return rx @ ry @ rz, np.stack([drx @ ry @ rz, rx @ dry @ rz, rx @ ry @ drz], axis=-3)
 
 
 def check_rotation(rot: np.ndarray, tol: float = ORTHO_TOL) -> None:
@@ -231,24 +230,43 @@ class CameraRig:
         return [(2 * i, 2 * i + 1) for i in range(len(self.cameras) // 2)]
 
 
-def camera_placement(rot: np.ndarray, d: np.ndarray, cam: Camera) -> tuple[np.ndarray, np.ndarray]:
+@dataclass
+class CameraStack:
+    """Cameras for the segmented kernels: camera s hangs on pose body[s] of a
+    stack of body poses, with displacement D[s], rotation R[s] and pinhole[s]
+    = (fx, fy, cx, cy); a point's segment is the index s of its camera."""
+
+    D: np.ndarray
+    R: np.ndarray
+    pinhole: np.ndarray
+    body: np.ndarray
+
+    @classmethod
+    def of(cls, cameras: list[Camera], body) -> "CameraStack":
+        intr = [c.intrinsics for c in cameras]
+        return cls(np.stack([c.D for c in cameras]), np.stack([c.R for c in cameras]),
+                   np.array([[i.fx, i.fy, i.cx, i.cy] for i in intr]), np.asarray(body))
+
+
+def camera_placement(rot: np.ndarray, d: np.ndarray, cam) -> tuple[np.ndarray, np.ndarray]:
     """World center C = d + R D_k and camera-to-world orientation W = R R_k
-    of a rig camera with the body at translation d and rotation rot."""
-    return d + rot @ cam.D, rot @ cam.R
+    of a rig camera with the body at translation d and rotation rot; for a
+    CameraStack, rot (S, 3, 3) and d (S, 3) are each camera's body pose."""
+    return d + (rot @ cam.D[..., None])[..., 0], rot @ cam.R
 
 
-def _pinhole(p_cam: np.ndarray, intr: Intrinsics, jacobian: bool):
+def _pinhole(p_cam: np.ndarray, fx, fy, cx, cy, jacobian: bool):
     x, y, z = p_cam[..., 0], p_cam[..., 1], p_cam[..., 2]
-    uv = np.stack([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy], axis=-1)
+    uv = np.stack([fx * x / z + cx, fy * y / z + cy], axis=-1)
     if not jacobian:
         return uv, None
-    zero = np.zeros_like(z)
-    row_u = np.stack([intr.fx / z, zero, -intr.fx * x / z**2], axis=-1)
-    row_v = np.stack([zero, intr.fy / z, -intr.fy * y / z**2], axis=-1)
-    return uv, np.stack([row_u, row_v], axis=-2)
+    jp = np.zeros(z.shape + (2, 3))
+    jp[..., 0, 0], jp[..., 0, 2] = fx / z, -fx * x / z**2
+    jp[..., 1, 1], jp[..., 1, 2] = fy / z, -fy * y / z**2
+    return uv, jp
 
 
-def view_points(points, rot: np.ndarray, d: np.ndarray, cam: Camera, jacobian: bool = False):
+def view_points(points, rot: np.ndarray, d: np.ndarray, cam, jacobian: bool = False, seg=None):
     """World points (..., 3) seen through rig camera cam with the body at
     translation d and rotation rot: the one placement-and-pinhole kernel.
 
@@ -257,10 +275,22 @@ def view_points(points, rot: np.ndarray, d: np.ndarray, cam: Camera, jacobian: b
     (..., 2, 3) is d(pixel)/d(P_k) and W the camera-to-world orientation,
     so dP_k/dM = W^T. Pixels of points with depth <= Z_MIN carry no
     meaning; callers mask or reject those points by p_cam[..., 2].
+
+    With seg (N,), cam is a CameraStack, rot (B, 3, 3) and d (B, 3) stack
+    the body poses, point i of points (N, 3) is seen by camera seg[i] and
+    W comes per point, (N, 3, 3): each point gets the one-camera arithmetic.
     """
-    center, orient = camera_placement(rot, d, cam)
-    p_cam = (points - center) @ orient
-    uv, jp = _pinhole(p_cam, cam.intrinsics, jacobian)
+    if seg is None:
+        center, orient = camera_placement(rot, d, cam)
+        p_cam = (points - center) @ orient
+        intr = cam.intrinsics
+        pinhole = (intr.fx, intr.fy, intr.cx, intr.cy)
+    else:
+        center, orient = camera_placement(rot[cam.body], d[cam.body], cam)
+        orient = orient[seg]
+        p_cam = ((points - center[seg])[:, None] @ orient)[:, 0]
+        pinhole = cam.pinhole[seg].T
+    uv, jp = _pinhole(p_cam, *pinhole, jacobian)
     if not jacobian:
         return p_cam, uv
     return p_cam, uv, jp, orient
@@ -286,7 +316,7 @@ def project(points_cam, intr: Intrinsics) -> np.ndarray:
     pts = np.asarray(points_cam, dtype=float)
     if np.any(pts[..., 2] <= Z_MIN):
         raise BehindCamera("point at or behind the image plane")
-    return _pinhole(pts, intr, jacobian=False)[0]
+    return _pinhole(pts, intr.fx, intr.fy, intr.cx, intr.cy, jacobian=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -184,14 +183,20 @@ def monte_carlo(
         raise InputError(f"need at least 1 run, got {sim.n_runs}")
     if sim.n_frames < 2:
         raise InputError(f"need at least 2 frames to report errors, got {sim.n_frames}")
+    if workers < 1:
+        raise InputError(f"need at least 1 worker, got {workers!r}")
 
     started = time.monotonic()
     seeds = run_seed_sequences(sim.seed, sim.n_runs)
     tasks = [(i, seeds[i], setup) for i in range(sim.n_runs)]
-    if workers <= 1:
+    if workers == 1:
         outcomes = [_run_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Imported here, as it weighs on every import of the package. A fork
+        # pool starts all its workers at once: no more workers than runs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, sim.n_runs)) as pool:
             outcomes = list(pool.map(_run_one, tasks))
     outcomes.sort(key=lambda out: out[0])
 

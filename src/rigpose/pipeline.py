@@ -13,11 +13,11 @@ the already-emitted pose, and continues without re-seeding the filter.
 
 Non-overlapping layout: every camera runs its own monocular chain in its
 own initial frame, with orthographic structure initialization at a
-configured depth, per-feature structure EKFs, a Lowe seed, and a
-per-camera pose EKF. Each frame the four local poses are fused through the
-rigidity constraints (rotation median plus the scale-factor least squares)
-into the RC series; the per-camera series are also mapped to body poses
-for reporting.
+configured depth, per-feature structure EKFs, a Lowe seed, and a pose EKF;
+the four chains step in lockstep as one stack of filters. Each frame the
+local poses are fused through the rigidity constraints (rotation median
+plus the scale-factor least squares) into the RC series; the per-camera
+series are also mapped to body poses for reporting.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from .errors import (
     InsufficientFeatures,
     InsufficientMatches,
     LengthMismatch,
-    SingularInnovationCovariance,
     check_config_fields,
 )
 from .geometry import (
     Z_MIN,
     Camera,
     CameraRig,
+    CameraStack,
     Intrinsics,
     Pose,
     change_basis,
@@ -137,6 +137,7 @@ def lowe_pose(
     if len(points) < 4:
         raise InsufficientMatches(f"need >= 4 matches, got {len(points)}")
     cam = Camera(D=np.zeros(3), R=np.eye(3), intrinsics=intr)
+    cams, seg = CameraStack.of([cam], [0]), np.zeros(len(points), dtype=int)
 
     def cost_of(vec):
         p_cam, uv_pred = view_points(points, rot_from_angles(vec[3:]), vec[:3], cam)
@@ -149,7 +150,8 @@ def lowe_pose(
     cost = cost_of(vec)   # BehindCamera here means init outside the basin
     fails = 0
     for _ in range(max_iter):
-        uv_pred, jac = ekf.pose_measurement_rows(vec, cam, points)
+        # cost_of accepted vec, so every point lies in front of the camera
+        uv_pred, jac, _ = ekf.pose_measurement_rows(vec[None], cams, seg, points)
         res = (pixels - uv_pred).ravel()
         j = jac.reshape(-1, 6)
         jtj = j.T @ j
@@ -194,88 +196,88 @@ def lowe_pose(
 # Track bookkeeping
 # ---------------------------------------------------------------------------
 
-def _compact_ids(frames):
-    """Renumber the feature ids of an observation stream to their rank
-    among all of its ids. The map keeps id order, so every intersection and
-    mask sees the features in the order the original ids give, and a track
-    table needs one row per distinct feature only. Returns (frames, number
-    of distinct features)."""
+def _compact_ids(frames, body):
+    """Renumber the feature ids of an observation stream to their rank i among
+    its n distinct ids and flatten each frame into (rows, pixels, camera of
+    each row): camera k's feature i is row body[k] * n + i of a track table.
+    The map keeps id order, so every intersection and mask sees the features
+    in the order the original ids give. Returns (frames, n)."""
     all_ids = np.unique(np.concatenate([ids for frame in frames for ids, _ in frame]))
-    compact = [[(np.searchsorted(all_ids, ids), uv) for ids, uv in frame] for frame in frames]
-    return compact, len(all_ids)
+    n, body = len(all_ids), np.asarray(body)
+    flat = []
+    for frame in frames:
+        seg = np.repeat(np.arange(len(frame)), [len(ids) for ids, _ in frame])
+        rows = np.searchsorted(all_ids, np.concatenate([ids for ids, _ in frame]))
+        uv = np.concatenate([np.reshape(uv, (-1, 2)) for _, uv in frame])
+        flat.append((rows + body[seg] * n, uv, seg))
+    return flat, n
+
+
+def _camera(frame, k: int):
+    """Camera k's (rows, pixels) of a flattened frame."""
+    rows, uv, seg = frame
+    return rows[seg == k], uv[seg == k]
 
 
 class _TrackTable:
-    """Structure estimates indexed by compact feature id: live[i] marks a
-    feature with an estimate, means[i] is its point and covs[i] the
-    covariance of its structure filter (non-overlapping layout only)."""
+    """Structure estimates of n features for each of B pose filters, a (B, n)
+    table flattened to rows: live[i] marks a row with an estimate, means[i]
+    is its point and covs[i] its structure covariance (monocular chains)."""
 
-    def __init__(self, n_features: int):
-        self.live = np.zeros(n_features, dtype=bool)
-        self.means = np.zeros((n_features, 3))
-        self.covs = np.zeros((n_features, 3, 3))
+    def __init__(self, n_features: int, n_filters: int = 1):
+        self.n = n_features
+        self.live = np.zeros(n_filters * n_features, dtype=bool)
+        self.means = np.zeros((n_filters * n_features, 3))
+        self.covs = np.zeros((n_filters * n_features, 3, 3))
 
-    def upsert(self, ids, means, covs=None):
-        self.live[ids] = True
-        self.means[ids] = means
+    def upsert(self, rows, means, covs=None):
+        self.live[rows] = True
+        self.means[rows] = means
         if covs is not None:
-            self.covs[ids] = covs
+            self.covs[rows] = covs
 
 
-def _measurement_batch(
-    frame_obs, rig: CameraRig, pairs, store: _TrackTable, pose_vec, pcfg: PipelineConfig
-) -> tuple[ekf.MeasurementBatch, int]:
-    """Measurements of known-structure features at one frame, for a stereo
-    rig with its pairs or a one-camera rig with none.
-
-    Pair observations failing the epipolar gate are dropped for the frame;
-    points behind a camera at the current estimate are masked out. The
-    feature count returned is the number of distinct tracked ids measured.
-    """
-    usable = store.live.copy()
+def _pair_matches(frame, pairs):
+    """(pair, rows, pixels in each camera, epipolar distances) of the features
+    each stereo pair sees in common at a flattened frame."""
     for pair in pairs:
-        ids_a, uv_a = frame_obs[pair.cam_a]
-        ids_b, uv_b = frame_obs[pair.cam_b]
+        ids_a, uv_a = _camera(frame, pair.cam_a)
+        ids_b, uv_b = _camera(frame, pair.cam_b)
         common, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
-        if len(common) == 0:
-            continue
-        dist = stereo.epipolar_distances(pair.F, uv_a[ia], uv_b[ib])
+        if len(common):
+            pa, pb = uv_a[ia], uv_b[ib]
+            yield pair, common, pa, pb, stereo.epipolar_distances(pair.F, pa, pb)
+
+
+def _measurement_batch(frame, cams: CameraStack, pairs, store: _TrackTable, x, pcfg):
+    """Measurements of known-structure features at one frame for every
+    filter of the stack: a stereo rig with its pairs, or monocular chains
+    with none. Pair observations failing the epipolar gate are dropped for
+    the frame; points behind a camera at the current estimate are masked
+    out. Also returns each filter's count of distinct features measured."""
+    usable = store.live.copy() if pairs else store.live
+    for _, common, _, _, dist in _pair_matches(frame, pairs):
         usable[common[dist > pcfg.epipolar_tol_px]] = False
 
-    batch = ekf.MeasurementBatch()
-    measured = np.zeros_like(usable)
-    for k in range(len(rig.cameras)):
-        ids, uv = frame_obs[k]
-        mask = usable[ids]
-        if not np.any(mask):
-            continue
-        ids_k, uv_k = ids[mask], uv[mask]
-        pts = store.means[ids_k]
-        front = ekf.predicted_depths(pose_vec, rig.camera(k), pts) > 0
-        if not np.any(front):
-            continue
-        batch.entries.append(
-            ekf.CameraMeasurements(camera=k, ids=ids_k[front], uv=uv_k[front], points=pts[front])
-        )
-        measured[ids_k[front]] = True
-    return batch, int(np.count_nonzero(measured))
+    rows, uv, seg = frame
+    keep = usable[rows]
+    rows, uv, seg = rows[keep], uv[keep], seg[keep]
+    points = store.means[rows]
+    front = ekf.predicted_depths(x, cams, seg, points) > 0
+    batch = ekf.MeasurementBatch(rows[front], uv[front], points[front], seg[front])
+    return batch, np.bincount(np.unique(batch.ids) // store.n, minlength=len(x))
 
 
-def _update_or_skip(state: ekf.PoseFilterState, batch, rig: CameraRig, frame: int):
-    """Pose EKF update with one frame's batch. An empty batch or a
-    degenerate update keeps the predicted state and tags the frame
-    'ekf-skip'; a non-finite state aborts the sequence. Returns (state, tag)."""
-    method = "ekf-skip"
-    if batch.n_features:
-        try:
-            state = ekf.pose_update(state, batch, rig)
-        except (SingularInnovationCovariance, BehindCamera):
-            pass
-        else:
-            method = "ekf"
+def _update_or_skip(state: ekf.PoseFilterState, batch, cams: CameraStack, frame: int):
+    """Pose EKF update of every filter with one frame's batch. A filter with
+    no measurements or a degenerate update keeps its predicted state, tagged
+    'ekf-skip'; a non-finite state aborts. Returns (state, tag per filter)."""
+    skipped = np.ones(len(state.x), dtype=bool)
+    if batch.n_rows:
+        state, skipped = ekf.pose_update(state, batch, cams)
     if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.P))):
         raise EstimationFailure(f"filter state became non-finite at frame {frame}")
-    return state, method
+    return state, ["ekf-skip" if skip else "ekf" for skip in skipped]
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +285,13 @@ def _update_or_skip(state: ekf.PoseFilterState, batch, rig: CameraRig, frame: in
 # ---------------------------------------------------------------------------
 
 def _match_and_triangulate(
-    frame_obs, rig: CameraRig, pairs, pose: Pose, pcfg: PipelineConfig, store: _TrackTable
+    frame, rig: CameraRig, pairs, pose: Pose, pcfg: PipelineConfig, store: _TrackTable
 ) -> int:
     """Stereo-match each pair at one frame, gate on the epipolar distance,
     triangulate with the given pose, and upsert the results. Returns the
     number of accepted matches."""
     accepted = 0
-    for pair in pairs:
-        ids_a, uv_a = frame_obs[pair.cam_a]
-        ids_b, uv_b = frame_obs[pair.cam_b]
-        common, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
-        if len(common) == 0:
-            continue
-        pa, pb = uv_a[ia], uv_b[ib]
-        dist = stereo.epipolar_distances(pair.F, pa, pb)
+    for pair, common, pa, pb, dist in _pair_matches(frame, pairs):
         keep = dist <= pcfg.epipolar_tol_px
         if not np.any(keep):
             continue
@@ -321,12 +316,15 @@ def run_stereo_sequence(
     frames: per-frame list of per-camera (ids, pixels) observations.
     With ideal_init the filter seed state (pose and velocity at frame 1)
     is taken from the supplied ground truth instead of the Lowe seed.
+    One pose filter takes every camera's rows: the segmented kernels with
+    B = 1 and one segment per rig camera.
     """
     if not frames:
         raise InputError("empty observation stream")
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
-    frames, n_features = _compact_ids(frames)
+    cams = CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
+    frames, n_features = _compact_ids(frames, cams.body)
     pairs = [stereo.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
     store = _TrackTable(n_features)
     series = PoseEstimateSeries()
@@ -342,7 +340,7 @@ def run_stereo_sequence(
         return series
 
     # Lowe seed at frame 1 from the reference camera's tracked features.
-    ids1, uv1 = frames[1][0]
+    ids1, uv1 = _camera(frames[1], 0)
     mask = store.live[ids1]
     if ideal_init and truth is not None:
         pose1 = truth.pose(1)
@@ -356,15 +354,15 @@ def run_stereo_sequence(
         state = ekf.pose_predict(state)
         diag: dict = {"retriangulated": False}
 
-        batch, count = _measurement_batch(frames[j], rig, pairs, store, state.x, pcfg)
-        if count < pcfg.redetect_threshold:
+        batch, count = _measurement_batch(frames[j], cams, pairs, store, state.x, pcfg)
+        if count[0] < pcfg.redetect_threshold:
             _match_and_triangulate(frames[j - 1], rig, pairs, series.pose(j - 1), pcfg, store)
             diag["retriangulated"] = True
-            batch, count = _measurement_batch(frames[j], rig, pairs, store, state.x, pcfg)
-        diag["features"] = count
+            batch, count = _measurement_batch(frames[j], cams, pairs, store, state.x, pcfg)
+        diag["features"] = int(count[0])
 
-        state, method = _update_or_skip(state, batch, rig, j)
-        series.append(Pose.from_vector(state.x[:6]), method, diag)
+        state, methods = _update_or_skip(state, batch, cams, j)
+        series.append(Pose.from_vector(state.x[0, :6]), methods[0], diag)
     return series
 
 
@@ -372,91 +370,72 @@ def run_stereo_sequence(
 # Non-overlapping layout
 # ---------------------------------------------------------------------------
 
-def _local_camera(cam: Camera) -> Camera:
-    return Camera(D=np.zeros(3), R=np.eye(3), intrinsics=cam.intrinsics)
+def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_points=None):
+    """The monocular chains of the given cameras stepped in lockstep as one
+    stack of pose filters, each in its camera's own initial frame:
+    orthographic init (or ideal_points), structure EKFs, Lowe seed (or
+    local_truth (B, 6)), pose EKF, depletion backtracking. Frame 0, the
+    seeds and re-detections run per chain, all else once per frame. Returns
+    local poses (F, B, 6) and per frame a list of per-chain diagnostics."""
+    n_chains = len(rig_cameras)
+    intr = [c.intrinsics for c in rig_cameras]
+    cams = CameraStack.of([Camera(np.zeros(3), np.eye(3), i) for i in intr], np.arange(n_chains))
+    frames, n_features = _compact_ids(frames, cams.body)
+    store = _TrackTable(n_features, n_chains)
 
-
-def _run_monocular_chain(
-    cam_frames,
-    n_features: int,
-    cam: Camera,
-    tuning: ekf.FilterTuning,
-    pcfg: PipelineConfig,
-    local_truth: list[np.ndarray] | None,
-    ideal_points: np.ndarray | None,
-):
-    """One camera's local-frame chain: orthographic init, structure EKFs,
-    Lowe seed, pose EKF, depletion backtracking. cam_frames holds the
-    camera's (compact ids, pixels) per frame. Returns per-frame local pose
-    vectors (6,) and diagnostics."""
-    local_cam = _local_camera(cam)
-    intr = cam.intrinsics
-    rig1 = CameraRig([local_cam], layout="non-overlapping")
-    store = _TrackTable(n_features)
-
-    ids0, uv0 = cam_frames[0]
-    if len(ids0) < pcfg.min_matches:
-        raise InsufficientFeatures(f"camera saw {len(ids0)} features at frame 0")
-    if ideal_points is not None:
-        init_pts = ideal_points
-    else:
-        init_pts = ekf.orthographic_init(uv0, intr, pcfg.init_depth)
-    store.upsert(ids0, init_pts, ekf.initial_structure_covariance(tuning, len(ids0)))
-
-    locals_ = [np.zeros(6)]
-    diags = [{"features": len(ids0), "redetected": False}]
-    if len(cam_frames) == 1:
-        return locals_, diags
-
-    ids1, uv1 = cam_frames[1]
-    mask = store.live[ids1]
-    if local_truth is not None:
-        vec1 = local_truth[1]
-        pose1 = Pose.from_vector(vec1)
-    else:
-        pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], intr, Pose.identity())
-        vec1 = pose1.as_vector()
+    diags, vec1 = [[], []], np.empty((n_chains, 6))
+    for k in range(n_chains):
+        rows0, uv0 = _camera(frames[0], k)
+        if len(rows0) < pcfg.min_matches:
+            raise InsufficientFeatures(f"camera saw {len(rows0)} features at frame 0")
+        init_pts = (ekf.orthographic_init(uv0, intr[k], pcfg.init_depth)
+                    if ideal_points is None else ideal_points[k])
+        store.upsert(rows0, init_pts, ekf.initial_structure_covariance(tuning, len(rows0)))
+        diags[0].append({"features": len(rows0), "redetected": False})
+        if len(frames) > 1:
+            rows1, uv1 = _camera(frames[1], k)
+            mask = store.live[rows1]
+            vec1[k] = local_truth[k] if local_truth is not None else lowe_pose(
+                store.means[rows1[mask]], uv1[mask], intr[k], Pose.identity()).as_vector()
+            diags[1].append({"features": int(mask.sum()), "redetected": False})
+    if len(frames) == 1:
+        return np.zeros((1, n_chains, 6)), diags[:1]
     state = ekf.make_pose_filter(vec1, vec1, tuning)  # velocity seed: pose1 - identity
-    locals_.append(vec1.copy())
-    diags.append({"features": int(mask.sum()), "redetected": False})
-    _structure_pass(store, ids1[mask], uv1[mask], vec1, local_cam, tuning)
+    locals_ = [np.zeros((n_chains, 6)), vec1.copy()]
+    _structure_pass(store, frames[1], vec1, cams, tuning)
 
-    for j in range(2, len(cam_frames)):
+    for j in range(2, len(frames)):
         state = ekf.pose_predict(state)
-        ids_j, uv_j = cam_frames[j]
-        diag = {"redetected": False}
+        rows, _, seg = frames[j]
+        depleted = np.bincount(seg[store.live[rows]], minlength=n_chains) < pcfg.redetect_threshold
+        for k in np.flatnonzero(depleted):
+            _redetect(store, _camera(frames[j - 1], k), locals_[j - 1][k], intr[k], pcfg, tuning)
 
-        if int(store.live[ids_j].sum()) < pcfg.redetect_threshold:
-            _redetect(store, cam_frames[j - 1], locals_[j - 1], intr, pcfg, tuning)
-            diag["redetected"] = True
-
-        batch, diag["features"] = _measurement_batch(
-            [cam_frames[j]], rig1, [], store, state.x, pcfg
-        )
-        state, diag["method"] = _update_or_skip(state, batch, rig1, j)
-        vec = state.x[:6].copy()
-        locals_.append(vec)
-        diags.append(diag)
-
-        mask = store.live[ids_j]
-        if np.any(mask):
-            _structure_pass(store, ids_j[mask], uv_j[mask], vec, local_cam, tuning)
-    return locals_, diags
+        batch, count = _measurement_batch(frames[j], cams, [], store, state.x, pcfg)
+        state, methods = _update_or_skip(state, batch, cams, j)
+        locals_.append(state.x[:, :6].copy())
+        diags.append([{"redetected": bool(depleted[k]), "features": int(count[k]),
+                       "method": methods[k]} for k in range(n_chains)])
+        _structure_pass(store, frames[j], locals_[j], cams, tuning)
+    return np.array(locals_), diags
 
 
-def _structure_pass(store: _TrackTable, ids, uv, pose_vec, cam: Camera, tuning):
-    """Update the structure filters of the observed features with the pose
-    held fixed; features behind the camera are left untouched."""
-    depths = ekf.predicted_depths(pose_vec, cam, store.means[ids])
-    front = depths > Z_MIN
+def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
+    """Update the structure filters of every chain's observed live features
+    with the poses x held fixed; features behind their camera are left
+    untouched."""
+    rows, uv, seg = frame
+    live = store.live[rows]
+    rows, uv, seg = rows[live], uv[live], seg[live]
+    front = ekf.predicted_depths(x, cams, seg, store.means[rows]) > Z_MIN
     if not np.any(front):
         return
-    ids = ids[front]
+    rows = rows[front]
     means, covs = ekf.structure_update_batch(
-        store.means[ids], store.covs[ids], uv[front], pose_vec, cam, tuning.r_px**2
+        store.means[rows], store.covs[rows], uv[front], x, cams, seg[front], tuning.r_px**2
     )
-    store.means[ids] = means
-    store.covs[ids] = covs
+    store.means[rows] = means
+    store.covs[rows] = covs
 
 
 def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
@@ -468,10 +447,8 @@ def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
     if not np.any(fresh):
         return
     cam_pts = ekf.orthographic_init(uv_p[fresh], intr, pcfg.init_depth)
-    rot = rot_from_angles(prev_vec[3:6])
-    world_pts = cam_pts @ rot.T + prev_vec[:3]
-    covs = ekf.initial_structure_covariance(tuning, int(fresh.sum()))
-    store.upsert(ids_p[fresh], world_pts, covs)
+    world_pts = cam_pts @ rot_from_angles(prev_vec[3:6]).T + prev_vec[:3]
+    store.upsert(ids_p[fresh], world_pts, ekf.initial_structure_covariance(tuning, len(cam_pts)))
 
 
 def run_nonoverlap_sequence(
@@ -501,39 +478,24 @@ def run_nonoverlap_sequence(
     if rig.layout != "non-overlapping" or len(rig.cameras) != 4:
         raise InputError("non-overlapping pipeline needs a 4-camera non-overlapping rig")
     n_frames = len(frames)
-    compact, n_features = _compact_ids(frames)
-
-    locals_per_cam = []
-    diags_per_cam = []
-    for k in range(4):
-        cam = rig.camera(k)
-        local_truth = None
-        ideal_points = None
-        if ideal_init and truth is not None:
-            local_truth = []
-            for j in range(min(2, n_frames)):
-                lp = fusion.true_local_pose(truth.pose(j), cam, k)
-                local_truth.append(np.concatenate([lp.l, euler_angles(lp.r)]))
-            if scene is not None:
-                ids0 = frames[0][k][0]
-                ideal_points = (scene[ids0] - cam.D) @ cam.R
-        locals_, diags = _run_monocular_chain(
-            [frame[k] for frame in compact], n_features, cam, tuning, pcfg,
-            local_truth, ideal_points,
-        )
-        locals_per_cam.append(locals_)
-        diags_per_cam.append(diags)
+    local_truth = ideal_points = None
+    if ideal_init and truth is not None:
+        if n_frames > 1:
+            lps = [fusion.true_local_pose(truth.pose(1), c, k) for k, c in enumerate(rig.cameras)]
+            local_truth = np.array([np.concatenate([lp.l, euler_angles(lp.r)]) for lp in lps])
+        if scene is not None:
+            ideal_points = [(scene[frames[0][k][0]] - cam.D) @ cam.R
+                            for k, cam in enumerate(rig.cameras)]
+    locals_, diags = _run_chains(frames, rig.cameras, tuning, pcfg, local_truth, ideal_points)
 
     out: dict[str, PoseEstimateSeries] = {}
+    rotations = rot_from_angles(locals_[..., 3:])
     per_frame = [[] for _ in range(n_frames)]   # (local pose, equivalent rotation) per camera
-    for k in range(4):
+    for k, cam in enumerate(rig.cameras):
         series = PoseEstimateSeries()
-        cam = rig.camera(k)
-        for j, vec in enumerate(locals_per_cam[k]):
-            local = fusion.CameraLocalPose(k, vec[:3], rot_from_angles(vec[3:]))
-            series.append(
-                fusion.local_to_body_pose(local, cam), "local", diags_per_cam[k][j]
-            )
+        for j in range(n_frames):
+            local = fusion.CameraLocalPose(k, locals_[j, k, :3], rotations[j, k])
+            series.append(fusion.local_to_body_pose(local, cam), "local", diags[j][k])
             per_frame[j].append((local, change_basis(cam.R, local.r)))
         out[f"cam{k + 1}"] = series
 
@@ -631,32 +593,40 @@ def _reject_rows(path, lines: np.ndarray, bad: np.ndarray, what: str) -> None:
         raise InputError(f"{path}: line {lines[np.argmax(bad)]}: {what}")
 
 
-def read_tracks(path):
-    """Parse a tracks CSV back into a per-frame, per-camera stream, each
-    camera's rows in file order.
+def read_tracks(path, n_cams: int):
+    """Parse a tracks CSV for a rig of n_cams cameras into a per-frame,
+    per-camera stream, each camera's rows in file order.
 
-    Feature ids are any non-negative integers; a (cam, frame, feature)
-    row may appear once. Malformed content raises InputError naming the
-    offending line.
+    Feature ids are any non-negative integers; a (cam, frame, feature) row
+    may appear once. Camera indices run below n_cams and reach n_cams - 1,
+    and every frame up to the last has a row, so the stream is no larger
+    than the file. Malformed content raises InputError naming the offending
+    line, or the first frame without rows.
     """
     lines, keys, uv = _read_csv(path, TRACKS_HEADER, n_int=3)
     _reject_rows(path, lines, np.any(keys < 0, axis=1), "negative cam/frame/feature")
     _reject_rows(path, lines, ~np.all(np.isfinite(uv), axis=1), "non-finite pixel")
     cam, frame, feature = keys.T
+    _reject_rows(path, lines, cam >= n_cams, f"camera index beyond the rig's {n_cams} cameras")
     by_key = np.lexsort((feature, cam, frame))   # stable: file order among equal keys
     repeat = np.zeros(len(lines), dtype=bool)
     repeat[by_key[1:]] = np.all(keys[by_key[1:]] == keys[by_key[:-1]], axis=1)
     _reject_rows(path, lines, repeat, "repeated (cam, frame, feature) row")
+    if cam.max() + 1 < n_cams:
+        raise InputError(f"{path}: tracks cover {cam.max() + 1} cameras, the rig file has {n_cams}")
+    present = np.unique(frame)
+    gaps = np.flatnonzero(present != np.arange(len(present)))
+    if len(gaps):
+        raise InputError(f"{path}: frame {gaps[0]} has no rows, but frame {present[-1]} does")
 
-    n_frames, n_cams = int(frame.max()) + 1, int(cam.max()) + 1
     order = np.lexsort((cam, frame))
     groups = frame[order] * n_cams + cam[order]
-    bounds = np.searchsorted(groups, np.arange(n_frames * n_cams + 1))
+    bounds = np.searchsorted(groups, np.arange(len(present) * n_cams + 1))
     ids, uv = feature[order], uv[order]
     return [
         [(ids[bounds[g]:bounds[g + 1]], uv[bounds[g]:bounds[g + 1]])
          for g in range(j * n_cams, (j + 1) * n_cams)]
-        for j in range(n_frames)
+        for j in range(len(present))
     ]
 
 
@@ -681,7 +651,7 @@ def read_truth(path) -> Trajectory:
     if not np.array_equal(frame[order, 0], np.arange(len(lines))):
         raise InputError(f"{path}: frames are not 0..N-1, each once")
     d, angles = vals[order, :3], vals[order, 3:]
-    rotations = np.stack([rot_from_angles(a) for a in angles])
+    rotations = rot_from_angles(angles)
     return Trajectory(d=d, rotations=rotations, angles=angles)
 
 

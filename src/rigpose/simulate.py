@@ -105,9 +105,10 @@ def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
     rotations = np.zeros((f, 3, 3))
     angles = np.zeros((f, 3))
     rotations[0] = np.eye(3)
+    steps = rot_from_angles(deltas[:, 3:])
     for j in range(1, f):
         d[j] = d[j - 1] + deltas[j - 1, :3]
-        rotations[j] = rot_from_angles(deltas[j - 1, 3:]) @ rotations[j - 1]
+        rotations[j] = steps[j - 1] @ rotations[j - 1]
         angles[j] = euler_angles(rotations[j])
     return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)
 
@@ -120,7 +121,7 @@ def scripted_trajectory(n_frames: int, velocity) -> Trajectory:
     steps = np.arange(n_frames)[:, None]
     d = steps * velocity[:3]
     angles = steps * velocity[3:]
-    rotations = np.stack([rot_from_angles(a) for a in angles])
+    rotations = rot_from_angles(angles)
     deltas = np.repeat(velocity[None, :], n_frames - 1, axis=0)
     return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)
 

@@ -18,6 +18,7 @@ from rigpose import cli, fusion, harness, pipeline, stereo
 from rigpose.ekf import pose_measurement_rows
 from rigpose.errors import IllConditioned
 from rigpose.geometry import (
+    CameraStack,
     Pose,
     default_nonoverlap_rig,
     default_overlap_rig,
@@ -138,6 +139,7 @@ def test_criterion_3_jacobian_oracle():
     rig = default_nonoverlap_rig()
     h_step = 1e-6
     worst = 0.0
+    cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     for _ in range(100):
         k = int(rng.integers(0, 4))
         cam = rig.camera(k)
@@ -150,13 +152,14 @@ def test_criterion_3_jacobian_oracle():
             axis=-1,
         )
         points = local @ cam.R.T + cam.D
-        _, jac = pose_measurement_rows(pose_vec, cam, points)
+        seg = np.full(len(points), k)
+        _, jac, _ = pose_measurement_rows(pose_vec[None], cams, seg, points)
         for i in range(6):
             plus, minus = pose_vec.copy(), pose_vec.copy()
             plus[i] += h_step
             minus[i] -= h_step
-            up, _ = pose_measurement_rows(plus, cam, points)
-            um, _ = pose_measurement_rows(minus, cam, points)
+            up, _, _ = pose_measurement_rows(plus[None], cams, seg, points)
+            um, _, _ = pose_measurement_rows(minus[None], cams, seg, points)
             numeric = (up - um) / (2 * h_step)
             denom = np.maximum(np.abs(numeric), 1.0)
             worst = max(worst, (np.abs(numeric - jac[:, :, i]) / denom).max())

@@ -6,9 +6,17 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from rigpose.geometry import default_nonoverlap_rig
 from rigpose.harness import monte_carlo
 from rigpose.pipeline import PipelineConfig
-from rigpose.simulate import SimConfig
+from rigpose.simulate import (
+    SimConfig,
+    gen_scene,
+    gen_trajectory,
+    render_sequence,
+    run_seed_sequences,
+    run_streams,
+)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +51,25 @@ def test_tracer_hooks_read_results():
                  "stereo.epipolar_distances.pairs", "pipeline.ekf_steps",
                  "fusion.fuse_pose.calls", "geometry.rot_from_angles.calls"):
         assert counts[name] > 0, name
+
+
+def test_pose_update_rows_cover_every_chain_measurement():
+    # Every measured row of the monocular chains goes through ekf.pose_update,
+    # so the traced row count is twice the features the chains measured
+    # from frame 2 on; a chain path that bypassed pose_update would fall short.
+    tracer = load_tracer()
+    names = {mod for mod, _ in tracer.TIMED + tracer.COUNTED}
+    modules = {mod: importlib.import_module(f"rigpose.{mod}") for mod in names}
+    rig = default_nonoverlap_rig()
+    sim = SimConfig(n_points=1500, n_frames=8, noise_sigma=0.5, seed=42)
+    scene_rng, traj_rng, noise_ss = run_streams(run_seed_sequences(sim.seed, 1)[0])
+    frames = render_sequence(gen_scene(sim, scene_rng), gen_trajectory(sim, traj_rng),
+                             rig.cameras, sim.noise_sigma, noise_ss)
+    with tracer.Tracer(modules, epipolar_tol_px=2.0) as t:
+        t.start_pass(0)
+        out = modules["pipeline"].run_nonoverlap_sequence(
+            frames, rig, pcfg=PipelineConfig(redetect_threshold=15))
+        counts = t.pass_summary()["counts"]
+    features = sum(d["features"] for k in range(1, 5) for d in out[f"cam{k}"].diagnostics[2:])
+    assert features > 0
+    assert counts["ekf.pose_update.rows"] == 2 * features

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rigpose.ekf import (
-    CameraMeasurements,
     FilterTuning,
     MeasurementBatch,
     PoseFilterState,
@@ -19,6 +18,7 @@ from rigpose.errors import BehindCamera, EmptyBatch
 from rigpose.geometry import (
     Camera,
     CameraRig,
+    CameraStack,
     Intrinsics,
     Pose,
     default_nonoverlap_rig,
@@ -34,18 +34,43 @@ def reference_rig():
     return CameraRig([Camera(D=np.zeros(3), R=np.eye(3))], layout="non-overlapping")
 
 
+def stack(rig):
+    # every camera of the rig on one pose filter
+    return CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
+
+
+def single(n):
+    return np.zeros(n, dtype=int)
+
+
+def measure(x, cam, points):
+    # (uv, jac, front) of one camera on one filter's state x
+    return pose_measurement_rows(np.atleast_2d(x), CameraStack.of([cam], [0]),
+                                 single(len(points)), points)
+
+
+def update(state, batch, rig):
+    out, _ = pose_update(state, batch, stack(rig))
+    return out
+
+
+def structure_update(means, covs, uv, pose_vec, cam, r_var):
+    return structure_update_batch(means, covs, uv, np.atleast_2d(pose_vec),
+                                  CameraStack.of([cam], [0]), single(len(means)), r_var)
+
+
 def batch_for(rig, pose_vec, points, cameras=(0,), noise=0.0, rng=None):
-    batch = MeasurementBatch()
-    pose = Pose.from_vector(pose_vec[:6])
+    pose = Pose.from_vector(np.ravel(pose_vec)[:6])
+    uvs = []
     for k in cameras:
-        cam = rig.camera(k)
-        uv = project(world_to_camera_k(pose, rig, k, points), cam.intrinsics)
+        uv = project(world_to_camera_k(pose, rig, k, points), rig.camera(k).intrinsics)
         if noise > 0:
             uv = uv + rng.normal(0, noise, uv.shape)
-        batch.entries.append(
-            CameraMeasurements(camera=k, ids=np.arange(len(points)), uv=uv, points=points)
-        )
-    return batch
+        uvs.append(uv)
+    n = len(points)
+    return MeasurementBatch(ids=np.tile(np.arange(n), len(cameras)), uv=np.concatenate(uvs),
+                            points=np.tile(points, (len(cameras), 1)),
+                            seg=np.repeat(np.asarray(cameras), n))
 
 
 def spread_points(rng, n=100):
@@ -62,9 +87,9 @@ def spread_points(rng, n=100):
 def test_predict_zero_velocity_zero_q():
     state = PoseFilterState(np.zeros(12), np.eye(12) * 1e-4, np.zeros((12, 12)), 0.25)
     out = pose_predict(state)
-    np.testing.assert_array_equal(out.x, np.zeros(12))
+    np.testing.assert_array_equal(out.x[0], np.zeros(12))
     a = transition_matrix()
-    np.testing.assert_allclose(out.P, a @ state.P @ a.T, atol=1e-15)
+    np.testing.assert_allclose(out.P[0], a @ state.P[0] @ a.T, atol=1e-15)
 
 
 def test_predict_integrates_velocity():
@@ -72,8 +97,8 @@ def test_predict_integrates_velocity():
     x[6] = 0.01
     state = PoseFilterState(x, np.eye(12) * 1e-4, np.zeros((12, 12)), 0.25)
     out = pose_predict(state)
-    assert out.x[0] == pytest.approx(0.01)
-    assert out.x[6] == pytest.approx(0.01)
+    assert out.x[0, 0] == pytest.approx(0.01)
+    assert out.x[0, 6] == pytest.approx(0.01)
 
 
 def test_predict_grows_covariance_with_q():
@@ -83,7 +108,7 @@ def test_predict_grows_covariance_with_q():
         p = m @ m.T + 1e-6 * np.eye(12)
         state = PoseFilterState(np.zeros(12), p, TUNING.process_noise(), 0.25)
         out = pose_predict(state)
-        assert np.trace(out.P) >= np.trace(p)
+        assert np.trace(out.P[0]) >= np.trace(p)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +124,11 @@ def test_jacobian_velocity_columns_zero():
     rig = default_overlap_rig()
     state = make_pose_filter(rng.uniform(-0.05, 0.05, 6), np.zeros(6), TUNING)
     moving = state.x.copy()
-    moving[6:] = rng.uniform(-0.05, 0.05, 6)
+    moving[:, 6:] = rng.uniform(-0.05, 0.05, 6)
     points = spread_points(rng, 10)
     for k in (0, 1):
-        uv, jac = pose_measurement_rows(state.x, rig.camera(k), points)
-        uv_moving, jac_moving = pose_measurement_rows(moving, rig.camera(k), points)
+        uv, jac, _ = measure(state.x, rig.camera(k), points)
+        uv_moving, jac_moving, _ = measure(moving, rig.camera(k), points)
         assert jac.shape == (10, 2, 6)
         np.testing.assert_array_equal(uv_moving, uv)
         np.testing.assert_array_equal(jac_moving, jac)
@@ -113,7 +138,7 @@ def test_jacobian_on_axis_translation_derivative():
     # Feature on the optical axis at identity pose: du/dtx = -fx/z.
     cam = Camera(D=np.zeros(3), R=np.eye(3), intrinsics=Intrinsics())
     z = 0.8
-    _, jac = pose_measurement_rows(np.zeros(12), cam, np.array([[0.0, 0.0, z]]))
+    _, jac, _ = measure(np.zeros(12), cam, np.array([[0.0, 0.0, z]]))
     assert jac[0, 0, 0] == pytest.approx(-cam.intrinsics.fx / z, rel=1e-12)
     assert jac[0, 1, 1] == pytest.approx(-cam.intrinsics.fy / z, rel=1e-12)
 
@@ -134,13 +159,13 @@ def test_jacobian_matches_finite_differences_100_configurations():
             axis=-1,
         )
         points = local @ cam.R.T + cam.D
-        _, jac = pose_measurement_rows(pose_vec, cam, points)
+        _, jac, _ = measure(pose_vec, cam, points)
         for i in range(6):
             plus, minus = pose_vec.copy(), pose_vec.copy()
             plus[i] += h_step
             minus[i] -= h_step
-            up, _ = pose_measurement_rows(plus, cam, points)
-            um, _ = pose_measurement_rows(minus, cam, points)
+            up, _, _ = measure(plus, cam, points)
+            um, _, _ = measure(minus, cam, points)
             numeric = (up - um) / (2 * h_step)
             denom = np.maximum(np.abs(numeric), 1.0)
             worst = max(worst, (np.abs(numeric - jac[:, :, i]) / denom).max())
@@ -148,9 +173,18 @@ def test_jacobian_matches_finite_differences_100_configurations():
 
 
 def test_jacobian_behind_camera():
-    cam = Camera(D=np.zeros(3), R=np.eye(3))
-    with pytest.raises(BehindCamera):
-        pose_measurement_rows(np.zeros(12), cam, np.array([[0.0, 0.0, -1.0]]))
+    # A point behind its camera is flagged, and the update skips its filter.
+    rig = reference_rig()
+    points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    _, _, front = measure(np.zeros(12), rig.camera(0), points)
+    np.testing.assert_array_equal(front, [True, False])
+    state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
+    batch = MeasurementBatch(ids=np.arange(2), uv=np.full((2, 2), 300.0), points=points,
+                             seg=single(2))
+    out, skipped = pose_update(state, batch, stack(rig))
+    assert skipped.tolist() == [True]
+    np.testing.assert_array_equal(out.x, state.x)
+    np.testing.assert_array_equal(out.P, state.P)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +196,47 @@ def test_update_zero_innovation_leaves_state_shrinks_covariance():
     rig = reference_rig()
     state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
     batch = batch_for(rig, state.x, spread_points(rng, 30))
-    out = pose_update(state, batch, rig)
+    out = update(state, batch, rig)
     np.testing.assert_allclose(out.x, state.x, atol=1e-12)
-    assert np.trace(out.P) < np.trace(state.P)
+    assert np.trace(out.P[0]) < np.trace(state.P[0])
 
 
 def test_update_empty_batch():
     rig = reference_rig()
     state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
     with pytest.raises(EmptyBatch):
-        pose_update(state, MeasurementBatch(), rig)
+        pose_update(state, MeasurementBatch(ids=single(0), uv=np.zeros((0, 2)),
+                                             points=np.zeros((0, 3)), seg=single(0)), stack(rig))
+
+
+def test_update_stack_matches_each_filter_alone():
+    # A stack of filters, each on its own camera, gives each filter the bits
+    # it gets alone. A filter without rows, or whose prior cannot be
+    # inverted, keeps its prior and is skipped, alone or in the stack.
+    rng = np.random.default_rng(11)
+    rig = default_nonoverlap_rig()
+    poses = rng.uniform(-0.02, 0.02, (4, 6))
+    state = pose_predict(make_pose_filter(poses, rng.uniform(-0.01, 0.01, (4, 6)), TUNING))
+    state.P[1] = 0.0
+    parts = {}
+    for k in (0, 1, 3):
+        cam = rig.camera(k)
+        pts = spread_points(rng, 20 + 5 * k) @ cam.R.T + cam.D
+        parts[k] = batch_for(rig, poses[k], pts, cameras=(k,), noise=0.5, rng=rng)
+    batch = MeasurementBatch(*(np.concatenate([getattr(b, f) for b in parts.values()])
+                               for f in ("ids", "uv", "points", "seg")))
+    out, skipped = pose_update(state, batch, CameraStack.of(rig.cameras, np.arange(4)))
+    assert skipped.tolist() == [False, True, True, False]
+    for k in (1, 2):
+        np.testing.assert_array_equal(out.x[k], state.x[k])
+        np.testing.assert_array_equal(out.P[k], state.P[k])
+    for k, part in parts.items():
+        alone = PoseFilterState(state.x[k], state.P[k], state.Q, state.r_var)
+        part.seg = single(len(part.ids))
+        one, skipped_alone = pose_update(alone, part, CameraStack.of([rig.camera(k)], [0]))
+        assert skipped_alone.tolist() == [k == 1]
+        np.testing.assert_array_equal(out.x[k], one.x[0])
+        np.testing.assert_array_equal(out.P[k], one.P[0])
 
 
 def test_update_joseph_form_keeps_symmetry_and_psd():
@@ -182,9 +247,9 @@ def test_update_joseph_form_keeps_symmetry_and_psd():
     for _ in range(30):
         state = pose_predict(state)
         batch = batch_for(rig, state.x, points, cameras=(0, 1), noise=0.5, rng=rng)
-        state = pose_update(state, batch, rig)
-        assert np.abs(state.P - state.P.T).max() < 1e-12
-        assert np.linalg.eigvalsh(state.P).min() > -1e-10
+        state = update(state, batch, rig)
+        assert np.abs(state.P[0] - state.P[0].T).max() < 1e-12
+        assert np.linalg.eigvalsh(state.P[0]).min() > -1e-10
 
 
 def test_update_converges_to_static_truth():
@@ -198,8 +263,8 @@ def test_update_converges_to_static_truth():
     state = make_pose_filter(start, np.zeros(6), TUNING)
     for _ in range(20):
         state = pose_predict(state)
-        state = pose_update(state, batch, rig)
-    np.testing.assert_allclose(state.x[:6], truth, atol=1e-4)
+        state = update(state, batch, rig)
+    np.testing.assert_allclose(state.x[0, :6], truth, atol=1e-4)
 
 
 def test_update_single_feature_keeps_unobserved_directions():
@@ -207,10 +272,10 @@ def test_update_single_feature_keeps_unobserved_directions():
     # stays underdetermined and every other direction keeps its prior scale.
     rig = reference_rig()
     state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
-    prior_min_eig = np.linalg.eigvalsh(state.P).min()
+    prior_min_eig = np.linalg.eigvalsh(state.P[0]).min()
     batch = batch_for(rig, state.x, np.array([[0.05, -0.02, 0.9]]))
-    out = pose_update(state, batch, rig)
-    eigs = np.sort(np.linalg.eigvalsh(out.P))
+    out = update(state, batch, rig)
+    eigs = np.sort(np.linalg.eigvalsh(out.P[0]))
     assert np.sum(eigs < 0.1 * prior_min_eig) <= 2
     assert eigs[2] > 0.1 * prior_min_eig
 
@@ -229,8 +294,8 @@ def test_zero_noise_exact_init_tracks_scripted_trajectory():
         truth = j * vel
         state = pose_predict(state)
         batch = batch_for(rig, np.concatenate([truth, np.zeros(6)]), points)
-        state = pose_update(state, batch, rig)
-        assert np.abs(state.x[:6] - truth).max() < 1e-6
+        state = update(state, batch, rig)
+        assert np.abs(state.x[0, :6] - truth).max() < 1e-6
 
 
 def test_innovation_whiteness_on_consistent_model():
@@ -256,15 +321,13 @@ def test_innovation_whiteness_on_consistent_model():
         truth[6:] += rng.normal(0, np.sqrt(tuning.q_vel), 6)
         state = pose_predict(state)
         batch = batch_for(rig, truth, points, noise=tuning.r_px, rng=rng)
-        rows = [pose_measurement_rows(state.x, rig.camera(e.camera), e.points)
-                for e in batch.entries]
-        predicted = np.concatenate([uv for uv, _ in rows]).ravel()
-        h = np.concatenate([jac for _, jac in rows]).reshape(-1, 6)
-        observed = np.concatenate([e.uv for e in batch.entries]).ravel()
-        s = h @ state.P[:6, :6] @ h.T + state.r_var * np.eye(len(h))
+        predicted, h, _ = pose_measurement_rows(state.x, stack(rig), batch.seg, batch.points)
+        predicted, h = predicted.ravel(), h.reshape(-1, 6)
+        observed = batch.uv.ravel()
+        s = h @ state.P[0, :6, :6] @ h.T + state.r_var * np.eye(len(h))
         innov = observed - predicted
         nis = innov @ np.linalg.solve(s, innov)
-        state = pose_update(state, batch, rig)
+        state = update(state, batch, rig)
         if j >= 15:  # steady state
             total += 1
             in_band += chi2_20_lo <= nis <= chi2_20_hi
@@ -300,7 +363,7 @@ def test_structure_update_zero_innovation():
     cam = reference_rig().camera(0)
     point = np.array([0.05, -0.03, 0.8])
     uv = project(point, cam.intrinsics)
-    m, _ = structure_update_batch(
+    m, _ = structure_update(
         point[None, :], np.diag([1e-2, 1e-2, 0.25])[None], uv[None, :], np.zeros(6), cam, 0.25
     )
     np.testing.assert_allclose(m[0], point, atol=1e-12)
@@ -309,7 +372,7 @@ def test_structure_update_zero_innovation():
 def test_structure_update_behind_camera():
     cam = reference_rig().camera(0)
     with pytest.raises(BehindCamera):
-        structure_update_batch(
+        structure_update(
             np.array([[0.0, 0.0, -0.5]]), np.eye(3)[None], np.array([[320.0, 240.0]]),
             np.zeros(6), cam, 0.25,
         )
@@ -331,7 +394,7 @@ def test_structure_depth_converges_with_parallax():
     p = initial_structure_covariance(TUNING, 1)
     errors = [abs(m[0, 2] - truth[2])]
     for pose, uv in [(pose_b, uv_b), (pose_a, uv_a)] * 5:
-        m, p = structure_update_batch(m, p, uv[None, :], pose.as_vector(), cam, 0.25)
+        m, p = structure_update(m, p, uv[None, :], pose.as_vector(), cam, 0.25)
         errors.append(abs(m[0, 2] - truth[2]))
     for before, after in zip(errors, errors[1:]):
         assert after <= before + 1e-12
@@ -354,13 +417,13 @@ def test_structure_stationary_camera_depth_stays_uncertain():
     p = initial_structure_covariance(TUNING, 1)
 
     noisy = uv + rng.normal(0, 0.5, 2)
-    m1, p1 = structure_update_batch(m, p, noisy[None, :], np.zeros(6), cam, 0.25)
+    m1, p1 = structure_update(m, p, noisy[None, :], np.zeros(6), cam, 0.25)
     assert p1[0, 0, 0] < 0.01 * TUNING.p0_struct_lateral
     assert p1[0, 1, 1] < 0.01 * TUNING.p0_struct_lateral
     assert p1[0, 2, 2] >= 0.9 * TUNING.p0_struct_depth
 
     for _ in range(20):
-        m, p = structure_update_batch(m, p, uv[None, :], np.zeros(6), cam, 0.25)
+        m, p = structure_update(m, p, uv[None, :], np.zeros(6), cam, 0.25)
     np.testing.assert_allclose(project(m[0], cam.intrinsics), uv, atol=1e-9)
     assert abs(m[0, 2] - 1.0) < 1e-9  # depth cannot move without parallax
     assert p[0, 2, 2] >= 0.9 * TUNING.p0_struct_depth
@@ -375,7 +438,7 @@ def test_structure_batch_matches_single_updates():
     uv = project(world_to_camera_k(Pose.from_vector(pose_vec[:6]), rig, 1, pts), cam.intrinsics)
     uv = uv + rng.normal(0, 0.5, (8, 2))
     covs = initial_structure_covariance(TUNING, 8)
-    batch_m, batch_p = structure_update_batch(pts, covs, uv, pose_vec, cam, 0.25)
+    batch_m, batch_p = structure_update(pts, covs, uv, pose_vec, cam, 0.25)
     for i in range(8):
         m, p = structure_update_reference(pts[i], covs[i], uv[i], pose_vec, cam, 0.25)
         np.testing.assert_allclose(m, batch_m[i], atol=1e-12)

@@ -14,6 +14,7 @@ from rigpose.errors import (
 from rigpose.geometry import (
     Camera,
     CameraRig,
+    CameraStack,
     Intrinsics,
     Pose,
     angles_from_rot,
@@ -25,9 +26,7 @@ from rigpose.geometry import (
     rig_from_dict,
     rig_to_dict,
     rot_from_angles,
-    rot_x,
     rot_y,
-    rot_z,
     view_points,
     world_to_camera,
     world_to_camera_k,
@@ -176,15 +175,14 @@ def test_equivalent_rotation_identity_basis():
 
 
 def test_equivalent_rotation_identity_local():
-    np.testing.assert_allclose(
-        equivalent_rotation(rot_z(np.pi / 2), np.eye(3)), np.eye(3), atol=1e-15
-    )
+    basis = rot_from_angles((0.0, 0.0, np.pi / 2))
+    np.testing.assert_allclose(equivalent_rotation(basis, np.eye(3)), np.eye(3), atol=1e-15)
 
 
 def test_equivalent_rotation_conjugates_axis():
     # Oracle: conjugation maps the rotation axis by R_k and preserves trace.
-    basis = rot_z(np.pi / 2)
-    local = rot_x(0.01)
+    basis = rot_from_angles((0.0, 0.0, np.pi / 2))
+    local = rot_from_angles((0.01, 0.0, 0.0))
     eq = equivalent_rotation(basis, local)
     assert abs(np.trace(eq) - np.trace(local)) < 1e-10
     # axis of Rx is x; conjugated axis should be basis @ x = y
@@ -212,6 +210,7 @@ def test_projection_chain_jacobian_matches_central_differences():
     rng = np.random.default_rng(7)
     h = 1e-6
     worst = 0.0
+    cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     for _ in range(20):
         k = int(rng.integers(0, 4))
         cam = rig.camera(k)
@@ -223,13 +222,14 @@ def test_projection_chain_jacobian_matches_central_differences():
             axis=-1,
         )
         pts = local @ cam.R.T + cam.D
-        _, jac = ekf.pose_measurement_rows(pose_vec, cam, pts)
+        seg = np.full(len(pts), k)
+        _, jac, _ = ekf.pose_measurement_rows(pose_vec[None], cams, seg, pts)
         for i in range(6):
             plus, minus = pose_vec.copy(), pose_vec.copy()
             plus[i] += h
             minus[i] -= h
-            up, _ = ekf.pose_measurement_rows(plus, cam, pts)
-            um, _ = ekf.pose_measurement_rows(minus, cam, pts)
+            up, _, _ = ekf.pose_measurement_rows(plus[None], cams, seg, pts)
+            um, _, _ = ekf.pose_measurement_rows(minus[None], cams, seg, pts)
             numeric = (up - um) / (2 * h)
             denom = np.maximum(np.abs(numeric), 1.0)
             worst = max(worst, (np.abs(numeric - jac[:, :, i]) / denom).max())

@@ -37,6 +37,35 @@ def test_monte_carlo_same_seed_identical_reports():
     assert a.to_csv_text() == b.to_csv_text()
 
 
+def test_monte_carlo_pool_has_no_more_workers_than_runs(monkeypatch):
+    # A fork pool starts every worker up front, so monte_carlo asks for no
+    # more workers than runs. A serial stand-in for the pool records the
+    # request; no process is started.
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    sim = SimConfig(**{**TINY, "n_runs": 2})
+    capped = harness.monte_carlo(sim, pipeline_cfg=PCFG, workers=8, min_visible=15)
+    serial = harness.monte_carlo(sim, pipeline_cfg=PCFG, workers=1, min_visible=15)
+    assert asked == [2]
+    assert capped.to_csv_text() == serial.to_csv_text()
+
+
 def test_monte_carlo_parallel_matches_serial_byte_for_byte():
     serial = tiny_report(workers=1)
     parallel = tiny_report(workers=3)
@@ -387,6 +416,8 @@ THREE_CAMERA_TRACKS = "cam,frame,feature,u,v\n" + "".join(
 
 OVERLAP_RIG_TEXT = json.dumps(rig_to_dict(default_overlap_rig()))
 REPEATED_ROW_TRACKS = "cam,frame,feature,u,v\n0,0,1,10.0,10.0\n0,0,1,11.0,10.0\n"
+FAR_FRAME_TRACKS = "cam,frame,feature,u,v\n3,0,1,10.0,10.0\n0,100000000,1,10.0,10.0\n"
+FAR_CAMERA_TRACKS = "cam,frame,feature,u,v\n0,0,1,10.0,10.0\n1000000000,0,1,10.0,10.0\n"
 BAD_CONFIG_VALUES = {
     "pipeline-field-string": {"pipeline": {"redetect_threshold": "abc"}},
     "tuning-field-string": {"tuning": {"r_px": "abc"}},
@@ -417,6 +448,11 @@ MALFORMED_INPUTS = [
     pytest.param(lambda t: ["simulate", "--frames", "1"], id="one-frame"),
     pytest.param(lambda t: _run_tracks(t, OVERLAP_RIG_TEXT, THREE_CAMERA_TRACKS),
                  id="tracks-fewer-cameras-than-rig"),
+    pytest.param(lambda t: ["simulate", "--workers", "0"], id="zero-workers"),
+    pytest.param(lambda t: _run_tracks(t, OVERLAP_RIG_TEXT, FAR_FRAME_TRACKS),
+                 id="tracks-frame-1e8"),
+    pytest.param(lambda t: _run_tracks(t, OVERLAP_RIG_TEXT, FAR_CAMERA_TRACKS),
+                 id="tracks-camera-1e9"),
 ]
 
 

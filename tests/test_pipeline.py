@@ -242,17 +242,17 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
     assert events, "expected at least one re-triangulation event"
 
     from rigpose import stereo as st
-    from rigpose.pipeline import _compact_ids, _match_and_triangulate, _TrackTable
+    from rigpose.pipeline import _camera, _compact_ids, _match_and_triangulate, _TrackTable
 
     j = events[0]
     pose = series.pose(j - 1)
-    compact, n_features = _compact_ids(frames)
+    compact, n_features = _compact_ids(frames, np.zeros(len(rig.cameras), dtype=int))
     store = _TrackTable(n_features)
     pairs = [st.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
     _match_and_triangulate(compact[j - 1], rig, pairs, pose, pcfg, store)
     residuals = []
     for k in range(len(rig.cameras)):
-        ids, uv = compact[j - 1][k]
+        ids, uv = _camera(compact[j - 1], k)
         mask = store.live[ids]
         pts = store.means[ids[mask]]
         predicted = project(world_to_camera_k(pose, rig, k, pts), rig.camera(k).intrinsics)
@@ -375,6 +375,25 @@ def test_nonoverlap_rc_invariant_to_camera_relabeling():
     )
 
 
+def test_nonoverlap_chain_alone_matches_chain_in_lockstep():
+    # Batch size does not change results: a monocular chain stepped alone
+    # gets the same local poses and diagnostics, bit for bit, as when it is
+    # stepped together with the other three, re-detections included.
+    from rigpose.ekf import FilterTuning
+    from rigpose.pipeline import _run_chains
+
+    rig = default_nonoverlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=40, noise_sigma=0.5,
+                                             seed=25))
+    tuning, pcfg = FilterTuning(), PipelineConfig(redetect_threshold=20)
+    together, diags = _run_chains(frames, rig.cameras, tuning, pcfg)
+    assert sum(d[k]["redetected"] for d in diags for k in range(4)) >= 3
+    for k in range(4):
+        alone, diags_k = _run_chains([f[k:k + 1] for f in frames], [rig.camera(k)], tuning, pcfg)
+        np.testing.assert_array_equal(alone[:, 0], together[:, k])
+        assert [d[0] for d in diags_k] == [d[k] for d in diags]
+
+
 def test_nonoverlap_requires_four_camera_rig():
     rig = default_overlap_rig()
     with pytest.raises(InputError):
@@ -409,7 +428,7 @@ def test_tracks_roundtrip_bit_exact(tmp_path):
     _, _, frames = render_run(rig, cfg)
     path = tmp_path / "tracks.csv"
     write_tracks(path, frames)
-    back = read_tracks(path)
+    back = read_tracks(path, len(rig))
     assert len(back) == len(frames)
     for fa, fb in zip(frames, back):
         for (ids_a, uv_a), (ids_b, uv_b) in zip(fa, fb):
@@ -424,7 +443,7 @@ def test_pipeline_identical_on_tracks_file(tmp_path):
     _, _, frames = render_run(rig, cfg)
     path = tmp_path / "tracks.csv"
     write_tracks(path, frames)
-    back = read_tracks(path)
+    back = read_tracks(path, len(rig))
     pcfg = PipelineConfig(redetect_threshold=20)
     direct = run_stereo_sequence(frames, rig, pcfg=pcfg)
     offline = run_stereo_sequence(back, rig, pcfg=pcfg)
@@ -436,7 +455,7 @@ def test_read_tracks_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("camera,frame,feature,u,v\n0,0,1,1.0,2.0\n")
     with pytest.raises(InputError, match="line 1"):
-        read_tracks(path)
+        read_tracks(path, 2)
 
 
 def test_read_tracks_reports_bad_line_number(tmp_path):
@@ -444,14 +463,27 @@ def test_read_tracks_reports_bad_line_number(tmp_path):
     for bad_row, what in (("0,zero,2,1.0,2.0", "invalid literal"), ("0,0,1,3.0,4.0", "repeated")):
         path.write_text(f"cam,frame,feature,u,v\n0,0,1,1.0,2.0\n{bad_row}\n1,0,1,1.0,2.0\n")
         with pytest.raises(InputError, match=f"line 3: {what}"):
-            read_tracks(path)
+            read_tracks(path, 2)
+
+
+def test_read_tracks_rejects_frames_and_cameras_beyond_the_rows(tmp_path):
+    # The stream is sized by the rows: a frame past a frame without rows, or
+    # a camera index past the rig's, is rejected before the stream is built.
+    path = tmp_path / "tracks.csv"
+    for rows, what in (("0,0,1,1.0,2.0\n1,100000000,1,1.0,2.0\n", "frame 1 has no rows"),
+                       ("0,0,1,1.0,2.0\n1000000000,0,2,1.0,2.0\n", "line 3: camera index")):
+        path.write_text("cam,frame,feature,u,v\n" + rows)
+        with pytest.raises(InputError, match=what):
+            read_tracks(path, 2)
 
 
 def test_read_tracks_groups_rows_per_frame_and_camera_in_file_order(tmp_path):
     path = tmp_path / "tracks.csv"
-    path.write_text("cam,frame,feature,u,v\n0,2,7,1.0,2.0\n\n0,0,9,3.0,4.0\n0,0,5,5.0,6.0\n")
-    frames = read_tracks(path)
-    assert [[ids.tolist() for ids, _ in frame] for frame in frames] == [[[9, 5]], [[]], [[7]]]
+    path.write_text("cam,frame,feature,u,v\n0,2,7,1.0,2.0\n\n0,0,9,3.0,4.0\n0,0,5,5.0,6.0\n"
+                    "1,1,4,7.0,8.0\n")
+    frames = read_tracks(path, 2)
+    assert [[ids.tolist() for ids, _ in frame] for frame in frames] == [
+        [[9, 5], []], [[], [4]], [[7], []]]
     np.testing.assert_array_equal(frames[0][0][1], [[3.0, 4.0], [5.0, 6.0]])
     assert frames[1][0][1].shape == (0, 2)
 
