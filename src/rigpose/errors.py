@@ -2,11 +2,12 @@
 check that config dataclasses run on their fields.
 
 Everything derives from RigPoseError so callers can catch the whole family.
-Numerical-degeneracy errors (IllConditioned, SingularInnovationCovariance,
-BehindCamera, ...) derive from DegenerateGeometry: the pipelines treat them
-as recoverable per-frame conditions, not hard failures.
+Numerical-degeneracy errors (IllConditioned, BehindCamera, ...) derive
+from DegenerateGeometry: the pipelines treat them as recoverable per-frame
+conditions, not hard failures.
 """
 
+import math
 from dataclasses import fields
 from numbers import Integral, Real
 
@@ -47,16 +48,8 @@ class EmptyBatch(InputError):
     """A measurement batch with no entries."""
 
 
-class WrongCameraCount(InputError):
-    """The scale system needs exactly the three non-reference cameras."""
-
-
 class IllConditioned(DegenerateGeometry):
     """Scale system too ill-conditioned to solve; fall back to previous scales."""
-
-
-class MissingCamera(InputError):
-    """Pose fusion requires a pose from every camera of the rig."""
 
 
 class InsufficientMatches(DegenerateGeometry):
@@ -84,13 +77,16 @@ def check_config_fields(
 ) -> None:
     """Raise InputError for the first field of a config dataclass whose
     value is not of its annotated type (int or float; a bool is neither),
-    is below its at_least bound, or is listed in positive and not above 0."""
+    is not finite, is below its at_least bound, or is listed in positive
+    and not above 0."""
     at_least = at_least or {}
     for f in fields(config):
         value = getattr(config, f.name)
         kind = Integral if f.type == "int" else Real
         if isinstance(value, bool) or not isinstance(value, kind):
             raise InputError(f"{block}.{f.name} must be {f.type}, got {value!r}")
+        if not -math.inf < value < math.inf:
+            raise InputError(f"{block}.{f.name} must be finite, got {value!r}")
         if f.name in at_least and not value >= at_least[f.name]:
             raise InputError(f"{block}.{f.name} must be >= {at_least[f.name]}, got {value!r}")
         if f.name in positive and not value > 0:

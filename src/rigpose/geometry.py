@@ -90,21 +90,23 @@ def check_rotation(rot: np.ndarray, tol: float = ORTHO_TOL) -> None:
 
 
 def euler_angles(rot: np.ndarray) -> np.ndarray:
-    """Decompose a rotation into (alpha, beta, gamma) with R = Rx Ry Rz.
+    """Decompose rotations (..., 3, 3) into angles (..., 3) = (alpha, beta,
+    gamma) with R = Rx Ry Rz.
 
     Does not check orthonormality: for rotations the package built itself.
-    Raises GimbalProximity when |cos(beta)| falls below GIMBAL_TOL.
+    Raises GimbalProximity when |cos(beta)| falls below GIMBAL_TOL for any
+    of them.
     """
     # R[0,2] = sin(beta); R[1,2] = -sin(alpha)cos(beta); R[2,2] = cos(alpha)cos(beta)
     # R[0,0] = cos(beta)cos(gamma); R[0,1] = -cos(beta)sin(gamma)
-    sb = np.clip(rot[0, 2], -1.0, 1.0)
-    cb = np.hypot(rot[0, 0], rot[0, 1])
-    if cb < GIMBAL_TOL:
+    sb = np.clip(rot[..., 0, 2], -1.0, 1.0)
+    cb = np.hypot(rot[..., 0, 0], rot[..., 0, 1])
+    if np.any(cb < GIMBAL_TOL):
         raise GimbalProximity("|cos(beta)| below tolerance; decomposition unstable")
     beta = np.arctan2(sb, cb)
-    alpha = np.arctan2(-rot[1, 2], rot[2, 2])
-    gamma = np.arctan2(-rot[0, 1], rot[0, 0])
-    return np.array([alpha, beta, gamma])
+    alpha = np.arctan2(-rot[..., 1, 2], rot[..., 2, 2])
+    gamma = np.arctan2(-rot[..., 0, 1], rot[..., 0, 0])
+    return np.stack([alpha, beta, gamma], axis=-1)
 
 
 def angles_from_rot(rot) -> np.ndarray:
@@ -119,9 +121,10 @@ def angles_from_rot(rot) -> np.ndarray:
 
 
 def change_basis(rot_k: np.ndarray, rot_local: np.ndarray) -> np.ndarray:
-    """R_k @ r @ R_k^T: a camera-local rotation expressed about the reference
-    axes. Does not check its inputs: for rotations the package built itself."""
-    return rot_k @ rot_local @ rot_k.T
+    """R_k @ r @ R_k^T: camera-local rotations expressed about the reference
+    axes; both may be stacks (..., 3, 3). Does not check its inputs: for
+    rotations the package built itself."""
+    return rot_k @ rot_local @ np.swapaxes(rot_k, -1, -2)
 
 
 def equivalent_rotation(rot_k, rot_local) -> np.ndarray:
@@ -171,6 +174,8 @@ class Intrinsics:
     height: int = 480
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise InputError("intrinsics fx, fy, cx and cy must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InputError("focal length must be positive")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
@@ -194,6 +199,8 @@ class Camera:
     def __post_init__(self):
         self.D = np.asarray(self.D, dtype=float).reshape(3)
         self.R = np.asarray(self.R, dtype=float).reshape(3, 3)
+        if not np.all(np.isfinite(self.D)):
+            raise InputError(f"camera displacement D must be finite, got {self.D}")
         check_rotation(self.R, tol=1e-9)
 
 
@@ -374,14 +381,17 @@ def rig_from_dict(data: dict) -> CameraRig:
                 width=int(entry.get("width", 640)),
                 height=int(entry.get("height", 480)),
             )
+            r_angles = np.array(entry["R_angles"], dtype=float)
+            if not np.all(np.isfinite(r_angles)):
+                raise InputError(f"rig camera R_angles must be finite, got {r_angles}")
             cameras.append(
                 Camera(
                     D=np.array(entry["D"], dtype=float),
-                    R=rot_from_angles(np.array(entry["R_angles"], dtype=float)),
+                    R=rot_from_angles(r_angles),
                     intrinsics=intr,
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed rig file: {exc}") from exc
     return CameraRig(cameras=cameras, layout=layout)
 

@@ -14,17 +14,17 @@ the already-emitted pose, and continues without re-seeding the filter.
 Non-overlapping layout: every camera runs its own monocular chain in its
 own initial frame, with orthographic structure initialization at a
 configured depth, per-feature structure EKFs, a Lowe seed, and a pose EKF;
-the four chains step in lockstep as one stack of filters. Each frame the
-local poses are fused through the rigidity constraints (rotation median
-plus the scale-factor least squares) into the RC series; the per-camera
-series are also mapped to body poses for reporting.
+the four chains step in lockstep as one stack of filters. Their local
+poses map to body poses (the per-camera series) in one call per run, and
+each frame is fused through the rigidity constraints (median of those
+body angles plus the scale-factor least squares) into the RC series.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,6 @@ from .geometry import (
     CameraStack,
     Intrinsics,
     Pose,
-    change_basis,
-    euler_angles,
     rot_from_angles,
     view_points,
 )
@@ -72,30 +70,19 @@ class PipelineConfig:
 
 @dataclass
 class PoseEstimateSeries:
-    """Per-frame pose estimates with method tags and diagnostics."""
+    """Per-frame pose estimates, translations d (F, 3) and angles (F, 3),
+    with a method tag and a diagnostics record per frame."""
 
-    d: list = field(default_factory=list)
-    angles: list = field(default_factory=list)
-    methods: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-
-    def append(self, pose: Pose, method: str, diag: dict | None = None):
-        self.d.append(np.asarray(pose.d, dtype=float))
-        self.angles.append(np.asarray(pose.angles, dtype=float))
-        self.methods.append(method)
-        self.diagnostics.append(diag or {})
+    d: np.ndarray
+    angles: np.ndarray
+    methods: list
+    diagnostics: list
 
     def __len__(self) -> int:
         return len(self.d)
 
     def pose(self, j: int) -> Pose:
         return Pose(self.d[j], self.angles[j])
-
-    def d_array(self) -> np.ndarray:
-        return np.asarray(self.d)
-
-    def angles_array(self) -> np.ndarray:
-        return np.asarray(self.angles)
 
 
 def pose_error_report(series: PoseEstimateSeries, truth: Trajectory) -> np.ndarray:
@@ -106,8 +93,8 @@ def pose_error_report(series: PoseEstimateSeries, truth: Trajectory) -> np.ndarr
     above pi is taken modulo 2 pi."""
     if len(series) != len(truth):
         raise LengthMismatch(f"series has {len(series)} frames, truth has {len(truth)}")
-    err_d = np.abs(series.d_array()[1:] - truth.d[1:])
-    diff_a = series.angles_array()[1:] - truth.angles[1:]
+    err_d = np.abs(series.d[1:] - truth.d[1:])
+    diff_a = series.angles[1:] - truth.angles[1:]
     err_a = np.abs(diff_a)
     err_a = np.where(err_a > np.pi, np.abs((diff_a + np.pi) % (2 * np.pi) - np.pi), err_a)
     return np.concatenate([err_d.mean(axis=0), err_a.mean(axis=0)])
@@ -327,7 +314,6 @@ def run_stereo_sequence(
     frames, n_features = _compact_ids(frames, cams.body)
     pairs = [stereo.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
     store = _TrackTable(n_features)
-    series = PoseEstimateSeries()
 
     pose0 = Pose.identity()
     n_matched = _match_and_triangulate(frames[0], rig, pairs, pose0, pcfg, store)
@@ -335,7 +321,8 @@ def run_stereo_sequence(
         raise InsufficientFeatures(
             f"frame 0 produced {n_matched} validated matches (< {pcfg.min_matches})"
         )
-    series.append(pose0, "init", {"features": n_matched})
+    series = PoseEstimateSeries(np.zeros((len(frames), 3)), np.zeros((len(frames), 3)),
+                                ["init"], [{"features": n_matched}])
     if len(frames) == 1:
         return series
 
@@ -348,7 +335,9 @@ def run_stereo_sequence(
         pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], rig.camera(0).intrinsics, pose0)
     vel = pose1.as_vector() - pose0.as_vector()
     state = ekf.make_pose_filter(pose1.as_vector(), vel, tuning)
-    series.append(pose1, "ideal-seed" if ideal_init else "lowe", {"features": int(mask.sum())})
+    series.d[1], series.angles[1] = pose1.d, pose1.angles
+    series.methods.append("ideal-seed" if ideal_init else "lowe")
+    series.diagnostics.append({"features": int(mask.sum())})
 
     for j in range(2, len(frames)):
         state = ekf.pose_predict(state)
@@ -362,7 +351,9 @@ def run_stereo_sequence(
         diag["features"] = int(count[0])
 
         state, methods = _update_or_skip(state, batch, cams, j)
-        series.append(Pose.from_vector(state.x[0, :6]), methods[0], diag)
+        series.d[j], series.angles[j] = state.x[0, :3], state.x[0, 3:6]
+        series.methods.append(methods[0])
+        series.diagnostics.append(diag)
     return series
 
 
@@ -463,8 +454,9 @@ def run_nonoverlap_sequence(
     """Estimate pose series from four individually aimed cameras.
 
     Returns five series: 'cam1'..'cam4' (each camera's own body-pose
-    estimate through the rigidity mapping with unit scales) and 'RC' (the
-    rigidity-constrained fusion: per-axis rotation medians plus the solved
+    estimate through the rigidity mapping with unit scales, all frames and
+    cameras in one call) and 'RC' (the rigidity-constrained fusion per
+    frame: per-axis medians of the cam1..cam4 angles plus the solved
     reference translation scale).
 
     With ideal_init, structure is initialized at the true local positions
@@ -478,42 +470,33 @@ def run_nonoverlap_sequence(
     if rig.layout != "non-overlapping" or len(rig.cameras) != 4:
         raise InputError("non-overlapping pipeline needs a 4-camera non-overlapping rig")
     n_frames = len(frames)
+    cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     local_truth = ideal_points = None
     if ideal_init and truth is not None:
         if n_frames > 1:
-            lps = [fusion.true_local_pose(truth.pose(1), c, k) for k, c in enumerate(rig.cameras)]
-            local_truth = np.array([np.concatenate([lp.l, euler_angles(lp.r)]) for lp in lps])
+            local_truth = fusion.true_local_pose(truth.pose(1), cams)
         if scene is not None:
             ideal_points = [(scene[frames[0][k][0]] - cam.D) @ cam.R
                             for k, cam in enumerate(rig.cameras)]
     locals_, diags = _run_chains(frames, rig.cameras, tuning, pcfg, local_truth, ideal_points)
 
-    out: dict[str, PoseEstimateSeries] = {}
-    rotations = rot_from_angles(locals_[..., 3:])
-    per_frame = [[] for _ in range(n_frames)]   # (local pose, equivalent rotation) per camera
-    for k, cam in enumerate(rig.cameras):
-        series = PoseEstimateSeries()
-        for j in range(n_frames):
-            local = fusion.CameraLocalPose(k, locals_[j, k, :3], rotations[j, k])
-            series.append(fusion.local_to_body_pose(local, cam), "local", diags[j][k])
-            per_frame[j].append((local, change_basis(cam.R, local.r)))
-        out[f"cam{k + 1}"] = series
+    d, angles = fusion.local_to_body_pose(locals_, cams)
+    out = {f"cam{k + 1}": PoseEstimateSeries(d[:, k], angles[:, k], ["local"] * n_frames,
+                                             [diag[k] for diag in diags])
+           for k in range(4)}
 
-    rc = PoseEstimateSeries()
-    rc.append(Pose.identity(), "init", {"scales": [1.0, 1.0, 1.0, 1.0]})
+    rc = PoseEstimateSeries(np.zeros((n_frames, 3)), np.zeros((n_frames, 3)),
+                            ["init"] + ["rc"] * (n_frames - 1), [{"scales": [1.0] * 4}])
     prev_scales = np.ones(4)
     for j in range(1, n_frames):
-        result = fusion.fuse_pose(per_frame[j], rig, prev_scales)
+        result = fusion.fuse_pose(locals_[j, :, :3], angles[j], cams, prev_scales)
         prev_scales = result.scales
-        rc.append(
-            result.pose,
-            "rc",
-            {
-                "scales": [float(s) for s in result.scales],
-                "ill_conditioned": result.ill_conditioned,
-                "residual": result.residual,
-            },
-        )
+        rc.d[j], rc.angles[j] = result.pose.d, result.pose.angles
+        rc.diagnostics.append({
+            "scales": [float(s) for s in result.scales],
+            "ill_conditioned": result.ill_conditioned,
+            "residual": result.residual,
+        })
     out["RC"] = rc
     return out
 

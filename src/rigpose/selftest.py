@@ -12,6 +12,7 @@ import numpy as np
 
 from . import fusion, pipeline, simulate, stereo
 from .geometry import (
+    CameraStack,
     Pose,
     angles_from_rot,
     default_nonoverlap_rig,
@@ -60,13 +61,13 @@ def check_triangulation_roundtrip(rng) -> float:
 
 
 def check_scale_recovery(rng) -> float:
-    rig = default_nonoverlap_rig()
+    cams = CameraStack.of(default_nonoverlap_rig().cameras, np.zeros(4, dtype=int))
     worst = 0.0
     for _ in range(50):
         pose = Pose(rng.uniform(-0.02, 0.02, 3), rng.uniform(0.005, 0.02, 3))
-        locals_ = [fusion.true_local_pose(pose, rig.camera(k), k) for k in (1, 2, 3)]
-        system = fusion.build_scale_system(pose.d, pose.rotation(), locals_, rig)
-        scales = fusion.solve_scales(system)
+        local = fusion.true_local_pose(pose, cams)
+        a, b = fusion.build_scale_system(pose.d, pose.rotation(), local[1:, :3], cams)
+        scales, _, _ = fusion.solve_scales(a, b, pose.d)
         worst = max(worst, np.abs(scales - 1.0).max())
     return worst
 
@@ -102,8 +103,8 @@ def check_scripted_tracking(rng=None) -> float:
         frames, rig, truth=traj, ideal_init=True,
         pcfg=pipeline.PipelineConfig(redetect_threshold=20),
     )
-    err_d = np.abs(series.d_array() - traj.d).max()
-    err_a = np.abs(series.angles_array() - traj.angles).max()
+    err_d = np.abs(series.d - traj.d).max()
+    err_a = np.abs(series.angles - traj.angles).max()
     return max(err_d, err_a)
 
 

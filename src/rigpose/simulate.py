@@ -128,18 +128,20 @@ def scripted_trajectory(n_frames: int, velocity) -> Trajectory:
 
 def render_frame(
     scene: np.ndarray,
-    pose: Pose,
+    rot: np.ndarray,
+    d: np.ndarray,
     cam: Camera,
     noise_sigma: float,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Observations (ids, pixels) of one camera at one pose.
+    """Observations (ids, pixels) of one camera with the body at rotation
+    rot and translation d.
 
     A point is visible when its depth exceeds Z_MIN and its exact
     projection lands inside the image; noise is added after the visibility
     test, in ascending id order, so the draw sequence is reproducible.
     """
-    p_cam, uv = view_points(scene, pose.rotation(), pose.d, cam)
+    p_cam, uv = view_points(scene, rot, d, cam)
     intr = cam.intrinsics
     u, v = uv[:, 0], uv[:, 1]
     visible = (p_cam[:, 2] > Z_MIN) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
@@ -177,15 +179,12 @@ def render_sequence(
     else:
         streams = [None] * (len(cameras) * n_frames)
 
-    frames = []
-    for j in range(n_frames):
-        pose = traj.pose(j)
-        per_cam = []
-        for k, cam in enumerate(cameras):
-            rng = streams[k * n_frames + j]
-            per_cam.append(render_frame(scene, pose, cam, noise_sigma, rng))
-        frames.append(per_cam)
-    return frames
+    rotations = rot_from_angles(traj.angles)
+    return [
+        [render_frame(scene, rotations[j], traj.d[j], cam, noise_sigma, streams[k * n_frames + j])
+         for k, cam in enumerate(cameras)]
+        for j in range(n_frames)
+    ]
 
 
 def slice_stream(frames: SequenceObservations, camera_map: list[int]) -> SequenceObservations:

@@ -192,13 +192,13 @@ def test_criterion_4_noiseless_exactness():
     worst_tri = float(np.linalg.norm(rec - points, axis=1).max()) if ok.all() else np.inf
 
     # (b) ground-truth scale system recovers (1,1,1,1) within 1e-9
-    rig_n = default_nonoverlap_rig()
+    cams_n = CameraStack.of(default_nonoverlap_rig().cameras, np.zeros(4, dtype=int))
     worst_scale = 0.0
     for _ in range(100):
         body = Pose(rng.uniform(-0.05, 0.05, 3), rng.uniform(0.01, 0.1, 3))
-        locals_ = [fusion.true_local_pose(body, rig_n.camera(k), k) for k in (1, 2, 3)]
-        system = fusion.build_scale_system(body.d, body.rotation(), locals_, rig_n)
-        scales = fusion.solve_scales(system)
+        local = fusion.true_local_pose(body, cams_n)
+        a, b = fusion.build_scale_system(body.d, body.rotation(), local[1:, :3], cams_n)
+        scales, _, _ = fusion.solve_scales(a, b, body.d)
         worst_scale = max(worst_scale, float(np.abs(scales - 1.0).max()))
 
     # (c) conjugation preserves the rotation angle within 1e-10
@@ -252,19 +252,15 @@ def test_criterion_4_noiseless_exactness():
 
 def test_criterion_5_degenerate_handling():
     # pure-rotation frame: IllConditioned and the scale fallback
-    rig_n = default_nonoverlap_rig()
+    cams_n = CameraStack.of(default_nonoverlap_rig().cameras, np.zeros(4, dtype=int))
     pure_rot = Pose(np.zeros(3), [0.02, -0.01, 0.03])
-    locals_ = [fusion.true_local_pose(pure_rot, rig_n.camera(k), k) for k in (1, 2, 3)]
-    system = fusion.build_scale_system(np.zeros(3), pure_rot.rotation(), locals_, rig_n)
+    local = fusion.true_local_pose(pure_rot, cams_n)
+    a, b = fusion.build_scale_system(np.zeros(3), pure_rot.rotation(), local[1:, :3], cams_n)
     with pytest.raises(IllConditioned):
-        fusion.solve_scales(system)
-    per_camera = []
-    for k in range(4):
-        cam = rig_n.camera(k)
-        local = fusion.true_local_pose(pure_rot, cam, k)
-        per_camera.append((local, equivalent_rotation(cam.R, local.r)))
+        fusion.solve_scales(a, b, np.zeros(3))
+    _, body_angles = fusion.local_to_body_pose(local, cams_n)
     prev = np.array([1.3, 0.9, 1.1, 1.0])
-    result = fusion.fuse_pose(per_camera, rig_n, prev)
+    result = fusion.fuse_pose(local[:, :3], body_angles, cams_n, prev)
     fallback_ok = result.ill_conditioned and np.array_equal(result.scales, prev)
 
     # 49-feature frame triggers re-triangulation at the 50-feature threshold
@@ -342,8 +338,8 @@ def test_criterion_7_noiseless_scripted_tracking():
         frames, rig, pcfg=PipelineConfig(redetect_threshold=20),
         truth=traj, ideal_init=True,
     )
-    err_d = float(np.abs(series.d_array() - traj.d).max())
-    err_a = float(np.abs(series.angles_array() - traj.angles).max())
+    err_d = float(np.abs(series.d - traj.d).max())
+    err_a = float(np.abs(series.angles - traj.angles).max())
     ok = err_d < 1e-6 and err_a < 1e-6
     report_line("7 noiseless scripted tracking < 1e-6", ok,
                 f"max_err_d={err_d:.2e} max_err_angles={err_a:.2e}")

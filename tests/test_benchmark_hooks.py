@@ -51,6 +51,10 @@ def test_tracer_hooks_read_results():
                  "stereo.epipolar_distances.pairs", "pipeline.ekf_steps",
                  "fusion.fuse_pose.calls", "geometry.rot_from_angles.calls"):
         assert counts[name] > 0, name
+    # fusion.ill_conditioned_ratio divides by the fuse_pose calls: one per
+    # frame after the first. The body mapping runs once per run.
+    assert counts["fusion.fuse_pose.calls"] == sim.n_frames - 1
+    assert counts["fusion.local_to_body_pose.calls"] == 1
 
 
 def test_pose_update_rows_cover_every_chain_measurement():

@@ -396,18 +396,35 @@ def test_cli_selftest_passes(capsys):
 
 
 def _config(tmp_path, payload):
+    # Under a one-run study, a value that slips past the checks fails the
+    # test in seconds instead of starting the default 1,500-run study.
+    sim = {"n_runs": 1, "n_frames": 3, "n_points": 500, **payload.get("sim", {})}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps({**payload, "sim": sim}))
     return ["simulate", "--config", str(path)]
 
 
-def _run_tracks(tmp_path, rig_text, tracks_text):
+def _run_tracks(tmp_path, rig_text, tracks_text, layout="stereo"):
     rig_path = tmp_path / "rig.json"
     rig_path.write_text(rig_text)
     tracks = tmp_path / "tracks.csv"
     tracks.write_text(tracks_text)
-    return ["run-tracks", "--layout", "stereo", "--rig", str(rig_path),
+    return ["run-tracks", "--layout", layout, "--rig", str(rig_path),
             "--tracks", str(tracks), "--out", str(tmp_path / "p.csv")]
+
+
+def _rig_with_camera_1(tmp_path, rig, layout, **entry):
+    """run-tracks argv on a sequence rendered with rig, whose rig file sets
+    the given fields of camera 1; the tracks themselves would run."""
+    sim = SimConfig(n_points=2000, n_frames=4, seed=3)
+    scene_rng, traj_rng, noise_ss = run_streams(run_seed_sequences(sim.seed, 1)[0])
+    frames = render_sequence(gen_scene(sim, scene_rng), gen_trajectory(sim, traj_rng),
+                             rig.cameras, sim.noise_sigma, noise_ss)
+    write_tracks(tmp_path / "rendered.csv", frames)
+    data = rig_to_dict(rig)
+    data["cameras"][1].update(entry)
+    return _run_tracks(tmp_path, json.dumps(data), (tmp_path / "rendered.csv").read_text(),
+                       layout)
 
 
 THREE_CAMERA_TRACKS = "cam,frame,feature,u,v\n" + "".join(
@@ -430,6 +447,9 @@ BAD_CONFIG_VALUES = {
     "pipeline-zero-init-depth": {"pipeline": {"init_depth": 0}},
     "pipeline-three-min-matches": {"pipeline": {"min_matches": 3}},
     "pipeline-negative-redetect": {"pipeline": {"redetect_threshold": -1}},
+    "sim-nan-noise": {"sim": {"noise_sigma": float("nan")}},
+    "pipeline-infinite-init-depth": {"pipeline": {"init_depth": float("inf")}},
+    "tuning-infinite-q": {"tuning": {"q_pose": float("inf")}},
 }
 
 MALFORMED_INPUTS = [
@@ -453,6 +473,15 @@ MALFORMED_INPUTS = [
                  id="tracks-frame-1e8"),
     pytest.param(lambda t: _run_tracks(t, OVERLAP_RIG_TEXT, FAR_CAMERA_TRACKS),
                  id="tracks-camera-1e9"),
+    pytest.param(lambda t: _rig_with_camera_1(t, default_nonoverlap_rig(), "nonoverlap",
+                                              D=[float("nan"), 0.0, 0.0]), id="rig-nan-D"),
+    pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo",
+                                              fx=float("inf")), id="rig-infinite-fx"),
+    pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo",
+                                              width=float("inf")), id="rig-infinite-width"),
+    pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo",
+                                              R_angles=[float("inf"), 0.0, 0.0]),
+                 id="rig-infinite-R_angles"),
 ]
 
 

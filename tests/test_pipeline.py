@@ -105,24 +105,20 @@ def test_lowe_converges_with_noisy_pixels():
 # error report
 # ---------------------------------------------------------------------------
 
-def series_from(trajectory):
-    series = PoseEstimateSeries()
-    for j in range(len(trajectory)):
-        series.append(trajectory.pose(j), "test")
-    return series
+def series_from(d, angles):
+    return PoseEstimateSeries(np.asarray(d), np.asarray(angles), ["test"] * len(d),
+                              [{}] * len(d))
 
 
 def test_error_report_zero_for_exact_series():
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=3), np.random.default_rng(3))
-    np.testing.assert_array_equal(pose_error_report(series_from(traj), traj), np.zeros(6))
+    np.testing.assert_array_equal(pose_error_report(series_from(traj.d, traj.angles), traj),
+                                  np.zeros(6))
 
 
 def test_error_report_constant_offset():
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=4), np.random.default_rng(4))
-    series = PoseEstimateSeries()
-    for j in range(len(traj)):
-        pose = traj.pose(j)
-        series.append(Pose(pose.d + [0.01, 0, 0], pose.angles), "test")
+    series = series_from(traj.d + [0.01, 0, 0], traj.angles)
     errors = pose_error_report(series, traj)
     np.testing.assert_allclose(errors, [0.01, 0, 0, 0, 0, 0], atol=1e-15)
 
@@ -130,33 +126,24 @@ def test_error_report_constant_offset():
 def test_error_report_matches_brute_force():
     rng = np.random.default_rng(5)
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=30, seed=5), rng)
-    series = PoseEstimateSeries()
-    ests = []
-    for j in range(len(traj)):
-        vec = traj.pose(j).as_vector() + rng.normal(0, 0.01, 6)
-        ests.append(vec)
-        series.append(Pose.from_vector(vec), "test")
-    errors = pose_error_report(series, traj)
+    ests = np.array([traj.pose(j).as_vector() + rng.normal(0, 0.01, 6) for j in range(len(traj))])
+    errors = pose_error_report(series_from(ests[:, :3], ests[:, 3:]), traj)
     truth_vecs = np.array([traj.pose(j).as_vector() for j in range(len(traj))])
-    brute = np.abs(np.array(ests)[1:] - truth_vecs[1:]).mean(axis=0)
+    brute = np.abs(ests[1:] - truth_vecs[1:]).mean(axis=0)
     np.testing.assert_allclose(errors, brute, atol=1e-15)
 
 
 def test_error_report_angle_shifted_by_two_pi_is_no_error():
     # The same rotation written with its angles shifted by +-2 pi.
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=7), np.random.default_rng(7))
-    series = PoseEstimateSeries()
-    for j in range(len(traj)):
-        pose = traj.pose(j)
-        shift = 2 * np.pi * np.array([1.0, -1.0, 1.0]) * (j % 2)
-        series.append(Pose(pose.d, pose.angles + shift), "test")
+    shift = 2 * np.pi * np.array([1.0, -1.0, 1.0]) * (np.arange(len(traj))[:, None] % 2)
+    series = series_from(traj.d, traj.angles + shift)
     np.testing.assert_allclose(pose_error_report(series, traj), np.zeros(6), atol=1e-12)
 
 
 def test_error_report_length_mismatch():
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=6), np.random.default_rng(6))
-    short = PoseEstimateSeries()
-    short.append(Pose.identity(), "test")
+    short = series_from(np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(LengthMismatch):
         pose_error_report(short, traj)
 
@@ -171,8 +158,8 @@ def test_stereo_static_truth_noiseless():
     traj = scripted_trajectory(30, np.zeros(6))
     _, _, frames = render_run(rig, cfg, traj=traj)
     series = run_stereo_sequence(frames, rig, pcfg=PipelineConfig(redetect_threshold=20))
-    assert np.abs(series.d_array()).max() < 1e-6
-    assert np.abs(series.angles_array()).max() < 1e-6
+    assert np.abs(series.d).max() < 1e-6
+    assert np.abs(series.angles).max() < 1e-6
 
 
 def test_stereo_noisy_run_matches_reported_magnitudes():
@@ -270,8 +257,8 @@ def test_stereo_series_is_causal_prefix_stable():
     pcfg = PipelineConfig(redetect_threshold=20)
     full = run_stereo_sequence(frames, rig, pcfg=pcfg)
     truncated = run_stereo_sequence(frames[:25], rig, pcfg=pcfg)
-    np.testing.assert_array_equal(full.d_array()[:25], truncated.d_array())
-    np.testing.assert_array_equal(full.angles_array()[:25], truncated.angles_array())
+    np.testing.assert_array_equal(full.d[:25], truncated.d)
+    np.testing.assert_array_equal(full.angles[:25], truncated.angles)
 
 
 def test_stereo_requires_enough_initial_features():
@@ -368,10 +355,10 @@ def test_nonoverlap_rc_invariant_to_camera_relabeling():
         frames_perm, rig_perm, pcfg=PipelineConfig(redetect_threshold=20)
     )
     np.testing.assert_allclose(
-        base["RC"].angles_array(), permuted["RC"].angles_array(), atol=1e-12
+        base["RC"].angles, permuted["RC"].angles, atol=1e-12
     )
     np.testing.assert_allclose(
-        base["RC"].d_array(), permuted["RC"].d_array(), atol=1e-10
+        base["RC"].d, permuted["RC"].d, atol=1e-10
     )
 
 
@@ -392,6 +379,30 @@ def test_nonoverlap_chain_alone_matches_chain_in_lockstep():
         alone, diags_k = _run_chains([f[k:k + 1] for f in frames], [rig.camera(k)], tuning, pcfg)
         np.testing.assert_array_equal(alone[:, 0], together[:, k])
         assert [d[0] for d in diags_k] == [d[k] for d in diags]
+
+
+def test_nonoverlap_series_are_mapped_from_the_chains_bit_for_bit():
+    # Camera 0 is the reference (D = 0, R = I): its body series is chain 0's
+    # local translation and the decomposition of chain 0's rotation. RC's
+    # angles are the rotation median of the cam1..cam4 angles as reported.
+    from rigpose.ekf import FilterTuning
+    from rigpose.fusion import fuse_rotation_median
+    from rigpose.geometry import euler_angles, rot_from_angles
+    from rigpose.pipeline import _run_chains
+
+    rig = default_nonoverlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=40, noise_sigma=0.5,
+                                             seed=25))
+    pcfg = PipelineConfig(redetect_threshold=20)
+    locals_, diags = _run_chains(frames, rig.cameras, FilterTuning(), pcfg)
+    assert sum(d[k]["redetected"] for d in diags for k in range(4)) >= 3
+    out = run_nonoverlap_sequence(frames, rig, pcfg=pcfg)
+    np.testing.assert_array_equal(out["cam1"].d, locals_[:, 0, :3])
+    np.testing.assert_array_equal(out["cam1"].angles, euler_angles(rot_from_angles(locals_[:, 0, 3:])))
+    np.testing.assert_allclose(out["cam1"].angles, locals_[:, 0, 3:], rtol=0, atol=1e-15)
+    body = np.stack([out[f"cam{k}"].angles for k in range(1, 5)], axis=1)
+    for j in range(1, len(frames)):
+        np.testing.assert_array_equal(out["RC"].angles[j], fuse_rotation_median(body[j]))
 
 
 def test_nonoverlap_requires_four_camera_rig():
@@ -447,8 +458,8 @@ def test_pipeline_identical_on_tracks_file(tmp_path):
     pcfg = PipelineConfig(redetect_threshold=20)
     direct = run_stereo_sequence(frames, rig, pcfg=pcfg)
     offline = run_stereo_sequence(back, rig, pcfg=pcfg)
-    assert np.abs(direct.d_array() - offline.d_array()).max() < 1e-12
-    assert np.abs(direct.angles_array() - offline.angles_array()).max() < 1e-12
+    assert np.abs(direct.d - offline.d).max() < 1e-12
+    assert np.abs(direct.angles - offline.angles).max() < 1e-12
 
 
 def test_read_tracks_rejects_bad_header(tmp_path):
@@ -496,7 +507,7 @@ def test_poses_and_truth_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.d, traj.d)
     np.testing.assert_array_equal(back.angles, traj.angles)
 
-    series = series_from(traj)
+    series = series_from(traj.d, traj.angles)
     poses_path = tmp_path / "poses.csv"
     write_poses(poses_path, {"stereo": series})
     text = poses_path.read_text().splitlines()

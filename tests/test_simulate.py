@@ -104,7 +104,8 @@ def test_scripted_trajectory_is_linear_in_pose_space():
 def test_render_noiseless_matches_exact_projection():
     rig = default_overlap_rig()
     scene = gen_scene(small_cfg(n_points=300), np.random.default_rng(6))
-    ids, uv = render_frame(scene, Pose.identity(), rig.camera(0), 0.0, None)
+    pose = Pose.identity()
+    ids, uv = render_frame(scene, pose.rotation(), pose.d, rig.camera(0), 0.0, None)
     from rigpose.geometry import project, world_to_camera
 
     exact = project(world_to_camera(Pose.identity(), scene[ids]), rig.camera(0).intrinsics)
@@ -114,7 +115,8 @@ def test_render_noiseless_matches_exact_projection():
 def test_render_excludes_behind_camera_points():
     rig = default_overlap_rig()
     scene = np.array([[0.0, 0.0, 0.8], [0.0, 0.0, -0.8]])
-    ids, _ = render_frame(scene, Pose.identity(), rig.camera(0), 0.0, None)
+    pose = Pose.identity()
+    ids, _ = render_frame(scene, pose.rotation(), pose.d, rig.camera(0), 0.0, None)
     assert list(ids) == [0]
 
 
@@ -122,8 +124,9 @@ def test_render_noise_statistics():
     rig = default_overlap_rig()
     scene = gen_scene(SimConfig(n_points=20_000, seed=7), np.random.default_rng(7))
     rng = np.random.default_rng(8)
-    ids, noisy = render_frame(scene, Pose.identity(), rig.camera(0), 0.5, rng)
-    exact_ids, exact = render_frame(scene, Pose.identity(), rig.camera(0), 0.0, None)
+    pose = Pose.identity()
+    ids, noisy = render_frame(scene, pose.rotation(), pose.d, rig.camera(0), 0.5, rng)
+    exact_ids, exact = render_frame(scene, pose.rotation(), pose.d, rig.camera(0), 0.0, None)
     assert np.array_equal(ids, exact_ids)
     residual = (noisy - exact).ravel()
     assert len(residual) >= 10_000 * 0.02  # enough samples to estimate sigma
