@@ -129,10 +129,11 @@ def _cmd_run_tracks(args) -> int:
         pipeline.write_diagnostics(args.diagnostics, by_method)
     if args.truth:
         truth = pipeline.read_truth(args.truth)
+        errors = {method: pipeline.pose_error_report(series, truth)
+                  for method, series in by_method.items()}
         print("method," + ",".join(harness.PARAM_NAMES))
-        for method, series in by_method.items():
-            errors = pipeline.pose_error_report(series, truth)
-            print(method + "," + ",".join(f"{x:.6g}" for x in errors))
+        for method, row in errors.items():
+            print(method + "," + ",".join(f"{x:.6g}" for x in row))
     return 0
 
 

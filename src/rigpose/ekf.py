@@ -18,12 +18,16 @@ Filters come in stacks of B: PoseFilterState holds x (B, 12) and
 P (B, 12, 12), and a measurement batch is flat over segments, each one
 camera of one filter (geometry.CameraStack): the four monocular chains
 are a stack of four with a camera each, the stereo rig a stack of one with
-a segment per camera. Prediction, depth masks, measurement rows and
-structure updates each run once per frame for the whole stack, building
-each filter's rotation once per call. The sums over a filter's measurement
-rows (J^T J, K r, K J, K K^T) run per filter on its contiguous slice: on a
-zero-padded stack they would sum in another order and change the last
-bits, and a filter must get the same bits whatever else is in its stack.
+a segment per camera. Prediction, measurement and the structure update
+each run once per frame for the whole stack, building each filter's
+rotation once per call. The two kernels that place cameras at a state,
+measure and structure_update_batch, place them once and own the depth
+mask: a point at depth <= Z_MIN in its camera leaves no row and no
+update, so no caller places the same points again to find it. The sums
+over a filter's measurement rows (J^T J, K r, K J, K K^T) run per filter
+on its contiguous slice: on a zero-padded stack they would sum in another
+order and change the last bits, and a filter must get the same bits
+whatever else is in its stack.
 
 Structure filters are 3-state per-point estimators updated with the pose
 held fixed; a whole stack's feature sets update in one vectorized call.
@@ -35,11 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, EmptyBatch, check_config_fields
+from .errors import check_config_fields
 from .geometry import (
     Z_MIN,
     CameraStack,
-    Intrinsics,
     rot_from_angles,
     rot_with_derivatives,
     view_points,
@@ -115,15 +118,17 @@ def pose_predict(state: PoseFilterState) -> PoseFilterState:
 
 @dataclass
 class MeasurementBatch:
-    """Pixel observations of known-structure features, flat over segments:
-    feature ids[i] at pixel uv[i] with structure points[i] is seen by camera
-    seg[i] of a CameraStack. Points are grouped by segment and segments by
-    filter, so each filter's rows are one contiguous slice."""
+    """Pixel measurements of known-structure features linearised at the
+    states x they were measured at, flat over segments: feature ids[i], seen
+    by camera seg[i] of a CameraStack, leaves innovation[i] (observed minus
+    predicted pixel) with pose Jacobian jac[i] (2, 6). Rows are grouped by
+    segment and segments by filter, so each filter's rows are one contiguous
+    slice."""
 
     ids: np.ndarray
-    uv: np.ndarray
-    points: np.ndarray
     seg: np.ndarray
+    innovation: np.ndarray
+    jac: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -150,8 +155,19 @@ def pose_measurement_rows(x: np.ndarray, cams: CameraStack, seg, points: np.ndar
     return uv, jac, p_cam[:, 2] > Z_MIN
 
 
+def measure(x: np.ndarray, cams: CameraStack, ids, uv, seg, points) -> MeasurementBatch:
+    """Linearise the observations uv (N, 2) of features ids with structure
+    points (N, 3), point i seen by camera seg[i], at the filters' states x:
+    one placement of every camera. Points at depth <= Z_MIN in their
+    camera leave no row."""
+    predicted, jac, front = pose_measurement_rows(x, cams, seg, points)
+    return MeasurementBatch(ids[front], seg[front], uv[front] - predicted[front], jac[front])
+
+
 def predicted_depths(x: np.ndarray, cams: CameraStack, seg, points: np.ndarray) -> np.ndarray:
-    """Depth of each point in its camera at its filter's pose (for visibility masks)."""
+    """Depth of each point in its camera at its filter's pose. No kernel
+    calls it, since measure and structure_update_batch mask depths
+    themselves; it stays while the benchmark tracer times it by name."""
     return view_points(points, rot_from_angles(x[:, 3:6]), x[:, :3], cams, seg=seg)[0][:, 2]
 
 
@@ -175,17 +191,13 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
     follows in Joseph form with K H = [K J 0]. Rows, inversions and the
     Joseph product run on the whole stack, the sums over rows per filter.
 
-    Returns (state, skipped (B,)). A filter without rows, with a point
-    behind its camera, or whose information matrix cannot be factorized
-    keeps its prior and is marked skipped. Raises EmptyBatch for a batch
-    without rows.
+    The batch comes from measure at state.x, so nothing is placed again.
+    Returns (state, skipped (B,)). A filter without rows, or whose
+    information matrix cannot be factorized, keeps its prior and is marked
+    skipped; an empty batch skips every filter.
     """
-    if batch.n_rows == 0:
-        raise EmptyBatch("measurement batch is empty")
-    uv, jac, front = pose_measurement_rows(state.x, cams, batch.seg, batch.points)
-    innovations = batch.uv - uv
     bounds = np.searchsorted(cams.body[batch.seg], np.arange(len(state.x) + 1))
-    jacs = [jac[lo:hi].reshape(-1, 6) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    jacs = [batch.jac[lo:hi].reshape(-1, 6) for lo, hi in zip(bounds[:-1], bounds[1:])]
     r = state.r_var
     info = _each(np.linalg.inv, state.P)
     for b, j in enumerate(jacs):
@@ -197,10 +209,10 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
     for b, j in enumerate(jacs):
         lo, hi = bounds[b], bounds[b + 1]
         p_post = l_inv[b].T @ l_inv[b]
-        if lo == hi or not np.all(front[lo:hi]) or not np.all(np.isfinite(p_post)):
+        if lo == hi or not np.all(np.isfinite(p_post)):
             continue
         gain = p_post[:, :6] @ j.T / r
-        x[b] = state.x[b] + gain @ innovations[lo:hi].reshape(-1)
+        x[b] = state.x[b] + gain @ batch.innovation[lo:hi].reshape(-1)
         ikh[b, :, :6] -= gain @ j
         kkt[b] = gain @ gain.T
         skipped[b] = False
@@ -226,21 +238,19 @@ def structure_update_batch(
 
     Point i is seen by camera seg[i] of cams, with its filter's pose
     x[cams.body[seg[i]], :6] held fixed; each point is corrected by its own
-    (u, v) observation. All points must be in front of their camera.
-    Returns updated (means (N, 3), covs (N, 3, 3)).
+    (u, v) observation. Points at depth <= Z_MIN in their camera are left
+    out. Returns (means (M, 3), covs (M, 3, 3), front (N,)): the updated
+    estimates of the M points with front[i] set, in order.
     """
-    means = np.asarray(means, dtype=float)
-    covs = np.asarray(covs, dtype=float)
-    observed_uv = np.asarray(observed_uv, dtype=float)
     rot = rot_from_angles(x[:, 3:6])
     p_cam, predicted, jp, orient = view_points(means, rot, x[:, :3], cams, jacobian=True, seg=seg)
-    if np.any(p_cam[:, 2] <= Z_MIN):
-        raise BehindCamera("structure point behind its camera")
-    jac = jp @ np.swapaxes(orient, 1, 2)                 # dP_cam/dM = orient^T
-    innovation = observed_uv - predicted                 # (N, 2)
+    front = p_cam[:, 2] > Z_MIN
+    means, covs = means[front], covs[front]
+    jac = (jp @ np.swapaxes(orient, 1, 2))[front]        # dP_cam/dM = orient^T
+    innovation = observed_uv[front] - predicted[front]   # (M, 2)
 
-    pjt = np.einsum("nij,nkj->nik", covs, jac)           # P J^T, (N, 3, 2)
-    s = np.einsum("nij,njk->nik", jac, pjt)              # (N, 2, 2)
+    pjt = np.einsum("nij,nkj->nik", covs, jac)           # P J^T, (M, 3, 2)
+    s = np.einsum("nij,njk->nik", jac, pjt)              # (M, 2, 2)
     s[:, 0, 0] += r_var
     s[:, 1, 1] += r_var
     det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
@@ -250,23 +260,14 @@ def structure_update_batch(
     s_inv[:, 0, 1] = -s[:, 0, 1]
     s_inv[:, 1, 0] = -s[:, 1, 0]
     s_inv /= det[:, None, None]
-    gain = np.einsum("nij,njk->nik", pjt, s_inv)         # (N, 3, 2)
+    gain = np.einsum("nij,njk->nik", pjt, s_inv)         # (M, 3, 2)
     new_means = means + np.einsum("nij,nj->ni", gain, innovation)
     ikh = np.eye(3)[None] - np.einsum("nij,njk->nik", gain, jac)
     new_covs = np.einsum("nij,njk,nlk->nil", ikh, covs, ikh) + r_var * np.einsum(
         "nij,nkj->nik", gain, gain
     )
     new_covs = 0.5 * (new_covs + np.swapaxes(new_covs, 1, 2))
-    return new_means, new_covs
-
-
-def orthographic_init(uv: np.ndarray, intr: Intrinsics, depth: float) -> np.ndarray:
-    """Back-project pixels (N, 2) to the constant-depth plane z = depth
-    in the camera frame."""
-    uv = np.asarray(uv, dtype=float).reshape(-1, 2)
-    xn = (uv[:, 0] - intr.cx) / intr.fx
-    yn = (uv[:, 1] - intr.cy) / intr.fy
-    return depth * np.stack([xn, yn, np.ones(len(uv))], axis=-1)
+    return new_means, new_covs, front
 
 
 def initial_structure_covariance(tuning: FilterTuning, n: int) -> np.ndarray:

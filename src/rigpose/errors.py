@@ -44,10 +44,6 @@ class CoincidentCenters(DegenerateGeometry):
     """Two camera centers coincide; no epipolar geometry exists."""
 
 
-class EmptyBatch(InputError):
-    """A measurement batch with no entries."""
-
-
 class IllConditioned(DegenerateGeometry):
     """Scale system too ill-conditioned to solve; fall back to previous scales."""
 

@@ -273,6 +273,14 @@ def _pinhole(p_cam: np.ndarray, fx, fy, cx, cy, jacobian: bool):
     return uv, jp
 
 
+def back_project(uv: np.ndarray, intr: Intrinsics, depth) -> np.ndarray:
+    """The inverse pinhole: camera-frame points (..., 3) at depth z = depth
+    on the rays of pixels uv (..., 2)."""
+    xn = (uv[..., 0] - intr.cx) / intr.fx
+    yn = (uv[..., 1] - intr.cy) / intr.fy
+    return depth * np.stack([xn, yn, np.ones_like(xn)], axis=-1)
+
+
 def view_points(points, rot: np.ndarray, d: np.ndarray, cam, jacobian: bool = False, seg=None):
     """World points (..., 3) seen through rig camera cam with the body at
     translation d and rotation rot: the one placement-and-pinhole kernel.
@@ -414,10 +422,6 @@ def read_rig(path) -> CameraRig:
 BASELINE_M = 0.1
 
 
-def default_intrinsics() -> Intrinsics:
-    return Intrinsics()
-
-
 def default_nonoverlap_rig(intrinsics: Intrinsics | None = None) -> CameraRig:
     """Four individually aimed cameras: forward, right, backward, left.
 
@@ -429,7 +433,7 @@ def default_nonoverlap_rig(intrinsics: Intrinsics | None = None) -> CameraRig:
     the reference point, which couples their rotation and translation
     estimates. The two back-to-back axes are perpendicular.
     """
-    intr = intrinsics or default_intrinsics()
+    intr = intrinsics or Intrinsics()
     side_x = np.sqrt(BASELINE_M**2 - (BASELINE_M / 2) ** 2)
     side_z = -BASELINE_M / 2
     return CameraRig(
@@ -446,7 +450,7 @@ def default_nonoverlap_rig(intrinsics: Intrinsics | None = None) -> CameraRig:
 def default_overlap_rig(intrinsics: Intrinsics | None = None) -> CameraRig:
     """Two back-to-back stereo pairs sharing the reference and back camera
     placements of the non-overlapping rig; 0.1 m horizontal baselines."""
-    intr = intrinsics or default_intrinsics()
+    intr = intrinsics or Intrinsics()
     return CameraRig(
         cameras=[
             Camera(D=np.zeros(3), R=np.eye(3), intrinsics=intr),

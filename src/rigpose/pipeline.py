@@ -46,6 +46,7 @@ from .geometry import (
     CameraStack,
     Intrinsics,
     Pose,
+    back_project,
     rot_from_angles,
     view_points,
 )
@@ -93,6 +94,8 @@ def pose_error_report(series: PoseEstimateSeries, truth: Trajectory) -> np.ndarr
     above pi is taken modulo 2 pi."""
     if len(series) != len(truth):
         raise LengthMismatch(f"series has {len(series)} frames, truth has {len(truth)}")
+    if len(series) < 2:
+        raise InputError("need at least 2 frames to report errors")
     err_d = np.abs(series.d[1:] - truth.d[1:])
     diff_a = series.angles[1:] - truth.angles[1:]
     err_a = np.abs(diff_a)
@@ -239,19 +242,17 @@ def _pair_matches(frame, pairs):
 def _measurement_batch(frame, cams: CameraStack, pairs, store: _TrackTable, x, pcfg):
     """Measurements of known-structure features at one frame for every
     filter of the stack: a stereo rig with its pairs, or monocular chains
-    with none. Pair observations failing the epipolar gate are dropped for
-    the frame; points behind a camera at the current estimate are masked
-    out. Also returns each filter's count of distinct features measured."""
+    with none, linearised at the states x. Pair observations failing the
+    epipolar gate are dropped for the frame, and ekf.measure drops points
+    behind their camera. Also returns each filter's count of distinct
+    features measured."""
     usable = store.live.copy() if pairs else store.live
     for _, common, _, _, dist in _pair_matches(frame, pairs):
         usable[common[dist > pcfg.epipolar_tol_px]] = False
 
     rows, uv, seg = frame
     keep = usable[rows]
-    rows, uv, seg = rows[keep], uv[keep], seg[keep]
-    points = store.means[rows]
-    front = ekf.predicted_depths(x, cams, seg, points) > 0
-    batch = ekf.MeasurementBatch(rows[front], uv[front], points[front], seg[front])
+    batch = ekf.measure(x, cams, rows[keep], uv[keep], seg[keep], store.means[rows[keep]])
     return batch, np.bincount(np.unique(batch.ids) // store.n, minlength=len(x))
 
 
@@ -259,9 +260,7 @@ def _update_or_skip(state: ekf.PoseFilterState, batch, cams: CameraStack, frame:
     """Pose EKF update of every filter with one frame's batch. A filter with
     no measurements or a degenerate update keeps its predicted state, tagged
     'ekf-skip'; a non-finite state aborts. Returns (state, tag per filter)."""
-    skipped = np.ones(len(state.x), dtype=bool)
-    if batch.n_rows:
-        state, skipped = ekf.pose_update(state, batch, cams)
+    state, skipped = ekf.pose_update(state, batch, cams)
     if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.P))):
         raise EstimationFailure(f"filter state became non-finite at frame {frame}")
     return state, ["ekf-skip" if skip else "ekf" for skip in skipped]
@@ -379,7 +378,7 @@ def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_point
         rows0, uv0 = _camera(frames[0], k)
         if len(rows0) < pcfg.min_matches:
             raise InsufficientFeatures(f"camera saw {len(rows0)} features at frame 0")
-        init_pts = (ekf.orthographic_init(uv0, intr[k], pcfg.init_depth)
+        init_pts = (back_project(uv0, intr[k], pcfg.init_depth)
                     if ideal_points is None else ideal_points[k])
         store.upsert(rows0, init_pts, ekf.initial_structure_covariance(tuning, len(rows0)))
         diags[0].append({"features": len(rows0), "redetected": False})
@@ -417,16 +416,12 @@ def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
     untouched."""
     rows, uv, seg = frame
     live = store.live[rows]
-    rows, uv, seg = rows[live], uv[live], seg[live]
-    front = ekf.predicted_depths(x, cams, seg, store.means[rows]) > Z_MIN
-    if not np.any(front):
-        return
-    rows = rows[front]
-    means, covs = ekf.structure_update_batch(
-        store.means[rows], store.covs[rows], uv[front], x, cams, seg[front], tuning.r_px**2
+    rows = rows[live]
+    means, covs, front = ekf.structure_update_batch(
+        store.means[rows], store.covs[rows], uv[live], x, cams, seg[live], tuning.r_px**2
     )
-    store.means[rows] = means
-    store.covs[rows] = covs
+    store.means[rows[front]] = means
+    store.covs[rows[front]] = covs
 
 
 def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
@@ -437,7 +432,7 @@ def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
     fresh = ~store.live[ids_p]
     if not np.any(fresh):
         return
-    cam_pts = ekf.orthographic_init(uv_p[fresh], intr, pcfg.init_depth)
+    cam_pts = back_project(uv_p[fresh], intr, pcfg.init_depth)
     world_pts = cam_pts @ rot_from_angles(prev_vec[3:6]).T + prev_vec[:3]
     store.upsert(ids_p[fresh], world_pts, ekf.initial_structure_covariance(tuning, len(cam_pts)))
 

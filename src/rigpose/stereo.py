@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentCenters
-from .geometry import Camera, CameraRig, Pose, camera_placement
+from .geometry import Camera, CameraRig, Pose, back_project, camera_placement
 
 # Rays closer to parallel than this angle (radians) cannot be intersected.
 PARALLEL_TOL = 1e-8
@@ -27,26 +27,18 @@ def _skew(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class FundamentalMatrix:
-    """Rank-2 matrix mapping homogeneous pixels of camera a to epipolar
-    lines in camera b, normalized to unit Frobenius norm."""
-
-    F: np.ndarray
-
-    def __post_init__(self):
-        self.F = np.asarray(self.F, dtype=float).reshape(3, 3)
-
-
-@dataclass
 class StereoPair:
+    """Cameras a and b of a rig and their fundamental matrix F (3, 3)."""
+
     cam_a: int
     cam_b: int
-    F: FundamentalMatrix
-    baseline: float
+    F: np.ndarray
 
 
-def fundamental_from_calib(rig: CameraRig, a: int, b: int) -> FundamentalMatrix:
-    """F = K_b^-T [t]x R K_a^-1 from the pair's fixed relative extrinsics."""
+def fundamental_from_calib(rig: CameraRig, a: int, b: int) -> np.ndarray:
+    """F = K_b^-T [t]x R K_a^-1 from the pair's fixed relative extrinsics:
+    the rank-2 matrix mapping homogeneous pixels of camera a to epipolar
+    lines in camera b, normalized to unit Frobenius norm."""
     cam_a, cam_b = rig.camera(a), rig.camera(b)
     baseline = np.linalg.norm(cam_a.D - cam_b.D)
     if baseline < 1e-9:
@@ -58,17 +50,16 @@ def fundamental_from_calib(rig: CameraRig, a: int, b: int) -> FundamentalMatrix:
     k_b_inv = np.linalg.inv(cam_b.intrinsics.k_matrix())
     fundamental = k_b_inv.T @ essential @ k_a_inv
     fundamental /= np.linalg.norm(fundamental)
-    return FundamentalMatrix(fundamental)
+    return fundamental
 
 
 def make_stereo_pair(rig: CameraRig, a: int, b: int) -> StereoPair:
-    baseline = float(np.linalg.norm(rig.camera(a).D - rig.camera(b).D))
-    return StereoPair(a, b, fundamental_from_calib(rig, a, b), baseline)
+    return StereoPair(a, b, fundamental_from_calib(rig, a, b))
 
 
-def epipolar_distances(fm: FundamentalMatrix, pts_a, pts_b) -> np.ndarray:
-    """Distances (px) from each p_b to the epipolar line of its p_a, for
-    matched pixel arrays (N, 2).
+def epipolar_distances(fundamental: np.ndarray, pts_a, pts_b) -> np.ndarray:
+    """Distances (px) from each p_b to the epipolar line of its p_a under
+    the fundamental matrix (3, 3), for matched pixel arrays (N, 2).
 
     A line with vanishing direction coefficients has no distance to
     measure; its entry is inf, so no gate accepts that match.
@@ -76,7 +67,7 @@ def epipolar_distances(fm: FundamentalMatrix, pts_a, pts_b) -> np.ndarray:
     pts_a = np.asarray(pts_a, dtype=float)
     pts_b = np.asarray(pts_b, dtype=float)
     ones = np.ones((len(pts_a), 1))
-    lines = np.hstack([pts_a, ones]) @ fm.F.T
+    lines = np.hstack([pts_a, ones]) @ fundamental.T
     norms = np.hypot(lines[:, 0], lines[:, 1])
     num = np.abs(lines[:, 0] * pts_b[:, 0] + lines[:, 1] * pts_b[:, 1] + lines[:, 2])
     return np.divide(num, norms, out=np.full_like(num, np.inf), where=norms >= 1e-15)
@@ -86,11 +77,7 @@ def _back_project_rays(rot: np.ndarray, d: np.ndarray, cam: Camera, pixels: np.n
     """World-frame camera center and unnormalized ray directions with unit
     depth along the optical axis (so the ray parameter equals depth)."""
     center, orient = camera_placement(rot, d, cam)
-    intr = cam.intrinsics
-    xn = (pixels[..., 0] - intr.cx) / intr.fx
-    yn = (pixels[..., 1] - intr.cy) / intr.fy
-    dirs_cam = np.stack([xn, yn, np.ones_like(xn)], axis=-1)
-    return center, dirs_cam @ orient.T
+    return center, back_project(pixels, cam.intrinsics, 1.0) @ orient.T
 
 
 def triangulate_batch(

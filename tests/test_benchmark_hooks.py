@@ -55,6 +55,9 @@ def test_tracer_hooks_read_results():
     # frame after the first. The body mapping runs once per run.
     assert counts["fusion.fuse_pose.calls"] == sim.n_frames - 1
     assert counts["fusion.local_to_body_pose.calls"] == 1
+    # The kernels that place cameras at a state mask depths themselves; a
+    # caller that placed them again to build a mask would call this.
+    assert counts["ekf.predicted_depths.calls"] == 0
 
 
 def test_pose_update_rows_cover_every_chain_measurement():

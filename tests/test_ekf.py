@@ -3,24 +3,24 @@ import pytest
 
 from rigpose.ekf import (
     FilterTuning,
-    MeasurementBatch,
     PoseFilterState,
     initial_structure_covariance,
     make_pose_filter,
-    orthographic_init,
+    measure,
     pose_measurement_rows,
     pose_predict,
     pose_update,
     structure_update_batch,
     transition_matrix,
 )
-from rigpose.errors import BehindCamera, EmptyBatch
+from rigpose.errors import BehindCamera
 from rigpose.geometry import (
     Camera,
     CameraRig,
     CameraStack,
     Intrinsics,
     Pose,
+    back_project,
     default_nonoverlap_rig,
     default_overlap_rig,
     project,
@@ -43,23 +43,26 @@ def single(n):
     return np.zeros(n, dtype=int)
 
 
-def measure(x, cam, points):
+def rows_at(x, cam, points):
     # (uv, jac, front) of one camera on one filter's state x
     return pose_measurement_rows(np.atleast_2d(x), CameraStack.of([cam], [0]),
                                  single(len(points)), points)
 
 
-def update(state, batch, rig):
-    out, _ = pose_update(state, batch, stack(rig))
+def update(state, obs, rig):
+    # measure the observations at the filter's state, then update with them
+    out, _ = pose_update(state, measure(state.x, stack(rig), *obs), stack(rig))
     return out
 
 
 def structure_update(means, covs, uv, pose_vec, cam, r_var):
+    # (means, covs, front) of one camera's points at one pose
     return structure_update_batch(means, covs, uv, np.atleast_2d(pose_vec),
                                   CameraStack.of([cam], [0]), single(len(means)), r_var)
 
 
-def batch_for(rig, pose_vec, points, cameras=(0,), noise=0.0, rng=None):
+def observe(rig, pose_vec, points, cameras=(0,), noise=0.0, rng=None):
+    # (ids, uv, seg, points) of the given cameras seeing points at pose_vec
     pose = Pose.from_vector(np.ravel(pose_vec)[:6])
     uvs = []
     for k in cameras:
@@ -68,9 +71,8 @@ def batch_for(rig, pose_vec, points, cameras=(0,), noise=0.0, rng=None):
             uv = uv + rng.normal(0, noise, uv.shape)
         uvs.append(uv)
     n = len(points)
-    return MeasurementBatch(ids=np.tile(np.arange(n), len(cameras)), uv=np.concatenate(uvs),
-                            points=np.tile(points, (len(cameras), 1)),
-                            seg=np.repeat(np.asarray(cameras), n))
+    return (np.tile(np.arange(n), len(cameras)), np.concatenate(uvs),
+            np.repeat(np.asarray(cameras), n), np.tile(points, (len(cameras), 1)))
 
 
 def spread_points(rng, n=100):
@@ -127,8 +129,8 @@ def test_jacobian_velocity_columns_zero():
     moving[:, 6:] = rng.uniform(-0.05, 0.05, 6)
     points = spread_points(rng, 10)
     for k in (0, 1):
-        uv, jac, _ = measure(state.x, rig.camera(k), points)
-        uv_moving, jac_moving, _ = measure(moving, rig.camera(k), points)
+        uv, jac, _ = rows_at(state.x, rig.camera(k), points)
+        uv_moving, jac_moving, _ = rows_at(moving, rig.camera(k), points)
         assert jac.shape == (10, 2, 6)
         np.testing.assert_array_equal(uv_moving, uv)
         np.testing.assert_array_equal(jac_moving, jac)
@@ -138,7 +140,7 @@ def test_jacobian_on_axis_translation_derivative():
     # Feature on the optical axis at identity pose: du/dtx = -fx/z.
     cam = Camera(D=np.zeros(3), R=np.eye(3), intrinsics=Intrinsics())
     z = 0.8
-    _, jac, _ = measure(np.zeros(12), cam, np.array([[0.0, 0.0, z]]))
+    _, jac, _ = rows_at(np.zeros(12), cam, np.array([[0.0, 0.0, z]]))
     assert jac[0, 0, 0] == pytest.approx(-cam.intrinsics.fx / z, rel=1e-12)
     assert jac[0, 1, 1] == pytest.approx(-cam.intrinsics.fy / z, rel=1e-12)
 
@@ -159,13 +161,13 @@ def test_jacobian_matches_finite_differences_100_configurations():
             axis=-1,
         )
         points = local @ cam.R.T + cam.D
-        _, jac, _ = measure(pose_vec, cam, points)
+        _, jac, _ = rows_at(pose_vec, cam, points)
         for i in range(6):
             plus, minus = pose_vec.copy(), pose_vec.copy()
             plus[i] += h_step
             minus[i] -= h_step
-            up, _, _ = measure(plus, cam, points)
-            um, _, _ = measure(minus, cam, points)
+            up, _, _ = rows_at(plus, cam, points)
+            um, _, _ = rows_at(minus, cam, points)
             numeric = (up - um) / (2 * h_step)
             denom = np.maximum(np.abs(numeric), 1.0)
             worst = max(worst, (np.abs(numeric - jac[:, :, i]) / denom).max())
@@ -173,18 +175,20 @@ def test_jacobian_matches_finite_differences_100_configurations():
 
 
 def test_jacobian_behind_camera():
-    # A point behind its camera is flagged, and the update skips its filter.
+    # Points behind their camera or at depth <= Z_MIN are flagged; measure
+    # drops their rows and the filter updates with the rest.
     rig = reference_rig()
-    points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    _, _, front = measure(np.zeros(12), rig.camera(0), points)
-    np.testing.assert_array_equal(front, [True, False])
+    points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 5e-7]])
+    _, _, front = rows_at(np.zeros(12), rig.camera(0), points)
+    np.testing.assert_array_equal(front, [True, False, False])
     state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
-    batch = MeasurementBatch(ids=np.arange(2), uv=np.full((2, 2), 300.0), points=points,
-                             seg=single(2))
+    batch = measure(state.x, stack(rig), np.arange(3), np.full((3, 2), 300.0), single(3), points)
+    assert batch.ids.tolist() == [0]
+    assert batch.n_rows == 2
     out, skipped = pose_update(state, batch, stack(rig))
-    assert skipped.tolist() == [True]
-    np.testing.assert_array_equal(out.x, state.x)
-    np.testing.assert_array_equal(out.P, state.P)
+    assert skipped.tolist() == [False]
+    assert np.all(np.isfinite(out.x))
+    assert np.any(out.x != state.x)
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +199,23 @@ def test_update_zero_innovation_leaves_state_shrinks_covariance():
     rng = np.random.default_rng(3)
     rig = reference_rig()
     state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
-    batch = batch_for(rig, state.x, spread_points(rng, 30))
-    out = update(state, batch, rig)
+    obs = observe(rig, state.x, spread_points(rng, 30))
+    out = update(state, obs, rig)
     np.testing.assert_allclose(out.x, state.x, atol=1e-12)
     assert np.trace(out.P[0]) < np.trace(state.P[0])
 
 
 def test_update_empty_batch():
+    # An empty batch skips every filter and leaves its state as it was.
     rig = reference_rig()
     state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
-    with pytest.raises(EmptyBatch):
-        pose_update(state, MeasurementBatch(ids=single(0), uv=np.zeros((0, 2)),
-                                             points=np.zeros((0, 3)), seg=single(0)), stack(rig))
+    batch = measure(state.x, stack(rig), single(0), np.zeros((0, 2)), single(0),
+                    np.zeros((0, 3)))
+    assert batch.n_rows == 0
+    out, skipped = pose_update(state, batch, stack(rig))
+    assert skipped.tolist() == [True]
+    np.testing.assert_array_equal(out.x, state.x)
+    np.testing.assert_array_equal(out.P, state.P)
 
 
 def test_update_stack_matches_each_filter_alone():
@@ -222,18 +231,19 @@ def test_update_stack_matches_each_filter_alone():
     for k in (0, 1, 3):
         cam = rig.camera(k)
         pts = spread_points(rng, 20 + 5 * k) @ cam.R.T + cam.D
-        parts[k] = batch_for(rig, poses[k], pts, cameras=(k,), noise=0.5, rng=rng)
-    batch = MeasurementBatch(*(np.concatenate([getattr(b, f) for b in parts.values()])
-                               for f in ("ids", "uv", "points", "seg")))
-    out, skipped = pose_update(state, batch, CameraStack.of(rig.cameras, np.arange(4)))
+        parts[k] = observe(rig, poses[k], pts, cameras=(k,), noise=0.5, rng=rng)
+    cams = CameraStack.of(rig.cameras, np.arange(4))
+    obs = [np.concatenate(field) for field in zip(*parts.values())]
+    out, skipped = pose_update(state, measure(state.x, cams, *obs), cams)
     assert skipped.tolist() == [False, True, True, False]
     for k in (1, 2):
         np.testing.assert_array_equal(out.x[k], state.x[k])
         np.testing.assert_array_equal(out.P[k], state.P[k])
-    for k, part in parts.items():
+    for k, (ids, uv, _, pts) in parts.items():
         alone = PoseFilterState(state.x[k], state.P[k], state.Q, state.r_var)
-        part.seg = single(len(part.ids))
-        one, skipped_alone = pose_update(alone, part, CameraStack.of([rig.camera(k)], [0]))
+        cam = CameraStack.of([rig.camera(k)], [0])
+        one, skipped_alone = pose_update(
+            alone, measure(alone.x, cam, ids, uv, single(len(ids)), pts), cam)
         assert skipped_alone.tolist() == [k == 1]
         np.testing.assert_array_equal(out.x[k], one.x[0])
         np.testing.assert_array_equal(out.P[k], one.P[0])
@@ -246,8 +256,8 @@ def test_update_joseph_form_keeps_symmetry_and_psd():
     points = spread_points(rng, 40)
     for _ in range(30):
         state = pose_predict(state)
-        batch = batch_for(rig, state.x, points, cameras=(0, 1), noise=0.5, rng=rng)
-        state = update(state, batch, rig)
+        obs = observe(rig, state.x, points, cameras=(0, 1), noise=0.5, rng=rng)
+        state = update(state, obs, rig)
         assert np.abs(state.P[0] - state.P[0].T).max() < 1e-12
         assert np.linalg.eigvalsh(state.P[0]).min() > -1e-10
 
@@ -258,12 +268,12 @@ def test_update_converges_to_static_truth():
     rig = reference_rig()
     truth = np.concatenate([rng.uniform(-0.02, 0.02, 3), rng.uniform(-0.02, 0.02, 3)])
     points = spread_points(rng, 100)
-    batch = batch_for(rig, np.concatenate([truth, np.zeros(6)]), points)
+    obs = observe(rig, np.concatenate([truth, np.zeros(6)]), points)
     start = truth + rng.uniform(-0.01, 0.01, 6)
     state = make_pose_filter(start, np.zeros(6), TUNING)
     for _ in range(20):
         state = pose_predict(state)
-        state = update(state, batch, rig)
+        state = update(state, obs, rig)
     np.testing.assert_allclose(state.x[0, :6], truth, atol=1e-4)
 
 
@@ -273,8 +283,8 @@ def test_update_single_feature_keeps_unobserved_directions():
     rig = reference_rig()
     state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
     prior_min_eig = np.linalg.eigvalsh(state.P[0]).min()
-    batch = batch_for(rig, state.x, np.array([[0.05, -0.02, 0.9]]))
-    out = update(state, batch, rig)
+    obs = observe(rig, state.x, np.array([[0.05, -0.02, 0.9]]))
+    out = update(state, obs, rig)
     eigs = np.sort(np.linalg.eigvalsh(out.P[0]))
     assert np.sum(eigs < 0.1 * prior_min_eig) <= 2
     assert eigs[2] > 0.1 * prior_min_eig
@@ -293,8 +303,8 @@ def test_zero_noise_exact_init_tracks_scripted_trajectory():
     for j in range(2, 100):
         truth = j * vel
         state = pose_predict(state)
-        batch = batch_for(rig, np.concatenate([truth, np.zeros(6)]), points)
-        state = update(state, batch, rig)
+        obs = observe(rig, np.concatenate([truth, np.zeros(6)]), points)
+        state = update(state, obs, rig)
         assert np.abs(state.x[0, :6] - truth).max() < 1e-6
 
 
@@ -320,14 +330,15 @@ def test_innovation_whiteness_on_consistent_model():
         truth[:6] += rng.normal(0, np.sqrt(tuning.q_pose), 6)
         truth[6:] += rng.normal(0, np.sqrt(tuning.q_vel), 6)
         state = pose_predict(state)
-        batch = batch_for(rig, truth, points, noise=tuning.r_px, rng=rng)
-        predicted, h, _ = pose_measurement_rows(state.x, stack(rig), batch.seg, batch.points)
+        obs = observe(rig, truth, points, noise=tuning.r_px, rng=rng)
+        _, uv, seg, pts = obs
+        predicted, h, _ = pose_measurement_rows(state.x, stack(rig), seg, pts)
         predicted, h = predicted.ravel(), h.reshape(-1, 6)
-        observed = batch.uv.ravel()
+        observed = uv.ravel()
         s = h @ state.P[0, :6, :6] @ h.T + state.r_var * np.eye(len(h))
         innov = observed - predicted
         nis = innov @ np.linalg.solve(s, innov)
-        state = update(state, batch, rig)
+        state = update(state, obs, rig)
         if j >= 15:  # steady state
             total += 1
             in_band += chi2_20_lo <= nis <= chi2_20_hi
@@ -363,19 +374,22 @@ def test_structure_update_zero_innovation():
     cam = reference_rig().camera(0)
     point = np.array([0.05, -0.03, 0.8])
     uv = project(point, cam.intrinsics)
-    m, _ = structure_update(
+    m, _, _ = structure_update(
         point[None, :], np.diag([1e-2, 1e-2, 0.25])[None], uv[None, :], np.zeros(6), cam, 0.25
     )
     np.testing.assert_allclose(m[0], point, atol=1e-12)
 
 
 def test_structure_update_behind_camera():
+    # A point behind its camera is left out of the update.
     cam = reference_rig().camera(0)
-    with pytest.raises(BehindCamera):
-        structure_update(
-            np.array([[0.0, 0.0, -0.5]]), np.eye(3)[None], np.array([[320.0, 240.0]]),
-            np.zeros(6), cam, 0.25,
-        )
+    m, p, front = structure_update(
+        np.array([[0.0, 0.0, -0.5]]), np.eye(3)[None], np.array([[320.0, 240.0]]),
+        np.zeros(6), cam, 0.25,
+    )
+    assert front.tolist() == [False]
+    assert m.shape == (0, 3)
+    assert p.shape == (0, 3, 3)
 
 
 def test_structure_depth_converges_with_parallax():
@@ -388,13 +402,11 @@ def test_structure_depth_converges_with_parallax():
     pose_b = Pose([0.1, 0.0, 0.0], [0.0, 0.0, 0.0])
     uv_a = project(truth, cam.intrinsics)
     uv_b = project(truth - pose_b.d, cam.intrinsics)
-    xn = (uv_a[0] - cam.intrinsics.cx) / cam.intrinsics.fx
-    yn = (uv_a[1] - cam.intrinsics.cy) / cam.intrinsics.fy
-    m = np.array([[xn, yn, 1.0]])  # orthographic init at depth 1.0 on A's ray
+    m = back_project(uv_a[None], cam.intrinsics, 1.0)  # orthographic init on A's ray
     p = initial_structure_covariance(TUNING, 1)
     errors = [abs(m[0, 2] - truth[2])]
     for pose, uv in [(pose_b, uv_b), (pose_a, uv_a)] * 5:
-        m, p = structure_update(m, p, uv[None, :], pose.as_vector(), cam, 0.25)
+        m, p, _ = structure_update(m, p, uv[None, :], pose.as_vector(), cam, 0.25)
         errors.append(abs(m[0, 2] - truth[2]))
     for before, after in zip(errors, errors[1:]):
         assert after <= before + 1e-12
@@ -411,25 +423,25 @@ def test_structure_stationary_camera_depth_stays_uncertain():
     cam = rig.camera(0)
     truth = np.array([0.004, -0.003, 0.8])
     uv = project(truth, cam.intrinsics)
-    xn = (uv[0] - cam.intrinsics.cx) / cam.intrinsics.fx
-    yn = (uv[1] - cam.intrinsics.cy) / cam.intrinsics.fy
-    m = np.array([[xn, yn, 1.0]])
+    m = back_project(uv[None], cam.intrinsics, 1.0)
     p = initial_structure_covariance(TUNING, 1)
 
     noisy = uv + rng.normal(0, 0.5, 2)
-    m1, p1 = structure_update(m, p, noisy[None, :], np.zeros(6), cam, 0.25)
+    m1, p1, _ = structure_update(m, p, noisy[None, :], np.zeros(6), cam, 0.25)
     assert p1[0, 0, 0] < 0.01 * TUNING.p0_struct_lateral
     assert p1[0, 1, 1] < 0.01 * TUNING.p0_struct_lateral
     assert p1[0, 2, 2] >= 0.9 * TUNING.p0_struct_depth
 
     for _ in range(20):
-        m, p = structure_update(m, p, uv[None, :], np.zeros(6), cam, 0.25)
+        m, p, _ = structure_update(m, p, uv[None, :], np.zeros(6), cam, 0.25)
     np.testing.assert_allclose(project(m[0], cam.intrinsics), uv, atol=1e-9)
     assert abs(m[0, 2] - 1.0) < 1e-9  # depth cannot move without parallax
     assert p[0, 2, 2] >= 0.9 * TUNING.p0_struct_depth
 
 
 def test_structure_batch_matches_single_updates():
+    # A point behind its camera among them is left out, and the others get
+    # the bits they get without it.
     rng = np.random.default_rng(9)
     rig = default_nonoverlap_rig()
     cam = rig.camera(1)
@@ -438,17 +450,18 @@ def test_structure_batch_matches_single_updates():
     uv = project(world_to_camera_k(Pose.from_vector(pose_vec[:6]), rig, 1, pts), cam.intrinsics)
     uv = uv + rng.normal(0, 0.5, (8, 2))
     covs = initial_structure_covariance(TUNING, 8)
-    batch_m, batch_p = structure_update(pts, covs, uv, pose_vec, cam, 0.25)
+    batch_m, batch_p, front = structure_update(pts, covs, uv, pose_vec, cam, 0.25)
+    assert front.all()
+    behind = cam.D - 0.8 * cam.R[:, 2]
+    m9, p9, front9 = structure_update(
+        np.insert(pts, 3, behind, axis=0), np.insert(covs, 3, covs[0], axis=0),
+        np.insert(uv, 3, [320.0, 240.0], axis=0), pose_vec, cam, 0.25,
+    )
+    assert front9.tolist() == [True] * 3 + [False] + [True] * 5
+    np.testing.assert_array_equal(m9, batch_m)
+    np.testing.assert_array_equal(p9, batch_p)
     for i in range(8):
         m, p = structure_update_reference(pts[i], covs[i], uv[i], pose_vec, cam, 0.25)
         np.testing.assert_allclose(m, batch_m[i], atol=1e-12)
         np.testing.assert_allclose(p, batch_p[i], atol=1e-12)
 
-
-def test_orthographic_init_back_projects_to_plane():
-    intr = Intrinsics()
-    uv = np.array([[320.0, 240.0], [420.0, 240.0]])
-    pts = orthographic_init(uv, intr, 1.0)
-    np.testing.assert_allclose(pts[0], [0.0, 0.0, 1.0])
-    np.testing.assert_allclose(pts[1], [0.1, 0.0, 1.0])
-    np.testing.assert_allclose(project(pts, intr), uv, atol=1e-12)

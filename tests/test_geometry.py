@@ -18,6 +18,7 @@ from rigpose.geometry import (
     Intrinsics,
     Pose,
     angles_from_rot,
+    back_project,
     default_nonoverlap_rig,
     default_overlap_rig,
     equivalent_rotation,
@@ -167,6 +168,17 @@ def test_project_behind_camera():
     intr = Intrinsics()
     with pytest.raises(BehindCamera):
         project([0.0, 0.0, -1.0], intr)
+
+
+def test_back_project_to_depth_plane():
+    # The inverse pinhole: pixels to the plane z = depth, and back.
+    intr = Intrinsics()
+    uv = np.array([[320.0, 240.0], [420.0, 240.0]])
+    pts = back_project(uv, intr, 1.0)
+    np.testing.assert_allclose(pts[0], [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(pts[1], [0.1, 0.0, 1.0])
+    np.testing.assert_allclose(project(pts, intr), uv, atol=1e-12)
+    np.testing.assert_allclose(back_project(uv, intr, 2.5), 2.5 * pts)
 
 
 def test_equivalent_rotation_identity_basis():

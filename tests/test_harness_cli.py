@@ -413,18 +413,33 @@ def _run_tracks(tmp_path, rig_text, tracks_text, layout="stereo"):
             "--tracks", str(tracks), "--out", str(tmp_path / "p.csv")]
 
 
+def _rendered(tmp_path, rig, n_frames):
+    """Tracks text of a sequence rendered with rig, and the path of its
+    ground-truth CSV."""
+    sim = SimConfig(n_points=2000, n_frames=n_frames, seed=3)
+    scene_rng, traj_rng, noise_ss = run_streams(run_seed_sequences(sim.seed, 1)[0])
+    traj = gen_trajectory(sim, traj_rng)
+    frames = render_sequence(gen_scene(sim, scene_rng), traj, rig.cameras, sim.noise_sigma,
+                             noise_ss)
+    write_tracks(tmp_path / "rendered.csv", frames)
+    write_truth(tmp_path / "truth.csv", traj)
+    return (tmp_path / "rendered.csv").read_text(), tmp_path / "truth.csv"
+
+
 def _rig_with_camera_1(tmp_path, rig, layout, **entry):
     """run-tracks argv on a sequence rendered with rig, whose rig file sets
     the given fields of camera 1; the tracks themselves would run."""
-    sim = SimConfig(n_points=2000, n_frames=4, seed=3)
-    scene_rng, traj_rng, noise_ss = run_streams(run_seed_sequences(sim.seed, 1)[0])
-    frames = render_sequence(gen_scene(sim, scene_rng), gen_trajectory(sim, traj_rng),
-                             rig.cameras, sim.noise_sigma, noise_ss)
-    write_tracks(tmp_path / "rendered.csv", frames)
+    tracks, _ = _rendered(tmp_path, rig, n_frames=4)
     data = rig_to_dict(rig)
     data["cameras"][1].update(entry)
-    return _run_tracks(tmp_path, json.dumps(data), (tmp_path / "rendered.csv").read_text(),
-                       layout)
+    return _run_tracks(tmp_path, json.dumps(data), tracks, layout)
+
+
+def _one_frame_with_truth(tmp_path):
+    """run-tracks --truth argv on a one-frame sequence that runs, but leaves
+    no frame after the first to report errors on."""
+    tracks, truth = _rendered(tmp_path, default_overlap_rig(), n_frames=1)
+    return _run_tracks(tmp_path, OVERLAP_RIG_TEXT, tracks) + ["--truth", str(truth)]
 
 
 THREE_CAMERA_TRACKS = "cam,frame,feature,u,v\n" + "".join(
@@ -482,6 +497,7 @@ MALFORMED_INPUTS = [
     pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo",
                                               R_angles=[float("inf"), 0.0, 0.0]),
                  id="rig-infinite-R_angles"),
+    pytest.param(_one_frame_with_truth, id="tracks-one-frame-with-truth"),
 ]
 
 

@@ -10,7 +10,6 @@ from rigpose.geometry import (
     world_to_camera_k,
 )
 from rigpose.stereo import (
-    FundamentalMatrix,
     epipolar_distances,
     fundamental_from_calib,
     make_stereo_pair,
@@ -26,7 +25,7 @@ def project_pair(rig, pose, pair, point):
 
 def epipolar_distance(fm, p_a, p_b) -> float:
     """Reference: one match's distance from p_b to the epipolar line of p_a."""
-    line = fm.F @ np.array([p_a[0], p_a[1], 1.0])
+    line = fm @ np.array([p_a[0], p_a[1], 1.0])
     return float(abs(line[0] * p_b[0] + line[1] * p_b[1] + line[2]) / np.hypot(line[0], line[1]))
 
 
@@ -63,9 +62,10 @@ def test_fundamental_rank_two_and_unit_norm():
     rig = default_overlap_rig()
     for a, b in rig.stereo_pairs():
         fm = fundamental_from_calib(rig, a, b)
-        sv = np.linalg.svd(fm.F, compute_uv=False)
+        assert fm.shape == (3, 3)
+        sv = np.linalg.svd(fm, compute_uv=False)
         assert sv[2] < 1e-10 * sv[0]
-        assert np.linalg.norm(fm.F) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(fm) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fundamental_coincident_centers():
@@ -86,7 +86,7 @@ def test_epipolar_distance_perpendicular_displacement():
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 0, 1)
     uv_a, uv_b = project_pair(rig, Pose.identity(), pair, np.array([0.05, 0.02, 0.85]))
-    line = pair.F.F @ np.array([uv_a[0], uv_a[1], 1.0])
+    line = pair.F @ np.array([uv_a[0], uv_a[1], 1.0])
     normal = np.array([line[0], line[1]]) / np.hypot(line[0], line[1])
     displaced = uv_b + 2.0 * normal
     assert distance(pair.F, uv_a, displaced) == pytest.approx(2.0, abs=1e-6)
@@ -96,7 +96,7 @@ def test_epipolar_distance_rejects_outlier_beyond_threshold():
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 0, 1)
     uv_a, uv_b = project_pair(rig, Pose.identity(), pair, np.array([0.05, 0.02, 0.85]))
-    line = pair.F.F @ np.array([uv_a[0], uv_a[1], 1.0])
+    line = pair.F @ np.array([uv_a[0], uv_a[1], 1.0])
     normal = np.array([line[0], line[1]]) / np.hypot(line[0], line[1])
     assert distance(pair.F, uv_a, uv_b + 5.0 * normal) > 2.0
 
@@ -104,7 +104,7 @@ def test_epipolar_distance_rejects_outlier_beyond_threshold():
 def test_epipolar_distance_degenerate_line():
     # A vanishing epipolar line measures nothing: its distance is inf, so
     # the match fails any gate, while a regular line next to it is kept.
-    fm = FundamentalMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    fm = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     dists = epipolar_distances(fm, [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]])
     assert dists[0] == np.inf
     assert dists[1] == pytest.approx(0.0)
