@@ -229,11 +229,13 @@ class _TrackTable:
 
 def _pair_matches(frame, pairs):
     """(pair, rows, pixels in each camera, epipolar distances) of the features
-    each stereo pair sees in common at a flattened frame."""
+    each stereo pair sees in common at a flattened frame. A camera's rows are
+    unique (rendered ids are distinct, read_tracks rejects repeats), in any
+    order."""
     for pair in pairs:
         ids_a, uv_a = _camera(frame, pair.cam_a)
         ids_b, uv_b = _camera(frame, pair.cam_b)
-        common, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
+        common, ia, ib = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
         if len(common):
             pa, pb = uv_a[ia], uv_b[ib]
             yield pair, common, pa, pb, stereo.epipolar_distances(pair.F, pa, pb)

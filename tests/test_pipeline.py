@@ -499,6 +499,35 @@ def test_read_tracks_groups_rows_per_frame_and_camera_in_file_order(tmp_path):
     assert frames[1][0][1].shape == (0, 2)
 
 
+def test_pair_matches_on_shuffled_rows_equal_the_default_intersection(tmp_path):
+    # A shuffled tracks file gives each camera unique rows in unsorted file
+    # order; the pairing that assumes unique rows must equal the default one.
+    from rigpose import stereo as st
+    from rigpose.pipeline import _camera, _compact_ids, _pair_matches
+
+    rig = default_overlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
+    path = tmp_path / "tracks.csv"
+    write_tracks(path, frames)
+    header, *rows = path.read_text().splitlines()
+    np.random.default_rng(19).shuffle(rows)
+    path.write_text("\n".join([header] + rows) + "\n")
+    compact, _ = _compact_ids(read_tracks(path, len(rig)), np.zeros(len(rig), dtype=int))
+    pairs = [st.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
+    for frame in compact:
+        found = list(_pair_matches(frame, pairs))
+        assert len(found) == len(pairs)
+        for pair, common, pa, pb, dist in found:
+            ids_a, uv_a = _camera(frame, pair.cam_a)
+            ids_b, uv_b = _camera(frame, pair.cam_b)
+            assert np.any(np.diff(ids_a) < 0) and np.any(np.diff(ids_b) < 0)
+            ref, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
+            np.testing.assert_array_equal(common, ref)
+            np.testing.assert_array_equal(pa, uv_a[ia])
+            np.testing.assert_array_equal(pb, uv_b[ib])
+            np.testing.assert_array_equal(dist, st.epipolar_distances(pair.F, pa, pb))
+
+
 def test_poses_and_truth_csv_roundtrip(tmp_path):
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=15, seed=18), np.random.default_rng(18))
     truth_path = tmp_path / "truth.csv"

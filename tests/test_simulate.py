@@ -2,13 +2,26 @@ import numpy as np
 import pytest
 
 from rigpose.errors import InputError
-from rigpose.geometry import Pose, default_nonoverlap_rig, default_overlap_rig, rot_from_angles
+from rigpose.geometry import (
+    Z_MIN,
+    Camera,
+    back_project,
+    Intrinsics,
+    Pose,
+    default_nonoverlap_rig,
+    default_overlap_rig,
+    project,
+    rot_from_angles,
+    rot_y,
+    view_points,
+    world_to_camera,
+)
 from rigpose.simulate import (
     SimConfig,
+    Trajectory,
     build_union,
     gen_scene,
     gen_trajectory,
-    render_frame,
     render_sequence,
     run_seed_sequences,
     run_streams,
@@ -101,13 +114,13 @@ def test_scripted_trajectory_is_linear_in_pose_space():
 # rendering
 # ---------------------------------------------------------------------------
 
+STILL = scripted_trajectory(1, np.zeros(6))  # one frame at the identity pose
+
+
 def test_render_noiseless_matches_exact_projection():
     rig = default_overlap_rig()
     scene = gen_scene(small_cfg(n_points=300), np.random.default_rng(6))
-    pose = Pose.identity()
-    ids, uv = render_frame(scene, pose.rotation(), pose.d, rig.camera(0), 0.0, None)
-    from rigpose.geometry import project, world_to_camera
-
+    (ids, uv), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
     exact = project(world_to_camera(Pose.identity(), scene[ids]), rig.camera(0).intrinsics)
     np.testing.assert_array_equal(uv, exact)
 
@@ -115,22 +128,89 @@ def test_render_noiseless_matches_exact_projection():
 def test_render_excludes_behind_camera_points():
     rig = default_overlap_rig()
     scene = np.array([[0.0, 0.0, 0.8], [0.0, 0.0, -0.8]])
-    pose = Pose.identity()
-    ids, _ = render_frame(scene, pose.rotation(), pose.d, rig.camera(0), 0.0, None)
+    (ids, _), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
     assert list(ids) == [0]
 
 
 def test_render_noise_statistics():
+    # Ten frames at one pose: ten independent noise draws over the same ids.
     rig = default_overlap_rig()
     scene = gen_scene(SimConfig(n_points=20_000, seed=7), np.random.default_rng(7))
-    rng = np.random.default_rng(8)
-    pose = Pose.identity()
-    ids, noisy = render_frame(scene, pose.rotation(), pose.d, rig.camera(0), 0.5, rng)
-    exact_ids, exact = render_frame(scene, pose.rotation(), pose.d, rig.camera(0), 0.0, None)
-    assert np.array_equal(ids, exact_ids)
-    residual = (noisy - exact).ravel()
+    still = scripted_trajectory(10, np.zeros(6))
+    noisy = render_sequence(scene, still, [rig.camera(0)], 0.5, np.random.SeedSequence(8))
+    (exact_ids, exact), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
+    assert all(np.array_equal(ids, exact_ids) for (ids, _), in noisy)
+    residual = np.concatenate([(uv - exact).ravel() for (_, uv), in noisy])
     assert len(residual) >= 10_000 * 0.02  # enough samples to estimate sigma
     assert 0.48 <= residual.std() <= 0.52
+
+
+def reference_render(scene, traj, cameras, noise_sigma, noise_seed):
+    """Every point through view_points for every camera and frame, then the
+    visibility test and the noise draws in the renderer's stream order."""
+    n_frames = len(traj)
+    streams = [np.random.default_rng(c) for c in noise_seed.spawn(len(cameras) * n_frames)]
+    frames = []
+    for j in range(n_frames):
+        frame = []
+        for k, cam in enumerate(cameras):
+            p_cam, uv = view_points(scene, rot_from_angles(traj.angles[j]), traj.d[j], cam)
+            intr, u, v = cam.intrinsics, uv[:, 0], uv[:, 1]
+            ids = np.flatnonzero((p_cam[:, 2] > Z_MIN) & (u >= 0) & (u < intr.width)
+                                 & (v >= 0) & (v < intr.height))
+            uv = uv[ids]
+            if noise_sigma > 0 and len(ids):
+                uv = uv + streams[k * n_frames + j].normal(0.0, noise_sigma, uv.shape)
+            frame.append((ids, uv))
+        frames.append(frame)
+    return frames
+
+
+def test_render_sequence_matches_full_projection():
+    # The culled renderer keeps exactly the ids and pixel bits of projecting
+    # every point. With fx = fy = 1024 the first rows land exactly on the
+    # borders of camera 0 at the identity pose.
+    intr = Intrinsics(fx=1024.0, fy=1024.0)
+    border = np.array([
+        [-0.3125, 0.0, 1.0],               # u = 0: visible
+        [0.0, -0.234375, 1.0],             # v = 0: visible
+        [0.3125 - 2.0**-40, 0.0, 1.0],     # u just below width: visible
+        [0.3125, 0.0, 1.0],                # u = width: outside
+        [0.0, 0.0, 2e-6],                  # just deeper than Z_MIN: visible
+        [0.0, 0.0, Z_MIN],                 # depth Z_MIN: outside
+        [0.0, 0.0, -0.5],                  # behind the camera
+    ])
+    cameras = [
+        Camera(np.zeros(3), np.eye(3), intr),
+        Camera([0.1, 0.0, 0.0], np.eye(3)),
+        Camera([0.0, 0.0, -0.1], rot_y(np.pi)),
+        Camera([7.0, -1.0, 2.0], rot_y(-np.pi / 2)),   # 7 m out, facing the origin
+    ]
+    rng = np.random.default_rng(12)
+    # Points within 1e-6 px of each image border, 5 cm to 50 m deep.
+    near = rng.uniform(0.0, 1.0, (400, 2)) * [640.0, 480.0]
+    near[np.arange(400), np.repeat([0, 0, 1, 1], 100)] = (
+        np.repeat([0.0, 640.0, 0.0, 480.0], 100) + rng.uniform(-1e-6, 1e-6, 400))
+    with np.errstate(all="raise"):
+        (ids, uv), *_ = render_sequence(border, STILL, cameras, 0.0)[0]
+        np.testing.assert_array_equal(ids, [0, 1, 2, 4])
+        assert uv[0, 0] == 0.0 and uv[1, 1] == 0.0 and uv[2, 0] == 640.0 - 2.0**-30
+        border = np.vstack([border, back_project(near, intr, rng.uniform(0.05, 50.0, (400, 1)))])
+        for inner, outer in [(0.05, 0.2), (5.0, 50.0)]:
+            cfg = SimConfig(n_points=3000, shell_inner=inner, shell_outer=outer, n_frames=8,
+                            rot_max=0.2, trans_max=0.1 * outer)
+            scene = np.vstack([border, gen_scene(cfg, rng)])
+            walk = gen_trajectory(cfg, rng)
+            moved = Trajectory(walk.d + [0.0, 0.0, -7.0], walk.rotations, walk.angles)
+            for traj in (scripted_trajectory(8, np.zeros(6)), walk, moved):
+                for sigma in (0.0, 0.5):
+                    got = render_sequence(scene, traj, cameras, sigma, np.random.SeedSequence(3))
+                    want = reference_render(scene, traj, cameras, sigma, np.random.SeedSequence(3))
+                    assert sum(len(ids) for frame in want for ids, _ in frame) > 0
+                    for frame_got, frame_want in zip(got, want, strict=True):
+                        for (ids_g, uv_g), (ids_w, uv_w) in zip(frame_got, frame_want, strict=True):
+                            np.testing.assert_array_equal(ids_g, ids_w)
+                            assert uv_g.shape == uv_w.shape and uv_g.tobytes() == uv_w.tobytes()
 
 
 def test_sequence_determinism_same_seed():
