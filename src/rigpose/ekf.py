@@ -22,12 +22,17 @@ a segment per camera. Prediction, measurement and the structure update
 each run once per frame for the whole stack, building each filter's
 rotation once per call. The two kernels that place cameras at a state,
 measure and structure_update_batch, place them once and own the depth
-mask: a point at depth <= Z_MIN in its camera leaves no row and no
-update, so no caller places the same points again to find it. The sums
-over a filter's measurement rows (J^T J, K r, K J, K K^T) run per filter
-on its contiguous slice: on a zero-padded stack they would sum in another
-order and change the last bits, and a filter must get the same bits
-whatever else is in its stack.
+mask: a point at depth <= Z_MIN in its camera gets no pixel, no row and
+no update, and no caller places the same points again to find it. Both
+kernels are elementwise: each point's camera coefficients are gathered
+once, points last, and every product with a 3-vector or a 3x3 matrix is a
+written-out three-term sum, with no einsum and no per-point matmul, so a
+point's bits do not depend on the rest of its batch. Stacked matmuls sum
+with FMA or in SIMD lane order, which no elementwise order reproduces, so
+these bits differ in the last place from theirs. pose_update still sums a
+filter's measurement rows (J^T J, K r, K J, K K^T) per filter, on its
+contiguous slice: on a zero-padded stack they would sum in another order,
+and a filter must get the same bits whatever else is in its stack.
 
 Structure filters are 3-state per-point estimators updated with the pose
 held fixed; a whole stack's feature sets update in one vectorized call.
@@ -41,8 +46,8 @@ import numpy as np
 
 from .errors import check_config_fields
 from .geometry import (
-    Z_MIN,
     CameraStack,
+    pinhole_derivatives,
     rot_from_angles,
     rot_with_derivatives,
     view_points,
@@ -139,20 +144,24 @@ def pose_measurement_rows(x: np.ndarray, cams: CameraStack, seg, points: np.ndar
     """Predicted pixels and the analytic pose Jacobian of a segmented batch:
     point i is seen by camera seg[i] at its filter's pose x[cams.body[seg[i]], :6].
 
-    Returns (uv (N, 2), jac (N, 2, 6), front (N,)): jac columns are
-    d(pixel)/d(d, angles); only rows of points in front (depth > Z_MIN) mean
-    anything."""
+    Returns (uv (M, 2), jac (M, 2, 6), front (N,)): the pixels and the
+    d(pixel)/d(d, angles) rows of the M points in front (depth > Z_MIN).
+    Each point's derivatives are elementwise sums of its camera's
+    coefficients, so its bits do not depend on the rest of the batch."""
     d = x[:, :3]
     rot, drs = rot_with_derivatives(x[:, 3:6])
-    p_cam, uv, jp, orient = view_points(points, rot, d, cams, jacobian=True, seg=seg)
-    owner = cams.body[seg]
-    jac = np.empty((len(points), 2, 6))
-    # dP_cam/dd = -orient^T, identical for every point of a camera
-    jac[:, :, :3] = jp @ -np.swapaxes(orient, 1, 2)
-    # dP_cam/d(angle_i) = R_k^T dR^T/d(angle_i) (M - d), row i of dp
-    dp = ((points - d[owner])[:, None, None] @ drs[owner]) @ cams.R[seg][:, None]
-    jac[:, :, 3:] = np.einsum("nij,nkj->nik", jp, dp[:, :, 0])
-    return uv, jac, p_cam[:, 2] > Z_MIN
+    p_cam, uv, front, orient = view_points(points, rot, d, cams, seg=seg)
+    sf = seg[front]
+    # component-major, points last: g[l, c, i] is row l, column c of dR_i R_k
+    g = np.take((drs[cams.body] @ cams.R[:, None]).transpose(2, 3, 1, 0), sf, axis=-1)
+    m = np.compress(front, points.T, axis=-1) - np.take(d.T, cams.body[sf], axis=-1)
+    dp = np.empty((3, 6, len(sf)))   # dp[c, q] is dP_c/dq
+    dp[:, :3] = -np.take(orient.T, sf, axis=-1)   # dP_cam/dd = -W^T: row i of -W
+    # dP_cam/d(angle_i) = (dR_i R_k)^T (M - d)
+    dp[:, 3:] = m[0] * g[0] + m[1] * g[1] + m[2] * g[2]
+    p_front = np.compress(front, p_cam.T, axis=-1).T
+    focal = np.take(cams.pinhole.T[:2], sf, axis=-1)
+    return uv, pinhole_derivatives(p_front, dp.T, *focal), front
 
 
 def measure(x: np.ndarray, cams: CameraStack, ids, uv, seg, points) -> MeasurementBatch:
@@ -161,7 +170,7 @@ def measure(x: np.ndarray, cams: CameraStack, ids, uv, seg, points) -> Measureme
     one placement of every camera. Points at depth <= Z_MIN in their
     camera leave no row."""
     predicted, jac, front = pose_measurement_rows(x, cams, seg, points)
-    return MeasurementBatch(ids[front], seg[front], uv[front] - predicted[front], jac[front])
+    return MeasurementBatch(ids[front], seg[front], uv[front] - predicted, jac)
 
 
 def predicted_depths(x: np.ndarray, cams: CameraStack, seg, points: np.ndarray) -> np.ndarray:
@@ -243,31 +252,33 @@ def structure_update_batch(
     estimates of the M points with front[i] set, in order.
     """
     rot = rot_from_angles(x[:, 3:6])
-    p_cam, predicted, jp, orient = view_points(means, rot, x[:, :3], cams, jacobian=True, seg=seg)
-    front = p_cam[:, 2] > Z_MIN
-    means, covs = means[front], covs[front]
-    jac = (jp @ np.swapaxes(orient, 1, 2))[front]        # dP_cam/dM = orient^T
-    innovation = observed_uv[front] - predicted[front]   # (M, 2)
-
-    pjt = np.einsum("nij,nkj->nik", covs, jac)           # P J^T, (M, 3, 2)
-    s = np.einsum("nij,njk->nik", jac, pjt)              # (M, 2, 2)
-    s[:, 0, 0] += r_var
-    s[:, 1, 1] += r_var
-    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    s_inv = np.empty_like(s)
-    s_inv[:, 0, 0] = s[:, 1, 1]
-    s_inv[:, 1, 1] = s[:, 0, 0]
-    s_inv[:, 0, 1] = -s[:, 0, 1]
-    s_inv[:, 1, 0] = -s[:, 1, 0]
-    s_inv /= det[:, None, None]
-    gain = np.einsum("nij,njk->nik", pjt, s_inv)         # (M, 3, 2)
-    new_means = means + np.einsum("nij,nj->ni", gain, innovation)
-    ikh = np.eye(3)[None] - np.einsum("nij,njk->nik", gain, jac)
-    new_covs = np.einsum("nij,njk,nlk->nil", ikh, covs, ikh) + r_var * np.einsum(
-        "nij,nkj->nik", gain, gain
-    )
-    new_covs = 0.5 * (new_covs + np.swapaxes(new_covs, 1, 2))
-    return new_means, new_covs, front
+    p_cam, predicted, front, orient = view_points(means, rot, x[:, :3], cams, seg=seg)
+    sf = seg[front]
+    # dP_cam/dM = W^T: row i of W. Component-major, points last, from here on
+    p_front = np.compress(front, p_cam.T, axis=-1).T
+    focal = np.take(cams.pinhole.T[:2], sf, axis=-1)
+    j = pinhole_derivatives(p_front, np.take(orient.T, sf, axis=-1).T, *focal)
+    j0, j1 = j.T.swapaxes(0, 1)
+    p = np.compress(front, covs.transpose(1, 2, 0), axis=-1)   # p[r, c] is P[r, c]
+    innovation = (observed_uv[front] - predicted).T
+    # the columns of G = P J^T, then the 2x2 S = J P J^T + r I
+    g0 = p[:, 0] * j0[0] + p[:, 1] * j0[1] + p[:, 2] * j0[2]
+    g1 = p[:, 0] * j1[0] + p[:, 1] * j1[1] + p[:, 2] * j1[2]
+    s00 = j0[0] * g0[0] + j0[1] * g0[1] + j0[2] * g0[2] + r_var
+    s01 = j0[0] * g1[0] + j0[1] * g1[1] + j0[2] * g1[2]
+    s11 = j1[0] * g1[0] + j1[1] * g1[1] + j1[2] * g1[2] + r_var
+    det = s00 * s11 - s01 * s01
+    k0 = (g0 * s11 - g1 * s01) / det     # the gain columns K = G S^-1
+    k1 = (g1 * s00 - g0 * s01) / det
+    new_means = means[front] + (k0 * innovation[0] + k1 * innovation[1]).T
+    # Joseph form (I - K J) P (I - K J)^T + r K K^T, a three-term sum per product
+    a = -(k0[:, None] * j0 + k1[:, None] * j1)
+    for i in range(3):
+        a[i, i] += 1.0
+    ap = a[:, :1] * p[0] + a[:, 1:2] * p[1] + a[:, 2:] * p[2]
+    cov = (ap[:, None, 0] * a[:, 0] + ap[:, None, 1] * a[:, 1] + ap[:, None, 2] * a[:, 2]
+           + r_var * (k0[:, None] * k0 + k1[:, None] * k1))
+    return new_means, (0.5 * (cov + cov.transpose(1, 0, 2))).T, front
 
 
 def initial_structure_covariance(tuning: FilterTuning, n: int) -> np.ndarray:

@@ -43,7 +43,7 @@ GIMBAL_TOL = 1e-6
 
 def _axis(i: int, c, s, one: float) -> np.ndarray:
     """Stacked rotations (..., 3, 3) about axis i with cosines c and sines s
-    (...,); with (c, s, one) = (-sin, cos, 0) their derivatives instead."""
+    (...,); with (c, s, one) = (0, 1, 0) the axis generator K_i instead."""
     j, k = [(1, 2), (2, 0), (0, 1)][i]
     m = np.zeros(np.shape(c) + (3, 3))
     m[..., i, i] = one
@@ -51,6 +51,10 @@ def _axis(i: int, c, s, one: float) -> np.ndarray:
     m[..., j, k] = -s
     m[..., k, j] = s
     return m
+
+
+# dR_i/d(theta) = K_i R_i = R_i K_i for the rotation R_i about axis i
+_GENERATORS = [_axis(i, 0.0, 1.0, 0.0) for i in range(3)]
 
 
 def rot_y(b: float) -> np.ndarray:
@@ -69,13 +73,15 @@ def rot_with_derivatives(angles) -> tuple[np.ndarray, np.ndarray]:
     """rot_from_angles(angles) and its partial derivatives, shape (..., 3, 3, 3),
     from one evaluation of the three axis rotations.
 
-    Entry [..., i, :, :] of the derivatives is dR/d(angles[..., i]).
+    Entry [..., i, :, :] of the derivatives is dR/d(angles[..., i]). A generator
+    only permutes and negates, so each has the bits of the product with dR_i.
     """
     angles = np.asarray(angles, dtype=float)
     c, s = np.cos(angles), np.sin(angles)
     rx, ry, rz = (_axis(i, c[..., i], s[..., i], 1.0) for i in range(3))
-    drx, dry, drz = (_axis(i, -s[..., i], c[..., i], 0.0) for i in range(3))
-    return rx @ ry @ rz, np.stack([drx @ ry @ rz, rx @ dry @ rz, rx @ ry @ drz], axis=-3)
+    kx, ky, kz = _GENERATORS
+    rot = rx @ ry @ rz
+    return rot, np.stack([kx @ rot, rx @ ky @ ry @ rz, rot @ kz], axis=-3)
 
 
 def check_rotation(rot: np.ndarray, tol: float = ORTHO_TOL) -> None:
@@ -262,15 +268,24 @@ def camera_placement(rot: np.ndarray, d: np.ndarray, cam) -> tuple[np.ndarray, n
     return d + (rot @ cam.D[..., None])[..., 0], rot @ cam.R
 
 
-def _pinhole(p_cam: np.ndarray, fx, fy, cx, cy, jacobian: bool):
+def _pinhole(p_cam: np.ndarray, fx, fy, cx, cy) -> np.ndarray:
     x, y, z = p_cam[..., 0], p_cam[..., 1], p_cam[..., 2]
-    uv = np.stack([fx * x / z + cx, fy * y / z + cy], axis=-1)
-    if not jacobian:
-        return uv, None
-    jp = np.zeros(z.shape + (2, 3))
-    jp[..., 0, 0], jp[..., 0, 2] = fx / z, -fx * x / z**2
-    jp[..., 1, 1], jp[..., 1, 2] = fy / z, -fy * y / z**2
-    return uv, jp
+    uv = np.empty(z.shape + (2,))
+    uv[..., 0] = fx * x / z + cx
+    uv[..., 1] = fy * y / z + cy
+    return uv
+
+
+def pinhole_derivatives(p_cam: np.ndarray, dp: np.ndarray, fx, fy) -> np.ndarray:
+    """The chain rule through the pinhole, in closed form: pixel derivatives
+    (N, 2, k) of camera-frame points p_cam (N, 3) in front of their camera,
+    whose derivatives with respect to k parameters are dp (N, k, 3), with
+    focal lengths fx, fy (N,): du = fx/z (dx - x/z dz), dv = fy/z (dy - y/z dz)."""
+    z = p_cam[:, 2]
+    out = np.empty((len(dp), 2, dp.shape[1]))
+    out[:, 0] = (fx / z)[:, None] * (dp[..., 0] - (p_cam[:, 0] / z)[:, None] * dp[..., 2])
+    out[:, 1] = (fy / z)[:, None] * (dp[..., 1] - (p_cam[:, 1] / z)[:, None] * dp[..., 2])
+    return out
 
 
 def back_project(uv: np.ndarray, intr: Intrinsics, depth) -> np.ndarray:
@@ -281,34 +296,35 @@ def back_project(uv: np.ndarray, intr: Intrinsics, depth) -> np.ndarray:
     return depth * np.stack([xn, yn, np.ones_like(xn)], axis=-1)
 
 
-def view_points(points, rot: np.ndarray, d: np.ndarray, cam, jacobian: bool = False, seg=None):
+def view_points(points, rot: np.ndarray, d: np.ndarray, cam, seg=None):
     """World points (..., 3) seen through rig camera cam with the body at
     translation d and rotation rot: the one placement-and-pinhole kernel.
 
-    Returns (p_cam, uv): camera-frame points P_k = W^T (M - C) and their
-    pixels. With jacobian=True it returns (p_cam, uv, jp, W), where jp
-    (..., 2, 3) is d(pixel)/d(P_k) and W the camera-to-world orientation,
-    so dP_k/dM = W^T. Pixels of points with depth <= Z_MIN carry no
-    meaning; callers mask or reject those points by p_cam[..., 2].
+    Returns (p_cam, uv): camera-frame points P_k = W^T (M - C), with C and
+    W from camera_placement, and their pixels. Pixels of points with depth
+    <= Z_MIN carry no meaning; callers mask or reject those points by
+    p_cam[..., 2].
 
     With seg (N,), cam is a CameraStack, rot (B, 3, 3) and d (B, 3) stack
-    the body poses, point i of points (N, 3) is seen by camera seg[i] and
-    W comes per point, (N, 3, 3): each point gets the one-camera arithmetic.
+    the body poses and point i of points (N, 3) is seen by camera seg[i].
+    Each P is an elementwise three-term sum over the rows of its camera's
+    W, and only the M points in front (depth > Z_MIN) get pixels: returns
+    (p_cam (N, 3), uv (M, 2), front (N,), W (S, 3, 3) of each camera).
     """
     if seg is None:
         center, orient = camera_placement(rot, d, cam)
         p_cam = (points - center) @ orient
         intr = cam.intrinsics
-        pinhole = (intr.fx, intr.fy, intr.cx, intr.cy)
-    else:
-        center, orient = camera_placement(rot[cam.body], d[cam.body], cam)
-        orient = orient[seg]
-        p_cam = ((points - center[seg])[:, None] @ orient)[:, 0]
-        pinhole = cam.pinhole[seg].T
-    uv, jp = _pinhole(p_cam, *pinhole, jacobian)
-    if not jacobian:
-        return p_cam, uv
-    return p_cam, uv, jp, orient
+        return p_cam, _pinhole(p_cam, intr.fx, intr.fy, intr.cx, intr.cy)
+    center, orient = camera_placement(rot[cam.body], d[cam.body], cam)
+    # component-major, points last: w[c, i, n] is W[i, c] of point n's camera
+    w = np.take(orient.T, seg, axis=-1)
+    m = points.T - np.take(center.T, seg, axis=-1)
+    p_cam = m[0] * w[:, 0] + m[1] * w[:, 1] + m[2] * w[:, 2]
+    front = p_cam[2] > Z_MIN
+    pinhole = np.take(cam.pinhole.T, seg[front], axis=-1)
+    uv = _pinhole(np.compress(front, p_cam, axis=-1).T, *pinhole)
+    return p_cam.T, uv, front, orient
 
 
 def world_to_camera(pose: Pose, points) -> np.ndarray:
@@ -331,7 +347,7 @@ def project(points_cam, intr: Intrinsics) -> np.ndarray:
     pts = np.asarray(points_cam, dtype=float)
     if np.any(pts[..., 2] <= Z_MIN):
         raise BehindCamera("point at or behind the image plane")
-    return _pinhole(pts, intr.fx, intr.fy, intr.cx, intr.cy, jacobian=False)[0]
+    return _pinhole(pts, intr.fx, intr.fy, intr.cx, intr.cy)
 
 
 # ---------------------------------------------------------------------------

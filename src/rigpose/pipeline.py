@@ -255,7 +255,9 @@ def _measurement_batch(frame, cams: CameraStack, pairs, store: _TrackTable, x, p
     rows, uv, seg = frame
     keep = usable[rows]
     batch = ekf.measure(x, cams, rows[keep], uv[keep], seg[keep], store.means[rows[keep]])
-    return batch, np.bincount(np.unique(batch.ids) // store.n, minlength=len(x))
+    measured = np.zeros(len(store.live), dtype=bool)
+    measured[batch.ids] = True
+    return batch, np.count_nonzero(measured.reshape(len(x), store.n), axis=1)
 
 
 def _update_or_skip(state: ekf.PoseFilterState, batch, cams: CameraStack, frame: int):

@@ -15,6 +15,7 @@ from rigpose.ekf import (
 )
 from rigpose.errors import BehindCamera
 from rigpose.geometry import (
+    Z_MIN,
     Camera,
     CameraRig,
     CameraStack,
@@ -465,3 +466,48 @@ def test_structure_batch_matches_single_updates():
         np.testing.assert_allclose(m, batch_m[i], atol=1e-12)
         np.testing.assert_allclose(p, batch_p[i], atol=1e-12)
 
+
+
+def test_kernels_leave_out_points_at_or_behind_the_image_plane_quietly():
+    # Depth exactly 0, exactly Z_MIN and behind the camera: neither kernel
+    # divides by such a depth, and neither leaves a row or an update for it.
+    rig = reference_rig()
+    points = np.array([[0.05, -0.02, 0.9], [0.1, 0.0, 0.0], [0.0, 0.0, Z_MIN], [0.0, 0.0, -1.0]])
+    uv = np.full((4, 2), 300.0)
+    state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
+    with np.errstate(all="raise"):
+        batch = measure(state.x, stack(rig), np.arange(4), uv, single(4), points)
+        m, p, front = structure_update(points, initial_structure_covariance(TUNING, 4), uv,
+                                       np.zeros(6), rig.camera(0), 0.25)
+    assert batch.ids.tolist() == [0]
+    assert batch.jac.shape == (1, 2, 6) and np.all(np.isfinite(batch.jac))
+    assert front.tolist() == [True, False, False, False]
+    assert m.shape == (1, 3) and p.shape == (1, 3, 3)
+    assert np.all(np.isfinite(m)) and np.all(np.isfinite(p))
+
+
+def test_kernels_give_each_point_its_bits_alone():
+    # Four monocular chains and a stereo filter of four segments in one
+    # stack: every point's measurement row and structure update has the
+    # bits it gets when computed alone.
+    rng = np.random.default_rng(12)
+    cameras = default_nonoverlap_rig().cameras + default_overlap_rig().cameras
+    cams = CameraStack.of(cameras, [0, 1, 2, 3, 4, 4, 4, 4])
+    x = np.concatenate([rng.uniform(-0.02, 0.02, (5, 6)), np.zeros((5, 6))], axis=1)
+    seg = np.repeat(np.arange(8), 6)
+    points = np.concatenate([spread_points(rng, 6) @ cam.R.T + cam.D for cam in cameras])
+    ids = np.arange(len(seg))
+    uv = np.column_stack([rng.uniform(0, 640, len(seg)), rng.uniform(0, 480, len(seg))])
+    covs = initial_structure_covariance(TUNING, len(seg))
+    batch = measure(x, cams, ids, uv, seg, points)
+    means, p, front = structure_update_batch(points, covs, uv, x, cams, seg, 0.25)
+    assert front.all() and batch.ids.tolist() == ids.tolist()
+    for i in ids:
+        one = slice(i, i + 1)
+        alone = measure(x, cams, ids[one], uv[one], seg[one], points[one])
+        np.testing.assert_array_equal(alone.innovation[0], batch.innovation[i])
+        np.testing.assert_array_equal(alone.jac[0], batch.jac[i])
+        m1, p1, _ = structure_update_batch(points[one], covs[one], uv[one], x, cams, seg[one],
+                                           0.25)
+        np.testing.assert_array_equal(m1[0], means[i])
+        np.testing.assert_array_equal(p1[0], p[i])

@@ -22,6 +22,7 @@ from rigpose.geometry import (
     default_nonoverlap_rig,
     default_overlap_rig,
     equivalent_rotation,
+    pinhole_derivatives,
     project,
     read_rig,
     rig_from_dict,
@@ -253,9 +254,13 @@ def test_project_jacobian_shapes_and_behind_camera():
     rot = rot_from_angles((0.01, -0.02, 0.03))
     d = np.array([0.01, 0.0, -0.02])
     pts = np.array([[0.9, 0.1, 0.05], [0.8, -0.1, -0.1]])
-    p_cam, uv, jp, orient = view_points(pts, rot, d, cam, jacobian=True)
+    p_cam, uv = view_points(pts, rot, d, cam)
+    intr = cam.intrinsics
+    # with dp = I the chain rule gives d(pixel)/d(camera point)
+    jp = pinhole_derivatives(p_cam, np.broadcast_to(np.eye(3), (2, 3, 3)),
+                             np.full(2, intr.fx), np.full(2, intr.fy))
     assert p_cam.shape == (2, 3) and uv.shape == (2, 2)
-    assert jp.shape == (2, 2, 3) and orient.shape == (3, 3)
+    assert jp.shape == (2, 2, 3)
     np.testing.assert_allclose(uv, project(p_cam, cam.intrinsics), atol=1e-12)
     # d(pixel)/d(camera point) against central differences
     h = 1e-7
