@@ -18,7 +18,6 @@ import sys
 from . import harness, pipeline
 from .errors import InputError, RigPoseError
 from .geometry import read_rig
-from .simulate import SimConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,18 +56,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
+def _config(args) -> dict:
+    """The harness config of --config, or the defaults without one."""
     if args.config:
-        cfg = harness.load_config(args.config)
-    else:
-        cfg = {
-            "sim": SimConfig(),
-            "rig_overlap": None,
-            "rig_nonoverlap": None,
-            "tuning": None,
-            "pipeline": None,
-            "min_visible": 100,
-        }
+        return harness.load_config(args.config)
+    return harness.config_from_dict({}, "defaults")
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _config(args)
     sim = cfg["sim"]
     overrides = {}
     if args.runs is not None:
@@ -108,11 +104,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_run_tracks(args) -> int:
     rig = read_rig(args.rig)
     frames = pipeline.read_tracks(args.tracks, len(rig))
-    if args.config:
-        cfg = harness.load_config(args.config)
-        tuning, pcfg = cfg["tuning"], cfg["pipeline"]
-    else:
-        tuning, pcfg = None, None
+    cfg = _config(args)
+    tuning, pcfg = cfg["tuning"], cfg["pipeline"]
 
     if args.layout == "stereo":
         if rig.layout != "overlapping":

@@ -14,6 +14,11 @@ Coordinate conventions used across the package:
   D_k with fixed rotation R_k, sees P_k = R_k^T R^T (M - d - R D_k).
 * Pixels: u = fx * x/z + cx, v = fy * y/z + cy.
 
+Every placement of world points into rig cameras, and the pinhole after it,
+goes through one kernel, view_points, over a CameraStack: the renderer,
+the EKF measurement model, Lowe's method and world_to_camera all share its
+bits.
+
 Angle decomposition is only valid away from |beta| = pi/2; the per-frame
 motion regime of this package stays far inside that bound.
 """
@@ -296,47 +301,41 @@ def back_project(uv: np.ndarray, intr: Intrinsics, depth) -> np.ndarray:
     return depth * np.stack([xn, yn, np.ones_like(xn)], axis=-1)
 
 
-def view_points(points, rot: np.ndarray, d: np.ndarray, cam, seg=None):
-    """World points (..., 3) seen through rig camera cam with the body at
-    translation d and rotation rot: the one placement-and-pinhole kernel.
+def view_points(points, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
+    """World points seen through the cameras of a CameraStack: the one
+    placement-and-pinhole kernel. rot (B, 3, 3) and d (B, 3) stack the body
+    poses, and point i of points (N, 3) is seen by camera seg[i].
 
-    Returns (p_cam, uv): camera-frame points P_k = W^T (M - C), with C and
-    W from camera_placement, and their pixels. Pixels of points with depth
-    <= Z_MIN carry no meaning; callers mask or reject those points by
-    p_cam[..., 2].
-
-    With seg (N,), cam is a CameraStack, rot (B, 3, 3) and d (B, 3) stack
-    the body poses and point i of points (N, 3) is seen by camera seg[i].
-    Each P is an elementwise three-term sum over the rows of its camera's
-    W, and only the M points in front (depth > Z_MIN) get pixels: returns
-    (p_cam (N, 3), uv (M, 2), front (N,), W (S, 3, 3) of each camera).
+    Each camera-frame point P_k = W^T (M - C), with C and W from
+    camera_placement, is an elementwise three-term sum over the rows of its
+    camera's W, so its bits do not depend on the rest of the batch. Only the
+    M points in front (depth > Z_MIN) get pixels: returns (p_cam (N, 3),
+    uv (M, 2), front (N,), W (S, 3, 3) of each camera).
     """
-    if seg is None:
-        center, orient = camera_placement(rot, d, cam)
-        p_cam = (points - center) @ orient
-        intr = cam.intrinsics
-        return p_cam, _pinhole(p_cam, intr.fx, intr.fy, intr.cx, intr.cy)
-    center, orient = camera_placement(rot[cam.body], d[cam.body], cam)
+    center, orient = camera_placement(rot[cams.body], d[cams.body], cams)
     # component-major, points last: w[c, i, n] is W[i, c] of point n's camera
     w = np.take(orient.T, seg, axis=-1)
     m = points.T - np.take(center.T, seg, axis=-1)
     p_cam = m[0] * w[:, 0] + m[1] * w[:, 1] + m[2] * w[:, 2]
     front = p_cam[2] > Z_MIN
-    pinhole = np.take(cam.pinhole.T, seg[front], axis=-1)
+    pinhole = np.take(cams.pinhole.T, seg[front], axis=-1)
     uv = _pinhole(np.compress(front, p_cam, axis=-1).T, *pinhole)
     return p_cam.T, uv, front, orient
 
 
 def world_to_camera(pose: Pose, points) -> np.ndarray:
     """Reference-camera coordinates R^T (M - d). Accepts (..., 3) points."""
-    points = np.asarray(points, dtype=float)
-    return (points - pose.d) @ pose.rotation()
+    return world_to_camera_k(pose, CameraRig([Camera(np.zeros(3), np.eye(3))]), 0, points)
 
 
 def world_to_camera_k(pose: Pose, rig: CameraRig, k: int, points) -> np.ndarray:
-    """Camera-k coordinates R_k^T R^T (M - d - R D_k). Accepts (..., 3) points."""
-    cam = rig.camera(k)
-    return view_points(np.asarray(points, dtype=float), pose.rotation(), pose.d, cam)[0]
+    """Camera-k coordinates R_k^T R^T (M - d - R D_k), by view_points.
+    Accepts (..., 3) points."""
+    points = np.asarray(points, dtype=float)
+    flat = points.reshape(-1, 3)
+    cams, seg = CameraStack.of([rig.camera(k)], [0]), np.zeros(len(flat), dtype=int)
+    p_cam = view_points(flat, pose.rotation()[None], pose.d[None], cams, seg)[0]
+    return p_cam.reshape(points.shape)
 
 
 def project(points_cam, intr: Intrinsics) -> np.ndarray:

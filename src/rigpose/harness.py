@@ -255,31 +255,24 @@ def _build(cls, block: dict, what: str):
         raise InputError(f"config block {what!r}: {exc}") from exc
 
 
-def load_config(path) -> dict:
-    """Load the JSON harness config.
-
-    Blocks (all optional): "sim", "rigs" {"overlapping", "non-overlapping"},
-    "tuning", "pipeline", "min_visible". Returns a dict of constructed
-    objects with defaults filled in.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+def config_from_dict(data, source: str) -> dict:
+    """Build the harness config from a mapping of blocks, all optional:
+    "sim", "rigs" {"overlapping", "non-overlapping"}, "tuning", "pipeline",
+    "min_visible". Returns a dict of constructed objects with defaults
+    filled in; errors name the source of the mapping."""
     if not isinstance(data, dict):
-        raise InputError(f"{path}: top level must be a JSON object")
+        raise InputError(f"{source}: top level must be a JSON object")
     known = {"sim", "rigs", "tuning", "pipeline", "min_visible"}
     unknown = set(data) - known
     if unknown:
-        raise InputError(f"{path}: unknown config blocks {sorted(unknown)}")
+        raise InputError(f"{source}: unknown config blocks {sorted(unknown)}")
 
     rigs = data.get("rigs", {})
     if not isinstance(rigs, dict):
-        raise InputError(f"{path}: 'rigs' must be a JSON object")
+        raise InputError(f"{source}: 'rigs' must be a JSON object")
     min_visible = data.get("min_visible", 100)
     if isinstance(min_visible, bool) or not isinstance(min_visible, int):
-        raise InputError(f"{path}: 'min_visible' must be an integer, got {min_visible!r}")
+        raise InputError(f"{source}: 'min_visible' must be an integer, got {min_visible!r}")
     overlap = (
         rig_from_dict(rigs["overlapping"])
         if "overlapping" in rigs
@@ -298,3 +291,13 @@ def load_config(path) -> dict:
         "pipeline": _build(PipelineConfig, data.get("pipeline", {}), "pipeline"),
         "min_visible": min_visible,
     }
+
+
+def load_config(path) -> dict:
+    """Load a JSON harness config file: config_from_dict of its content."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    return config_from_dict(data, path)

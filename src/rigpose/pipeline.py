@@ -40,7 +40,6 @@ from .errors import (
     check_config_fields,
 )
 from .geometry import (
-    Z_MIN,
     Camera,
     CameraRig,
     CameraStack,
@@ -48,7 +47,7 @@ from .geometry import (
     Pose,
     back_project,
     rot_from_angles,
-    view_points,
+    world_to_camera_k,
 )
 from .simulate import Trajectory
 
@@ -107,20 +106,20 @@ def pose_error_report(series: PoseEstimateSeries, truth: Trajectory) -> np.ndarr
 # Lowe's method: damped Gauss-Newton over the six pose parameters
 # ---------------------------------------------------------------------------
 
-def lowe_pose(
-    points: np.ndarray,
-    pixels: np.ndarray,
-    intr: Intrinsics,
-    init: Pose,
-    max_iter: int = 50,
-    step_tol: float = 1e-10,
-) -> Pose:
+LOWE_MAX_ITER = 50
+LOWE_STEP_TOL = 1e-10
+
+
+def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init: Pose) -> Pose:
     """Refine a reference-camera pose from 3D-2D matches by minimizing the
     pixel reprojection error.
 
     Damped Gauss-Newton: the step is halved while it increases the
     residual; five consecutive iterations without improvement raise
-    Diverged. Needs at least four matches.
+    Diverged. Each candidate pose is placed once, by
+    ekf.pose_measurement_rows, which gives both its residual and the rows
+    of the next step. Needs at least four matches; raises BehindCamera when
+    init puts a match at or behind the camera.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -129,36 +128,30 @@ def lowe_pose(
     cam = Camera(D=np.zeros(3), R=np.eye(3), intrinsics=intr)
     cams, seg = CameraStack.of([cam], [0]), np.zeros(len(points), dtype=int)
 
-    def cost_of(vec):
-        p_cam, uv_pred = view_points(points, rot_from_angles(vec[3:]), vec[:3], cam)
-        if np.any(p_cam[:, 2] <= Z_MIN):
+    def evaluate(vec):
+        uv_pred, jac, front = ekf.pose_measurement_rows(vec[None], cams, seg, points)
+        if not np.all(front):
             raise BehindCamera("match point behind the camera")
         res = (pixels - uv_pred).ravel()
-        return res @ res
+        return res @ res, res, jac.reshape(-1, 6)
 
     vec = init.as_vector()
-    cost = cost_of(vec)   # BehindCamera here means init outside the basin
+    cost, res, j = evaluate(vec)   # BehindCamera here means init outside the basin
     fails = 0
-    for _ in range(max_iter):
-        # cost_of accepted vec, so every point lies in front of the camera
-        uv_pred, jac, _ = ekf.pose_measurement_rows(vec[None], cams, seg, points)
-        res = (pixels - uv_pred).ravel()
-        j = jac.reshape(-1, 6)
-        jtj = j.T @ j
-        jtr = j.T @ res
+    for _ in range(LOWE_MAX_ITER):
         try:
-            step = np.linalg.solve(jtj, jtr)
+            step = np.linalg.solve(j.T @ j, j.T @ res)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(j, res, rcond=None)
         step_norm = np.linalg.norm(step)
-        if step_norm < step_tol:
+        if step_norm < LOWE_STEP_TOL:
             break
         scale = 1.0
         improved = False
         for _ in range(25):
             cand = vec + scale * step
             try:
-                cand_cost = cost_of(cand)
+                cand_cost, cand_res, cand_j = evaluate(cand)
             except BehindCamera:
                 cand_cost = np.inf
             if cand_cost <= cost * (1.0 + 1e-12):
@@ -176,8 +169,8 @@ def lowe_pose(
             continue
         fails = 0
         vec = cand
-        cost = cand_cost
-        if np.linalg.norm(scale * step) < step_tol:
+        cost, res, j = cand_cost, cand_res, cand_j
+        if np.linalg.norm(scale * step) < LOWE_STEP_TOL:
             break
     return Pose.from_vector(vec)
 
@@ -332,14 +325,15 @@ def run_stereo_sequence(
     # Lowe seed at frame 1 from the reference camera's tracked features.
     ids1, uv1 = _camera(frames[1], 0)
     mask = store.live[ids1]
-    if ideal_init and truth is not None:
+    seeded = ideal_init and truth is not None
+    if seeded:
         pose1 = truth.pose(1)
     else:
         pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], rig.camera(0).intrinsics, pose0)
     vel = pose1.as_vector() - pose0.as_vector()
     state = ekf.make_pose_filter(pose1.as_vector(), vel, tuning)
     series.d[1], series.angles[1] = pose1.d, pose1.angles
-    series.methods.append("ideal-seed" if ideal_init else "lowe")
+    series.methods.append("ideal-seed" if seeded else "lowe")
     series.diagnostics.append({"features": int(mask.sum())})
 
     for j in range(2, len(frames)):
@@ -475,8 +469,8 @@ def run_nonoverlap_sequence(
         if n_frames > 1:
             local_truth = fusion.true_local_pose(truth.pose(1), cams)
         if scene is not None:
-            ideal_points = [(scene[frames[0][k][0]] - cam.D) @ cam.R
-                            for k, cam in enumerate(rig.cameras)]
+            ideal_points = [world_to_camera_k(Pose.identity(), rig, k, scene[frames[0][k][0]])
+                            for k in range(4)]
     locals_, diags = _run_chains(frames, rig.cameras, tuning, pcfg, local_truth, ideal_points)
 
     d, angles = fusion.local_to_body_pose(locals_, cams)

@@ -27,7 +27,6 @@ from .geometry import (
     CameraRig,
     CameraStack,
     Pose,
-    Z_MIN,
     camera_placement,
     euler_angles,
     rot_from_angles,
@@ -154,9 +153,10 @@ def render_sequence(
     the scene for every camera at once: one float32 product of the cameras'
     frustum rows with the transposed scene, tested with a one-pixel margin
     and a slack that is 30 times the product's worst rounding, keeps a
-    superset of the visible points. Only those go through the exact kernel
-    and test, so the output is the same, bit for bit, as projecting every
-    point.
+    superset of the visible points. Only those (camera, point) pairs go
+    through the exact kernel, in one call per frame for all cameras, and
+    the exact test, so the output is the same, bit for bit, as projecting
+    every point.
 
     Noise is added after the visibility test, in ascending id order, from
     an independent stream per (camera, frame) pair spawned from noise_seed
@@ -175,6 +175,7 @@ def render_sequence(
 
     rotations = rot_from_angles(traj.angles)
     stack = CameraStack.of(cameras, np.zeros(n_cams, dtype=int))
+    size = np.array([[c.intrinsics.width, c.intrinsics.height] for c in cameras])
     centers, orients = camera_placement(rotations[:, None], traj.d[:, None], stack)
     rows = np.stack([_frustum_rows(c.intrinsics) for c in cameras]) @ np.swapaxes(orients, -1, -2)
     # For a world row f, point M and camera center C, the float32 cull errs by
@@ -193,17 +194,19 @@ def render_sequence(
         np.matmul(rows[j].reshape(-1, 3), scene_t, out=dots)
         np.greater_equal(dots, bounds[j].reshape(-1, 1), out=inside)
         candidates = inside.reshape(n_cams, 4, -1).all(axis=1)
+        # (camera, point) pairs, camera-major with ascending ids per camera
+        cam, ids = np.divmod(np.flatnonzero(candidates), len(scene))
+        _, uv, front, _ = view_points(scene[ids], rotations[j:j + 1], traj.d[j:j + 1], stack, cam)
+        cam, ids = cam[front], ids[front]
+        visible = np.all((uv >= 0) & (uv < size[cam]), axis=1)
+        cam, ids, uv = cam[visible], ids[visible], uv[visible]
+        split = np.searchsorted(cam, np.arange(n_cams + 1))
         frame = []
-        for k, cam in enumerate(cameras):
-            cand = np.flatnonzero(candidates[k])
-            p_cam, uv = view_points(scene[cand], rotations[j], traj.d[j], cam)
-            intr, u, v = cam.intrinsics, uv[:, 0], uv[:, 1]
-            visible = ((p_cam[:, 2] > Z_MIN) & (u >= 0) & (u < intr.width)
-                       & (v >= 0) & (v < intr.height))
-            ids, uv, rng = cand[visible], uv[visible], streams[k * n_frames + j]
-            if rng is not None and len(ids):
-                uv = uv + rng.normal(0.0, noise_sigma, uv.shape)
-            frame.append((ids, uv))
+        for k, (lo, hi) in enumerate(zip(split[:-1], split[1:])):
+            uv_k, rng = uv[lo:hi], streams[k * n_frames + j]
+            if rng is not None and hi > lo:
+                uv_k = uv_k + rng.normal(0.0, noise_sigma, uv_k.shape)
+            frame.append((ids[lo:hi], uv_k))
         frames.append(frame)
     return frames
 

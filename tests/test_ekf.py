@@ -27,6 +27,7 @@ from rigpose.geometry import (
     project,
     world_to_camera_k,
 )
+from rigpose.simulate import SimConfig, gen_scene, gen_trajectory, render_sequence
 
 TUNING = FilterTuning()
 
@@ -511,3 +512,23 @@ def test_kernels_give_each_point_its_bits_alone():
                                            0.25)
         np.testing.assert_array_equal(m1[0], means[i])
         np.testing.assert_array_equal(p1[0], p[i])
+
+
+def test_noiseless_render_measured_at_the_truth_leaves_no_innovation():
+    # The renderer and the measurement model place points through one kernel,
+    # so a noiseless frame measured at the true pose predicts every pixel bit.
+    cfg = SimConfig(n_points=2000, n_frames=20, noise_sigma=0.0)
+    rng = np.random.default_rng(3)
+    scene, traj = gen_scene(cfg, rng), gen_trajectory(cfg, rng)
+    for rig in (default_overlap_rig(), default_nonoverlap_rig()):
+        n_rows = 0
+        for j, frame in enumerate(render_sequence(scene, traj, rig.cameras, 0.0)):
+            ids = np.concatenate([ids for ids, _ in frame])
+            uv = np.concatenate([uv for _, uv in frame])
+            seg = np.repeat(np.arange(len(frame)), [len(ids) for ids, _ in frame])
+            x = np.concatenate([traj.d[j], traj.angles[j], np.zeros(6)])[None]
+            batch = measure(x, stack(rig), ids, uv, seg, scene[ids])
+            assert len(batch.ids) == len(ids)
+            np.testing.assert_array_equal(batch.innovation, 0.0)
+            n_rows += batch.n_rows
+        assert n_rows > 1000

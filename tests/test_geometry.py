@@ -254,7 +254,8 @@ def test_project_jacobian_shapes_and_behind_camera():
     rot = rot_from_angles((0.01, -0.02, 0.03))
     d = np.array([0.01, 0.0, -0.02])
     pts = np.array([[0.9, 0.1, 0.05], [0.8, -0.1, -0.1]])
-    p_cam, uv = view_points(pts, rot, d, cam)
+    p_cam, uv, _, _ = view_points(pts, rot[None], d[None], CameraStack.of([cam], [0]),
+                                  np.zeros(2, dtype=int))
     intr = cam.intrinsics
     # with dp = I the chain rule gives d(pixel)/d(camera point)
     jp = pinhole_derivatives(p_cam, np.broadcast_to(np.eye(3), (2, 3, 3)),

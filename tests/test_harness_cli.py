@@ -226,6 +226,17 @@ def test_cli_simulate_flag_overrides(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_simulate_defaults_equal_an_empty_config(tmp_path, capsys):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    argv = ["simulate", "--runs", "1", "--frames", "3", "--seed", "1"]
+    assert cli.main(argv) == 0
+    without = capsys.readouterr().out
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == without
+    assert without.startswith("method,tx,")
+
+
 def test_cli_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--bogus"])

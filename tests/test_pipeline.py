@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rigpose.errors import (
+    BehindCamera,
     InputError,
     InsufficientMatches,
     LengthMismatch,
@@ -66,7 +67,8 @@ def test_lowe_exact_init_is_fixed_point():
     pts = spread_points(rng, 30)
     pixels = project(world_to_camera(truth, pts), intr)
     est = lowe_pose(pts, pixels, intr, truth)
-    np.testing.assert_allclose(est.as_vector(), truth.as_vector(), atol=1e-10)
+    # the pixels and Lowe place the points through one kernel: no residual
+    np.testing.assert_array_equal(est.as_vector(), truth.as_vector())
     residual = pixels - project(world_to_camera(est, pts), intr)
     assert (residual**2).sum() < 1e-12
 
@@ -88,6 +90,17 @@ def test_lowe_insufficient_matches():
     pts = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]])
     pixels = project(pts, intr)
     with pytest.raises(InsufficientMatches):
+        lowe_pose(pts, pixels, intr, Pose.identity())
+
+
+@pytest.mark.parametrize("depth", [0.0, 1e-6, -0.5])
+def test_lowe_rejects_init_with_a_match_at_or_behind_the_camera(depth):
+    rng = np.random.default_rng(3)
+    intr = default_overlap_rig().camera(0).intrinsics
+    pts = spread_points(rng, 20)
+    pixels = project(pts, intr)
+    pts[7] = [0.01, -0.02, depth]   # at that depth from the camera at init
+    with pytest.raises(BehindCamera):
         lowe_pose(pts, pixels, intr, Pose.identity())
 
 
@@ -259,6 +272,19 @@ def test_stereo_series_is_causal_prefix_stable():
     truncated = run_stereo_sequence(frames[:25], rig, pcfg=pcfg)
     np.testing.assert_array_equal(full.d[:25], truncated.d)
     np.testing.assert_array_equal(full.angles[:25], truncated.angles)
+
+
+def test_stereo_ideal_init_without_truth_runs_and_tags_the_lowe_seed():
+    rig = default_overlap_rig()
+    cfg = SimConfig(n_points=3000, n_frames=10, noise_sigma=0.5, seed=8)
+    _, _, frames = render_run(rig, cfg)
+    pcfg = PipelineConfig(redetect_threshold=20)
+    plain = run_stereo_sequence(frames, rig, pcfg=pcfg)
+    asked = run_stereo_sequence(frames, rig, pcfg=pcfg, ideal_init=True)
+    assert asked.methods[1] == "lowe"
+    assert asked.methods == plain.methods
+    assert asked.d.tobytes() == plain.d.tobytes()
+    assert asked.angles.tobytes() == plain.angles.tobytes()
 
 
 def test_stereo_requires_enough_initial_features():

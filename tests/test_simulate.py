@@ -5,6 +5,7 @@ from rigpose.errors import InputError
 from rigpose.geometry import (
     Z_MIN,
     Camera,
+    CameraStack,
     back_project,
     Intrinsics,
     Pose,
@@ -150,15 +151,16 @@ def reference_render(scene, traj, cameras, noise_sigma, noise_seed):
     visibility test and the noise draws in the renderer's stream order."""
     n_frames = len(traj)
     streams = [np.random.default_rng(c) for c in noise_seed.spawn(len(cameras) * n_frames)]
+    seg = np.zeros(len(scene), dtype=int)
     frames = []
     for j in range(n_frames):
         frame = []
         for k, cam in enumerate(cameras):
-            p_cam, uv = view_points(scene, rot_from_angles(traj.angles[j]), traj.d[j], cam)
+            _, uv, front, _ = view_points(scene, rot_from_angles(traj.angles[j])[None],
+                                          traj.d[j][None], CameraStack.of([cam], [0]), seg)
             intr, u, v = cam.intrinsics, uv[:, 0], uv[:, 1]
-            ids = np.flatnonzero((p_cam[:, 2] > Z_MIN) & (u >= 0) & (u < intr.width)
-                                 & (v >= 0) & (v < intr.height))
-            uv = uv[ids]
+            visible = (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
+            ids, uv = np.flatnonzero(front)[visible], uv[visible]
             if noise_sigma > 0 and len(ids):
                 uv = uv + streams[k * n_frames + j].normal(0.0, noise_sigma, uv.shape)
             frame.append((ids, uv))
