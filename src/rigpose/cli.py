@@ -4,7 +4,6 @@ Subcommands:
 
   simulate   - run the Monte Carlo comparison and write the report
   run-tracks - offline estimation from a tracks CSV
-  selftest   - run the noiseless oracle checks
 
 Exit codes: 0 success, 1 input error (bad flags or malformed files),
 2 numerical failure.
@@ -51,8 +50,6 @@ def build_parser() -> _Parser:
     run.add_argument("--truth", help="optional ground-truth CSV for an error report")
     run.add_argument("--config", help="optional harness config JSON for tuning/thresholds")
     run.add_argument("--diagnostics", help="optional per-frame diagnostics JSONL output")
-
-    sub.add_parser("selftest", help="run the noiseless oracle checks")
     return parser
 
 
@@ -135,19 +132,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)
-        if args.command == "run-tracks":
-            return _cmd_run_tracks(args)
-        if args.command == "selftest":
-            from .selftest import run_selftest
-
-            return 0 if run_selftest() else 2
+        return _cmd_run_tracks(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RigPoseError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

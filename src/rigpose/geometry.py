@@ -16,8 +16,8 @@ Coordinate conventions used across the package:
 
 Every placement of world points into rig cameras, and the pinhole after it,
 goes through one kernel, view_points, over a CameraStack: the renderer,
-the EKF measurement model, Lowe's method and world_to_camera all share its
-bits.
+the EKF measurement model, Lowe's method and world_to_camera_k all share
+its bits.
 
 Angle decomposition is only valid away from |beta| = pi/2; the per-frame
 motion regime of this package stays far inside that bound.
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BehindCamera,
     InputError,
     InvalidCameraIndex,
     GimbalProximity,
@@ -120,30 +119,11 @@ def euler_angles(rot: np.ndarray) -> np.ndarray:
     return np.stack([alpha, beta, gamma], axis=-1)
 
 
-def angles_from_rot(rot) -> np.ndarray:
-    """euler_angles of a matrix from outside the package.
-
-    Raises NonOrthonormalInput for non-rotations and GimbalProximity when
-    |cos(beta)| falls below GIMBAL_TOL.
-    """
-    rot = np.asarray(rot, dtype=float)
-    check_rotation(rot)
-    return euler_angles(rot)
-
-
 def change_basis(rot_k: np.ndarray, rot_local: np.ndarray) -> np.ndarray:
     """R_k @ r @ R_k^T: camera-local rotations expressed about the reference
     axes; both may be stacks (..., 3, 3). Does not check its inputs: for
     rotations the package built itself."""
     return rot_k @ rot_local @ np.swapaxes(rot_k, -1, -2)
-
-
-def equivalent_rotation(rot_k, rot_local) -> np.ndarray:
-    """change_basis of matrices from outside the package; raises
-    NonOrthonormalInput unless both are rotations."""
-    check_rotation(rot_k)
-    check_rotation(rot_local)
-    return change_basis(np.asarray(rot_k, dtype=float), np.asarray(rot_local, dtype=float))
 
 
 @dataclass
@@ -323,11 +303,6 @@ def view_points(points, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
     return p_cam.T, uv, front, orient
 
 
-def world_to_camera(pose: Pose, points) -> np.ndarray:
-    """Reference-camera coordinates R^T (M - d). Accepts (..., 3) points."""
-    return world_to_camera_k(pose, CameraRig([Camera(np.zeros(3), np.eye(3))]), 0, points)
-
-
 def world_to_camera_k(pose: Pose, rig: CameraRig, k: int, points) -> np.ndarray:
     """Camera-k coordinates R_k^T R^T (M - d - R D_k), by view_points.
     Accepts (..., 3) points."""
@@ -336,17 +311,6 @@ def world_to_camera_k(pose: Pose, rig: CameraRig, k: int, points) -> np.ndarray:
     cams, seg = CameraStack.of([rig.camera(k)], [0]), np.zeros(len(flat), dtype=int)
     p_cam = view_points(flat, pose.rotation()[None], pose.d[None], cams, seg)[0]
     return p_cam.reshape(points.shape)
-
-
-def project(points_cam, intr: Intrinsics) -> np.ndarray:
-    """Pinhole projection of camera-frame points (..., 3) to pixels (..., 2).
-
-    Raises BehindCamera if any point has z <= Z_MIN.
-    """
-    pts = np.asarray(points_cam, dtype=float)
-    if np.any(pts[..., 2] <= Z_MIN):
-        raise BehindCamera("point at or behind the image plane")
-    return _pinhole(pts, intr.fx, intr.fy, intr.cx, intr.cy)
 
 
 # ---------------------------------------------------------------------------

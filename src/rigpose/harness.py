@@ -55,6 +55,8 @@ from .simulate import (
 
 ALL_METHODS = ["4cameras", "2cameras", "cam1", "cam2", "cam3", "cam4", "RC"]
 PARAM_NAMES = ["tx", "ty", "tz", "alpha", "beta", "gamma"]
+# Fewest points every camera must see at frame 0 for a run to count.
+MIN_VISIBLE = 100
 
 
 @dataclass
@@ -67,7 +69,7 @@ class ExperimentSetup:
     tuning: FilterTuning = field(default_factory=FilterTuning)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     methods: tuple = tuple(ALL_METHODS)
-    min_visible: int = 100
+    min_visible: int = MIN_VISIBLE
     ideal_init: bool = False
 
 
@@ -155,7 +157,7 @@ def monte_carlo(
     pipeline_cfg: PipelineConfig | None = None,
     methods=None,
     workers: int = 1,
-    min_visible: int = 100,
+    min_visible: int = MIN_VISIBLE,
     ideal_init: bool = False,
 ) -> ExperimentReport:
     """Run the comparative study and average the error rows over runs.
@@ -270,7 +272,7 @@ def config_from_dict(data, source: str) -> dict:
     rigs = data.get("rigs", {})
     if not isinstance(rigs, dict):
         raise InputError(f"{source}: 'rigs' must be a JSON object")
-    min_visible = data.get("min_visible", 100)
+    min_visible = data.get("min_visible", MIN_VISIBLE)
     if isinstance(min_visible, bool) or not isinstance(min_visible, int):
         raise InputError(f"{source}: 'min_visible' must be an integer, got {min_visible!r}")
     overlap = (

@@ -623,6 +623,7 @@ def read_truth(path) -> Trajectory:
     """Parse a `frame,tx,ty,tz,alpha,beta,gamma` ground-truth CSV holding
     each frame 0..N-1 once, in any order."""
     lines, frame, vals = _read_csv(path, TRUTH_HEADER, n_int=1)
+    _reject_rows(path, lines, ~np.all(np.isfinite(vals), axis=1), "non-finite truth value")
     order = np.argsort(frame[:, 0], kind="stable")
     if not np.array_equal(frame[order, 0], np.arange(len(lines))):
         raise InputError(f"{path}: frames are not 0..N-1, each once")

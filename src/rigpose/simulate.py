@@ -114,19 +114,6 @@ def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
     return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)
 
 
-def scripted_trajectory(n_frames: int, velocity) -> Trajectory:
-    """Constant-velocity trajectory in pose-parameter space: pose at frame
-    j is j * velocity. This is the regime where the constant-velocity plant
-    model of the pose filter is exact."""
-    velocity = np.asarray(velocity, dtype=float).reshape(6)
-    steps = np.arange(n_frames)[:, None]
-    d = steps * velocity[:3]
-    angles = steps * velocity[3:]
-    rotations = rot_from_angles(angles)
-    deltas = np.repeat(velocity[None, :], n_frames - 1, axis=0)
-    return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)
-
-
 # A rendered sequence: frames[j][cam_index] = (ids, uv)
 SequenceObservations = list
 

@@ -1,0 +1,40 @@
+"""Test-only references, written independently of the package's kernels.
+
+`pixels` and `to_camera` are the pinhole and the rig placement as plain
+matmuls, not through geometry.view_points, so a test that compares the
+kernel with them compares two separate computations. `scripted_trajectory`
+is the constant-velocity truth of the noiseless tracking tests.
+"""
+
+import numpy as np
+
+from rigpose.geometry import rot_from_angles
+from rigpose.simulate import Trajectory
+
+
+def pixels(points_cam, intr) -> np.ndarray:
+    """Pixels (..., 2) of camera-frame points (..., 3): u = fx x/z + cx,
+    v = fy y/z + cy."""
+    p = np.asarray(points_cam, dtype=float)
+    return np.stack([intr.fx * p[..., 0] / p[..., 2] + intr.cx,
+                     intr.fy * p[..., 1] / p[..., 2] + intr.cy], axis=-1)
+
+
+def to_camera(pose, cam, points) -> np.ndarray:
+    """Coordinates R_k^T R^T (M - d - R D_k) of world points M (..., 3) in
+    rig camera cam (D_k, R_k) with the body at pose (d, R)."""
+    rot = pose.rotation()
+    return (np.asarray(points, dtype=float) - pose.d - rot @ cam.D) @ rot @ cam.R
+
+
+def scripted_trajectory(n_frames: int, velocity) -> Trajectory:
+    """Constant-velocity trajectory in pose-parameter space: pose at frame
+    j is j * velocity. This is the regime where the constant-velocity plant
+    model of the pose filter is exact."""
+    velocity = np.asarray(velocity, dtype=float).reshape(6)
+    steps = np.arange(n_frames)[:, None]
+    d = steps * velocity[:3]
+    angles = steps * velocity[3:]
+    rotations = rot_from_angles(angles)
+    deltas = np.repeat(velocity[None, :], n_frames - 1, axis=0)
+    return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import pixels, scripted_trajectory, to_camera
 from rigpose import cli, fusion, harness, pipeline, stereo
 from rigpose.ekf import pose_measurement_rows
 from rigpose.errors import IllConditioned
@@ -21,12 +22,9 @@ from rigpose.geometry import (
     CameraStack,
     Pose,
     default_nonoverlap_rig,
+    change_basis,
     default_overlap_rig,
-    equivalent_rotation,
-    project,
     read_rig,
-    world_to_camera,
-    world_to_camera_k,
     write_rig,
 )
 from rigpose.pipeline import PipelineConfig, run_stereo_sequence, write_tracks
@@ -37,7 +35,6 @@ from rigpose.simulate import (
     render_sequence,
     run_seed_sequences,
     run_streams,
-    scripted_trajectory,
 )
 
 DESK_SIM = SimConfig(
@@ -186,8 +183,9 @@ def test_criterion_4_noiseless_exactness():
         [[rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.7, 1.0)]
          for _ in range(100)]
     )
-    uv_a = project(world_to_camera_k(pose, rig, 0, points), rig.camera(0).intrinsics)
-    uv_b = project(world_to_camera_k(pose, rig, 1, points), rig.camera(1).intrinsics)
+    cam_a, cam_b = rig.camera(0), rig.camera(1)
+    uv_a = pixels(to_camera(pose, cam_a, points), cam_a.intrinsics)
+    uv_b = pixels(to_camera(pose, cam_b, points), cam_b.intrinsics)
     rec, ok = stereo.triangulate_batch(rig, pose, pair, uv_a, uv_b)
     worst_tri = float(np.linalg.norm(rec - points, axis=1).max()) if ok.all() else np.inf
 
@@ -208,7 +206,7 @@ def test_criterion_4_noiseless_exactness():
     for _ in range(100):
         basis = rot_from_angles(rng.uniform(-0.5, 0.5, 3))
         local = rot_from_angles(rng.uniform(-0.3, 0.3, 3))
-        eq = equivalent_rotation(basis, local)
+        eq = change_basis(basis, local)
         angle_local = np.arccos(np.clip((np.trace(local) - 1) / 2, -1, 1))
         angle_eq = np.arccos(np.clip((np.trace(eq) - 1) / 2, -1, 1))
         worst_conj = max(worst_conj, abs(angle_eq - angle_local))
@@ -223,10 +221,10 @@ def test_criterion_4_noiseless_exactness():
              rng.uniform(0.7, 1.0, 50)],
             axis=-1,
         )
-        pixels = project(world_to_camera(truth, pts), intr)
+        uv = pixels(to_camera(truth, cam_a, pts), intr)
         init = Pose(truth.d + rng.uniform(-0.01, 0.01, 3),
                     truth.angles + rng.uniform(-0.01, 0.01, 3))
-        est = pipeline.lowe_pose(pts, pixels, intr, init)
+        est = pipeline.lowe_pose(pts, uv, intr, init)
         worst_lowe = max(worst_lowe, float(np.abs(est.as_vector() - truth.as_vector()).max()))
 
     wall = time.monotonic() - started

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import pixels, to_camera
 from rigpose.ekf import (
     FilterTuning,
     PoseFilterState,
@@ -24,8 +25,6 @@ from rigpose.geometry import (
     back_project,
     default_nonoverlap_rig,
     default_overlap_rig,
-    project,
-    world_to_camera_k,
 )
 from rigpose.simulate import SimConfig, gen_scene, gen_trajectory, render_sequence
 
@@ -68,7 +67,8 @@ def observe(rig, pose_vec, points, cameras=(0,), noise=0.0, rng=None):
     pose = Pose.from_vector(np.ravel(pose_vec)[:6])
     uvs = []
     for k in cameras:
-        uv = project(world_to_camera_k(pose, rig, k, points), rig.camera(k).intrinsics)
+        cam = rig.camera(k)
+        uv = pixels(to_camera(pose, cam, points), cam.intrinsics)
         if noise > 0:
             uv = uv + rng.normal(0, noise, uv.shape)
         uvs.append(uv)
@@ -375,7 +375,7 @@ def structure_update_reference(m, p, observed, pose_vec, cam, r_var):
 def test_structure_update_zero_innovation():
     cam = reference_rig().camera(0)
     point = np.array([0.05, -0.03, 0.8])
-    uv = project(point, cam.intrinsics)
+    uv = pixels(point, cam.intrinsics)
     m, _, _ = structure_update(
         point[None, :], np.diag([1e-2, 1e-2, 0.25])[None], uv[None, :], np.zeros(6), cam, 0.25
     )
@@ -402,8 +402,8 @@ def test_structure_depth_converges_with_parallax():
     truth = np.array([0.05, -0.03, 0.8])
     pose_a = Pose.identity()
     pose_b = Pose([0.1, 0.0, 0.0], [0.0, 0.0, 0.0])
-    uv_a = project(truth, cam.intrinsics)
-    uv_b = project(truth - pose_b.d, cam.intrinsics)
+    uv_a = pixels(truth, cam.intrinsics)
+    uv_b = pixels(truth - pose_b.d, cam.intrinsics)
     m = back_project(uv_a[None], cam.intrinsics, 1.0)  # orthographic init on A's ray
     p = initial_structure_covariance(TUNING, 1)
     errors = [abs(m[0, 2] - truth[2])]
@@ -424,7 +424,7 @@ def test_structure_stationary_camera_depth_stays_uncertain():
     rig = reference_rig()
     cam = rig.camera(0)
     truth = np.array([0.004, -0.003, 0.8])
-    uv = project(truth, cam.intrinsics)
+    uv = pixels(truth, cam.intrinsics)
     m = back_project(uv[None], cam.intrinsics, 1.0)
     p = initial_structure_covariance(TUNING, 1)
 
@@ -436,7 +436,7 @@ def test_structure_stationary_camera_depth_stays_uncertain():
 
     for _ in range(20):
         m, p, _ = structure_update(m, p, uv[None, :], np.zeros(6), cam, 0.25)
-    np.testing.assert_allclose(project(m[0], cam.intrinsics), uv, atol=1e-9)
+    np.testing.assert_allclose(pixels(m[0], cam.intrinsics), uv, atol=1e-9)
     assert abs(m[0, 2] - 1.0) < 1e-9  # depth cannot move without parallax
     assert p[0, 2, 2] >= 0.9 * TUNING.p0_struct_depth
 
@@ -449,7 +449,7 @@ def test_structure_batch_matches_single_updates():
     cam = rig.camera(1)
     pose_vec = np.concatenate([rng.uniform(-0.02, 0.02, 6), np.zeros(6)])
     pts = spread_points(rng, 8) @ cam.R.T + cam.D
-    uv = project(world_to_camera_k(Pose.from_vector(pose_vec[:6]), rig, 1, pts), cam.intrinsics)
+    uv = pixels(to_camera(Pose.from_vector(pose_vec[:6]), cam, pts), cam.intrinsics)
     uv = uv + rng.normal(0, 0.5, (8, 2))
     covs = initial_structure_covariance(TUNING, 8)
     batch_m, batch_p, front = structure_update(pts, covs, uv, pose_vec, cam, 0.25)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from reference import pixels
 from rigpose import ekf
 from rigpose.errors import (
-    BehindCamera,
     GimbalProximity,
     InputError,
     InvalidCameraIndex,
@@ -17,23 +17,35 @@ from rigpose.geometry import (
     CameraStack,
     Intrinsics,
     Pose,
-    angles_from_rot,
     back_project,
+    change_basis,
+    check_rotation,
     default_nonoverlap_rig,
     default_overlap_rig,
-    equivalent_rotation,
+    euler_angles,
     pinhole_derivatives,
-    project,
     read_rig,
     rig_from_dict,
     rig_to_dict,
     rot_from_angles,
     rot_y,
     view_points,
-    world_to_camera,
     world_to_camera_k,
     write_rig,
 )
+
+
+def to_reference(pose, points):
+    # camera 0 of a rig is the reference camera: R^T (M - d)
+    return world_to_camera_k(pose, default_overlap_rig(), 0, points)
+
+
+def kernel_pixels(points_cam, intr):
+    # view_points' pixels of camera-frame points: the camera at the identity pose
+    pts = np.atleast_2d(np.asarray(points_cam, dtype=float))
+    cams = CameraStack.of([Camera(np.zeros(3), np.eye(3), intr)], [0])
+    return view_points(pts, np.eye(3)[None], np.zeros((1, 3)), cams,
+                       np.zeros(len(pts), dtype=int))[1]
 
 
 def test_rot_from_angles_identity():
@@ -57,7 +69,7 @@ def test_angle_roundtrip_small_angles():
     rng = np.random.default_rng(1)
     for _ in range(200):
         angles = rng.uniform(-0.02, 0.02, 3)
-        back = angles_from_rot(rot_from_angles(angles))
+        back = euler_angles(rot_from_angles(angles))
         np.testing.assert_allclose(back, angles, atol=1e-10)
 
 
@@ -65,45 +77,46 @@ def test_angle_roundtrip_half_radian():
     rng = np.random.default_rng(2)
     for _ in range(200):
         angles = rng.uniform(-0.49, 0.49, 3)
-        back = angles_from_rot(rot_from_angles(angles))
+        back = euler_angles(rot_from_angles(angles))
         np.testing.assert_allclose(back, angles, atol=1e-10)
 
 
 def test_angles_from_rot_identity():
-    assert np.array_equal(angles_from_rot(np.eye(3)), np.zeros(3))
+    assert np.array_equal(euler_angles(np.eye(3)), np.zeros(3))
 
 
 def test_angles_from_rot_example_triple():
     angles = np.array([0.01, -0.02, 0.015])
-    np.testing.assert_allclose(angles_from_rot(rot_from_angles(angles)), angles, atol=1e-10)
+    np.testing.assert_allclose(euler_angles(rot_from_angles(angles)), angles, atol=1e-10)
 
 
 def test_angles_from_rot_rejects_non_rotation():
+    # a matrix from outside the package is checked before it is decomposed
     bad = np.eye(3)
     bad[2] = 0.0
     with pytest.raises(NonOrthonormalInput):
-        angles_from_rot(bad)
+        check_rotation(bad)
 
 
 def test_angles_from_rot_gimbal_proximity():
     with pytest.raises(GimbalProximity):
-        angles_from_rot(rot_y(np.pi / 2))
+        euler_angles(rot_y(np.pi / 2))
 
 
 def test_world_to_camera_identity_pose():
     pose = Pose.identity()
-    np.testing.assert_allclose(world_to_camera(pose, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(to_reference(pose, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_world_to_camera_pure_translation():
     pose = Pose([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(world_to_camera(pose, [1.0, 2.0, 3.0]), [0.0, 2.0, 3.0])
+    np.testing.assert_allclose(to_reference(pose, [1.0, 2.0, 3.0]), [0.0, 2.0, 3.0])
 
 
 def test_world_to_camera_pure_rotation():
     pose = Pose([0.0, 0.0, 0.0], [0.0, 0.0, np.pi / 2])
     np.testing.assert_allclose(
-        world_to_camera(pose, [1.0, 0.0, 0.0]), [0.0, -1.0, 0.0], atol=1e-15
+        to_reference(pose, [1.0, 0.0, 0.0]), [0.0, -1.0, 0.0], atol=1e-15
     )
 
 
@@ -112,7 +125,7 @@ def test_world_to_camera_inverse_reconstruction():
     for _ in range(50):
         pose = Pose(rng.uniform(-1, 1, 3), rng.uniform(-0.4, 0.4, 3))
         point = rng.uniform(-2, 2, 3)
-        cam_pt = world_to_camera(pose, point)
+        cam_pt = to_reference(pose, point)
         back = pose.rotation() @ cam_pt + pose.d
         np.testing.assert_allclose(back, point, atol=1e-12)
 
@@ -122,8 +135,9 @@ def test_world_to_camera_k_reference_matches_reference_transform():
     rng = np.random.default_rng(4)
     pose = Pose(rng.uniform(-0.1, 0.1, 3), rng.uniform(-0.1, 0.1, 3))
     pts = rng.uniform(-1, 1, (20, 3))
-    np.testing.assert_array_equal(
-        world_to_camera_k(pose, rig, 0, pts), world_to_camera(pose, pts)
+    np.testing.assert_allclose(
+        world_to_camera_k(pose, rig, 0, pts), (pts - pose.d) @ pose.rotation(),
+        rtol=0, atol=1e-15,
     )
 
 
@@ -143,7 +157,7 @@ def test_world_to_camera_k_matches_composed_rigid_transform():
         point = rng.uniform(-1.5, 1.5, 3)
         for k in range(4):
             cam = rig.camera(k)
-            via_reference = cam.R.T @ (world_to_camera(pose, point) - cam.D)
+            via_reference = cam.R.T @ (pose.rotation().T @ (point - pose.d) - cam.D)
             np.testing.assert_allclose(
                 world_to_camera_k(pose, rig, k, point), via_reference, atol=1e-12
             )
@@ -157,18 +171,12 @@ def test_world_to_camera_k_invalid_index():
 
 def test_project_on_axis():
     intr = Intrinsics(fx=1000, fy=1000, cx=320, cy=240)
-    np.testing.assert_allclose(project([0.0, 0.0, 1.0], intr), [320.0, 240.0])
+    np.testing.assert_allclose(kernel_pixels([0.0, 0.0, 1.0], intr), [[320.0, 240.0]])
 
 
 def test_project_similar_triangles():
     intr = Intrinsics(fx=1000, fy=1000, cx=320, cy=240)
-    np.testing.assert_allclose(project([0.1, 0.0, 1.0], intr), [420.0, 240.0])
-
-
-def test_project_behind_camera():
-    intr = Intrinsics()
-    with pytest.raises(BehindCamera):
-        project([0.0, 0.0, -1.0], intr)
+    np.testing.assert_allclose(kernel_pixels([0.1, 0.0, 1.0], intr), [[420.0, 240.0]])
 
 
 def test_back_project_to_depth_plane():
@@ -178,25 +186,25 @@ def test_back_project_to_depth_plane():
     pts = back_project(uv, intr, 1.0)
     np.testing.assert_allclose(pts[0], [0.0, 0.0, 1.0])
     np.testing.assert_allclose(pts[1], [0.1, 0.0, 1.0])
-    np.testing.assert_allclose(project(pts, intr), uv, atol=1e-12)
+    np.testing.assert_allclose(pixels(pts, intr), uv, atol=1e-12)
     np.testing.assert_allclose(back_project(uv, intr, 2.5), 2.5 * pts)
 
 
 def test_equivalent_rotation_identity_basis():
     local = rot_from_angles((0.01, 0.02, -0.03))
-    np.testing.assert_array_equal(equivalent_rotation(np.eye(3), local), local)
+    np.testing.assert_array_equal(change_basis(np.eye(3), local), local)
 
 
 def test_equivalent_rotation_identity_local():
     basis = rot_from_angles((0.0, 0.0, np.pi / 2))
-    np.testing.assert_allclose(equivalent_rotation(basis, np.eye(3)), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(change_basis(basis, np.eye(3)), np.eye(3), atol=1e-15)
 
 
 def test_equivalent_rotation_conjugates_axis():
     # Oracle: conjugation maps the rotation axis by R_k and preserves trace.
     basis = rot_from_angles((0.0, 0.0, np.pi / 2))
     local = rot_from_angles((0.01, 0.0, 0.0))
-    eq = equivalent_rotation(basis, local)
+    eq = change_basis(basis, local)
     assert abs(np.trace(eq) - np.trace(local)) < 1e-10
     # axis of Rx is x; conjugated axis should be basis @ x = y
     axis = basis @ np.array([1.0, 0.0, 0.0])
@@ -208,17 +216,19 @@ def test_equivalent_rotation_preserves_angle():
     for _ in range(50):
         basis = rot_from_angles(rng.uniform(-0.5, 0.5, 3))
         local = rot_from_angles(rng.uniform(-0.3, 0.3, 3))
-        eq = equivalent_rotation(basis, local)
+        eq = change_basis(basis, local)
         assert abs(np.trace(eq) - np.trace(local)) < 1e-10
 
 
 def test_equivalent_rotation_rejects_non_rotation():
+    # change_basis leaves its inputs unchecked: a basis from outside the
+    # package goes through check_rotation first
     with pytest.raises(NonOrthonormalInput):
-        equivalent_rotation(np.ones((3, 3)), np.eye(3))
+        check_rotation(np.ones((3, 3)))
 
 
 def test_projection_chain_jacobian_matches_central_differences():
-    # project(world_to_camera_k(...)) differentiated against h = 1e-6
+    # the pose rows' pixels differentiated against h = 1e-6
     rig = default_nonoverlap_rig()
     rng = np.random.default_rng(7)
     h = 1e-6
@@ -262,16 +272,19 @@ def test_project_jacobian_shapes_and_behind_camera():
                              np.full(2, intr.fx), np.full(2, intr.fy))
     assert p_cam.shape == (2, 3) and uv.shape == (2, 2)
     assert jp.shape == (2, 2, 3)
-    np.testing.assert_allclose(uv, project(p_cam, cam.intrinsics), atol=1e-12)
+    np.testing.assert_allclose(uv, pixels(p_cam, intr), atol=1e-12)
     # d(pixel)/d(camera point) against central differences
     h = 1e-7
     for i in range(3):
         step = np.zeros(3)
         step[i] = h
-        numeric = (project(p_cam + step, cam.intrinsics) - project(p_cam - step, cam.intrinsics)) / (2 * h)
+        numeric = (pixels(p_cam + step, intr) - pixels(p_cam - step, intr)) / (2 * h)
         np.testing.assert_allclose(jp[:, :, i], numeric, rtol=1e-6, atol=1e-4)
-    with pytest.raises(BehindCamera):
-        project(np.array([[0.0, 0.0, 0.0]]), cam.intrinsics)
+    # a point at the camera's center is not in front of it: no pixel
+    center = d + rot @ cam.D
+    _, uv, front, _ = view_points(center[None], rot[None], d[None], CameraStack.of([cam], [0]),
+                                  np.zeros(1, dtype=int))
+    assert front.tolist() == [False] and uv.shape == (0, 2)
 
 
 def test_rig_requires_identity_reference():

@@ -1,4 +1,8 @@
+import argparse
+import dataclasses
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,13 @@ def test_setup_hash_changes_with_config():
     )
     assert harness.setup_hash(setup_a) != harness.setup_hash(setup_b)
     assert harness.setup_hash(setup_a) == harness.setup_hash(setup_a)
+
+
+def test_min_visible_default_is_one_value():
+    in_setup = {f.name: f.default for f in dataclasses.fields(harness.ExperimentSetup)}
+    in_signature = inspect.signature(harness.monte_carlo).parameters["min_visible"].default
+    in_config = harness.config_from_dict({}, "defaults")["min_visible"]
+    assert in_config == in_setup["min_visible"] == in_signature == harness.MIN_VISIBLE
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -399,13 +410,6 @@ def test_cli_run_tracks_diagnostics_jsonl(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_selftest_passes(capsys):
-    assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok") >= 6
-    assert "FAIL" not in out
-
-
 def _config(tmp_path, payload):
     # Under a one-run study, a value that slips past the checks fails the
     # test in seconds instead of starting the default 1,500-run study.
@@ -444,6 +448,19 @@ def _rig_with_camera_1(tmp_path, rig, layout, **entry):
     data = rig_to_dict(rig)
     data["cameras"][1].update(entry)
     return _run_tracks(tmp_path, json.dumps(data), tracks, layout)
+
+
+def _non_finite_truth(tmp_path):
+    """run-tracks --truth argv on a five-frame sequence that runs, whose
+    truth CSV holds a nan tx and an infinite alpha."""
+    tracks, truth = _rendered(tmp_path, default_overlap_rig(), n_frames=5)
+    rows = truth.read_text().splitlines()
+    for line, column, value in [(2, 1, "nan"), (4, 4, "inf")]:
+        fields = rows[line - 1].split(",")
+        fields[column] = value
+        rows[line - 1] = ",".join(fields)
+    truth.write_text("\n".join(rows) + "\n")
+    return _run_tracks(tmp_path, OVERLAP_RIG_TEXT, tracks) + ["--truth", str(truth)]
 
 
 def _one_frame_with_truth(tmp_path):
@@ -509,6 +526,7 @@ MALFORMED_INPUTS = [
                                               R_angles=[float("inf"), 0.0, 0.0]),
                  id="rig-infinite-R_angles"),
     pytest.param(_one_frame_with_truth, id="tracks-one-frame-with-truth"),
+    pytest.param(_non_finite_truth, id="truth-non-finite"),
 ]
 
 
@@ -517,3 +535,11 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, make_argv):
     assert cli.main(make_argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+def test_readme_cli_block_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("rigpose ")}
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import pixels, scripted_trajectory, to_camera
 from rigpose.errors import (
     BehindCamera,
     InputError,
@@ -8,12 +9,11 @@ from rigpose.errors import (
     LengthMismatch,
 )
 from rigpose.geometry import (
+    CameraStack,
     Pose,
     default_nonoverlap_rig,
     default_overlap_rig,
-    project,
-    world_to_camera,
-    world_to_camera_k,
+    view_points,
 )
 from rigpose.pipeline import (
     PipelineConfig,
@@ -35,7 +35,6 @@ from rigpose.simulate import (
     render_sequence,
     run_seed_sequences,
     run_streams,
-    scripted_trajectory,
 )
 
 
@@ -62,35 +61,37 @@ def spread_points(rng, n):
 
 def test_lowe_exact_init_is_fixed_point():
     rng = np.random.default_rng(0)
-    intr = default_overlap_rig().camera(0).intrinsics
+    cam = default_overlap_rig().camera(0)
+    intr = cam.intrinsics
     truth = Pose([0.01, -0.02, 0.005], [0.015, 0.01, -0.02])
     pts = spread_points(rng, 30)
-    pixels = project(world_to_camera(truth, pts), intr)
-    est = lowe_pose(pts, pixels, intr, truth)
+    _, uv, _, _ = view_points(pts, truth.rotation()[None], truth.d[None],
+                              CameraStack.of([cam], [0]), np.zeros(len(pts), dtype=int))
+    est = lowe_pose(pts, uv, intr, truth)
     # the pixels and Lowe place the points through one kernel: no residual
     np.testing.assert_array_equal(est.as_vector(), truth.as_vector())
-    residual = pixels - project(world_to_camera(est, pts), intr)
+    residual = uv - pixels(to_camera(est, cam, pts), intr)
     assert (residual**2).sum() < 1e-12
 
 
 def test_lowe_recovers_perturbed_pose():
     rng = np.random.default_rng(1)
-    intr = default_overlap_rig().camera(0).intrinsics
+    cam = default_overlap_rig().camera(0)
+    intr = cam.intrinsics
     for _ in range(10):
         truth = Pose(rng.uniform(-0.02, 0.02, 3), rng.uniform(-0.02, 0.02, 3))
         pts = spread_points(rng, 50)
-        pixels = project(world_to_camera(truth, pts), intr)
+        uv = pixels(to_camera(truth, cam, pts), intr)
         init = Pose(truth.d + rng.uniform(-0.01, 0.01, 3), truth.angles + rng.uniform(-0.01, 0.01, 3))
-        est = lowe_pose(pts, pixels, intr, init)
+        est = lowe_pose(pts, uv, intr, init)
         np.testing.assert_allclose(est.as_vector(), truth.as_vector(), atol=1e-8)
 
 
 def test_lowe_insufficient_matches():
     intr = default_overlap_rig().camera(0).intrinsics
     pts = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]])
-    pixels = project(pts, intr)
     with pytest.raises(InsufficientMatches):
-        lowe_pose(pts, pixels, intr, Pose.identity())
+        lowe_pose(pts, pixels(pts, intr), intr, Pose.identity())
 
 
 @pytest.mark.parametrize("depth", [0.0, 1e-6, -0.5])
@@ -98,19 +99,20 @@ def test_lowe_rejects_init_with_a_match_at_or_behind_the_camera(depth):
     rng = np.random.default_rng(3)
     intr = default_overlap_rig().camera(0).intrinsics
     pts = spread_points(rng, 20)
-    pixels = project(pts, intr)
+    uv = pixels(pts, intr)
     pts[7] = [0.01, -0.02, depth]   # at that depth from the camera at init
     with pytest.raises(BehindCamera):
-        lowe_pose(pts, pixels, intr, Pose.identity())
+        lowe_pose(pts, uv, intr, Pose.identity())
 
 
 def test_lowe_converges_with_noisy_pixels():
     rng = np.random.default_rng(2)
-    intr = default_overlap_rig().camera(0).intrinsics
+    cam = default_overlap_rig().camera(0)
+    intr = cam.intrinsics
     truth = Pose([0.01, 0.0, -0.01], [0.0, 0.01, 0.0])
     pts = spread_points(rng, 60)
-    pixels = project(world_to_camera(truth, pts), intr) + rng.normal(0, 0.5, (60, 2))
-    est = lowe_pose(pts, pixels, intr, Pose.identity())
+    uv = pixels(to_camera(truth, cam, pts), intr) + rng.normal(0, 0.5, (60, 2))
+    est = lowe_pose(pts, uv, intr, Pose.identity())
     assert np.abs(est.as_vector() - truth.as_vector()).max() < 5e-3
 
 
@@ -255,7 +257,7 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
         ids, uv = _camera(compact[j - 1], k)
         mask = store.live[ids]
         pts = store.means[ids[mask]]
-        predicted = project(world_to_camera_k(pose, rig, k, pts), rig.camera(k).intrinsics)
+        predicted = pixels(to_camera(pose, rig.camera(k), pts), rig.camera(k).intrinsics)
         residuals.extend(np.linalg.norm(predicted - uv[mask], axis=1))
     residuals = np.array(residuals)
     assert np.mean(residuals < 2 * 0.5 * 2) >= 0.95  # 2 sigma per coordinate

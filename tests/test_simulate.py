@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import scripted_trajectory
 from rigpose.errors import InputError
 from rigpose.geometry import (
     Z_MIN,
@@ -11,11 +12,9 @@ from rigpose.geometry import (
     Pose,
     default_nonoverlap_rig,
     default_overlap_rig,
-    project,
     rot_from_angles,
     rot_y,
     view_points,
-    world_to_camera,
 )
 from rigpose.simulate import (
     SimConfig,
@@ -26,7 +25,6 @@ from rigpose.simulate import (
     render_sequence,
     run_seed_sequences,
     run_streams,
-    scripted_trajectory,
     slice_stream,
     visible_counts,
 )
@@ -103,14 +101,6 @@ def test_trajectory_composition_oracle():
         np.testing.assert_allclose(rot_from_angles(traj.angles[j]), rot, atol=1e-12)
 
 
-def test_scripted_trajectory_is_linear_in_pose_space():
-    vel = np.array([0.002, -0.001, 0.0015, 0.0008, -0.0005, 0.0006])
-    traj = scripted_trajectory(30, vel)
-    for j in range(30):
-        np.testing.assert_allclose(traj.d[j], j * vel[:3], atol=1e-15)
-        np.testing.assert_allclose(traj.angles[j], j * vel[3:], atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -122,7 +112,9 @@ def test_render_noiseless_matches_exact_projection():
     rig = default_overlap_rig()
     scene = gen_scene(small_cfg(n_points=300), np.random.default_rng(6))
     (ids, uv), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
-    exact = project(world_to_camera(Pose.identity(), scene[ids]), rig.camera(0).intrinsics)
+    pose, seg = Pose.identity(), np.zeros(len(ids), dtype=int)
+    _, exact, _, _ = view_points(scene[ids], pose.rotation()[None], pose.d[None],
+                                 CameraStack.of([rig.camera(0)], [0]), seg)
     np.testing.assert_array_equal(uv, exact)
 
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from reference import pixels, to_camera
 from rigpose.errors import CoincidentCenters
 from rigpose.geometry import (
     Pose,
     camera_placement,
     default_overlap_rig,
-    project,
-    world_to_camera_k,
 )
 from rigpose.stereo import (
     epipolar_distances,
@@ -18,8 +17,9 @@ from rigpose.stereo import (
 
 
 def project_pair(rig, pose, pair, point):
-    uv_a = project(world_to_camera_k(pose, rig, pair.cam_a, point), rig.camera(pair.cam_a).intrinsics)
-    uv_b = project(world_to_camera_k(pose, rig, pair.cam_b, point), rig.camera(pair.cam_b).intrinsics)
+    cam_a, cam_b = rig.camera(pair.cam_a), rig.camera(pair.cam_b)
+    uv_a = pixels(to_camera(pose, cam_a, point), cam_a.intrinsics)
+    uv_b = pixels(to_camera(pose, cam_b, point), cam_b.intrinsics)
     return uv_a, uv_b
 
 
