@@ -6,13 +6,14 @@ constant velocity: pose += velocity each frame. Measurements are pixel
 locations of features with known 3D structure, so the measurement model is
 the rig transform composed with pinhole projection (geometry.view_points);
 its Jacobian w.r.t. the six pose parameters is analytic. The velocity
-states do not enter the measurement, so the update works with the six
-pose columns J alone: the information matrix takes the 6x6 J^T J, the
-gain is formed from J, and the zero-padded (2n, 12) measurement matrix
-is never built. The gain is computed in information form (well
-conditioned for large measurement counts and small pixel variance) and
-the covariance propagated in Joseph form, which preserves symmetry and
-positive semidefiniteness for any gain.
+states do not enter the measurement, so the update works on the 6x6 pose
+block W = P[:6, :6] with the six pose columns J alone: in information
+form (well conditioned for large measurement counts and small pixel
+variance) it inverts W and W^-1 + J^T J / r, two 6x6 matrices, and builds
+neither the zero-padded (2n, 12) measurement matrix, the 12x12
+information matrix nor the (12, 2n) gain. The covariance is propagated in
+Joseph form, which preserves symmetry and positive semidefiniteness for
+any gain. The prediction is block sums on the same partition.
 
 Filters come in stacks of B: PoseFilterState holds x (B, 12) and
 P (B, 12, 12), and a measurement batch is flat over segments, each one
@@ -29,8 +30,8 @@ once, points last, and every product with a 3-vector or a 3x3 matrix is a
 written-out three-term sum, with no einsum and no per-point matmul, so a
 point's bits do not depend on the rest of its batch. Stacked matmuls sum
 with FMA or in SIMD lane order, which no elementwise order reproduces, so
-these bits differ in the last place from theirs. pose_update still sums a
-filter's measurement rows (J^T J, K r, K J, K K^T) per filter, on its
+these bits differ in the last place from theirs. pose_update sums a
+filter's measurement rows (J^T J and J^T innovation) per filter, on its
 contiguous slice: on a zero-padded stack they would sum in another order,
 and a filter must get the same bits whatever else is in its stack.
 
@@ -106,18 +107,15 @@ def make_pose_filter(pose_vecs, vel_vecs, tuning: FilterTuning) -> PoseFilterSta
     return PoseFilterState(x, p, tuning.process_noise(), tuning.r_px**2)
 
 
-def transition_matrix() -> np.ndarray:
-    a = np.eye(N_STATE)
-    a[:6, 6:] = np.eye(6)
-    return a
-
-
 def pose_predict(state: PoseFilterState) -> PoseFilterState:
     """Constant-velocity prediction of every filter: pose += velocity,
-    P <- A P A^T + Q."""
-    a = transition_matrix()
-    x = (a @ state.x[..., None])[..., 0]
-    p = a @ state.P @ a.T + state.Q
+    P <- A P A^T + Q with A = [[I, I], [0, I]], written as block sums."""
+    x = state.x.copy()
+    x[:, :6] += x[:, 6:]
+    p = state.P.copy()
+    p[:, :6] += p[:, 6:]         # A P
+    p[:, :, :6] += p[:, :, 6:]   # (A P) A^T
+    p += state.Q
     return PoseFilterState(x, 0.5 * (p + np.swapaxes(p, 1, 2)), state.Q, state.r_var)
 
 
@@ -194,40 +192,41 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
     """EKF measurement update of every filter of the stack with its share of
     the batch: filter b takes the rows of the cameras whose body is b.
 
-    With J the (2n, 6) pose Jacobian of a filter's stacked pixel rows,
-    H = [J 0] and K = (P^-1 + H^T H / r)^-1 H^T / r = P+[:, :6] J^T / r,
-    algebraically identical to P H^T (H P H^T + R)^-1; the covariance
-    follows in Joseph form with K H = [K J 0]. Rows, inversions and the
-    Joseph product run on the whole stack, the sums over rows per filter.
+    The rows touch only the pose block W = P[:6, :6]: with J the (2n, 6)
+    pose Jacobian of a filter's stacked pixel rows, H = [J 0], G = J^T J
+    and h = J^T innovation, the information form on the partitioned state
+    gives W+ = (W^-1 + G/r)^-1 and P+[:, :6] = P[:, :6] W^-1 W+, so
+    K = P+[:, :6] J^T / r, algebraically identical to P H^T (H P H^T + R)^-1.
+    The state moves by K innovation = P+[:, :6] h / r and the covariance
+    follows in Joseph form with K J = P+[:, :6] G / r and
+    r K K^T = (K J) P+[:, :6]^T. Only G and h are summed per filter, on its
+    contiguous slice of rows; the inversions and products run on the whole
+    stack.
 
     The batch comes from measure at state.x, so nothing is placed again.
-    Returns (state, skipped (B,)). A filter without rows, or whose
-    information matrix cannot be factorized, keeps its prior and is marked
-    skipped; an empty batch skips every filter.
+    Returns (state, skipped (B,)). A filter without rows, or whose W or
+    W^-1 + G/r cannot be inverted, or whose P+[:, :6] is not finite, keeps
+    its prior and is marked skipped; an empty batch skips every filter.
     """
     bounds = np.searchsorted(cams.body[batch.seg], np.arange(len(state.x) + 1))
-    jacs = [batch.jac[lo:hi].reshape(-1, 6) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    g, h = np.zeros((len(state.x), 6, 6)), np.zeros((len(state.x), 6))
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        j = batch.jac[lo:hi].reshape(-1, 6)
+        g[b] = j.T @ j
+        h[b] = j.T @ batch.innovation[lo:hi].reshape(-1)
     r = state.r_var
-    info = _each(np.linalg.inv, state.P)
-    for b, j in enumerate(jacs):
-        info[b, :6, :6] += (j.T @ j) / r
-    l_inv = _each(lambda m: np.linalg.inv(np.linalg.cholesky(m)), info)
-    x, kkt = state.x.copy(), np.zeros_like(state.P)
+    w_inv = _each(np.linalg.inv, state.P[:, :6, :6])
+    p_cols = state.P[:, :, :6] @ w_inv @ _each(np.linalg.inv, w_inv + g / r)
+    skipped = (bounds[:-1] == bounds[1:]) | ~np.isfinite(p_cols).all(axis=(1, 2))
+    x = state.x + (p_cols @ h[..., None])[..., 0] / r
+    kj = p_cols @ g / r
     ikh = np.repeat(np.eye(N_STATE)[None], len(x), axis=0)
-    skipped = np.ones(len(x), dtype=bool)
-    for b, j in enumerate(jacs):
-        lo, hi = bounds[b], bounds[b + 1]
-        p_post = l_inv[b].T @ l_inv[b]
-        if lo == hi or not np.all(np.isfinite(p_post)):
-            continue
-        gain = p_post[:, :6] @ j.T / r
-        x[b] = state.x[b] + gain @ batch.innovation[lo:hi].reshape(-1)
-        ikh[b, :, :6] -= gain @ j
-        kkt[b] = gain @ gain.T
-        skipped[b] = False
-    p = ikh @ state.P @ np.swapaxes(ikh, 1, 2) + r * kkt
-    p = np.where(skipped[:, None, None], state.P, 0.5 * (p + np.swapaxes(p, 1, 2)))
-    return PoseFilterState(x, p, state.Q, r), skipped
+    ikh[:, :, :6] -= kj
+    p = ikh @ state.P @ np.swapaxes(ikh, 1, 2) + kj @ np.swapaxes(p_cols, 1, 2)
+    p = 0.5 * (p + np.swapaxes(p, 1, 2))
+    return (PoseFilterState(np.where(skipped[:, None], state.x, x),
+                            np.where(skipped[:, None, None], state.P, p), state.Q, r),
+            skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 `pixels` and `to_camera` are the pinhole and the rig placement as plain
 matmuls, not through geometry.view_points, so a test that compares the
-kernel with them compares two separate computations. `scripted_trajectory`
-is the constant-velocity truth of the noiseless tracking tests.
+kernel with them compares two separate computations. `transition_matrix`
+and `pose_update_reference` are the pose EKF's plant and its measurement
+update in dense covariance form, the oracle of the block-form filter.
+`scripted_trajectory` is the constant-velocity truth of the noiseless
+tracking tests.
 """
 
 import numpy as np
@@ -25,6 +28,29 @@ def to_camera(pose, cam, points) -> np.ndarray:
     rig camera cam (D_k, R_k) with the body at pose (d, R)."""
     rot = pose.rotation()
     return (np.asarray(points, dtype=float) - pose.d - rot @ cam.D) @ rot @ cam.R
+
+
+def transition_matrix() -> np.ndarray:
+    """The constant-velocity plant A = [[I, I], [0, I]] of the 12-state
+    pose filter: pose += velocity."""
+    a = np.eye(12)
+    a[:6, 6:] = np.eye(6)
+    return a
+
+
+def pose_update_reference(x, p, jac, innovation, r_var):
+    """One pose filter's EKF update in covariance form: the pixel rows jac
+    (n, 2, 6) with innovation (n, 2) give H = [J 0], S = H P H^T + r I and
+    K = P H^T S^-1; returns x + K innovation and the Joseph form
+    (I - K H) P (I - K H)^T + r K K^T."""
+    j = np.asarray(jac, dtype=float).reshape(-1, 6)
+    h = np.zeros((len(j), 12))
+    h[:, :6] = j
+    s = h @ p @ h.T + r_var * np.eye(len(h))
+    gain = np.linalg.solve(s, h @ p).T
+    ikh = np.eye(12) - gain @ h
+    return (x + gain @ np.ravel(innovation),
+            ikh @ p @ ikh.T + r_var * gain @ gain.T)
 
 
 def scripted_trajectory(n_frames: int, velocity) -> Trajectory:

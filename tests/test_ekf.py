@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import pixels, to_camera
+from reference import pixels, pose_update_reference, to_camera, transition_matrix
 from rigpose.ekf import (
     FilterTuning,
     PoseFilterState,
@@ -12,7 +12,6 @@ from rigpose.ekf import (
     pose_predict,
     pose_update,
     structure_update_batch,
-    transition_matrix,
 )
 from rigpose.errors import BehindCamera
 from rigpose.geometry import (
@@ -93,7 +92,22 @@ def test_predict_zero_velocity_zero_q():
     out = pose_predict(state)
     np.testing.assert_array_equal(out.x[0], np.zeros(12))
     a = transition_matrix()
-    np.testing.assert_allclose(out.P[0], a @ state.P[0] @ a.T, atol=1e-15)
+    np.testing.assert_array_equal(out.P[0], a @ state.P[0] @ a.T)
+
+
+def test_predict_blocks_match_the_transition_matrix_bitwise():
+    # pose_predict's block sums give the bits of A x and A P A^T + Q: each
+    # entry of A P A^T is one sum of two terms, in the same order.
+    rng = np.random.default_rng(14)
+    a = transition_matrix()
+    for _ in range(20):
+        m = rng.normal(0, 1e-2, (3, 12, 12))
+        state = PoseFilterState(rng.normal(0, 0.01, (3, 12)), m @ m.transpose(0, 2, 1),
+                                TUNING.process_noise(), 0.25)
+        out = pose_predict(state)
+        p = a @ state.P @ a.T + state.Q
+        np.testing.assert_array_equal(out.x, state.x @ a.T)
+        np.testing.assert_array_equal(out.P, 0.5 * (p + p.transpose(0, 2, 1)))
 
 
 def test_predict_integrates_velocity():
@@ -249,6 +263,108 @@ def test_update_stack_matches_each_filter_alone():
         assert skipped_alone.tolist() == [k == 1]
         np.testing.assert_array_equal(out.x[k], one.x[0])
         np.testing.assert_array_equal(out.P[k], one.P[0])
+
+
+def test_update_with_a_singular_pose_block_skips_quietly_and_keeps_the_prior():
+    # A filter whose pose block W cannot be inverted skips with no
+    # floating-point warning and keeps its prior bit for bit, alone and in
+    # a stack: P = 0, and the first update after p0_pose = p0_vel = q_pose = 0,
+    # whose predicted W is 0 while the velocity block holds q_vel.
+    rng = np.random.default_rng(15)
+    rig = default_nonoverlap_rig()
+    poses, vels = rng.uniform(-0.02, 0.02, (4, 6)), rng.uniform(-0.01, 0.01, (4, 6))
+    zero = pose_predict(make_pose_filter(
+        poses, vels, FilterTuning(p0_pose=0.0, p0_vel=0.0, q_pose=0.0)))
+    assert not zero.P[:, :6, :6].any() and zero.P[:, 6:, 6:].any()
+    state = pose_predict(make_pose_filter(poses, vels, TUNING))
+    state.P[1] = zero.P[1]
+    state.P[2] = 0.0
+    parts = []
+    for k in range(4):
+        cam = rig.camera(k)
+        pts = spread_points(rng, 30) @ cam.R.T + cam.D
+        parts.append(observe(rig, poses[k], pts, cameras=(k,), noise=0.5, rng=rng))
+    cams = CameraStack.of(rig.cameras, np.arange(4))
+    batch = measure(state.x, cams, *[np.concatenate(field) for field in zip(*parts)])
+    with np.errstate(all="raise"):
+        out, skipped = pose_update(state, batch, cams)
+        out_zero, skipped_zero = pose_update(zero, batch, cams)
+        for k, prior in ((1, zero), (2, state)):
+            alone = PoseFilterState(prior.x[k], prior.P[k], prior.Q, prior.r_var)
+            ids, uv, _, pts = parts[k]
+            cam = CameraStack.of([rig.camera(k)], [0])
+            one, skipped_alone = pose_update(
+                alone, measure(alone.x, cam, ids, uv, single(len(ids)), pts), cam)
+            assert skipped_alone.tolist() == [True]
+            np.testing.assert_array_equal(one.x[0], prior.x[k])
+            np.testing.assert_array_equal(one.P[0], prior.P[k])
+    assert skipped.tolist() == [False, True, True, False]
+    assert skipped_zero.tolist() == [True] * 4
+    for k in (1, 2):
+        np.testing.assert_array_equal(out.x[k], state.x[k])
+        np.testing.assert_array_equal(out.P[k], state.P[k])
+    np.testing.assert_array_equal(out_zero.x, zero.x)
+    np.testing.assert_array_equal(out_zero.P, zero.P)
+
+
+def test_filter_with_zero_velocity_variance_updates():
+    # p0_vel = q_vel = 0 leaves P singular, with an invertible pose block:
+    # the velocity is known, and every frame's pixels still correct the
+    # pose. Four chains with known constant velocities start 1 cm and
+    # 10 mrad off the truth and follow it from noisy pixels to within a
+    # fifth of that offset, where a monocular chain's noise floor is 1e-3.
+    rng = np.random.default_rng(16)
+    rig = default_nonoverlap_rig()
+    tuning = FilterTuning(p0_vel=0.0, q_vel=0.0)
+    cams = CameraStack.of(rig.cameras, np.arange(4))
+    start = rng.uniform(-0.02, 0.02, (4, 6))
+    vels = rng.uniform(-0.002, 0.002, (4, 6))
+    points = [spread_points(rng, 60) @ cam.R.T + cam.D for cam in rig.cameras]
+    state = make_pose_filter(start + rng.choice([-0.01, 0.01], (4, 6)), vels, tuning)
+    assert np.linalg.matrix_rank(state.P[0]) == 6
+    for j in range(1, 31):
+        state = pose_predict(state)
+        truth = start + j * vels
+        obs = [observe(rig, truth[k], points[k], cameras=(k,), noise=0.5, rng=rng)
+               for k in range(4)]
+        batch = measure(state.x, cams, *[np.concatenate(field) for field in zip(*obs)])
+        state, skipped = pose_update(state, batch, cams)
+        assert not skipped.any()
+    np.testing.assert_array_equal(state.x[:, 6:], vels)
+    assert np.abs(state.x[:, :6] - truth).max() < 2e-3
+
+
+def test_update_matches_covariance_form_oracle():
+    # Random stacks of 1-4 filters with 1-200 points each and correlated
+    # priors: the block form gives the covariance-form update within 1e-12
+    # of max |P|. The oracle's state solves through the (2n, 2n) innovation
+    # covariance, whose condition number reaches 1e5, so the state is held
+    # to 1e-10 of the correction.
+    rng = np.random.default_rng(17)
+    rig = default_nonoverlap_rig()
+    for _ in range(40):
+        n_filters = int(rng.integers(1, 5))
+        poses = rng.uniform(-0.02, 0.02, (n_filters, 6))
+        state = pose_predict(make_pose_filter(
+            poses, rng.uniform(-0.01, 0.01, (n_filters, 6)), TUNING))
+        m = rng.normal(0, 3e-3, (n_filters, 12, 12))
+        state.P += m @ m.transpose(0, 2, 1)
+        parts = []
+        for k in range(n_filters):
+            cam = rig.camera(k)
+            pts = spread_points(rng, int(rng.integers(1, 201))) @ cam.R.T + cam.D
+            truth = poses[k] + rng.normal(0, 1e-3, 6)
+            parts.append(observe(rig, truth, pts, cameras=(k,), noise=0.5, rng=rng))
+        cams = CameraStack.of(rig.cameras[:n_filters], np.arange(n_filters))
+        batch = measure(state.x, cams, *[np.concatenate(field) for field in zip(*parts)])
+        out, skipped = pose_update(state, batch, cams)
+        assert not skipped.any()
+        for k in range(n_filters):
+            rows = batch.seg == k
+            x, p = pose_update_reference(state.x[k], state.P[k], batch.jac[rows],
+                                         batch.innovation[rows], state.r_var)
+            assert np.abs(out.P[k] - p).max() <= 1e-12 * np.abs(p).max()
+            assert np.abs(out.x[k] - x).max() <= 1e-10 * np.abs(x - state.x[k]).max()
 
 
 def test_update_joseph_form_keeps_symmetry_and_psd():
