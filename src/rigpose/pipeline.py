@@ -4,12 +4,12 @@ Both estimators consume a per-frame, per-camera observation stream of
 (feature ids, pixels), produced either by the simulator or by a tracks
 CSV, and emit a pose series with per-frame diagnostics.
 
-Overlapping (stereo) layout: features are matched across each stereo pair,
-validated against the pair's fundamental matrix, and triangulated with the
-current pose estimate; a single pose EKF consumes every camera's pixel
-measurements. When the tracked-feature count drops below a threshold the
-estimator backtracks one frame, re-matches and re-triangulates there with
-the already-emitted pose, and continues without re-seeding the filter.
+Overlapping (stereo) layout: each pair is matched and gated on its
+fundamental matrix once per sequence, as both depend only on the pixels;
+matches are triangulated with the current pose and one pose EKF consumes
+every camera's pixels. Below a tracked-feature threshold the estimator
+backtracks one frame, re-triangulates that frame's matches with the
+already-emitted pose, and continues without re-seeding the filter.
 
 Non-overlapping layout: every camera runs its own monocular chain in its
 own initial frame, with orthographic structure initialization at a
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,27 +180,48 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init: Po
 # Track bookkeeping
 # ---------------------------------------------------------------------------
 
+# Views of a compacted stream's rows, pixels and row cameras, and span, where they
+# sit in the stream: a frame's camera k (the stream's frame k) is rows at[k]:at[k + 1].
+_Frame = namedtuple("_Frame", "rows uv seg at span")
+
+
+def _ranks(ids):
+    """Each id's rank among the n distinct ids, and n. Ids that span no more
+    values than there are ids (rendered ids are scene rows) index a table;
+    sparser ids, any int64 a tracks file holds, are sorted and searched."""
+    lo, hi = (int(ids.min()), int(ids.max())) if len(ids) else (0, 0)
+    if hi - lo >= len(ids):
+        distinct = np.unique(ids)
+        return np.searchsorted(distinct, ids), len(distinct)
+    rank = np.cumsum(np.bincount(ids - lo, minlength=hi - lo + 1) > 0) - 1
+    return rank[ids - lo], int(rank[-1]) + 1
+
+
 def _compact_ids(frames, body):
-    """Renumber the feature ids of an observation stream to their rank i among
-    its n distinct ids and flatten each frame into (rows, pixels, camera of
-    each row): camera k's feature i is row body[k] * n + i of a track table.
-    The map keeps id order, so every intersection and mask sees the features
-    in the order the original ids give. Returns (frames, n)."""
-    all_ids = np.unique(np.concatenate([ids for frame in frames for ids, _ in frame]))
-    n, body = len(all_ids), np.asarray(body)
-    flat = []
-    for frame in frames:
-        seg = np.repeat(np.arange(len(frame)), [len(ids) for ids, _ in frame])
-        rows = np.searchsorted(all_ids, np.concatenate([ids for ids, _ in frame]))
-        uv = np.concatenate([np.reshape(uv, (-1, 2)) for _, uv in frame])
-        flat.append((rows + body[seg] * n, uv, seg))
-    return flat, n
+    """Flatten an observation stream in (frame, camera) order and renumber its
+    ids in one pass to their rank i among its n distinct ids: camera k's
+    feature i is row body[k] * n + i of a track table. The map keeps id order,
+    so intersections see features in id order. Returns (stream, views, n)."""
+    if any(len(frame) != len(body) for frame in frames):
+        raise InputError(f"each frame needs one (ids, pixels) entry per camera ({len(body)})")
+    sizes = np.array([[len(ids) for ids, _ in frame] for frame in frames])
+    rows, n = _ranks(np.concatenate([ids for frame in frames for ids, _ in frame]))
+    n_cams = sizes.shape[1]
+    seg = np.repeat(np.tile(np.arange(n_cams), len(frames)), sizes.ravel())
+    rows += (np.asarray(body) * n)[seg]
+    uv = np.concatenate([np.reshape(uv, (-1, 2)) for frame in frames for _, uv in frame])
+    at = np.append(0, np.cumsum(sizes))
+    starts = at[::n_cams]
+    views = [_Frame(rows[s:e], uv[s:e], seg[s:e], at[j * n_cams:(j + 1) * n_cams + 1] - s,
+                    slice(s, e)) for j, (s, e) in enumerate(zip(starts[:-1], starts[1:]))]
+    return _Frame(rows, uv, seg, starts, slice(0, len(rows))), views, n
 
 
-def _camera(frame, k: int):
-    """Camera k's (rows, pixels) of a flattened frame."""
-    rows, uv, seg = frame
-    return rows[seg == k], uv[seg == k]
+def _camera(frame, k: int, marked=None):
+    """Camera k's (rows, pixels) of a frame, or of its rows a stream mask marks."""
+    at = slice(frame.at[k], frame.at[k + 1])
+    keep = slice(None) if marked is None else marked[frame.span][at]
+    return frame.rows[at][keep], frame.uv[at][keep]
 
 
 class _TrackTable:
@@ -220,34 +242,48 @@ class _TrackTable:
             self.covs[rows] = covs
 
 
-def _pair_matches(frame, pairs):
-    """(pair, rows, pixels in each camera, epipolar distances) of the features
-    each stereo pair sees in common at a flattened frame. A camera's rows are
-    unique (rendered ids are distinct, read_tracks rejects repeats), in any
-    order."""
+def _keys(stream, k: int, n: int):
+    """Stream rows of camera k and their (frame, feature) keys, in int64: F n
+    can pass 2**31 on a long tracks file."""
+    at = np.flatnonzero(stream.seg == k)
+    return at, (np.searchsorted(stream.at, at, side="right") - 1) * np.int64(n) + stream.rows[at]
+
+
+def _pair_rows(stream, pair, n: int):
+    """Stream rows in cameras a and b of the features a stereo pair sees at
+    one frame, and their keys. A camera's rows are unique in a frame
+    (rendered ids are distinct, read_tracks rejects repeats), in any order."""
+    (in_a, key_a), (in_b, key_b) = _keys(stream, pair.cam_a, n), _keys(stream, pair.cam_b, n)
+    key, ia, ib = np.intersect1d(key_a, key_b, assume_unique=True, return_indices=True)
+    return in_a[ia], in_b[ib], key
+
+
+def _stereo_matches(stream, pairs, n: int, tol: float):
+    """Match and gate each stereo pair over a whole stream with one
+    epipolar_distances call. Returns masks over the stream rows: the gate (a
+    feature failing any pair at a frame leaves every camera of that frame)
+    and the passing matches. _pair_rows frees its stream-long temporaries."""
+    failed, matched = [], np.zeros(len(stream.rows), dtype=bool)
     for pair in pairs:
-        ids_a, uv_a = _camera(frame, pair.cam_a)
-        ids_b, uv_b = _camera(frame, pair.cam_b)
-        common, ia, ib = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
-        if len(common):
-            pa, pb = uv_a[ia], uv_b[ib]
-            yield pair, common, pa, pb, stereo.epipolar_distances(pair.F, pa, pb)
+        ia, ib, key = _pair_rows(stream, pair, n)
+        dist = stereo.epipolar_distances(pair.F, stream.uv[ia], stream.uv[ib])
+        matched[ia[dist <= tol]] = matched[ib[dist <= tol]] = True
+        failed.append(key[dist > tol])
+    failed, gate = np.concatenate(failed), np.ones(len(stream.rows), dtype=bool)
+    for k in (k for pair in pairs for k in (pair.cam_a, pair.cam_b)):
+        at, key = _keys(stream, k, n)
+        gate[at[np.isin(key, failed)]] = False
+    return gate, matched
 
 
-def _measurement_batch(frame, cams: CameraStack, pairs, store: _TrackTable, x, pcfg):
-    """Measurements of known-structure features at one frame for every
-    filter of the stack: a stereo rig with its pairs, or monocular chains
-    with none, linearised at the states x. Pair observations failing the
-    epipolar gate are dropped for the frame, and ekf.measure drops points
-    behind their camera. Also returns each filter's count of distinct
-    features measured."""
-    usable = store.live.copy() if pairs else store.live
-    for _, common, _, _, dist in _pair_matches(frame, pairs):
-        usable[common[dist > pcfg.epipolar_tol_px]] = False
-
-    rows, uv, seg = frame
-    keep = usable[rows]
-    batch = ekf.measure(x, cams, rows[keep], uv[keep], seg[keep], store.means[rows[keep]])
+def _measurement_batch(frame, cams: CameraStack, store: _TrackTable, x, gate=None):
+    """Measurements of known-structure features at one frame for every filter
+    of the stack (a stereo rig with its stream's gate, or monocular chains),
+    linearised at the states x; ekf.measure drops points behind their camera.
+    Also returns each filter's count of distinct features measured."""
+    keep = store.live[frame.rows] if gate is None else store.live[frame.rows] & gate[frame.span]
+    rows, uv, seg = frame.rows[keep], frame.uv[keep], frame.seg[keep]
+    batch = ekf.measure(x, cams, rows, uv, seg, store.means[rows])
     measured = np.zeros(len(store.live), dtype=bool)
     measured[batch.ids] = True
     return batch, np.count_nonzero(measured.reshape(len(x), store.n), axis=1)
@@ -267,33 +303,27 @@ def _update_or_skip(state: ekf.PoseFilterState, batch, cams: CameraStack, frame:
 # Overlapping (stereo) layout
 # ---------------------------------------------------------------------------
 
-def _match_and_triangulate(
-    frame, rig: CameraRig, pairs, pose: Pose, pcfg: PipelineConfig, store: _TrackTable
-) -> int:
-    """Stereo-match each pair at one frame, gate on the epipolar distance,
-    triangulate with the given pose, and upsert the results. Returns the
-    number of accepted matches."""
+def _match_and_triangulate(frame, matched, rig: CameraRig, pairs, pose: Pose,
+                           store: _TrackTable) -> int:
+    """Pair up each stereo pair's matched rows at a frame by feature (the
+    matching and the gate ran once per sequence), triangulate them with the
+    given pose, and upsert the results. Returns the number of accepted
+    matches."""
     accepted = 0
-    for pair, common, pa, pb, dist in _pair_matches(frame, pairs):
-        keep = dist <= pcfg.epipolar_tol_px
-        if not np.any(keep):
-            continue
-        pts, ok = stereo.triangulate_batch(rig, pose, pair, pa[keep], pb[keep])
-        good = common[keep][ok]
-        if len(good):
-            store.upsert(good, pts[ok])
-            accepted += len(good)
+    for pair in pairs:
+        (rows_a, uv_a), (rows_b, uv_b) = (_camera(frame, k, matched)
+                                          for k in (pair.cam_a, pair.cam_b))
+        common, ia, ib = np.intersect1d(rows_a, rows_b, assume_unique=True, return_indices=True)
+        if len(common):
+            pts, ok = stereo.triangulate_batch(rig, pose, pair, uv_a[ia], uv_b[ib])
+            store.upsert(common[ok], pts[ok])
+            accepted += len(common[ok])
     return accepted
 
 
-def run_stereo_sequence(
-    frames,
-    rig: CameraRig,
-    tuning: ekf.FilterTuning | None = None,
-    pcfg: PipelineConfig | None = None,
-    truth: Trajectory | None = None,
-    ideal_init: bool = False,
-) -> PoseEstimateSeries:
+def run_stereo_sequence(frames, rig: CameraRig, tuning: ekf.FilterTuning | None = None,
+                        pcfg: PipelineConfig | None = None, truth: Trajectory | None = None,
+                        ideal_init: bool = False) -> PoseEstimateSeries:
     """Estimate the pose sequence of an overlapping (stereo) rig.
 
     frames: per-frame list of per-camera (ids, pixels) observations.
@@ -307,12 +337,13 @@ def run_stereo_sequence(
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
     cams = CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
-    frames, n_features = _compact_ids(frames, cams.body)
+    stream, frames, n_features = _compact_ids(frames, cams.body)
     pairs = [stereo.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
+    gate, matched = _stereo_matches(stream, pairs, n_features, pcfg.epipolar_tol_px)
     store = _TrackTable(n_features)
 
     pose0 = Pose.identity()
-    n_matched = _match_and_triangulate(frames[0], rig, pairs, pose0, pcfg, store)
+    n_matched = _match_and_triangulate(frames[0], matched, rig, pairs, pose0, store)
     if n_matched < pcfg.min_matches:
         raise InsufficientFeatures(
             f"frame 0 produced {n_matched} validated matches (< {pcfg.min_matches})"
@@ -340,11 +371,11 @@ def run_stereo_sequence(
         state = ekf.pose_predict(state)
         diag: dict = {"retriangulated": False}
 
-        batch, count = _measurement_batch(frames[j], cams, pairs, store, state.x, pcfg)
+        batch, count = _measurement_batch(frames[j], cams, store, state.x, gate)
         if count[0] < pcfg.redetect_threshold:
-            _match_and_triangulate(frames[j - 1], rig, pairs, series.pose(j - 1), pcfg, store)
+            _match_and_triangulate(frames[j - 1], matched, rig, pairs, series.pose(j - 1), store)
             diag["retriangulated"] = True
-            batch, count = _measurement_batch(frames[j], cams, pairs, store, state.x, pcfg)
+            batch, count = _measurement_batch(frames[j], cams, store, state.x, gate)
         diag["features"] = int(count[0])
 
         state, methods = _update_or_skip(state, batch, cams, j)
@@ -368,7 +399,7 @@ def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_point
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
     cams = CameraStack.of([Camera(np.zeros(3), np.eye(3), i) for i in intr], np.arange(n_chains))
-    frames, n_features = _compact_ids(frames, cams.body)
+    _, frames, n_features = _compact_ids(frames, cams.body)
     store = _TrackTable(n_features, n_chains)
 
     diags, vec1 = [[], []], np.empty((n_chains, 6))
@@ -394,12 +425,12 @@ def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_point
 
     for j in range(2, len(frames)):
         state = ekf.pose_predict(state)
-        rows, _, seg = frames[j]
+        rows, _, seg, _, _ = frames[j]
         depleted = np.bincount(seg[store.live[rows]], minlength=n_chains) < pcfg.redetect_threshold
         for k in np.flatnonzero(depleted):
             _redetect(store, _camera(frames[j - 1], k), locals_[j - 1][k], intr[k], pcfg, tuning)
 
-        batch, count = _measurement_batch(frames[j], cams, [], store, state.x, pcfg)
+        batch, count = _measurement_batch(frames[j], cams, store, state.x)
         state, methods = _update_or_skip(state, batch, cams, j)
         locals_.append(state.x[:, :6].copy())
         diags.append([{"redetected": bool(depleted[k]), "features": int(count[k]),
@@ -412,7 +443,7 @@ def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
     """Update the structure filters of every chain's observed live features
     with the poses x held fixed; features behind their camera are left
     untouched."""
-    rows, uv, seg = frame
+    rows, uv, seg, _, _ = frame
     live = store.live[rows]
     rows = rows[live]
     means, covs, front = ekf.structure_update_batch(
@@ -435,15 +466,10 @@ def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
     store.upsert(ids_p[fresh], world_pts, ekf.initial_structure_covariance(tuning, len(cam_pts)))
 
 
-def run_nonoverlap_sequence(
-    frames,
-    rig: CameraRig,
-    tuning: ekf.FilterTuning | None = None,
-    pcfg: PipelineConfig | None = None,
-    truth: Trajectory | None = None,
-    ideal_init: bool = False,
-    scene: np.ndarray | None = None,
-) -> dict[str, PoseEstimateSeries]:
+def run_nonoverlap_sequence(frames, rig: CameraRig, tuning: ekf.FilterTuning | None = None,
+                            pcfg: PipelineConfig | None = None, truth: Trajectory | None = None,
+                            ideal_init: bool = False, scene: np.ndarray | None = None
+                            ) -> dict[str, PoseEstimateSeries]:
     """Estimate pose series from four individually aimed cameras.
 
     Returns five series: 'cam1'..'cam4' (each camera's own body-pose
@@ -612,11 +638,8 @@ def write_poses(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:
         writer.writerow(POSES_HEADER)
         for method, series in series_by_method.items():
             for j in range(len(series)):
-                row = [j]
-                row += [repr(float(x)) for x in series.d[j]]
-                row += [repr(float(x)) for x in series.angles[j]]
-                row.append(method)
-                writer.writerow(row)
+                values = np.concatenate([series.d[j], series.angles[j]])
+                writer.writerow([j, *(repr(float(x)) for x in values), method])
 
 
 def read_truth(path) -> Trajectory:
@@ -637,7 +660,5 @@ def write_truth(path, truth: Trajectory) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
         for j in range(len(truth)):
-            row = [j]
-            row += [repr(float(x)) for x in truth.d[j]]
-            row += [repr(float(x)) for x in truth.angles[j]]
-            writer.writerow(row)
+            values = np.concatenate([truth.d[j], truth.angles[j]])
+            writer.writerow([j, *(repr(float(x)) for x in values)])

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentCenters
-from .geometry import Camera, CameraRig, Pose, back_project, camera_placement
+from .geometry import MIN_BASELINE, Camera, CameraRig, Pose, back_project, camera_placement
 
 # Rays closer to parallel than this angle (radians) cannot be intersected.
 PARALLEL_TOL = 1e-8
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 @dataclass
@@ -40,8 +38,7 @@ def fundamental_from_calib(rig: CameraRig, a: int, b: int) -> np.ndarray:
     the rank-2 matrix mapping homogeneous pixels of camera a to epipolar
     lines in camera b, normalized to unit Frobenius norm."""
     cam_a, cam_b = rig.camera(a), rig.camera(b)
-    baseline = np.linalg.norm(cam_a.D - cam_b.D)
-    if baseline < 1e-9:
+    if np.linalg.norm(cam_a.D - cam_b.D) < MIN_BASELINE:
         raise CoincidentCenters(f"cameras {a} and {b} have coincident centers")
     rel_rot = cam_b.R.T @ cam_a.R
     rel_t = cam_b.R.T @ (cam_a.D - cam_b.D)
@@ -59,17 +56,17 @@ def make_stereo_pair(rig: CameraRig, a: int, b: int) -> StereoPair:
 
 def epipolar_distances(fundamental: np.ndarray, pts_a, pts_b) -> np.ndarray:
     """Distances (px) from each p_b to the epipolar line of its p_a under
-    the fundamental matrix (3, 3), for matched pixel arrays (N, 2).
+    the fundamental matrix (3, 3), for matched pixel arrays (N, 2). Each
+    line coefficient is a three-term sum, so a match's distance has the
+    same bits in any batch.
 
     A line with vanishing direction coefficients has no distance to
     measure; its entry is inf, so no gate accepts that match.
     """
-    pts_a = np.asarray(pts_a, dtype=float)
-    pts_b = np.asarray(pts_b, dtype=float)
-    ones = np.ones((len(pts_a), 1))
-    lines = np.hstack([pts_a, ones]) @ fundamental.T
-    norms = np.hypot(lines[:, 0], lines[:, 1])
-    num = np.abs(lines[:, 0] * pts_b[:, 0] + lines[:, 1] * pts_b[:, 1] + lines[:, 2])
+    (u_a, v_a), (u_b, v_b) = np.asarray(pts_a, dtype=float).T, np.asarray(pts_b, dtype=float).T
+    l0, l1, l2 = (f[0] * u_a + f[1] * v_a + f[2] for f in fundamental)
+    norms = np.hypot(l0, l1)
+    num = np.abs(l0 * u_b + l1 * v_b + l2)
     return np.divide(num, norms, out=np.full_like(num, np.inf), where=norms >= 1e-15)
 
 

@@ -6,7 +6,8 @@ kernel with them compares two separate computations. `transition_matrix`
 and `pose_update_reference` are the pose EKF's plant and its measurement
 update in dense covariance form, the oracle of the block-form filter.
 `scripted_trajectory` is the constant-velocity truth of the noiseless
-tracking tests.
+tracking tests. `stereo_gate` matches and gates stereo pairs frame by frame
+on the raw stream, the oracle of the pipeline's once-per-sequence pass.
 """
 
 import numpy as np
@@ -64,3 +65,25 @@ def scripted_trajectory(n_frames: int, velocity) -> Trajectory:
     rotations = rot_from_angles(angles)
     deltas = np.repeat(velocity[None, :], n_frames - 1, axis=0)
     return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)
+
+
+def stereo_gate(frames, pairs, tol):
+    """Stereo matching and epipolar gating one frame at a time on a raw
+    stream of per-camera (ids, pixels), with each point-line distance from
+    a plain matmul. Per frame: the set of ids that some pair's match fails
+    (they leave every camera of that frame) and, per pair, the (ids, pixels
+    in camera a, pixels in camera b) of its passing matches in id order."""
+    out = []
+    for frame in frames:
+        failed, passing = set(), []
+        for pair in pairs:
+            (ids_a, uv_a), (ids_b, uv_b) = frame[pair.cam_a], frame[pair.cam_b]
+            common, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
+            pa, pb = np.reshape(uv_a, (-1, 2))[ia], np.reshape(uv_b, (-1, 2))[ib]
+            lines = np.column_stack([pa, np.ones(len(pa))]) @ pair.F.T
+            dist = (np.abs(np.sum(lines * np.column_stack([pb, np.ones(len(pb))]), axis=1))
+                    / np.hypot(lines[:, 0], lines[:, 1]))
+            failed.update(common[dist > tol].tolist())
+            passing.append((common[dist <= tol], pa[dist <= tol], pb[dist <= tol]))
+        out.append((failed, passing))
+    return out

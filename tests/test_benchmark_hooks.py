@@ -58,6 +58,9 @@ def test_tracer_hooks_read_results():
     # The kernels that place cameras at a state mask depths themselves; a
     # caller that placed them again to build a mask would call this.
     assert counts["ekf.predicted_depths.calls"] == 0
+    # Stereo pairs are matched and gated once per sequence: one call per
+    # pair of 4cameras (two) and 2cameras (one), not one per frame.
+    assert counts["stereo.epipolar_distances.calls"] == 3
 
 
 def test_pose_update_rows_cover_every_chain_measurement():

@@ -9,7 +9,13 @@ import pytest
 
 from rigpose import cli, harness, pipeline
 from rigpose.errors import InputError
-from rigpose.geometry import default_nonoverlap_rig, default_overlap_rig, rig_to_dict, write_rig
+from rigpose.geometry import (
+    CameraRig,
+    default_nonoverlap_rig,
+    default_overlap_rig,
+    rig_to_dict,
+    write_rig,
+)
 from rigpose.pipeline import PipelineConfig, write_tracks, write_truth
 from rigpose.simulate import (
     SimConfig,
@@ -448,6 +454,27 @@ def _rig_with_camera_1(tmp_path, rig, layout, **entry):
     data = rig_to_dict(rig)
     data["cameras"][1].update(entry)
     return _run_tracks(tmp_path, json.dumps(data), tracks, layout)
+
+
+def _coincident_stereo_pair(tmp_path, command):
+    """argv of command on a two-camera overlapping rig whose cameras share
+    one center; run-tracks gets tracks rendered with the real front pair."""
+    front = CameraRig(default_overlap_rig().cameras[:2])
+    if command == "run-tracks":
+        return _rig_with_camera_1(tmp_path, front, "stereo", D=[0.0, 0.0, 0.0])
+    rig = rig_to_dict(front)
+    rig["cameras"][1]["D"] = [0.0, 0.0, 0.0]
+    return _config(tmp_path, {"rigs": {"overlapping": rig}, "min_visible": 15,
+                              "sim": {"n_runs": 2, "n_points": 1500}})
+
+
+@pytest.mark.parametrize("command", ["run-tracks", "simulate"])
+def test_cli_rig_with_coincident_stereo_pair_exits_1(tmp_path, capsys, command):
+    # A stereo pair without a baseline has no epipolar geometry: the rig is
+    # malformed input, rejected where it is built, before any run or frame.
+    assert cli.main(_coincident_stereo_pair(tmp_path, command)) == 1
+    err = capsys.readouterr().err
+    assert "error: cameras 0 and 1 have coincident centers" in err, err
 
 
 def _non_finite_truth(tmp_path):

@@ -38,6 +38,30 @@ from rigpose.simulate import (
 )
 
 
+def compact_and_match(frames, rig, pcfg=None):
+    """A stereo stream compacted, matched and gated as run_stereo_sequence
+    does it: (stream, frame views, n features, pairs, gate, matched)."""
+    from rigpose.pipeline import _compact_ids, _stereo_matches
+    from rigpose.stereo import make_stereo_pair
+
+    stream, compact, n_features = _compact_ids(frames, np.zeros(len(rig), dtype=int))
+    pairs = [make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
+    tol = (pcfg or PipelineConfig()).epipolar_tol_px
+    gate, matched = _stereo_matches(stream, pairs, n_features, tol)
+    return stream, compact, n_features, pairs, gate, matched
+
+
+def matched_pairs(frame, matched, pair):
+    """A pair's matched (rows, pixels in camera a, pixels in camera b) at a
+    frame, in row order."""
+    from rigpose.pipeline import _camera
+
+    (rows_a, uv_a), (rows_b, uv_b) = (_camera(frame, k, matched) for k in (pair.cam_a, pair.cam_b))
+    assert sorted(rows_a) == sorted(rows_b)
+    order_a, order_b = np.argsort(rows_a), np.argsort(rows_b)
+    return rows_a[order_a], uv_a[order_a], uv_b[order_b]
+
+
 def render_run(rig, cfg, traj=None, seed_index=0):
     seeds = run_seed_sequences(cfg.seed, seed_index + 1)
     scene_rng, traj_rng, noise_ss = run_streams(seeds[seed_index])
@@ -243,15 +267,13 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
     events = [j for j, diag in enumerate(series.diagnostics) if diag.get("retriangulated")]
     assert events, "expected at least one re-triangulation event"
 
-    from rigpose import stereo as st
-    from rigpose.pipeline import _camera, _compact_ids, _match_and_triangulate, _TrackTable
+    from rigpose.pipeline import _camera, _match_and_triangulate, _TrackTable
 
     j = events[0]
     pose = series.pose(j - 1)
-    compact, n_features = _compact_ids(frames, np.zeros(len(rig.cameras), dtype=int))
+    _, compact, n_features, pairs, _, matched = compact_and_match(frames, rig, pcfg)
     store = _TrackTable(n_features)
-    pairs = [st.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
-    _match_and_triangulate(compact[j - 1], rig, pairs, pose, pcfg, store)
+    _match_and_triangulate(compact[j - 1], matched, rig, pairs, pose, store)
     residuals = []
     for k in range(len(rig.cameras)):
         ids, uv = _camera(compact[j - 1], k)
@@ -296,6 +318,14 @@ def test_stereo_requires_enough_initial_features():
 
     with pytest.raises(InsufficientFeatures):
         run_stereo_sequence(frames, rig)
+
+
+def test_sequences_reject_frames_without_an_entry_per_camera():
+    frames = [[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 2] * 2
+    with pytest.raises(InputError, match="entry per camera"):
+        run_stereo_sequence(frames, default_overlap_rig())
+    with pytest.raises(InputError, match="entry per camera"):
+        run_nonoverlap_sequence(frames, default_nonoverlap_rig())
 
 
 def test_stereo_two_camera_rig():
@@ -527,33 +557,158 @@ def test_read_tracks_groups_rows_per_frame_and_camera_in_file_order(tmp_path):
     assert frames[1][0][1].shape == (0, 2)
 
 
-def test_pair_matches_on_shuffled_rows_equal_the_default_intersection(tmp_path):
-    # A shuffled tracks file gives each camera unique rows in unsorted file
-    # order; the pairing that assumes unique rows must equal the default one.
-    from rigpose import stereo as st
-    from rigpose.pipeline import _camera, _compact_ids, _pair_matches
-
-    rig = default_overlap_rig()
-    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
+def shuffled_tracks(tmp_path, frames, rig):
+    """frames written to a tracks file whose rows are shuffled, read back:
+    each camera's rows come in unsorted file order."""
     path = tmp_path / "tracks.csv"
     write_tracks(path, frames)
     header, *rows = path.read_text().splitlines()
     np.random.default_rng(19).shuffle(rows)
     path.write_text("\n".join([header] + rows) + "\n")
-    compact, _ = _compact_ids(read_tracks(path, len(rig)), np.zeros(len(rig), dtype=int))
-    pairs = [st.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
+    return read_tracks(path, len(rig))
+
+
+def test_stereo_matches_on_shuffled_rows_equal_the_default_intersection(tmp_path):
+    # A shuffled tracks file gives each camera unique rows in unsorted file
+    # order; the pairing that assumes unique rows must equal the default one.
+    from rigpose import stereo as st
+    from rigpose.pipeline import _camera
+
+    rig = default_overlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
+    frames = shuffled_tracks(tmp_path, frames, rig)
+    _, compact, _, pairs, gate, matched = compact_and_match(frames, rig)
+    tol = PipelineConfig().epipolar_tol_px
     for frame in compact:
-        found = list(_pair_matches(frame, pairs))
-        assert len(found) == len(pairs)
-        for pair, common, pa, pb, dist in found:
+        failed = []
+        for pair in pairs:
             ids_a, uv_a = _camera(frame, pair.cam_a)
             ids_b, uv_b = _camera(frame, pair.cam_b)
             assert np.any(np.diff(ids_a) < 0) and np.any(np.diff(ids_b) < 0)
             ref, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
-            np.testing.assert_array_equal(common, ref)
-            np.testing.assert_array_equal(pa, uv_a[ia])
-            np.testing.assert_array_equal(pb, uv_b[ib])
-            np.testing.assert_array_equal(dist, st.epipolar_distances(pair.F, pa, pb))
+            dist = st.epipolar_distances(pair.F, uv_a[ia], uv_b[ib])
+            rows, pa, pb = matched_pairs(frame, matched, pair)
+            assert len(rows) > 0
+            np.testing.assert_array_equal(rows, ref[dist <= tol])
+            np.testing.assert_array_equal(pa, uv_a[ia][dist <= tol])
+            np.testing.assert_array_equal(pb, uv_b[ib][dist <= tol])
+            failed.append(ref[dist > tol])
+        np.testing.assert_array_equal(gate[frame.span], ~np.isin(frame.rows, np.concatenate(failed)))
+
+
+def _rendered_stereo_frames():
+    rig = default_overlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
+    return rig, [[(ids.copy(), uv.copy()) for ids, uv in frame] for frame in frames]
+
+
+def _pair_without_common_feature(tmp_path):
+    # frame 1: camera 1 keeps only features camera 0 does not see
+    rig, frames = _rendered_stereo_frames()
+    ids, uv = frames[1][1]
+    alone = ~np.isin(ids, frames[1][0][0])
+    frames[1][1] = (ids[alone], uv[alone])
+    return rig, frames
+
+
+def _camera_without_rows(tmp_path):
+    rig, frames = _rendered_stereo_frames()
+    frames[2][3] = (np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    return rig, frames
+
+
+def _ids_near_2_to_62(tmp_path):
+    rig, frames = _rendered_stereo_frames()
+    return rig, [[(ids + 2**62, uv) for ids, uv in frame] for frame in frames]
+
+
+def _shuffled_tracks_rows(tmp_path):
+    rig, frames = _rendered_stereo_frames()
+    return rig, shuffled_tracks(tmp_path, frames, rig)
+
+
+GATE_STREAMS = [
+    pytest.param(_shuffled_tracks_rows, id="shuffled-tracks-rows"),
+    pytest.param(_pair_without_common_feature, id="pair-without-common-feature"),
+    pytest.param(_camera_without_rows, id="camera-without-rows"),
+    pytest.param(_ids_near_2_to_62, id="ids-near-2**62"),
+]
+
+
+def assert_gate_matches_reference(frames, rig):
+    """The once-per-sequence match-and-gate pass agrees, frame by frame,
+    with the per-frame reference. Returns (gate, frame views)."""
+    from reference import stereo_gate
+
+    _, compact, _, pairs, gate, matched = compact_and_match(frames, rig)
+    id_of_row = np.unique(np.concatenate([ids for frame in frames for ids, _ in frame]))
+    reference = stereo_gate(frames, pairs, PipelineConfig().epipolar_tol_px)
+    for frame, view, (failed, passing) in zip(frames, compact, reference):
+        for k, (ids, _) in enumerate(frame):
+            kept = gate[view.span][view.at[k]:view.at[k + 1]]
+            np.testing.assert_array_equal(kept, [int(f) not in failed for f in ids])
+        for pair, (ids, pa, pb) in zip(pairs, passing):
+            rows, uv_a, uv_b = matched_pairs(view, matched, pair)
+            np.testing.assert_array_equal(id_of_row[rows], ids)
+            np.testing.assert_array_equal(uv_a, pa)
+            np.testing.assert_array_equal(uv_b, pb)
+    return gate, compact
+
+
+@pytest.mark.parametrize("ids", [
+    [5, 3, 3, 4, 5, 3],                # dense: a lookup table
+    [9, 2, 9, 40, 2],                  # sparser than the stream is long: sort and search
+    [2**62 + 1, 7, 2**62 + 1, 2**62],  # near the int64 limit
+    [42],
+    [],
+], ids=["dense", "sparse", "near-2**62", "one", "empty"])
+def test_ranks_equal_the_inverse_of_the_sorted_distinct_ids(ids):
+    from rigpose.pipeline import _ranks
+
+    ids = np.array(ids, dtype=np.int64)
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    rank, n = _ranks(ids)
+    np.testing.assert_array_equal(rank, inverse)
+    assert n == len(distinct)
+
+
+@pytest.mark.parametrize("make_stream", GATE_STREAMS)
+def test_sequence_gate_equals_the_per_frame_reference(tmp_path, make_stream):
+    rig, frames = make_stream(tmp_path)
+    assert_gate_matches_reference(frames, rig)
+
+
+def test_feature_failing_one_pair_drops_from_every_camera_of_that_frame_only():
+    # Feature p is matched by the front pair and, under the same id, by the
+    # back pair. At frame 1 its camera-1 pixel leaves the front pair's
+    # epipolar line by 10 px while the back pair still passes it: p drops
+    # from all four cameras at frame 1 and stays in all four at frames 0, 2.
+    from reference import stereo_gate
+    from rigpose.stereo import make_stereo_pair
+
+    rig, frames = _rendered_stereo_frames()
+    pairs = [make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
+    ref = stereo_gate(frames, pairs, PipelineConfig().epipolar_tol_px)
+    front = set.intersection(*(set(passing[0][0].tolist()) for _, passing in ref))
+    back = set.intersection(*(set(passing[1][0].tolist()) for _, passing in ref))
+    p, q = min(front), min(back)
+    for frame in frames:
+        for k in (2, 3):
+            ids, uv = frame[k]
+            assert p not in ids
+            frame[k] = (np.where(ids == q, p, ids), uv)
+    ids, uv = frames[1][1]
+    uv_a = frames[1][0][1][frames[1][0][0] == p][0]
+    line = pairs[0].F @ [uv_a[0], uv_a[1], 1.0]
+    uv[ids == p] += 10.0 * line[:2] / np.hypot(line[0], line[1])
+
+    ref = stereo_gate(frames, pairs, PipelineConfig().epipolar_tol_px)
+    assert p in ref[1][0] and p in ref[1][1][1][0] and p not in ref[1][1][0][0]
+    gate, compact = assert_gate_matches_reference(frames, rig)
+    for j, frame in enumerate(frames):
+        seen = np.concatenate([ids for ids, _ in frame]) == p
+        assert np.count_nonzero(seen) == 4
+        assert np.all(gate[compact[j].span][seen] == (j != 1))
 
 
 def test_poses_and_truth_csv_roundtrip(tmp_path):

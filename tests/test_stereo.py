@@ -101,6 +101,20 @@ def test_epipolar_distance_rejects_outlier_beyond_threshold():
     assert distance(pair.F, uv_a, uv_b + 5.0 * normal) > 2.0
 
 
+def test_epipolar_distances_give_each_match_its_bits_alone():
+    # The pipeline gates a whole stream's matches in one call: each match
+    # must get the bits a call on that match alone gives it.
+    rig = default_overlap_rig()
+    rng = np.random.default_rng(5)
+    for a, b in rig.stereo_pairs():
+        fm = fundamental_from_calib(rig, a, b)
+        pts_a = rng.uniform([0.0, 0.0], [640.0, 480.0], (2000, 2))
+        pts_b = pts_a + rng.normal(0.0, 3.0, (2000, 2))
+        whole = epipolar_distances(fm, pts_a, pts_b)
+        alone = [epipolar_distances(fm, pts_a[i:i + 1], pts_b[i:i + 1]) for i in range(2000)]
+        assert whole.tobytes() == np.concatenate(alone).tobytes()
+
+
 def test_epipolar_distance_degenerate_line():
     # A vanishing epipolar line measures nothing: its distance is inf, so
     # the match fails any gate, while a regular line next to it is kept.
