@@ -63,8 +63,13 @@ def _config(args) -> dict:
 def _cmd_simulate(args) -> int:
     cfg = _config(args)
     sim = cfg["sim"]
-    overrides = {k: v for k, v in (("n_runs", args.runs), ("n_frames", args.frames),
-                                   ("seed", args.seed)) if v is not None}
+    overrides = {}
+    if args.runs is not None:
+        overrides["n_runs"] = args.runs
+    if args.frames is not None:
+        overrides["n_frames"] = args.frames
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     if overrides:
         sim = sim.with_overrides(**overrides)
     methods = args.methods.split(",") if args.methods else None

@@ -283,5 +283,7 @@ def structure_update_batch(
 def initial_structure_covariance(tuning: FilterTuning, n: int) -> np.ndarray:
     """Depth-axis-inflated initial covariance for orthographically seeded
     points, expressed in the camera axes at initialization."""
-    cov = np.diag([tuning.p0_struct_lateral, tuning.p0_struct_lateral, tuning.p0_struct_depth])
+    cov = np.diag(
+        [tuning.p0_struct_lateral, tuning.p0_struct_lateral, tuning.p0_struct_depth]
+    )
     return np.repeat(cov[None, :, :], n, axis=0)

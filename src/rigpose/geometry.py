@@ -26,7 +26,7 @@ motion regime of this package stays far inside that bound.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,10 +213,10 @@ class CameraRig:
             raise InputError("rig camera 0 must have D = 0 and R = I exactly")
         if self.layout not in ("overlapping", "non-overlapping"):
             raise InputError(f"unknown layout tag {self.layout!r}")
-        pairs = zip(self.cameras[::2], self.cameras[1::2]) if self.layout == "overlapping" else ()
-        for i, (a, b) in enumerate(pairs):
-            if np.linalg.norm(a.D - b.D) < MIN_BASELINE:
-                raise InputError(f"cameras {2 * i} and {2 * i + 1} have coincident centers")
+        if self.layout == "overlapping" and len(self.cameras) % 2 == 0:
+            for a, b in self.stereo_pairs():
+                if np.linalg.norm(self.cameras[a].D - self.cameras[b].D) < MIN_BASELINE:
+                    raise InputError(f"cameras {a} and {b} have coincident centers")
 
     def __len__(self) -> int:
         return len(self.cameras)
@@ -328,9 +328,16 @@ def rig_to_dict(rig: CameraRig) -> dict:
     return {
         "layout": rig.layout,
         "cameras": [
-            {"D": [float(x) for x in cam.D],
-             "R_angles": [float(x) for x in angles_from_rig_rotation(cam.R)],
-             **asdict(cam.intrinsics)}
+            {
+                "D": [float(x) for x in cam.D],
+                "R_angles": [float(x) for x in angles_from_rig_rotation(cam.R)],
+                "fx": cam.intrinsics.fx,
+                "fy": cam.intrinsics.fy,
+                "cx": cam.intrinsics.cx,
+                "cy": cam.intrinsics.cy,
+                "width": cam.intrinsics.width,
+                "height": cam.intrinsics.height,
+            }
             for cam in rig.cameras
         ],
     }
@@ -358,15 +365,26 @@ def rig_from_dict(data: dict) -> CameraRig:
         raise InputError("malformed rig: 'cameras' must be a list of objects")
     try:
         layout = data.get("layout", "overlapping")
-        defaults = asdict(Intrinsics())   # an absent intrinsic takes its default
         cameras = []
         for entry in entries:
-            intr = Intrinsics(**{k: type(v)(entry.get(k, v)) for k, v in defaults.items()})
+            intr = Intrinsics(
+                fx=float(entry.get("fx", 1000.0)),
+                fy=float(entry.get("fy", 1000.0)),
+                cx=float(entry.get("cx", 320.0)),
+                cy=float(entry.get("cy", 240.0)),
+                width=int(entry.get("width", 640)),
+                height=int(entry.get("height", 480)),
+            )
             r_angles = np.array(entry["R_angles"], dtype=float)
             if not np.all(np.isfinite(r_angles)):
                 raise InputError(f"rig camera R_angles must be finite, got {r_angles}")
-            d = np.array(entry["D"], dtype=float)
-            cameras.append(Camera(d, rot_from_angles(r_angles), intr))
+            cameras.append(
+                Camera(
+                    D=np.array(entry["D"], dtype=float),
+                    R=rot_from_angles(r_angles),
+                    intrinsics=intr,
+                )
+            )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed rig file: {exc}") from exc
     return CameraRig(cameras=cameras, layout=layout)

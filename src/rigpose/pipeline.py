@@ -180,21 +180,12 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init: Po
 # Track bookkeeping
 # ---------------------------------------------------------------------------
 
-# Views of a compacted stream's rows, pixels and row cameras, and span, where they
-# sit in the stream: a frame's camera k (the stream's frame k) is rows at[k]:at[k + 1].
+# A compacted stream's rows, pixels and row cameras; frame j is rows
+# starts[j]:starts[j + 1].
+_Stream = namedtuple("_Stream", "rows uv seg starts")
+# Views of one frame's rows, pixels and row cameras: camera k is rows
+# at[k]:at[k + 1], and span is where the frame sits in its stream.
 _Frame = namedtuple("_Frame", "rows uv seg at span")
-
-
-def _ranks(ids):
-    """Each id's rank among the n distinct ids, and n. Ids that span no more
-    values than there are ids (rendered ids are scene rows) index a table;
-    sparser ids, any int64 a tracks file holds, are sorted and searched."""
-    lo, hi = (int(ids.min()), int(ids.max())) if len(ids) else (0, 0)
-    if hi - lo >= len(ids):
-        distinct = np.unique(ids)
-        return np.searchsorted(distinct, ids), len(distinct)
-    rank = np.cumsum(np.bincount(ids - lo, minlength=hi - lo + 1) > 0) - 1
-    return rank[ids - lo], int(rank[-1]) + 1
 
 
 def _compact_ids(frames, body):
@@ -205,8 +196,12 @@ def _compact_ids(frames, body):
     if any(len(frame) != len(body) for frame in frames):
         raise InputError(f"each frame needs one (ids, pixels) entry per camera ({len(body)})")
     sizes = np.array([[len(ids) for ids, _ in frame] for frame in frames])
-    rows, n = _ranks(np.concatenate([ids for frame in frames for ids, _ in frame]))
-    n_cams = sizes.shape[1]
+    ids = np.concatenate([ids for frame in frames for ids, _ in frame])
+    distinct = np.sort(ids)   # np.unique would hash the ids: 5x slower than this sort
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    rows = np.searchsorted(distinct, ids)
+    n, n_cams = len(distinct), sizes.shape[1]
+    del ids, distinct
     seg = np.repeat(np.tile(np.arange(n_cams), len(frames)), sizes.ravel())
     rows += (np.asarray(body) * n)[seg]
     uv = np.concatenate([np.reshape(uv, (-1, 2)) for frame in frames for _, uv in frame])
@@ -214,7 +209,7 @@ def _compact_ids(frames, body):
     starts = at[::n_cams]
     views = [_Frame(rows[s:e], uv[s:e], seg[s:e], at[j * n_cams:(j + 1) * n_cams + 1] - s,
                     slice(s, e)) for j, (s, e) in enumerate(zip(starts[:-1], starts[1:]))]
-    return _Frame(rows, uv, seg, starts, slice(0, len(rows))), views, n
+    return _Stream(rows, uv, seg, starts), views, n
 
 
 def _camera(frame, k: int, marked=None):
@@ -242,37 +237,38 @@ class _TrackTable:
             self.covs[rows] = covs
 
 
-def _keys(stream, k: int, n: int):
-    """Stream rows of camera k and their (frame, feature) keys, in int64: F n
-    can pass 2**31 on a long tracks file."""
-    at = np.flatnonzero(stream.seg == k)
-    return at, (np.searchsorted(stream.at, at, side="right") - 1) * np.int64(n) + stream.rows[at]
-
-
-def _pair_rows(stream, pair, n: int):
-    """Stream rows in cameras a and b of the features a stereo pair sees at
-    one frame, and their keys. A camera's rows are unique in a frame
-    (rendered ids are distinct, read_tracks rejects repeats), in any order."""
-    (in_a, key_a), (in_b, key_b) = _keys(stream, pair.cam_a, n), _keys(stream, pair.cam_b, n)
-    key, ia, ib = np.intersect1d(key_a, key_b, assume_unique=True, return_indices=True)
-    return in_a[ia], in_b[ib], key
+def _keys(stream, at, n: int):
+    """(frame, feature) keys of the stream rows at, in int64: F n can pass
+    2**31 on a long tracks file."""
+    key = np.searchsorted(stream.starts, at, side="right") - np.int64(1)
+    key *= n
+    key += stream.rows[at]
+    return key
 
 
 def _stereo_matches(stream, pairs, n: int, tol: float):
-    """Match and gate each stereo pair over a whole stream with one
-    epipolar_distances call. Returns masks over the stream rows: the gate (a
-    feature failing any pair at a frame leaves every camera of that frame)
-    and the passing matches. _pair_rows frees its stream-long temporaries."""
+    """Match and gate each stereo pair over a whole stream: one intersection
+    of the pair's (frame, feature) keys and one epipolar_distances call. The
+    rig has one body, so a stream row is its feature's rank; a camera's
+    features are unique in a frame (rendered ids are distinct, read_tracks
+    rejects repeats), in any order. Returns masks over the stream rows: the
+    gate (a feature failing any pair at a frame leaves every camera of that
+    frame) and the passing matches."""
     failed, matched = [], np.zeros(len(stream.rows), dtype=bool)
     for pair in pairs:
-        ia, ib, key = _pair_rows(stream, pair, n)
-        dist = stereo.epipolar_distances(pair.F, stream.uv[ia], stream.uv[ib])
-        matched[ia[dist <= tol]] = matched[ib[dist <= tol]] = True
-        failed.append(key[dist > tol])
-    failed, gate = np.concatenate(failed), np.ones(len(stream.rows), dtype=bool)
-    for k in (k for pair in pairs for k in (pair.cam_a, pair.cam_b)):
-        at, key = _keys(stream, k, n)
-        gate[at[np.isin(key, failed)]] = False
+        in_a, in_b = (np.flatnonzero(stream.seg == k) for k in (pair.cam_a, pair.cam_b))
+        key, ia, ib = np.intersect1d(_keys(stream, in_a, n), _keys(stream, in_b, n),
+                                     assume_unique=True, return_indices=True)
+        ia, ib = in_a[ia], in_b[ib]
+        del in_a, in_b
+        ok = stereo.epipolar_distances(pair.F, stream.uv[ia], stream.uv[ib]) <= tol
+        matched[ia[ok]] = matched[ib[ok]] = True
+        failed.append(key[~ok])
+    failed, bad = np.concatenate(failed), np.zeros(n, dtype=bool)
+    bad[failed % n] = True
+    at = np.flatnonzero(bad[stream.rows])   # rows of a feature failing at some frame
+    gate = np.ones(len(stream.rows), dtype=bool)
+    gate[at[np.isin(_keys(stream, at, n), failed)]] = False
     return gate, matched
 
 
@@ -303,8 +299,9 @@ def _update_or_skip(state: ekf.PoseFilterState, batch, cams: CameraStack, frame:
 # Overlapping (stereo) layout
 # ---------------------------------------------------------------------------
 
-def _match_and_triangulate(frame, matched, rig: CameraRig, pairs, pose: Pose,
-                           store: _TrackTable) -> int:
+def _match_and_triangulate(
+    frame, matched, rig: CameraRig, pairs, pose: Pose, store: _TrackTable
+) -> int:
     """Pair up each stereo pair's matched rows at a frame by feature (the
     matching and the gate ran once per sequence), triangulate them with the
     given pose, and upsert the results. Returns the number of accepted
@@ -321,9 +318,14 @@ def _match_and_triangulate(frame, matched, rig: CameraRig, pairs, pose: Pose,
     return accepted
 
 
-def run_stereo_sequence(frames, rig: CameraRig, tuning: ekf.FilterTuning | None = None,
-                        pcfg: PipelineConfig | None = None, truth: Trajectory | None = None,
-                        ideal_init: bool = False) -> PoseEstimateSeries:
+def run_stereo_sequence(
+    frames,
+    rig: CameraRig,
+    tuning: ekf.FilterTuning | None = None,
+    pcfg: PipelineConfig | None = None,
+    truth: Trajectory | None = None,
+    ideal_init: bool = False,
+) -> PoseEstimateSeries:
     """Estimate the pose sequence of an overlapping (stereo) rig.
 
     frames: per-frame list of per-camera (ids, pixels) observations.
@@ -466,10 +468,15 @@ def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
     store.upsert(ids_p[fresh], world_pts, ekf.initial_structure_covariance(tuning, len(cam_pts)))
 
 
-def run_nonoverlap_sequence(frames, rig: CameraRig, tuning: ekf.FilterTuning | None = None,
-                            pcfg: PipelineConfig | None = None, truth: Trajectory | None = None,
-                            ideal_init: bool = False, scene: np.ndarray | None = None
-                            ) -> dict[str, PoseEstimateSeries]:
+def run_nonoverlap_sequence(
+    frames,
+    rig: CameraRig,
+    tuning: ekf.FilterTuning | None = None,
+    pcfg: PipelineConfig | None = None,
+    truth: Trajectory | None = None,
+    ideal_init: bool = False,
+    scene: np.ndarray | None = None,
+) -> dict[str, PoseEstimateSeries]:
     """Estimate pose series from four individually aimed cameras.
 
     Returns five series: 'cam1'..'cam4' (each camera's own body-pose
@@ -638,8 +645,11 @@ def write_poses(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:
         writer.writerow(POSES_HEADER)
         for method, series in series_by_method.items():
             for j in range(len(series)):
-                values = np.concatenate([series.d[j], series.angles[j]])
-                writer.writerow([j, *(repr(float(x)) for x in values), method])
+                row = [j]
+                row += [repr(float(x)) for x in series.d[j]]
+                row += [repr(float(x)) for x in series.angles[j]]
+                row.append(method)
+                writer.writerow(row)
 
 
 def read_truth(path) -> Trajectory:
@@ -660,5 +670,7 @@ def write_truth(path, truth: Trajectory) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
         for j in range(len(truth)):
-            values = np.concatenate([truth.d[j], truth.angles[j]])
-            writer.writerow([j, *(repr(float(x)) for x in values)])
+            row = [j]
+            row += [repr(float(x)) for x in truth.d[j]]
+            row += [repr(float(x)) for x in truth.angles[j]]
+            writer.writerow(row)

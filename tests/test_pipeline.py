@@ -656,19 +656,21 @@ def assert_gate_matches_reference(frames, rig):
 
 
 @pytest.mark.parametrize("ids", [
-    [5, 3, 3, 4, 5, 3],                # dense: a lookup table
-    [9, 2, 9, 40, 2],                  # sparser than the stream is long: sort and search
+    [5, 3, 3, 4, 5, 3],
+    [9, 2, 9, 40, 2],
     [2**62 + 1, 7, 2**62 + 1, 2**62],  # near the int64 limit
     [42],
-    [],
-], ids=["dense", "sparse", "near-2**62", "one", "empty"])
-def test_ranks_equal_the_inverse_of_the_sorted_distinct_ids(ids):
-    from rigpose.pipeline import _ranks
+], ids=["repeats", "gaps", "near-2**62", "one"])
+def test_compact_ids_rank_ids_as_the_inverse_of_the_sorted_distinct_ids(ids):
+    # one frame of two cameras, the second seeing the ids of the first reversed
+    from rigpose.pipeline import _compact_ids
 
     ids = np.array(ids, dtype=np.int64)
+    frame = [(ids, np.zeros((len(ids), 2))), (ids[::-1], np.ones((len(ids), 2)))]
     distinct, inverse = np.unique(ids, return_inverse=True)
-    rank, n = _ranks(ids)
-    np.testing.assert_array_equal(rank, inverse)
+    stream, (view,), n = _compact_ids([frame], [0, 1])
+    np.testing.assert_array_equal(stream.rows, np.concatenate([inverse, inverse[::-1] + n]))
+    np.testing.assert_array_equal(view.at, [0, len(ids), 2 * len(ids)])
     assert n == len(distinct)
 
 
