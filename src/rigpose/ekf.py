@@ -9,11 +9,10 @@ its Jacobian w.r.t. the six pose parameters is analytic. The velocity
 states do not enter the measurement, so the update works on the 6x6 pose
 block W = P[:6, :6] with the six pose columns J alone: in information
 form (well conditioned for large measurement counts and small pixel
-variance) it inverts W and W^-1 + J^T J / r, two 6x6 matrices, and builds
-neither the zero-padded (2n, 12) measurement matrix, the 12x12
-information matrix nor the (12, 2n) gain. The covariance is propagated in
-Joseph form, which preserves symmetry and positive semidefiniteness for
-any gain. The prediction is block sums on the same partition.
+variance) it inverts W and W^-1 + J^T J / r, two 6x6 matrices. The
+covariance is propagated in Joseph form, which preserves symmetry and
+positive semidefiniteness for any gain. The prediction is block sums on
+the same partition.
 
 Filters come in stacks of B: PoseFilterState holds x (B, 12) and
 P (B, 12, 12), and a measurement batch is flat over segments, each one
@@ -28,9 +27,7 @@ no update, and no caller places the same points again to find it. Both
 kernels are elementwise: each point's camera coefficients are gathered
 once, points last, and every product with a 3-vector or a 3x3 matrix is a
 written-out three-term sum, with no einsum and no per-point matmul, so a
-point's bits do not depend on the rest of its batch. Stacked matmuls sum
-with FMA or in SIMD lane order, which no elementwise order reproduces, so
-these bits differ in the last place from theirs. pose_update sums a
+point's bits do not depend on the rest of its batch. pose_update sums a
 filter's measurement rows (J^T J and J^T innovation) per filter, on its
 contiguous slice: on a zero-padded stack they would sum in another order,
 and a filter must get the same bits whatever else is in its stack.

@@ -171,6 +171,8 @@ class Intrinsics:
             raise InputError("intrinsics fx, fy, cx and cy must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InputError("focal length must be positive")
+        if self.width < 1 or self.height < 1:
+            raise InputError(f"image size must be at least 1x1, got {self.width}x{self.height}")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise InputError("principal point outside image bounds")
 

@@ -124,8 +124,10 @@ def _run_one(args):
 
         rows: dict[str, np.ndarray] = {}
         methods = set(setup.methods)
+        # With ideal_init, the truth seeds the filters and the scene the
+        # chains' structure.
         common = dict(tuning=setup.tuning, pcfg=setup.pipeline,
-                      truth=traj, ideal_init=setup.ideal_init)
+                      truth=traj if setup.ideal_init else None)
         if "4cameras" in methods:
             series = run_stereo_sequence(
                 slice_stream(frames, map_over), setup.rig_overlap, **common
@@ -139,7 +141,7 @@ def _run_one(args):
         if methods & {"cam1", "cam2", "cam3", "cam4", "RC"}:
             non = run_nonoverlap_sequence(
                 slice_stream(frames, map_non), setup.rig_nonoverlap,
-                scene=scene, **common,
+                scene=scene if setup.ideal_init else None, **common,
             )
             for name, series in non.items():
                 if name in methods:

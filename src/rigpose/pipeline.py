@@ -70,20 +70,12 @@ class PipelineConfig:
 
 
 @dataclass
-class PoseEstimateSeries:
-    """Per-frame pose estimates, translations d (F, 3) and angles (F, 3),
-    with a method tag and a diagnostics record per frame."""
+class PoseEstimateSeries(Trajectory):
+    """Per-frame pose estimates with a method tag and a diagnostics record
+    per frame."""
 
-    d: np.ndarray
-    angles: np.ndarray
     methods: list
     diagnostics: list
-
-    def __len__(self) -> int:
-        return len(self.d)
-
-    def pose(self, j: int) -> Pose:
-        return Pose(self.d[j], self.angles[j])
 
 
 def pose_error_report(series: PoseEstimateSeries, truth: Trajectory) -> np.ndarray:
@@ -324,15 +316,13 @@ def run_stereo_sequence(
     tuning: ekf.FilterTuning | None = None,
     pcfg: PipelineConfig | None = None,
     truth: Trajectory | None = None,
-    ideal_init: bool = False,
 ) -> PoseEstimateSeries:
     """Estimate the pose sequence of an overlapping (stereo) rig.
 
     frames: per-frame list of per-camera (ids, pixels) observations.
-    With ideal_init the filter seed state (pose and velocity at frame 1)
-    is taken from the supplied ground truth instead of the Lowe seed.
-    One pose filter takes every camera's rows: the segmented kernels with
-    B = 1 and one segment per rig camera.
+    A given truth seeds the filter (pose and velocity at frame 1) in place
+    of the Lowe seed. One pose filter takes every camera's rows: the
+    segmented kernels with B = 1 and one segment per rig camera.
     """
     if not frames:
         raise InputError("empty observation stream")
@@ -355,18 +345,17 @@ def run_stereo_sequence(
     if len(frames) == 1:
         return series
 
-    # Lowe seed at frame 1 from the reference camera's tracked features.
+    # Seed at frame 1: the truth, or Lowe from the reference camera's tracked features.
     ids1, uv1 = _camera(frames[1], 0)
     mask = store.live[ids1]
-    seeded = ideal_init and truth is not None
-    if seeded:
+    if truth is not None:
         pose1 = truth.pose(1)
     else:
         pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], rig.camera(0).intrinsics, pose0)
     vel = pose1.as_vector() - pose0.as_vector()
     state = ekf.make_pose_filter(pose1.as_vector(), vel, tuning)
     series.d[1], series.angles[1] = pose1.d, pose1.angles
-    series.methods.append("ideal-seed" if seeded else "lowe")
+    series.methods.append("lowe" if truth is None else "ideal-seed")
     series.diagnostics.append({"features": int(mask.sum())})
 
     for j in range(2, len(frames)):
@@ -474,7 +463,6 @@ def run_nonoverlap_sequence(
     tuning: ekf.FilterTuning | None = None,
     pcfg: PipelineConfig | None = None,
     truth: Trajectory | None = None,
-    ideal_init: bool = False,
     scene: np.ndarray | None = None,
 ) -> dict[str, PoseEstimateSeries]:
     """Estimate pose series from four individually aimed cameras.
@@ -485,9 +473,9 @@ def run_nonoverlap_sequence(
     frame: per-axis medians of the cam1..cam4 angles plus the solved
     reference translation scale).
 
-    With ideal_init, structure is initialized at the true local positions
-    (scene rows indexed by the stream's feature ids) and the filter seeds
-    come from the ground-truth local poses.
+    A given truth seeds the chains' filters with the true local poses at
+    frame 1, and a given scene initializes their structure at the true
+    local positions (scene rows indexed by the stream's feature ids).
     """
     if not frames:
         raise InputError("empty observation stream")
@@ -498,12 +486,11 @@ def run_nonoverlap_sequence(
     n_frames = len(frames)
     cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     local_truth = ideal_points = None
-    if ideal_init and truth is not None:
-        if n_frames > 1:
-            local_truth = fusion.true_local_pose(truth.pose(1), cams)
-        if scene is not None:
-            ideal_points = [world_to_camera_k(Pose.identity(), rig, k, scene[frames[0][k][0]])
-                            for k in range(4)]
+    if truth is not None and n_frames > 1:
+        local_truth = fusion.true_local_pose(truth.pose(1), cams)
+    if scene is not None:
+        ideal_points = [world_to_camera_k(Pose.identity(), rig, k, scene[frames[0][k][0]])
+                        for k in range(4)]
     locals_, diags = _run_chains(frames, rig.cameras, tuning, pcfg, local_truth, ideal_points)
 
     d, angles = fusion.local_to_body_pose(locals_, cams)
@@ -548,16 +535,28 @@ POSES_HEADER = ["frame", "tx", "ty", "tz", "alpha", "beta", "gamma", "method"]
 TRUTH_HEADER = ["frame", "tx", "ty", "tz", "alpha", "beta", "gamma"]
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _pose_rows(series: Trajectory):
+    """`frame,tx,ty,tz,alpha,beta,gamma` rows with full decimal precision."""
+    for j in range(len(series)):
+        yield [j, *(repr(float(x)) for x in series.d[j]),
+               *(repr(float(x)) for x in series.angles[j])]
+
+
 def write_tracks(path, frames) -> None:
     """Write an observation stream as `cam,frame,feature,u,v` rows with
     full decimal precision, so reading it back is bit-exact."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACKS_HEADER)
-        for j, frame in enumerate(frames):
-            for k, (ids, uv) in enumerate(frame):
-                for f, (u, v) in zip(ids, uv):
-                    writer.writerow([k, j, int(f), repr(float(u)), repr(float(v))])
+    _write_csv(path, TRACKS_HEADER,
+               ([k, j, int(f), repr(float(u)), repr(float(v))]
+                for j, frame in enumerate(frames)
+                for k, (ids, uv) in enumerate(frame)
+                for f, (u, v) in zip(ids, uv)))
 
 
 def _read_csv(path, header: list[str], n_int: int):
@@ -640,16 +639,8 @@ def read_tracks(path, n_cams: int):
 
 
 def write_poses(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POSES_HEADER)
-        for method, series in series_by_method.items():
-            for j in range(len(series)):
-                row = [j]
-                row += [repr(float(x)) for x in series.d[j]]
-                row += [repr(float(x)) for x in series.angles[j]]
-                row.append(method)
-                writer.writerow(row)
+    _write_csv(path, POSES_HEADER, ([*row, method] for method, series in series_by_method.items()
+                                    for row in _pose_rows(series)))
 
 
 def read_truth(path) -> Trajectory:
@@ -660,17 +651,8 @@ def read_truth(path) -> Trajectory:
     order = np.argsort(frame[:, 0], kind="stable")
     if not np.array_equal(frame[order, 0], np.arange(len(lines))):
         raise InputError(f"{path}: frames are not 0..N-1, each once")
-    d, angles = vals[order, :3], vals[order, 3:]
-    rotations = rot_from_angles(angles)
-    return Trajectory(d=d, rotations=rotations, angles=angles)
+    return Trajectory(d=vals[order, :3], angles=vals[order, 3:])
 
 
 def write_truth(path, truth: Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for j in range(len(truth)):
-            row = [j]
-            row += [repr(float(x)) for x in truth.d[j]]
-            row += [repr(float(x)) for x in truth.angles[j]]
-            writer.writerow(row)
+    _write_csv(path, TRUTH_HEADER, _pose_rows(truth))

@@ -77,12 +77,10 @@ def gen_scene(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Cumulative ground-truth poses; frame 0 is the identity."""
+    """A pose series: translations d (F, 3) and rotation angles (F, 3)."""
 
-    d: np.ndarray          # (F, 3)
-    rotations: np.ndarray  # (F, 3, 3)
-    angles: np.ndarray     # (F, 3) decomposed from rotations
-    deltas: np.ndarray | None = None  # (F-1, 6) per-frame increments
+    d: np.ndarray
+    angles: np.ndarray
 
     def __len__(self) -> int:
         return len(self.d)
@@ -103,15 +101,14 @@ def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
     deltas = np.hstack([t_mag * t_sign, r_mag * r_sign])
 
     d = np.zeros((f, 3))
-    rotations = np.zeros((f, 3, 3))
     angles = np.zeros((f, 3))
-    rotations[0] = np.eye(3)
+    rotation = np.eye(3)
     steps = rot_from_angles(deltas[:, 3:])
     for j in range(1, f):
         d[j] = d[j - 1] + deltas[j - 1, :3]
-        rotations[j] = steps[j - 1] @ rotations[j - 1]
-        angles[j] = euler_angles(rotations[j])
-    return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)
+        rotation = steps[j - 1] @ rotation
+        angles[j] = euler_angles(rotation)
+    return Trajectory(d=d, angles=angles)
 
 
 # A rendered sequence: frames[j][cam_index] = (ids, uv)
@@ -151,14 +148,9 @@ def render_sequence(
     evaluation order.
     """
     n_frames, n_cams = len(traj), len(cameras)
-    streams: list[np.random.Generator | None]
-    if noise_sigma > 0:
-        if noise_seed is None:
-            noise_seed = np.random.SeedSequence(0)
-        children = noise_seed.spawn(n_cams * n_frames)
-        streams = [np.random.default_rng(c) for c in children]
-    else:
-        streams = [None] * (n_cams * n_frames)
+    if noise_seed is None:
+        noise_seed = np.random.SeedSequence(0)
+    children = noise_seed.spawn(n_cams * n_frames) if noise_sigma > 0 else []
 
     rotations = rot_from_angles(traj.angles)
     stack = CameraStack.of(cameras, np.zeros(n_cams, dtype=int))
@@ -190,8 +182,9 @@ def render_sequence(
         split = np.searchsorted(cam, np.arange(n_cams + 1))
         frame = []
         for k, (lo, hi) in enumerate(zip(split[:-1], split[1:])):
-            uv_k, rng = uv[lo:hi], streams[k * n_frames + j]
-            if rng is not None and hi > lo:
+            uv_k = uv[lo:hi]
+            if noise_sigma > 0 and hi > lo:
+                rng = np.random.default_rng(children[k * n_frames + j])
                 uv_k = uv_k + rng.normal(0.0, noise_sigma, uv_k.shape)
             frame.append((ids[lo:hi], uv_k))
         frames.append(frame)

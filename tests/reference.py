@@ -6,8 +6,10 @@ kernel with them compares two separate computations. `transition_matrix`
 and `pose_update_reference` are the pose EKF's plant and its measurement
 update in dense covariance form, the oracle of the block-form filter.
 `scripted_trajectory` is the constant-velocity truth of the noiseless
-tracking tests. `stereo_gate` matches and gates stereo pairs frame by frame
-on the raw stream, the oracle of the pipeline's once-per-sequence pass.
+tracking tests, and `random_walk` redraws simulate.gen_trajectory's
+increments and chains them on its own. `stereo_gate` matches and gates
+stereo pairs frame by frame on the raw stream, the oracle of the
+pipeline's once-per-sequence pass.
 """
 
 import numpy as np
@@ -61,10 +63,22 @@ def scripted_trajectory(n_frames: int, velocity) -> Trajectory:
     velocity = np.asarray(velocity, dtype=float).reshape(6)
     steps = np.arange(n_frames)[:, None]
     d = steps * velocity[:3]
-    angles = steps * velocity[3:]
-    rotations = rot_from_angles(angles)
-    deltas = np.repeat(velocity[None, :], n_frames - 1, axis=0)
-    return Trajectory(d=d, rotations=rotations, angles=angles, deltas=deltas)
+    return Trajectory(d=d, angles=steps * velocity[3:])
+
+
+def random_walk(cfg, rng):
+    """The per-frame increments (F-1, 6) that gen_trajectory(cfg, rng) draws
+    from a generator in the same state, and the translations (F, 3) and
+    rotations (F, 3, 3) they chain to in the world frame, one frame at a
+    time."""
+    n = cfg.n_frames - 1
+    t = rng.uniform(cfg.trans_min, cfg.trans_max, (n, 3)) * (rng.integers(0, 2, (n, 3)) * 2 - 1)
+    r = rng.uniform(cfg.rot_min, cfg.rot_max, (n, 3)) * (rng.integers(0, 2, (n, 3)) * 2 - 1)
+    d, rotations = [np.zeros(3)], [np.eye(3)]
+    for step_t, step_r in zip(t, r):
+        d.append(d[-1] + step_t)
+        rotations.append(rot_from_angles(step_r) @ rotations[-1])
+    return np.hstack([t, r]), np.array(d), np.array(rotations)
 
 
 def stereo_gate(frames, pairs, tol):

@@ -334,7 +334,7 @@ def test_criterion_7_noiseless_scripted_tracking():
     frames = render_sequence(scene, traj, rig.cameras, 0.0, noise_ss)
     series = run_stereo_sequence(
         frames, rig, pcfg=PipelineConfig(redetect_threshold=20),
-        truth=traj, ideal_init=True,
+        truth=traj,
     )
     err_d = float(np.abs(series.d - traj.d).max())
     err_a = float(np.abs(series.angles - traj.angles).max())

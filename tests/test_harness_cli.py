@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +480,18 @@ def test_cli_rig_with_coincident_stereo_pair_exits_1(tmp_path, capsys, command):
     assert "error: cameras 0 and 1 have coincident centers" in err, err
 
 
+ZERO_SIZE_IMAGE = {"width": 0, "height": 0, "cx": 0.0, "cy": 0.0}
+
+
+def _zero_size_images(tmp_path):
+    """simulate argv whose overlapping rig's cameras all have 0x0 images,
+    with the principal point inside those bounds."""
+    rig = rig_to_dict(default_overlap_rig())
+    for camera in rig["cameras"]:
+        camera.update(ZERO_SIZE_IMAGE)
+    return _config(tmp_path, {"rigs": {"overlapping": rig}})
+
+
 def _non_finite_truth(tmp_path):
     """run-tracks --truth argv on a five-frame sequence that runs, whose
     truth CSV holds a nan tx and an infinite alpha."""
@@ -552,6 +567,9 @@ MALFORMED_INPUTS = [
     pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo",
                                               R_angles=[float("inf"), 0.0, 0.0]),
                  id="rig-infinite-R_angles"),
+    pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo",
+                                              **ZERO_SIZE_IMAGE), id="rig-zero-size-image"),
+    pytest.param(_zero_size_images, id="simulate-rig-zero-size-images"),
     pytest.param(_one_frame_with_truth, id="tracks-one-frame-with-truth"),
     pytest.param(_non_finite_truth, id="truth-non-finite"),
 ]
@@ -570,3 +588,14 @@ def test_readme_cli_block_lists_every_subcommand():
     documented = {line.split()[1] for line in block.splitlines() if line.startswith("rigpose ")}
     sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # monte_carlo imports concurrent.futures only when it starts a pool, so
+    # importing the package, which the CLI does on every call, skips it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, rigpose; print([m for m in sys.modules if m.startswith('concurrent')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -298,17 +298,18 @@ def test_stereo_series_is_causal_prefix_stable():
     np.testing.assert_array_equal(full.angles[:25], truncated.angles)
 
 
-def test_stereo_ideal_init_without_truth_runs_and_tags_the_lowe_seed():
+def test_stereo_seeds_frame_1_from_the_truth_it_is_handed():
+    # Without a truth, Lowe's method seeds frame 1; a given truth is the seed.
     rig = default_overlap_rig()
     cfg = SimConfig(n_points=3000, n_frames=10, noise_sigma=0.5, seed=8)
-    _, _, frames = render_run(rig, cfg)
+    _, traj, frames = render_run(rig, cfg)
     pcfg = PipelineConfig(redetect_threshold=20)
     plain = run_stereo_sequence(frames, rig, pcfg=pcfg)
-    asked = run_stereo_sequence(frames, rig, pcfg=pcfg, ideal_init=True)
-    assert asked.methods[1] == "lowe"
-    assert asked.methods == plain.methods
-    assert asked.d.tobytes() == plain.d.tobytes()
-    assert asked.angles.tobytes() == plain.angles.tobytes()
+    assert plain.methods[1] == "lowe"
+    seeded = run_stereo_sequence(frames, rig, pcfg=pcfg, truth=traj)
+    assert seeded.methods[1] == "ideal-seed"
+    assert seeded.pose(1).d.tobytes() == traj.pose(1).d.tobytes()
+    assert seeded.pose(1).angles.tobytes() == traj.pose(1).angles.tobytes()
 
 
 def test_stereo_requires_enough_initial_features():
@@ -356,7 +357,7 @@ def test_nonoverlap_ideal_init_noiseless_reference_chain():
     scene, traj, frames = render_run(rig, cfg)
     pcfg = PipelineConfig(redetect_threshold=20)
     ideal = run_nonoverlap_sequence(
-        frames, rig, pcfg=pcfg, truth=traj, ideal_init=True, scene=scene
+        frames, rig, pcfg=pcfg, truth=traj, scene=scene
     )
     errors = pose_error_report(ideal["cam1"], traj)
     assert np.all(errors < 5e-3)
@@ -478,7 +479,7 @@ def test_nonoverlap_rc_fallback_scales_on_first_frames():
     scene, _, frames = render_run(rig, cfg, traj=traj)
     out = run_nonoverlap_sequence(
         frames, rig, pcfg=PipelineConfig(redetect_threshold=20),
-        truth=traj, ideal_init=True, scene=scene,
+        truth=traj, scene=scene,
     )
     rc = out["RC"]
     assert all(diag.get("ill_conditioned", False) for diag in rc.diagnostics[1:])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import scripted_trajectory
+from reference import random_walk, scripted_trajectory
 from rigpose.errors import InputError
 from rigpose.geometry import (
     Z_MIN,
@@ -76,29 +76,26 @@ def test_config_validation():
 def test_trajectory_starts_at_identity():
     traj = gen_trajectory(small_cfg(n_frames=20), np.random.default_rng(3))
     assert np.array_equal(traj.d[0], np.zeros(3))
-    assert np.array_equal(traj.rotations[0], np.eye(3))
+    assert np.array_equal(rot_from_angles(traj.angles[0]), np.eye(3))
 
 
 def test_trajectory_delta_magnitudes_within_bands():
     cfg = SimConfig(n_points=10, n_frames=100, seed=4)
-    traj = gen_trajectory(cfg, np.random.default_rng(4))
-    t_mags = np.abs(traj.deltas[:, :3])
-    r_mags = np.abs(traj.deltas[:, 3:])
+    deltas, d, _ = random_walk(cfg, np.random.default_rng(4))
+    np.testing.assert_array_equal(gen_trajectory(cfg, np.random.default_rng(4)).d, d)
+    t_mags = np.abs(deltas[:, :3])
+    r_mags = np.abs(deltas[:, 3:])
     assert np.all((t_mags >= cfg.trans_min) & (t_mags <= cfg.trans_max))
     assert np.all((r_mags >= cfg.rot_min) & (r_mags <= cfg.rot_max))
 
 
 def test_trajectory_composition_oracle():
-    # Re-chain the stored deltas independently and compare.
+    # Redraw the increments, re-chain them independently and compare.
     traj = gen_trajectory(small_cfg(n_frames=50), np.random.default_rng(5))
-    d = np.zeros(3)
-    rot = np.eye(3)
+    _, d, rotations = random_walk(small_cfg(n_frames=50), np.random.default_rng(5))
     for j in range(1, 50):
-        d = d + traj.deltas[j - 1, :3]
-        rot = rot_from_angles(traj.deltas[j - 1, 3:]) @ rot
-        np.testing.assert_allclose(traj.d[j], d, atol=1e-12)
-        np.testing.assert_allclose(traj.rotations[j], rot, atol=1e-12)
-        np.testing.assert_allclose(rot_from_angles(traj.angles[j]), rot, atol=1e-12)
+        np.testing.assert_allclose(traj.d[j], d[j], atol=1e-12)
+        np.testing.assert_allclose(rot_from_angles(traj.angles[j]), rotations[j], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def test_render_sequence_matches_full_projection():
                             rot_max=0.2, trans_max=0.1 * outer)
             scene = np.vstack([border, gen_scene(cfg, rng)])
             walk = gen_trajectory(cfg, rng)
-            moved = Trajectory(walk.d + [0.0, 0.0, -7.0], walk.rotations, walk.angles)
+            moved = Trajectory(walk.d + [0.0, 0.0, -7.0], walk.angles)
             for traj in (scripted_trajectory(8, np.zeros(6)), walk, moved):
                 for sigma in (0.0, 0.5):
                     got = render_sequence(scene, traj, cameras, sigma, np.random.SeedSequence(3))
