@@ -228,12 +228,19 @@ class CameraRig:
             raise InvalidCameraIndex(f"camera index {k} out of range 0..{len(self.cameras) - 1}")
         return self.cameras[k]
 
+    def check_layout(self, layout: str) -> None:
+        """Raise InputError unless this is a rig the layout's pipeline takes:
+        stereo pairs (an even camera count) tagged overlapping, or four
+        cameras tagged non-overlapping."""
+        n = len(self.cameras)
+        if self.layout != layout or (n % 2 if layout == "overlapping" else n != 4):
+            need = "an even camera count" if layout == "overlapping" else "4 cameras"
+            raise InputError(f"the {layout} pipeline needs a rig tagged {layout!r} with {need}, "
+                             f"got {n} cameras tagged {self.layout!r}")
+
     def stereo_pairs(self) -> list[tuple[int, int]]:
         """Consecutive-camera pairing convention for overlapping rigs."""
-        if self.layout != "overlapping":
-            raise InputError("stereo pairs are only defined for overlapping rigs")
-        if len(self.cameras) % 2:
-            raise InputError("overlapping rig needs an even camera count")
+        self.check_layout("overlapping")
         return [(2 * i, 2 * i + 1) for i in range(len(self.cameras) // 2)]
 
 

@@ -189,6 +189,8 @@ def monte_carlo(
         raise InputError(f"need at least 2 frames to report errors, got {sim.n_frames}")
     if workers < 1:
         raise InputError(f"need at least 1 worker, got {workers!r}")
+    setup.rig_overlap.check_layout("overlapping")
+    setup.rig_nonoverlap.check_layout("non-overlapping")
 
     started = time.monotonic()
     seeds = run_seed_sequences(sim.seed, sim.n_runs)

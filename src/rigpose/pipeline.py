@@ -23,6 +23,7 @@ body angles plus the scale-factor least squares) into the RC series.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from collections import namedtuple
 from dataclasses import dataclass
@@ -139,19 +140,15 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init: Po
         step_norm = np.linalg.norm(step)
         if step_norm < LOWE_STEP_TOL:
             break
-        scale = 1.0
-        improved = False
-        for _ in range(25):
+        for scale in 0.5 ** np.arange(25.0):
             cand = vec + scale * step
             try:
                 cand_cost, cand_res, cand_j = evaluate(cand)
             except BehindCamera:
                 cand_cost = np.inf
             if cand_cost <= cost * (1.0 + 1e-12):
-                improved = True
                 break
-            scale *= 0.5
-        if not improved:
+        else:
             # A vanishing step that cannot reduce the cost is convergence at
             # a noisy minimum, not divergence.
             if step_norm < 1e-8:
@@ -481,8 +478,7 @@ def run_nonoverlap_sequence(
         raise InputError("empty observation stream")
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
-    if rig.layout != "non-overlapping" or len(rig.cameras) != 4:
-        raise InputError("non-overlapping pipeline needs a 4-camera non-overlapping rig")
+    rig.check_layout("non-overlapping")
     n_frames = len(frames)
     cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     local_truth = ideal_points = None
@@ -505,11 +501,9 @@ def run_nonoverlap_sequence(
         result = fusion.fuse_pose(locals_[j, :, :3], angles[j], cams, prev_scales)
         prev_scales = result.scales
         rc.d[j], rc.angles[j] = result.pose.d, result.pose.angles
-        rc.diagnostics.append({
-            "scales": [float(s) for s in result.scales],
-            "ill_conditioned": result.ill_conditioned,
-            "residual": result.residual,
-        })
+        rc.diagnostics.append({"scales": [float(s) for s in result.scales],
+                               "ill_conditioned": result.ill_conditioned,
+                               "residual": result.residual})
     out["RC"] = rc
     return out
 
@@ -525,8 +519,7 @@ def write_diagnostics(path, series_by_method: dict[str, PoseEstimateSeries]) -> 
     with open(path, "w") as fh:
         for method, series in series_by_method.items():
             for j, diag in enumerate(series.diagnostics):
-                record = {"method": method, "frame": j, "tag": series.methods[j]}
-                record.update(diag)
+                record = {"method": method, "frame": j, "tag": series.methods[j], **diag}
                 fh.write(json.dumps(record) + "\n")
 
 
@@ -559,83 +552,90 @@ def write_tracks(path, frames) -> None:
                 for f, (u, v) in zip(ids, uv)))
 
 
+def _records(path):
+    """(line number, fields) of each non-empty CSV record after line 1: one per
+    row np.loadtxt parses, as both end a line at \\n, \\r\\n or \\r."""
+    with open(path) as fh:
+        fh.readline()
+        reader = csv.reader(fh)
+        yield from ((reader.line_num + 1, fields) for fields in reader if fields)
+
+
 def _read_csv(path, header: list[str], n_int: int):
-    """Parse a CSV file whose first line is `header`. The first n_int
-    columns hold int64 values, the rest floats; empty lines are skipped.
-    Returns (line number per row, int columns (N, n_int), float columns
-    (N, len(header) - n_int)). Malformed content raises InputError naming
-    its line; a number that Python's int or float would accept but numpy's
-    parser does not (such as 1_0) is named by its value only."""
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    first = next(csv.reader(lines[:1]), [])
-    if [h.strip() for h in first] != header:
-        raise InputError(
-            f"{path}: line 1: expected header {','.join(header)!r}, got {','.join(first)!r}"
-        )
-    numbers = np.array([n for n, line in enumerate(lines[1:], start=2) if line], dtype=int)
-    if len(numbers) == 0:
-        raise InputError(f"{path}: no data rows")
+    """Parse a CSV file whose first line is `header` in one np.loadtxt pass
+    over the file itself into int64 columns (N, n_int) and float columns,
+    skipping empty lines. No line is kept as a string: a malformed file is
+    read again to name its first offending line, or only the value of a
+    number that Python would parse but numpy does not (such as 1_0)."""
+    with open(path) as fh:
+        first = next(csv.reader([fh.readline()]), [])
+        if [h.strip() for h in first] != header:
+            raise InputError(f"{path}: line 1: expected header {','.join(header)!r}, "
+                             f"got {','.join(first)!r}")
+        if all(line == "\n" for line in fh):
+            raise InputError(f"{path}: no data rows")
     dtype = np.dtype([("ints", np.int64, n_int), ("floats", float, len(header) - n_int)])
     try:
-        data = np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None,
-                          quotechar='"', ndmin=1)
+        data = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                          skiprows=1, ndmin=1)
     except ValueError as exc:
         # Name the first offending line; the bulk parser reports rows only.
-        for n, row in zip(numbers, csv.reader(lines[n - 1] for n in numbers)):
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}: line {n}: expected {len(header)} fields, got {len(row)}"
-                ) from None
+        for n, row in _records(path):
             try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 np.array([int(x) for x in row[:n_int]], dtype=np.int64)
                 [float(x) for x in row[n_int:]]
             except (ValueError, OverflowError) as bad:
                 raise InputError(f"{path}: line {n}: {bad}") from None
         raise InputError(f"{path}: {exc}") from None
-    return numbers, data["ints"], data["floats"]
+    return data["ints"], data["floats"]
 
 
-def _reject_rows(path, lines: np.ndarray, bad: np.ndarray, what: str) -> None:
+def _reject_rows(path, bad: np.ndarray, what: str) -> None:
     if np.any(bad):
-        raise InputError(f"{path}: line {lines[np.argmax(bad)]}: {what}")
+        line, _ = next(itertools.islice(_records(path), int(np.argmax(bad)), None))
+        raise InputError(f"{path}: line {line}: {what}")
 
 
 def read_tracks(path, n_cams: int):
     """Parse a tracks CSV for a rig of n_cams cameras into a per-frame,
-    per-camera stream, each camera's rows in file order.
-
+    per-camera stream, each camera's rows in file order: one np.loadtxt
+    pass (see _read_csv), then one stable sort on the (frame, cam) key.
     Feature ids are any non-negative integers; a (cam, frame, feature) row
     may appear once. Camera indices run below n_cams and reach n_cams - 1,
     and every frame up to the last has a row, so the stream is no larger
     than the file. Malformed content raises InputError naming the offending
-    line, or the first frame without rows.
-    """
-    lines, keys, uv = _read_csv(path, TRACKS_HEADER, n_int=3)
-    _reject_rows(path, lines, np.any(keys < 0, axis=1), "negative cam/frame/feature")
-    _reject_rows(path, lines, ~np.all(np.isfinite(uv), axis=1), "non-finite pixel")
+    line, or the first frame without rows."""
+    keys, uv = _read_csv(path, TRACKS_HEADER, n_int=3)
     cam, frame, feature = keys.T
-    _reject_rows(path, lines, cam >= n_cams, f"camera index beyond the rig's {n_cams} cameras")
-    by_key = np.lexsort((feature, cam, frame))   # stable: file order among equal keys
-    repeat = np.zeros(len(lines), dtype=bool)
-    repeat[by_key[1:]] = np.all(keys[by_key[1:]] == keys[by_key[:-1]], axis=1)
-    _reject_rows(path, lines, repeat, "repeated (cam, frame, feature) row")
+    _reject_rows(path, (cam | frame | feature) < 0, "negative cam/frame/feature")
+    finite = np.isfinite(uv)
+    _reject_rows(path, ~(finite[:, 0] & finite[:, 1]), "non-finite pixel")
+    _reject_rows(path, cam >= n_cams, f"camera index beyond the rig's {n_cams} cameras")
+    # Stable: file order among equal keys. Feature-major: (frame, cam) order sorts on runs.
+    by_key, same = np.lexsort((frame, cam, feature)), True
+    for column in (frame, cam, feature):
+        column = column[by_key]
+        same = same & (column[1:] == column[:-1])
+    repeat = np.zeros(len(by_key), dtype=bool)
+    repeat[by_key[1:]] = same
+    del by_key, same
+    _reject_rows(path, repeat, "repeated (cam, frame, feature) row")
     if cam.max() + 1 < n_cams:
         raise InputError(f"{path}: tracks cover {cam.max() + 1} cameras, the rig file has {n_cams}")
-    present = np.unique(frame)
-    gaps = np.flatnonzero(present != np.arange(len(present)))
-    if len(gaps):
-        raise InputError(f"{path}: frame {gaps[0]} has no rows, but frame {present[-1]} does")
-
-    order = np.lexsort((cam, frame))
-    groups = frame[order] * n_cams + cam[order]
-    bounds = np.searchsorted(groups, np.arange(len(present) * n_cams + 1))
+    # The first frame without rows: N rows leave one at or below frame N.
+    seen = np.zeros(len(frame) + 1, dtype=bool)
+    seen[np.minimum(frame, len(frame))] = True
+    n_frames = np.argmin(seen)
+    if n_frames <= frame.max():
+        raise InputError(f"{path}: frame {n_frames} has no rows, but frame {frame.max()} does")
+    groups = frame * n_cams + cam
+    order = np.argsort(groups, kind="stable")
+    bounds = np.append(0, np.cumsum(np.bincount(groups, minlength=n_frames * n_cams)))
     ids, uv = feature[order], uv[order]
-    return [
-        [(ids[bounds[g]:bounds[g + 1]], uv[bounds[g]:bounds[g + 1]])
-         for g in range(j * n_cams, (j + 1) * n_cams)]
-        for j in range(len(present))
-    ]
+    return [[(ids[bounds[g]:bounds[g + 1]], uv[bounds[g]:bounds[g + 1]])
+             for g in range(j * n_cams, (j + 1) * n_cams)] for j in range(n_frames)]
 
 
 def write_poses(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:
@@ -646,10 +646,10 @@ def write_poses(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:
 def read_truth(path) -> Trajectory:
     """Parse a `frame,tx,ty,tz,alpha,beta,gamma` ground-truth CSV holding
     each frame 0..N-1 once, in any order."""
-    lines, frame, vals = _read_csv(path, TRUTH_HEADER, n_int=1)
-    _reject_rows(path, lines, ~np.all(np.isfinite(vals), axis=1), "non-finite truth value")
+    frame, vals = _read_csv(path, TRUTH_HEADER, n_int=1)
+    _reject_rows(path, ~np.all(np.isfinite(vals), axis=1), "non-finite truth value")
     order = np.argsort(frame[:, 0], kind="stable")
-    if not np.array_equal(frame[order, 0], np.arange(len(lines))):
+    if not np.array_equal(frame[order, 0], np.arange(len(frame))):
         raise InputError(f"{path}: frames are not 0..N-1, each once")
     return Trajectory(d=vals[order, :3], angles=vals[order, 3:])
 

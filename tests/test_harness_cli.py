@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -537,6 +538,25 @@ BAD_CONFIG_VALUES = {
     "tuning-infinite-q": {"tuning": {"q_pose": float("inf")}},
 }
 
+
+def _rig_block(rig, layout=None, n_cameras=None):
+    """A config rigs block of rig, re-tagged with layout or cut to its first
+    n_cameras cameras."""
+    data = rig_to_dict(rig)
+    data["layout"] = layout or data["layout"]
+    data["cameras"] = data["cameras"][:n_cameras]
+    return data
+
+
+MALFORMED_RIG_SHAPES = {
+    "simulate-overlapping-odd-cameras": {"overlapping": _rig_block(default_overlap_rig(),
+                                                                   n_cameras=3)},
+    "simulate-nonoverlapping-3-cameras": {"non-overlapping": _rig_block(default_nonoverlap_rig(),
+                                                                        n_cameras=3)},
+    "simulate-overlapping-tagged-nonoverlapping": {
+        "overlapping": _rig_block(default_overlap_rig(), layout="non-overlapping")},
+}
+
 MALFORMED_INPUTS = [
     *(pytest.param(lambda t, cfg=cfg: _config(t, cfg), id=name)
       for name, cfg in BAD_CONFIG_VALUES.items()),
@@ -572,6 +592,8 @@ MALFORMED_INPUTS = [
     pytest.param(_zero_size_images, id="simulate-rig-zero-size-images"),
     pytest.param(_one_frame_with_truth, id="tracks-one-frame-with-truth"),
     pytest.param(_non_finite_truth, id="truth-non-finite"),
+    *(pytest.param(lambda t, rigs=rigs: _config(t, {"rigs": rigs}), id=name)
+      for name, rigs in MALFORMED_RIG_SHAPES.items()),
 ]
 
 
@@ -580,6 +602,30 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, make_argv):
     assert cli.main(make_argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("rigs", MALFORMED_RIG_SHAPES.values(), ids=MALFORMED_RIG_SHAPES)
+def test_monte_carlo_rejects_a_rig_shape_before_rendering(monkeypatch, rigs):
+    # A rig the layout's pipeline cannot take fails every run the same way,
+    # so it is rejected with the other arguments, before any run renders.
+    cfg = harness.config_from_dict({"rigs": rigs}, "config")
+
+    def render(*args, **kwargs):
+        raise AssertionError("a run was rendered")
+
+    monkeypatch.setattr(harness, "render_sequence", render)
+    with pytest.raises(InputError, match="pipeline needs a rig tagged"):
+        harness.monte_carlo(SimConfig(n_runs=2, n_frames=3, n_points=500),
+                            rig_overlap=cfg["rig_overlap"], rig_nonoverlap=cfg["rig_nonoverlap"])
+
+
+def test_run_tracks_header_only_exits_1_without_a_numpy_warning(tmp_path, capsys):
+    argv = _run_tracks(tmp_path, OVERLAP_RIG_TEXT, "cam,frame,feature,u,v\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "no data rows" in err and "Warning" not in err, err
 
 
 def test_readme_cli_block_lists_every_subcommand():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -556,6 +558,57 @@ def test_read_tracks_groups_rows_per_frame_and_camera_in_file_order(tmp_path):
         [[9, 5], []], [[], [4]], [[7], []]]
     np.testing.assert_array_equal(frames[0][0][1], [[3.0, 4.0], [5.0, 6.0]])
     assert frames[1][0][1].shape == (0, 2)
+
+
+def test_read_tracks_reads_crlf_and_cr_line_ends_like_lf(tmp_path):
+    rig = default_overlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=4, noise_sigma=0.5, seed=16))
+    path = tmp_path / "tracks.csv"
+    write_tracks(path, frames)
+    lf = path.read_text()
+    assert "\r" not in lf
+    want = read_tracks(path, len(rig))
+    for end in ("\r\n", "\r"):
+        path.write_bytes(lf.replace("\n", end).encode())
+        got = read_tracks(path, len(rig))
+        assert len(got) == len(want)
+        for fa, fb in zip(want, got):
+            for (ids_a, uv_a), (ids_b, uv_b) in zip(fa, fb):
+                np.testing.assert_array_equal(ids_a, ids_b)
+                np.testing.assert_array_equal(uv_a, uv_b)
+
+
+def test_read_tracks_names_the_line_of_a_row_split_by_a_form_feed(tmp_path):
+    # Lines end at \n, \r\n or \r only: a form feed inside a row leaves one
+    # line of nine fields, and later rows keep their line numbers.
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(b"cam,frame,feature,u,v\r\n0,0,1,1.0,2.0\x0c1,0,1,3.0,4.0\r\n")
+    with pytest.raises(InputError, match="line 2: expected 5 fields, got 9"):
+        read_tracks(path, 2)
+    path.write_text("cam,frame,feature,u,v\n1,0,1,1.0,2.0\x0c\n\n0,0,1,3.0,4.0\n0,0,1,5.0,6.0\n")
+    with pytest.raises(InputError, match="line 5: repeated"):
+        read_tracks(path, 2)
+
+
+def test_read_tracks_peak_memory_per_row(tmp_path):
+    # The reader keeps no per-line strings: a paper-scale file (about 72k
+    # rows; the stream it returns holds 25 B per row) peaks below 128 B per
+    # row of traced allocation.
+    rig = default_overlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=10_000, n_frames=100, noise_sigma=0.5,
+                                             seed=41))
+    path = tmp_path / "tracks.csv"
+    write_tracks(path, frames)
+    n_rows = sum(len(ids) for frame in frames for ids, _ in frame)
+    assert n_rows > 50_000
+    tracemalloc.start()
+    try:
+        back = read_tracks(path, len(rig))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(ids) for frame in back for ids, _ in frame) == n_rows
+    assert peak / n_rows <= 128, peak / n_rows
 
 
 def shuffled_tracks(tmp_path, frames, rig):
