@@ -100,18 +100,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_run_tracks(args) -> int:
     rig = read_rig(args.rig)
+    rig.check_layout("overlapping" if args.layout == "stereo" else "non-overlapping")
     frames = pipeline.read_tracks(args.tracks, len(rig))
     cfg = _config(args)
     tuning, pcfg = cfg["tuning"], cfg["pipeline"]
 
     if args.layout == "stereo":
-        if rig.layout != "overlapping":
-            raise InputError("--layout stereo needs an overlapping rig file")
         series = pipeline.run_stereo_sequence(frames, rig, tuning=tuning, pcfg=pcfg)
         by_method = {"stereo": series}
     else:
-        if rig.layout != "non-overlapping":
-            raise InputError("--layout nonoverlap needs a non-overlapping rig file")
         by_method = pipeline.run_nonoverlap_sequence(frames, rig, tuning=tuning, pcfg=pcfg)
 
     pipeline.write_poses(args.out, by_method)

@@ -1,5 +1,6 @@
-"""Exception types raised by the rigpose estimation stack, and the one
-check that config dataclasses run on their fields.
+"""Exception types raised by the rigpose estimation stack, the one check
+that config dataclasses run on their fields, and the one way files are
+opened.
 
 Everything derives from RigPoseError so callers can catch the whole family.
 Numerical-degeneracy errors (IllConditioned, BehindCamera, ...) derive
@@ -8,6 +9,7 @@ conditions, not hard failures.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import fields
 from numbers import Integral, Real
 
@@ -87,3 +89,18 @@ def check_config_fields(
             raise InputError(f"{block}.{f.name} must be >= {at_least[f.name]}, got {value!r}")
         if f.name in positive and not value > 0:
             raise InputError(f"{block}.{f.name} must be > 0, got {value!r}")
+
+
+@contextmanager
+def open_path(path, mode: str = "r", **kwargs):
+    """open(path, mode) as UTF-8 text, for every reader and writer of the
+    package: a path that cannot be opened, read or written (missing, a
+    directory, in a missing directory) and a file that is not UTF-8 raise
+    InputError naming the path."""
+    try:
+        with open(path, mode, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc

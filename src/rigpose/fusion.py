@@ -1,7 +1,7 @@
 """Rigidity-constraint fusion for the non-overlapping layout.
 
 Each camera k of a rigid four-camera rig estimates its own motion, a local
-pose (l_kj, angles of r_kj) in its initial frame, up to a per-camera
+pose row (l_kj, angles of r_kj) in its initial frame, up to a per-camera
 translation scale. The chains hand over all their local poses as one
 array (F, 4, 6). Because the rig is rigid, every camera's rotation maps to
 the body axes by the change of basis R_k r_kj R_k^T; local_to_body_pose
@@ -31,7 +31,6 @@ import numpy as np
 from .errors import IllConditioned
 from .geometry import (
     CameraStack,
-    Pose,
     camera_placement,
     change_basis,
     euler_angles,
@@ -43,19 +42,19 @@ MIN_TRANSLATION = 1e-5     # |d_j| below this cannot anchor the scales
 MIN_RHS = 1e-12            # |b| below this means scale is unobservable
 
 
-def true_local_pose(pose: Pose, cams: CameraStack) -> np.ndarray:
+def true_local_pose(pose, cams: CameraStack) -> np.ndarray:
     """Ground-truth local poses (S, 6) = (l_kj, angles of r_kj) of every
-    camera of a stack for a given body pose."""
-    center, orient = camera_placement(pose.rotation(), pose.d, cams)
+    camera of a stack for a given body pose row (6,)."""
+    pose = np.asarray(pose, dtype=float)
+    center, orient = camera_placement(rot_from_angles(pose[3:]), pose[:3], cams)
     rt = np.swapaxes(cams.R, -1, -2)
     l = (rt @ (center - cams.D)[..., None])[..., 0]
     return np.concatenate([l, euler_angles(rt @ orient)], axis=-1)
 
 
 def local_to_body_pose(local: np.ndarray, cams: CameraStack):
-    """Body poses implied by the cameras' local poses (..., S, 6), entry s
-    of axis -2 from camera s of the stack, with unit scales. Returns
-    translations d (..., S, 3) and angles (..., S, 3).
+    """Body poses (..., S, 6) implied by the cameras' local poses (..., S, 6),
+    entry s of axis -2 from camera s of the stack, with unit scales.
 
     Rotation comes from the change of basis; translation from the rigidity
     relation d_j = R_k l_kj + (I - R_kj) D_k with both scales at 1. Raises
@@ -63,7 +62,7 @@ def local_to_body_pose(local: np.ndarray, cams: CameraStack):
     """
     body_rot = change_basis(cams.R, rot_from_angles(local[..., 3:]))
     d = (cams.R @ local[..., :3, None] + (np.eye(3) - body_rot) @ cams.D[:, :, None])[..., 0]
-    return d, euler_angles(body_rot)
+    return np.concatenate([d, euler_angles(body_rot)], axis=-1)
 
 
 def fuse_rotation_median(angle_sets: np.ndarray) -> np.ndarray:
@@ -120,7 +119,7 @@ def solve_scales(a, b, d_j):
 
 @dataclass
 class FusionResult:
-    pose: Pose
+    pose: np.ndarray   # the fused body pose row (6,)
     scales: np.ndarray
     ill_conditioned: bool
     residual: float | None
@@ -145,7 +144,7 @@ def fuse_pose(l, body_angles, cams: CameraStack, prev_scales) -> FusionResult:
     except IllConditioned:
         scales, residual, ill = prev_scales, None, True
     return FusionResult(
-        pose=Pose(scales[0] * d_ref, fused_angles),
+        pose=np.concatenate([scales[0] * d_ref, fused_angles]),
         scales=scales,
         ill_conditioned=ill,
         residual=residual,

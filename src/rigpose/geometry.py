@@ -6,9 +6,10 @@ Coordinate conventions used across the package:
   z along the reference optical axis). All pose parameters are expressed
   with respect to this frame.
 * Camera frame: standard computer vision (x right, y down, z forward).
-* A body pose is (d, angles): translation d of the reference camera and
-  rotation angles (alpha, beta, gamma) about the world x/y/z axes with
-  composition R = Rx(alpha) @ Ry(beta) @ Rz(gamma).
+* A body pose is one row (tx, ty, tz, alpha, beta, gamma), shape (6,):
+  translation d = (tx, ty, tz) of the reference camera and rotation angles
+  about the world x/y/z axes with composition R = Rx(alpha) @ Ry(beta) @
+  Rz(gamma). A pose series is one (F, 6) array of such rows.
 * A point M (world) seen by the reference camera at pose (d, R) has camera
   coordinates P = R^T (M - d). Camera k of the rig, mounted at displacement
   D_k with fixed rotation R_k, sees P_k = R_k^T R^T (M - d - R D_k).
@@ -26,7 +27,7 @@ motion regime of this package stays far inside that bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import (
     InvalidCameraIndex,
     GimbalProximity,
     NonOrthonormalInput,
+    open_path,
 )
 
 # Orthonormality guard used wherever a rotation matrix is accepted as input.
@@ -126,33 +128,6 @@ def change_basis(rot_k: np.ndarray, rot_local: np.ndarray) -> np.ndarray:
     axes; both may be stacks (..., 3, 3). Does not check its inputs: for
     rotations the package built itself."""
     return rot_k @ rot_local @ np.swapaxes(rot_k, -1, -2)
-
-
-@dataclass
-class Pose:
-    """Reference-camera pose: translation d (m) and angles (rad) in the world frame."""
-
-    d: np.ndarray
-    angles: np.ndarray
-
-    def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=float).reshape(3)
-        self.angles = np.asarray(self.angles, dtype=float).reshape(3)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_vector(cls, v) -> "Pose":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.d, self.angles])
-
-    def rotation(self) -> np.ndarray:
-        return rot_from_angles(self.angles)
 
 
 @dataclass
@@ -319,13 +294,14 @@ def view_points(points, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
     return p_cam.T, uv, front, orient
 
 
-def world_to_camera_k(pose: Pose, rig: CameraRig, k: int, points) -> np.ndarray:
-    """Camera-k coordinates R_k^T R^T (M - d - R D_k), by view_points.
-    Accepts (..., 3) points."""
+def world_to_camera_k(pose, rig: CameraRig, k: int, points) -> np.ndarray:
+    """Camera-k coordinates R_k^T R^T (M - d - R D_k) with the body at the
+    pose row (6,), by view_points. Accepts (..., 3) points."""
+    pose = np.asarray(pose, dtype=float)
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, 3)
     cams, seg = CameraStack.of([rig.camera(k)], [0]), np.zeros(len(flat), dtype=int)
-    p_cam = view_points(flat, pose.rotation()[None], pose.d[None], cams, seg)[0]
+    p_cam = view_points(flat, rot_from_angles(pose[3:])[None], pose[None, :3], cams, seg)[0]
     return p_cam.reshape(points.shape)
 
 
@@ -376,14 +352,9 @@ def rig_from_dict(data: dict) -> CameraRig:
         layout = data.get("layout", "overlapping")
         cameras = []
         for entry in entries:
-            intr = Intrinsics(
-                fx=float(entry.get("fx", 1000.0)),
-                fy=float(entry.get("fy", 1000.0)),
-                cx=float(entry.get("cx", 320.0)),
-                cy=float(entry.get("cy", 240.0)),
-                width=int(entry.get("width", 640)),
-                height=int(entry.get("height", 480)),
-            )
+            # each intrinsic the entry gives, cast to the type of its field's default
+            intr = Intrinsics(**{f.name: type(f.default)(entry[f.name])
+                                 for f in fields(Intrinsics) if f.name in entry})
             r_angles = np.array(entry["R_angles"], dtype=float)
             if not np.all(np.isfinite(r_angles)):
                 raise InputError(f"rig camera R_angles must be finite, got {r_angles}")
@@ -400,14 +371,14 @@ def rig_from_dict(data: dict) -> CameraRig:
 
 
 def write_rig(path, rig: CameraRig) -> None:
-    with open(path, "w") as fh:
+    with open_path(path, "w") as fh:
         json.dump(rig_to_dict(rig), fh, indent=2)
         fh.write("\n")
 
 
 def read_rig(path) -> CameraRig:
     try:
-        with open(path) as fh:
+        with open_path(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc

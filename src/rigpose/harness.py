@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .ekf import FilterTuning
-from .errors import InputError, RigPoseError
+from .errors import InputError, RigPoseError, open_path
 from .geometry import (
     CameraRig,
     default_nonoverlap_rig,
@@ -89,7 +89,7 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open_path(path, "w", newline="") as fh:
             fh.write(self.to_csv_text())
 
     def write_json(self, path) -> None:
@@ -98,7 +98,7 @@ class ExperimentReport:
             "columns": PARAM_NAMES,
             "metadata": self.metadata,
         }
-        with open(path, "w") as fh:
+        with open_path(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
@@ -302,7 +302,7 @@ def config_from_dict(data, source: str) -> dict:
 def load_config(path) -> dict:
     """Load a JSON harness config file: config_from_dict of its content."""
     try:
-        with open(path) as fh:
+        with open_path(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc

@@ -40,13 +40,13 @@ from .errors import (
     InsufficientMatches,
     LengthMismatch,
     check_config_fields,
+    open_path,
 )
 from .geometry import (
     Camera,
     CameraRig,
     CameraStack,
     Intrinsics,
-    Pose,
     back_project,
     rot_from_angles,
     world_to_camera_k,
@@ -89,11 +89,11 @@ def pose_error_report(series: PoseEstimateSeries, truth: Trajectory) -> np.ndarr
         raise LengthMismatch(f"series has {len(series)} frames, truth has {len(truth)}")
     if len(series) < 2:
         raise InputError("need at least 2 frames to report errors")
-    err_d = np.abs(series.d[1:] - truth.d[1:])
-    diff_a = series.angles[1:] - truth.angles[1:]
-    err_a = np.abs(diff_a)
-    err_a = np.where(err_a > np.pi, np.abs((diff_a + np.pi) % (2 * np.pi) - np.pi), err_a)
-    return np.concatenate([err_d.mean(axis=0), err_a.mean(axis=0)])
+    diff = series.x[1:] - truth.x[1:]
+    err = np.abs(diff)
+    wrap = err[:, 3:] > np.pi
+    err[:, 3:][wrap] = np.abs((diff[:, 3:][wrap] + np.pi) % (2 * np.pi) - np.pi)
+    return err.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +104,9 @@ LOWE_MAX_ITER = 50
 LOWE_STEP_TOL = 1e-10
 
 
-def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init: Pose) -> Pose:
-    """Refine a reference-camera pose from 3D-2D matches by minimizing the
-    pixel reprojection error.
+def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init) -> np.ndarray:
+    """Refine a reference-camera pose row (6,) from 3D-2D matches, starting
+    at the pose row init, by minimizing the pixel reprojection error.
 
     Damped Gauss-Newton: the step is halved while it increases the
     residual; five consecutive iterations without improvement raise
@@ -129,7 +129,7 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init: Po
         res = (pixels - uv_pred).ravel()
         return res @ res, res, jac.reshape(-1, 6)
 
-    vec = init.as_vector()
+    vec = np.array(init, dtype=float)
     cost, res, j = evaluate(vec)   # BehindCamera here means init outside the basin
     fails = 0
     for _ in range(LOWE_MAX_ITER):
@@ -162,7 +162,7 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init: Po
         cost, res, j = cand_cost, cand_res, cand_j
         if np.linalg.norm(scale * step) < LOWE_STEP_TOL:
             break
-    return Pose.from_vector(vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +289,11 @@ def _update_or_skip(state: ekf.PoseFilterState, batch, cams: CameraStack, frame:
 # ---------------------------------------------------------------------------
 
 def _match_and_triangulate(
-    frame, matched, rig: CameraRig, pairs, pose: Pose, store: _TrackTable
+    frame, matched, rig: CameraRig, pairs, pose, store: _TrackTable
 ) -> int:
     """Pair up each stereo pair's matched rows at a frame by feature (the
     matching and the gate ran once per sequence), triangulate them with the
-    given pose, and upsert the results. Returns the number of accepted
+    given pose row, and upsert the results. Returns the number of accepted
     matches."""
     accepted = 0
     for pair in pairs:
@@ -331,14 +331,13 @@ def run_stereo_sequence(
     gate, matched = _stereo_matches(stream, pairs, n_features, pcfg.epipolar_tol_px)
     store = _TrackTable(n_features)
 
-    pose0 = Pose.identity()
+    pose0 = np.zeros(6)
     n_matched = _match_and_triangulate(frames[0], matched, rig, pairs, pose0, store)
     if n_matched < pcfg.min_matches:
         raise InsufficientFeatures(
             f"frame 0 produced {n_matched} validated matches (< {pcfg.min_matches})"
         )
-    series = PoseEstimateSeries(np.zeros((len(frames), 3)), np.zeros((len(frames), 3)),
-                                ["init"], [{"features": n_matched}])
+    series = PoseEstimateSeries(np.zeros((len(frames), 6)), ["init"], [{"features": n_matched}])
     if len(frames) == 1:
         return series
 
@@ -346,12 +345,11 @@ def run_stereo_sequence(
     ids1, uv1 = _camera(frames[1], 0)
     mask = store.live[ids1]
     if truth is not None:
-        pose1 = truth.pose(1)
+        pose1 = truth.x[1]
     else:
         pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], rig.camera(0).intrinsics, pose0)
-    vel = pose1.as_vector() - pose0.as_vector()
-    state = ekf.make_pose_filter(pose1.as_vector(), vel, tuning)
-    series.d[1], series.angles[1] = pose1.d, pose1.angles
+    state = ekf.make_pose_filter(pose1, pose1 - pose0, tuning)
+    series.x[1] = pose1
     series.methods.append("lowe" if truth is None else "ideal-seed")
     series.diagnostics.append({"features": int(mask.sum())})
 
@@ -361,13 +359,13 @@ def run_stereo_sequence(
 
         batch, count = _measurement_batch(frames[j], cams, store, state.x, gate)
         if count[0] < pcfg.redetect_threshold:
-            _match_and_triangulate(frames[j - 1], matched, rig, pairs, series.pose(j - 1), store)
+            _match_and_triangulate(frames[j - 1], matched, rig, pairs, series.x[j - 1], store)
             diag["retriangulated"] = True
             batch, count = _measurement_batch(frames[j], cams, store, state.x, gate)
         diag["features"] = int(count[0])
 
         state, methods = _update_or_skip(state, batch, cams, j)
-        series.d[j], series.angles[j] = state.x[0, :3], state.x[0, 3:6]
+        series.x[j] = state.x[0, :6]
         series.methods.append(methods[0])
         series.diagnostics.append(diag)
     return series
@@ -403,7 +401,7 @@ def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_point
             rows1, uv1 = _camera(frames[1], k)
             mask = store.live[rows1]
             vec1[k] = local_truth[k] if local_truth is not None else lowe_pose(
-                store.means[rows1[mask]], uv1[mask], intr[k], Pose.identity()).as_vector()
+                store.means[rows1[mask]], uv1[mask], intr[k], np.zeros(6))
             diags[1].append({"features": int(mask.sum()), "redetected": False})
     if len(frames) == 1:
         return np.zeros((1, n_chains, 6)), diags[:1]
@@ -483,24 +481,24 @@ def run_nonoverlap_sequence(
     cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     local_truth = ideal_points = None
     if truth is not None and n_frames > 1:
-        local_truth = fusion.true_local_pose(truth.pose(1), cams)
+        local_truth = fusion.true_local_pose(truth.x[1], cams)
     if scene is not None:
-        ideal_points = [world_to_camera_k(Pose.identity(), rig, k, scene[frames[0][k][0]])
+        ideal_points = [world_to_camera_k(np.zeros(6), rig, k, scene[frames[0][k][0]])
                         for k in range(4)]
     locals_, diags = _run_chains(frames, rig.cameras, tuning, pcfg, local_truth, ideal_points)
 
-    d, angles = fusion.local_to_body_pose(locals_, cams)
-    out = {f"cam{k + 1}": PoseEstimateSeries(d[:, k], angles[:, k], ["local"] * n_frames,
+    body = fusion.local_to_body_pose(locals_, cams)
+    out = {f"cam{k + 1}": PoseEstimateSeries(body[:, k], ["local"] * n_frames,
                                              [diag[k] for diag in diags])
            for k in range(4)}
 
-    rc = PoseEstimateSeries(np.zeros((n_frames, 3)), np.zeros((n_frames, 3)),
-                            ["init"] + ["rc"] * (n_frames - 1), [{"scales": [1.0] * 4}])
+    rc = PoseEstimateSeries(np.zeros((n_frames, 6)), ["init"] + ["rc"] * (n_frames - 1),
+                            [{"scales": [1.0] * 4}])
     prev_scales = np.ones(4)
     for j in range(1, n_frames):
-        result = fusion.fuse_pose(locals_[j, :, :3], angles[j], cams, prev_scales)
+        result = fusion.fuse_pose(locals_[j, :, :3], body[j, :, 3:], cams, prev_scales)
         prev_scales = result.scales
-        rc.d[j], rc.angles[j] = result.pose.d, result.pose.angles
+        rc.x[j] = result.pose
         rc.diagnostics.append({"scales": [float(s) for s in result.scales],
                                "ill_conditioned": result.ill_conditioned,
                                "residual": result.residual})
@@ -516,7 +514,7 @@ def write_diagnostics(path, series_by_method: dict[str, PoseEstimateSeries]) -> 
     """Per-frame diagnostics as JSON lines: feature counts, scale vectors,
     condition flags, and re-triangulation events, one record per frame per
     method."""
-    with open(path, "w") as fh:
+    with open_path(path, "w") as fh:
         for method, series in series_by_method.items():
             for j, diag in enumerate(series.diagnostics):
                 record = {"method": method, "frame": j, "tag": series.methods[j], **diag}
@@ -529,7 +527,7 @@ TRUTH_HEADER = ["frame", "tx", "ty", "tz", "alpha", "beta", "gamma"]
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_path(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -537,9 +535,8 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 def _pose_rows(series: Trajectory):
     """`frame,tx,ty,tz,alpha,beta,gamma` rows with full decimal precision."""
-    for j in range(len(series)):
-        yield [j, *(repr(float(x)) for x in series.d[j]),
-               *(repr(float(x)) for x in series.angles[j])]
+    for j, pose in enumerate(series.x):
+        yield [j, *(repr(float(x)) for x in pose)]
 
 
 def write_tracks(path, frames) -> None:
@@ -555,7 +552,7 @@ def write_tracks(path, frames) -> None:
 def _records(path):
     """(line number, fields) of each non-empty CSV record after line 1: one per
     row np.loadtxt parses, as both end a line at \\n, \\r\\n or \\r."""
-    with open(path) as fh:
+    with open_path(path) as fh:
         fh.readline()
         reader = csv.reader(fh)
         yield from ((reader.line_num + 1, fields) for fields in reader if fields)
@@ -567,7 +564,7 @@ def _read_csv(path, header: list[str], n_int: int):
     skipping empty lines. No line is kept as a string: a malformed file is
     read again to name its first offending line, or only the value of a
     number that Python would parse but numpy does not (such as 1_0)."""
-    with open(path) as fh:
+    with open_path(path) as fh:
         first = next(csv.reader([fh.readline()]), [])
         if [h.strip() for h in first] != header:
             raise InputError(f"{path}: line 1: expected header {','.join(header)!r}, "
@@ -577,7 +574,7 @@ def _read_csv(path, header: list[str], n_int: int):
     dtype = np.dtype([("ints", np.int64, n_int), ("floats", float, len(header) - n_int)])
     try:
         data = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                          skiprows=1, ndmin=1)
+                          skiprows=1, ndmin=1, encoding="utf-8")
     except ValueError as exc:
         # Name the first offending line; the bulk parser reports rows only.
         for n, row in _records(path):
@@ -651,7 +648,7 @@ def read_truth(path) -> Trajectory:
     order = np.argsort(frame[:, 0], kind="stable")
     if not np.array_equal(frame[order, 0], np.arange(len(frame))):
         raise InputError(f"{path}: frames are not 0..N-1, each once")
-    return Trajectory(d=vals[order, :3], angles=vals[order, 3:])
+    return Trajectory(vals[order])
 
 
 def write_truth(path, truth: Trajectory) -> None:

@@ -26,7 +26,6 @@ from .geometry import (
     Camera,
     CameraRig,
     CameraStack,
-    Pose,
     camera_placement,
     euler_angles,
     rot_from_angles,
@@ -77,16 +76,13 @@ def gen_scene(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """A pose series: translations d (F, 3) and rotation angles (F, 3)."""
+    """A pose series x (F, 6): row j is frame j's pose (tx, ty, tz, alpha,
+    beta, gamma)."""
 
-    d: np.ndarray
-    angles: np.ndarray
+    x: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.d)
-
-    def pose(self, j: int) -> Pose:
-        return Pose(self.d[j], self.angles[j])
+        return len(self.x)
 
 
 def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
@@ -100,15 +96,14 @@ def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
     r_sign = rng.integers(0, 2, (f - 1, 3)) * 2 - 1
     deltas = np.hstack([t_mag * t_sign, r_mag * r_sign])
 
-    d = np.zeros((f, 3))
-    angles = np.zeros((f, 3))
+    x = np.zeros((f, 6))
     rotation = np.eye(3)
     steps = rot_from_angles(deltas[:, 3:])
     for j in range(1, f):
-        d[j] = d[j - 1] + deltas[j - 1, :3]
+        x[j, :3] = x[j - 1, :3] + deltas[j - 1, :3]
         rotation = steps[j - 1] @ rotation
-        angles[j] = euler_angles(rotation)
-    return Trajectory(d=d, angles=angles)
+        x[j, 3:] = euler_angles(rotation)
+    return Trajectory(x)
 
 
 # A rendered sequence: frames[j][cam_index] = (ids, uv)
@@ -152,10 +147,10 @@ def render_sequence(
         noise_seed = np.random.SeedSequence(0)
     children = noise_seed.spawn(n_cams * n_frames) if noise_sigma > 0 else []
 
-    rotations = rot_from_angles(traj.angles)
+    rotations, d = rot_from_angles(traj.x[:, 3:]), traj.x[:, :3]
     stack = CameraStack.of(cameras, np.zeros(n_cams, dtype=int))
     size = np.array([[c.intrinsics.width, c.intrinsics.height] for c in cameras])
-    centers, orients = camera_placement(rotations[:, None], traj.d[:, None], stack)
+    centers, orients = camera_placement(rotations[:, None], d[:, None], stack)
     rows = np.stack([_frustum_rows(c.intrinsics) for c in cameras]) @ np.swapaxes(orients, -1, -2)
     # For a world row f, point M and camera center C, the float32 cull errs by
     # at most 5u |f|_1 |M| + u |f|_1 |C| (u = 2^-24; inputs, product and
@@ -175,7 +170,7 @@ def render_sequence(
         candidates = inside.reshape(n_cams, 4, -1).all(axis=1)
         # (camera, point) pairs, camera-major with ascending ids per camera
         cam, ids = np.divmod(np.flatnonzero(candidates), len(scene))
-        _, uv, front, _ = view_points(scene[ids], rotations[j:j + 1], traj.d[j:j + 1], stack, cam)
+        _, uv, front, _ = view_points(scene[ids], rotations[j:j + 1], d[j:j + 1], stack, cam)
         cam, ids = cam[front], ids[front]
         visible = np.all((uv >= 0) & (uv < size[cam]), axis=1)
         cam, ids, uv = cam[visible], ids[visible], uv[visible]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentCenters
-from .geometry import MIN_BASELINE, Camera, CameraRig, Pose, back_project, camera_placement
+from .geometry import (MIN_BASELINE, Camera, CameraRig, back_project, camera_placement,
+                       rot_from_angles)
 
 # Rays closer to parallel than this angle (radians) cannot be intersected.
 PARALLEL_TOL = 1e-8
@@ -80,18 +81,20 @@ def _back_project_rays(rot: np.ndarray, d: np.ndarray, cam: Camera, pixels: np.n
 
 
 def triangulate_batch(
-    rig: CameraRig, pose: Pose, pair: StereoPair, pts_a, pts_b
+    rig: CameraRig, pose, pair: StereoPair, pts_a, pts_b
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint triangulation of matched pixel arrays (N, 2).
+    """Midpoint triangulation of matched pixel arrays (N, 2) with the body at
+    the pose row (6,).
 
     Returns (points (N, 3) world frame, valid mask (N,)). Invalid entries
     are near-parallel rays or points with nonpositive depth in either view.
     """
     pts_a = np.asarray(pts_a, dtype=float).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=float).reshape(-1, 2)
-    rot = pose.rotation()
-    c_a, w_a = _back_project_rays(rot, pose.d, rig.camera(pair.cam_a), pts_a)
-    c_b, w_b = _back_project_rays(rot, pose.d, rig.camera(pair.cam_b), pts_b)
+    pose = np.asarray(pose, dtype=float)
+    rot = rot_from_angles(pose[3:])
+    c_a, w_a = _back_project_rays(rot, pose[:3], rig.camera(pair.cam_a), pts_a)
+    c_b, w_b = _back_project_rays(rot, pose[:3], rig.camera(pair.cam_b), pts_b)
 
     # Least-squares ray parameters: minimize |c_a + s w_a - c_b - t w_b|.
     waa = np.einsum("ni,ni->n", w_a, w_a)

@@ -28,9 +28,10 @@ def pixels(points_cam, intr) -> np.ndarray:
 
 def to_camera(pose, cam, points) -> np.ndarray:
     """Coordinates R_k^T R^T (M - d - R D_k) of world points M (..., 3) in
-    rig camera cam (D_k, R_k) with the body at pose (d, R)."""
-    rot = pose.rotation()
-    return (np.asarray(points, dtype=float) - pose.d - rot @ cam.D) @ rot @ cam.R
+    rig camera cam (D_k, R_k) with the body at the pose row (d, angles of R)."""
+    pose = np.asarray(pose, dtype=float)
+    rot = rot_from_angles(pose[3:])
+    return (np.asarray(points, dtype=float) - pose[:3] - rot @ cam.D) @ rot @ cam.R
 
 
 def transition_matrix() -> np.ndarray:
@@ -61,9 +62,7 @@ def scripted_trajectory(n_frames: int, velocity) -> Trajectory:
     j is j * velocity. This is the regime where the constant-velocity plant
     model of the pose filter is exact."""
     velocity = np.asarray(velocity, dtype=float).reshape(6)
-    steps = np.arange(n_frames)[:, None]
-    d = steps * velocity[:3]
-    return Trajectory(d=d, angles=steps * velocity[3:])
+    return Trajectory(np.arange(n_frames)[:, None] * velocity)
 
 
 def random_walk(cfg, rng):

@@ -20,11 +20,11 @@ from rigpose.ekf import pose_measurement_rows
 from rigpose.errors import IllConditioned
 from rigpose.geometry import (
     CameraStack,
-    Pose,
     default_nonoverlap_rig,
     change_basis,
     default_overlap_rig,
     read_rig,
+    rot_from_angles,
     write_rig,
 )
 from rigpose.pipeline import PipelineConfig, run_stereo_sequence, write_tracks
@@ -178,7 +178,7 @@ def test_criterion_4_noiseless_exactness():
     # (a) project -> triangulate round trip < 1e-9 m
     rig = default_overlap_rig()
     pair = stereo.make_stereo_pair(rig, 0, 1)
-    pose = Pose(rng.uniform(-0.02, 0.02, 3), rng.uniform(-0.02, 0.02, 3))
+    pose = rng.uniform(-0.02, 0.02, 6)
     points = np.array(
         [[rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.7, 1.0)]
          for _ in range(100)]
@@ -193,16 +193,14 @@ def test_criterion_4_noiseless_exactness():
     cams_n = CameraStack.of(default_nonoverlap_rig().cameras, np.zeros(4, dtype=int))
     worst_scale = 0.0
     for _ in range(100):
-        body = Pose(rng.uniform(-0.05, 0.05, 3), rng.uniform(0.01, 0.1, 3))
+        body = np.concatenate([rng.uniform(-0.05, 0.05, 3), rng.uniform(0.01, 0.1, 3)])
         local = fusion.true_local_pose(body, cams_n)
-        a, b = fusion.build_scale_system(body.d, body.rotation(), local[1:, :3], cams_n)
-        scales, _, _ = fusion.solve_scales(a, b, body.d)
+        a, b = fusion.build_scale_system(body[:3], rot_from_angles(body[3:]), local[1:, :3], cams_n)
+        scales, _, _ = fusion.solve_scales(a, b, body[:3])
         worst_scale = max(worst_scale, float(np.abs(scales - 1.0).max()))
 
     # (c) conjugation preserves the rotation angle within 1e-10
     worst_conj = 0.0
-    from rigpose.geometry import rot_from_angles
-
     for _ in range(100):
         basis = rot_from_angles(rng.uniform(-0.5, 0.5, 3))
         local = rot_from_angles(rng.uniform(-0.3, 0.3, 3))
@@ -215,17 +213,16 @@ def test_criterion_4_noiseless_exactness():
     intr = rig.camera(0).intrinsics
     worst_lowe = 0.0
     for _ in range(10):
-        truth = Pose(rng.uniform(-0.02, 0.02, 3), rng.uniform(-0.02, 0.02, 3))
+        truth = rng.uniform(-0.02, 0.02, 6)
         pts = np.stack(
             [rng.uniform(-0.25, 0.25, 50), rng.uniform(-0.18, 0.18, 50),
              rng.uniform(0.7, 1.0, 50)],
             axis=-1,
         )
         uv = pixels(to_camera(truth, cam_a, pts), intr)
-        init = Pose(truth.d + rng.uniform(-0.01, 0.01, 3),
-                    truth.angles + rng.uniform(-0.01, 0.01, 3))
+        init = truth + rng.uniform(-0.01, 0.01, 6)
         est = pipeline.lowe_pose(pts, uv, intr, init)
-        worst_lowe = max(worst_lowe, float(np.abs(est.as_vector() - truth.as_vector()).max()))
+        worst_lowe = max(worst_lowe, float(np.abs(est - truth).max()))
 
     wall = time.monotonic() - started
     ok = (
@@ -251,12 +248,13 @@ def test_criterion_4_noiseless_exactness():
 def test_criterion_5_degenerate_handling():
     # pure-rotation frame: IllConditioned and the scale fallback
     cams_n = CameraStack.of(default_nonoverlap_rig().cameras, np.zeros(4, dtype=int))
-    pure_rot = Pose(np.zeros(3), [0.02, -0.01, 0.03])
+    pure_rot = np.array([0.0, 0.0, 0.0, 0.02, -0.01, 0.03])
     local = fusion.true_local_pose(pure_rot, cams_n)
-    a, b = fusion.build_scale_system(np.zeros(3), pure_rot.rotation(), local[1:, :3], cams_n)
+    a, b = fusion.build_scale_system(np.zeros(3), rot_from_angles(pure_rot[3:]), local[1:, :3],
+                                     cams_n)
     with pytest.raises(IllConditioned):
         fusion.solve_scales(a, b, np.zeros(3))
-    _, body_angles = fusion.local_to_body_pose(local, cams_n)
+    body_angles = fusion.local_to_body_pose(local, cams_n)[:, 3:]
     prev = np.array([1.3, 0.9, 1.1, 1.0])
     result = fusion.fuse_pose(local[:, :3], body_angles, cams_n, prev)
     fallback_ok = result.ill_conditioned and np.array_equal(result.scales, prev)
@@ -336,8 +334,8 @@ def test_criterion_7_noiseless_scripted_tracking():
         frames, rig, pcfg=PipelineConfig(redetect_threshold=20),
         truth=traj,
     )
-    err_d = float(np.abs(series.d - traj.d).max())
-    err_a = float(np.abs(series.angles - traj.angles).max())
+    err = np.abs(series.x - traj.x)
+    err_d, err_a = float(err[:, :3].max()), float(err[:, 3:].max())
     ok = err_d < 1e-6 and err_a < 1e-6
     report_line("7 noiseless scripted tracking < 1e-6", ok,
                 f"max_err_d={err_d:.2e} max_err_angles={err_a:.2e}")
@@ -377,8 +375,7 @@ def test_tracks_path_identical_to_in_process(tmp_path, capsys):
     for j, line in enumerate(lines):
         fields = line.split(",")
         vec = np.array([float(x) for x in fields[1:7]])
-        expect = np.concatenate([direct.d[j], direct.angles[j]])
-        worst = max(worst, float(np.abs(vec - expect).max()))
+        worst = max(worst, float(np.abs(vec - direct.x[j]).max()))
     ok = worst < 1e-12
     report_line("8 run-tracks equals in-process pipeline", ok, f"max_diff={worst:.2e}")
     assert ok

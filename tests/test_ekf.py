@@ -20,10 +20,10 @@ from rigpose.geometry import (
     CameraRig,
     CameraStack,
     Intrinsics,
-    Pose,
     back_project,
     default_nonoverlap_rig,
     default_overlap_rig,
+    rot_from_angles,
 )
 from rigpose.simulate import SimConfig, gen_scene, gen_trajectory, render_sequence
 
@@ -63,7 +63,7 @@ def structure_update(means, covs, uv, pose_vec, cam, r_var):
 
 def observe(rig, pose_vec, points, cameras=(0,), noise=0.0, rng=None):
     # (ids, uv, seg, points) of the given cameras seeing points at pose_vec
-    pose = Pose.from_vector(np.ravel(pose_vec)[:6])
+    pose = np.ravel(pose_vec)[:6]
     uvs = []
     for k in cameras:
         cam = rig.camera(k)
@@ -470,10 +470,9 @@ def test_innovation_whiteness_on_consistent_model():
 def structure_update_reference(m, p, observed, pose_vec, cam, r_var):
     """One point's EKF update written out with dense algebra: the oracle
     the batched filter is checked against."""
-    pose = Pose.from_vector(pose_vec[:6])
-    rot = pose.rotation()
+    rot = rot_from_angles(pose_vec[3:6])
     orient = rot @ cam.R
-    p_cam = orient.T @ (m - pose.d - rot @ cam.D)
+    p_cam = orient.T @ (m - pose_vec[:3] - rot @ cam.D)
     if p_cam[2] <= 0:
         raise BehindCamera("point behind the camera")
     intr = cam.intrinsics
@@ -516,15 +515,15 @@ def test_structure_depth_converges_with_parallax():
     rig = reference_rig()
     cam = rig.camera(0)
     truth = np.array([0.05, -0.03, 0.8])
-    pose_a = Pose.identity()
-    pose_b = Pose([0.1, 0.0, 0.0], [0.0, 0.0, 0.0])
+    pose_a = np.zeros(6)
+    pose_b = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
     uv_a = pixels(truth, cam.intrinsics)
-    uv_b = pixels(truth - pose_b.d, cam.intrinsics)
+    uv_b = pixels(truth - pose_b[:3], cam.intrinsics)
     m = back_project(uv_a[None], cam.intrinsics, 1.0)  # orthographic init on A's ray
     p = initial_structure_covariance(TUNING, 1)
     errors = [abs(m[0, 2] - truth[2])]
     for pose, uv in [(pose_b, uv_b), (pose_a, uv_a)] * 5:
-        m, p, _ = structure_update(m, p, uv[None, :], pose.as_vector(), cam, 0.25)
+        m, p, _ = structure_update(m, p, uv[None, :], pose, cam, 0.25)
         errors.append(abs(m[0, 2] - truth[2]))
     for before, after in zip(errors, errors[1:]):
         assert after <= before + 1e-12
@@ -565,7 +564,7 @@ def test_structure_batch_matches_single_updates():
     cam = rig.camera(1)
     pose_vec = np.concatenate([rng.uniform(-0.02, 0.02, 6), np.zeros(6)])
     pts = spread_points(rng, 8) @ cam.R.T + cam.D
-    uv = pixels(to_camera(Pose.from_vector(pose_vec[:6]), cam, pts), cam.intrinsics)
+    uv = pixels(to_camera(pose_vec[:6], cam, pts), cam.intrinsics)
     uv = uv + rng.normal(0, 0.5, (8, 2))
     covs = initial_structure_covariance(TUNING, 8)
     batch_m, batch_p, front = structure_update(pts, covs, uv, pose_vec, cam, 0.25)
@@ -642,7 +641,7 @@ def test_noiseless_render_measured_at_the_truth_leaves_no_innovation():
             ids = np.concatenate([ids for ids, _ in frame])
             uv = np.concatenate([uv for _, uv in frame])
             seg = np.repeat(np.arange(len(frame)), [len(ids) for ids, _ in frame])
-            x = np.concatenate([traj.d[j], traj.angles[j], np.zeros(6)])[None]
+            x = np.concatenate([traj.x[j], np.zeros(6)])[None]
             batch = measure(x, stack(rig), ids, uv, seg, scene[ids])
             assert len(batch.ids) == len(ids)
             np.testing.assert_array_equal(batch.innovation, 0.0)

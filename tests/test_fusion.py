@@ -11,7 +11,7 @@ from rigpose.fusion import (
     solve_scales,
     true_local_pose,
 )
-from rigpose.geometry import CameraStack, Pose, default_nonoverlap_rig
+from rigpose.geometry import CameraStack, default_nonoverlap_rig, rot_from_angles
 
 RIG = default_nonoverlap_rig()
 CAMS = CameraStack.of(RIG.cameras, np.zeros(4, dtype=int))
@@ -20,6 +20,11 @@ CAMS = CameraStack.of(RIG.cameras, np.zeros(4, dtype=int))
 def ground_truth_inputs(pose):
     """Local translations (3, 3) of the non-reference cameras."""
     return true_local_pose(pose, CAMS)[1:, :3]
+
+
+def scale_system(pose, l):
+    """The scale system at the body pose row, with local translations l."""
+    return build_scale_system(pose[:3], rot_from_angles(pose[3:]), l, CAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +90,8 @@ def test_median_across_the_pi_seam():
 # ---------------------------------------------------------------------------
 
 def test_build_scale_system_shape_and_sparsity():
-    pose = Pose([0.01, -0.004, 0.007], [0.01, -0.02, 0.015])
-    a, b = build_scale_system(pose.d, pose.rotation(), ground_truth_inputs(pose), CAMS)
+    pose = np.array([0.01, -0.004, 0.007, 0.01, -0.02, 0.015])
+    a, b = scale_system(pose, ground_truth_inputs(pose))
     assert a.shape == (9, 4)
     assert b.shape == (9,)
     # each row: column 0 plus at most one of columns 1..3
@@ -95,73 +100,73 @@ def test_build_scale_system_shape_and_sparsity():
 
 
 def test_build_scale_system_zero_rhs_for_identity_rotation():
-    pose = Pose([0.01, -0.004, 0.007], [0.0, 0.0, 0.0])
-    _, b = build_scale_system(pose.d, np.eye(3), ground_truth_inputs(pose), CAMS)
+    pose = np.array([0.01, -0.004, 0.007, 0.0, 0.0, 0.0])
+    _, b = build_scale_system(pose[:3], np.eye(3), ground_truth_inputs(pose), CAMS)
     np.testing.assert_array_equal(b, np.zeros(9))
 
 
 def test_build_scale_system_ground_truth_consistency():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        pose = Pose(rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.1, 0.1, 3))
-        a, b = build_scale_system(pose.d, pose.rotation(), ground_truth_inputs(pose), CAMS)
+        pose = np.concatenate([rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.1, 0.1, 3)])
+        a, b = scale_system(pose, ground_truth_inputs(pose))
         np.testing.assert_allclose(a @ np.ones(4), b, atol=1e-12)
 
 
 def test_solve_scales_recovers_unit_scales():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        pose = Pose(rng.uniform(-0.05, 0.05, 3), rng.uniform(0.01, 0.1, 3))
-        a, b = build_scale_system(pose.d, pose.rotation(), ground_truth_inputs(pose), CAMS)
-        scales, residual, _ = solve_scales(a, b, pose.d)
+        pose = np.concatenate([rng.uniform(-0.05, 0.05, 3), rng.uniform(0.01, 0.1, 3)])
+        a, b = scale_system(pose, ground_truth_inputs(pose))
+        scales, residual, _ = solve_scales(a, b, pose[:3])
         np.testing.assert_allclose(scales, np.ones(4), atol=1e-9)
         assert residual < 1e-10
 
 
 def test_solve_scales_doubled_locals_halve_camera_scales():
-    pose = Pose([0.02, -0.01, 0.015], [0.03, -0.04, 0.05])
+    pose = np.array([0.02, -0.01, 0.015, 0.03, -0.04, 0.05])
     doubled = 2.0 * ground_truth_inputs(pose)
-    a, b = build_scale_system(pose.d, pose.rotation(), doubled, CAMS)
-    scales, _, _ = solve_scales(a, b, pose.d)
+    a, b = scale_system(pose, doubled)
+    scales, _, _ = solve_scales(a, b, pose[:3])
     np.testing.assert_allclose(scales, [1.0, 0.5, 0.5, 0.5], atol=1e-9)
 
 
 def test_solve_scales_pure_rotation_is_ill_conditioned():
-    pose = Pose([0.0, 0.0, 0.0], [0.02, -0.01, 0.03])
-    a, b = build_scale_system(np.zeros(3), pose.rotation(), ground_truth_inputs(pose), CAMS)
+    pose = np.array([0.0, 0.0, 0.0, 0.02, -0.01, 0.03])
+    a, b = scale_system(pose, ground_truth_inputs(pose))
     with pytest.raises(IllConditioned):
         solve_scales(a, b, np.zeros(3))
 
 
 def test_solve_scales_zero_rhs_is_ill_conditioned():
-    pose = Pose([0.01, -0.004, 0.007], [0.0, 0.0, 0.0])
-    a, b = build_scale_system(pose.d, np.eye(3), ground_truth_inputs(pose), CAMS)
+    pose = np.array([0.01, -0.004, 0.007, 0.0, 0.0, 0.0])
+    a, b = build_scale_system(pose[:3], np.eye(3), ground_truth_inputs(pose), CAMS)
     with pytest.raises(IllConditioned):
-        solve_scales(a, b, pose.d)
+        solve_scales(a, b, pose[:3])
 
 
 def test_rigidity_relation_holds_on_ground_truth():
     # R_j D_k + S_j d_j = S_kj R_k l_kj + D_k with unit scales.
     rng = np.random.default_rng(4)
     for _ in range(20):
-        pose = Pose(rng.uniform(-0.1, 0.1, 3), rng.uniform(-0.2, 0.2, 3))
-        rot = pose.rotation()
+        pose = np.concatenate([rng.uniform(-0.1, 0.1, 3), rng.uniform(-0.2, 0.2, 3)])
+        rot = rot_from_angles(pose[3:])
         local = true_local_pose(pose, CAMS)
         for k in (1, 2, 3):
             cam = RIG.camera(k)
-            lhs = rot @ cam.D + pose.d
+            lhs = rot @ cam.D + pose[:3]
             rhs = cam.R @ local[k, :3] + cam.D
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_scale_homogeneity_leaves_fused_translation_unchanged():
-    pose = Pose([0.02, -0.01, 0.015], [0.03, -0.04, 0.05])
+    pose = np.array([0.02, -0.01, 0.015, 0.03, -0.04, 0.05])
     for c in (0.5, 2.0, 7.5):
         scaled = c * ground_truth_inputs(pose)
-        a, b = build_scale_system(pose.d, pose.rotation(), scaled, CAMS)
-        scales, _, _ = solve_scales(a, b, pose.d)
+        a, b = scale_system(pose, scaled)
+        scales, _, _ = solve_scales(a, b, pose[:3])
         np.testing.assert_allclose(scales[1:], np.ones(3) / c, atol=1e-9)
-        np.testing.assert_allclose(scales[0] * pose.d, pose.d, atol=1e-9)
+        np.testing.assert_allclose(scales[0] * pose[:3], pose[:3], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -171,58 +176,57 @@ def test_scale_homogeneity_leaves_fused_translation_unchanged():
 def per_camera_truth(pose):
     """Local translations (4, 3) and body angles (4, 3) of every camera."""
     local = true_local_pose(pose, CAMS)
-    return local[:, :3], local_to_body_pose(local, CAMS)[1]
+    return local[:, :3], local_to_body_pose(local, CAMS)[:, 3:]
 
 
 def test_fuse_pose_exact_inputs():
-    pose = Pose([0.02, -0.01, 0.015], [0.03, -0.04, 0.05])
+    pose = np.array([0.02, -0.01, 0.015, 0.03, -0.04, 0.05])
     result = fuse_pose(*per_camera_truth(pose), CAMS, np.ones(4))
     assert isinstance(result, FusionResult)
-    np.testing.assert_allclose(result.pose.d, pose.d, atol=1e-9)
-    np.testing.assert_allclose(result.pose.angles, pose.angles, atol=1e-9)
+    np.testing.assert_allclose(result.pose[:3], pose[:3], atol=1e-9)
+    np.testing.assert_allclose(result.pose[3:], pose[3:], atol=1e-9)
     np.testing.assert_allclose(result.scales, np.ones(4), atol=1e-9)
 
 
 def test_fuse_pose_corrects_injected_reference_scale():
     # Camera 1 reports half the true translation; the system should solve
     # S_j = 2 and restore the true fused translation.
-    pose = Pose([0.02, -0.01, 0.015], [0.03, -0.04, 0.05])
+    pose = np.array([0.02, -0.01, 0.015, 0.03, -0.04, 0.05])
     l, angles = per_camera_truth(pose)
     l[0] *= 0.5
     result = fuse_pose(l, angles, CAMS, np.ones(4))
     assert result.scales[0] == pytest.approx(2.0, abs=1e-6)
-    np.testing.assert_allclose(result.pose.d, pose.d, atol=1e-6)
+    np.testing.assert_allclose(result.pose[:3], pose[:3], atol=1e-6)
 
 
 def test_fuse_pose_degenerate_falls_back_to_previous_scales():
     # First frame: no motion, identity rotation -> ill-conditioned system;
     # the fused translation is d_j unchanged under prev scales of 1.
-    pose = Pose([0.01, -0.004, 0.007], [0.0, 0.0, 0.0])
+    pose = np.array([0.01, -0.004, 0.007, 0.0, 0.0, 0.0])
     result = fuse_pose(*per_camera_truth(pose), CAMS, np.ones(4))
     assert result.ill_conditioned
-    np.testing.assert_allclose(result.pose.d, pose.d, atol=1e-15)
+    np.testing.assert_allclose(result.pose[:3], pose[:3], atol=1e-15)
     np.testing.assert_array_equal(result.scales, np.ones(4))
 
 
 def test_local_to_body_is_identity_for_reference_camera():
-    pose = Pose([0.03, -0.02, 0.01], [0.04, 0.05, -0.06])
-    d, angles = local_to_body_pose(true_local_pose(pose, CAMS), CAMS)
-    np.testing.assert_allclose(np.concatenate([d[0], angles[0]]), pose.as_vector(), atol=1e-12)
+    pose = np.array([0.03, -0.02, 0.01, 0.04, 0.05, -0.06])
+    body = local_to_body_pose(true_local_pose(pose, CAMS), CAMS)
+    np.testing.assert_allclose(body[0], pose, atol=1e-12)
 
 
 def test_local_to_body_roundtrip_all_cameras():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        pose = Pose(rng.uniform(-0.1, 0.1, 3), rng.uniform(-0.2, 0.2, 3))
-        d, angles = local_to_body_pose(true_local_pose(pose, CAMS), CAMS)
+        pose = np.concatenate([rng.uniform(-0.1, 0.1, 3), rng.uniform(-0.2, 0.2, 3)])
+        body = local_to_body_pose(true_local_pose(pose, CAMS), CAMS)
         for k in range(4):
-            np.testing.assert_allclose(np.concatenate([d[k], angles[k]]), pose.as_vector(),
-                                       atol=1e-12)
+            np.testing.assert_allclose(body[k], pose, atol=1e-12)
 
 
 def test_scale_system_condition_field():
-    pose = Pose([0.02, -0.01, 0.015], [0.03, -0.04, 0.05])
-    a, b = build_scale_system(pose.d, pose.rotation(), ground_truth_inputs(pose), CAMS)
-    _, _, condition = solve_scales(a, b, pose.d)
+    pose = np.array([0.02, -0.01, 0.015, 0.03, -0.04, 0.05])
+    a, b = scale_system(pose, ground_truth_inputs(pose))
+    _, _, condition = solve_scales(a, b, pose[:3])
     assert np.isfinite(condition)
     assert condition >= 1.0

@@ -16,7 +16,6 @@ from rigpose.geometry import (
     CameraRig,
     CameraStack,
     Intrinsics,
-    Pose,
     back_project,
     change_basis,
     check_rotation,
@@ -104,17 +103,17 @@ def test_angles_from_rot_gimbal_proximity():
 
 
 def test_world_to_camera_identity_pose():
-    pose = Pose.identity()
+    pose = np.zeros(6)
     np.testing.assert_allclose(to_reference(pose, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_world_to_camera_pure_translation():
-    pose = Pose([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    pose = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(to_reference(pose, [1.0, 2.0, 3.0]), [0.0, 2.0, 3.0])
 
 
 def test_world_to_camera_pure_rotation():
-    pose = Pose([0.0, 0.0, 0.0], [0.0, 0.0, np.pi / 2])
+    pose = np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi / 2])
     np.testing.assert_allclose(
         to_reference(pose, [1.0, 0.0, 0.0]), [0.0, -1.0, 0.0], atol=1e-15
     )
@@ -123,20 +122,20 @@ def test_world_to_camera_pure_rotation():
 def test_world_to_camera_inverse_reconstruction():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        pose = Pose(rng.uniform(-1, 1, 3), rng.uniform(-0.4, 0.4, 3))
+        pose = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-0.4, 0.4, 3)])
         point = rng.uniform(-2, 2, 3)
         cam_pt = to_reference(pose, point)
-        back = pose.rotation() @ cam_pt + pose.d
+        back = rot_from_angles(pose[3:]) @ cam_pt + pose[:3]
         np.testing.assert_allclose(back, point, atol=1e-12)
 
 
 def test_world_to_camera_k_reference_matches_reference_transform():
     rig = default_overlap_rig()
     rng = np.random.default_rng(4)
-    pose = Pose(rng.uniform(-0.1, 0.1, 3), rng.uniform(-0.1, 0.1, 3))
+    pose = rng.uniform(-0.1, 0.1, 6)
     pts = rng.uniform(-1, 1, (20, 3))
     np.testing.assert_allclose(
-        world_to_camera_k(pose, rig, 0, pts), (pts - pose.d) @ pose.rotation(),
+        world_to_camera_k(pose, rig, 0, pts), (pts - pose[:3]) @ rot_from_angles(pose[3:]),
         rtol=0, atol=1e-15,
     )
 
@@ -144,7 +143,7 @@ def test_world_to_camera_k_reference_matches_reference_transform():
 def test_world_to_camera_k_pure_rig_offset():
     rig = default_overlap_rig()
     np.testing.assert_allclose(
-        world_to_camera_k(Pose.identity(), rig, 1, [1.0, 0.0, 2.0]), [0.9, 0.0, 2.0]
+        world_to_camera_k(np.zeros(6), rig, 1, [1.0, 0.0, 2.0]), [0.9, 0.0, 2.0]
     )
 
 
@@ -153,11 +152,11 @@ def test_world_to_camera_k_matches_composed_rigid_transform():
     rig = default_nonoverlap_rig()
     rng = np.random.default_rng(5)
     for _ in range(20):
-        pose = Pose(rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.3, 0.3, 3))
+        pose = np.concatenate([rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.3, 0.3, 3)])
         point = rng.uniform(-1.5, 1.5, 3)
         for k in range(4):
             cam = rig.camera(k)
-            via_reference = cam.R.T @ (pose.rotation().T @ (point - pose.d) - cam.D)
+            via_reference = cam.R.T @ (rot_from_angles(pose[3:]).T @ (point - pose[:3]) - cam.D)
             np.testing.assert_allclose(
                 world_to_camera_k(pose, rig, k, point), via_reference, atol=1e-12
             )
@@ -166,7 +165,7 @@ def test_world_to_camera_k_matches_composed_rigid_transform():
 def test_world_to_camera_k_invalid_index():
     rig = default_overlap_rig()
     with pytest.raises(InvalidCameraIndex):
-        world_to_camera_k(Pose.identity(), rig, 7, [0.0, 0.0, 1.0])
+        world_to_camera_k(np.zeros(6), rig, 7, [0.0, 0.0, 1.0])
 
 
 def test_project_on_axis():

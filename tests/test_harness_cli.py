@@ -306,8 +306,7 @@ def test_cli_run_tracks_stereo_matches_in_process(tmp_path, capsys):
     for j, line in enumerate(lines[1:]):
         fields = line.split(",")
         vec = np.array([float(x) for x in fields[1:7]])
-        expect = np.concatenate([direct.d[j], direct.angles[j]])
-        np.testing.assert_allclose(vec, expect, atol=1e-12)
+        np.testing.assert_allclose(vec, direct.x[j], atol=1e-12)
 
 
 def test_cli_run_tracks_nonoverlap_writes_five_series(tmp_path, capsys):
@@ -436,6 +435,19 @@ def _run_tracks(tmp_path, rig_text, tracks_text, layout="stereo"):
     tracks.write_text(tracks_text)
     return ["run-tracks", "--layout", layout, "--rig", str(rig_path),
             "--tracks", str(tracks), "--out", str(tmp_path / "p.csv")]
+
+
+def _swap(argv, flag, value):
+    """argv with the value of flag replaced by value."""
+    at = argv.index(flag) + 1
+    return argv[:at] + [str(value)] + argv[at + 1:]
+
+
+def _not_utf8(argv, flag):
+    """argv whose file named by flag holds the byte 0xff after its first 1."""
+    path = Path(argv[argv.index(flag) + 1])
+    path.write_bytes(path.read_bytes().replace(b"1", b"1\xff", 1))
+    return argv
 
 
 def _rendered(tmp_path, rig, n_frames):
@@ -594,12 +606,42 @@ MALFORMED_INPUTS = [
     pytest.param(_non_finite_truth, id="truth-non-finite"),
     *(pytest.param(lambda t, rigs=rigs: _config(t, {"rigs": rigs}), id=name)
       for name, rigs in MALFORMED_RIG_SHAPES.items()),
+    pytest.param(lambda t: _swap(_run_tracks(t, OVERLAP_RIG_TEXT, REPEATED_ROW_TRACKS),
+                                 "--tracks", t / "missing.csv"), id="tracks-missing"),
+    pytest.param(lambda t: _swap(_run_tracks(t, OVERLAP_RIG_TEXT, REPEATED_ROW_TRACKS),
+                                 "--rig", t / "missing.json"), id="rig-missing"),
+    pytest.param(lambda t: _swap(_run_tracks(t, OVERLAP_RIG_TEXT, REPEATED_ROW_TRACKS),
+                                 "--rig", t), id="rig-directory"),
+    pytest.param(lambda t: ["simulate", "--config", str(t)], id="config-directory"),
+    pytest.param(lambda t: ["simulate", "--runs", "1", "--frames", "3", "--out", str(t)],
+                 id="simulate-out-directory"),
+    pytest.param(lambda t: _swap(_run_tracks(t, OVERLAP_RIG_TEXT,
+                                             _rendered(t, default_overlap_rig(), n_frames=4)[0]),
+                                 "--out", t / "nodir" / "x.csv"), id="out-in-missing-directory"),
+    pytest.param(lambda t: _not_utf8(_run_tracks(t, OVERLAP_RIG_TEXT, REPEATED_ROW_TRACKS),
+                                     "--tracks"), id="tracks-not-utf8"),
+    pytest.param(lambda t: _not_utf8(_config(t, {}), "--config"), id="config-not-utf8"),
 ]
 
 
 @pytest.mark.parametrize("make_argv", MALFORMED_INPUTS)
 def test_cli_malformed_input_exits_1(tmp_path, capsys, make_argv):
     assert cli.main(make_argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("rig, layout", [(default_nonoverlap_rig(), "stereo"),
+                                         (default_overlap_rig(), "nonoverlap")])
+def test_run_tracks_checks_the_rig_layout_before_reading_tracks(
+    tmp_path, capsys, monkeypatch, rig, layout
+):
+    def read_tracks(*args, **kwargs):
+        raise AssertionError("the tracks were read")
+
+    monkeypatch.setattr(pipeline, "read_tracks", read_tracks)
+    argv = _run_tracks(tmp_path, json.dumps(rig_to_dict(rig)), REPEATED_ROW_TRACKS, layout)
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
 

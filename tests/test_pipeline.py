@@ -12,9 +12,9 @@ from rigpose.errors import (
 )
 from rigpose.geometry import (
     CameraStack,
-    Pose,
     default_nonoverlap_rig,
     default_overlap_rig,
+    rot_from_angles,
     view_points,
 )
 from rigpose.pipeline import (
@@ -89,13 +89,13 @@ def test_lowe_exact_init_is_fixed_point():
     rng = np.random.default_rng(0)
     cam = default_overlap_rig().camera(0)
     intr = cam.intrinsics
-    truth = Pose([0.01, -0.02, 0.005], [0.015, 0.01, -0.02])
+    truth = np.array([0.01, -0.02, 0.005, 0.015, 0.01, -0.02])
     pts = spread_points(rng, 30)
-    _, uv, _, _ = view_points(pts, truth.rotation()[None], truth.d[None],
+    _, uv, _, _ = view_points(pts, rot_from_angles(truth[3:])[None], truth[None, :3],
                               CameraStack.of([cam], [0]), np.zeros(len(pts), dtype=int))
     est = lowe_pose(pts, uv, intr, truth)
     # the pixels and Lowe place the points through one kernel: no residual
-    np.testing.assert_array_equal(est.as_vector(), truth.as_vector())
+    np.testing.assert_array_equal(est, truth)
     residual = uv - pixels(to_camera(est, cam, pts), intr)
     assert (residual**2).sum() < 1e-12
 
@@ -105,19 +105,19 @@ def test_lowe_recovers_perturbed_pose():
     cam = default_overlap_rig().camera(0)
     intr = cam.intrinsics
     for _ in range(10):
-        truth = Pose(rng.uniform(-0.02, 0.02, 3), rng.uniform(-0.02, 0.02, 3))
+        truth = rng.uniform(-0.02, 0.02, 6)
         pts = spread_points(rng, 50)
         uv = pixels(to_camera(truth, cam, pts), intr)
-        init = Pose(truth.d + rng.uniform(-0.01, 0.01, 3), truth.angles + rng.uniform(-0.01, 0.01, 3))
+        init = truth + rng.uniform(-0.01, 0.01, 6)
         est = lowe_pose(pts, uv, intr, init)
-        np.testing.assert_allclose(est.as_vector(), truth.as_vector(), atol=1e-8)
+        np.testing.assert_allclose(est, truth, atol=1e-8)
 
 
 def test_lowe_insufficient_matches():
     intr = default_overlap_rig().camera(0).intrinsics
     pts = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]])
     with pytest.raises(InsufficientMatches):
-        lowe_pose(pts, pixels(pts, intr), intr, Pose.identity())
+        lowe_pose(pts, pixels(pts, intr), intr, np.zeros(6))
 
 
 @pytest.mark.parametrize("depth", [0.0, 1e-6, -0.5])
@@ -128,38 +128,36 @@ def test_lowe_rejects_init_with_a_match_at_or_behind_the_camera(depth):
     uv = pixels(pts, intr)
     pts[7] = [0.01, -0.02, depth]   # at that depth from the camera at init
     with pytest.raises(BehindCamera):
-        lowe_pose(pts, uv, intr, Pose.identity())
+        lowe_pose(pts, uv, intr, np.zeros(6))
 
 
 def test_lowe_converges_with_noisy_pixels():
     rng = np.random.default_rng(2)
     cam = default_overlap_rig().camera(0)
     intr = cam.intrinsics
-    truth = Pose([0.01, 0.0, -0.01], [0.0, 0.01, 0.0])
+    truth = np.array([0.01, 0.0, -0.01, 0.0, 0.01, 0.0])
     pts = spread_points(rng, 60)
     uv = pixels(to_camera(truth, cam, pts), intr) + rng.normal(0, 0.5, (60, 2))
-    est = lowe_pose(pts, uv, intr, Pose.identity())
-    assert np.abs(est.as_vector() - truth.as_vector()).max() < 5e-3
+    est = lowe_pose(pts, uv, intr, np.zeros(6))
+    assert np.abs(est - truth).max() < 5e-3
 
 
 # ---------------------------------------------------------------------------
 # error report
 # ---------------------------------------------------------------------------
 
-def series_from(d, angles):
-    return PoseEstimateSeries(np.asarray(d), np.asarray(angles), ["test"] * len(d),
-                              [{}] * len(d))
+def series_from(x):
+    return PoseEstimateSeries(np.asarray(x), ["test"] * len(x), [{}] * len(x))
 
 
 def test_error_report_zero_for_exact_series():
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=3), np.random.default_rng(3))
-    np.testing.assert_array_equal(pose_error_report(series_from(traj.d, traj.angles), traj),
-                                  np.zeros(6))
+    np.testing.assert_array_equal(pose_error_report(series_from(traj.x), traj), np.zeros(6))
 
 
 def test_error_report_constant_offset():
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=4), np.random.default_rng(4))
-    series = series_from(traj.d + [0.01, 0, 0], traj.angles)
+    series = series_from(traj.x + [0.01, 0, 0, 0, 0, 0])
     errors = pose_error_report(series, traj)
     np.testing.assert_allclose(errors, [0.01, 0, 0, 0, 0, 0], atol=1e-15)
 
@@ -167,10 +165,9 @@ def test_error_report_constant_offset():
 def test_error_report_matches_brute_force():
     rng = np.random.default_rng(5)
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=30, seed=5), rng)
-    ests = np.array([traj.pose(j).as_vector() + rng.normal(0, 0.01, 6) for j in range(len(traj))])
-    errors = pose_error_report(series_from(ests[:, :3], ests[:, 3:]), traj)
-    truth_vecs = np.array([traj.pose(j).as_vector() for j in range(len(traj))])
-    brute = np.abs(ests[1:] - truth_vecs[1:]).mean(axis=0)
+    ests = np.array([traj.x[j] + rng.normal(0, 0.01, 6) for j in range(len(traj))])
+    errors = pose_error_report(series_from(ests), traj)
+    brute = np.abs(ests[1:] - traj.x[1:]).mean(axis=0)
     np.testing.assert_allclose(errors, brute, atol=1e-15)
 
 
@@ -178,13 +175,22 @@ def test_error_report_angle_shifted_by_two_pi_is_no_error():
     # The same rotation written with its angles shifted by +-2 pi.
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=7), np.random.default_rng(7))
     shift = 2 * np.pi * np.array([1.0, -1.0, 1.0]) * (np.arange(len(traj))[:, None] % 2)
-    series = series_from(traj.d, traj.angles + shift)
+    series = series_from(traj.x + np.hstack([np.zeros_like(shift), shift]))
     np.testing.assert_allclose(pose_error_report(series, traj), np.zeros(6), atol=1e-12)
+
+
+def test_error_report_wraps_angles_only():
+    # A translation error above pi is a distance, not an angle: it is reported
+    # as it is, while the same error on an angle is taken modulo 2 pi.
+    traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=8), np.random.default_rng(8))
+    series = series_from(traj.x + [4.0, 0, 0, 4.0, 0, 0])
+    np.testing.assert_allclose(pose_error_report(series, traj),
+                               [4.0, 0, 0, 2 * np.pi - 4.0, 0, 0], atol=1e-12)
 
 
 def test_error_report_length_mismatch():
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=6), np.random.default_rng(6))
-    short = series_from(np.zeros((1, 3)), np.zeros((1, 3)))
+    short = series_from(np.zeros((1, 6)))
     with pytest.raises(LengthMismatch):
         pose_error_report(short, traj)
 
@@ -199,8 +205,8 @@ def test_stereo_static_truth_noiseless():
     traj = scripted_trajectory(30, np.zeros(6))
     _, _, frames = render_run(rig, cfg, traj=traj)
     series = run_stereo_sequence(frames, rig, pcfg=PipelineConfig(redetect_threshold=20))
-    assert np.abs(series.d).max() < 1e-6
-    assert np.abs(series.angles).max() < 1e-6
+    assert np.abs(series.x[:, :3]).max() < 1e-6
+    assert np.abs(series.x[:, 3:]).max() < 1e-6
 
 
 def test_stereo_noisy_run_matches_reported_magnitudes():
@@ -272,7 +278,7 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
     from rigpose.pipeline import _camera, _match_and_triangulate, _TrackTable
 
     j = events[0]
-    pose = series.pose(j - 1)
+    pose = series.x[j - 1]
     _, compact, n_features, pairs, _, matched = compact_and_match(frames, rig, pcfg)
     store = _TrackTable(n_features)
     _match_and_triangulate(compact[j - 1], matched, rig, pairs, pose, store)
@@ -296,8 +302,7 @@ def test_stereo_series_is_causal_prefix_stable():
     pcfg = PipelineConfig(redetect_threshold=20)
     full = run_stereo_sequence(frames, rig, pcfg=pcfg)
     truncated = run_stereo_sequence(frames[:25], rig, pcfg=pcfg)
-    np.testing.assert_array_equal(full.d[:25], truncated.d)
-    np.testing.assert_array_equal(full.angles[:25], truncated.angles)
+    np.testing.assert_array_equal(full.x[:25], truncated.x)
 
 
 def test_stereo_seeds_frame_1_from_the_truth_it_is_handed():
@@ -310,8 +315,7 @@ def test_stereo_seeds_frame_1_from_the_truth_it_is_handed():
     assert plain.methods[1] == "lowe"
     seeded = run_stereo_sequence(frames, rig, pcfg=pcfg, truth=traj)
     assert seeded.methods[1] == "ideal-seed"
-    assert seeded.pose(1).d.tobytes() == traj.pose(1).d.tobytes()
-    assert seeded.pose(1).angles.tobytes() == traj.pose(1).angles.tobytes()
+    assert seeded.x[1].tobytes() == traj.x[1].tobytes()
 
 
 def test_stereo_requires_enough_initial_features():
@@ -416,10 +420,10 @@ def test_nonoverlap_rc_invariant_to_camera_relabeling():
         frames_perm, rig_perm, pcfg=PipelineConfig(redetect_threshold=20)
     )
     np.testing.assert_allclose(
-        base["RC"].angles, permuted["RC"].angles, atol=1e-12
+        base["RC"].x[:, 3:], permuted["RC"].x[:, 3:], atol=1e-12
     )
     np.testing.assert_allclose(
-        base["RC"].d, permuted["RC"].d, atol=1e-10
+        base["RC"].x[:, :3], permuted["RC"].x[:, :3], atol=1e-10
     )
 
 
@@ -448,7 +452,7 @@ def test_nonoverlap_series_are_mapped_from_the_chains_bit_for_bit():
     # angles are the rotation median of the cam1..cam4 angles as reported.
     from rigpose.ekf import FilterTuning
     from rigpose.fusion import fuse_rotation_median
-    from rigpose.geometry import euler_angles, rot_from_angles
+    from rigpose.geometry import euler_angles
     from rigpose.pipeline import _run_chains
 
     rig = default_nonoverlap_rig()
@@ -458,12 +462,13 @@ def test_nonoverlap_series_are_mapped_from_the_chains_bit_for_bit():
     locals_, diags = _run_chains(frames, rig.cameras, FilterTuning(), pcfg)
     assert sum(d[k]["redetected"] for d in diags for k in range(4)) >= 3
     out = run_nonoverlap_sequence(frames, rig, pcfg=pcfg)
-    np.testing.assert_array_equal(out["cam1"].d, locals_[:, 0, :3])
-    np.testing.assert_array_equal(out["cam1"].angles, euler_angles(rot_from_angles(locals_[:, 0, 3:])))
-    np.testing.assert_allclose(out["cam1"].angles, locals_[:, 0, 3:], rtol=0, atol=1e-15)
-    body = np.stack([out[f"cam{k}"].angles for k in range(1, 5)], axis=1)
+    cam1 = out["cam1"].x
+    np.testing.assert_array_equal(cam1[:, :3], locals_[:, 0, :3])
+    np.testing.assert_array_equal(cam1[:, 3:], euler_angles(rot_from_angles(locals_[:, 0, 3:])))
+    np.testing.assert_allclose(cam1[:, 3:], locals_[:, 0, 3:], rtol=0, atol=1e-15)
+    body = np.stack([out[f"cam{k}"].x[:, 3:] for k in range(1, 5)], axis=1)
     for j in range(1, len(frames)):
-        np.testing.assert_array_equal(out["RC"].angles[j], fuse_rotation_median(body[j]))
+        np.testing.assert_array_equal(out["RC"].x[j, 3:], fuse_rotation_median(body[j]))
 
 
 def test_nonoverlap_requires_four_camera_rig():
@@ -519,8 +524,9 @@ def test_pipeline_identical_on_tracks_file(tmp_path):
     pcfg = PipelineConfig(redetect_threshold=20)
     direct = run_stereo_sequence(frames, rig, pcfg=pcfg)
     offline = run_stereo_sequence(back, rig, pcfg=pcfg)
-    assert np.abs(direct.d - offline.d).max() < 1e-12
-    assert np.abs(direct.angles - offline.angles).max() < 1e-12
+    err = np.abs(direct.x - offline.x)
+    assert err[:, :3].max() < 1e-12
+    assert err[:, 3:].max() < 1e-12
 
 
 def test_read_tracks_rejects_bad_header(tmp_path):
@@ -772,10 +778,9 @@ def test_poses_and_truth_csv_roundtrip(tmp_path):
     truth_path = tmp_path / "truth.csv"
     write_truth(truth_path, traj)
     back = read_truth(truth_path)
-    np.testing.assert_array_equal(back.d, traj.d)
-    np.testing.assert_array_equal(back.angles, traj.angles)
+    np.testing.assert_array_equal(back.x, traj.x)
 
-    series = series_from(traj.d, traj.angles)
+    series = series_from(traj.x)
     poses_path = tmp_path / "poses.csv"
     write_poses(poses_path, {"stereo": series})
     text = poses_path.read_text().splitlines()

@@ -9,7 +9,6 @@ from rigpose.geometry import (
     CameraStack,
     back_project,
     Intrinsics,
-    Pose,
     default_nonoverlap_rig,
     default_overlap_rig,
     rot_from_angles,
@@ -75,14 +74,14 @@ def test_config_validation():
 
 def test_trajectory_starts_at_identity():
     traj = gen_trajectory(small_cfg(n_frames=20), np.random.default_rng(3))
-    assert np.array_equal(traj.d[0], np.zeros(3))
-    assert np.array_equal(rot_from_angles(traj.angles[0]), np.eye(3))
+    assert np.array_equal(traj.x[0, :3], np.zeros(3))
+    assert np.array_equal(rot_from_angles(traj.x[0, 3:]), np.eye(3))
 
 
 def test_trajectory_delta_magnitudes_within_bands():
     cfg = SimConfig(n_points=10, n_frames=100, seed=4)
     deltas, d, _ = random_walk(cfg, np.random.default_rng(4))
-    np.testing.assert_array_equal(gen_trajectory(cfg, np.random.default_rng(4)).d, d)
+    np.testing.assert_array_equal(gen_trajectory(cfg, np.random.default_rng(4)).x[:, :3], d)
     t_mags = np.abs(deltas[:, :3])
     r_mags = np.abs(deltas[:, 3:])
     assert np.all((t_mags >= cfg.trans_min) & (t_mags <= cfg.trans_max))
@@ -94,8 +93,8 @@ def test_trajectory_composition_oracle():
     traj = gen_trajectory(small_cfg(n_frames=50), np.random.default_rng(5))
     _, d, rotations = random_walk(small_cfg(n_frames=50), np.random.default_rng(5))
     for j in range(1, 50):
-        np.testing.assert_allclose(traj.d[j], d[j], atol=1e-12)
-        np.testing.assert_allclose(rot_from_angles(traj.angles[j]), rotations[j], atol=1e-12)
+        np.testing.assert_allclose(traj.x[j, :3], d[j], atol=1e-12)
+        np.testing.assert_allclose(rot_from_angles(traj.x[j, 3:]), rotations[j], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +108,8 @@ def test_render_noiseless_matches_exact_projection():
     rig = default_overlap_rig()
     scene = gen_scene(small_cfg(n_points=300), np.random.default_rng(6))
     (ids, uv), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
-    pose, seg = Pose.identity(), np.zeros(len(ids), dtype=int)
-    _, exact, _, _ = view_points(scene[ids], pose.rotation()[None], pose.d[None],
+    pose, seg = np.zeros(6), np.zeros(len(ids), dtype=int)
+    _, exact, _, _ = view_points(scene[ids], rot_from_angles(pose[3:])[None], pose[None, :3],
                                  CameraStack.of([rig.camera(0)], [0]), seg)
     np.testing.assert_array_equal(uv, exact)
 
@@ -145,8 +144,8 @@ def reference_render(scene, traj, cameras, noise_sigma, noise_seed):
     for j in range(n_frames):
         frame = []
         for k, cam in enumerate(cameras):
-            _, uv, front, _ = view_points(scene, rot_from_angles(traj.angles[j])[None],
-                                          traj.d[j][None], CameraStack.of([cam], [0]), seg)
+            _, uv, front, _ = view_points(scene, rot_from_angles(traj.x[j, 3:])[None],
+                                          traj.x[j, :3][None], CameraStack.of([cam], [0]), seg)
             intr, u, v = cam.intrinsics, uv[:, 0], uv[:, 1]
             visible = (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
             ids, uv = np.flatnonzero(front)[visible], uv[visible]
@@ -192,7 +191,7 @@ def test_render_sequence_matches_full_projection():
                             rot_max=0.2, trans_max=0.1 * outer)
             scene = np.vstack([border, gen_scene(cfg, rng)])
             walk = gen_trajectory(cfg, rng)
-            moved = Trajectory(walk.d + [0.0, 0.0, -7.0], walk.angles)
+            moved = Trajectory(walk.x + [0.0, 0.0, -7.0, 0.0, 0.0, 0.0])
             for traj in (scripted_trajectory(8, np.zeros(6)), walk, moved):
                 for sigma in (0.0, 0.5):
                     got = render_sequence(scene, traj, cameras, sigma, np.random.SeedSequence(3))

@@ -4,9 +4,9 @@ import pytest
 from reference import pixels, to_camera
 from rigpose.errors import CoincidentCenters
 from rigpose.geometry import (
-    Pose,
     camera_placement,
     default_overlap_rig,
+    rot_from_angles,
 )
 from rigpose.stereo import (
     epipolar_distances,
@@ -44,7 +44,7 @@ def test_fundamental_epipolar_residual_noiseless():
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 0, 1)
     rng = np.random.default_rng(0)
-    pose = Pose.identity()
+    pose = np.zeros(6)
     pts_a, pts_b = [], []
     for _ in range(1000):
         point = np.array(
@@ -77,7 +77,7 @@ def test_fundamental_coincident_centers():
 def test_epipolar_distance_exact_correspondence_is_zero():
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 0, 1)
-    uv_a, uv_b = project_pair(rig, Pose.identity(), pair, np.array([0.1, -0.05, 0.9]))
+    uv_a, uv_b = project_pair(rig, np.zeros(6), pair, np.array([0.1, -0.05, 0.9]))
     assert distance(pair.F, uv_a, uv_b) < 1e-9
 
 
@@ -85,7 +85,7 @@ def test_epipolar_distance_perpendicular_displacement():
     # Displace p_b by exactly 2 px along the epipolar line's normal.
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 0, 1)
-    uv_a, uv_b = project_pair(rig, Pose.identity(), pair, np.array([0.05, 0.02, 0.85]))
+    uv_a, uv_b = project_pair(rig, np.zeros(6), pair, np.array([0.05, 0.02, 0.85]))
     line = pair.F @ np.array([uv_a[0], uv_a[1], 1.0])
     normal = np.array([line[0], line[1]]) / np.hypot(line[0], line[1])
     displaced = uv_b + 2.0 * normal
@@ -95,7 +95,7 @@ def test_epipolar_distance_perpendicular_displacement():
 def test_epipolar_distance_rejects_outlier_beyond_threshold():
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 0, 1)
-    uv_a, uv_b = project_pair(rig, Pose.identity(), pair, np.array([0.05, 0.02, 0.85]))
+    uv_a, uv_b = project_pair(rig, np.zeros(6), pair, np.array([0.05, 0.02, 0.85]))
     line = pair.F @ np.array([uv_a[0], uv_a[1], 1.0])
     normal = np.array([line[0], line[1]]) / np.hypot(line[0], line[1])
     assert distance(pair.F, uv_a, uv_b + 5.0 * normal) > 2.0
@@ -131,7 +131,7 @@ def test_epipolar_distances_match_scalar():
     pts_a, pts_b = [], []
     for _ in range(20):
         point = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1), rng.uniform(0.7, 1.0)])
-        uv_a, uv_b = project_pair(rig, Pose.identity(), pair, point)
+        uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
         pts_a.append(uv_a + rng.normal(0, 1, 2))
         pts_b.append(uv_b + rng.normal(0, 1, 2))
     batch = epipolar_distances(pair.F, np.array(pts_a), np.array(pts_b))
@@ -143,15 +143,15 @@ def test_triangulate_recovers_point_noiseless():
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 0, 1)
     point = np.array([0.2, -0.1, 0.8])
-    uv_a, uv_b = project_pair(rig, Pose.identity(), pair, point)
-    rec = triangulate(rig, Pose.identity(), pair, uv_a, uv_b)
+    uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
+    rec = triangulate(rig, np.zeros(6), pair, uv_a, uv_b)
     np.testing.assert_allclose(rec, point, atol=1e-9)
 
 
 def test_triangulate_under_nontrivial_pose():
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 2, 3)
-    pose = Pose([0.03, -0.02, 0.01], [0.04, -0.03, 0.02])
+    pose = np.array([0.03, -0.02, 0.01, 0.04, -0.03, 0.02])
     point = np.array([-0.1, 0.05, -0.85])
     uv_a, uv_b = project_pair(rig, pose, pair, point)
     rec = triangulate(rig, pose, pair, uv_a, uv_b)
@@ -163,8 +163,8 @@ def test_triangulate_symmetric_configuration():
     rig = default_overlap_rig()
     pair = make_stereo_pair(rig, 0, 1)
     point = np.array([0.05, 0.0, 0.9])  # x = baseline/2
-    uv_a, uv_b = project_pair(rig, Pose.identity(), pair, point)
-    rec = triangulate(rig, Pose.identity(), pair, uv_a, uv_b)
+    uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
+    rec = triangulate(rig, np.zeros(6), pair, uv_a, uv_b)
     d_a = np.linalg.norm(rec - rig.camera(0).D)
     d_b = np.linalg.norm(rec - rig.camera(1).D)
     assert abs(d_a - d_b) < 1e-9
@@ -177,7 +177,7 @@ def test_triangulate_parallel_rays_at_epipole():
     intr = rig.camera(0).intrinsics
     # baseline is +x; a pixel far along +x approximates the epipole direction
     epipole = [intr.cx + intr.fx * 1e9, intr.cy]
-    _, ok = triangulate_batch(rig, Pose.identity(), pair, [epipole], [epipole])
+    _, ok = triangulate_batch(rig, np.zeros(6), pair, [epipole], [epipole])
     assert not ok[0]
 
 
@@ -186,8 +186,8 @@ def test_triangulate_behind_camera():
     pair = make_stereo_pair(rig, 0, 1)
     # Swap the two views: the intersection lands behind both cameras.
     point = np.array([0.05, 0.0, 0.9])
-    uv_a, uv_b = project_pair(rig, Pose.identity(), pair, point)
-    _, ok = triangulate_batch(rig, Pose.identity(), pair, [uv_b], [uv_a])
+    uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
+    _, ok = triangulate_batch(rig, np.zeros(6), pair, [uv_b], [uv_a])
     assert not ok[0]
 
 
@@ -199,10 +199,10 @@ def test_triangulate_batch_matches_scalar():
         [rng.uniform(-0.2, 0.2, 30), rng.uniform(-0.15, 0.15, 30), rng.uniform(0.7, 1.0, 30)],
         axis=-1,
     )
-    uvs = [project_pair(rig, Pose.identity(), pair, p) for p in pts]
+    uvs = [project_pair(rig, np.zeros(6), pair, p) for p in pts]
     uv_a = np.array([u[0] for u in uvs])
     uv_b = np.array([u[1] for u in uvs])
-    rec, ok = triangulate_batch(rig, Pose.identity(), pair, uv_a, uv_b)
+    rec, ok = triangulate_batch(rig, np.zeros(6), pair, uv_a, uv_b)
     assert ok.all()
     np.testing.assert_allclose(rec, pts, atol=1e-9)
 
@@ -216,9 +216,9 @@ def test_reprojection_error_noiseless():
         point = np.array(
             [rng.uniform(-0.25, 0.25), rng.uniform(-0.18, 0.18), rng.uniform(0.7, 1.0)]
         )
-        uv_a, uv_b = project_pair(rig, Pose.identity(), pair, point)
-        rec = triangulate(rig, Pose.identity(), pair, uv_a, uv_b)
-        re_a, re_b = project_pair(rig, Pose.identity(), pair, rec)
+        uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
+        rec = triangulate(rig, np.zeros(6), pair, uv_a, uv_b)
+        re_a, re_b = project_pair(rig, np.zeros(6), pair, rec)
         errs.append(max(np.linalg.norm(re_a - uv_a), np.linalg.norm(re_b - uv_b)))
     assert np.median(errs) < 1e-7
 
@@ -228,7 +228,7 @@ def brute_force_ray_intersection(rig, pose, pair, uv_a, uv_b):
 
     def ray(cam_idx, uv):
         cam = rig.camera(cam_idx)
-        center, orient = camera_placement(pose.rotation(), pose.d, cam)
+        center, orient = camera_placement(rot_from_angles(pose[3:]), pose[:3], cam)
         xn = (uv[0] - cam.intrinsics.cx) / cam.intrinsics.fx
         yn = (uv[1] - cam.intrinsics.cy) / cam.intrinsics.fy
         return center, orient @ np.array([xn, yn, 1.0])
@@ -248,11 +248,11 @@ def test_noisy_depth_error_against_oracle():
     depth_errors = []
     for _ in range(400):
         point = np.array([rng.uniform(-0.2, 0.25), rng.uniform(-0.15, 0.15), rng.uniform(0.95, 1.05)])
-        uv_a, uv_b = project_pair(rig, Pose.identity(), pair, point)
+        uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
         uv_a = uv_a + rng.normal(0, 0.5, 2)
         uv_b = uv_b + rng.normal(0, 0.5, 2)
-        rec = triangulate(rig, Pose.identity(), pair, uv_a, uv_b)
-        oracle = brute_force_ray_intersection(rig, Pose.identity(), pair, uv_a, uv_b)
+        rec = triangulate(rig, np.zeros(6), pair, uv_a, uv_b)
+        oracle = brute_force_ray_intersection(rig, np.zeros(6), pair, uv_a, uv_b)
         np.testing.assert_allclose(rec, oracle, atol=1e-9)
         depth_errors.append(abs(rec[2] - point[2]))
     assert np.quantile(depth_errors, 0.95) < 0.05
