@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import harness, pipeline
-from .errors import InputError, RigPoseError
+from .errors import InputError, RigPoseError, check_output_paths
 from .geometry import read_rig
 
 
@@ -61,17 +61,10 @@ def _config(args) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    check_output_paths(args.out, args.json_out)
     cfg = _config(args)
-    sim = cfg["sim"]
-    overrides = {}
-    if args.runs is not None:
-        overrides["n_runs"] = args.runs
-    if args.frames is not None:
-        overrides["n_frames"] = args.frames
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        sim = sim.with_overrides(**overrides)
+    flags = {"n_runs": args.runs, "n_frames": args.frames, "seed": args.seed}
+    sim = cfg["sim"].with_overrides(**{k: v for k, v in flags.items() if v is not None})
     methods = args.methods.split(",") if args.methods else None
 
     report = harness.monte_carlo(
@@ -99,6 +92,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run_tracks(args) -> int:
+    check_output_paths(args.out, args.diagnostics)
     rig = read_rig(args.rig)
     rig.check_layout("overlapping" if args.layout == "stereo" else "non-overlapping")
     frames = pipeline.read_tracks(args.tracks, len(rig))

@@ -90,11 +90,6 @@ class PoseFilterState:
     Q: np.ndarray
     r_var: float
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).reshape(-1, N_STATE)
-        self.P = np.asarray(self.P, dtype=float).reshape(-1, N_STATE, N_STATE)
-        self.Q = np.asarray(self.Q, dtype=float).reshape(N_STATE, N_STATE)
-
 
 def make_pose_filter(pose_vecs, vel_vecs, tuning: FilterTuning) -> PoseFilterState:
     """Filters seeded at poses (B, 6) with velocities (B, 6); a single (6,)

@@ -1,6 +1,6 @@
 """Exception types raised by the rigpose estimation stack, the one check
 that config dataclasses run on their fields, and the one way files are
-opened.
+opened and JSON input is read and built into dataclasses.
 
 Everything derives from RigPoseError so callers can catch the whole family.
 Numerical-degeneracy errors (IllConditioned, BehindCamera, ...) derive
@@ -8,7 +8,9 @@ from DegenerateGeometry: the pipelines treat them as recoverable per-frame
 conditions, not hard failures.
 """
 
-import math
+import errno
+import json
+import os
 from contextlib import contextmanager
 from dataclasses import fields
 from numbers import Integral, Real
@@ -70,21 +72,26 @@ class EstimationFailure(RigPoseError):
     """A sequence run aborted for numerical reasons (non-finite state)."""
 
 
+# The largest magnitude of a real number read from any input: far above any
+# real value, and far enough below overflow that products of inputs stay finite.
+MAX_MAGNITUDE = 1e12
+
+
 def check_config_fields(
     config, block: str, at_least: dict | None = None, positive: tuple = ()
 ) -> None:
     """Raise InputError for the first field of a config dataclass whose
     value is not of its annotated type (int or float; a bool is neither),
-    is not finite, is below its at_least bound, or is listed in positive
-    and not above 0."""
+    is a float above MAX_MAGNITUDE in magnitude or not finite, is below its
+    at_least bound, or is listed in positive and not above 0."""
     at_least = at_least or {}
     for f in fields(config):
         value = getattr(config, f.name)
         kind = Integral if f.type == "int" else Real
         if isinstance(value, bool) or not isinstance(value, kind):
             raise InputError(f"{block}.{f.name} must be {f.type}, got {value!r}")
-        if not -math.inf < value < math.inf:
-            raise InputError(f"{block}.{f.name} must be finite, got {value!r}")
+        if kind is Real and not abs(value) <= MAX_MAGNITUDE:
+            raise InputError(f"{block}.{f.name} must be within +-{MAX_MAGNITUDE:g}, got {value!r}")
         if f.name in at_least and not value >= at_least[f.name]:
             raise InputError(f"{block}.{f.name} must be >= {at_least[f.name]}, got {value!r}")
         if f.name in positive and not value > 0:
@@ -104,3 +111,37 @@ def open_path(path, mode: str = "r", **kwargs):
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def check_output_paths(*paths) -> None:
+    """Raise InputError, as open_path would on writing, for the first path
+    that is a directory or lies in a missing directory; None is skipped."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise InputError(f"{path}: {os.strerror(errno.EISDIR)}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"{path}: {os.strerror(errno.ENOENT)}")
+
+
+def read_json(path):
+    """The JSON value of a file; one that is not JSON raises InputError naming its line."""
+    with open_path(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def json_object(value, what: str, keys) -> dict:
+    """value if it is a JSON object holding only keys; else InputError naming what."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise InputError(f"{what}: unknown key {key!r}; allowed: {', '.join(keys)}")
+    return value
+
+
+def build_block(cls, block, what: str):
+    """cls from a JSON object holding only its fields, each checked by cls itself."""
+    return cls(**json_object(block, what, [f.name for f in fields(cls)]))

@@ -17,8 +17,8 @@ Coordinate conventions used across the package:
 
 Every placement of world points into rig cameras, and the pinhole after it,
 goes through one kernel, view_points, over a CameraStack: the renderer,
-the EKF measurement model, Lowe's method and world_to_camera_k all share
-its bits.
+the EKF measurement model, Lowe's method and the chains' ideal structure
+all share its bits.
 
 Angle decomposition is only valid away from |beta| = pi/2; the per-frame
 motion regime of this package stays far inside that bound.
@@ -27,16 +27,21 @@ motion regime of this package stays far inside that bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 
 import numpy as np
 
 from .errors import (
+    MAX_MAGNITUDE,
     InputError,
     InvalidCameraIndex,
     GimbalProximity,
     NonOrthonormalInput,
+    check_config_fields,
+    json_object,
     open_path,
+    read_json,
 )
 
 # Orthonormality guard used wherever a rotation matrix is accepted as input.
@@ -142,12 +147,8 @@ class Intrinsics:
     height: int = 480
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
-            raise InputError("intrinsics fx, fy, cx and cy must be finite")
-        if self.fx <= 0 or self.fy <= 0:
-            raise InputError("focal length must be positive")
-        if self.width < 1 or self.height < 1:
-            raise InputError(f"image size must be at least 1x1, got {self.width}x{self.height}")
+        check_config_fields(self, "intrinsics", at_least={"width": 1, "height": 1},
+                            positive=("fx", "fy"))
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise InputError("principal point outside image bounds")
 
@@ -232,9 +233,16 @@ class CameraStack:
 
     @classmethod
     def of(cls, cameras: list[Camera], body) -> "CameraStack":
-        intr = [c.intrinsics for c in cameras]
-        return cls(np.stack([c.D for c in cameras]), np.stack([c.R for c in cameras]),
-                   np.array([[i.fx, i.fy, i.cx, i.cy] for i in intr]), np.asarray(body))
+        return replace(cls.centered([c.intrinsics for c in cameras], body),
+                       D=np.stack([c.D for c in cameras]), R=np.stack([c.R for c in cameras]))
+
+    @classmethod
+    def centered(cls, intrinsics: list[Intrinsics], body) -> "CameraStack":
+        """Cameras at their body's origin along its axes (D = 0, R = I), one
+        per intrinsics: a monocular chain in its camera's own frame."""
+        n = len(intrinsics)
+        return cls(np.zeros((n, 3)), np.tile(np.eye(3), (n, 1, 1)),
+                   np.array([[i.fx, i.fy, i.cx, i.cy] for i in intrinsics]), np.asarray(body))
 
 
 def camera_placement(rot: np.ndarray, d: np.ndarray, cam) -> tuple[np.ndarray, np.ndarray]:
@@ -294,17 +302,6 @@ def view_points(points, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
     return p_cam.T, uv, front, orient
 
 
-def world_to_camera_k(pose, rig: CameraRig, k: int, points) -> np.ndarray:
-    """Camera-k coordinates R_k^T R^T (M - d - R D_k) with the body at the
-    pose row (6,), by view_points. Accepts (..., 3) points."""
-    pose = np.asarray(pose, dtype=float)
-    points = np.asarray(points, dtype=float)
-    flat = points.reshape(-1, 3)
-    cams, seg = CameraStack.of([rig.camera(k)], [0]), np.zeros(len(flat), dtype=int)
-    p_cam = view_points(flat, rot_from_angles(pose[3:])[None], pose[None, :3], cams, seg)[0]
-    return p_cam.reshape(points.shape)
-
-
 # ---------------------------------------------------------------------------
 # Rig file I/O and the default rigs of the comparative study
 # ---------------------------------------------------------------------------
@@ -316,10 +313,10 @@ def rig_to_dict(rig: CameraRig) -> dict:
             {
                 "D": [float(x) for x in cam.D],
                 "R_angles": [float(x) for x in angles_from_rig_rotation(cam.R)],
-                "fx": cam.intrinsics.fx,
-                "fy": cam.intrinsics.fy,
-                "cx": cam.intrinsics.cx,
-                "cy": cam.intrinsics.cy,
+                "fx": float(cam.intrinsics.fx),
+                "fy": float(cam.intrinsics.fy),
+                "cx": float(cam.intrinsics.cx),
+                "cy": float(cam.intrinsics.cy),
                 "width": cam.intrinsics.width,
                 "height": cam.intrinsics.height,
             }
@@ -342,32 +339,31 @@ def angles_from_rig_rotation(rot: np.ndarray) -> np.ndarray:
         return np.array([alpha, beta, 0.0])
 
 
-def rig_from_dict(data: dict) -> CameraRig:
-    if not isinstance(data, dict):
-        raise InputError(f"malformed rig: expected a JSON object, got {type(data).__name__}")
-    entries = data.get("cameras")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise InputError("malformed rig: 'cameras' must be a list of objects")
-    try:
-        layout = data.get("layout", "overlapping")
-        cameras = []
-        for entry in entries:
-            # each intrinsic the entry gives, cast to the type of its field's default
-            intr = Intrinsics(**{f.name: type(f.default)(entry[f.name])
-                                 for f in fields(Intrinsics) if f.name in entry})
-            r_angles = np.array(entry["R_angles"], dtype=float)
-            if not np.all(np.isfinite(r_angles)):
-                raise InputError(f"rig camera R_angles must be finite, got {r_angles}")
-            cameras.append(
-                Camera(
-                    D=np.array(entry["D"], dtype=float),
-                    R=rot_from_angles(r_angles),
-                    intrinsics=intr,
-                )
-            )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed rig file: {exc}") from exc
-    return CameraRig(cameras=cameras, layout=layout)
+def _three_numbers(value, what: str) -> np.ndarray:
+    if not (isinstance(value, list) and len(value) == 3 and all(
+            isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= MAX_MAGNITUDE
+            for v in value)):
+        raise InputError(f"{what} must be 3 numbers within +-{MAX_MAGNITUDE:g}, got {value!r}")
+    return np.array(value, dtype=float)
+
+
+def rig_from_dict(data, source: str = "rig") -> CameraRig:
+    """A rig from its JSON object: "layout" and "cameras", each holding "D",
+    "R_angles" and any Intrinsics fields. Errors name the source and camera."""
+    data = json_object(data, source, ("layout", "cameras"))
+    if not isinstance(entries := data.get("cameras"), list):
+        raise InputError(f"{source}: 'cameras' must be a list of objects")
+    cameras = []
+    for i, entry in enumerate(entries):
+        where = f"{source}: cameras[{i}]"
+        entry = json_object(entry, where, ("D", "R_angles", *(f.name for f in fields(Intrinsics))))
+        d, angles = (_three_numbers(entry.get(key), f"{where}.{key}") for key in ("D", "R_angles"))
+        try:
+            intr = Intrinsics(**{k: v for k, v in entry.items() if k not in ("D", "R_angles")})
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+        cameras.append(Camera(D=d, R=rot_from_angles(angles), intrinsics=intr))
+    return CameraRig(cameras=cameras, layout=data.get("layout", "overlapping"))
 
 
 def write_rig(path, rig: CameraRig) -> None:
@@ -377,12 +373,7 @@ def write_rig(path, rig: CameraRig) -> None:
 
 
 def read_rig(path) -> CameraRig:
-    try:
-        with open_path(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return rig_from_dict(data)
+    return rig_from_dict(read_json(path), source=str(path))
 
 
 BASELINE_M = 0.1

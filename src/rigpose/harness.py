@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .ekf import FilterTuning
-from .errors import InputError, RigPoseError, open_path
+from .errors import InputError, RigPoseError, build_block, json_object, open_path, read_json
 from .geometry import (
     CameraRig,
     default_nonoverlap_rig,
@@ -254,56 +254,30 @@ def setup_hash(setup: ExperimentSetup) -> str:
 # Harness config file
 # ---------------------------------------------------------------------------
 
-def _build(cls, block: dict, what: str):
-    try:
-        return cls(**block)
-    except TypeError as exc:
-        raise InputError(f"config block {what!r}: {exc}") from exc
-
-
 def config_from_dict(data, source: str) -> dict:
     """Build the harness config from a mapping of blocks, all optional:
     "sim", "rigs" {"overlapping", "non-overlapping"}, "tuning", "pipeline",
     "min_visible". Returns a dict of constructed objects with defaults
     filled in; errors name the source of the mapping."""
-    if not isinstance(data, dict):
-        raise InputError(f"{source}: top level must be a JSON object")
-    known = {"sim", "rigs", "tuning", "pipeline", "min_visible"}
-    unknown = set(data) - known
-    if unknown:
-        raise InputError(f"{source}: unknown config blocks {sorted(unknown)}")
-
-    rigs = data.get("rigs", {})
-    if not isinstance(rigs, dict):
-        raise InputError(f"{source}: 'rigs' must be a JSON object")
+    data = json_object(data, source, ("sim", "rigs", "tuning", "pipeline", "min_visible"))
+    rigs = json_object(data.get("rigs", {}), f"{source}: rigs", ("overlapping", "non-overlapping"))
     min_visible = data.get("min_visible", MIN_VISIBLE)
     if isinstance(min_visible, bool) or not isinstance(min_visible, int):
         raise InputError(f"{source}: 'min_visible' must be an integer, got {min_visible!r}")
-    overlap = (
-        rig_from_dict(rigs["overlapping"])
-        if "overlapping" in rigs
-        else default_overlap_rig()
-    )
-    nonoverlap = (
-        rig_from_dict(rigs["non-overlapping"])
-        if "non-overlapping" in rigs
-        else default_nonoverlap_rig()
-    )
+    overlap = (rig_from_dict(rigs["overlapping"], source=f"{source}: rigs.overlapping")
+               if "overlapping" in rigs else default_overlap_rig())
+    nonoverlap = (rig_from_dict(rigs["non-overlapping"], source=f"{source}: rigs.non-overlapping")
+                  if "non-overlapping" in rigs else default_nonoverlap_rig())
     return {
-        "sim": _build(SimConfig, data.get("sim", {}), "sim"),
+        "sim": build_block(SimConfig, data.get("sim", {}), f"{source}: sim"),
         "rig_overlap": overlap,
         "rig_nonoverlap": nonoverlap,
-        "tuning": _build(FilterTuning, data.get("tuning", {}), "tuning"),
-        "pipeline": _build(PipelineConfig, data.get("pipeline", {}), "pipeline"),
+        "tuning": build_block(FilterTuning, data.get("tuning", {}), f"{source}: tuning"),
+        "pipeline": build_block(PipelineConfig, data.get("pipeline", {}), f"{source}: pipeline"),
         "min_visible": min_visible,
     }
 
 
 def load_config(path) -> dict:
     """Load a JSON harness config file: config_from_dict of its content."""
-    try:
-        with open_path(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(data, path)
+    return config_from_dict(read_json(path), path)

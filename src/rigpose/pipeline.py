@@ -39,17 +39,17 @@ from .errors import (
     InsufficientFeatures,
     InsufficientMatches,
     LengthMismatch,
+    MAX_MAGNITUDE,
     check_config_fields,
     open_path,
 )
 from .geometry import (
-    Camera,
     CameraRig,
     CameraStack,
     Intrinsics,
     back_project,
     rot_from_angles,
-    world_to_camera_k,
+    view_points,
 )
 from .simulate import Trajectory
 
@@ -119,8 +119,7 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init) ->
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if len(points) < 4:
         raise InsufficientMatches(f"need >= 4 matches, got {len(points)}")
-    cam = Camera(D=np.zeros(3), R=np.eye(3), intrinsics=intr)
-    cams, seg = CameraStack.of([cam], [0]), np.zeros(len(points), dtype=int)
+    cams, seg = CameraStack.centered([intr], [0]), np.zeros(len(points), dtype=int)
 
     def evaluate(vec):
         uv_pred, jac, front = ekf.pose_measurement_rows(vec[None], cams, seg, points)
@@ -384,7 +383,7 @@ def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_point
     local poses (F, B, 6) and per frame a list of per-chain diagnostics."""
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
-    cams = CameraStack.of([Camera(np.zeros(3), np.eye(3), i) for i in intr], np.arange(n_chains))
+    cams = CameraStack.centered(intr, np.arange(n_chains))
     _, frames, n_features = _compact_ids(frames, cams.body)
     store = _TrackTable(n_features, n_chains)
 
@@ -483,8 +482,11 @@ def run_nonoverlap_sequence(
     if truth is not None and n_frames > 1:
         local_truth = fusion.true_local_pose(truth.x[1], cams)
     if scene is not None:
-        ideal_points = [world_to_camera_k(np.zeros(6), rig, k, scene[frames[0][k][0]])
-                        for k in range(4)]
+        ids0 = [ids for ids, _ in frames[0]]
+        sizes = [len(ids) for ids in ids0]
+        p_cam = view_points(scene[np.concatenate(ids0)], rot_from_angles(np.zeros((1, 3))),
+                            np.zeros((1, 3)), cams, np.repeat(np.arange(4), sizes))[0]
+        ideal_points = np.split(p_cam, np.cumsum(sizes)[:-1])
     locals_, diags = _run_chains(frames, rig.cameras, tuning, pcfg, local_truth, ideal_points)
 
     body = fusion.local_to_body_pose(locals_, cams)
@@ -607,8 +609,8 @@ def read_tracks(path, n_cams: int):
     keys, uv = _read_csv(path, TRACKS_HEADER, n_int=3)
     cam, frame, feature = keys.T
     _reject_rows(path, (cam | frame | feature) < 0, "negative cam/frame/feature")
-    finite = np.isfinite(uv)
-    _reject_rows(path, ~(finite[:, 0] & finite[:, 1]), "non-finite pixel")
+    within = (-MAX_MAGNITUDE <= uv) & (uv <= MAX_MAGNITUDE)
+    _reject_rows(path, ~(within[:, 0] & within[:, 1]), f"pixel not within +-{MAX_MAGNITUDE:g}")
     _reject_rows(path, cam >= n_cams, f"camera index beyond the rig's {n_cams} cameras")
     # Stable: file order among equal keys. Feature-major: (frame, cam) order sorts on runs.
     by_key, same = np.lexsort((frame, cam, feature)), True

@@ -88,7 +88,7 @@ def spread_points(rng, n=100):
 # ---------------------------------------------------------------------------
 
 def test_predict_zero_velocity_zero_q():
-    state = PoseFilterState(np.zeros(12), np.eye(12) * 1e-4, np.zeros((12, 12)), 0.25)
+    state = PoseFilterState(np.zeros((1, 12)), np.eye(12)[None] * 1e-4, np.zeros((12, 12)), 0.25)
     out = pose_predict(state)
     np.testing.assert_array_equal(out.x[0], np.zeros(12))
     a = transition_matrix()
@@ -111,9 +111,9 @@ def test_predict_blocks_match_the_transition_matrix_bitwise():
 
 
 def test_predict_integrates_velocity():
-    x = np.zeros(12)
-    x[6] = 0.01
-    state = PoseFilterState(x, np.eye(12) * 1e-4, np.zeros((12, 12)), 0.25)
+    x = np.zeros((1, 12))
+    x[0, 6] = 0.01
+    state = PoseFilterState(x, np.eye(12)[None] * 1e-4, np.zeros((12, 12)), 0.25)
     out = pose_predict(state)
     assert out.x[0, 0] == pytest.approx(0.01)
     assert out.x[0, 6] == pytest.approx(0.01)
@@ -124,7 +124,7 @@ def test_predict_grows_covariance_with_q():
     for _ in range(20):
         m = rng.normal(size=(12, 12))
         p = m @ m.T + 1e-6 * np.eye(12)
-        state = PoseFilterState(np.zeros(12), p, TUNING.process_noise(), 0.25)
+        state = PoseFilterState(np.zeros((1, 12)), p[None], TUNING.process_noise(), 0.25)
         out = pose_predict(state)
         assert np.trace(out.P[0]) >= np.trace(p)
 
@@ -256,7 +256,7 @@ def test_update_stack_matches_each_filter_alone():
         np.testing.assert_array_equal(out.x[k], state.x[k])
         np.testing.assert_array_equal(out.P[k], state.P[k])
     for k, (ids, uv, _, pts) in parts.items():
-        alone = PoseFilterState(state.x[k], state.P[k], state.Q, state.r_var)
+        alone = PoseFilterState(state.x[k:k + 1], state.P[k:k + 1], state.Q, state.r_var)
         cam = CameraStack.of([rig.camera(k)], [0])
         one, skipped_alone = pose_update(
             alone, measure(alone.x, cam, ids, uv, single(len(ids)), pts), cam)
@@ -290,7 +290,7 @@ def test_update_with_a_singular_pose_block_skips_quietly_and_keeps_the_prior():
         out, skipped = pose_update(state, batch, cams)
         out_zero, skipped_zero = pose_update(zero, batch, cams)
         for k, prior in ((1, zero), (2, state)):
-            alone = PoseFilterState(prior.x[k], prior.P[k], prior.Q, prior.r_var)
+            alone = PoseFilterState(prior.x[k:k + 1], prior.P[k:k + 1], prior.Q, prior.r_var)
             ids, uv, _, pts = parts[k]
             cam = CameraStack.of([rig.camera(k)], [0])
             one, skipped_alone = pose_update(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reference import pixels
+from reference import pixels, to_camera
 from rigpose import ekf
 from rigpose.errors import (
     GimbalProximity,
@@ -29,14 +29,22 @@ from rigpose.geometry import (
     rot_from_angles,
     rot_y,
     view_points,
-    world_to_camera_k,
     write_rig,
 )
 
 
+def camera_points(pose, cam, points):
+    # view_points' coordinates of points (..., 3) in cam with the body at the pose row
+    pose = np.asarray(pose, dtype=float)
+    flat = np.asarray(points, dtype=float).reshape(-1, 3)
+    p_cam = view_points(flat, rot_from_angles(pose[3:])[None], pose[None, :3],
+                        CameraStack.of([cam], [0]), np.zeros(len(flat), dtype=int))[0]
+    return p_cam.reshape(np.shape(points))
+
+
 def to_reference(pose, points):
     # camera 0 of a rig is the reference camera: R^T (M - d)
-    return world_to_camera_k(pose, default_overlap_rig(), 0, points)
+    return camera_points(pose, default_overlap_rig().camera(0), points)
 
 
 def kernel_pixels(points_cam, intr):
@@ -135,7 +143,7 @@ def test_world_to_camera_k_reference_matches_reference_transform():
     pose = rng.uniform(-0.1, 0.1, 6)
     pts = rng.uniform(-1, 1, (20, 3))
     np.testing.assert_allclose(
-        world_to_camera_k(pose, rig, 0, pts), (pts - pose[:3]) @ rot_from_angles(pose[3:]),
+        camera_points(pose, rig.camera(0), pts), (pts - pose[:3]) @ rot_from_angles(pose[3:]),
         rtol=0, atol=1e-15,
     )
 
@@ -143,12 +151,13 @@ def test_world_to_camera_k_reference_matches_reference_transform():
 def test_world_to_camera_k_pure_rig_offset():
     rig = default_overlap_rig()
     np.testing.assert_allclose(
-        world_to_camera_k(np.zeros(6), rig, 1, [1.0, 0.0, 2.0]), [0.9, 0.0, 2.0]
+        camera_points(np.zeros(6), rig.camera(1), [1.0, 0.0, 2.0]), [0.9, 0.0, 2.0]
     )
 
 
 def test_world_to_camera_k_matches_composed_rigid_transform():
-    # Oracle: camera-k coords = R_k^T applied to (reference coords - D_k).
+    # Oracles: camera-k coords = R_k^T applied to (reference coords - D_k),
+    # and the plain-matmul placement of tests/reference.py.
     rig = default_nonoverlap_rig()
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -157,15 +166,16 @@ def test_world_to_camera_k_matches_composed_rigid_transform():
         for k in range(4):
             cam = rig.camera(k)
             via_reference = cam.R.T @ (rot_from_angles(pose[3:]).T @ (point - pose[:3]) - cam.D)
-            np.testing.assert_allclose(
-                world_to_camera_k(pose, rig, k, point), via_reference, atol=1e-12
-            )
+            placed = camera_points(pose, cam, point)
+            np.testing.assert_allclose(placed, via_reference, atol=1e-12)
+            np.testing.assert_allclose(placed, to_camera(pose, cam, point), atol=1e-12)
 
 
-def test_world_to_camera_k_invalid_index():
+def test_rig_camera_rejects_an_index_out_of_range():
     rig = default_overlap_rig()
-    with pytest.raises(InvalidCameraIndex):
-        world_to_camera_k(np.zeros(6), rig, 7, [0.0, 0.0, 1.0])
+    for k in (4, 7, -1):
+        with pytest.raises(InvalidCameraIndex):
+            rig.camera(k)
 
 
 def test_project_on_axis():
@@ -309,15 +319,20 @@ def test_default_rigs_satisfy_invariants():
 
 
 def test_rig_json_roundtrip(tmp_path):
-    path = tmp_path / "rig.json"
-    rig = default_nonoverlap_rig()
-    write_rig(path, rig)
-    back = read_rig(path)
-    assert back.layout == rig.layout
-    for a, b in zip(rig.cameras, back.cameras):
-        np.testing.assert_allclose(a.D, b.D, atol=1e-15)
-        np.testing.assert_allclose(a.R, b.R, atol=1e-12)
-        assert a.intrinsics == b.intrinsics
+    # Both default rigs read back as written: the same file when written
+    # again, the same displacements and intrinsics, and the rotations
+    # rebuilt from their angles.
+    for rig in (default_overlap_rig(), default_nonoverlap_rig()):
+        path, again = tmp_path / "rig.json", tmp_path / "again.json"
+        write_rig(path, rig)
+        back = read_rig(path)
+        write_rig(again, back)
+        assert again.read_bytes() == path.read_bytes()
+        assert back.layout == rig.layout and len(back) == len(rig)
+        for a, b in zip(rig.cameras, back.cameras):
+            np.testing.assert_array_equal(a.D, b.D)
+            np.testing.assert_allclose(a.R, b.R, rtol=0, atol=1e-15)
+            assert a.intrinsics == b.intrinsics
 
 
 def test_rig_from_dict_rejects_malformed():

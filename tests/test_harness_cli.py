@@ -518,6 +518,16 @@ def _non_finite_truth(tmp_path):
     return _run_tracks(tmp_path, OVERLAP_RIG_TEXT, tracks) + ["--truth", str(truth)]
 
 
+def _huge_pixel(tmp_path):
+    """run-tracks argv on a four-frame sequence that runs, whose first
+    tracks row of frame 1 in camera 0 has v = 1e20."""
+    tracks, _ = _rendered(tmp_path, default_overlap_rig(), n_frames=4)
+    rows = tracks.splitlines()
+    at = next(i for i, row in enumerate(rows) if row.startswith("0,1,"))
+    rows[at] = rows[at].rsplit(",", 1)[0] + ",1e20"
+    return _run_tracks(tmp_path, OVERLAP_RIG_TEXT, "\n".join(rows) + "\n")
+
+
 def _one_frame_with_truth(tmp_path):
     """run-tracks --truth argv on a one-frame sequence that runs, but leaves
     no frame after the first to report errors on."""
@@ -548,6 +558,7 @@ BAD_CONFIG_VALUES = {
     "sim-nan-noise": {"sim": {"noise_sigma": float("nan")}},
     "pipeline-infinite-init-depth": {"pipeline": {"init_depth": float("inf")}},
     "tuning-infinite-q": {"tuning": {"q_pose": float("inf")}},
+    "tuning-r_px-1e300": {"tuning": {"r_px": 1e300}},
 }
 
 
@@ -567,6 +578,46 @@ MALFORMED_RIG_SHAPES = {
                                                                         n_cameras=3)},
     "simulate-overlapping-tagged-nonoverlapping": {
         "overlapping": _rig_block(default_overlap_rig(), layout="non-overlapping")},
+}
+
+# Each edit of the default overlapping rig's JSON object, and the text
+# that the error line must hold.
+RIG_EDITS = {
+    "width-640.9": (lambda rig: rig["cameras"][1].update(width=640.9),
+                    "cameras[1]: intrinsics.width must be int, got 640.9"),
+    "fx-true": (lambda rig: rig["cameras"][1].update(fx=True),
+                "cameras[1]: intrinsics.fx must be float, got True"),
+    "unknown-camera-key": (lambda rig: rig["cameras"][1].update(fxx=1000.0),
+                           "cameras[1]: unknown key 'fxx'"),
+    "unknown-rig-key": (lambda rig: rig.update(baseline=0.1), "unknown key 'baseline'"),
+}
+
+
+def _edited_rig(tmp_path, command, edit):
+    """argv of command on the default overlapping rig edited by edit: a
+    run-tracks rig file, with tracks that would run, or a simulate config's
+    rigs block."""
+    rig = rig_to_dict(default_overlap_rig())
+    edit(rig)
+    if command == "run-tracks":
+        tracks, _ = _rendered(tmp_path, default_overlap_rig(), n_frames=4)
+        return _run_tracks(tmp_path, json.dumps(rig), tracks)
+    return _config(tmp_path, {"rigs": {"overlapping": rig}})
+
+
+# Output paths that cannot be written: each command checks them before it
+# renders a run or reads the tracks.
+UNWRITABLE_OUTPUTS = {
+    "simulate-out-directory":
+        lambda t: ["simulate", "--runs", "1", "--frames", "3", "--out", str(t)],
+    "simulate-json-in-missing-directory":
+        lambda t: ["simulate", "--runs", "1", "--frames", "3", "--json", str(t / "no" / "r.json")],
+    "out-in-missing-directory":
+        lambda t: _swap(_run_tracks(t, OVERLAP_RIG_TEXT,
+                                    _rendered(t, default_overlap_rig(), n_frames=4)[0]),
+                        "--out", t / "nodir" / "x.csv"),
+    "run-tracks-diagnostics-directory":
+        lambda t: _run_tracks(t, OVERLAP_RIG_TEXT, REPEATED_ROW_TRACKS) + ["--diagnostics", str(t)],
 }
 
 MALFORMED_INPUTS = [
@@ -596,6 +647,9 @@ MALFORMED_INPUTS = [
                                               fx=float("inf")), id="rig-infinite-fx"),
     pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo",
                                               width=float("inf")), id="rig-infinite-width"),
+    pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo", fx=1e300),
+                 id="rig-fx-1e300"),
+    pytest.param(_huge_pixel, id="tracks-pixel-1e20"),
     pytest.param(lambda t: _rig_with_camera_1(t, default_overlap_rig(), "stereo",
                                               R_angles=[float("inf"), 0.0, 0.0]),
                  id="rig-infinite-R_angles"),
@@ -613,20 +667,46 @@ MALFORMED_INPUTS = [
     pytest.param(lambda t: _swap(_run_tracks(t, OVERLAP_RIG_TEXT, REPEATED_ROW_TRACKS),
                                  "--rig", t), id="rig-directory"),
     pytest.param(lambda t: ["simulate", "--config", str(t)], id="config-directory"),
-    pytest.param(lambda t: ["simulate", "--runs", "1", "--frames", "3", "--out", str(t)],
-                 id="simulate-out-directory"),
-    pytest.param(lambda t: _swap(_run_tracks(t, OVERLAP_RIG_TEXT,
-                                             _rendered(t, default_overlap_rig(), n_frames=4)[0]),
-                                 "--out", t / "nodir" / "x.csv"), id="out-in-missing-directory"),
+    *(pytest.param(argv, id=name) for name, argv in UNWRITABLE_OUTPUTS.items()),
     pytest.param(lambda t: _not_utf8(_run_tracks(t, OVERLAP_RIG_TEXT, REPEATED_ROW_TRACKS),
                                      "--tracks"), id="tracks-not-utf8"),
     pytest.param(lambda t: _not_utf8(_config(t, {}), "--config"), id="config-not-utf8"),
+    *(pytest.param(lambda t, c=command, e=edit: _edited_rig(t, c, e), id=f"{command}-rig-{name}")
+      for name, (edit, _) in RIG_EDITS.items() for command in ("run-tracks", "simulate")),
+    pytest.param(lambda t: _config(t, {"rigs": {"overlaping": {}}}), id="config-rigs-unknown-key"),
 ]
 
 
 @pytest.mark.parametrize("make_argv", MALFORMED_INPUTS)
 def test_cli_malformed_input_exits_1(tmp_path, capsys, make_argv):
     assert cli.main(make_argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("command", ["run-tracks", "simulate"])
+@pytest.mark.parametrize("name", RIG_EDITS)
+def test_cli_rig_error_names_the_field(tmp_path, capsys, command, name):
+    # A value of the wrong type or an unknown key is rejected by name, in a
+    # rig file and in a config's rigs block alike; none is cast or ignored.
+    edit, message = RIG_EDITS[name]
+    assert cli.main(_edited_rig(tmp_path, command, edit)) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err, err
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_OUTPUTS)
+def test_cli_checks_output_paths_before_any_work(tmp_path, capsys, monkeypatch, name):
+    argv = UNWRITABLE_OUTPUTS[name](tmp_path)
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(harness, "render_sequence", work)
+    monkeypatch.setattr(pipeline, "read_tracks", work)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 1
+    assert sorted(tmp_path.rglob("*")) == before, "an output path was created"
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
 

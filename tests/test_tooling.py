@@ -39,3 +39,21 @@ def test_every_public_name_has_a_reference_outside_the_tests():
     assert len(public) > 50
     unused = [f"{module}.{name}" for module, name in public if name not in used]
     assert not unused, f"public names only the tests use: {unused}"
+
+
+def test_json_input_is_read_only_in_errors():
+    # errors.read_json and errors.build_block hold the one rule for JSON
+    # input; a module that parsed JSON itself would bring rules of its own.
+    readers = {"load", "loads", "JSONDecodeError"}
+    where = {}
+    for path in sorted((ROOT / "src" / "rigpose").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                used = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            else:
+                used = {node.id} if isinstance(node, ast.Name) else set()
+            for name in used & readers:
+                where.setdefault(name, set()).add(path.name)
+    assert where == {name: {"errors.py"} for name in ("load", "JSONDecodeError")}, where
