@@ -3,9 +3,11 @@ that config dataclasses run on their fields, and the one way files are
 opened and JSON input is read and built into dataclasses.
 
 Everything derives from RigPoseError so callers can catch the whole family.
-Numerical-degeneracy errors (IllConditioned, BehindCamera, ...) derive
-from DegenerateGeometry: the pipelines treat them as recoverable per-frame
-conditions, not hard failures.
+Numerical-degeneracy errors derive from DegenerateGeometry. Three are
+recovered where they arise: BehindCamera (a candidate step of Lowe's line
+search), IllConditioned (a fusion frame keeps its previous scales) and
+GimbalProximity (angles_from_rig_rotation). Any other one, such as
+InsufficientFeatures, InsufficientMatches or Diverged, ends the run.
 """
 
 import errno
@@ -25,7 +27,7 @@ class InputError(RigPoseError):
 
 
 class DegenerateGeometry(RigPoseError):
-    """Numerically degenerate configuration; usually recoverable per frame."""
+    """Numerically degenerate configuration."""
 
 
 class NonOrthonormalInput(InputError):
@@ -72,8 +74,8 @@ class EstimationFailure(RigPoseError):
     """A sequence run aborted for numerical reasons (non-finite state)."""
 
 
-# The largest magnitude of a real number read from any input: far above any
-# real value, and far enough below overflow that products of inputs stay finite.
+# The largest magnitude of a number read from any input: far above any real
+# value, and far enough below overflow that products of inputs stay finite.
 MAX_MAGNITUDE = 1e12
 
 
@@ -82,7 +84,7 @@ def check_config_fields(
 ) -> None:
     """Raise InputError for the first field of a config dataclass whose
     value is not of its annotated type (int or float; a bool is neither),
-    is a float above MAX_MAGNITUDE in magnitude or not finite, is below its
+    is a number above MAX_MAGNITUDE in magnitude or not finite, is below its
     at_least bound, or is listed in positive and not above 0."""
     at_least = at_least or {}
     for f in fields(config):
@@ -90,7 +92,7 @@ def check_config_fields(
         kind = Integral if f.type == "int" else Real
         if isinstance(value, bool) or not isinstance(value, kind):
             raise InputError(f"{block}.{f.name} must be {f.type}, got {value!r}")
-        if kind is Real and not abs(value) <= MAX_MAGNITUDE:
+        if not abs(value) <= MAX_MAGNITUDE:
             raise InputError(f"{block}.{f.name} must be within +-{MAX_MAGNITUDE:g}, got {value!r}")
         if f.name in at_least and not value >= at_least[f.name]:
             raise InputError(f"{block}.{f.name} must be >= {at_least[f.name]}, got {value!r}")

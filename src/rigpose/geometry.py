@@ -45,7 +45,7 @@ from .errors import (
 )
 
 # Orthonormality guard used wherever a rotation matrix is accepted as input.
-ORTHO_TOL = 1e-6
+ORTHO_TOL = 1e-9
 # Points closer to the image plane than this are treated as invisible.
 Z_MIN = 1e-6
 # |cos(beta)| below this is gimbal proximity for the Euler decomposition.
@@ -97,12 +97,12 @@ def rot_with_derivatives(angles) -> tuple[np.ndarray, np.ndarray]:
     return rot, np.stack([kx @ rot, rx @ ky @ ry @ rz, rot @ kz], axis=-3)
 
 
-def check_rotation(rot: np.ndarray, tol: float = ORTHO_TOL) -> None:
+def check_rotation(rot: np.ndarray) -> None:
     rot = np.asarray(rot, dtype=float)
     if rot.shape != (3, 3):
         raise NonOrthonormalInput(f"expected 3x3 rotation, got shape {rot.shape}")
     err = np.abs(rot @ rot.T - np.eye(3)).max()
-    if not np.isfinite(err) or err > tol:
+    if not np.isfinite(err) or err > ORTHO_TOL:
         raise NonOrthonormalInput(f"matrix not orthonormal (|RR^T - I| = {err:.3g})")
     if np.linalg.det(rot) < 0.0:
         raise NonOrthonormalInput("matrix has negative determinant (reflection)")
@@ -172,7 +172,7 @@ class Camera:
         self.R = np.asarray(self.R, dtype=float).reshape(3, 3)
         if not np.all(np.isfinite(self.D)):
             raise InputError(f"camera displacement D must be finite, got {self.D}")
-        check_rotation(self.R, tol=1e-9)
+        check_rotation(self.R)
 
 
 @dataclass

@@ -4,20 +4,27 @@ Both estimators consume a per-frame, per-camera observation stream of
 (feature ids, pixels), produced either by the simulator or by a tracks
 CSV, and emit a pose series with per-frame diagnostics.
 
+Both layouts step each frame from frame 2 on in one order: predict; count
+each pose filter's distinct features with live structure at the frame;
+replenish the filters below the tracked-feature threshold from the
+previous frame at the pose emitted there; measure and update once. No
+filter is re-seeded.
+
 Overlapping (stereo) layout: each pair is matched and gated on its
-fundamental matrix once per sequence, as both depend only on the pixels;
-matches are triangulated with the current pose and one pose EKF consumes
-every camera's pixels. Below a tracked-feature threshold the estimator
-backtracks one frame, re-triangulates that frame's matches with the
-already-emitted pose, and continues without re-seeding the filter.
+fundamental matrix once per sequence, as both depend only on the pixels.
+The gate drops a feature from every camera of a frame where some pair's
+match fails it, and each pair's passing matches are kept as pairs of
+stream rows with per-frame bounds. One pose EKF consumes every camera's
+gated pixels; replenishing re-triangulates the previous frame's matches.
 
 Non-overlapping layout: every camera runs its own monocular chain in its
 own initial frame, with orthographic structure initialization at a
 configured depth, per-feature structure EKFs, a Lowe seed, and a pose EKF;
-the four chains step in lockstep as one stack of filters. Their local
-poses map to body poses (the per-camera series) in one call per run, and
-each frame is fused through the rigidity constraints (median of those
-body angles plus the scale-factor least squares) into the RC series.
+the four chains step in lockstep as one stack of filters, and replenishing
+re-detects a chain's untracked features. Their local poses map to body
+poses (the per-camera series) in one call per run, and each frame is
+fused through the rigidity constraints (median of those body angles plus
+the scale-factor least squares) into the RC series.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from .simulate import Trajectory
 class PipelineConfig:
     """Sequence-level thresholds shared by both layouts."""
 
-    redetect_threshold: int = 50    # backtrack when tracked features drop below this
+    redetect_threshold: int = 50    # replenish when tracked features drop below this
     epipolar_tol_px: float = 2.0    # stereo correspondence gate
     init_depth: float = 1.0         # z0 for orthographic structure init (m)
     min_matches: int = 4            # Lowe / startup minimum
@@ -174,6 +181,10 @@ _Stream = namedtuple("_Stream", "rows uv seg starts")
 # Views of one frame's rows, pixels and row cameras: camera k is rows
 # at[k]:at[k + 1], and span is where the frame sits in its stream.
 _Frame = namedtuple("_Frame", "rows uv seg at span")
+# A stereo pair's passing matches: ab (M, 2) holds the stream rows of the
+# pair's two cameras per match in (frame, feature) order; frame j is ab
+# at[j]:at[j + 1].
+_Matches = namedtuple("_Matches", "pair ab at")
 
 
 def _compact_ids(frames, body):
@@ -200,11 +211,10 @@ def _compact_ids(frames, body):
     return _Stream(rows, uv, seg, starts), views, n
 
 
-def _camera(frame, k: int, marked=None):
-    """Camera k's (rows, pixels) of a frame, or of its rows a stream mask marks."""
+def _camera(frame, k: int):
+    """Camera k's (rows, pixels) of a frame."""
     at = slice(frame.at[k], frame.at[k + 1])
-    keep = slice(None) if marked is None else marked[frame.span][at]
-    return frame.rows[at][keep], frame.uv[at][keep]
+    return frame.rows[at], frame.uv[at]
 
 
 class _TrackTable:
@@ -239,70 +249,82 @@ def _stereo_matches(stream, pairs, n: int, tol: float):
     of the pair's (frame, feature) keys and one epipolar_distances call. The
     rig has one body, so a stream row is its feature's rank; a camera's
     features are unique in a frame (rendered ids are distinct, read_tracks
-    rejects repeats), in any order. Returns masks over the stream rows: the
-    gate (a feature failing any pair at a frame leaves every camera of that
-    frame) and the passing matches."""
-    failed, matched = [], np.zeros(len(stream.rows), dtype=bool)
+    rejects repeats), in any order. Returns the gate, a mask over the stream
+    rows (a feature failing any pair at a frame leaves every camera of that
+    frame), and each pair's passing matches as _Matches."""
+    failed, matches = [], []
+    frame_keys = np.arange(len(stream.starts), dtype=np.int64) * n
     for pair in pairs:
         in_a, in_b = (np.flatnonzero(stream.seg == k) for k in (pair.cam_a, pair.cam_b))
         key, ia, ib = np.intersect1d(_keys(stream, in_a, n), _keys(stream, in_b, n),
                                      assume_unique=True, return_indices=True)
-        ia, ib = in_a[ia], in_b[ib]
-        del in_a, in_b
-        ok = stereo.epipolar_distances(pair.F, stream.uv[ia], stream.uv[ib]) <= tol
-        matched[ia[ok]] = matched[ib[ok]] = True
+        ab = np.column_stack([in_a[ia], in_b[ib]])
+        del in_a, in_b, ia, ib
+        ok = stereo.epipolar_distances(pair.F, stream.uv[ab[:, 0]], stream.uv[ab[:, 1]]) <= tol
+        matches.append(_Matches(pair, ab[ok], np.searchsorted(key[ok], frame_keys)))
         failed.append(key[~ok])
     failed, bad = np.concatenate(failed), np.zeros(n, dtype=bool)
     bad[failed % n] = True
     at = np.flatnonzero(bad[stream.rows])   # rows of a feature failing at some frame
     gate = np.ones(len(stream.rows), dtype=bool)
     gate[at[np.isin(_keys(stream, at, n), failed)]] = False
-    return gate, matched
+    return gate, matches
 
 
-def _measurement_batch(frame, cams: CameraStack, store: _TrackTable, x, gate=None):
-    """Measurements of known-structure features at one frame for every filter
-    of the stack (a stereo rig with its stream's gate, or monocular chains),
-    linearised at the states x; ekf.measure drops points behind their camera.
-    Also returns each filter's count of distinct features measured."""
-    keep = store.live[frame.rows] if gate is None else store.live[frame.rows] & gate[frame.span]
-    rows, uv, seg = frame.rows[keep], frame.uv[keep], frame.seg[keep]
-    batch = ekf.measure(x, cams, rows, uv, seg, store.means[rows])
-    measured = np.zeros(len(store.live), dtype=bool)
-    measured[batch.ids] = True
-    return batch, np.count_nonzero(measured.reshape(len(x), store.n), axis=1)
+def _known(frame, store: _TrackTable, gate=None):
+    """Mask of a frame's rows whose features have live structure and pass
+    the stream's gate, if one is given."""
+    return store.live[frame.rows] if gate is None else store.live[frame.rows] & gate[frame.span]
 
 
-def _update_or_skip(state: ekf.PoseFilterState, batch, cams: CameraStack, frame: int):
-    """Pose EKF update of every filter with one frame's batch. A filter with
-    no measurements or a degenerate update keeps its predicted state, tagged
-    'ekf-skip'; a non-finite state aborts. Returns (state, tag per filter)."""
+def _feature_counts(store: _TrackTable, rows):
+    """Each filter's count of distinct features among the table rows."""
+    seen = np.zeros(len(store.live), dtype=bool)
+    seen[rows] = True
+    return np.count_nonzero(seen.reshape(-1, store.n), axis=1)
+
+
+def _step(state, frames, j, cams, store, pcfg, replenish, gate=None):
+    """Frame j >= 2 of either layout, in one order: predict; count each
+    filter's distinct features with live structure at frame j (through the
+    gate); call replenish(j - 1, depleted, poses) for the filters whose
+    count is below the threshold, with the poses (B, 6) emitted at frame
+    j - 1; measure and update once, where ekf.measure drops points behind
+    their camera. A filter with no measurements or a degenerate update keeps
+    its predicted state, tagged 'ekf-skip'; a non-finite state aborts.
+    Returns (state, depleted mask, count of distinct features measured,
+    tag per filter)."""
+    poses, frame = state.x[:, :6], frames[j]
+    state = ekf.pose_predict(state)
+    keep = _known(frame, store, gate)
+    depleted = _feature_counts(store, frame.rows[keep]) < pcfg.redetect_threshold
+    if np.any(depleted):
+        replenish(j - 1, depleted, poses)
+        keep = _known(frame, store, gate)
+    rows = frame.rows[keep]
+    batch = ekf.measure(state.x, cams, rows, frame.uv[keep], frame.seg[keep], store.means[rows])
     state, skipped = ekf.pose_update(state, batch, cams)
     if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.P))):
-        raise EstimationFailure(f"filter state became non-finite at frame {frame}")
-    return state, ["ekf-skip" if skip else "ekf" for skip in skipped]
+        raise EstimationFailure(f"filter state became non-finite at frame {j}")
+    return (state, depleted, _feature_counts(store, batch.ids),
+            ["ekf-skip" if skip else "ekf" for skip in skipped])
 
 
 # ---------------------------------------------------------------------------
 # Overlapping (stereo) layout
 # ---------------------------------------------------------------------------
 
-def _match_and_triangulate(
-    frame, matched, rig: CameraRig, pairs, pose, store: _TrackTable
-) -> int:
-    """Pair up each stereo pair's matched rows at a frame by feature (the
-    matching and the gate ran once per sequence), triangulate them with the
-    given pose row, and upsert the results. Returns the number of accepted
-    matches."""
+def _match_and_triangulate(stream, j, rig: CameraRig, matches, pose, store: _TrackTable) -> int:
+    """Triangulate each stereo pair's passing matches at frame j of the stream
+    (matched and gated once per sequence) with the given pose row, and
+    upsert the results. Returns the number of accepted matches."""
     accepted = 0
-    for pair in pairs:
-        (rows_a, uv_a), (rows_b, uv_b) = (_camera(frame, k, matched)
-                                          for k in (pair.cam_a, pair.cam_b))
-        common, ia, ib = np.intersect1d(rows_a, rows_b, assume_unique=True, return_indices=True)
-        if len(common):
-            pts, ok = stereo.triangulate_batch(rig, pose, pair, uv_a[ia], uv_b[ib])
-            store.upsert(common[ok], pts[ok])
-            accepted += len(common[ok])
+    for pair, ab, at in matches:
+        a, b = ab[at[j]:at[j + 1]].T
+        if len(a):
+            pts, ok = stereo.triangulate_batch(rig, pose, pair, stream.uv[a], stream.uv[b])
+            store.upsert(stream.rows[a[ok]], pts[ok])
+            accepted += int(np.count_nonzero(ok))
     return accepted
 
 
@@ -327,11 +349,14 @@ def run_stereo_sequence(
     cams = CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
     stream, frames, n_features = _compact_ids(frames, cams.body)
     pairs = [stereo.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
-    gate, matched = _stereo_matches(stream, pairs, n_features, pcfg.epipolar_tol_px)
+    gate, matches = _stereo_matches(stream, pairs, n_features, pcfg.epipolar_tol_px)
     store = _TrackTable(n_features)
 
+    def retriangulate(j, depleted, poses):
+        _match_and_triangulate(stream, j, rig, matches, poses[0], store)
+
     pose0 = np.zeros(6)
-    n_matched = _match_and_triangulate(frames[0], matched, rig, pairs, pose0, store)
+    n_matched = _match_and_triangulate(stream, 0, rig, matches, pose0, store)
     if n_matched < pcfg.min_matches:
         raise InsufficientFeatures(
             f"frame 0 produced {n_matched} validated matches (< {pcfg.min_matches})"
@@ -353,20 +378,11 @@ def run_stereo_sequence(
     series.diagnostics.append({"features": int(mask.sum())})
 
     for j in range(2, len(frames)):
-        state = ekf.pose_predict(state)
-        diag: dict = {"retriangulated": False}
-
-        batch, count = _measurement_batch(frames[j], cams, store, state.x, gate)
-        if count[0] < pcfg.redetect_threshold:
-            _match_and_triangulate(frames[j - 1], matched, rig, pairs, series.x[j - 1], store)
-            diag["retriangulated"] = True
-            batch, count = _measurement_batch(frames[j], cams, store, state.x, gate)
-        diag["features"] = int(count[0])
-
-        state, methods = _update_or_skip(state, batch, cams, j)
+        state, depleted, count, methods = _step(state, frames, j, cams, store, pcfg,
+                                                retriangulate, gate)
         series.x[j] = state.x[0, :6]
         series.methods.append(methods[0])
-        series.diagnostics.append(diag)
+        series.diagnostics.append({"retriangulated": bool(depleted[0]), "features": int(count[0])})
     return series
 
 
@@ -378,8 +394,8 @@ def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_point
     """The monocular chains of the given cameras stepped in lockstep as one
     stack of pose filters, each in its camera's own initial frame:
     orthographic init (or ideal_points), structure EKFs, Lowe seed (or
-    local_truth (B, 6)), pose EKF, depletion backtracking. Frame 0, the
-    seeds and re-detections run per chain, all else once per frame. Returns
+    local_truth (B, 6)), pose EKF, re-detection of depleted chains. Frame 0,
+    the seeds and re-detections run per chain, all else once per frame. Returns
     local poses (F, B, 6) and per frame a list of per-chain diagnostics."""
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
@@ -408,15 +424,12 @@ def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_point
     locals_ = [np.zeros((n_chains, 6)), vec1.copy()]
     _structure_pass(store, frames[1], vec1, cams, tuning)
 
-    for j in range(2, len(frames)):
-        state = ekf.pose_predict(state)
-        rows, _, seg, _, _ = frames[j]
-        depleted = np.bincount(seg[store.live[rows]], minlength=n_chains) < pcfg.redetect_threshold
+    def redetect(j, depleted, poses):
         for k in np.flatnonzero(depleted):
-            _redetect(store, _camera(frames[j - 1], k), locals_[j - 1][k], intr[k], pcfg, tuning)
+            _redetect(store, _camera(frames[j], k), poses[k], intr[k], pcfg, tuning)
 
-        batch, count = _measurement_batch(frames[j], cams, store, state.x)
-        state, methods = _update_or_skip(state, batch, cams, j)
+    for j in range(2, len(frames)):
+        state, depleted, count, methods = _step(state, frames, j, cams, store, pcfg, redetect)
         locals_.append(state.x[:, :6].copy())
         diags.append([{"redetected": bool(depleted[k]), "features": int(count[k]),
                        "method": methods[k]} for k in range(n_chains)])
@@ -439,9 +452,9 @@ def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
 
 
 def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
-    """Backtracked re-detection: orthographically initialize, at the
-    previous frame's estimated pose, every feature observed there that has
-    no live structure. Existing tracks keep their refined estimates."""
+    """Re-detection: orthographically initialize, at the previous frame's
+    estimated pose, every feature observed there that has no live
+    structure. Existing tracks keep their refined estimates."""
     ids_p, uv_p = prev_obs
     fresh = ~store.live[ids_p]
     if not np.any(fresh):

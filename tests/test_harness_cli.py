@@ -562,6 +562,15 @@ BAD_CONFIG_VALUES = {
 }
 
 
+# Integer fields beyond MAX_MAGNITUDE, where sizes and counts overflow
+# numpy's array limits, and the field the error line must name.
+HUGE_INTEGERS = {
+    **{f"sim-{name}-1e30": (lambda t, name=name: _config(t, {"sim": {name: 10**30}}), f"sim.{name}")
+       for name in ("n_points", "n_frames", "n_runs", "seed")},
+    "runs-flag-1e30": (lambda t: ["simulate", "--runs", str(10**30)], "sim.n_runs"),
+}
+
+
 def _rig_block(rig, layout=None, n_cameras=None):
     """A config rigs block of rig, re-tagged with layout or cut to its first
     n_cameras cameras."""
@@ -674,6 +683,7 @@ MALFORMED_INPUTS = [
     *(pytest.param(lambda t, c=command, e=edit: _edited_rig(t, c, e), id=f"{command}-rig-{name}")
       for name, (edit, _) in RIG_EDITS.items() for command in ("run-tracks", "simulate")),
     pytest.param(lambda t: _config(t, {"rigs": {"overlaping": {}}}), id="config-rigs-unknown-key"),
+    *(pytest.param(argv, id=name) for name, (argv, _) in HUGE_INTEGERS.items()),
 ]
 
 
@@ -682,6 +692,14 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, make_argv):
     assert cli.main(make_argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("name", HUGE_INTEGERS)
+def test_cli_huge_integer_names_the_field(tmp_path, capsys, name):
+    make_argv, field = HUGE_INTEGERS[name]
+    assert cli.main(make_argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field} must be within" in err, err
 
 
 @pytest.mark.parametrize("command", ["run-tracks", "simulate"])

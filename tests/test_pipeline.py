@@ -42,26 +42,27 @@ from rigpose.simulate import (
 
 def compact_and_match(frames, rig, pcfg=None):
     """A stereo stream compacted, matched and gated as run_stereo_sequence
-    does it: (stream, frame views, n features, pairs, gate, matched)."""
+    does it: (stream, frame views, n features, pairs, gate, matches)."""
     from rigpose.pipeline import _compact_ids, _stereo_matches
     from rigpose.stereo import make_stereo_pair
 
     stream, compact, n_features = _compact_ids(frames, np.zeros(len(rig), dtype=int))
     pairs = [make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
     tol = (pcfg or PipelineConfig()).epipolar_tol_px
-    gate, matched = _stereo_matches(stream, pairs, n_features, tol)
-    return stream, compact, n_features, pairs, gate, matched
+    gate, matches = _stereo_matches(stream, pairs, n_features, tol)
+    return stream, compact, n_features, pairs, gate, matches
 
 
-def matched_pairs(frame, matched, pair):
-    """A pair's matched (rows, pixels in camera a, pixels in camera b) at a
-    frame, in row order."""
-    from rigpose.pipeline import _camera
-
-    (rows_a, uv_a), (rows_b, uv_b) = (_camera(frame, k, matched) for k in (pair.cam_a, pair.cam_b))
-    assert sorted(rows_a) == sorted(rows_b)
-    order_a, order_b = np.argsort(rows_a), np.argsort(rows_b)
-    return rows_a[order_a], uv_a[order_a], uv_b[order_b]
+def matched_pairs(stream, match, j):
+    """A pair's matched (rows, pixels in camera a, pixels in camera b) at
+    frame j, in row order."""
+    a, b = match.ab[match.at[j]:match.at[j + 1]].T
+    assert np.all(stream.seg[a] == match.pair.cam_a) and np.all(stream.seg[b] == match.pair.cam_b)
+    assert np.all((stream.starts[j] <= a) & (a < stream.starts[j + 1]))
+    assert np.all((stream.starts[j] <= b) & (b < stream.starts[j + 1]))
+    np.testing.assert_array_equal(stream.rows[a], stream.rows[b])
+    assert np.all(np.diff(stream.rows[a]) > 0)
+    return stream.rows[a], stream.uv[a], stream.uv[b]
 
 
 def render_run(rig, cfg, traj=None, seed_index=0):
@@ -279,9 +280,9 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
 
     j = events[0]
     pose = series.x[j - 1]
-    _, compact, n_features, pairs, _, matched = compact_and_match(frames, rig, pcfg)
+    stream, compact, n_features, _, _, matches = compact_and_match(frames, rig, pcfg)
     store = _TrackTable(n_features)
-    _match_and_triangulate(compact[j - 1], matched, rig, pairs, pose, store)
+    _match_and_triangulate(stream, j - 1, rig, matches, pose, store)
     residuals = []
     for k in range(len(rig.cameras)):
         ids, uv = _camera(compact[j - 1], k)
@@ -291,6 +292,21 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
         residuals.extend(np.linalg.norm(predicted - uv[mask], axis=1))
     residuals = np.array(residuals)
     assert np.mean(residuals < 2 * 0.5 * 2) >= 0.95  # 2 sigma per coordinate
+
+
+def test_stereo_measures_each_frame_once_with_retriangulations(monkeypatch):
+    # Each frame from 2 on counts its tracked features before it measures,
+    # so a re-triangulated frame is measured once, like any other.
+    from rigpose import ekf
+
+    rig = default_overlap_rig()
+    cfg = SimConfig(n_points=2000, n_frames=50, noise_sigma=0.5, seed=10)
+    _, _, frames = render_run(rig, cfg)
+    calls, measure = [], ekf.measure
+    monkeypatch.setattr(ekf, "measure", lambda *args: calls.append(1) or measure(*args))
+    series = run_stereo_sequence(frames, rig, pcfg=PipelineConfig(redetect_threshold=45))
+    assert any(diag.get("retriangulated") for diag in series.diagnostics)
+    assert len(calls) == cfg.n_frames - 2
 
 
 def test_stereo_series_is_causal_prefix_stable():
@@ -637,17 +653,17 @@ def test_stereo_matches_on_shuffled_rows_equal_the_default_intersection(tmp_path
     rig = default_overlap_rig()
     _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
     frames = shuffled_tracks(tmp_path, frames, rig)
-    _, compact, _, pairs, gate, matched = compact_and_match(frames, rig)
+    stream, compact, _, pairs, gate, matches = compact_and_match(frames, rig)
     tol = PipelineConfig().epipolar_tol_px
-    for frame in compact:
+    for j, frame in enumerate(compact):
         failed = []
-        for pair in pairs:
+        for pair, match in zip(pairs, matches):
             ids_a, uv_a = _camera(frame, pair.cam_a)
             ids_b, uv_b = _camera(frame, pair.cam_b)
             assert np.any(np.diff(ids_a) < 0) and np.any(np.diff(ids_b) < 0)
             ref, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
             dist = st.epipolar_distances(pair.F, uv_a[ia], uv_b[ib])
-            rows, pa, pb = matched_pairs(frame, matched, pair)
+            rows, pa, pb = matched_pairs(stream, match, j)
             assert len(rows) > 0
             np.testing.assert_array_equal(rows, ref[dist <= tol])
             np.testing.assert_array_equal(pa, uv_a[ia][dist <= tol])
@@ -700,15 +716,15 @@ def assert_gate_matches_reference(frames, rig):
     with the per-frame reference. Returns (gate, frame views)."""
     from reference import stereo_gate
 
-    _, compact, _, pairs, gate, matched = compact_and_match(frames, rig)
+    stream, compact, _, pairs, gate, matches = compact_and_match(frames, rig)
     id_of_row = np.unique(np.concatenate([ids for frame in frames for ids, _ in frame]))
     reference = stereo_gate(frames, pairs, PipelineConfig().epipolar_tol_px)
-    for frame, view, (failed, passing) in zip(frames, compact, reference):
+    for j, (frame, view, (failed, passing)) in enumerate(zip(frames, compact, reference)):
         for k, (ids, _) in enumerate(frame):
             kept = gate[view.span][view.at[k]:view.at[k + 1]]
             np.testing.assert_array_equal(kept, [int(f) not in failed for f in ids])
-        for pair, (ids, pa, pb) in zip(pairs, passing):
-            rows, uv_a, uv_b = matched_pairs(view, matched, pair)
+        for match, (ids, pa, pb) in zip(matches, passing):
+            rows, uv_a, uv_b = matched_pairs(stream, match, j)
             np.testing.assert_array_equal(id_of_row[rows], ids)
             np.testing.assert_array_equal(uv_a, pa)
             np.testing.assert_array_equal(uv_b, pb)

@@ -1,6 +1,7 @@
 """Rules the source tree keeps, checked on its syntax trees."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,3 +58,58 @@ def test_json_input_is_read_only_in_errors():
             for name in used & readers:
                 where.setdefault(name, set()).add(path.name)
     assert where == {name: {"errors.py"} for name in ("load", "JSONDecodeError")}, where
+
+
+def _bound(node) -> set:
+    """Names a statement binds in the scope it sits in."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.asname or alias.name for alias in node.names}
+    return set()
+
+
+def _definitions():
+    """What src/rigpose defines: per module (the package as `rigpose`) its
+    top-level names, per class its members (dataclass fields among them),
+    and every such name, function parameter and string constant."""
+    modules, members, defined = {}, {}, set()
+    for path in sorted((ROOT / "src" / "rigpose").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules["rigpose" if path.stem == "__init__" else path.stem] = set().union(
+            *map(_bound, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                members[node.name] = set().union(*map(_bound, node.body))
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                defined.add(node.value)
+    modules["rigpose"] |= set(modules)
+    defined = defined.union(*modules.values(), *members.values())
+    return modules, members, defined
+
+
+def test_readme_names_only_what_the_package_defines():
+    # A backticked snake_case or dotted name in README must still exist:
+    # each part of a dotted name is defined in the module or class before it.
+    modules, members, defined = _definitions()
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    names = {span for span in re.findall(r"`([^`]+)`", text)
+             if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span) and set("._") & set(span)}
+    assert len(names) > 20
+
+    def resolves(name):
+        first, *rest = name.split(".")
+        scope = modules.get(first, members.get(first))
+        for part in rest:
+            if scope is None or part not in scope:
+                return False
+            scope = modules.get(part, members.get(part))
+        return bool(rest) or first in defined
+
+    unknown = sorted(n for n in names - {"D_k", "R_k", "pyproject.toml"} if not resolves(n))
+    assert not unknown, f"README names what src/rigpose does not define: {unknown}"
