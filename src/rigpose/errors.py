@@ -1,6 +1,6 @@
 """Exception types raised by the rigpose estimation stack, the one check
-that config dataclasses run on their fields, and the one way files are
-opened and JSON input is read and built into dataclasses.
+of an input number (which config dataclasses run on their fields), and the
+one way files are opened and JSON input is read and built into dataclasses.
 
 Everything derives from RigPoseError so callers can catch the whole family.
 Numerical-degeneracy errors derive from DegenerateGeometry. Three are
@@ -79,25 +79,31 @@ class EstimationFailure(RigPoseError):
 MAX_MAGNITUDE = 1e12
 
 
+def check_number(name: str, value, kind: str, at_least=None, positive: bool = False) -> None:
+    """Raise InputError naming name when value is not of kind ("int" or
+    "float"; a bool is neither), is a number above MAX_MAGNITUDE in
+    magnitude or not finite, is below at_least, or is not above 0 where
+    positive is set."""
+    if isinstance(value, bool) or not isinstance(value, Integral if kind == "int" else Real):
+        raise InputError(f"{name} must be {kind}, got {value!r}")
+    if not abs(value) <= MAX_MAGNITUDE:
+        raise InputError(f"{name} must be within +-{MAX_MAGNITUDE:g}, got {value!r}")
+    if at_least is not None and not value >= at_least:
+        raise InputError(f"{name} must be >= {at_least}, got {value!r}")
+    if positive and not value > 0:
+        raise InputError(f"{name} must be > 0, got {value!r}")
+
+
 def check_config_fields(
     config, block: str, at_least: dict | None = None, positive: tuple = ()
 ) -> None:
-    """Raise InputError for the first field of a config dataclass whose
-    value is not of its annotated type (int or float; a bool is neither),
-    is a number above MAX_MAGNITUDE in magnitude or not finite, is below its
-    at_least bound, or is listed in positive and not above 0."""
+    """check_number on each field of a config dataclass, named block.field,
+    against its annotated type, its at_least bound and its place in
+    positive."""
     at_least = at_least or {}
     for f in fields(config):
-        value = getattr(config, f.name)
-        kind = Integral if f.type == "int" else Real
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise InputError(f"{block}.{f.name} must be {f.type}, got {value!r}")
-        if not abs(value) <= MAX_MAGNITUDE:
-            raise InputError(f"{block}.{f.name} must be within +-{MAX_MAGNITUDE:g}, got {value!r}")
-        if f.name in at_least and not value >= at_least[f.name]:
-            raise InputError(f"{block}.{f.name} must be >= {at_least[f.name]}, got {value!r}")
-        if f.name in positive and not value > 0:
-            raise InputError(f"{block}.{f.name} must be > 0, got {value!r}")
+        check_number(f"{block}.{f.name}", getattr(config, f.name), f.type,
+                     at_least.get(f.name), f.name in positive)
 
 
 @contextmanager

@@ -12,9 +12,10 @@ The translations are tied together by
 
 whose nine scalar components in the three non-reference cameras form a
 9x4 linear system in the unknown scales s = (S_j, S_2j, S_3j, S_4j).
-fuse_pose takes one frame's four local translations and four body angles:
-the fused rotation is the per-axis median of those angles, the fused
-translation the reference translation rescaled by the solved S_j.
+The per-axis medians of the body angles (the fused rotations) and the
+frames' systems are built for a whole run at once; fuse_pose then solves
+one frame's system and gives the fused pose: those median angles and the
+reference translation rescaled by the solved S_j.
 
 The system loses rank on pure-rotation or zero-translation frames; the
 solver flags those, judging the condition from the least-squares solver's
@@ -66,7 +67,8 @@ def local_to_body_pose(local: np.ndarray, cams: CameraStack):
 
 
 def fuse_rotation_median(angle_sets: np.ndarray) -> np.ndarray:
-    """Per-axis median of the angles (N, 3) of equivalent rotations.
+    """Per-axis medians (..., 3) of the angles (..., N, 3) of N equivalent
+    rotations.
 
     With an even count the median is the mean of the two middle values.
     Angles lie in (-pi, pi]. A set that spans more than pi on an axis but
@@ -75,25 +77,29 @@ def fuse_rotation_median(angle_sets: np.ndarray) -> np.ndarray:
     wrapped back.
     """
     shifted = np.where(angle_sets < 0, angle_sets + 2 * np.pi, angle_sets)
-    seam = (np.ptp(angle_sets, axis=0) > np.pi) & (np.ptp(shifted, axis=0) < np.pi)
-    fused = np.median(np.where(seam, shifted, angle_sets), axis=0)
+    seam = (np.ptp(angle_sets, axis=-2) > np.pi) & (np.ptp(shifted, axis=-2) < np.pi)
+    fused = np.median(np.where(seam[..., None, :], shifted, angle_sets), axis=-2)
     return np.where(fused > np.pi, fused - 2 * np.pi, fused)
 
 
 def build_scale_system(d_j, rot_j, l, cams: CameraStack):
-    """Assemble the 9x4 system (A, b) from the reference translation
-    estimate d_j, the (fused) body rotation rot_j, and the local
-    translations l (3, 3) of the non-reference cameras 1..3 of the stack.
+    """Assemble the 9x4 systems (A (..., 9, 4), b (..., 9)) of a stack of
+    frames from the reference translation estimates d_j (..., 3), the
+    (fused) body rotations rot_j (..., 3, 3), and the local translations
+    l (..., 3, 3) of the non-reference cameras 1..3 of the stack.
 
     Row block 3i..3i+2 holds camera (i+1)'s x/y/z components: column 0 is
     d_j, column 1+i is -(R_k l_kj), and b is (I - R_j) D_k, so A s = b is
     exactly the rigidity relation per camera.
     """
-    a = np.zeros((3, 3, 4))
-    a[..., 0] = d_j
-    a[np.arange(3), :, np.arange(1, 4)] = -(cams.R[1:] @ l[..., None])[..., 0]
-    b = ((np.eye(3) - rot_j) @ cams.D[1:, :, None])[..., 0]
-    return a.reshape(9, 4), b.reshape(9)
+    batch = d_j.shape[:-1]
+    a = np.zeros(batch + (3, 3, 4))
+    a[..., 0] = d_j[..., None, :]
+    cols = -(cams.R[1:] @ l[..., None])[..., 0]
+    # Advanced indices split by a slice put the camera axis first.
+    a[..., np.arange(3), :, np.arange(1, 4)] = np.moveaxis(cols, -2, 0)
+    b = ((np.eye(3) - rot_j)[..., None, :, :] @ cams.D[1:, :, None])[..., 0]
+    return a.reshape(batch + (9, 4)), b.reshape(batch + (9,))
 
 
 def solve_scales(a, b, d_j):
@@ -125,26 +131,22 @@ class FusionResult:
     residual: float | None
 
 
-def fuse_pose(l, body_angles, cams: CameraStack, prev_scales) -> FusionResult:
+def fuse_pose(a, b, d_ref, angles, prev_scales) -> FusionResult:
     """Fuse one frame of the four cameras into one body pose.
 
-    l (4, 3) holds the cameras' local translations, body_angles (4, 3) the
-    angles of their body rotations (what local_to_body_pose gives), camera
-    0 the reference. Rotation is the per-axis median over all cameras;
-    translation is S_j times the reference camera's local translation, with
-    S_j from the scale system (or carried over from prev_scales when the
-    frame is degenerate, with no residual).
+    a (9, 4) and b (9,) are the frame's scale system (build_scale_system),
+    d_ref (3,) the reference camera's local translation and angles (3,)
+    the fused rotation's angles (fuse_rotation_median). The translation is
+    S_j d_ref, with S_j solved from the system, or carried over from
+    prev_scales when the frame is degenerate (with no residual).
     """
-    fused_angles = fuse_rotation_median(body_angles)
-    d_ref = l[0]
-    a, b = build_scale_system(d_ref, rot_from_angles(fused_angles), l[1:], cams)
     try:
         scales, residual, _ = solve_scales(a, b, d_ref)
         ill = False
     except IllConditioned:
         scales, residual, ill = prev_scales, None, True
     return FusionResult(
-        pose=np.concatenate([scales[0] * d_ref, fused_angles]),
+        pose=np.concatenate([scales[0] * d_ref, angles]),
         scales=scales,
         ill_conditioned=ill,
         residual=residual,

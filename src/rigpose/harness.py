@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .ekf import FilterTuning
-from .errors import InputError, RigPoseError, build_block, json_object, open_path, read_json
+from .errors import (InputError, RigPoseError, build_block, check_number, json_object,
+                     open_path, read_json)
 from .geometry import (
     CameraRig,
     default_nonoverlap_rig,
@@ -189,6 +190,7 @@ def monte_carlo(
         raise InputError(f"need at least 2 frames to report errors, got {sim.n_frames}")
     if workers < 1:
         raise InputError(f"need at least 1 worker, got {workers!r}")
+    check_number("min_visible", min_visible, "int", at_least=0)
     setup.rig_overlap.check_layout("overlapping")
     setup.rig_nonoverlap.check_layout("non-overlapping")
 
@@ -262,8 +264,7 @@ def config_from_dict(data, source: str) -> dict:
     data = json_object(data, source, ("sim", "rigs", "tuning", "pipeline", "min_visible"))
     rigs = json_object(data.get("rigs", {}), f"{source}: rigs", ("overlapping", "non-overlapping"))
     min_visible = data.get("min_visible", MIN_VISIBLE)
-    if isinstance(min_visible, bool) or not isinstance(min_visible, int):
-        raise InputError(f"{source}: 'min_visible' must be an integer, got {min_visible!r}")
+    check_number("min_visible", min_visible, "int", at_least=0)
     overlap = (rig_from_dict(rigs["overlapping"], source=f"{source}: rigs.overlapping")
                if "overlapping" in rigs else default_overlap_rig())
     nonoverlap = (rig_from_dict(rigs["non-overlapping"], source=f"{source}: rigs.non-overlapping")

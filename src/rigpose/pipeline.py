@@ -22,9 +22,11 @@ own initial frame, with orthographic structure initialization at a
 configured depth, per-feature structure EKFs, a Lowe seed, and a pose EKF;
 the four chains step in lockstep as one stack of filters, and replenishing
 re-detects a chain's untracked features. Their local poses map to body
-poses (the per-camera series) in one call per run, and each frame is
-fused through the rigidity constraints (median of those body angles plus
-the scale-factor least squares) into the RC series.
+poses (the per-camera series) in one call per run. The RC series fuses
+them through the rigidity constraints: the per-axis medians of those body
+angles and every frame's scale-factor system are built once per run, and
+each frame then solves its system, carrying the previous scales over a
+degenerate one.
 """
 
 from __future__ import annotations
@@ -476,9 +478,10 @@ def run_nonoverlap_sequence(
 
     Returns five series: 'cam1'..'cam4' (each camera's own body-pose
     estimate through the rigidity mapping with unit scales, all frames and
-    cameras in one call) and 'RC' (the rigidity-constrained fusion per
-    frame: per-axis medians of the cam1..cam4 angles plus the solved
-    reference translation scale).
+    cameras in one call) and 'RC' (the rigidity-constrained fusion: per
+    frame the per-axis medians of the cam1..cam4 angles plus the reference
+    translation at its solved scale; the medians and the scale systems
+    are built for all frames at once, the solve runs per frame).
 
     A given truth seeds the chains' filters with the true local poses at
     frame 1, and a given scene initializes their structure at the true
@@ -509,9 +512,12 @@ def run_nonoverlap_sequence(
 
     rc = PoseEstimateSeries(np.zeros((n_frames, 6)), ["init"] + ["rc"] * (n_frames - 1),
                             [{"scales": [1.0] * 4}])
+    angles = fusion.fuse_rotation_median(body[1:, :, 3:])
+    d_ref = locals_[1:, 0, :3]
+    a, b = fusion.build_scale_system(d_ref, rot_from_angles(angles), locals_[1:, 1:, :3], cams)
     prev_scales = np.ones(4)
     for j in range(1, n_frames):
-        result = fusion.fuse_pose(locals_[j, :, :3], body[j, :, 3:], cams, prev_scales)
+        result = fusion.fuse_pose(a[j - 1], b[j - 1], d_ref[j - 1], angles[j - 1], prev_scales)
         prev_scales = result.scales
         rc.x[j] = result.pose
         rc.diagnostics.append({"scales": [float(s) for s in result.scales],

@@ -9,10 +9,10 @@ camera can see (positive depth, inside the image bounds) plus independent
 zero-mean Gaussian pixel noise; each observation carries the scene point id
 so the estimation pipelines get correspondence for free.
 
-Randomness is fully deterministic given a master seed: each run, and within
-a run each (camera, frame) noise draw, uses its own stream derived by
-SeedSequence spawning, so Monte Carlo trials may execute in any order or in
-parallel without changing a single bit of the output.
+Randomness is fully deterministic given a master seed: each run draws its
+scene, its trajectory and its pixel noise from three streams of its own,
+derived by SeedSequence spawning, so Monte Carlo trials may execute in any
+order or in parallel without changing a single bit of the output.
 """
 
 from __future__ import annotations
@@ -137,15 +137,12 @@ def render_sequence(
     the exact test, so the output is the same, bit for bit, as projecting
     every point.
 
-    Noise is added after the visibility test, in ascending id order, from
-    an independent stream per (camera, frame) pair spawned from noise_seed
-    in camera-major order, so rendering is reproducible regardless of
-    evaluation order.
+    Noise is added after the visibility test from one generator seeded by
+    noise_seed (seed 0 when None): frame by frame, one (M, 2) draw for the
+    frame's M visible rows, camera-major with ascending ids per camera.
     """
     n_frames, n_cams = len(traj), len(cameras)
-    if noise_seed is None:
-        noise_seed = np.random.SeedSequence(0)
-    children = noise_seed.spawn(n_cams * n_frames) if noise_sigma > 0 else []
+    rng = np.random.default_rng(0 if noise_seed is None else noise_seed)
 
     rotations, d = rot_from_angles(traj.x[:, 3:]), traj.x[:, :3]
     stack = CameraStack.of(cameras, np.zeros(n_cams, dtype=int))
@@ -174,15 +171,10 @@ def render_sequence(
         cam, ids = cam[front], ids[front]
         visible = np.all((uv >= 0) & (uv < size[cam]), axis=1)
         cam, ids, uv = cam[visible], ids[visible], uv[visible]
-        split = np.searchsorted(cam, np.arange(n_cams + 1))
-        frame = []
-        for k, (lo, hi) in enumerate(zip(split[:-1], split[1:])):
-            uv_k = uv[lo:hi]
-            if noise_sigma > 0 and hi > lo:
-                rng = np.random.default_rng(children[k * n_frames + j])
-                uv_k = uv_k + rng.normal(0.0, noise_sigma, uv_k.shape)
-            frame.append((ids[lo:hi], uv_k))
-        frames.append(frame)
+        if noise_sigma > 0:
+            uv = uv + rng.normal(0.0, noise_sigma, uv.shape)
+        split = np.searchsorted(cam, np.arange(1, n_cams))
+        frames.append(list(zip(np.split(ids, split), np.split(uv, split))))
     return frames
 
 

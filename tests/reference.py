@@ -9,11 +9,15 @@ update in dense covariance form, the oracle of the block-form filter.
 tracking tests, and `random_walk` redraws simulate.gen_trajectory's
 increments and chains them on its own. `stereo_gate` matches and gates
 stereo pairs frame by frame on the raw stream, the oracle of the
-pipeline's once-per-sequence pass.
+pipeline's once-per-sequence pass. `rc_fusion` fuses the chains' poses one
+frame at a time through the fusion helpers, the oracle of the RC stage
+that builds every frame's median and system at once.
 """
 
 import numpy as np
 
+from rigpose import fusion
+from rigpose.errors import IllConditioned
 from rigpose.geometry import rot_from_angles
 from rigpose.simulate import Trajectory
 
@@ -100,3 +104,24 @@ def stereo_gate(frames, pairs, tol):
             passing.append((common[dist <= tol], pa[dist <= tol], pb[dist <= tol]))
         out.append((failed, passing))
     return out
+
+
+def rc_fusion(locals_, body, cams):
+    """The RC series of the chains' local poses (F, 4, 6) and their body
+    poses (F, 4, 6), one frame at a time: the median of the body angles,
+    its rotation, the scale system and its solve, a degenerate frame
+    keeping the previous scales. Returns the poses (F, 6) and, per frame
+    from 1 on, (scales, ill_conditioned, residual)."""
+    x, prev, frames = np.zeros((len(locals_), 6)), np.ones(4), []
+    for j in range(1, len(locals_)):
+        angles = fusion.fuse_rotation_median(body[j, :, 3:])
+        l = locals_[j, :, :3]
+        a, b = fusion.build_scale_system(l[0], rot_from_angles(angles), l[1:], cams)
+        try:
+            scales, residual, _ = fusion.solve_scales(a, b, l[0])
+        except IllConditioned:
+            scales, residual = prev, None
+        x[j] = np.concatenate([scales[0] * l[0], angles])
+        frames.append((scales, residual is None, residual))
+        prev = scales
+    return x, frames

@@ -254,9 +254,10 @@ def test_criterion_5_degenerate_handling():
                                      cams_n)
     with pytest.raises(IllConditioned):
         fusion.solve_scales(a, b, np.zeros(3))
-    body_angles = fusion.local_to_body_pose(local, cams_n)[:, 3:]
+    angles = fusion.fuse_rotation_median(fusion.local_to_body_pose(local, cams_n)[:, 3:])
+    a, b = fusion.build_scale_system(local[0, :3], rot_from_angles(angles), local[1:, :3], cams_n)
     prev = np.array([1.3, 0.9, 1.1, 1.0])
-    result = fusion.fuse_pose(local[:, :3], body_angles, cams_n, prev)
+    result = fusion.fuse_pose(a, b, local[0, :3], angles, prev)
     fallback_ok = result.ill_conditioned and np.array_equal(result.scales, prev)
 
     # 49-feature frame triggers re-triangulation at the 50-feature threshold

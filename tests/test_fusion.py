@@ -85,6 +85,36 @@ def test_median_across_the_pi_seam():
     np.testing.assert_allclose(fused[:2], [0.01, -0.02], atol=1e-12)
 
 
+def stacked_angle_sets(rng, n):
+    """(60, n, 3) angle sets: 20 near 0, 20 straddling the +-pi seam on
+    every axis, 20 anywhere in (-pi, pi]."""
+    seam = np.pi + rng.uniform(-0.05, 0.05, (20, n, 3))
+    return np.concatenate([rng.uniform(-0.2, 0.2, (20, n, 3)),
+                           np.where(seam > np.pi, seam - 2 * np.pi, seam),
+                           rng.uniform(-np.pi, np.pi, (20, n, 3))])
+
+
+@pytest.mark.parametrize("n", [4, 3])
+def test_stacked_median_equals_row_by_row_calls(n):
+    angles = stacked_angle_sets(np.random.default_rng(6 + n), n)
+    fused = fuse_rotation_median(angles)
+    assert fused.shape == (60, 3)
+    assert np.all(np.abs(fused[20:40]) > np.pi - 0.05)
+    for f in range(60):
+        assert fused[f].tobytes() == fuse_rotation_median(angles[f]).tobytes()
+
+
+def test_stacked_scale_systems_equal_row_by_row_calls():
+    rng = np.random.default_rng(8)
+    rot = rot_from_angles(fuse_rotation_median(stacked_angle_sets(rng, 4)))
+    d, l = rng.normal(0.0, 0.01, (60, 3)), rng.normal(0.0, 0.01, (60, 3, 3))
+    a, b = build_scale_system(d, rot, l, CAMS)
+    assert a.shape == (60, 9, 4) and b.shape == (60, 9)
+    for f in range(60):
+        a_f, b_f = build_scale_system(d[f], rot[f], l[f], CAMS)
+        assert a[f].tobytes() == a_f.tobytes() and b[f].tobytes() == b_f.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # scale system
 # ---------------------------------------------------------------------------
@@ -179,9 +209,18 @@ def per_camera_truth(pose):
     return local[:, :3], local_to_body_pose(local, CAMS)[:, 3:]
 
 
+def fuse_frame(l, body_angles, prev_scales):
+    """fuse_pose on one frame's local translations l (4, 3) and body angles
+    (4, 3), with the median and the system built as the pipeline builds
+    them."""
+    angles = fuse_rotation_median(body_angles)
+    a, b = build_scale_system(l[0], rot_from_angles(angles), l[1:], CAMS)
+    return fuse_pose(a, b, l[0], angles, prev_scales)
+
+
 def test_fuse_pose_exact_inputs():
     pose = np.array([0.02, -0.01, 0.015, 0.03, -0.04, 0.05])
-    result = fuse_pose(*per_camera_truth(pose), CAMS, np.ones(4))
+    result = fuse_frame(*per_camera_truth(pose), np.ones(4))
     assert isinstance(result, FusionResult)
     np.testing.assert_allclose(result.pose[:3], pose[:3], atol=1e-9)
     np.testing.assert_allclose(result.pose[3:], pose[3:], atol=1e-9)
@@ -194,7 +233,7 @@ def test_fuse_pose_corrects_injected_reference_scale():
     pose = np.array([0.02, -0.01, 0.015, 0.03, -0.04, 0.05])
     l, angles = per_camera_truth(pose)
     l[0] *= 0.5
-    result = fuse_pose(l, angles, CAMS, np.ones(4))
+    result = fuse_frame(l, angles, np.ones(4))
     assert result.scales[0] == pytest.approx(2.0, abs=1e-6)
     np.testing.assert_allclose(result.pose[:3], pose[:3], atol=1e-6)
 
@@ -203,7 +242,7 @@ def test_fuse_pose_degenerate_falls_back_to_previous_scales():
     # First frame: no motion, identity rotation -> ill-conditioned system;
     # the fused translation is d_j unchanged under prev scales of 1.
     pose = np.array([0.01, -0.004, 0.007, 0.0, 0.0, 0.0])
-    result = fuse_pose(*per_camera_truth(pose), CAMS, np.ones(4))
+    result = fuse_frame(*per_camera_truth(pose), np.ones(4))
     assert result.ill_conditioned
     np.testing.assert_allclose(result.pose[:3], pose[:3], atol=1e-15)
     np.testing.assert_array_equal(result.scales, np.ones(4))

@@ -570,6 +570,12 @@ HUGE_INTEGERS = {
     "runs-flag-1e30": (lambda t: ["simulate", "--runs", str(10**30)], "sim.n_runs"),
 }
 
+# Out-of-range min_visible values, and the error line each must give.
+BAD_MIN_VISIBLE = {
+    "min_visible-1e30": (10**30, "error: min_visible must be within"),
+    "min_visible-negative": (-5, "error: min_visible must be >= 0"),
+}
+
 
 def _rig_block(rig, layout=None, n_cameras=None):
     """A config rigs block of rig, re-tagged with layout or cut to its first
@@ -684,6 +690,8 @@ MALFORMED_INPUTS = [
       for name, (edit, _) in RIG_EDITS.items() for command in ("run-tracks", "simulate")),
     pytest.param(lambda t: _config(t, {"rigs": {"overlaping": {}}}), id="config-rigs-unknown-key"),
     *(pytest.param(argv, id=name) for name, (argv, _) in HUGE_INTEGERS.items()),
+    *(pytest.param(lambda t, v=value: _config(t, {"min_visible": v}), id=name)
+      for name, (value, _) in BAD_MIN_VISIBLE.items()),
 ]
 
 
@@ -700,6 +708,18 @@ def test_cli_huge_integer_names_the_field(tmp_path, capsys, name):
     assert cli.main(make_argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert f"error: {field} must be within" in err, err
+
+
+@pytest.mark.parametrize("name", BAD_MIN_VISIBLE)
+def test_cli_min_visible_error_names_the_field(tmp_path, capsys, name):
+    value, message = BAD_MIN_VISIBLE[name]
+    assert cli.main(_config(tmp_path, {"min_visible": value})) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_monte_carlo_rejects_negative_min_visible():
+    with pytest.raises(InputError, match="min_visible"):
+        harness.monte_carlo(SimConfig(n_points=500, n_frames=3, n_runs=1), min_visible=-5)
 
 
 @pytest.mark.parametrize("command", ["run-tracks", "simulate"])

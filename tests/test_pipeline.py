@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import pixels, scripted_trajectory, to_camera
+from reference import pixels, rc_fusion, scripted_trajectory, to_camera
 from rigpose.errors import (
     BehindCamera,
     InputError,
@@ -485,6 +485,68 @@ def test_nonoverlap_series_are_mapped_from_the_chains_bit_for_bit():
     body = np.stack([out[f"cam{k}"].x[:, 3:] for k in range(1, 5)], axis=1)
     for j in range(1, len(frames)):
         np.testing.assert_array_equal(out["RC"].x[j, 3:], fuse_rotation_median(body[j]))
+
+
+def assert_rc_is_the_per_frame_fusion(rc, locals_, cams):
+    """The RC series' poses and per-frame diagnostics have the bits of
+    fusing the chains' local poses one frame at a time."""
+    from rigpose.fusion import local_to_body_pose
+
+    x, want = rc_fusion(locals_, local_to_body_pose(locals_, cams), cams)
+    assert rc.x.tobytes() == x.tobytes()
+    assert len(rc.diagnostics) == len(locals_)
+    for diag, (scales, ill, residual) in zip(rc.diagnostics[1:], want, strict=True):
+        assert diag == {"scales": [float(s) for s in scales], "ill_conditioned": ill,
+                        "residual": residual}
+
+
+@pytest.mark.parametrize("case", ["desk", "still-then-moving"])
+def test_nonoverlap_rc_equals_the_per_frame_fusion(monkeypatch, case):
+    # The RC stage builds every frame's median and scale system at once;
+    # the result keeps the bits of fusing one frame at a time, degenerate
+    # frames (the still ones) included.
+    from rigpose import fusion
+    from rigpose.simulate import Trajectory
+
+    rig = default_nonoverlap_rig()
+    if case == "desk":
+        cfg, traj = SimConfig(n_points=2000, n_frames=100, noise_sigma=0.5, seed=2025), None
+    else:
+        cfg = SimConfig(n_points=2000, n_frames=20, noise_sigma=0.0, seed=26)
+        moving = scripted_trajectory(14, [0.003, 0.001, -0.002, 0.004, -0.003, 0.005])
+        traj = Trajectory(np.vstack([np.zeros((6, 6)), moving.x]))
+    _, _, frames = render_run(rig, cfg, traj=traj)
+    seen = []
+    to_body = fusion.local_to_body_pose
+    monkeypatch.setattr(fusion, "local_to_body_pose",
+                        lambda local, cams: seen.append((local, cams)) or to_body(local, cams))
+    rc = run_nonoverlap_sequence(frames, rig, pcfg=PipelineConfig(redetect_threshold=20))["RC"]
+    (locals_, cams), = seen
+    assert_rc_is_the_per_frame_fusion(rc, locals_, cams)
+    ill_frames = [diag["ill_conditioned"] for diag in rc.diagnostics[1:]]
+    if case == "still-then-moving":
+        assert all(ill_frames[:6]) and not all(ill_frames)
+
+
+def test_nonoverlap_rc_carries_solved_scales_over_degenerate_frames(monkeypatch):
+    # Exact local poses whose translations carry per-camera scale errors:
+    # frames 1-5 solve the scales 1 / c, and frames 6-9, back at the
+    # identity rotation, have no right-hand side and keep them.
+    from rigpose import pipeline
+    from rigpose.fusion import true_local_pose
+
+    rig = default_nonoverlap_rig()
+    cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
+    turn = np.array([0, 1, 2, 3, 2, 1, 0, 0, 0, 0])[:, None] * [0.02, -0.01, 0.03]
+    body = np.hstack([np.arange(10)[:, None] * [0.01, -0.004, 0.007], turn])
+    c = np.array([2.0, 0.5, 1.5, 0.8])
+    locals_ = np.stack([true_local_pose(pose, cams) for pose in body])
+    locals_[..., :3] *= c[:, None]
+    monkeypatch.setattr(pipeline, "_run_chains", lambda *args: (locals_, [[{}] * 4] * 10))
+    rc = run_nonoverlap_sequence([None] * 10, rig)["RC"]
+    assert [diag["ill_conditioned"] for diag in rc.diagnostics[1:]] == [False] * 5 + [True] * 4
+    np.testing.assert_allclose(rc.diagnostics[-1]["scales"], 1 / c, rtol=1e-9)
+    assert_rc_is_the_per_frame_fusion(rc, locals_, cams)
 
 
 def test_nonoverlap_requires_four_camera_rig():

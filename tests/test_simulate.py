@@ -136,22 +136,23 @@ def test_render_noise_statistics():
 
 def reference_render(scene, traj, cameras, noise_sigma, noise_seed):
     """Every point through view_points for every camera and frame, then the
-    visibility test and the noise draws in the renderer's stream order."""
-    n_frames = len(traj)
-    streams = [np.random.default_rng(c) for c in noise_seed.spawn(len(cameras) * n_frames)]
+    visibility test and the noise draws in the renderer's stream order: one
+    generator, one draw per frame over its cameras' rows in camera order."""
+    rng = np.random.default_rng(noise_seed)
     seg = np.zeros(len(scene), dtype=int)
     frames = []
-    for j in range(n_frames):
+    for j in range(len(traj)):
         frame = []
-        for k, cam in enumerate(cameras):
+        for cam in cameras:
             _, uv, front, _ = view_points(scene, rot_from_angles(traj.x[j, 3:])[None],
                                           traj.x[j, :3][None], CameraStack.of([cam], [0]), seg)
             intr, u, v = cam.intrinsics, uv[:, 0], uv[:, 1]
             visible = (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
-            ids, uv = np.flatnonzero(front)[visible], uv[visible]
-            if noise_sigma > 0 and len(ids):
-                uv = uv + streams[k * n_frames + j].normal(0.0, noise_sigma, uv.shape)
-            frame.append((ids, uv))
+            frame.append((np.flatnonzero(front)[visible], uv[visible]))
+        if noise_sigma > 0:
+            noise = rng.normal(0.0, noise_sigma, (sum(len(ids) for ids, _ in frame), 2))
+            at = np.cumsum([0] + [len(ids) for ids, _ in frame])
+            frame = [(ids, uv + noise[lo:hi]) for (ids, uv), lo, hi in zip(frame, at, at[1:])]
         frames.append(frame)
     return frames
 
@@ -201,6 +202,21 @@ def test_render_sequence_matches_full_projection():
                         for (ids_g, uv_g), (ids_w, uv_w) in zip(frame_got, frame_want, strict=True):
                             np.testing.assert_array_equal(ids_g, ids_w)
                             assert uv_g.shape == uv_w.shape and uv_g.tobytes() == uv_w.tobytes()
+
+
+def test_render_sequence_builds_one_generator(monkeypatch):
+    # One noise stream per call, not one per (camera, frame).
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or default_rng(*a))
+    rig = default_nonoverlap_rig()
+    cfg = small_cfg(n_points=2000, n_frames=6, noise_sigma=0.5)
+    scene = gen_scene(cfg, default_rng(4))
+    frames = render_sequence(scene, gen_trajectory(cfg, default_rng(5)), rig.cameras,
+                             cfg.noise_sigma, np.random.SeedSequence(6))
+    assert len(frames) == 6 and all(len(frame) == 4 for frame in frames)
+    assert sum(len(ids) for frame in frames for ids, _ in frame) > 0
+    assert len(calls) == 1
 
 
 def test_sequence_determinism_same_seed():

@@ -113,3 +113,33 @@ def test_readme_names_only_what_the_package_defines():
 
     unknown = sorted(n for n in names - {"D_k", "R_k", "pyproject.toml"} if not resolves(n))
     assert not unknown, f"README names what src/rigpose does not define: {unknown}"
+
+
+def _per_iteration(node) -> list:
+    """The parts of a loop or comprehension that run once per iteration:
+    all but the iterable that a for loop or the first generator reads once."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body + node.orelse
+    if isinstance(node, ast.While):
+        return [node.test] + node.body + node.orelse
+    first, *rest = node.generators
+    return ([getattr(node, part) for part in ("elt", "key", "value") if hasattr(node, part)]
+            + [first.target, *first.ifs] + rest)
+
+
+def test_random_streams_are_made_outside_loops():
+    # Random streams are made per run, never per frame or camera: no
+    # generator is built or seed spawned inside a loop or comprehension.
+    makers = {"default_rng", "Generator", "spawn"}
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = set()
+    for path in sorted((ROOT / "src" / "rigpose").glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if isinstance(loop, loops):
+                for part in _per_iteration(loop):
+                    for node in ast.walk(part):
+                        func = getattr(node, "func", None)
+                        if getattr(func, "attr", getattr(func, "id", None)) in makers:
+                            found.add(f"{path.name}:{node.lineno}")
+    assert not found, f"random streams made inside a loop: {sorted(found)}"
