@@ -25,9 +25,13 @@ measure and structure_update_batch, place them once and own the depth
 mask: a point at depth <= Z_MIN in its camera gets no pixel, no row and
 no update, and no caller places the same points again to find it. Both
 kernels are elementwise: each point's camera coefficients are gathered
-once, points last, and every product with a 3-vector or a 3x3 matrix is a
-written-out three-term sum, with no einsum and no per-point matmul, so a
-point's bits do not depend on the rest of its batch. pose_update sums a
+once, component-major with the points last, and every product with a
+3-vector or a 3x3 matrix is one broadcast product and one sum over the
+component axis (geometry.axis_sum), with no einsum and no per-point
+matmul. That axis is never the innermost, so NumPy adds its terms in index
+order and the bits are those of the written-out three-term sums, which
+tests/reference.py keeps as the oracle; a point's bits do not depend on
+the rest of its batch. pose_update sums a
 filter's measurement rows (J^T J and J^T innovation) per filter, on its
 contiguous slice: on a zero-padded stack they would sum in another order,
 and a filter must get the same bits whatever else is in its stack.
@@ -45,6 +49,7 @@ import numpy as np
 from .errors import check_config_fields
 from .geometry import (
     CameraStack,
+    axis_sum,
     pinhole_derivatives,
     rot_from_angles,
     rot_with_derivatives,
@@ -52,6 +57,7 @@ from .geometry import (
 )
 
 N_STATE = 12
+_EYE = np.eye(N_STATE)
 
 
 @dataclass
@@ -143,15 +149,15 @@ def pose_measurement_rows(x: np.ndarray, cams: CameraStack, seg, points: np.ndar
     p_cam, uv, front, orient = view_points(points, rot, d, cams, seg=seg)
     sf = seg[front]
     # component-major, points last: g[l, c, i] is row l, column c of dR_i R_k
-    g = np.take((drs[cams.body] @ cams.R[:, None]).transpose(2, 3, 1, 0), sf, axis=-1)
-    m = np.compress(front, points.T, axis=-1) - np.take(d.T, cams.body[sf], axis=-1)
+    g = (drs[cams.body] @ cams.R[:, None]).transpose(2, 3, 1, 0).take(sf, axis=-1)
+    m = points.T.compress(front, axis=-1) - d.T.take(cams.body[sf], axis=-1)
     dp = np.empty((3, 6, len(sf)))   # dp[c, q] is dP_c/dq
-    dp[:, :3] = -np.take(orient.T, sf, axis=-1)   # dP_cam/dd = -W^T: row i of -W
-    # dP_cam/d(angle_i) = (dR_i R_k)^T (M - d)
-    dp[:, 3:] = m[0] * g[0] + m[1] * g[1] + m[2] * g[2]
-    p_front = np.compress(front, p_cam.T, axis=-1).T
-    focal = np.take(cams.pinhole.T[:2], sf, axis=-1)
-    return uv, pinhole_derivatives(p_front, dp.T, *focal), front
+    dp[:, :3] = -orient.T.take(sf, axis=-1)   # dP_cam/dd = -W^T: row i of -W
+    # dP_cam/d(angle_i) = (dR_i R_k)^T (M - d), summed over the rows l
+    dp[:, 3:] = axis_sum(m[:, None, None] * g, 0)
+    focal = cams.pinhole.T[:2].take(sf, axis=-1)
+    jac = pinhole_derivatives(p_cam.T.compress(front, axis=-1), dp, focal)
+    return uv, jac.transpose(2, 0, 1).copy(), front   # C order, as _pinhole's pixels
 
 
 def measure(x: np.ndarray, cams: CameraStack, ids, uv, seg, points) -> MeasurementBatch:
@@ -200,7 +206,7 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
     W^-1 + G/r cannot be inverted, or whose P+[:, :6] is not finite, keeps
     its prior and is marked skipped; an empty batch skips every filter.
     """
-    bounds = np.searchsorted(cams.body[batch.seg], np.arange(len(state.x) + 1))
+    bounds = cams.body[batch.seg].searchsorted(np.arange(len(state.x) + 1))
     g, h = np.zeros((len(state.x), 6, 6)), np.zeros((len(state.x), 6))
     for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         j = batch.jac[lo:hi].reshape(-1, 6)
@@ -212,13 +218,15 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
     skipped = (bounds[:-1] == bounds[1:]) | ~np.isfinite(p_cols).all(axis=(1, 2))
     x = state.x + (p_cols @ h[..., None])[..., 0] / r
     kj = p_cols @ g / r
-    ikh = np.repeat(np.eye(N_STATE)[None], len(x), axis=0)
-    ikh[:, :, :6] -= kj
-    p = ikh @ state.P @ np.swapaxes(ikh, 1, 2) + kj @ np.swapaxes(p_cols, 1, 2)
-    p = 0.5 * (p + np.swapaxes(p, 1, 2))
-    return (PoseFilterState(np.where(skipped[:, None], state.x, x),
-                            np.where(skipped[:, None, None], state.P, p), state.Q, r),
-            skipped)
+    ikh = np.empty(state.P.shape)
+    ikh[:, :, :6] = _EYE[:, :6] - kj
+    ikh[:, :, 6:] = _EYE[:, 6:]
+    p = ikh @ state.P @ ikh.transpose(0, 2, 1) + kj @ p_cols.transpose(0, 2, 1)
+    p = 0.5 * (p + p.transpose(0, 2, 1))
+    if skipped.any():
+        x = np.where(skipped[:, None], state.x, x)
+        p = np.where(skipped[:, None, None], state.P, p)
+    return PoseFilterState(x, p, state.Q, r), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +253,26 @@ def structure_update_batch(
     rot = rot_from_angles(x[:, 3:6])
     p_cam, predicted, front, orient = view_points(means, rot, x[:, :3], cams, seg=seg)
     sf = seg[front]
-    # dP_cam/dM = W^T: row i of W. Component-major, points last, from here on
-    p_front = np.compress(front, p_cam.T, axis=-1).T
-    focal = np.take(cams.pinhole.T[:2], sf, axis=-1)
-    j = pinhole_derivatives(p_front, np.take(orient.T, sf, axis=-1).T, *focal)
-    j0, j1 = j.T.swapaxes(0, 1)
-    p = np.compress(front, covs.transpose(1, 2, 0), axis=-1)   # p[r, c] is P[r, c]
+    # dP_cam/dM = W^T: row i of W. Component-major, points last, from here on:
+    # j[r, c] is d(pixel r)/dM_c and p[r, c] is P[r, c]
+    focal = cams.pinhole.T[:2].take(sf, axis=-1)
+    j = pinhole_derivatives(p_cam.T.compress(front, axis=-1), orient.T.take(sf, axis=-1), focal)
+    p = covs.transpose(1, 2, 0).compress(front, axis=-1)
     innovation = (observed_uv[front] - predicted).T
-    # the columns of G = P J^T, then the 2x2 S = J P J^T + r I
-    g0 = p[:, 0] * j0[0] + p[:, 1] * j0[1] + p[:, 2] * j0[2]
-    g1 = p[:, 0] * j1[0] + p[:, 1] * j1[1] + p[:, 2] * j1[2]
-    s00 = j0[0] * g0[0] + j0[1] * g0[1] + j0[2] * g0[2] + r_var
-    s01 = j0[0] * g1[0] + j0[1] * g1[1] + j0[2] * g1[2]
-    s11 = j1[0] * g1[0] + j1[1] * g1[1] + j1[2] * g1[2] + r_var
-    det = s00 * s11 - s01 * s01
-    k0 = (g0 * s11 - g1 * s01) / det     # the gain columns K = G S^-1
-    k1 = (g1 * s00 - g0 * s01) / det
-    new_means = means[front] + (k0 * innovation[0] + k1 * innovation[1]).T
-    # Joseph form (I - K J) P (I - K J)^T + r K K^T, a three-term sum per product
-    a = -(k0[:, None] * j0 + k1[:, None] * j1)
-    for i in range(3):
-        a[i, i] += 1.0
-    ap = a[:, :1] * p[0] + a[:, 1:2] * p[1] + a[:, 2:] * p[2]
-    cov = (ap[:, None, 0] * a[:, 0] + ap[:, None, 1] * a[:, 1] + ap[:, None, 2] * a[:, 2]
-           + r_var * (k0[:, None] * k0 + k1[:, None] * k1))
+    # the columns of G = P J^T, then the 2x2 S = J G + r I
+    g = axis_sum(p[:, None] * j, 2)
+    s = axis_sum(j[:, :, None] * g, 1)
+    s[0, 0] += r_var
+    s[1, 1] += r_var
+    det = s[0, 0] * s[1, 1] - s[0, 1] * s[0, 1]
+    # the gain columns K = G S^-1: (g0 s11 - g1 s01, g1 s00 - g0 s01) / det
+    k = (g * s[(1, 0), (1, 0)] - g[:, ::-1] * s[0, 1]) / det
+    new_means = means[front] + axis_sum(k * innovation, 1).T
+    # Joseph form (I - K J) P (I - K J)^T + r K K^T, one axis sum per product
+    a = -axis_sum(k[:, :, None] * j, 1)
+    a.reshape(9, -1)[::4] += 1.0   # the diagonal of I - K J
+    ap = axis_sum(a[:, :, None] * p, 1)
+    cov = axis_sum(ap[:, None] * a, 2) + r_var * axis_sum(k[:, None] * k, 2)
     return new_means, (0.5 * (cov + cov.transpose(1, 0, 2))).T, front
 
 

@@ -54,32 +54,40 @@ GIMBAL_TOL = 1e-6
 MIN_BASELINE = 1e-9
 
 
-def _axis(i: int, c, s, one: float) -> np.ndarray:
-    """Stacked rotations (..., 3, 3) about axis i with cosines c and sines s
-    (...,); with (c, s, one) = (0, 1, 0) the axis generator K_i instead."""
-    j, k = [(1, 2), (2, 0), (0, 1)][i]
-    m = np.zeros(np.shape(c) + (3, 3))
-    m[..., i, i] = one
-    m[..., j, j] = m[..., k, k] = c
-    m[..., j, k] = -s
-    m[..., k, j] = s
-    return m
+# Flat positions in a (3, 3, 3) stack of rotations about the x, y and z axes:
+# [i, i, i]; [i, j, j] and [i, k, k]; [i, k, j]; and [i, j, k], for the
+# cyclic index triples (i, j, k) = (0, 1, 2), (1, 2, 0), (2, 0, 1).
+_ONE, _COS, _SIN, _NEG_SIN = (np.array(a) for a in ([0, 13, 26], [4, 8, 17, 9, 18, 22],
+                                                     [7, 11, 21], [5, 15, 19]))
+
+
+def _axes(c, s, one: float = 1.0) -> np.ndarray:
+    """Rotations (..., 3, 3, 3) about the x, y and z axes with cosines c and
+    sines s (..., 3): entry [..., i, :, :] turns about axis i. With
+    (c, s, one) = (0, 1, 0) the axis generators K_i instead."""
+    shape = np.shape(c)[:-1]
+    m = np.zeros(shape + (27,))
+    m[..., _ONE] = one
+    m[..., _COS] = np.repeat(c, 2, axis=-1)
+    m[..., _SIN] = s
+    m[..., _NEG_SIN] = -s
+    return m.reshape(shape + (3, 3, 3))
 
 
 # dR_i/d(theta) = K_i R_i = R_i K_i for the rotation R_i about axis i
-_GENERATORS = [_axis(i, 0.0, 1.0, 0.0) for i in range(3)]
+_GENERATORS = _axes(np.zeros(3), np.ones(3), 0.0)
 
 
 def rot_y(b: float) -> np.ndarray:
-    return _axis(1, np.cos(b), np.sin(b), 1.0)
+    return _axes(np.cos([0.0, b, 0.0]), np.sin([0.0, b, 0.0]))[1]
 
 
 def rot_from_angles(angles) -> np.ndarray:
     """Build the rotation matrix R = Rx(alpha) @ Ry(beta) @ Rz(gamma); angles
     (..., 3) give rotations (..., 3, 3)."""
     angles = np.asarray(angles, dtype=float)
-    rx, ry, rz = (_axis(i, np.cos(angles[..., i]), np.sin(angles[..., i]), 1.0) for i in range(3))
-    return rx @ ry @ rz
+    r = _axes(np.cos(angles), np.sin(angles))
+    return r[..., 0, :, :] @ r[..., 1, :, :] @ r[..., 2, :, :]
 
 
 def rot_with_derivatives(angles) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +98,8 @@ def rot_with_derivatives(angles) -> tuple[np.ndarray, np.ndarray]:
     only permutes and negates, so each has the bits of the product with dR_i.
     """
     angles = np.asarray(angles, dtype=float)
-    c, s = np.cos(angles), np.sin(angles)
-    rx, ry, rz = (_axis(i, c[..., i], s[..., i], 1.0) for i in range(3))
+    r = _axes(np.cos(angles), np.sin(angles))
+    rx, ry, rz = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
     kx, ky, kz = _GENERATORS
     rot = rx @ ry @ rz
     return rot, np.stack([kx @ rot, rx @ ky @ ry @ rz, rot @ kz], axis=-3)
@@ -252,24 +260,23 @@ def camera_placement(rot: np.ndarray, d: np.ndarray, cam) -> tuple[np.ndarray, n
     return d + (rot @ cam.D[..., None])[..., 0], rot @ cam.R
 
 
-def _pinhole(p_cam: np.ndarray, fx, fy, cx, cy) -> np.ndarray:
-    x, y, z = p_cam[..., 0], p_cam[..., 1], p_cam[..., 2]
-    uv = np.empty(z.shape + (2,))
-    uv[..., 0] = fx * x / z + cx
-    uv[..., 1] = fy * y / z + cy
-    return uv
+def _pinhole(p_cam: np.ndarray, pinhole: np.ndarray) -> np.ndarray:
+    """Pixels (M, 2) of component-major camera-frame points p_cam (3, M) with
+    pinhole (4, M) = (fx, fy, cx, cy): u = fx x/z + cx and v = fy y/z + cy.
+    The pixels come back in C order, as the pose update takes a filter's
+    rows by reshape: NumPy's matmul leaves BLAS for a strided operand, and
+    its sums then come out in other bits."""
+    return (pinhole[:2] * p_cam[:2] / p_cam[2] + pinhole[2:]).T.copy()
 
 
-def pinhole_derivatives(p_cam: np.ndarray, dp: np.ndarray, fx, fy) -> np.ndarray:
-    """The chain rule through the pinhole, in closed form: pixel derivatives
-    (N, 2, k) of camera-frame points p_cam (N, 3) in front of their camera,
-    whose derivatives with respect to k parameters are dp (N, k, 3), with
-    focal lengths fx, fy (N,): du = fx/z (dx - x/z dz), dv = fy/z (dy - y/z dz)."""
-    z = p_cam[:, 2]
-    out = np.empty((len(dp), 2, dp.shape[1]))
-    out[:, 0] = (fx / z)[:, None] * (dp[..., 0] - (p_cam[:, 0] / z)[:, None] * dp[..., 2])
-    out[:, 1] = (fy / z)[:, None] * (dp[..., 1] - (p_cam[:, 1] / z)[:, None] * dp[..., 2])
-    return out
+def pinhole_derivatives(p_cam: np.ndarray, dp: np.ndarray, focal: np.ndarray) -> np.ndarray:
+    """The chain rule through the pinhole, in closed form and component-major:
+    pixel derivatives (2, k, M) of camera-frame points p_cam (3, M) in front
+    of their camera, whose derivatives with respect to k parameters are
+    dp (3, k, M), with focal lengths focal (2, M) = (fx, fy):
+    du = fx/z (dx - x/z dz), dv = fy/z (dy - y/z dz)."""
+    z = p_cam[2]
+    return (focal / z)[:, None] * (dp[:2] - (p_cam[:2] / z)[:, None] * dp[2])
 
 
 def back_project(uv: np.ndarray, intr: Intrinsics, depth) -> np.ndarray:
@@ -280,25 +287,36 @@ def back_project(uv: np.ndarray, intr: Intrinsics, depth) -> np.ndarray:
     return depth * np.stack([xn, yn, np.ones_like(xn)], axis=-1)
 
 
+def axis_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """terms summed over one axis that is not their innermost, in index
+    order: NumPy adds such an axis term after term, so the bits equal the
+    written-out t_0 + t_1 + t_2. The sum starts from -0.0, the exact
+    identity of addition, so an all -0.0 sum stays -0.0 as written out."""
+    return terms.sum(axis=axis, initial=-0.0)
+
+
 def view_points(points, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
     """World points seen through the cameras of a CameraStack: the one
     placement-and-pinhole kernel. rot (B, 3, 3) and d (B, 3) stack the body
     poses, and point i of points (N, 3) is seen by camera seg[i].
 
     Each camera-frame point P_k = W^T (M - C), with C and W from
-    camera_placement, is an elementwise three-term sum over the rows of its
-    camera's W, so its bits do not depend on the rest of the batch. Only the
+    camera_placement, is P_c = sum_i m_i W[i, c] over the rows of its
+    camera's W: one broadcast product and one sum over the row axis, which
+    is not the innermost axis, so NumPy adds its three terms in index order
+    and the bits are those of the written-out m_0 W[0, c] + m_1 W[1, c] +
+    m_2 W[2, c] (tests/reference.py keeps that form as the oracle). Each
+    point's bits therefore do not depend on the rest of the batch. Only the
     M points in front (depth > Z_MIN) get pixels: returns (p_cam (N, 3),
     uv (M, 2), front (N,), W (S, 3, 3) of each camera).
     """
     center, orient = camera_placement(rot[cams.body], d[cams.body], cams)
     # component-major, points last: w[c, i, n] is W[i, c] of point n's camera
-    w = np.take(orient.T, seg, axis=-1)
-    m = points.T - np.take(center.T, seg, axis=-1)
-    p_cam = m[0] * w[:, 0] + m[1] * w[:, 1] + m[2] * w[:, 2]
+    w = orient.T.take(seg, axis=-1)
+    m = points.T - center.T.take(seg, axis=-1)
+    p_cam = axis_sum(m * w, 1)
     front = p_cam[2] > Z_MIN
-    pinhole = np.take(cams.pinhole.T, seg[front], axis=-1)
-    uv = _pinhole(np.compress(front, p_cam, axis=-1).T, *pinhole)
+    uv = _pinhole(p_cam.compress(front, axis=-1), cams.pinhole.T.take(seg[front], axis=-1))
     return p_cam.T, uv, front, orient
 
 

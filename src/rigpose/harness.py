@@ -19,7 +19,6 @@ byte-identical CSV.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -248,6 +247,10 @@ def setup_hash(setup: ExperimentSetup) -> str:
         "min_visible": setup.min_visible,
         "ideal_init": setup.ideal_init,
     }
+    # Imported here, as it weighs on every import of the package, and
+    # run-tracks never hashes a setup.
+    import hashlib
+
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -88,20 +88,33 @@ class PoseEstimateSeries(Trajectory):
     diagnostics: list
 
 
+def _angle_errors(diff: np.ndarray) -> np.ndarray:
+    """|diff| per angle; angles that differ by a multiple of 2 pi are one
+    rotation, so an error above pi is taken modulo 2 pi."""
+    err = np.abs(diff)
+    wrap = err > np.pi
+    err[wrap] = np.abs((diff[wrap] + np.pi) % (2 * np.pi) - np.pi)
+    return err
+
+
 def pose_error_report(series: PoseEstimateSeries, truth: Trajectory) -> np.ndarray:
     """Mean absolute error per pose parameter (tx, ty, tz, alpha, beta,
     gamma), averaged over frames 1..F-1. Frame 0 is identity by
-    construction and is excluded so it cannot dilute the average. Angles
-    that differ by a multiple of 2 pi are one rotation: an angle error
-    above pi is taken modulo 2 pi."""
+    construction and is excluded so it cannot dilute the average. Angle
+    errors are wrapped modulo 2 pi, and each frame's angles are scored on
+    the estimate's nearer Euler branch: (alpha, beta, gamma) and
+    (alpha + pi, pi - beta, gamma + pi) are one rotation, and the second
+    is taken where its angle errors sum to strictly less."""
     if len(series) != len(truth):
         raise LengthMismatch(f"series has {len(series)} frames, truth has {len(truth)}")
     if len(series) < 2:
         raise InputError("need at least 2 frames to report errors")
-    diff = series.x[1:] - truth.x[1:]
-    err = np.abs(diff)
-    wrap = err[:, 3:] > np.pi
-    err[:, 3:][wrap] = np.abs((diff[:, 3:][wrap] + np.pi) % (2 * np.pi) - np.pi)
+    est, true = series.x[1:], truth.x[1:]
+    err = np.abs(est - true)
+    err[:, 3:] = _angle_errors(est[:, 3:] - true[:, 3:])
+    other = _angle_errors(est[:, 3:] * (1.0, -1.0, 1.0) + np.pi - true[:, 3:])
+    nearer = other.sum(axis=1) < err[:, 3:].sum(axis=1)
+    err[nearer, 3:] = other[nearer]
     return err.mean(axis=0)
 
 

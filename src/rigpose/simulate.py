@@ -98,11 +98,11 @@ def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
 
     x = np.zeros((f, 6))
     rotation = np.eye(3)
-    steps = rot_from_angles(deltas[:, 3:])
+    rotations = rot_from_angles(deltas[:, 3:])   # the steps, chained in place
     for j in range(1, f):
         x[j, :3] = x[j - 1, :3] + deltas[j - 1, :3]
-        rotation = steps[j - 1] @ rotation
-        x[j, 3:] = euler_angles(rotation)
+        rotation = rotations[j - 1] = rotations[j - 1] @ rotation
+    x[1:, 3:] = euler_angles(rotations)
     return Trajectory(x)
 
 

@@ -12,13 +12,22 @@ stereo pairs frame by frame on the raw stream, the oracle of the
 pipeline's once-per-sequence pass. `rc_fusion` fuses the chains' poses one
 frame at a time through the fusion helpers, the oracle of the RC stage
 that builds every frame's median and system at once.
+
+The kernel oracles keep the package's earlier written-out forms, against
+which the reduce-form kernels are checked bit for bit: `axis_rotations`,
+`rotation_reference` and `rotation_derivatives_reference` build Rx, Ry
+and Rz one axis at a time; `view_points_reference`,
+`pose_measurement_rows_reference` and `structure_update_reference` write
+every sum over a component axis as three (or two) separate terms added in
+index order; `trajectory_per_frame` decomposes the walk's rotation into
+Euler angles once per frame.
 """
 
 import numpy as np
 
 from rigpose import fusion
 from rigpose.errors import IllConditioned
-from rigpose.geometry import rot_from_angles
+from rigpose.geometry import Z_MIN, camera_placement, euler_angles, rot_from_angles
 from rigpose.simulate import Trajectory
 
 
@@ -125,3 +134,131 @@ def rc_fusion(locals_, body, cams):
         frames.append((scales, residual is None, residual))
         prev = scales
     return x, frames
+
+
+def axis_rotations(i: int, c, s, one: float = 1.0) -> np.ndarray:
+    """Stacked rotations (..., 3, 3) about axis i with cosines c and sines s
+    (...,); with (c, s, one) = (0, 1, 0) the axis generator K_i instead."""
+    j, k = [(1, 2), (2, 0), (0, 1)][i]
+    m = np.zeros(np.shape(c) + (3, 3))
+    m[..., i, i] = one
+    m[..., j, j] = m[..., k, k] = c
+    m[..., j, k] = -s
+    m[..., k, j] = s
+    return m
+
+
+def rotation_reference(angles) -> np.ndarray:
+    """R = Rx(alpha) Ry(beta) Rz(gamma) of angles (..., 3), one axis at a time."""
+    angles = np.asarray(angles, dtype=float)
+    rx, ry, rz = (axis_rotations(i, np.cos(angles[..., i]), np.sin(angles[..., i]))
+                  for i in range(3))
+    return rx @ ry @ rz
+
+
+def rotation_derivatives_reference(angles):
+    """rotation_reference(angles) and dR/d(angles[..., i]) stacked on axis -3."""
+    angles = np.asarray(angles, dtype=float)
+    c, s = np.cos(angles), np.sin(angles)
+    rx, ry, rz = (axis_rotations(i, c[..., i], s[..., i]) for i in range(3))
+    kx, ky, kz = (axis_rotations(i, 0.0, 1.0, 0.0) for i in range(3))
+    rot = rx @ ry @ rz
+    return rot, np.stack([kx @ rot, rx @ ky @ ry @ rz, rot @ kz], axis=-3)
+
+
+def _pinhole_rows(p_cam, fx, fy, cx, cy):
+    x, y, z = p_cam[..., 0], p_cam[..., 1], p_cam[..., 2]
+    uv = np.empty(z.shape + (2,))
+    uv[..., 0] = fx * x / z + cx
+    uv[..., 1] = fy * y / z + cy
+    return uv
+
+
+def _pinhole_derivative_rows(p_cam, dp, fx, fy):
+    """Pixel derivatives (N, 2, k) of points p_cam (N, 3) whose derivatives
+    are dp (N, k, 3), one pixel row at a time."""
+    z = p_cam[:, 2]
+    out = np.empty((len(dp), 2, dp.shape[1]))
+    out[:, 0] = (fx / z)[:, None] * (dp[..., 0] - (p_cam[:, 0] / z)[:, None] * dp[..., 2])
+    out[:, 1] = (fy / z)[:, None] * (dp[..., 1] - (p_cam[:, 1] / z)[:, None] * dp[..., 2])
+    return out
+
+
+def view_points_reference(points, rot, d, cams, seg):
+    """geometry.view_points with P_c = m_0 W[0, c] + m_1 W[1, c] + m_2 W[2, c]
+    written out: (p_cam (N, 3), uv (M, 2), front (N,), W (S, 3, 3))."""
+    center, orient = camera_placement(rot[cams.body], d[cams.body], cams)
+    w = np.take(orient.T, seg, axis=-1)
+    m = points.T - np.take(center.T, seg, axis=-1)
+    p_cam = m[0] * w[:, 0] + m[1] * w[:, 1] + m[2] * w[:, 2]
+    front = p_cam[2] > Z_MIN
+    pinhole = np.take(cams.pinhole.T, seg[front], axis=-1)
+    uv = _pinhole_rows(np.compress(front, p_cam, axis=-1).T, *pinhole)
+    return p_cam.T, uv, front, orient
+
+
+def pose_measurement_rows_reference(x, cams, seg, points):
+    """ekf.pose_measurement_rows with dP/d(angle_i) = sum_l (M - d)_l (dR_i R_k)[l, c]
+    written out: (uv (M, 2), jac (M, 2, 6), front (N,))."""
+    d = x[:, :3]
+    rot, drs = rotation_derivatives_reference(x[:, 3:6])
+    p_cam, uv, front, orient = view_points_reference(points, rot, d, cams, seg)
+    sf = seg[front]
+    g = np.take((drs[cams.body] @ cams.R[:, None]).transpose(2, 3, 1, 0), sf, axis=-1)
+    m = np.compress(front, points.T, axis=-1) - np.take(d.T, cams.body[sf], axis=-1)
+    dp = np.empty((3, 6, len(sf)))
+    dp[:, :3] = -np.take(orient.T, sf, axis=-1)
+    dp[:, 3:] = m[0] * g[0] + m[1] * g[1] + m[2] * g[2]
+    p_front = np.compress(front, p_cam.T, axis=-1).T
+    focal = np.take(cams.pinhole.T[:2], sf, axis=-1)
+    return uv, _pinhole_derivative_rows(p_front, dp.T, *focal), front
+
+
+def structure_update_reference(means, covs, observed_uv, x, cams, seg, r_var):
+    """ekf.structure_update_batch with G = P J^T, S = J G + r I, the gain and
+    the Joseph form written out term by term: (means (M, 3), covs (M, 3, 3),
+    front (N,))."""
+    rot = rotation_reference(x[:, 3:6])
+    p_cam, predicted, front, orient = view_points_reference(means, rot, x[:, :3], cams, seg)
+    sf = seg[front]
+    p_front = np.compress(front, p_cam.T, axis=-1).T
+    focal = np.take(cams.pinhole.T[:2], sf, axis=-1)
+    j = _pinhole_derivative_rows(p_front, np.take(orient.T, sf, axis=-1).T, *focal)
+    j0, j1 = j.T.swapaxes(0, 1)
+    p = np.compress(front, covs.transpose(1, 2, 0), axis=-1)
+    innovation = (observed_uv[front] - predicted).T
+    g0 = p[:, 0] * j0[0] + p[:, 1] * j0[1] + p[:, 2] * j0[2]
+    g1 = p[:, 0] * j1[0] + p[:, 1] * j1[1] + p[:, 2] * j1[2]
+    s00 = j0[0] * g0[0] + j0[1] * g0[1] + j0[2] * g0[2] + r_var
+    s01 = j0[0] * g1[0] + j0[1] * g1[1] + j0[2] * g1[2]
+    s11 = j1[0] * g1[0] + j1[1] * g1[1] + j1[2] * g1[2] + r_var
+    det = s00 * s11 - s01 * s01
+    k0 = (g0 * s11 - g1 * s01) / det
+    k1 = (g1 * s00 - g0 * s01) / det
+    new_means = means[front] + (k0 * innovation[0] + k1 * innovation[1]).T
+    a = -(k0[:, None] * j0 + k1[:, None] * j1)
+    for i in range(3):
+        a[i, i] += 1.0
+    ap = a[:, :1] * p[0] + a[:, 1:2] * p[1] + a[:, 2:] * p[2]
+    cov = (ap[:, None, 0] * a[:, 0] + ap[:, None, 1] * a[:, 1] + ap[:, None, 2] * a[:, 2]
+           + r_var * (k0[:, None] * k0 + k1[:, None] * k1))
+    return new_means, (0.5 * (cov + cov.transpose(1, 0, 2))).T, front
+
+
+def trajectory_per_frame(cfg, rng) -> Trajectory:
+    """simulate.gen_trajectory(cfg, rng) with the chained rotation decomposed
+    into Euler angles frame by frame, inside the chaining loop."""
+    f = cfg.n_frames
+    t_mag = rng.uniform(cfg.trans_min, cfg.trans_max, (f - 1, 3))
+    t_sign = rng.integers(0, 2, (f - 1, 3)) * 2 - 1
+    r_mag = rng.uniform(cfg.rot_min, cfg.rot_max, (f - 1, 3))
+    r_sign = rng.integers(0, 2, (f - 1, 3)) * 2 - 1
+    deltas = np.hstack([t_mag * t_sign, r_mag * r_sign])
+    x = np.zeros((f, 6))
+    rotation = np.eye(3)
+    steps = rotation_reference(deltas[:, 3:])
+    for j in range(1, f):
+        x[j, :3] = x[j - 1, :3] + deltas[j - 1, :3]
+        rotation = steps[j - 1] @ rotation
+        x[j, 3:] = euler_angles(rotation)
+    return Trajectory(x)

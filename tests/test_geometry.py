@@ -276,9 +276,10 @@ def test_project_jacobian_shapes_and_behind_camera():
     p_cam, uv, _, _ = view_points(pts, rot[None], d[None], CameraStack.of([cam], [0]),
                                   np.zeros(2, dtype=int))
     intr = cam.intrinsics
-    # with dp = I the chain rule gives d(pixel)/d(camera point)
-    jp = pinhole_derivatives(p_cam, np.broadcast_to(np.eye(3), (2, 3, 3)),
-                             np.full(2, intr.fx), np.full(2, intr.fy))
+    # with dp = I the chain rule gives d(pixel)/d(camera point); the kernel is
+    # component-major, points last, so its (2, 3, N) output is turned to (N, 2, 3)
+    jp = pinhole_derivatives(p_cam.T, np.broadcast_to(np.eye(3)[:, :, None], (3, 3, 2)),
+                             np.repeat([[intr.fx], [intr.fy]], 2, axis=1)).transpose(2, 0, 1)
     assert p_cam.shape == (2, 3) and uv.shape == (2, 2)
     assert jp.shape == (2, 2, 3)
     np.testing.assert_allclose(uv, pixels(p_cam, intr), atol=1e-12)

@@ -189,6 +189,17 @@ def test_error_report_wraps_angles_only():
                                [4.0, 0, 0, 2 * np.pi - 4.0, 0, 0], atol=1e-12)
 
 
+def test_error_report_scores_the_other_euler_branch_as_no_error():
+    # (alpha + pi, pi - beta, gamma + pi) is the truth's rotation on the other
+    # Euler branch, here wrapped into [-pi, pi); per angle it is about pi off.
+    traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=9), np.random.default_rng(9))
+    other = traj.x[:, 3:] * [1.0, -1.0, 1.0] + np.pi
+    series = series_from(np.hstack([traj.x[:, :3] + 0.01, (other + np.pi) % (2 * np.pi) - np.pi]))
+    np.testing.assert_allclose(pose_error_report(series, traj), [0.01] * 3 + [0.0] * 3,
+                               atol=1e-12)
+    assert np.allclose(rot_from_angles(series.x[:, 3:]), rot_from_angles(traj.x[:, 3:]))
+
+
 def test_error_report_length_mismatch():
     traj = gen_trajectory(SimConfig(n_points=10, n_frames=20, seed=6), np.random.default_rng(6))
     short = series_from(np.zeros((1, 6)))
