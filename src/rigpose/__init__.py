@@ -33,26 +33,3 @@ from .pipeline import (
 from .simulate import SimConfig
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CameraRig",
-    "ExperimentReport",
-    "FilterTuning",
-    "InputError",
-    "PipelineConfig",
-    "RigPoseError",
-    "SimConfig",
-    "default_nonoverlap_rig",
-    "default_overlap_rig",
-    "load_config",
-    "lowe_pose",
-    "monte_carlo",
-    "pose_error_report",
-    "read_rig",
-    "read_tracks",
-    "read_truth",
-    "run_nonoverlap_sequence",
-    "run_stereo_sequence",
-    "write_poses",
-    "write_rig",
-]

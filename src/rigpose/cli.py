@@ -95,15 +95,14 @@ def _cmd_run_tracks(args) -> int:
     check_output_paths(args.out, args.diagnostics)
     rig = read_rig(args.rig)
     rig.check_layout("overlapping" if args.layout == "stereo" else "non-overlapping")
-    frames = pipeline.read_tracks(args.tracks, len(rig))
+    obs = pipeline.read_tracks(args.tracks, len(rig))
     cfg = _config(args)
     tuning, pcfg = cfg["tuning"], cfg["pipeline"]
 
     if args.layout == "stereo":
-        series = pipeline.run_stereo_sequence(frames, rig, tuning=tuning, pcfg=pcfg)
-        by_method = {"stereo": series}
+        by_method = {"stereo": pipeline.run_stereo_sequence(obs, rig, tuning=tuning, pcfg=pcfg)}
     else:
-        by_method = pipeline.run_nonoverlap_sequence(frames, rig, tuning=tuning, pcfg=pcfg)
+        by_method = pipeline.run_nonoverlap_sequence(obs, rig, tuning=tuning, pcfg=pcfg)
 
     pipeline.write_poses(args.out, by_method)
     if args.diagnostics:

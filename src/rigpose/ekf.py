@@ -202,16 +202,21 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
     stack.
 
     The batch comes from measure at state.x, so nothing is placed again.
+    Its jac and innovation are taken in C order whatever their layout: a
+    filter's rows are a reshape of its slice, and NumPy's matmul leaves BLAS
+    for a strided operand, whose sums come out in other bits.
+
     Returns (state, skipped (B,)). A filter without rows, or whose W or
     W^-1 + G/r cannot be inverted, or whose P+[:, :6] is not finite, keeps
     its prior and is marked skipped; an empty batch skips every filter.
     """
     bounds = cams.body[batch.seg].searchsorted(np.arange(len(state.x) + 1))
+    jac, innovation = np.ascontiguousarray(batch.jac), np.ascontiguousarray(batch.innovation)
     g, h = np.zeros((len(state.x), 6, 6)), np.zeros((len(state.x), 6))
     for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        j = batch.jac[lo:hi].reshape(-1, 6)
+        j = jac[lo:hi].reshape(-1, 6)
         g[b] = j.T @ j
-        h[b] = j.T @ batch.innovation[lo:hi].reshape(-1)
+        h[b] = j.T @ innovation[lo:hi].reshape(-1)
     r = state.r_var
     w_inv = _each(np.linalg.inv, state.P[:, :6, :6])
     p_cols = state.P[:, :, :6] @ w_inv @ _each(np.linalg.inv, w_inv + g / r)

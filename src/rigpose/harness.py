@@ -71,6 +71,18 @@ class ExperimentSetup:
     methods: tuple = tuple(ALL_METHODS)
     min_visible: int = MIN_VISIBLE
     ideal_init: bool = False
+    # Built once from the rigs, after their layout checks: the front pair's
+    # rig (2cameras), the union of both rigs' cameras that each run renders,
+    # and each rig's union indices (non-overlapping, overlapping).
+    rig_front: CameraRig = field(init=False)
+    union: list = field(init=False)
+    maps: list = field(init=False)
+
+    def __post_init__(self):
+        self.rig_overlap.check_layout("overlapping")
+        self.rig_nonoverlap.check_layout("non-overlapping")
+        self.rig_front = CameraRig(self.rig_overlap.cameras[:2], layout="overlapping")
+        self.union, self.maps = build_union([self.rig_nonoverlap, self.rig_overlap])
 
 
 @dataclass
@@ -112,13 +124,9 @@ def _run_one(args):
         scene_rng, traj_rng, noise_ss = run_streams(seed_seq)
         scene = gen_scene(sim, scene_rng)
         traj = gen_trajectory(sim, traj_rng)
-
-        rig_front = CameraRig(setup.rig_overlap.cameras[:2], layout="overlapping")
-        union, (map_non, map_over) = build_union(
-            [setup.rig_nonoverlap, setup.rig_overlap]
-        )
-        frames = render_sequence(scene, traj, union, sim.noise_sigma, noise_ss)
-        counts = visible_counts(frames, frame=0)
+        map_non, map_over = setup.maps
+        obs = render_sequence(scene, traj, setup.union, sim.noise_sigma, noise_ss)
+        counts = visible_counts(obs, frame=0)
         if min(counts) < setup.min_visible:
             return index, None, f"visibility {min(counts)} < {setup.min_visible} at frame 0"
 
@@ -128,19 +136,14 @@ def _run_one(args):
         # chains' structure.
         common = dict(tuning=setup.tuning, pcfg=setup.pipeline,
                       truth=traj if setup.ideal_init else None)
-        if "4cameras" in methods:
-            series = run_stereo_sequence(
-                slice_stream(frames, map_over), setup.rig_overlap, **common
-            )
-            rows["4cameras"] = pose_error_report(series, traj)
-        if "2cameras" in methods:
-            series = run_stereo_sequence(
-                slice_stream(frames, map_over[:2]), rig_front, **common
-            )
-            rows["2cameras"] = pose_error_report(series, traj)
+        for name, rig, cam_map in (("4cameras", setup.rig_overlap, map_over),
+                                   ("2cameras", setup.rig_front, map_over[:2])):
+            if name in methods:
+                series = run_stereo_sequence(slice_stream(obs, cam_map), rig, **common)
+                rows[name] = pose_error_report(series, traj)
         if methods & {"cam1", "cam2", "cam3", "cam4", "RC"}:
             non = run_nonoverlap_sequence(
-                slice_stream(frames, map_non), setup.rig_nonoverlap,
+                slice_stream(obs, map_non), setup.rig_nonoverlap,
                 scene=scene if setup.ideal_init else None, **common,
             )
             for name, series in non.items():
@@ -168,17 +171,8 @@ def monte_carlo(
     its own random streams from the master seed and the reduction happens
     in run-index order.
     """
-    setup = ExperimentSetup(
-        sim=sim,
-        rig_overlap=rig_overlap or default_overlap_rig(),
-        rig_nonoverlap=rig_nonoverlap or default_nonoverlap_rig(),
-        tuning=tuning or FilterTuning(),
-        pipeline=pipeline_cfg or PipelineConfig(),
-        methods=tuple(methods) if methods else tuple(ALL_METHODS),
-        min_visible=min_visible,
-        ideal_init=ideal_init,
-    )
-    for m in setup.methods:
+    methods = tuple(methods) if methods else tuple(ALL_METHODS)
+    for m in methods:
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}; choose from {ALL_METHODS}")
     if sim.n_points < 1:
@@ -190,8 +184,16 @@ def monte_carlo(
     if workers < 1:
         raise InputError(f"need at least 1 worker, got {workers!r}")
     check_number("min_visible", min_visible, "int", at_least=0)
-    setup.rig_overlap.check_layout("overlapping")
-    setup.rig_nonoverlap.check_layout("non-overlapping")
+    setup = ExperimentSetup(
+        sim=sim,
+        rig_overlap=rig_overlap or default_overlap_rig(),
+        rig_nonoverlap=rig_nonoverlap or default_nonoverlap_rig(),
+        tuning=tuning or FilterTuning(),
+        pipeline=pipeline_cfg or PipelineConfig(),
+        methods=methods,
+        min_visible=min_visible,
+        ideal_init=ideal_init,
+    )
 
     started = time.monotonic()
     seeds = run_seed_sequences(sim.seed, sim.n_runs)

@@ -1,8 +1,10 @@
 """End-to-end sequence estimators for the two rig layouts.
 
-Both estimators consume a per-frame, per-camera observation stream of
-(feature ids, pixels), produced either by the simulator or by a tracks
-CSV, and emit a pose series with per-frame diagnostics.
+Both estimators consume one flat observation stream (simulate.Observations:
+id and pixel columns with per-frame, per-camera row bounds), rendered by the
+simulator or read from a tracks CSV, and emit a pose series with per-frame
+diagnostics. Each renumbers the stream's ids to track-table rows in one
+pass over its id column and steps frames through views of its columns.
 
 Both layouts step each frame from frame 2 on in one order: predict; count
 each pose filter's distinct features with live structure at the frame;
@@ -60,7 +62,7 @@ from .geometry import (
     rot_from_angles,
     view_points,
 )
-from .simulate import Trajectory
+from .simulate import Observations, Trajectory, repeated_rows
 
 
 @dataclass
@@ -202,25 +204,22 @@ _Frame = namedtuple("_Frame", "rows uv seg at span")
 _Matches = namedtuple("_Matches", "pair ab at")
 
 
-def _compact_ids(frames, body):
-    """Flatten an observation stream in (frame, camera) order and renumber its
-    ids in one pass to their rank i among its n distinct ids: camera k's
-    feature i is row body[k] * n + i of a track table. The map keeps id order,
-    so intersections see features in id order. Returns (stream, views, n)."""
-    if any(len(frame) != len(body) for frame in frames):
-        raise InputError(f"each frame needs one (ids, pixels) entry per camera ({len(body)})")
-    sizes = np.array([[len(ids) for ids, _ in frame] for frame in frames])
-    ids = np.concatenate([ids for frame in frames for ids, _ in frame])
-    distinct = np.sort(ids)   # np.unique would hash the ids: 5x slower than this sort
+def _compact_ids(obs, body):
+    """Renumber the ids of an observation stream (simulate.Observations) in
+    one pass over its id column to their rank i among its n distinct ids:
+    camera k's feature i is row body[k] * n + i of a track table. The map
+    keeps id order, so intersections see features in id order. Returns
+    (stream, views, n); the stream shares the observations' pixels."""
+    if obs.n_cams != len(body):
+        raise InputError(f"each frame needs one (ids, pixels) entry per camera ({len(body)}), "
+                         f"the stream has {obs.n_cams}")
+    distinct = np.sort(obs.ids)   # np.unique would hash the ids: 5x slower than this sort
     distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
-    rows = np.searchsorted(distinct, ids)
-    n, n_cams = len(distinct), sizes.shape[1]
-    del ids, distinct
-    seg = np.repeat(np.tile(np.arange(n_cams), len(frames)), sizes.ravel())
+    rows = np.searchsorted(distinct, obs.ids)
+    n, (n_frames, n_cams) = len(distinct), obs.sizes.shape
+    seg = np.repeat(np.tile(np.arange(n_cams), n_frames), obs.sizes.ravel())
     rows += (np.asarray(body) * n)[seg]
-    uv = np.concatenate([np.reshape(uv, (-1, 2)) for frame in frames for _, uv in frame])
-    at = np.append(0, np.cumsum(sizes))
-    starts = at[::n_cams]
+    uv, at, starts = obs.uv, obs.at, obs.at[::n_cams]
     views = [_Frame(rows[s:e], uv[s:e], seg[s:e], at[j * n_cams:(j + 1) * n_cams + 1] - s,
                     slice(s, e)) for j, (s, e) in enumerate(zip(starts[:-1], starts[1:]))]
     return _Stream(rows, uv, seg, starts), views, n
@@ -263,7 +262,7 @@ def _stereo_matches(stream, pairs, n: int, tol: float):
     """Match and gate each stereo pair over a whole stream: one intersection
     of the pair's (frame, feature) keys and one epipolar_distances call. The
     rig has one body, so a stream row is its feature's rank; a camera's
-    features are unique in a frame (rendered ids are distinct, read_tracks
+    features are unique in a frame (the observation stream's constructor
     rejects repeats), in any order. Returns the gate, a mask over the stream
     rows (a feature failing any pair at a frame leaves every camera of that
     frame), and each pair's passing matches as _Matches."""
@@ -344,7 +343,7 @@ def _match_and_triangulate(stream, j, rig: CameraRig, matches, pose, store: _Tra
 
 
 def run_stereo_sequence(
-    frames,
+    obs,
     rig: CameraRig,
     tuning: ekf.FilterTuning | None = None,
     pcfg: PipelineConfig | None = None,
@@ -352,17 +351,15 @@ def run_stereo_sequence(
 ) -> PoseEstimateSeries:
     """Estimate the pose sequence of an overlapping (stereo) rig.
 
-    frames: per-frame list of per-camera (ids, pixels) observations.
+    obs: the rig cameras' observations (simulate.Observations).
     A given truth seeds the filter (pose and velocity at frame 1) in place
     of the Lowe seed. One pose filter takes every camera's rows: the
     segmented kernels with B = 1 and one segment per rig camera.
     """
-    if not frames:
-        raise InputError("empty observation stream")
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
     cams = CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
-    stream, frames, n_features = _compact_ids(frames, cams.body)
+    stream, frames, n_features = _compact_ids(obs, cams.body)
     pairs = [stereo.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
     gate, matches = _stereo_matches(stream, pairs, n_features, pcfg.epipolar_tol_px)
     store = _TrackTable(n_features)
@@ -405,26 +402,32 @@ def run_stereo_sequence(
 # Non-overlapping layout
 # ---------------------------------------------------------------------------
 
-def _run_chains(frames, rig_cameras, tuning, pcfg, local_truth=None, ideal_points=None):
+def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
     """The monocular chains of the given cameras stepped in lockstep as one
     stack of pose filters, each in its camera's own initial frame:
-    orthographic init (or ideal_points), structure EKFs, Lowe seed (or
-    local_truth (B, 6)), pose EKF, re-detection of depleted chains. Frame 0,
-    the seeds and re-detections run per chain, all else once per frame. Returns
-    local poses (F, B, 6) and per frame a list of per-chain diagnostics."""
+    orthographic init (or a given scene's points, indexed by the stream's
+    ids, in each camera at the identity body pose), structure EKFs, Lowe
+    seed (or local_truth (B, 6)), pose EKF, re-detection of depleted chains.
+    Frame 0, the seeds and re-detections run per chain, all else once per
+    frame. Returns local poses (F, B, 6) and per frame a list of per-chain
+    diagnostics."""
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
     cams = CameraStack.centered(intr, np.arange(n_chains))
-    _, frames, n_features = _compact_ids(frames, cams.body)
+    _, frames, n_features = _compact_ids(obs, cams.body)
     store = _TrackTable(n_features, n_chains)
+    if scene is not None:   # each frame-0 row's true point in its camera
+        true0 = view_points(scene[obs.ids[frames[0].span]], rot_from_angles(np.zeros((1, 3))),
+                            np.zeros((1, 3)), CameraStack.of(rig_cameras, np.zeros(n_chains, int)),
+                            frames[0].seg)[0]
 
     diags, vec1 = [[], []], np.empty((n_chains, 6))
     for k in range(n_chains):
         rows0, uv0 = _camera(frames[0], k)
         if len(rows0) < pcfg.min_matches:
             raise InsufficientFeatures(f"camera saw {len(rows0)} features at frame 0")
-        init_pts = (back_project(uv0, intr[k], pcfg.init_depth)
-                    if ideal_points is None else ideal_points[k])
+        init_pts = (back_project(uv0, intr[k], pcfg.init_depth) if scene is None
+                    else true0[frames[0].at[k]:frames[0].at[k + 1]])
         store.upsert(rows0, init_pts, ekf.initial_structure_covariance(tuning, len(rows0)))
         diags[0].append({"features": len(rows0), "redetected": False})
         if len(frames) > 1:
@@ -480,7 +483,7 @@ def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
 
 
 def run_nonoverlap_sequence(
-    frames,
+    obs,
     rig: CameraRig,
     tuning: ekf.FilterTuning | None = None,
     pcfg: PipelineConfig | None = None,
@@ -500,23 +503,15 @@ def run_nonoverlap_sequence(
     frame 1, and a given scene initializes their structure at the true
     local positions (scene rows indexed by the stream's feature ids).
     """
-    if not frames:
-        raise InputError("empty observation stream")
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
     rig.check_layout("non-overlapping")
-    n_frames = len(frames)
+    n_frames = len(obs)
     cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
-    local_truth = ideal_points = None
+    local_truth = None
     if truth is not None and n_frames > 1:
         local_truth = fusion.true_local_pose(truth.x[1], cams)
-    if scene is not None:
-        ids0 = [ids for ids, _ in frames[0]]
-        sizes = [len(ids) for ids in ids0]
-        p_cam = view_points(scene[np.concatenate(ids0)], rot_from_angles(np.zeros((1, 3))),
-                            np.zeros((1, 3)), cams, np.repeat(np.arange(4), sizes))[0]
-        ideal_points = np.split(p_cam, np.cumsum(sizes)[:-1])
-    locals_, diags = _run_chains(frames, rig.cameras, tuning, pcfg, local_truth, ideal_points)
+    locals_, diags = _run_chains(obs, rig.cameras, tuning, pcfg, local_truth, scene)
 
     body = fusion.local_to_body_pose(locals_, cams)
     out = {f"cam{k + 1}": PoseEstimateSeries(body[:, k], ["local"] * n_frames,
@@ -573,14 +568,14 @@ def _pose_rows(series: Trajectory):
         yield [j, *(repr(float(x)) for x in pose)]
 
 
-def write_tracks(path, frames) -> None:
-    """Write an observation stream as `cam,frame,feature,u,v` rows with
-    full decimal precision, so reading it back is bit-exact."""
+def write_tracks(path, obs) -> None:
+    """Write an observation stream's columns as `cam,frame,feature,u,v` rows
+    in stream order, with full decimal precision, so reading it back is
+    bit-exact."""
+    frame, cam = np.divmod(np.repeat(np.arange(obs.sizes.size), obs.sizes.ravel()), obs.n_cams)
     _write_csv(path, TRACKS_HEADER,
-               ([k, j, int(f), repr(float(u)), repr(float(v))]
-                for j, frame in enumerate(frames)
-                for k, (ids, uv) in enumerate(frame)
-                for f, (u, v) in zip(ids, uv)))
+               ([int(k), int(j), int(f), repr(float(u)), repr(float(v))]
+                for k, j, f, (u, v) in zip(cam, frame, obs.ids, obs.uv)))
 
 
 def _records(path):
@@ -629,30 +624,21 @@ def _reject_rows(path, bad: np.ndarray, what: str) -> None:
         raise InputError(f"{path}: line {line}: {what}")
 
 
-def read_tracks(path, n_cams: int):
-    """Parse a tracks CSV for a rig of n_cams cameras into a per-frame,
-    per-camera stream, each camera's rows in file order: one np.loadtxt
-    pass (see _read_csv), then one stable sort on the (frame, cam) key.
-    Feature ids are any non-negative integers; a (cam, frame, feature) row
-    may appear once. Camera indices run below n_cams and reach n_cams - 1,
-    and every frame up to the last has a row, so the stream is no larger
-    than the file. Malformed content raises InputError naming the offending
-    line, or the first frame without rows."""
+def read_tracks(path, n_cams: int) -> Observations:
+    """Parse a tracks CSV for a rig of n_cams cameras into an observation
+    stream, each camera's rows in file order: one np.loadtxt pass (see
+    _read_csv), then one stable sort on the (frame, cam) key. Feature ids
+    are any non-negative integers; a (cam, frame, feature) row may appear
+    once. Camera indices run below n_cams and reach n_cams - 1, and every
+    frame up to the last has a row, so the stream is no larger than the
+    file. Malformed content raises InputError naming the offending line, or
+    the first frame without rows."""
     keys, uv = _read_csv(path, TRACKS_HEADER, n_int=3)
     cam, frame, feature = keys.T
     _reject_rows(path, (cam | frame | feature) < 0, "negative cam/frame/feature")
     within = (-MAX_MAGNITUDE <= uv) & (uv <= MAX_MAGNITUDE)
     _reject_rows(path, ~(within[:, 0] & within[:, 1]), f"pixel not within +-{MAX_MAGNITUDE:g}")
     _reject_rows(path, cam >= n_cams, f"camera index beyond the rig's {n_cams} cameras")
-    # Stable: file order among equal keys. Feature-major: (frame, cam) order sorts on runs.
-    by_key, same = np.lexsort((frame, cam, feature)), True
-    for column in (frame, cam, feature):
-        column = column[by_key]
-        same = same & (column[1:] == column[:-1])
-    repeat = np.zeros(len(by_key), dtype=bool)
-    repeat[by_key[1:]] = same
-    del by_key, same
-    _reject_rows(path, repeat, "repeated (cam, frame, feature) row")
     if cam.max() + 1 < n_cams:
         raise InputError(f"{path}: tracks cover {cam.max() + 1} cameras, the rig file has {n_cams}")
     # The first frame without rows: N rows leave one at or below frame N.
@@ -663,10 +649,15 @@ def read_tracks(path, n_cams: int):
         raise InputError(f"{path}: frame {n_frames} has no rows, but frame {frame.max()} does")
     groups = frame * n_cams + cam
     order = np.argsort(groups, kind="stable")
-    bounds = np.append(0, np.cumsum(np.bincount(groups, minlength=n_frames * n_cams)))
-    ids, uv = feature[order], uv[order]
-    return [[(ids[bounds[g]:bounds[g + 1]], uv[bounds[g]:bounds[g + 1]])
-             for g in range(j * n_cams, (j + 1) * n_cams)] for j in range(n_frames)]
+    sizes = np.bincount(groups, minlength=n_frames * n_cams).reshape(n_frames, n_cams)
+    ids = feature[order]
+    try:
+        return Observations(ids, uv.take(order, axis=0), sizes)
+    except InputError:   # a camera repeats a feature at a frame: name the first such line
+        repeat = np.empty(len(order), dtype=bool)
+        repeat[order] = repeated_rows(ids, np.append(0, np.cumsum(sizes)))
+        _reject_rows(path, repeat, "repeated (cam, frame, feature) row")
+        raise
 
 
 def write_poses(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:

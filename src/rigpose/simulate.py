@@ -9,6 +9,12 @@ camera can see (positive depth, inside the image bounds) plus independent
 zero-mean Gaussian pixel noise; each observation carries the scene point id
 so the estimation pipelines get correspondence for free.
 
+A sequence's observations are one Observations stream: flat id and pixel
+columns, frame-major and camera-major within a frame, with each (frame,
+camera) block's row bounds. The renderer fills it once for the union of
+both rigs' cameras, slice_stream gathers one rig's blocks from it, and the
+tracks reader (pipeline.read_tracks) builds it from a file's columns.
+
 Randomness is fully deterministic given a master seed: each run draws its
 scene, its trajectory and its pixel noise from three streams of its own,
 derived by SeedSequence spawning, so Monte Carlo trials may execute in any
@@ -106,8 +112,54 @@ def gen_trajectory(cfg: SimConfig, rng: np.random.Generator) -> Trajectory:
     return Trajectory(x)
 
 
-# A rendered sequence: frames[j][cam_index] = (ids, uv)
-SequenceObservations = list
+class Observations:
+    """A sequence's observations as flat columns: row i is feature ids[i] at
+    pixel uv[i]. Rows are frame-major and camera-major within a frame;
+    sizes[j, k] counts camera k's rows at frame j, and that (frame, camera)
+    block is rows at[g]:at[g + 1] with g = j * n_cams + k. stream[j] is
+    frame j as one (ids, uv) pair of views per camera.
+
+    The constructor is the one check that no camera sees a feature id twice
+    in a frame; every stream is built through it, where it comes in."""
+
+    def __init__(self, ids, uv, sizes):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        if self.sizes.ndim != 2 or not len(self.sizes) or np.any(self.sizes < 0) or not (
+                len(self.ids) == len(self.uv) == self.sizes.sum()):
+            raise InputError("a stream needs (frames >= 1, cameras) row counts that agree with "
+                             "its ids and pixels")
+        self.n_cams, self.at = self.sizes.shape[1], np.append(0, np.cumsum(self.sizes))
+        repeat = repeated_rows(self.ids, self.at)
+        if np.any(repeat):
+            i = int(np.argmax(repeat))
+            j, k = divmod(int(np.searchsorted(self.at, i, side="right")) - 1, self.n_cams)
+            raise InputError(f"camera {k} sees feature {self.ids[i]} twice at frame {j}")
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, j: int) -> list:
+        """Frame j; iteration stops at the IndexError past the last frame."""
+        g = range(len(self))[j] * self.n_cams
+        at = self.at[g:g + self.n_cams + 1]
+        return [(self.ids[lo:hi], self.uv[lo:hi]) for lo, hi in zip(at[:-1], at[1:])]
+
+
+def repeated_rows(ids: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose id an earlier row of the same block
+    at[g]:at[g + 1] holds. Blocks whose ids ascend, as rendered or written
+    by the simulator, pass in one comparison; only otherwise are the rows
+    sorted by (block, id)."""
+    down = np.flatnonzero(ids[1:] <= ids[:-1]) + 1
+    if np.all(np.isin(down, at)):
+        return np.zeros(len(ids), dtype=bool)
+    block = np.repeat(np.arange(len(at) - 1), np.diff(at))
+    order = np.lexsort((ids, block))   # stable: equal (block, id) rows in row order
+    ids, block, repeat = ids[order], block[order], np.zeros(len(ids), dtype=bool)
+    repeat[order[1:]] = (ids[1:] == ids[:-1]) & (block[1:] == block[:-1])
+    return repeat
 
 
 def _frustum_rows(intr) -> np.ndarray:
@@ -124,7 +176,7 @@ def render_sequence(
     cameras: list[Camera],
     noise_sigma: float,
     noise_seed: np.random.SeedSequence | None = None,
-) -> SequenceObservations:
+) -> Observations:
     """Render every camera at every frame of a trajectory.
 
     A point is visible when its depth exceeds Z_MIN and its exact projection
@@ -133,13 +185,16 @@ def render_sequence(
     frustum rows with the transposed scene, tested with a one-pixel margin
     and a slack that is 30 times the product's worst rounding, keeps a
     superset of the visible points. Only those (camera, point) pairs go
-    through the exact kernel, in one call per frame for all cameras, and
-    the exact test, so the output is the same, bit for bit, as projecting
-    every point.
+    through the exact kernel, in one call per frame for all cameras, and the
+    exact test, so the output is the same, bit for bit, as projecting every
+    point. A first pass of the cull alone counts the candidates, which bound
+    the visible rows, so each frame writes its rows straight into the
+    stream's columns: no frame's rows are held apart and joined.
 
     Noise is added after the visibility test from one generator seeded by
-    noise_seed (seed 0 when None): frame by frame, one (M, 2) draw for the
-    frame's M visible rows, camera-major with ascending ids per camera.
+    noise_seed (seed 0 when None), frame by frame: the bits of one (N, 2)
+    draw for the N visible rows, frame-major, camera-major within a frame,
+    with ascending ids per camera.
     """
     n_frames, n_cams = len(traj), len(cameras)
     rng = np.random.default_rng(0 if noise_seed is None else noise_seed)
@@ -160,32 +215,43 @@ def render_sequence(
     dots = np.empty((n_cams * 4, len(scene)), dtype=np.float32)
     inside = np.empty(dots.shape, dtype=bool)
 
-    frames = []
-    for j in range(n_frames):
+    def candidates(j):
         np.matmul(rows[j].reshape(-1, 3), scene_t, out=dots)
         np.greater_equal(dots, bounds[j].reshape(-1, 1), out=inside)
-        candidates = inside.reshape(n_cams, 4, -1).all(axis=1)
+        return inside.reshape(n_cams, 4, -1).all(axis=1)
+
+    bound = sum(np.count_nonzero(candidates(j)) for j in range(n_frames))
+    ids, uv, end = np.empty(bound, dtype=np.int64), np.empty((bound, 2)), 0
+    sizes = np.zeros((n_frames, n_cams), dtype=np.int64)
+    for j in range(n_frames):
         # (camera, point) pairs, camera-major with ascending ids per camera
-        cam, ids = np.divmod(np.flatnonzero(candidates), len(scene))
-        _, uv, front, _ = view_points(scene[ids], rotations[j:j + 1], d[j:j + 1], stack, cam)
-        cam, ids = cam[front], ids[front]
-        visible = np.all((uv >= 0) & (uv < size[cam]), axis=1)
-        cam, ids, uv = cam[visible], ids[visible], uv[visible]
+        cam, pts = np.divmod(np.flatnonzero(candidates(j)), len(scene))
+        _, pix, front, _ = view_points(scene[pts], rotations[j:j + 1], d[j:j + 1], stack, cam)
+        cam, pts = cam[front], pts[front]
+        visible = np.all((pix >= 0) & (pix < size[cam]), axis=1)
+        sizes[j] = np.bincount(cam[visible], minlength=n_cams)
+        start, end = end, end + np.count_nonzero(visible)
+        ids[start:end], uv[start:end] = pts[visible], pix[visible]
         if noise_sigma > 0:
-            uv = uv + rng.normal(0.0, noise_sigma, uv.shape)
-        split = np.searchsorted(cam, np.arange(1, n_cams))
-        frames.append(list(zip(np.split(ids, split), np.split(uv, split))))
-    return frames
+            uv[start:end] += rng.normal(0.0, noise_sigma, (end - start, 2))
+    return Observations(ids[:end], uv[:end], sizes)
 
 
-def slice_stream(frames: SequenceObservations, camera_map: list[int]) -> SequenceObservations:
-    """Restrict a rendered union sequence to one rig's cameras, renumbering
-    them to local indices 0..len(camera_map)-1."""
-    return [[frame[u] for u in camera_map] for frame in frames]
+def slice_stream(stream: Observations, camera_map: list[int]) -> Observations:
+    """Restrict a rendered union stream to one rig's cameras, renumbering
+    them to local indices 0..len(camera_map)-1: one gather of the (frame,
+    camera) blocks in the map's order, which need not ascend (the
+    overlapping rig's is [0, 4, 2, 5]), so no mask of the rows would do."""
+    sizes = stream.sizes[:, camera_map]
+    starts = stream.at[:-1].reshape(stream.sizes.shape)[:, camera_map]
+    # row r of the slice, in block g at offset o, is stream row starts[g] + o
+    offsets = np.cumsum(sizes).reshape(sizes.shape) - sizes
+    rows = np.repeat(starts - offsets, sizes.ravel()) + np.arange(sizes.sum())
+    return Observations(stream.ids[rows], stream.uv.take(rows, axis=0), sizes)
 
 
-def visible_counts(frames: SequenceObservations, frame: int = 0) -> list[int]:
-    return [len(ids) for ids, _ in frames[frame]]
+def visible_counts(stream: Observations, frame: int = 0) -> list[int]:
+    return stream.sizes[frame].tolist()
 
 
 def build_union(rigs: list[CameraRig]) -> tuple[list[Camera], list[list[int]]]:
@@ -197,22 +263,13 @@ def build_union(rigs: list[CameraRig]) -> tuple[list[Camera], list[list[int]]]:
     union: list[Camera] = []
     maps: list[list[int]] = []
     for rig in rigs:
-        indices = []
+        maps.append([])
         for cam in rig.cameras:
-            found = None
-            for u, existing in enumerate(union):
-                if (
-                    np.array_equal(existing.D, cam.D)
-                    and np.array_equal(existing.R, cam.R)
-                    and existing.intrinsics == cam.intrinsics
-                ):
-                    found = u
-                    break
-            if found is None:
+            same = [u for u, c in enumerate(union) if np.array_equal(c.D, cam.D)
+                    and np.array_equal(c.R, cam.R) and c.intrinsics == cam.intrinsics]
+            if not same:
                 union.append(cam)
-                found = len(union) - 1
-            indices.append(found)
-        maps.append(indices)
+            maps[-1].append(same[0] if same else len(union) - 1)
     return union, maps
 
 

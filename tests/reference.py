@@ -11,7 +11,9 @@ increments and chains them on its own. `stereo_gate` matches and gates
 stereo pairs frame by frame on the raw stream, the oracle of the
 pipeline's once-per-sequence pass. `rc_fusion` fuses the chains' poses one
 frame at a time through the fusion helpers, the oracle of the RC stage
-that builds every frame's median and system at once.
+that builds every frame's median and system at once. `stream_of` builds an
+observation stream, through its one constructor, from the per-frame lists
+of per-camera (ids, pixels) that tests cut and edit by hand.
 
 The kernel oracles keep the package's earlier written-out forms, against
 which the reduce-form kernels are checked bit for bit: `axis_rotations`,
@@ -28,7 +30,7 @@ import numpy as np
 from rigpose import fusion
 from rigpose.errors import IllConditioned
 from rigpose.geometry import Z_MIN, camera_placement, euler_angles, rot_from_angles
-from rigpose.simulate import Trajectory
+from rigpose.simulate import Observations, Trajectory
 
 
 def pixels(points_cam, intr) -> np.ndarray:
@@ -91,6 +93,16 @@ def random_walk(cfg, rng):
         d.append(d[-1] + step_t)
         rotations.append(rot_from_angles(step_r) @ rotations[-1])
     return np.hstack([t, r]), np.array(d), np.array(rotations)
+
+
+def stream_of(frames) -> Observations:
+    """The observation stream of frames, a sequence of per-frame sequences
+    of per-camera (ids, pixels), such as list(stream) or its edited copy."""
+    frames = [list(frame) for frame in frames]
+    pairs = [pair for frame in frames for pair in frame]
+    return Observations(np.concatenate([np.asarray(ids, dtype=np.int64) for ids, _ in pairs]),
+                        np.concatenate([np.reshape(uv, (-1, 2)) for _, uv in pairs]),
+                        [[len(ids) for ids, _ in frame] for frame in frames])
 
 
 def stereo_gate(frames, pairs, tol):

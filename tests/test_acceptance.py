@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import pixels, scripted_trajectory, to_camera
+from reference import pixels, scripted_trajectory, stream_of, to_camera
 from rigpose import cli, fusion, harness, pipeline, stereo
 from rigpose.ekf import pose_measurement_rows
 from rigpose.errors import IllConditioned
@@ -282,7 +282,7 @@ def test_criterion_5_degenerate_handling():
                 mask = np.fromiter((int(f) in keep for f in ids), bool, len(ids))
                 per_cam.append((ids[mask], uv[mask]))
             out.append(per_cam)
-        return out
+        return stream_of(out)
 
     pcfg = PipelineConfig(redetect_threshold=50)
     series49 = run_stereo_sequence(filtered_stream(49), rig, pcfg=pcfg)

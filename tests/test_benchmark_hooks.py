@@ -6,9 +6,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from rigpose.geometry import default_nonoverlap_rig
 from rigpose.harness import monte_carlo
-from rigpose.pipeline import PipelineConfig
+from rigpose.pipeline import PipelineConfig, read_tracks, write_tracks
 from rigpose.simulate import (
     SimConfig,
     gen_scene,
@@ -61,6 +63,32 @@ def test_tracer_hooks_read_results():
     # Stereo pairs are matched and gated once per sequence: one call per
     # pair of 4cameras (two) and 2cameras (one), not one per frame.
     assert counts["stereo.epipolar_distances.calls"] == 3
+
+
+def test_tracer_reads_the_streams_row_by_row(tmp_path):
+    # The tracer counts a stream's observations by iterating its frames and
+    # each frame's (ids, uv) pairs: on what render_sequence and read_tracks
+    # return, that count is the stream's row count, and frame j holds one
+    # pair per camera, in row order.
+    tracer = load_tracer()
+    rig = default_nonoverlap_rig()
+    sim = SimConfig(n_points=1500, n_frames=5, noise_sigma=0.5, seed=42)
+    scene_rng, traj_rng, noise_ss = run_streams(run_seed_sequences(sim.seed, 1)[0])
+    rendered = render_sequence(gen_scene(sim, scene_rng), gen_trajectory(sim, traj_rng),
+                               rig.cameras, sim.noise_sigma, noise_ss)
+    write_tracks(tmp_path / "tracks.csv", rendered)
+    for stream in (rendered, read_tracks(tmp_path / "tracks.csv", len(rig))):
+        assert tracer._n_observations(stream) == len(stream.ids) > 0
+        assert len(list(stream)) == len(stream) == sim.n_frames
+        for j in range(len(stream)):
+            frame = stream[j]
+            assert len(frame) == len(rig)
+            for k, (ids, uv) in enumerate(frame):
+                rows = slice(stream.at[j * len(rig) + k], stream.at[j * len(rig) + k + 1])
+                assert ids.tobytes() == stream.ids[rows].tobytes()
+                assert uv.tobytes() == stream.uv[rows].tobytes()
+        assert np.concatenate([ids for frame in stream for ids, _ in frame]).tobytes() == \
+            stream.ids.tobytes()
 
 
 def test_pose_update_rows_cover_every_chain_measurement():

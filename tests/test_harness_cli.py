@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import stream_of
 from rigpose import cli, harness, pipeline
 from rigpose.errors import InputError
 from rigpose.geometry import (
@@ -78,6 +79,18 @@ def test_monte_carlo_pool_has_no_more_workers_than_runs(monkeypatch):
     serial = harness.monte_carlo(sim, pipeline_cfg=PCFG, workers=1, min_visible=15)
     assert asked == [2]
     assert capped.to_csv_text() == serial.to_csv_text()
+
+
+def test_monte_carlo_builds_the_run_setup_once(monkeypatch):
+    # The front pair's rig and the union of both rigs are built, and the
+    # rigs checked, once per study and carried in its setup, not per run.
+    built = []
+    rig, union = harness.CameraRig, harness.build_union
+    monkeypatch.setattr(harness, "CameraRig", lambda *a, **k: built.append("rig") or rig(*a, **k))
+    monkeypatch.setattr(harness, "build_union", lambda rigs: built.append("union") or union(rigs))
+    report = tiny_report()
+    assert report.metadata["valid_runs"] == 3
+    assert built == ["rig", "union"]
 
 
 def test_monte_carlo_parallel_matches_serial_byte_for_byte():
@@ -346,7 +359,7 @@ def test_cli_run_tracks_sparse_feature_ids(tmp_path, capsys, layout):
     scene = gen_scene(sim, scene_rng)
     traj = gen_trajectory(sim, traj_rng)
     frames = render_sequence(scene, traj, rig.cameras, sim.noise_sigma, noise_ss)
-    sparse = [[(ids * 1_000_003 + 2**40, uv) for ids, uv in frame] for frame in frames]
+    sparse = stream_of([(ids * 1_000_003 + 2**40, uv) for ids, uv in frame] for frame in frames)
 
     poses = {}
     for name, stream in (("dense", frames), ("sparse", sparse)):

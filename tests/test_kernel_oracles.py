@@ -22,7 +22,10 @@ from reference import (
 from rigpose.ekf import (
     FilterTuning,
     initial_structure_covariance,
+    make_pose_filter,
+    measure,
     pose_measurement_rows,
+    pose_update,
     structure_update_batch,
 )
 from rigpose.geometry import (
@@ -125,6 +128,39 @@ def test_reduce_kernels_keep_a_negative_zero():
     want = view_points_reference(points, rotation_reference(x[:, 3:6]), x[:, :3], cams, seg)[0]
     assert np.signbit(want).any()
     assert_same_bits(got, want)
+
+
+def _layouts(a):
+    """a in C order, in Fortran order, as the transpose of a transposed copy,
+    and as every other column of a twice-as-wide array: equal values in
+    other memory layouts."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    axes = tuple(range(a.ndim))[::-1]
+    return {"C": a, "F": np.asfortranarray(a),
+            "T": np.ascontiguousarray(a.transpose(axes)).transpose(axes), "strided": wide[..., ::2]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_pose_update_has_the_c_order_bits_in_any_layout(stack, n):
+    # A filter's rows are a reshape of its slice of the batch: a strided jac
+    # or innovation would leave BLAS for NumPy's own matmul loop, whose
+    # J^T J and J^T innovation sums come out in other bits.
+    cams, n_filters = STACKS[stack]()
+    x, seg, points, uv, _ = kernel_inputs(cams, n_filters, n,
+                                          np.random.default_rng([ord(stack[0]), n, 1]))
+    batch = measure(x, cams, np.arange(n), uv, seg, points)
+    assert len(batch.ids) > 0 and batch.jac.flags.c_contiguous
+    state = make_pose_filter(x[:, :6], x[:, 6:], FilterTuning())
+    want, want_skipped = pose_update(state, batch, cams)
+    jacs, innovations = _layouts(batch.jac), _layouts(batch.innovation)
+    for layout in jacs:
+        batch.jac, batch.innovation = jacs[layout], innovations[layout]
+        got, skipped = pose_update(state, batch, cams)
+        np.testing.assert_array_equal(skipped, want_skipped)
+        assert_same_bits(got.x, want.x)
+        assert_same_bits(got.P, want.P)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 2000])

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import pixels, rc_fusion, scripted_trajectory, to_camera
+from reference import pixels, rc_fusion, scripted_trajectory, stream_of, to_camera
 from rigpose.errors import (
     BehindCamera,
     InputError,
@@ -37,16 +37,18 @@ from rigpose.simulate import (
     render_sequence,
     run_seed_sequences,
     run_streams,
+    slice_stream,
 )
 
 
 def compact_and_match(frames, rig, pcfg=None):
-    """A stereo stream compacted, matched and gated as run_stereo_sequence
-    does it: (stream, frame views, n features, pairs, gate, matches)."""
+    """A stereo stream, or its per-frame lists, compacted, matched and gated
+    as run_stereo_sequence does it: (stream, frame views, n features, pairs,
+    gate, matches)."""
     from rigpose.pipeline import _compact_ids, _stereo_matches
     from rigpose.stereo import make_stereo_pair
 
-    stream, compact, n_features = _compact_ids(frames, np.zeros(len(rig), dtype=int))
+    stream, compact, n_features = _compact_ids(stream_of(frames), np.zeros(len(rig), dtype=int))
     pairs = [make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
     tol = (pcfg or PipelineConfig()).epipolar_tol_px
     gate, matches = _stereo_matches(stream, pairs, n_features, tol)
@@ -255,7 +257,8 @@ def test_stereo_forced_depletion_triggers_retriangulation_at_threshold():
             per_cam.append((ids[mask], uv[mask]))
         filtered.append(per_cam)
 
-    series = run_stereo_sequence(filtered, rig, pcfg=PipelineConfig(redetect_threshold=50))
+    series = run_stereo_sequence(stream_of(filtered), rig,
+                                 pcfg=PipelineConfig(redetect_threshold=50))
     events = [j for j, diag in enumerate(series.diagnostics) if diag.get("retriangulated")]
     assert 40 in events
     assert all(j >= 40 for j in events)
@@ -272,7 +275,8 @@ def test_stereo_forced_depletion_triggers_retriangulation_at_threshold():
             mask = np.fromiter((int(f) in keep for f in ids), bool, len(ids))
             per_cam.append((ids[mask], uv[mask]))
         filtered50.append(per_cam)
-    series50 = run_stereo_sequence(filtered50, rig, pcfg=PipelineConfig(redetect_threshold=50))
+    series50 = run_stereo_sequence(stream_of(filtered50), rig,
+                                   pcfg=PipelineConfig(redetect_threshold=50))
     assert 40 not in [j for j, d in enumerate(series50.diagnostics) if d.get("retriangulated")]
 
 
@@ -328,7 +332,7 @@ def test_stereo_series_is_causal_prefix_stable():
     _, _, frames = render_run(rig, cfg)
     pcfg = PipelineConfig(redetect_threshold=20)
     full = run_stereo_sequence(frames, rig, pcfg=pcfg)
-    truncated = run_stereo_sequence(frames[:25], rig, pcfg=pcfg)
+    truncated = run_stereo_sequence(stream_of(list(frames)[:25]), rig, pcfg=pcfg)
     np.testing.assert_array_equal(full.x[:25], truncated.x)
 
 
@@ -347,7 +351,7 @@ def test_stereo_seeds_frame_1_from_the_truth_it_is_handed():
 
 def test_stereo_requires_enough_initial_features():
     rig = default_overlap_rig()
-    frames = [[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 4]
+    frames = stream_of([[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 4])
     from rigpose.errors import InsufficientFeatures
 
     with pytest.raises(InsufficientFeatures):
@@ -355,11 +359,26 @@ def test_stereo_requires_enough_initial_features():
 
 
 def test_sequences_reject_frames_without_an_entry_per_camera():
-    frames = [[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 2] * 2
+    frames = stream_of([[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 2] * 2)
     with pytest.raises(InputError, match="entry per camera"):
         run_stereo_sequence(frames, default_overlap_rig())
     with pytest.raises(InputError, match="entry per camera"):
         run_nonoverlap_sequence(frames, default_nonoverlap_rig())
+
+
+@pytest.mark.parametrize("layout", ["stereo", "nonoverlap"])
+def test_sequences_reject_a_camera_that_repeats_an_id_in_process(layout):
+    # The stream's constructor is the one repeat check, so an in-process
+    # stream meets it as a tracks file does: camera 0 sees its first feature
+    # twice at frame 0, and the sequence never starts.
+    rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
+    run = run_stereo_sequence if layout == "stereo" else run_nonoverlap_sequence
+    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
+    frames = [list(frame) for frame in frames]
+    ids, uv = frames[0][0]
+    frames[0][0] = (np.append(ids, ids[0]), np.vstack([uv, uv[:1] + 1.0]))
+    with pytest.raises(InputError, match=f"camera 0 sees feature {ids[0]} twice at frame 0"):
+        run(stream_of(frames), rig, pcfg=PipelineConfig(redetect_threshold=15))
 
 
 def test_stereo_two_camera_rig():
@@ -442,7 +461,7 @@ def test_nonoverlap_rc_invariant_to_camera_relabeling():
 
     perm = [0, 3, 1, 2]  # reference camera stays first
     rig_perm = CameraRig([rig.cameras[i] for i in perm], layout="non-overlapping")
-    frames_perm = [[frame[i] for i in perm] for frame in frames]
+    frames_perm = slice_stream(frames, perm)
     permuted = run_nonoverlap_sequence(
         frames_perm, rig_perm, pcfg=PipelineConfig(redetect_threshold=20)
     )
@@ -468,7 +487,7 @@ def test_nonoverlap_chain_alone_matches_chain_in_lockstep():
     together, diags = _run_chains(frames, rig.cameras, tuning, pcfg)
     assert sum(d[k]["redetected"] for d in diags for k in range(4)) >= 3
     for k in range(4):
-        alone, diags_k = _run_chains([f[k:k + 1] for f in frames], [rig.camera(k)], tuning, pcfg)
+        alone, diags_k = _run_chains(slice_stream(frames, [k]), [rig.camera(k)], tuning, pcfg)
         np.testing.assert_array_equal(alone[:, 0], together[:, k])
         assert [d[0] for d in diags_k] == [d[k] for d in diags]
 
@@ -633,6 +652,16 @@ def test_read_tracks_reports_bad_line_number(tmp_path):
             read_tracks(path, 2)
 
 
+def test_read_tracks_names_the_first_repeated_line_in_file_order(tmp_path):
+    # The stream sorts frame 0 before frame 1, so its first repeat is line
+    # 5; the file's first repeated row is line 4.
+    path = tmp_path / "tracks.csv"
+    path.write_text("cam,frame,feature,u,v\n0,1,7,1.0,2.0\n0,0,5,1.0,2.0\n0,1,7,3.0,4.0\n"
+                    "0,0,5,3.0,4.0\n1,0,5,1.0,2.0\n")
+    with pytest.raises(InputError, match="line 4: repeated"):
+        read_tracks(path, 2)
+
+
 def test_read_tracks_rejects_frames_and_cameras_beyond_the_rows(tmp_path):
     # The stream is sized by the rows: a frame past a frame without rows, or
     # a camera index past the rig's, is rejected before the stream is built.
@@ -710,7 +739,7 @@ def shuffled_tracks(tmp_path, frames, rig):
     """frames written to a tracks file whose rows are shuffled, read back:
     each camera's rows come in unsorted file order."""
     path = tmp_path / "tracks.csv"
-    write_tracks(path, frames)
+    write_tracks(path, stream_of(frames))
     header, *rows = path.read_text().splitlines()
     np.random.default_rng(19).shuffle(rows)
     path.write_text("\n".join([header] + rows) + "\n")
@@ -811,15 +840,23 @@ def assert_gate_matches_reference(frames, rig):
     [42],
 ], ids=["repeats", "gaps", "near-2**62", "one"])
 def test_compact_ids_rank_ids_as_the_inverse_of_the_sorted_distinct_ids(ids):
-    # one frame of two cameras, the second seeing the ids of the first reversed
+    # Two cameras, the second seeing the ids of the first reversed. A camera
+    # sees an id once per frame, so each frame holds one id per camera and
+    # the repeats fall in other frames; one frame of them all is rejected.
     from rigpose.pipeline import _compact_ids
 
     ids = np.array(ids, dtype=np.int64)
     frame = [(ids, np.zeros((len(ids), 2))), (ids[::-1], np.ones((len(ids), 2)))]
+    if len(np.unique(ids)) < len(ids):
+        with pytest.raises(InputError, match="camera 0 sees feature .* twice at frame 0"):
+            stream_of([frame])
+    frames = [[(f[j:j + 1], p[j:j + 1]) for f, p in frame] for j in range(len(ids))]
     distinct, inverse = np.unique(ids, return_inverse=True)
-    stream, (view,), n = _compact_ids([frame], [0, 1])
-    np.testing.assert_array_equal(stream.rows, np.concatenate([inverse, inverse[::-1] + n]))
-    np.testing.assert_array_equal(view.at, [0, len(ids), 2 * len(ids)])
+    stream, views, n = _compact_ids(stream_of(frames), [0, 1])
+    np.testing.assert_array_equal(stream.rows,
+                                  np.column_stack([inverse, inverse[::-1] + n]).ravel())
+    for view in views:
+        np.testing.assert_array_equal(view.at, [0, 1, 2])
     assert n == len(distinct)
 
 
