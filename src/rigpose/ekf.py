@@ -146,8 +146,7 @@ def pose_measurement_rows(x: np.ndarray, cams: CameraStack, seg, points: np.ndar
     coefficients, so its bits do not depend on the rest of the batch."""
     d = x[:, :3]
     rot, drs = rot_with_derivatives(x[:, 3:6])
-    p_cam, uv, front, orient = view_points(points, rot, d, cams, seg=seg)
-    sf = seg[front]
+    _, uv, front, orient, (sf, p_front, pin) = view_points(points, rot, d, cams, seg=seg)
     # component-major, points last: g[l, c, i] is row l, column c of dR_i R_k
     g = (drs[cams.body] @ cams.R[:, None]).transpose(2, 3, 1, 0).take(sf, axis=-1)
     m = points.T.compress(front, axis=-1) - d.T.take(cams.body[sf], axis=-1)
@@ -155,8 +154,7 @@ def pose_measurement_rows(x: np.ndarray, cams: CameraStack, seg, points: np.ndar
     dp[:, :3] = -orient.T.take(sf, axis=-1)   # dP_cam/dd = -W^T: row i of -W
     # dP_cam/d(angle_i) = (dR_i R_k)^T (M - d), summed over the rows l
     dp[:, 3:] = axis_sum(m[:, None, None] * g, 0)
-    focal = cams.pinhole.T[:2].take(sf, axis=-1)
-    jac = pinhole_derivatives(p_cam.T.compress(front, axis=-1), dp, focal)
+    jac = pinhole_derivatives(p_front, dp, pin[:2])
     return uv, jac.transpose(2, 0, 1).copy(), front   # C order, as _pinhole's pixels
 
 
@@ -256,12 +254,10 @@ def structure_update_batch(
     estimates of the M points with front[i] set, in order.
     """
     rot = rot_from_angles(x[:, 3:6])
-    p_cam, predicted, front, orient = view_points(means, rot, x[:, :3], cams, seg=seg)
-    sf = seg[front]
+    _, predicted, front, orient, (sf, p_front, pin) = view_points(means, rot, x[:, :3], cams, seg)
     # dP_cam/dM = W^T: row i of W. Component-major, points last, from here on:
     # j[r, c] is d(pixel r)/dM_c and p[r, c] is P[r, c]
-    focal = cams.pinhole.T[:2].take(sf, axis=-1)
-    j = pinhole_derivatives(p_cam.T.compress(front, axis=-1), orient.T.take(sf, axis=-1), focal)
+    j = pinhole_derivatives(p_front, orient.T.take(sf, axis=-1), pin[:2])
     p = covs.transpose(1, 2, 0).compress(front, axis=-1)
     innovation = (observed_uv[front] - predicted).T
     # the columns of G = P J^T, then the 2x2 S = J G + r I

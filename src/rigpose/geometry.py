@@ -54,24 +54,19 @@ GIMBAL_TOL = 1e-6
 MIN_BASELINE = 1e-9
 
 
-# Flat positions in a (3, 3, 3) stack of rotations about the x, y and z axes:
-# [i, i, i]; [i, j, j] and [i, k, k]; [i, k, j]; and [i, j, k], for the
-# cyclic index triples (i, j, k) = (0, 1, 2), (1, 2, 0), (2, 0, 1).
-_ONE, _COS, _SIN, _NEG_SIN = (np.array(a) for a in ([0, 13, 26], [4, 8, 17, 9, 18, 22],
-                                                     [7, 11, 21], [5, 15, 19]))
+# The source of each entry of a (3, 3, 3) stack of rotations about the x, y
+# and z axes, row by row: column q of (c_0, c_1, c_2, s_0, s_1, s_2, -s_0,
+# -s_1, -s_2, 0, one) for the cosines c and sines s of the three angles.
+_FROM = np.array([10, 9, 9, 9, 0, 6, 9, 3, 0, 1, 9, 4, 9, 10, 9, 7, 9, 1,
+                  2, 8, 9, 5, 2, 9, 9, 9, 10])
 
 
 def _axes(c, s, one: float = 1.0) -> np.ndarray:
     """Rotations (..., 3, 3, 3) about the x, y and z axes with cosines c and
     sines s (..., 3): entry [..., i, :, :] turns about axis i. With
     (c, s, one) = (0, 1, 0) the axis generators K_i instead."""
-    shape = np.shape(c)[:-1]
-    m = np.zeros(shape + (27,))
-    m[..., _ONE] = one
-    m[..., _COS] = np.repeat(c, 2, axis=-1)
-    m[..., _SIN] = s
-    m[..., _NEG_SIN] = -s
-    return m.reshape(shape + (3, 3, 3))
+    source = np.concatenate([c, s, -s, np.full(np.shape(c)[:-1] + (2,), (0.0, one))], axis=-1)
+    return source.take(_FROM, axis=-1).reshape(source.shape[:-1] + (3, 3, 3))
 
 
 # dR_i/d(theta) = K_i R_i = R_i K_i for the rotation R_i about axis i
@@ -102,7 +97,10 @@ def rot_with_derivatives(angles) -> tuple[np.ndarray, np.ndarray]:
     rx, ry, rz = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
     kx, ky, kz = _GENERATORS
     rot = rx @ ry @ rz
-    return rot, np.stack([kx @ rot, rx @ ky @ ry @ rz, rot @ kz], axis=-3)
+    drs = np.empty(r.shape)
+    for i, (left, right) in enumerate([(kx, rot), (rx @ ky @ ry, rz), (rot, kz)]):
+        np.matmul(left, right, out=drs[..., i, :, :])
+    return rot, drs
 
 
 def check_rotation(rot: np.ndarray) -> None:
@@ -308,7 +306,10 @@ def view_points(points, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
     m_2 W[2, c] (tests/reference.py keeps that form as the oracle). Each
     point's bits therefore do not depend on the rest of the batch. Only the
     M points in front (depth > Z_MIN) get pixels: returns (p_cam (N, 3),
-    uv (M, 2), front (N,), W (S, 3, 3) of each camera).
+    uv (M, 2), front (N,), W (S, 3, 3) of each camera, at_front), where
+    at_front = (seg (M,), p_cam (3, M), pinhole (4, M)) holds the front
+    points' cameras, coordinates and pinholes, gathered once for the
+    kernels' derivatives.
     """
     center, orient = camera_placement(rot[cams.body], d[cams.body], cams)
     # component-major, points last: w[c, i, n] is W[i, c] of point n's camera
@@ -316,8 +317,9 @@ def view_points(points, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
     m = points.T - center.T.take(seg, axis=-1)
     p_cam = axis_sum(m * w, 1)
     front = p_cam[2] > Z_MIN
-    uv = _pinhole(p_cam.compress(front, axis=-1), cams.pinhole.T.take(seg[front], axis=-1))
-    return p_cam.T, uv, front, orient
+    sf = seg[front]
+    at_front = sf, p_cam.compress(front, axis=-1), cams.pinhole.T.take(sf, axis=-1)
+    return p_cam.T, _pinhole(*at_front[1:]), front, orient, at_front
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ Both estimators consume one flat observation stream (simulate.Observations:
 id and pixel columns with per-frame, per-camera row bounds), rendered by the
 simulator or read from a tracks CSV, and emit a pose series with per-frame
 diagnostics. Each renumbers the stream's ids to track-table rows in one
-pass over its id column and steps frames through views of its columns.
+search of the stream's sorted distinct ids (sorted once per run) and steps
+frames through views of its columns.
 
 Both layouts step each frame from frame 2 on in one order: predict; count
 each pose filter's distinct features with live structure at the frame;
 replenish the filters below the tracked-feature threshold from the
 previous frame at the pose emitted there; measure and update once. No
-filter is re-seeded.
+filter is re-seeded. The frame loop does only the work that reads the
+filter state: everything that depends on the pixels alone is done once per
+sequence, and which rows are measurable is one stream-wide mask, taken
+again only after a replenish.
 
 Overlapping (stereo) layout: each pair is matched and gated on its
 fundamental matrix once per sequence, as both depend only on the pixels.
@@ -147,7 +151,7 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init) ->
 
     def evaluate(vec):
         uv_pred, jac, front = ekf.pose_measurement_rows(vec[None], cams, seg, points)
-        if not np.all(front):
+        if not front.all():
             raise BehindCamera("match point behind the camera")
         res = (pixels - uv_pred).ravel()
         return res @ res, res, jac.reshape(-1, 6)
@@ -206,17 +210,16 @@ _Matches = namedtuple("_Matches", "pair ab at")
 
 def _compact_ids(obs, body):
     """Renumber the ids of an observation stream (simulate.Observations) in
-    one pass over its id column to their rank i among its n distinct ids:
-    camera k's feature i is row body[k] * n + i of a track table. The map
-    keeps id order, so intersections see features in id order. Returns
-    (stream, views, n); the stream shares the observations' pixels."""
+    one search of its sorted distinct ids (Observations.distinct) to their
+    rank i among those n ids: camera k's feature i is row body[k] * n + i of
+    a track table. The map keeps id order, so intersections see features in
+    id order. Returns (stream, views, n); the stream shares the
+    observations' pixels."""
     if obs.n_cams != len(body):
         raise InputError(f"each frame needs one (ids, pixels) entry per camera ({len(body)}), "
                          f"the stream has {obs.n_cams}")
-    distinct = np.sort(obs.ids)   # np.unique would hash the ids: 5x slower than this sort
-    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
-    rows = np.searchsorted(distinct, obs.ids)
-    n, (n_frames, n_cams) = len(distinct), obs.sizes.shape
+    rows = np.searchsorted(obs.distinct, obs.ids)
+    n, (n_frames, n_cams) = len(obs.distinct), obs.sizes.shape
     seg = np.repeat(np.tile(np.arange(n_cams), n_frames), obs.sizes.ravel())
     rows += (np.asarray(body) * n)[seg]
     uv, at, starts = obs.uv, obs.at, obs.at[::n_cams]
@@ -285,43 +288,51 @@ def _stereo_matches(stream, pairs, n: int, tol: float):
     return gate, matches
 
 
-def _known(frame, store: _TrackTable, gate=None):
-    """Mask of a frame's rows whose features have live structure and pass
-    the stream's gate, if one is given."""
-    return store.live[frame.rows] if gate is None else store.live[frame.rows] & gate[frame.span]
+def _measurable(store: _TrackTable, stream, gate=None, start: int = 0):
+    """Mask of the stream's rows from row start on whose features have live
+    structure and pass the stream's gate, if one is given."""
+    live = store.live[stream.rows[start:]]
+    return live if gate is None else live & gate[start:]
 
 
 def _feature_counts(store: _TrackTable, rows):
     """Each filter's count of distinct features among the table rows."""
     seen = np.zeros(len(store.live), dtype=bool)
     seen[rows] = True
-    return np.count_nonzero(seen.reshape(-1, store.n), axis=1)
+    return seen.reshape(-1, store.n).sum(axis=1)
 
 
-def _step(state, frames, j, cams, store, pcfg, replenish, gate=None):
-    """Frame j >= 2 of either layout, in one order: predict; count each
-    filter's distinct features with live structure at frame j (through the
-    gate); call replenish(j - 1, depleted, poses) for the filters whose
+def _steps(state, stream, frames, cams, store, pcfg, replenish, gate=None):
+    """Step frames 2.. of either layout, each in one order: predict; count
+    each filter's distinct features with live structure at frame j (through
+    the gate); call replenish(j - 1, depleted, poses) for the filters whose
     count is below the threshold, with the poses (B, 6) emitted at frame
     j - 1; measure and update once, where ekf.measure drops points behind
     their camera. A filter with no measurements or a degenerate update keeps
     its predicted state, tagged 'ekf-skip'; a non-finite state aborts.
-    Returns (state, depleted mask, count of distinct features measured,
-    tag per filter)."""
-    poses, frame = state.x[:, :6], frames[j]
-    state = ekf.pose_predict(state)
-    keep = _known(frame, store, gate)
-    depleted = _feature_counts(store, frame.rows[keep]) < pcfg.redetect_threshold
-    if np.any(depleted):
-        replenish(j - 1, depleted, poses)
-        keep = _known(frame, store, gate)
-    rows = frame.rows[keep]
-    batch = ekf.measure(state.x, cams, rows, frame.uv[keep], frame.seg[keep], store.means[rows])
-    state, skipped = ekf.pose_update(state, batch, cams)
-    if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.P))):
-        raise EstimationFailure(f"filter state became non-finite at frame {j}")
-    return (state, depleted, _feature_counts(store, batch.ids),
-            ["ekf-skip" if skip else "ekf" for skip in skipped])
+
+    The frame loop does only the work that reads the filter state. Which
+    rows are measurable is one stream-wide mask, taken once: only upsert
+    changes store.live, so it is taken again, from frame j on, only after a
+    replenish. Yields per frame (j, state, then per filter the depleted
+    flag, the count of distinct features measured and the tag)."""
+    known = _measurable(store, stream, gate)
+    for j in range(2, len(frames)):
+        poses, frame = state.x[:, :6], frames[j]
+        state = ekf.pose_predict(state)
+        keep = known[frame.span]
+        depleted = _feature_counts(store, frame.rows[keep]) < pcfg.redetect_threshold
+        if depleted.any():
+            replenish(j - 1, depleted, poses)
+            known[frame.span.start:] = _measurable(store, stream, gate, frame.span.start)
+            keep = known[frame.span]
+        rows = frame.rows[keep]
+        batch = ekf.measure(state.x, cams, rows, frame.uv[keep], frame.seg[keep], store.means[rows])
+        state, skipped = ekf.pose_update(state, batch, cams)
+        if not (np.isfinite(state.x).all() and np.isfinite(state.P).all()):
+            raise EstimationFailure(f"filter state became non-finite at frame {j}")
+        yield (j, state, depleted.tolist(), _feature_counts(store, batch.ids).tolist(),
+               ["ekf-skip" if skip else "ekf" for skip in skipped.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +349,7 @@ def _match_and_triangulate(stream, j, rig: CameraRig, matches, pose, store: _Tra
         if len(a):
             pts, ok = stereo.triangulate_batch(rig, pose, pair, stream.uv[a], stream.uv[b])
             store.upsert(stream.rows[a[ok]], pts[ok])
-            accepted += int(np.count_nonzero(ok))
+            accepted += int(ok.sum())
     return accepted
 
 
@@ -389,12 +400,11 @@ def run_stereo_sequence(
     series.methods.append("lowe" if truth is None else "ideal-seed")
     series.diagnostics.append({"features": int(mask.sum())})
 
-    for j in range(2, len(frames)):
-        state, depleted, count, methods = _step(state, frames, j, cams, store, pcfg,
-                                                retriangulate, gate)
+    for j, state, depleted, count, methods in _steps(state, stream, frames, cams, store, pcfg,
+                                                    retriangulate, gate):
         series.x[j] = state.x[0, :6]
         series.methods.append(methods[0])
-        series.diagnostics.append({"retriangulated": bool(depleted[0]), "features": int(count[0])})
+        series.diagnostics.append({"retriangulated": depleted[0], "features": count[0]})
     return series
 
 
@@ -414,7 +424,7 @@ def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
     cams = CameraStack.centered(intr, np.arange(n_chains))
-    _, frames, n_features = _compact_ids(obs, cams.body)
+    stream, frames, n_features = _compact_ids(obs, cams.body)
     store = _TrackTable(n_features, n_chains)
     if scene is not None:   # each frame-0 row's true point in its camera
         true0 = view_points(scene[obs.ids[frames[0].span]], rot_from_angles(np.zeros((1, 3))),
@@ -446,11 +456,11 @@ def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
         for k in np.flatnonzero(depleted):
             _redetect(store, _camera(frames[j], k), poses[k], intr[k], pcfg, tuning)
 
-    for j in range(2, len(frames)):
-        state, depleted, count, methods = _step(state, frames, j, cams, store, pcfg, redetect)
+    for j, state, depleted, count, methods in _steps(state, stream, frames, cams, store, pcfg,
+                                                    redetect):
         locals_.append(state.x[:, :6].copy())
-        diags.append([{"redetected": bool(depleted[k]), "features": int(count[k]),
-                       "method": methods[k]} for k in range(n_chains)])
+        diags.append([{"redetected": r, "features": c, "method": m}
+                      for r, c, m in zip(depleted, count, methods)])
         _structure_pass(store, frames[j], locals_[j], cams, tuning)
     return np.array(locals_), diags
 
@@ -475,7 +485,7 @@ def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
     structure. Existing tracks keep their refined estimates."""
     ids_p, uv_p = prev_obs
     fresh = ~store.live[ids_p]
-    if not np.any(fresh):
+    if not fresh.any():
         return
     cam_pts = back_project(uv_p[fresh], intr, pcfg.init_depth)
     world_pts = cam_pts @ rot_from_angles(prev_vec[3:6]).T + prev_vec[:3]

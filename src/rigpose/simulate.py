@@ -12,8 +12,9 @@ so the estimation pipelines get correspondence for free.
 A sequence's observations are one Observations stream: flat id and pixel
 columns, frame-major and camera-major within a frame, with each (frame,
 camera) block's row bounds. The renderer fills it once for the union of
-both rigs' cameras, slice_stream gathers one rig's blocks from it, and the
-tracks reader (pipeline.read_tracks) builds it from a file's columns.
+both rigs' cameras, slice_stream gathers one rig's blocks from it, with the
+union's sorted distinct ids, and the tracks reader (pipeline.read_tracks)
+builds it from a file's columns.
 
 Randomness is fully deterministic given a master seed: each run draws its
 scene, its trajectory and its pixel noise from three streams of its own,
@@ -24,6 +25,7 @@ order or in parallel without changing a single bit of the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +142,14 @@ class Observations:
     def __len__(self) -> int:
         return len(self.sizes)
 
+    @cached_property
+    def distinct(self) -> np.ndarray:
+        """The stream's distinct ids, ascending, which rank its ids by one
+        search. Sorted once per stream; a slice_stream slice carries its
+        union's, whose ranks keep the slice's ids in order."""
+        distinct = np.sort(self.ids)   # np.unique would hash the ids: 5x slower than this sort
+        return distinct[np.append(True, distinct[1:] != distinct[:-1])]
+
     def __getitem__(self, j: int) -> list:
         """Frame j; iteration stops at the IndexError past the last frame."""
         g = range(len(self))[j] * self.n_cams
@@ -170,6 +180,12 @@ def _frustum_rows(intr) -> np.ndarray:
                      [0.0, intr.fy, intr.cy + 1.0], [0.0, -intr.fy, intr.height - intr.cy + 1.0]])
 
 
+# Candidate (camera, point) rows per exact projection pass: the renderer cuts
+# its frames into blocks of at most this many rows (a frame with more is a
+# block alone), so the pass's temporaries stay bounded at any scene size.
+BLOCK_ROWS = 1 << 12
+
+
 def render_sequence(
     scene: np.ndarray,
     traj: Trajectory,
@@ -180,28 +196,29 @@ def render_sequence(
     """Render every camera at every frame of a trajectory.
 
     A point is visible when its depth exceeds Z_MIN and its exact projection
-    (geometry.view_points) lands inside the image. Each frame first culls
-    the scene for every camera at once: one float32 product of the cameras'
-    frustum rows with the transposed scene, tested with a one-pixel margin
-    and a slack that is 30 times the product's worst rounding, keeps a
-    superset of the visible points. Only those (camera, point) pairs go
-    through the exact kernel, in one call per frame for all cameras, and the
-    exact test, so the output is the same, bit for bit, as projecting every
-    point. A first pass of the cull alone counts the candidates, which bound
-    the visible rows, so each frame writes its rows straight into the
-    stream's columns: no frame's rows are held apart and joined.
+    (geometry.view_points) lands inside the image. Each frame is culled once
+    for every camera at once: one float32 product of the cameras' frustum
+    rows with the transposed scene, tested with a one-pixel margin and a
+    slack that is 30 times the product's worst rounding, keeps a superset of
+    the visible points as flat (camera, point) indices. Consecutive frames
+    gather into blocks of at most BLOCK_ROWS candidates, and each block's
+    candidates go through the exact kernel, in one call over a camera stack
+    with one segment per (frame, camera), and through the exact test, so the
+    output is the same, bit for bit, as projecting every point.
 
     Noise is added after the visibility test from one generator seeded by
-    noise_seed (seed 0 when None), frame by frame: the bits of one (N, 2)
-    draw for the N visible rows, frame-major, camera-major within a frame,
-    with ascending ids per camera.
+    noise_seed (seed 0 when None), in one (N, 2) draw for the N visible
+    rows, frame-major, camera-major within a frame, with ascending ids per
+    camera: the bits of one draw per frame in that order. Each block's
+    pixels are added into the draw, which becomes the pixel column, so no
+    second column-sized array is made and freed.
     """
-    n_frames, n_cams = len(traj), len(cameras)
+    n_frames, n_cams, n_points = len(traj), len(cameras), len(scene)
     rng = np.random.default_rng(0 if noise_seed is None else noise_seed)
 
     rotations, d = rot_from_angles(traj.x[:, 3:]), traj.x[:, :3]
     stack = CameraStack.of(cameras, np.zeros(n_cams, dtype=int))
-    size = np.array([[c.intrinsics.width, c.intrinsics.height] for c in cameras])
+    size = np.tile([[c.intrinsics.width, c.intrinsics.height] for c in cameras], (n_frames, 1))
     centers, orients = camera_placement(rotations[:, None], d[:, None], stack)
     rows = np.stack([_frustum_rows(c.intrinsics) for c in cameras]) @ np.swapaxes(orients, -1, -2)
     # For a world row f, point M and camera center C, the float32 cull errs by
@@ -212,42 +229,60 @@ def render_sequence(
     bounds = ((rows @ centers[..., None])[..., 0] - slack).astype(np.float32)
     rows = rows.astype(np.float32)
     scene_t = np.ascontiguousarray(scene.T, dtype=np.float32)
-    dots = np.empty((n_cams * 4, len(scene)), dtype=np.float32)
+    dots = np.empty((n_cams * 4, n_points), dtype=np.float32)
     inside = np.empty(dots.shape, dtype=bool)
 
-    def candidates(j):
+    ids, uv, sizes = [], [], np.zeros(n_frames * n_cams, dtype=np.int64)
+
+    def exact(lo, hi, block):
+        """The exact pass over the candidates of frames lo..hi-1, whose flat
+        indices count from frame lo, and the visibility test: segment
+        (j - lo) * n_cams + k of the pass is camera k at frame j."""
+        seg, pts = np.divmod(np.concatenate(block), n_points)
+        part = CameraStack.of(cameras * (hi - lo), np.arange(hi - lo).repeat(n_cams))
+        _, pix, front, _, (seg, *_) = view_points(scene[pts], rotations[lo:hi], d[lo:hi], part, seg)
+        visible = ((pix >= 0) & (pix < size[seg])).all(axis=1)
+        sizes[lo * n_cams:hi * n_cams] += np.bincount(seg[visible], minlength=(hi - lo) * n_cams)
+        ids.append(pts[front][visible])
+        uv.append(pix[visible])
+
+    block, lo = [], 0
+    for j in range(n_frames):
         np.matmul(rows[j].reshape(-1, 3), scene_t, out=dots)
         np.greater_equal(dots, bounds[j].reshape(-1, 1), out=inside)
-        return inside.reshape(n_cams, 4, -1).all(axis=1)
-
-    bound = sum(np.count_nonzero(candidates(j)) for j in range(n_frames))
-    ids, uv, end = np.empty(bound, dtype=np.int64), np.empty((bound, 2)), 0
-    sizes = np.zeros((n_frames, n_cams), dtype=np.int64)
-    for j in range(n_frames):
-        # (camera, point) pairs, camera-major with ascending ids per camera
-        cam, pts = np.divmod(np.flatnonzero(candidates(j)), len(scene))
-        _, pix, front, _ = view_points(scene[pts], rotations[j:j + 1], d[j:j + 1], stack, cam)
-        cam, pts = cam[front], pts[front]
-        visible = np.all((pix >= 0) & (pix < size[cam]), axis=1)
-        sizes[j] = np.bincount(cam[visible], minlength=n_cams)
-        start, end = end, end + np.count_nonzero(visible)
-        ids[start:end], uv[start:end] = pts[visible], pix[visible]
-        if noise_sigma > 0:
-            uv[start:end] += rng.normal(0.0, noise_sigma, (end - start, 2))
-    return Observations(ids[:end], uv[:end], sizes)
+        flat = np.flatnonzero(inside.reshape(n_cams, 4, -1).all(axis=1))
+        if block and sum(map(len, block)) + len(flat) > BLOCK_ROWS:
+            exact(lo, j, block)
+            block, lo = [], j
+        # (frame, camera, point) from frame lo, camera-major with ascending ids
+        block.append(flat + (j - lo) * n_cams * n_points)
+    exact(lo, n_frames, block)
+    ids = np.concatenate(ids)
+    if noise_sigma > 0:
+        noise = rng.normal(0.0, noise_sigma, (len(ids), 2))
+        for part, piece in zip(np.split(noise, np.cumsum([len(p) for p in uv])[:-1]), uv):
+            part += piece
+        uv = noise
+    else:
+        uv = np.concatenate(uv)
+    return Observations(ids, uv, sizes.reshape(n_frames, n_cams))
 
 
 def slice_stream(stream: Observations, camera_map: list[int]) -> Observations:
     """Restrict a rendered union stream to one rig's cameras, renumbering
     them to local indices 0..len(camera_map)-1: one gather of the (frame,
     camera) blocks in the map's order, which need not ascend (the
-    overlapping rig's is [0, 4, 2, 5]), so no mask of the rows would do."""
+    overlapping rig's is [0, 4, 2, 5]), so no mask of the rows would do.
+    The slice carries the stream's sorted distinct ids, so a run sorts its
+    ids once."""
     sizes = stream.sizes[:, camera_map]
     starts = stream.at[:-1].reshape(stream.sizes.shape)[:, camera_map]
     # row r of the slice, in block g at offset o, is stream row starts[g] + o
     offsets = np.cumsum(sizes).reshape(sizes.shape) - sizes
     rows = np.repeat(starts - offsets, sizes.ravel()) + np.arange(sizes.sum())
-    return Observations(stream.ids[rows], stream.uv.take(rows, axis=0), sizes)
+    out = Observations(stream.ids[rows], stream.uv.take(rows, axis=0), sizes)
+    out.distinct = stream.distinct
+    return out
 
 
 def visible_counts(stream: Observations, frame: int = 0) -> list[int]:

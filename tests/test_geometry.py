@@ -273,8 +273,8 @@ def test_project_jacobian_shapes_and_behind_camera():
     rot = rot_from_angles((0.01, -0.02, 0.03))
     d = np.array([0.01, 0.0, -0.02])
     pts = np.array([[0.9, 0.1, 0.05], [0.8, -0.1, -0.1]])
-    p_cam, uv, _, _ = view_points(pts, rot[None], d[None], CameraStack.of([cam], [0]),
-                                  np.zeros(2, dtype=int))
+    p_cam, uv, *_ = view_points(pts, rot[None], d[None], CameraStack.of([cam], [0]),
+                                np.zeros(2, dtype=int))
     intr = cam.intrinsics
     # with dp = I the chain rule gives d(pixel)/d(camera point); the kernel is
     # component-major, points last, so its (2, 3, N) output is turned to (N, 2, 3)
@@ -292,8 +292,8 @@ def test_project_jacobian_shapes_and_behind_camera():
         np.testing.assert_allclose(jp[:, :, i], numeric, rtol=1e-6, atol=1e-4)
     # a point at the camera's center is not in front of it: no pixel
     center = d + rot @ cam.D
-    _, uv, front, _ = view_points(center[None], rot[None], d[None], CameraStack.of([cam], [0]),
-                                  np.zeros(1, dtype=int))
+    _, uv, front, *_ = view_points(center[None], rot[None], d[None], CameraStack.of([cam], [0]),
+                                   np.zeros(1, dtype=int))
     assert front.tolist() == [False] and uv.shape == (0, 2)
 
 

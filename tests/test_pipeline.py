@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,9 @@ from rigpose.pipeline import (
     write_truth,
 )
 from rigpose.simulate import (
+    Observations,
     SimConfig,
+    build_union,
     gen_scene,
     gen_trajectory,
     render_sequence,
@@ -94,8 +97,8 @@ def test_lowe_exact_init_is_fixed_point():
     intr = cam.intrinsics
     truth = np.array([0.01, -0.02, 0.005, 0.015, 0.01, -0.02])
     pts = spread_points(rng, 30)
-    _, uv, _, _ = view_points(pts, rot_from_angles(truth[3:])[None], truth[None, :3],
-                              CameraStack.of([cam], [0]), np.zeros(len(pts), dtype=int))
+    _, uv, *_ = view_points(pts, rot_from_angles(truth[3:])[None], truth[None, :3],
+                            CameraStack.of([cam], [0]), np.zeros(len(pts), dtype=int))
     est = lowe_pose(pts, uv, intr, truth)
     # the pixels and Lowe place the points through one kernel: no residual
     np.testing.assert_array_equal(est, truth)
@@ -490,6 +493,81 @@ def test_nonoverlap_chain_alone_matches_chain_in_lockstep():
         alone, diags_k = _run_chains(slice_stream(frames, [k]), [rig.camera(k)], tuning, pcfg)
         np.testing.assert_array_equal(alone[:, 0], together[:, k])
         assert [d[0] for d in diags_k] == [d[k] for d in diags]
+
+
+def series_bytes(series):
+    """A series' poses, tags and diagnostics as bytes."""
+    return series.x.tobytes(), json.dumps([series.methods, series.diagnostics]).encode()
+
+
+def run_layout(layout, frames, rig, **kwargs):
+    """The series an estimator of the layout gives, by name."""
+    if layout == "stereo":
+        return {"stereo": run_stereo_sequence(frames, rig, **kwargs)}
+    return run_nonoverlap_sequence(frames, rig, **kwargs)
+
+
+@pytest.mark.parametrize("layout,threshold", [("stereo", 64), ("nonoverlap", 33)])
+def test_measurable_rows_taken_once_equal_rows_taken_at_every_frame(monkeypatch, layout,
+                                                                    threshold):
+    # The stepper takes its stream-wide mask of measurable rows once and
+    # again, from frame j on, after each replenish at frame j - 1. With most
+    # frames but not all replenishing, a run whose mask is read from the
+    # track table at every frame gives the same bytes, so a missed refresh
+    # (or one over too few rows) shows.
+    from rigpose import pipeline
+
+    rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=30, noise_sigma=0.5,
+                                             seed=31))
+    pcfg = PipelineConfig(redetect_threshold=threshold)
+    measurable = pipeline._measurable
+
+    class EveryFrame:
+        """The mask as the track table holds it whenever a frame reads it."""
+
+        def __init__(self, *args):
+            self.args = args
+
+        def __getitem__(self, rows):
+            return measurable(*self.args)[rows]
+
+        def __setitem__(self, rows, value):
+            pass
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_measurable",
+                      lambda store, stream, gate=None, start=0: EveryFrame(store, stream, gate))
+        fresh = run_layout(layout, frames, rig, pcfg=pcfg)
+    flag = "retriangulated" if layout == "stereo" else "redetected"
+    replenished = [any(series.diagnostics[j][flag] for name, series in fresh.items()
+                       if name != "RC") for j in range(2, 30)]
+    assert len(replenished) / 2 < sum(replenished) < len(replenished)
+    hoisted = run_layout(layout, frames, rig, pcfg=pcfg)
+    assert list(hoisted) == list(fresh)
+    for name in fresh:
+        assert series_bytes(hoisted[name]) == series_bytes(fresh[name])
+
+
+@pytest.mark.parametrize("layout", ["stereo", "nonoverlap"])
+def test_estimators_give_the_same_bytes_on_a_slice_and_on_its_columns(layout):
+    # A slice ranks its ids among the distinct ids of the union stream it was
+    # cut from, which holds more ids than the slice; a stream built from the
+    # slice's columns ranks them among its own. Both keep id order, so every
+    # series comes out the same.
+    union, (map_non, map_over) = build_union([default_nonoverlap_rig(), default_overlap_rig()])
+    rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
+    cfg = SimConfig(n_points=2000, n_frames=40, noise_sigma=0.5, seed=32)
+    scene_rng, traj_rng, noise_ss = run_streams(run_seed_sequences(cfg.seed, 1)[0])
+    obs = render_sequence(gen_scene(cfg, scene_rng), gen_trajectory(cfg, traj_rng), union,
+                          cfg.noise_sigma, noise_ss)
+    sliced = slice_stream(obs, map_over if layout == "stereo" else map_non)
+    own = Observations(sliced.ids.copy(), sliced.uv.copy(), sliced.sizes.copy())
+    assert len(sliced.distinct) == len(obs.distinct) > len(own.distinct)
+    pcfg = PipelineConfig(redetect_threshold=40)
+    from_slice, from_columns = (run_layout(layout, s, rig, pcfg=pcfg) for s in (sliced, own))
+    for name in from_slice:
+        assert series_bytes(from_slice[name]) == series_bytes(from_columns[name])
 
 
 def test_nonoverlap_series_are_mapped_from_the_chains_bit_for_bit():

@@ -109,8 +109,8 @@ def test_render_noiseless_matches_exact_projection():
     scene = gen_scene(small_cfg(n_points=300), np.random.default_rng(6))
     (ids, uv), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
     pose, seg = np.zeros(6), np.zeros(len(ids), dtype=int)
-    _, exact, _, _ = view_points(scene[ids], rot_from_angles(pose[3:])[None], pose[None, :3],
-                                 CameraStack.of([rig.camera(0)], [0]), seg)
+    _, exact, *_ = view_points(scene[ids], rot_from_angles(pose[3:])[None], pose[None, :3],
+                               CameraStack.of([rig.camera(0)], [0]), seg)
     np.testing.assert_array_equal(uv, exact)
 
 
@@ -144,8 +144,8 @@ def reference_render(scene, traj, cameras, noise_sigma, noise_seed):
     for j in range(len(traj)):
         frame = []
         for cam in cameras:
-            _, uv, front, _ = view_points(scene, rot_from_angles(traj.x[j, 3:])[None],
-                                          traj.x[j, :3][None], CameraStack.of([cam], [0]), seg)
+            _, uv, front, *_ = view_points(scene, rot_from_angles(traj.x[j, 3:])[None],
+                                           traj.x[j, :3][None], CameraStack.of([cam], [0]), seg)
             intr, u, v = cam.intrinsics, uv[:, 0], uv[:, 1]
             visible = (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
             frame.append((np.flatnonzero(front)[visible], uv[visible]))
@@ -217,6 +217,61 @@ def test_render_sequence_builds_one_generator(monkeypatch):
     assert len(frames) == 6 and all(len(frame) == 4 for frame in frames)
     assert sum(len(ids) for frame in frames for ids, _ in frame) > 0
     assert len(calls) == 1
+
+
+def test_render_sequence_in_blocks_keeps_the_full_projection_bits(monkeypatch):
+    # With a small row budget the frames fall into several blocks, each one
+    # exact pass: a block ends before the frame that would take it past the
+    # budget, and only a frame alone may exceed it. At frame 3 the rig stands
+    # 50 m out along x, where no camera faces the scene, so that frame has no
+    # candidates; the last block is shorter than the others. A noisy render
+    # draws its noise in one call.
+    from rigpose import simulate
+
+    cameras = default_overlap_rig().cameras
+    cfg = small_cfg(n_points=1500, n_frames=14)
+    scene = gen_scene(cfg, np.random.default_rng(30))
+    traj = gen_trajectory(cfg, np.random.default_rng(31))
+    traj.x[3, 0] = 50.0
+    budget = 300
+    monkeypatch.setattr(simulate, "BLOCK_ROWS", budget)
+    blocks, draws, exact = [], [], simulate.view_points
+    default_rng = np.random.default_rng
+
+    def view_points_spy(points, rot, d, cams, seg):
+        # the block's frames, and its candidates per frame
+        blocks.append(np.bincount(seg // len(cameras), minlength=len(rot)))
+        return exact(points, rot, d, cams, seg)
+
+    class Drawn:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def normal(self, *args):
+            draws.append(args)
+            return self.rng.normal(*args)
+
+    monkeypatch.setattr(simulate, "view_points", view_points_spy)
+    for sigma in (0.0, 0.5):
+        want = reference_render(scene, traj, cameras, sigma, np.random.SeedSequence(3))
+        blocks.clear()
+        draws.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda *a: Drawn(default_rng(*a)))
+            got = render_sequence(scene, traj, cameras, sigma, np.random.SeedSequence(3))
+        assert len(draws) == (sigma > 0)
+        for frame_got, frame_want in zip(got, want, strict=True):
+            for (ids_g, uv_g), (ids_w, uv_w) in zip(frame_got, frame_want, strict=True):
+                np.testing.assert_array_equal(ids_g, ids_w)
+                assert uv_g.shape == uv_w.shape and uv_g.tobytes() == uv_w.tobytes()
+        per_frame = np.concatenate(blocks)
+        assert len(blocks) >= 4 and len(per_frame) == cfg.n_frames
+        assert per_frame[3] == 0 and per_frame.sum() > 0
+        assert len(blocks[-1]) < max(map(len, blocks))
+        for block, after in zip(blocks, blocks[1:] + [None]):
+            assert block.sum() <= budget or len(block) == 1
+            if after is not None:
+                assert block.sum() + after[0] > budget
 
 
 def test_sequence_determinism_same_seed():
