@@ -5,8 +5,8 @@ Subcommands:
   simulate   - run the Monte Carlo comparison and write the report
   run-tracks - offline estimation from a tracks CSV
 
-Exit codes: 0 success, 1 input error (bad flags or malformed files),
-2 numerical failure.
+Exit codes: 0 success, 1 input error (bad flags, malformed files, or sizes
+that do not fit in memory), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -125,6 +125,9 @@ def main(argv=None) -> int:
         return _cmd_run_tracks(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # a size within the bounds that asks for more than the host has
+        print(f"error: the input does not fit in memory: {exc}", file=sys.stderr)
         return 1
     except RigPoseError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -33,6 +33,11 @@ them through the rigidity constraints: the per-axis medians of those body
 angles and every frame's scale-factor system are built once per run, and
 each frame then solves its system, carrying the previous scales over a
 degenerate one.
+
+Each filter stack starts one way: frame 0 is its layout's replenish at the
+identity pose (the stereo pairs' triangulation, the chains' re-detection),
+frame 1 is the truth or a Lowe seed from the identity, and that frame-1
+pose seeds the velocity.
 """
 
 from __future__ import annotations
@@ -136,12 +141,15 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init) ->
     """Refine a reference-camera pose row (6,) from 3D-2D matches, starting
     at the pose row init, by minimizing the pixel reprojection error.
 
-    Damped Gauss-Newton: the step is halved while it increases the
-    residual; five consecutive iterations without improvement raise
-    Diverged. Each candidate pose is placed once, by
-    ekf.pose_measurement_rows, which gives both its residual and the rows
-    of the next step. Needs at least four matches; raises BehindCamera when
-    init puts a match at or behind the camera.
+    Damped Gauss-Newton: each iteration halves its step, up to 24 times,
+    until the residual does not increase; a candidate pose that puts a match
+    at or behind the camera costs inf. The first search that no halving
+    makes cheaper ends the solve: as convergence at a noisy minimum when its
+    step is below 1e-8, else with Diverged, in whatever iteration it comes.
+    Each candidate pose is placed once, by ekf.pose_measurement_rows, which
+    gives both its residual and the rows of the next step. Needs at least
+    four matches; raises BehindCamera when init puts a match at or behind
+    the camera.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -152,13 +160,14 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init) ->
     def evaluate(vec):
         uv_pred, jac, front = ekf.pose_measurement_rows(vec[None], cams, seg, points)
         if not front.all():
-            raise BehindCamera("match point behind the camera")
+            return np.inf, None, None
         res = (pixels - uv_pred).ravel()
         return res @ res, res, jac.reshape(-1, 6)
 
     vec = np.array(init, dtype=float)
-    cost, res, j = evaluate(vec)   # BehindCamera here means init outside the basin
-    fails = 0
+    cost, res, j = evaluate(vec)
+    if res is None:
+        raise BehindCamera("match point behind the camera at the initial pose")
     for _ in range(LOWE_MAX_ITER):
         try:
             step = np.linalg.solve(j.T @ j, j.T @ res)
@@ -169,22 +178,13 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init) ->
             break
         for scale in 0.5 ** np.arange(25.0):
             cand = vec + scale * step
-            try:
-                cand_cost, cand_res, cand_j = evaluate(cand)
-            except BehindCamera:
-                cand_cost = np.inf
+            cand_cost, cand_res, cand_j = evaluate(cand)
             if cand_cost <= cost * (1.0 + 1e-12):
                 break
         else:
-            # A vanishing step that cannot reduce the cost is convergence at
-            # a noisy minimum, not divergence.
             if step_norm < 1e-8:
                 break
-            fails += 1
-            if fails >= 5:
-                raise Diverged("residual increased for 5 consecutive damped steps")
-            continue
-        fails = 0
+            raise Diverged(f"every halving of a step of norm {step_norm:.3g} raised the residual")
         vec = cand
         cost, res, j = cand_cost, cand_res, cand_j
         if np.linalg.norm(scale * step) < LOWE_STEP_TOL:
@@ -378,8 +378,7 @@ def run_stereo_sequence(
     def retriangulate(j, depleted, poses):
         _match_and_triangulate(stream, j, rig, matches, poses[0], store)
 
-    pose0 = np.zeros(6)
-    n_matched = _match_and_triangulate(stream, 0, rig, matches, pose0, store)
+    n_matched = _match_and_triangulate(stream, 0, rig, matches, np.zeros(6), store)
     if n_matched < pcfg.min_matches:
         raise InsufficientFeatures(
             f"frame 0 produced {n_matched} validated matches (< {pcfg.min_matches})"
@@ -394,8 +393,9 @@ def run_stereo_sequence(
     if truth is not None:
         pose1 = truth.x[1]
     else:
-        pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], rig.camera(0).intrinsics, pose0)
-    state = ekf.make_pose_filter(pose1, pose1 - pose0, tuning)
+        pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], rig.camera(0).intrinsics,
+                          np.zeros(6))
+    state = ekf.make_pose_filter(pose1, pose1, tuning)   # velocity seed: pose1 - identity
     series.x[1] = pose1
     series.methods.append("lowe" if truth is None else "ideal-seed")
     series.diagnostics.append({"features": int(mask.sum())})
@@ -414,13 +414,16 @@ def run_stereo_sequence(
 
 def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
     """The monocular chains of the given cameras stepped in lockstep as one
-    stack of pose filters, each in its camera's own initial frame:
-    orthographic init (or a given scene's points, indexed by the stream's
-    ids, in each camera at the identity body pose), structure EKFs, Lowe
-    seed (or local_truth (B, 6)), pose EKF, re-detection of depleted chains.
-    Frame 0, the seeds and re-detections run per chain, all else once per
-    frame. Returns local poses (F, B, 6) and per frame a list of per-chain
-    diagnostics."""
+    stack of pose filters, each in its camera's own initial frame: frame 0
+    is each chain's re-detection at the identity pose, an orthographic init
+    (a given scene's points, indexed by the stream's ids, are placed first,
+    in each camera at the identity body pose, and leave it nothing to do);
+    then structure EKFs, a Lowe seed from the identity (or local_truth
+    (B, 6)), whose pose also seeds the velocity, a pose EKF, and
+    re-detection of depleted chains. Frame 0, the seeds and re-detections
+    run per chain, all else once per frame. Returns local poses (F, B, 6)
+    and per frame a list of per-chain diagnostics, which from frame 2 on
+    carry the chain's step tag as "method"."""
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
     cams = CameraStack.centered(intr, np.arange(n_chains))
@@ -430,15 +433,14 @@ def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
         true0 = view_points(scene[obs.ids[frames[0].span]], rot_from_angles(np.zeros((1, 3))),
                             np.zeros((1, 3)), CameraStack.of(rig_cameras, np.zeros(n_chains, int)),
                             frames[0].seg)[0]
+        store.upsert(frames[0].rows, true0, ekf.initial_structure_covariance(tuning, len(true0)))
 
     diags, vec1 = [[], []], np.empty((n_chains, 6))
     for k in range(n_chains):
         rows0, uv0 = _camera(frames[0], k)
         if len(rows0) < pcfg.min_matches:
             raise InsufficientFeatures(f"camera saw {len(rows0)} features at frame 0")
-        init_pts = (back_project(uv0, intr[k], pcfg.init_depth) if scene is None
-                    else true0[frames[0].at[k]:frames[0].at[k + 1]])
-        store.upsert(rows0, init_pts, ekf.initial_structure_covariance(tuning, len(rows0)))
+        _redetect(store, (rows0, uv0), np.zeros(6), intr[k], pcfg, tuning)
         diags[0].append({"features": len(rows0), "redetected": False})
         if len(frames) > 1:
             rows1, uv1 = _camera(frames[1], k)
@@ -479,16 +481,18 @@ def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
     store.covs[rows[front]] = covs
 
 
-def _redetect(store: _TrackTable, prev_obs, prev_vec, intr, pcfg, tuning):
-    """Re-detection: orthographically initialize, at the previous frame's
-    estimated pose, every feature observed there that has no live
-    structure. Existing tracks keep their refined estimates."""
-    ids_p, uv_p = prev_obs
+def _redetect(store: _TrackTable, obs, vec, intr, pcfg, tuning):
+    """Re-detection: orthographically initialize, at the camera pose row vec,
+    every feature of one camera's (rows, pixels) obs that has no live
+    structure. A chain's frame 0 is this at the identity pose, where every
+    row is fresh; a replenish places the previous frame at the pose emitted
+    there. Existing tracks keep their refined estimates."""
+    ids_p, uv_p = obs
     fresh = ~store.live[ids_p]
     if not fresh.any():
         return
     cam_pts = back_project(uv_p[fresh], intr, pcfg.init_depth)
-    world_pts = cam_pts @ rot_from_angles(prev_vec[3:6]).T + prev_vec[:3]
+    world_pts = cam_pts @ rot_from_angles(vec[3:6]).T + vec[:3]
     store.upsert(ids_p[fresh], world_pts, ekf.initial_structure_covariance(tuning, len(cam_pts)))
 
 
@@ -524,7 +528,9 @@ def run_nonoverlap_sequence(
     locals_, diags = _run_chains(obs, rig.cameras, tuning, pcfg, local_truth, scene)
 
     body = fusion.local_to_body_pose(locals_, cams)
-    out = {f"cam{k + 1}": PoseEstimateSeries(body[:, k], ["local"] * n_frames,
+    seed_tags = ["init", "lowe" if truth is None else "ideal-seed"][:n_frames]
+    out = {f"cam{k + 1}": PoseEstimateSeries(body[:, k],
+                                             seed_tags + [diag[k]["method"] for diag in diags[2:]],
                                              [diag[k] for diag in diags])
            for k in range(4)}
 
@@ -551,13 +557,14 @@ def run_nonoverlap_sequence(
 
 def write_diagnostics(path, series_by_method: dict[str, PoseEstimateSeries]) -> None:
     """Per-frame diagnostics as JSON lines: feature counts, scale vectors,
-    condition flags, and re-triangulation events, one record per frame per
-    method."""
+    condition flags, and re-triangulation and re-detection events, one record
+    per frame per method. A record's method (the series name), frame and tag
+    (the series' per-frame tag) win over a diagnostics key of the same name."""
     with open_path(path, "w") as fh:
         for method, series in series_by_method.items():
             for j, diag in enumerate(series.diagnostics):
-                record = {"method": method, "frame": j, "tag": series.methods[j], **diag}
-                fh.write(json.dumps(record) + "\n")
+                head = {"method": method, "frame": j, "tag": series.methods[j]}
+                fh.write(json.dumps({**head, **diag, **head}) + "\n")
 
 
 TRACKS_HEADER = ["cam", "frame", "feature", "u", "v"]

@@ -53,6 +53,9 @@ def test_tracer_hooks_read_results():
                  "stereo.epipolar_distances.pairs", "pipeline.ekf_steps",
                  "fusion.fuse_pose.calls", "geometry.rot_from_angles.calls"):
         assert counts[name] > 0, name
+    # One step per frame from frame 2 on for each pose filter: the two
+    # stereo filters and the four chains.
+    assert counts["pipeline.ekf_steps"] == 6 * (sim.n_frames - 2)
     # fusion.ill_conditioned_ratio divides by the fuse_pose calls: one per
     # frame after the first. The body mapping runs once per run.
     assert counts["fusion.fuse_pose.calls"] == sim.n_frames - 1

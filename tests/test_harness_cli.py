@@ -406,8 +406,12 @@ def test_cli_run_tracks_layout_rig_mismatch_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_run_tracks_diagnostics_jsonl(tmp_path, capsys):
-    rig = default_overlap_rig()
+@pytest.mark.parametrize("layout", ["stereo", "nonoverlap"])
+def test_cli_run_tracks_diagnostics_jsonl(tmp_path, capsys, layout):
+    # One record per frame for each series written. A record's method names
+    # its series and its tag is the series' step tag, also where a chain's
+    # diagnostics carry their own "method" key.
+    rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
     rig_path = tmp_path / "rig.json"
     write_rig(rig_path, rig)
     sim = SimConfig(n_points=1500, n_frames=8, noise_sigma=0.5, n_runs=1, seed=6)
@@ -420,15 +424,19 @@ def test_cli_run_tracks_diagnostics_jsonl(tmp_path, capsys):
     write_tracks(tracks, frames)
     diag_path = tmp_path / "diag.jsonl"
     code = cli.main([
-        "run-tracks", "--layout", "stereo", "--rig", str(rig_path),
+        "run-tracks", "--layout", layout, "--rig", str(rig_path),
         "--tracks", str(tracks), "--out", str(tmp_path / "p.csv"),
         "--diagnostics", str(diag_path),
     ])
     assert code == 0
     records = [json.loads(line) for line in diag_path.read_text().splitlines()]
-    assert len(records) == 8
-    assert all("features" in r or r["frame"] < 2 for r in records)
+    names = ["stereo"] if layout == "stereo" else ["cam1", "cam2", "cam3", "cam4", "RC"]
+    assert [r["method"] for r in records] == [name for name in names for _ in range(8)]
     assert {"method", "frame", "tag"} <= set(records[0])
+    for r in records:
+        if r["method"] != "RC":
+            assert "features" in r
+            assert r["tag"] in {0: {"init"}, 1: {"lowe"}}.get(r["frame"], {"ekf", "ekf-skip"}), r
     capsys.readouterr()
 
 
@@ -705,6 +713,10 @@ MALFORMED_INPUTS = [
     *(pytest.param(argv, id=name) for name, (argv, _) in HUGE_INTEGERS.items()),
     *(pytest.param(lambda t, v=value: _config(t, {"min_visible": v}), id=name)
       for name, (value, _) in BAD_MIN_VISIBLE.items()),
+    # Within the 1e12 bound, but terabytes in one allocation, which the host
+    # refuses at once.
+    *(pytest.param(lambda t, name=name: _config(t, {"sim": {name: 10**12}}),
+                   id=f"sim-{name}-1e12") for name in ("n_points", "n_frames")),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 from reference import pixels, rc_fusion, scripted_trajectory, stream_of, to_camera
 from rigpose.errors import (
     BehindCamera,
+    Diverged,
     InputError,
     InsufficientMatches,
     LengthMismatch,
@@ -135,6 +136,55 @@ def test_lowe_rejects_init_with_a_match_at_or_behind_the_camera(depth):
     pts[7] = [0.01, -0.02, depth]   # at that depth from the camera at init
     with pytest.raises(BehindCamera):
         lowe_pose(pts, uv, intr, np.zeros(6))
+
+
+def lowe_in_front_only_at(monkeypatch, init):
+    """Make ekf.pose_measurement_rows, as lowe_pose calls it, clear front
+    for every pose but init; returns the list of poses it placed."""
+    from rigpose import pipeline
+
+    placed, rows = [], pipeline.ekf.pose_measurement_rows
+
+    def spy(x, *args):
+        placed.append(x[0].copy())
+        uv, jac, front = rows(x, *args)
+        return uv, jac, front & np.array_equal(x[0], init)
+
+    monkeypatch.setattr(pipeline.ekf, "pose_measurement_rows", spy)
+    return placed
+
+
+def lowe_case():
+    """(points, pixels, intrinsics, init) with init 0.01 off the truth."""
+    rng = np.random.default_rng(4)
+    cam = default_overlap_rig().camera(0)
+    truth = rng.uniform(-0.02, 0.02, 6)
+    pts = spread_points(rng, 40)
+    return pts, pixels(to_camera(truth, cam, pts), cam.intrinsics), cam.intrinsics, truth + 0.01
+
+
+def test_lowe_raises_diverged_after_its_first_failed_search(monkeypatch):
+    # A search whose every candidate puts a match behind the camera ends the
+    # solve: one placement of init and 25 candidates, with no repeat of the
+    # same search.
+    pts, uv, intr, init = lowe_case()
+    placed = lowe_in_front_only_at(monkeypatch, init)
+    with pytest.raises(Diverged):
+        lowe_pose(pts, uv, intr, init)
+    assert len(placed) == 1 + 25
+
+
+def test_lowe_failing_in_its_last_iterations_raises_diverged(monkeypatch):
+    # A failed search ends the solve in whatever iteration it comes: with
+    # fewer iterations left than five repeats of the search would take, the
+    # failure still raises instead of returning init.
+    from rigpose import pipeline
+
+    pts, uv, intr, init = lowe_case()
+    lowe_in_front_only_at(monkeypatch, init)
+    monkeypatch.setattr(pipeline, "LOWE_MAX_ITER", 3)
+    with pytest.raises(Diverged):
+        lowe_pose(pts, uv, intr, init)
 
 
 def test_lowe_converges_with_noisy_pixels():
@@ -650,7 +700,8 @@ def test_nonoverlap_rc_carries_solved_scales_over_degenerate_frames(monkeypatch)
     c = np.array([2.0, 0.5, 1.5, 0.8])
     locals_ = np.stack([true_local_pose(pose, cams) for pose in body])
     locals_[..., :3] *= c[:, None]
-    monkeypatch.setattr(pipeline, "_run_chains", lambda *args: (locals_, [[{}] * 4] * 10))
+    monkeypatch.setattr(pipeline, "_run_chains",
+                        lambda *args: (locals_, [[{"method": "ekf"}] * 4] * 10))
     rc = run_nonoverlap_sequence([None] * 10, rig)["RC"]
     assert [diag["ill_conditioned"] for diag in rc.diagnostics[1:]] == [False] * 5 + [True] * 4
     np.testing.assert_allclose(rc.diagnostics[-1]["scales"], 1 / c, rtol=1e-9)
