@@ -3,11 +3,13 @@ of an input number (which config dataclasses run on their fields), and the
 one way files are opened and JSON input is read and built into dataclasses.
 
 Everything derives from RigPoseError so callers can catch the whole family.
-Numerical-degeneracy errors derive from DegenerateGeometry. Three are
-recovered where they arise: BehindCamera (a candidate step of Lowe's line
-search), IllConditioned (a fusion frame keeps its previous scales) and
-GimbalProximity (angles_from_rig_rotation). Any other one, such as
-InsufficientFeatures, InsufficientMatches or Diverged, ends the run.
+Numerical-degeneracy errors derive from DegenerateGeometry. Two are
+recovered where they arise: IllConditioned (a fusion frame keeps its
+previous scales) and GimbalProximity (angles_from_rig_rotation). Any other
+one, such as InsufficientFeatures, InsufficientMatches or Diverged, ends
+the run; so does BehindCamera, which Lowe's method raises only for its
+initial pose (a line-search candidate with a match at or behind the camera
+costs inf instead).
 """
 
 import errno

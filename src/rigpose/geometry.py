@@ -399,7 +399,7 @@ def read_rig(path) -> CameraRig:
 BASELINE_M = 0.1
 
 
-def default_nonoverlap_rig(intrinsics: Intrinsics | None = None) -> CameraRig:
+def default_nonoverlap_rig() -> CameraRig:
     """Four individually aimed cameras: forward, right, backward, left.
 
     Camera 1 (index 0) faces +z at the front of the platform; its
@@ -408,32 +408,32 @@ def default_nonoverlap_rig(intrinsics: Intrinsics | None = None) -> CameraRig:
     The perpendicular pair (cameras 2 and 4) sits at the platform's middle
     station facing +-x, each 0.1 m from camera 1; their optical axes miss
     the reference point, which couples their rotation and translation
-    estimates. The two back-to-back axes are perpendicular.
+    estimates. The two back-to-back axes are perpendicular. Every camera
+    has the default Intrinsics.
     """
-    intr = intrinsics or Intrinsics()
     side_x = np.sqrt(BASELINE_M**2 - (BASELINE_M / 2) ** 2)
     side_z = -BASELINE_M / 2
     return CameraRig(
         cameras=[
-            Camera(D=np.zeros(3), R=np.eye(3), intrinsics=intr),
-            Camera(D=np.array([side_x, 0.0, side_z]), R=rot_y(np.pi / 2), intrinsics=intr),
-            Camera(D=np.array([0.0, 0.0, -BASELINE_M]), R=rot_y(np.pi), intrinsics=intr),
-            Camera(D=np.array([-side_x, 0.0, side_z]), R=rot_y(-np.pi / 2), intrinsics=intr),
+            Camera(D=np.zeros(3), R=np.eye(3)),
+            Camera(D=np.array([side_x, 0.0, side_z]), R=rot_y(np.pi / 2)),
+            Camera(D=np.array([0.0, 0.0, -BASELINE_M]), R=rot_y(np.pi)),
+            Camera(D=np.array([-side_x, 0.0, side_z]), R=rot_y(-np.pi / 2)),
         ],
         layout="non-overlapping",
     )
 
 
-def default_overlap_rig(intrinsics: Intrinsics | None = None) -> CameraRig:
+def default_overlap_rig() -> CameraRig:
     """Two back-to-back stereo pairs sharing the reference and back camera
-    placements of the non-overlapping rig; 0.1 m horizontal baselines."""
-    intr = intrinsics or Intrinsics()
+    placements of the non-overlapping rig; 0.1 m horizontal baselines and
+    the default Intrinsics."""
     return CameraRig(
         cameras=[
-            Camera(D=np.zeros(3), R=np.eye(3), intrinsics=intr),
-            Camera(D=np.array([BASELINE_M, 0.0, 0.0]), R=np.eye(3), intrinsics=intr),
-            Camera(D=np.array([0.0, 0.0, -BASELINE_M]), R=rot_y(np.pi), intrinsics=intr),
-            Camera(D=np.array([BASELINE_M, 0.0, -BASELINE_M]), R=rot_y(np.pi), intrinsics=intr),
+            Camera(D=np.zeros(3), R=np.eye(3)),
+            Camera(D=np.array([BASELINE_M, 0.0, 0.0]), R=np.eye(3)),
+            Camera(D=np.array([0.0, 0.0, -BASELINE_M]), R=rot_y(np.pi)),
+            Camera(D=np.array([BASELINE_M, 0.0, -BASELINE_M]), R=rot_y(np.pi)),
         ],
         layout="overlapping",
     )

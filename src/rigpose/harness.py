@@ -169,7 +169,8 @@ def monte_carlo(
 
     Deterministic for a given seed at any worker count: every run derives
     its own random streams from the master seed and the reduction happens
-    in run-index order.
+    in run-index order, the order in which the serial loop and pool.map
+    both return the outcomes.
     """
     methods = tuple(methods) if methods else tuple(ALL_METHODS)
     for m in methods:
@@ -207,7 +208,6 @@ def monte_carlo(
 
         with ProcessPoolExecutor(max_workers=min(workers, sim.n_runs)) as pool:
             outcomes = list(pool.map(_run_one, tasks))
-    outcomes.sort(key=lambda out: out[0])
 
     sums = {m: np.zeros(6) for m in setup.methods}
     n_ok = 0

@@ -13,8 +13,8 @@ replenish the filters below the tracked-feature threshold from the
 previous frame at the pose emitted there; measure and update once. No
 filter is re-seeded. The frame loop does only the work that reads the
 filter state: everything that depends on the pixels alone is done once per
-sequence, and which rows are measurable is one stream-wide mask, taken
-again only after a replenish.
+sequence, and a frame's measurable rows are read from the track table when
+the frame steps.
 
 Overlapping (stereo) layout: each pair is matched and gated on its
 fundamental matrix once per sequence, as both depend only on the pixels.
@@ -288,13 +288,6 @@ def _stereo_matches(stream, pairs, n: int, tol: float):
     return gate, matches
 
 
-def _measurable(store: _TrackTable, stream, gate=None, start: int = 0):
-    """Mask of the stream's rows from row start on whose features have live
-    structure and pass the stream's gate, if one is given."""
-    live = store.live[stream.rows[start:]]
-    return live if gate is None else live & gate[start:]
-
-
 def _feature_counts(store: _TrackTable, rows):
     """Each filter's count of distinct features among the table rows."""
     seen = np.zeros(len(store.live), dtype=bool)
@@ -302,30 +295,33 @@ def _feature_counts(store: _TrackTable, rows):
     return seen.reshape(-1, store.n).sum(axis=1)
 
 
-def _steps(state, stream, frames, cams, store, pcfg, replenish, gate=None):
+def _steps(state, frames, cams, store, pcfg, replenish, gate=None):
     """Step frames 2.. of either layout, each in one order: predict; count
     each filter's distinct features with live structure at frame j (through
-    the gate); call replenish(j - 1, depleted, poses) for the filters whose
-    count is below the threshold, with the poses (B, 6) emitted at frame
-    j - 1; measure and update once, where ekf.measure drops points behind
-    their camera. A filter with no measurements or a degenerate update keeps
-    its predicted state, tagged 'ekf-skip'; a non-finite state aborts.
+    the gate, a mask over the stream's rows); call replenish(j - 1,
+    depleted, poses) for the filters whose count is below the threshold,
+    with the poses (B, 6) emitted at frame j - 1; measure and update once,
+    where ekf.measure drops points behind their camera. A filter with no
+    measurements or a degenerate update keeps its predicted state, tagged
+    'ekf-skip'; a non-finite state aborts.
 
-    The frame loop does only the work that reads the filter state. Which
-    rows are measurable is one stream-wide mask, taken once: only upsert
-    changes store.live, so it is taken again, from frame j on, only after a
-    replenish. Yields per frame (j, state, then per filter the depleted
-    flag, the count of distinct features measured and the tag)."""
-    known = _measurable(store, stream, gate)
+    A frame's measurable rows are read from the track table when the frame
+    steps, and again after a replenish, so no copy of the table can go
+    stale. Yields per frame (j, state, then per filter the depleted flag,
+    the count of distinct features measured and the tag)."""
+
+    def measurable(frame):
+        live = store.live[frame.rows]
+        return live if gate is None else live & gate[frame.span]
+
     for j in range(2, len(frames)):
         poses, frame = state.x[:, :6], frames[j]
         state = ekf.pose_predict(state)
-        keep = known[frame.span]
+        keep = measurable(frame)
         depleted = _feature_counts(store, frame.rows[keep]) < pcfg.redetect_threshold
         if depleted.any():
             replenish(j - 1, depleted, poses)
-            known[frame.span.start:] = _measurable(store, stream, gate, frame.span.start)
-            keep = known[frame.span]
+            keep = measurable(frame)
         rows = frame.rows[keep]
         batch = ekf.measure(state.x, cams, rows, frame.uv[keep], frame.seg[keep], store.means[rows])
         state, skipped = ekf.pose_update(state, batch, cams)
@@ -400,7 +396,7 @@ def run_stereo_sequence(
     series.methods.append("lowe" if truth is None else "ideal-seed")
     series.diagnostics.append({"features": int(mask.sum())})
 
-    for j, state, depleted, count, methods in _steps(state, stream, frames, cams, store, pcfg,
+    for j, state, depleted, count, methods in _steps(state, frames, cams, store, pcfg,
                                                     retriangulate, gate):
         series.x[j] = state.x[0, :6]
         series.methods.append(methods[0])
@@ -427,7 +423,7 @@ def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
     cams = CameraStack.centered(intr, np.arange(n_chains))
-    stream, frames, n_features = _compact_ids(obs, cams.body)
+    _, frames, n_features = _compact_ids(obs, cams.body)
     store = _TrackTable(n_features, n_chains)
     if scene is not None:   # each frame-0 row's true point in its camera
         true0 = view_points(scene[obs.ids[frames[0].span]], rot_from_angles(np.zeros((1, 3))),
@@ -458,8 +454,7 @@ def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
         for k in np.flatnonzero(depleted):
             _redetect(store, _camera(frames[j], k), poses[k], intr[k], pcfg, tuning)
 
-    for j, state, depleted, count, methods in _steps(state, stream, frames, cams, store, pcfg,
-                                                    redetect):
+    for j, state, depleted, count, methods in _steps(state, frames, cams, store, pcfg, redetect):
         locals_.append(state.x[:, :6].copy())
         diags.append([{"redetected": r, "features": c, "method": m}
                       for r, c, m in zip(depleted, count, methods)])

@@ -200,11 +200,12 @@ def render_sequence(
     for every camera at once: one float32 product of the cameras' frustum
     rows with the transposed scene, tested with a one-pixel margin and a
     slack that is 30 times the product's worst rounding, keeps a superset of
-    the visible points as flat (camera, point) indices. Consecutive frames
-    gather into blocks of at most BLOCK_ROWS candidates, and each block's
-    candidates go through the exact kernel, in one call over a camera stack
-    with one segment per (frame, camera), and through the exact test, so the
-    output is the same, bit for bit, as projecting every point.
+    the visible points as flat (frame, camera, point) indices. Consecutive
+    frames gather into blocks of at most BLOCK_ROWS candidates, and each
+    block's candidates go through the exact kernel and the exact test, so
+    the output is the same, bit for bit, as projecting every point. One
+    camera stack, with a segment per (frame, camera), places the cull and
+    every exact pass.
 
     Noise is added after the visibility test from one generator seeded by
     noise_seed (seed 0 when None), in one (N, 2) draw for the N visible
@@ -216,47 +217,48 @@ def render_sequence(
     n_frames, n_cams, n_points = len(traj), len(cameras), len(scene)
     rng = np.random.default_rng(0 if noise_seed is None else noise_seed)
 
+    # segment j * n_cams + k of the stack is camera k at frame j
     rotations, d = rot_from_angles(traj.x[:, 3:]), traj.x[:, :3]
-    stack = CameraStack.of(cameras, np.zeros(n_cams, dtype=int))
+    stack = CameraStack.of(cameras * n_frames, np.arange(n_frames).repeat(n_cams))
     size = np.tile([[c.intrinsics.width, c.intrinsics.height] for c in cameras], (n_frames, 1))
-    centers, orients = camera_placement(rotations[:, None], d[:, None], stack)
-    rows = np.stack([_frustum_rows(c.intrinsics) for c in cameras]) @ np.swapaxes(orients, -1, -2)
+    frustum = np.tile([_frustum_rows(c.intrinsics) for c in cameras], (n_frames, 1, 1))
+    centers, orients = camera_placement(rotations[stack.body], d[stack.body], stack)
+    rows = frustum @ np.swapaxes(orients, -1, -2)
     # For a world row f, point M and camera center C, the float32 cull errs by
     # at most 5u |f|_1 |M| + u |f|_1 |C| (u = 2^-24; inputs, product and
     # bound rounded), under 3.2e-7 |f|_1 (|M| + |C|).
     reach = np.linalg.norm(scene, axis=1).max(initial=0.0)
     slack = 1e-5 * np.abs(rows).sum(axis=-1) * (reach + np.linalg.norm(centers, axis=-1))[..., None]
     bounds = ((rows @ centers[..., None])[..., 0] - slack).astype(np.float32)
-    rows = rows.astype(np.float32)
+    rows = rows.astype(np.float32).reshape(n_frames, n_cams * 4, 3)
+    bounds = bounds.reshape(n_frames, n_cams * 4, 1)
     scene_t = np.ascontiguousarray(scene.T, dtype=np.float32)
     dots = np.empty((n_cams * 4, n_points), dtype=np.float32)
     inside = np.empty(dots.shape, dtype=bool)
 
-    ids, uv, sizes = [], [], np.zeros(n_frames * n_cams, dtype=np.int64)
+    ids, uv, sizes = [], [], np.zeros(len(stack.body), dtype=np.int64)
 
-    def exact(lo, hi, block):
-        """The exact pass over the candidates of frames lo..hi-1, whose flat
-        indices count from frame lo, and the visibility test: segment
-        (j - lo) * n_cams + k of the pass is camera k at frame j."""
+    def exact(block):
+        """The exact pass over a block's candidates, keyed by (segment,
+        point), and the visibility test."""
         seg, pts = np.divmod(np.concatenate(block), n_points)
-        part = CameraStack.of(cameras * (hi - lo), np.arange(hi - lo).repeat(n_cams))
-        _, pix, front, _, (seg, *_) = view_points(scene[pts], rotations[lo:hi], d[lo:hi], part, seg)
+        _, pix, front, _, (seg, *_) = view_points(scene[pts], rotations, d, stack, seg)
         visible = ((pix >= 0) & (pix < size[seg])).all(axis=1)
-        sizes[lo * n_cams:hi * n_cams] += np.bincount(seg[visible], minlength=(hi - lo) * n_cams)
+        sizes[:] += np.bincount(seg[visible], minlength=len(sizes))
         ids.append(pts[front][visible])
         uv.append(pix[visible])
 
-    block, lo = [], 0
+    block = []
     for j in range(n_frames):
-        np.matmul(rows[j].reshape(-1, 3), scene_t, out=dots)
-        np.greater_equal(dots, bounds[j].reshape(-1, 1), out=inside)
+        np.matmul(rows[j], scene_t, out=dots)
+        np.greater_equal(dots, bounds[j], out=inside)
         flat = np.flatnonzero(inside.reshape(n_cams, 4, -1).all(axis=1))
         if block and sum(map(len, block)) + len(flat) > BLOCK_ROWS:
-            exact(lo, j, block)
-            block, lo = [], j
-        # (frame, camera, point) from frame lo, camera-major with ascending ids
-        block.append(flat + (j - lo) * n_cams * n_points)
-    exact(lo, n_frames, block)
+            exact(block)
+            block = []
+        # (frame, camera, point), camera-major with ascending ids
+        block.append(flat + j * n_cams * n_points)
+    exact(block)
     ids = np.concatenate(ids)
     if noise_sigma > 0:
         noise = rng.normal(0.0, noise_sigma, (len(ids), 2))

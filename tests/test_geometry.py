@@ -320,10 +320,19 @@ def test_default_rigs_satisfy_invariants():
 
 
 def test_rig_json_roundtrip(tmp_path):
-    # Both default rigs read back as written: the same file when written
-    # again, the same displacements and intrinsics, and the rotations
-    # rebuilt from their angles.
-    for rig in (default_overlap_rig(), default_nonoverlap_rig()):
+    # Both default rigs, and a rig whose cameras differ from the default
+    # intrinsics and from each other, read back as written: the same file
+    # when written again, the same displacements and intrinsics, and the
+    # rotations rebuilt from their angles.
+    own = CameraRig(cameras=[
+        Camera(D=np.zeros(3), R=np.eye(3),
+               intrinsics=Intrinsics(fx=1024.0, fy=980.5, cx=400.0, cy=300.0,
+                                     width=800, height=600)),
+        Camera(D=np.array([0.2, 0.0, 0.0]), R=rot_y(0.3),
+               intrinsics=Intrinsics(fx=512.0, fy=512.0, cx=160.0, cy=120.0,
+                                     width=320, height=240)),
+    ], layout="non-overlapping")
+    for rig in (default_overlap_rig(), default_nonoverlap_rig(), own):
         path, again = tmp_path / "rig.json", tmp_path / "again.json"
         write_rig(path, rig)
         back = read_rig(path)

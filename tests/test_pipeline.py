@@ -557,48 +557,6 @@ def run_layout(layout, frames, rig, **kwargs):
     return run_nonoverlap_sequence(frames, rig, **kwargs)
 
 
-@pytest.mark.parametrize("layout,threshold", [("stereo", 64), ("nonoverlap", 33)])
-def test_measurable_rows_taken_once_equal_rows_taken_at_every_frame(monkeypatch, layout,
-                                                                    threshold):
-    # The stepper takes its stream-wide mask of measurable rows once and
-    # again, from frame j on, after each replenish at frame j - 1. With most
-    # frames but not all replenishing, a run whose mask is read from the
-    # track table at every frame gives the same bytes, so a missed refresh
-    # (or one over too few rows) shows.
-    from rigpose import pipeline
-
-    rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
-    _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=30, noise_sigma=0.5,
-                                             seed=31))
-    pcfg = PipelineConfig(redetect_threshold=threshold)
-    measurable = pipeline._measurable
-
-    class EveryFrame:
-        """The mask as the track table holds it whenever a frame reads it."""
-
-        def __init__(self, *args):
-            self.args = args
-
-        def __getitem__(self, rows):
-            return measurable(*self.args)[rows]
-
-        def __setitem__(self, rows, value):
-            pass
-
-    with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "_measurable",
-                      lambda store, stream, gate=None, start=0: EveryFrame(store, stream, gate))
-        fresh = run_layout(layout, frames, rig, pcfg=pcfg)
-    flag = "retriangulated" if layout == "stereo" else "redetected"
-    replenished = [any(series.diagnostics[j][flag] for name, series in fresh.items()
-                       if name != "RC") for j in range(2, 30)]
-    assert len(replenished) / 2 < sum(replenished) < len(replenished)
-    hoisted = run_layout(layout, frames, rig, pcfg=pcfg)
-    assert list(hoisted) == list(fresh)
-    for name in fresh:
-        assert series_bytes(hoisted[name]) == series_bytes(fresh[name])
-
-
 @pytest.mark.parametrize("layout", ["stereo", "nonoverlap"])
 def test_estimators_give_the_same_bytes_on_a_slice_and_on_its_columns(layout):
     # A slice ranks its ids among the distinct ids of the union stream it was

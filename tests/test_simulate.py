@@ -224,8 +224,11 @@ def test_render_sequence_in_blocks_keeps_the_full_projection_bits(monkeypatch):
     # exact pass: a block ends before the frame that would take it past the
     # budget, and only a frame alone may exceed it. At frame 3 the rig stands
     # 50 m out along x, where no camera faces the scene, so that frame has no
-    # candidates; the last block is shorter than the others. A noisy render
-    # draws its noise in one call.
+    # candidates; the last block is shorter than the others. Every pass uses
+    # the call's one camera stack, segment j * C + k for camera k at frame j.
+    # A frame without candidates adds no row to a pass, so each block is read
+    # from its pass as the frames from its first to its last frame with
+    # candidates. A noisy render draws its noise in one call.
     from rigpose import simulate
 
     cameras = default_overlap_rig().cameras
@@ -235,12 +238,13 @@ def test_render_sequence_in_blocks_keeps_the_full_projection_bits(monkeypatch):
     traj.x[3, 0] = 50.0
     budget = 300
     monkeypatch.setattr(simulate, "BLOCK_ROWS", budget)
-    blocks, draws, exact = [], [], simulate.view_points
+    passes, stacks, draws, exact = [], [], [], simulate.view_points
     default_rng = np.random.default_rng
 
     def view_points_spy(points, rot, d, cams, seg):
-        # the block's frames, and its candidates per frame
-        blocks.append(np.bincount(seg // len(cameras), minlength=len(rot)))
+        # the pass's candidates per frame, over the call's whole frame axis
+        passes.append(np.bincount(seg // len(cameras), minlength=cfg.n_frames))
+        stacks.append(cams)
         return exact(points, rot, d, cams, seg)
 
     class Drawn:
@@ -254,7 +258,8 @@ def test_render_sequence_in_blocks_keeps_the_full_projection_bits(monkeypatch):
     monkeypatch.setattr(simulate, "view_points", view_points_spy)
     for sigma in (0.0, 0.5):
         want = reference_render(scene, traj, cameras, sigma, np.random.SeedSequence(3))
-        blocks.clear()
+        passes.clear()
+        stacks.clear()
         draws.clear()
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "default_rng", lambda *a: Drawn(default_rng(*a)))
@@ -264,14 +269,44 @@ def test_render_sequence_in_blocks_keeps_the_full_projection_bits(monkeypatch):
             for (ids_g, uv_g), (ids_w, uv_w) in zip(frame_got, frame_want, strict=True):
                 np.testing.assert_array_equal(ids_g, ids_w)
                 assert uv_g.shape == uv_w.shape and uv_g.tobytes() == uv_w.tobytes()
-        per_frame = np.concatenate(blocks)
+        spans = [np.flatnonzero(counts)[[0, -1]] for counts in passes]
+        blocks = [counts[lo:hi + 1] for counts, (lo, hi) in zip(passes, spans)]
+        per_frame = np.sum(passes, axis=0)
+        # the passes take the frames in order, each frame in one pass
+        assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
         assert len(blocks) >= 4 and len(per_frame) == cfg.n_frames
         assert per_frame[3] == 0 and per_frame.sum() > 0
         assert len(blocks[-1]) < max(map(len, blocks))
+        assert all(cams is stacks[0] for cams in stacks)
+        assert len(stacks[0].body) == cfg.n_frames * len(cameras)
         for block, after in zip(blocks, blocks[1:] + [None]):
             assert block.sum() <= budget or len(block) == 1
             if after is not None:
                 assert block.sum() + after[0] > budget
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_render_sequence_at_the_default_block_budget_keeps_the_full_projection_bits(monkeypatch,
+                                                                                    sigma):
+    # At paper density and the default BLOCK_ROWS the frames fall into at
+    # least three exact passes, each with frames whose segments count from
+    # frame 0 of the call's one camera stack.
+    from rigpose import simulate
+
+    cameras = default_overlap_rig().cameras
+    cfg = small_cfg(n_points=10_000, n_frames=16)
+    scene = gen_scene(cfg, np.random.default_rng(40))
+    traj = gen_trajectory(cfg, np.random.default_rng(41))
+    passes, exact = [], simulate.view_points
+    monkeypatch.setattr(simulate, "view_points",
+                        lambda *args: passes.append(len(args[-1])) or exact(*args))
+    got = render_sequence(scene, traj, cameras, sigma, np.random.SeedSequence(5))
+    assert len(passes) >= 3 and max(passes) <= simulate.BLOCK_ROWS
+    want = reference_render(scene, traj, cameras, sigma, np.random.SeedSequence(5))
+    for frame_got, frame_want in zip(got, want, strict=True):
+        for (ids_g, uv_g), (ids_w, uv_w) in zip(frame_got, frame_want, strict=True):
+            np.testing.assert_array_equal(ids_g, ids_w)
+            assert uv_g.shape == uv_w.shape and uv_g.tobytes() == uv_w.tobytes()
 
 
 def test_sequence_determinism_same_seed():
