@@ -18,7 +18,9 @@ Coordinate conventions used across the package:
 Every placement of world points into rig cameras, and the pinhole after it,
 goes through one kernel, view_points, over a CameraStack: the renderer,
 the EKF measurement model, Lowe's method and the chains' ideal structure
-all share its bits.
+all share its bits. Its inverse, back_project, gives each pixel's center
+and ray through the same stack: stereo triangulation and the chains'
+re-detection place their structure through it.
 
 Angle decomposition is only valid away from |beta| = pi/2; the per-frame
 motion regime of this package stays far inside that bound.
@@ -158,11 +160,6 @@ class Intrinsics:
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise InputError("principal point outside image bounds")
 
-    def k_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass
 class Camera:
@@ -277,14 +274,6 @@ def pinhole_derivatives(p_cam: np.ndarray, dp: np.ndarray, focal: np.ndarray) ->
     return (focal / z)[:, None] * (dp[:2] - (p_cam[:2] / z)[:, None] * dp[2])
 
 
-def back_project(uv: np.ndarray, intr: Intrinsics, depth) -> np.ndarray:
-    """The inverse pinhole: camera-frame points (..., 3) at depth z = depth
-    on the rays of pixels uv (..., 2)."""
-    xn = (uv[..., 0] - intr.cx) / intr.fx
-    yn = (uv[..., 1] - intr.cy) / intr.fy
-    return depth * np.stack([xn, yn, np.ones_like(xn)], axis=-1)
-
-
 def axis_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     """terms summed over one axis that is not their innermost, in index
     order: NumPy adds such an axis term after term, so the bits equal the
@@ -320,6 +309,26 @@ def view_points(points, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
     sf = seg[front]
     at_front = sf, p_cam.compress(front, axis=-1), cams.pinhole.T.take(sf, axis=-1)
     return p_cam.T, _pinhole(*at_front[1:]), front, orient, at_front
+
+
+def back_project(uv: np.ndarray, rot: np.ndarray, d: np.ndarray, cams: CameraStack, seg):
+    """The inverse of view_points: the world-frame center and unit-depth ray,
+    each (N, 3), of pixel uv[i] (N, 2) through camera seg[i] of a CameraStack
+    with the body poses rot (B, 3, 3) and d (B, 3). The pixel's point at
+    depth z is center + z ray.
+
+    The ray is W r for the camera-frame ray r = ((u - cx)/fx, (v - cy)/fy,
+    1) and W from camera_placement: ray_c = sum_i W[c, i] r_i, one
+    broadcast product and one sum over its leading axis, so its bits are
+    those of the written-out three-term sum (tests/reference.py) and do not
+    depend on the rest of the batch.
+    """
+    center, orient = camera_placement(rot[cams.body], d[cams.body], cams)
+    fx, fy, cx, cy = cams.pinhole.T.take(seg, axis=-1)
+    r = np.stack([(uv[:, 0] - cx) / fx, (uv[:, 1] - cy) / fy, np.ones(len(seg))])
+    # component-major, pixels last: w[i, c, n] is W[c, i] of pixel n's camera
+    w = orient.T.take(seg, axis=-1)
+    return center.T.take(seg, axis=-1).T, axis_sum(r[:, None] * w, 0).T
 
 
 # ---------------------------------------------------------------------------

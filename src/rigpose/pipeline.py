@@ -19,25 +19,29 @@ the frame steps.
 Overlapping (stereo) layout: each pair is matched and gated on its
 fundamental matrix once per sequence, as both depend only on the pixels.
 The gate drops a feature from every camera of a frame where some pair's
-match fails it, and each pair's passing matches are kept as pairs of
-stream rows with per-frame bounds. One pose EKF consumes every camera's
-gated pixels; replenishing re-triangulates the previous frame's matches.
+match fails it, and all pairs' passing matches are kept as one array of
+stream-row pairs in (frame, pair, feature) order with per-frame bounds.
+One pose EKF consumes every camera's gated pixels; replenishing
+re-triangulates the previous frame's matches of every pair in one call.
 
 Non-overlapping layout: every camera runs its own monocular chain in its
 own initial frame, with orthographic structure initialization at a
 configured depth, per-feature structure EKFs, a Lowe seed, and a pose EKF;
 the four chains step in lockstep as one stack of filters, and replenishing
-re-detects a chain's untracked features. Their local poses map to body
+re-detects the depleted chains' untracked features in one call. Both
+replenishes place their structure through geometry.back_project on the
+filters' CameraStack. Their local poses map to body
 poses (the per-camera series) in one call per run. The RC series fuses
 them through the rigidity constraints: the per-axis medians of those body
 angles and every frame's scale-factor system are built once per run, and
 each frame then solves its system, carrying the previous scales over a
 degenerate one.
 
-Each filter stack starts one way: frame 0 is its layout's replenish at the
-identity pose (the stereo pairs' triangulation, the chains' re-detection),
-frame 1 is the truth or a Lowe seed from the identity, and that frame-1
-pose seeds the velocity.
+Each filter stack starts one way: frame 0 is its layout's replenish of
+every filter at the identity pose (the stereo pairs' triangulation, the
+chains' re-detection) and one check of each filter's count against
+min_matches, frame 1 is the truth or a Lowe seed from the identity, and
+that frame-1 pose seeds the velocity.
 """
 
 from __future__ import annotations
@@ -202,10 +206,10 @@ _Stream = namedtuple("_Stream", "rows uv seg starts")
 # Views of one frame's rows, pixels and row cameras: camera k is rows
 # at[k]:at[k + 1], and span is where the frame sits in its stream.
 _Frame = namedtuple("_Frame", "rows uv seg at span")
-# A stereo pair's passing matches: ab (M, 2) holds the stream rows of the
-# pair's two cameras per match in (frame, feature) order; frame j is ab
+# Every stereo pair's passing matches: ab (M, 2) holds the stream rows of a
+# match's two cameras in (frame, pair, feature) order; frame j is ab
 # at[j]:at[j + 1].
-_Matches = namedtuple("_Matches", "pair ab at")
+_Matches = namedtuple("_Matches", "ab at")
 
 
 def _compact_ids(obs, body):
@@ -261,31 +265,36 @@ def _keys(stream, at, n: int):
     return key
 
 
-def _stereo_matches(stream, pairs, n: int, tol: float):
-    """Match and gate each stereo pair over a whole stream: one intersection
-    of the pair's (frame, feature) keys and one epipolar_distances call. The
-    rig has one body, so a stream row is its feature's rank; a camera's
-    features are unique in a frame (the observation stream's constructor
-    rejects repeats), in any order. Returns the gate, a mask over the stream
-    rows (a feature failing any pair at a frame leaves every camera of that
-    frame), and each pair's passing matches as _Matches."""
-    failed, matches = [], []
-    frame_keys = np.arange(len(stream.starts), dtype=np.int64) * n
-    for pair in pairs:
-        in_a, in_b = (np.flatnonzero(stream.seg == k) for k in (pair.cam_a, pair.cam_b))
+def _stereo_matches(stream, cams, pairs, n: int, tol: float):
+    """Match and gate each stereo pair (a, b) of cameras of the stack over a
+    whole stream: one intersection of the pair's (frame, feature) keys and
+    one epipolar_distances call on its fundamental matrix. The rig has one
+    body, so a stream row is its feature's rank; a camera's features are
+    unique in a frame (the observation stream's constructor rejects
+    repeats), in any order. Returns the gate, a mask over the stream rows (a
+    feature failing any pair at a frame leaves every camera of that frame),
+    and every pair's passing matches as one _Matches."""
+    failed, passed, frame = [], [], []
+    for a, b in pairs:
+        in_a, in_b = (np.flatnonzero(stream.seg == k) for k in (a, b))
         key, ia, ib = np.intersect1d(_keys(stream, in_a, n), _keys(stream, in_b, n),
                                      assume_unique=True, return_indices=True)
         ab = np.column_stack([in_a[ia], in_b[ib]])
         del in_a, in_b, ia, ib
-        ok = stereo.epipolar_distances(pair.F, stream.uv[ab[:, 0]], stream.uv[ab[:, 1]]) <= tol
-        matches.append(_Matches(pair, ab[ok], np.searchsorted(key[ok], frame_keys)))
+        ok = stereo.epipolar_distances(stereo.fundamental_from_calib(cams, a, b),
+                                       stream.uv[ab[:, 0]], stream.uv[ab[:, 1]]) <= tol
+        passed.append(ab[ok])
+        frame.append(key[ok] // n)
         failed.append(key[~ok])
     failed, bad = np.concatenate(failed), np.zeros(n, dtype=bool)
     bad[failed % n] = True
     at = np.flatnonzero(bad[stream.rows])   # rows of a feature failing at some frame
     gate = np.ones(len(stream.rows), dtype=bool)
     gate[at[np.isin(_keys(stream, at, n), failed)]] = False
-    return gate, matches
+    frame = np.concatenate(frame)
+    order = np.argsort(frame, kind="stable")   # (pair, frame, feature) to (frame, pair, feature)
+    return gate, _Matches(np.concatenate(passed)[order],
+                          np.searchsorted(frame[order], np.arange(len(stream.starts))))
 
 
 def _feature_counts(store: _TrackTable, rows):
@@ -335,18 +344,30 @@ def _steps(state, frames, cams, store, pcfg, replenish, gate=None):
 # Overlapping (stereo) layout
 # ---------------------------------------------------------------------------
 
-def _match_and_triangulate(stream, j, rig: CameraRig, matches, pose, store: _TrackTable) -> int:
-    """Triangulate each stereo pair's passing matches at frame j of the stream
-    (matched and gated once per sequence) with the given pose row, and
-    upsert the results. Returns the number of accepted matches."""
-    accepted = 0
-    for pair, ab, at in matches:
-        a, b = ab[at[j]:at[j + 1]].T
-        if len(a):
-            pts, ok = stereo.triangulate_batch(rig, pose, pair, stream.uv[a], stream.uv[b])
-            store.upsert(stream.rows[a[ok]], pts[ok])
-            accepted += int(ok.sum())
-    return accepted
+def _match_and_triangulate(stream, j, cams, matches, poses, store: _TrackTable) -> None:
+    """Triangulate every stereo pair's passing matches at frame j of the
+    stream (matched and gated once per sequence) in one call, with the body
+    at poses (1, 6), and upsert the valid points. A feature that two pairs
+    triangulate keeps the later pair's point."""
+    a, b = matches.ab[matches.at[j]:matches.at[j + 1]].T
+    pts, ok = stereo.triangulate_batch(poses, cams, stream.seg[a], stream.seg[b],
+                                       stream.uv[a], stream.uv[b])
+    rows, pts = stream.rows[a[ok]], pts[ok]
+    last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
+    store.upsert(rows[last], pts[last])
+
+
+def _start(store: _TrackTable, replenish, names, pcfg):
+    """Frame 0 of either layout: replenish every filter at the identity
+    pose, then check each filter's count of features with structure, named
+    by its entry of names. Returns the counts."""
+    replenish(0, np.ones(len(names), dtype=bool), np.zeros((len(names), 6)))
+    counts = store.live.reshape(len(names), -1).sum(axis=1).tolist()
+    for name, count in zip(names, counts):
+        if count < pcfg.min_matches:
+            raise InsufficientFeatures(f"{name} has {count} features with structure at frame 0 "
+                                       f"(min_matches {pcfg.min_matches})")
+    return counts
 
 
 def run_stereo_sequence(
@@ -367,19 +388,15 @@ def run_stereo_sequence(
     pcfg = pcfg or PipelineConfig()
     cams = CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
     stream, frames, n_features = _compact_ids(obs, cams.body)
-    pairs = [stereo.make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
-    gate, matches = _stereo_matches(stream, pairs, n_features, pcfg.epipolar_tol_px)
+    gate, matches = _stereo_matches(stream, cams, rig.stereo_pairs(), n_features,
+                                    pcfg.epipolar_tol_px)
     store = _TrackTable(n_features)
 
     def retriangulate(j, depleted, poses):
-        _match_and_triangulate(stream, j, rig, matches, poses[0], store)
+        _match_and_triangulate(stream, j, cams, matches, poses, store)
 
-    n_matched = _match_and_triangulate(stream, 0, rig, matches, np.zeros(6), store)
-    if n_matched < pcfg.min_matches:
-        raise InsufficientFeatures(
-            f"frame 0 produced {n_matched} validated matches (< {pcfg.min_matches})"
-        )
-    series = PoseEstimateSeries(np.zeros((len(frames), 6)), ["init"], [{"features": n_matched}])
+    count, = _start(store, retriangulate, ["the stereo filter"], pcfg)
+    series = PoseEstimateSeries(np.zeros((len(frames), 6)), ["init"], [{"features": count}])
     if len(frames) == 1:
         return series
 
@@ -411,15 +428,15 @@ def run_stereo_sequence(
 def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
     """The monocular chains of the given cameras stepped in lockstep as one
     stack of pose filters, each in its camera's own initial frame: frame 0
-    is each chain's re-detection at the identity pose, an orthographic init
+    is every chain's re-detection at the identity pose, an orthographic init
     (a given scene's points, indexed by the stream's ids, are placed first,
-    in each camera at the identity body pose, and leave it nothing to do);
-    then structure EKFs, a Lowe seed from the identity (or local_truth
-    (B, 6)), whose pose also seeds the velocity, a pose EKF, and
-    re-detection of depleted chains. Frame 0, the seeds and re-detections
-    run per chain, all else once per frame. Returns local poses (F, B, 6)
-    and per frame a list of per-chain diagnostics, which from frame 2 on
-    carry the chain's step tag as "method"."""
+    in each camera at the identity body pose, and leave it nothing to do),
+    and a count check naming the camera that starved; then structure EKFs,
+    a Lowe seed from the identity (or local_truth (B, 6)), whose pose also
+    seeds the velocity, a pose EKF, and re-detection of depleted chains.
+    The seeds run per chain, all else once per frame. Returns local poses
+    (F, B, 6) and per frame a list of per-chain diagnostics, which from
+    frame 2 on carry the chain's step tag as "method"."""
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
     cams = CameraStack.centered(intr, np.arange(n_chains))
@@ -431,29 +448,23 @@ def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
                             frames[0].seg)[0]
         store.upsert(frames[0].rows, true0, ekf.initial_structure_covariance(tuning, len(true0)))
 
-    diags, vec1 = [[], []], np.empty((n_chains, 6))
-    for k in range(n_chains):
-        rows0, uv0 = _camera(frames[0], k)
-        if len(rows0) < pcfg.min_matches:
-            raise InsufficientFeatures(f"camera saw {len(rows0)} features at frame 0")
-        _redetect(store, (rows0, uv0), np.zeros(6), intr[k], pcfg, tuning)
-        diags[0].append({"features": len(rows0), "redetected": False})
-        if len(frames) > 1:
-            rows1, uv1 = _camera(frames[1], k)
-            mask = store.live[rows1]
-            vec1[k] = local_truth[k] if local_truth is not None else lowe_pose(
-                store.means[rows1[mask]], uv1[mask], intr[k], np.zeros(6))
-            diags[1].append({"features": int(mask.sum()), "redetected": False})
+    def redetect(j, depleted, poses):
+        _redetect(store, frames[j], depleted, poses, cams, pcfg, tuning)
+
+    counts = _start(store, redetect, [f"camera {k}" for k in range(n_chains)], pcfg)
+    diags = [[{"features": c, "redetected": False} for c in counts], []]
     if len(frames) == 1:
         return np.zeros((1, n_chains, 6)), diags[:1]
+    vec1 = np.empty((n_chains, 6))
+    for k in range(n_chains):
+        rows1, uv1 = _camera(frames[1], k)
+        mask = store.live[rows1]
+        vec1[k] = local_truth[k] if local_truth is not None else lowe_pose(
+            store.means[rows1[mask]], uv1[mask], intr[k], np.zeros(6))
+        diags[1].append({"features": int(mask.sum()), "redetected": False})
     state = ekf.make_pose_filter(vec1, vec1, tuning)  # velocity seed: pose1 - identity
     locals_ = [np.zeros((n_chains, 6)), vec1.copy()]
     _structure_pass(store, frames[1], vec1, cams, tuning)
-
-    def redetect(j, depleted, poses):
-        for k in np.flatnonzero(depleted):
-            _redetect(store, _camera(frames[j], k), poses[k], intr[k], pcfg, tuning)
-
     for j, state, depleted, count, methods in _steps(state, frames, cams, store, pcfg, redetect):
         locals_.append(state.x[:, :6].copy())
         diags.append([{"redetected": r, "features": c, "method": m}
@@ -476,19 +487,20 @@ def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
     store.covs[rows[front]] = covs
 
 
-def _redetect(store: _TrackTable, obs, vec, intr, pcfg, tuning):
-    """Re-detection: orthographically initialize, at the camera pose row vec,
-    every feature of one camera's (rows, pixels) obs that has no live
-    structure. A chain's frame 0 is this at the identity pose, where every
-    row is fresh; a replenish places the previous frame at the pose emitted
-    there. Existing tracks keep their refined estimates."""
-    ids_p, uv_p = obs
-    fresh = ~store.live[ids_p]
+def _redetect(store: _TrackTable, frame, depleted, poses, cams, pcfg, tuning):
+    """Re-detection: orthographically initialize, in one back_project call at
+    the chains' pose rows poses (B, 6), every row of a frame that belongs to
+    a depleted chain and has no live structure, at depth init_depth on its
+    ray. A chain's frame 0 is this at the identity pose, where every row is
+    fresh; a replenish places the previous frame at the poses emitted there.
+    Existing tracks keep their refined estimates."""
+    fresh = depleted[cams.body[frame.seg]] & ~store.live[frame.rows]
     if not fresh.any():
         return
-    cam_pts = back_project(uv_p[fresh], intr, pcfg.init_depth)
-    world_pts = cam_pts @ rot_from_angles(vec[3:6]).T + vec[:3]
-    store.upsert(ids_p[fresh], world_pts, ekf.initial_structure_covariance(tuning, len(cam_pts)))
+    center, ray = back_project(frame.uv[fresh], rot_from_angles(poses[:, 3:]), poses[:, :3], cams,
+                               frame.seg[fresh])
+    store.upsert(frame.rows[fresh], center + pcfg.init_depth * ray,
+                 ekf.initial_structure_covariance(tuning, len(ray)))
 
 
 def run_nonoverlap_sequence(

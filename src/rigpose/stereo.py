@@ -3,19 +3,18 @@ validation, and midpoint triangulation.
 
 The fundamental matrix of a rigidly mounted pair depends only on the fixed
 relative extrinsics, so it is computed once per pair and reused for the
-whole sequence. Triangulation casts rays from the camera placements implied
-by the current pose estimate, keeping structure consistent with the pose.
+whole sequence. Triangulation casts each match's two rays through
+geometry.back_project from the camera placements implied by the current
+pose estimate, keeping structure consistent with the pose: one call takes
+the matches of every pair of a CameraStack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CoincidentCenters
-from .geometry import (MIN_BASELINE, Camera, CameraRig, back_project, camera_placement,
-                       rot_from_angles)
+from .geometry import MIN_BASELINE, CameraStack, axis_sum, back_project, rot_from_angles
 
 # Rays closer to parallel than this angle (radians) cannot be intersected.
 PARALLEL_TOL = 1e-8
@@ -27,34 +26,21 @@ def _skew(v: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass
-class StereoPair:
-    """Cameras a and b of a rig and their fundamental matrix F (3, 3)."""
-
-    cam_a: int
-    cam_b: int
-    F: np.ndarray
-
-
-def fundamental_from_calib(rig: CameraRig, a: int, b: int) -> np.ndarray:
-    """F = K_b^-T [t]x R K_a^-1 from the pair's fixed relative extrinsics:
-    the rank-2 matrix mapping homogeneous pixels of camera a to epipolar
-    lines in camera b, normalized to unit Frobenius norm."""
-    cam_a, cam_b = rig.camera(a), rig.camera(b)
-    if np.linalg.norm(cam_a.D - cam_b.D) < MIN_BASELINE:
+def fundamental_from_calib(cams: CameraStack, a: int, b: int) -> np.ndarray:
+    """F = K_b^-T [t]x R K_a^-1 from the fixed relative extrinsics of cameras
+    a and b of a CameraStack: the rank-2 matrix mapping homogeneous pixels
+    of camera a to epipolar lines in camera b, normalized to unit Frobenius
+    norm."""
+    if np.linalg.norm(cams.D[a] - cams.D[b]) < MIN_BASELINE:
         raise CoincidentCenters(f"cameras {a} and {b} have coincident centers")
-    rel_rot = cam_b.R.T @ cam_a.R
-    rel_t = cam_b.R.T @ (cam_a.D - cam_b.D)
+    rel_rot = cams.R[b].T @ cams.R[a]
+    rel_t = cams.R[b].T @ (cams.D[a] - cams.D[b])
     essential = _skew(rel_t) @ rel_rot
-    k_a_inv = np.linalg.inv(cam_a.intrinsics.k_matrix())
-    k_b_inv = np.linalg.inv(cam_b.intrinsics.k_matrix())
+    k_a_inv, k_b_inv = (np.linalg.inv([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
+                        for fx, fy, cx, cy in cams.pinhole[[a, b]])
     fundamental = k_b_inv.T @ essential @ k_a_inv
     fundamental /= np.linalg.norm(fundamental)
     return fundamental
-
-
-def make_stereo_pair(rig: CameraRig, a: int, b: int) -> StereoPair:
-    return StereoPair(a, b, fundamental_from_calib(rig, a, b))
 
 
 def epipolar_distances(fundamental: np.ndarray, pts_a, pts_b) -> np.ndarray:
@@ -73,36 +59,25 @@ def epipolar_distances(fundamental: np.ndarray, pts_a, pts_b) -> np.ndarray:
     return np.divide(num, norms, out=np.full_like(num, np.inf), where=norms >= 1e-15)
 
 
-def _back_project_rays(rot: np.ndarray, d: np.ndarray, cam: Camera, pixels: np.ndarray):
-    """World-frame camera center and unnormalized ray directions with unit
-    depth along the optical axis (so the ray parameter equals depth)."""
-    center, orient = camera_placement(rot, d, cam)
-    return center, back_project(pixels, cam.intrinsics, 1.0) @ orient.T
-
-
-def triangulate_batch(
-    rig: CameraRig, pose, pair: StereoPair, pts_a, pts_b
-) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint triangulation of matched pixel arrays (N, 2) with the body at
-    the pose row (6,).
+def triangulate_batch(poses, cams: CameraStack, seg_a, seg_b, uv_a, uv_b):
+    """Midpoint triangulation of the matched pixels uv_a and uv_b (N, 2),
+    seen by cameras seg_a and seg_b of a CameraStack whose bodies are at the
+    pose rows poses (B, 6). Every sum is written over a component axis, so
+    a match's point and flag do not depend on the rest of the batch.
 
     Returns (points (N, 3) world frame, valid mask (N,)). Invalid entries
     are near-parallel rays or points with nonpositive depth in either view.
     """
-    pts_a = np.asarray(pts_a, dtype=float).reshape(-1, 2)
-    pts_b = np.asarray(pts_b, dtype=float).reshape(-1, 2)
-    pose = np.asarray(pose, dtype=float)
-    rot = rot_from_angles(pose[3:])
-    c_a, w_a = _back_project_rays(rot, pose[:3], rig.camera(pair.cam_a), pts_a)
-    c_b, w_b = _back_project_rays(rot, pose[:3], rig.camera(pair.cam_b), pts_b)
+    poses = np.asarray(poses, dtype=float)
+    rot, d = rot_from_angles(poses[:, 3:]), poses[:, :3]
+    # component-major centers and rays, (3, N) each
+    c_a, w_a = (v.T for v in back_project(np.reshape(uv_a, (-1, 2)), rot, d, cams, seg_a))
+    c_b, w_b = (v.T for v in back_project(np.reshape(uv_b, (-1, 2)), rot, d, cams, seg_b))
 
     # Least-squares ray parameters: minimize |c_a + s w_a - c_b - t w_b|.
-    waa = np.einsum("ni,ni->n", w_a, w_a)
-    wbb = np.einsum("ni,ni->n", w_b, w_b)
-    wab = np.einsum("ni,ni->n", w_a, w_b)
+    waa, wbb, wab = (axis_sum(u * v, 0) for u, v in ((w_a, w_a), (w_b, w_b), (w_a, w_b)))
     n = c_b - c_a
-    rhs_a = w_a @ n
-    rhs_b = w_b @ n
+    rhs_a, rhs_b = axis_sum(w_a * n, 0), axis_sum(w_b * n, 0)
     det = waa * wbb - wab**2
     # det = |w_a|^2 |w_b|^2 sin^2(theta)
     ok = det > (PARALLEL_TOL**2) * waa * wbb
@@ -110,6 +85,5 @@ def triangulate_batch(
     s = (wbb * rhs_a - wab * rhs_b) / det_safe
     t = (wab * rhs_a - waa * rhs_b) / det_safe
     ok &= (s > 0) & (t > 0)
-    points = 0.5 * (c_a + s[:, None] * w_a + c_b + t[:, None] * w_b)
-    return points, ok
-
+    points = 0.5 * (c_a + s * w_a + c_b + t * w_b)
+    return points.T, ok

@@ -19,10 +19,11 @@ The kernel oracles keep the package's earlier written-out forms, against
 which the reduce-form kernels are checked bit for bit: `axis_rotations`,
 `rotation_reference` and `rotation_derivatives_reference` build Rx, Ry
 and Rz one axis at a time; `view_points_reference`,
-`pose_measurement_rows_reference` and `structure_update_reference` write
-every sum over a component axis as three (or two) separate terms added in
-index order; `trajectory_per_frame` decomposes the walk's rotation into
-Euler angles once per frame.
+`back_project_reference`, `pose_measurement_rows_reference` and
+`structure_update_reference` write every sum over a component axis as
+three (or two) separate terms added in index order;
+`trajectory_per_frame` decomposes the walk's rotation into Euler angles
+once per frame.
 """
 
 import numpy as np
@@ -107,18 +108,19 @@ def stream_of(frames) -> Observations:
 
 def stereo_gate(frames, pairs, tol):
     """Stereo matching and epipolar gating one frame at a time on a raw
-    stream of per-camera (ids, pixels), with each point-line distance from
-    a plain matmul. Per frame: the set of ids that some pair's match fails
-    (they leave every camera of that frame) and, per pair, the (ids, pixels
-    in camera a, pixels in camera b) of its passing matches in id order."""
+    stream of per-camera (ids, pixels), for pairs of (camera a, camera b,
+    fundamental matrix), with each point-line distance from a plain matmul.
+    Per frame: the set of ids that some pair's match fails (they leave
+    every camera of that frame) and, per pair, the (ids, pixels in camera
+    a, pixels in camera b) of its passing matches in id order."""
     out = []
     for frame in frames:
         failed, passing = set(), []
-        for pair in pairs:
-            (ids_a, uv_a), (ids_b, uv_b) = frame[pair.cam_a], frame[pair.cam_b]
+        for cam_a, cam_b, fm in pairs:
+            (ids_a, uv_a), (ids_b, uv_b) = frame[cam_a], frame[cam_b]
             common, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
             pa, pb = np.reshape(uv_a, (-1, 2))[ia], np.reshape(uv_b, (-1, 2))[ib]
-            lines = np.column_stack([pa, np.ones(len(pa))]) @ pair.F.T
+            lines = np.column_stack([pa, np.ones(len(pa))]) @ fm.T
             dist = (np.abs(np.sum(lines * np.column_stack([pb, np.ones(len(pb))]), axis=1))
                     / np.hypot(lines[:, 0], lines[:, 1]))
             failed.update(common[dist > tol].tolist())
@@ -207,6 +209,20 @@ def view_points_reference(points, rot, d, cams, seg):
     pinhole = np.take(cams.pinhole.T, seg[front], axis=-1)
     uv = _pinhole_rows(np.compress(front, p_cam, axis=-1).T, *pinhole)
     return p_cam.T, uv, front, orient
+
+
+def back_project_reference(uv, rot, d, cams, seg):
+    """geometry.back_project with ray_c = W[c, 0] r_0 + W[c, 1] r_1 + W[c, 2] r_2
+    written out for the camera-frame ray r = ((u - cx)/fx, (v - cy)/fy, 1):
+    (center (N, 3), ray (N, 3))."""
+    center, orient = camera_placement(rot[cams.body], d[cams.body], cams)
+    fx, fy, cx, cy = np.take(cams.pinhole.T, seg, axis=-1)
+    r0, r1, r2 = (uv[:, 0] - cx) / fx, (uv[:, 1] - cy) / fy, np.ones(len(seg))
+    w = np.take(orient, seg, axis=0)
+    ray = np.empty((3, len(seg)))
+    for c in range(3):
+        ray[c] = w[:, c, 0] * r0 + w[:, c, 1] * r1 + w[:, c, 2] * r2
+    return np.take(center.T, seg, axis=-1).T, ray.T
 
 
 def pose_measurement_rows_reference(x, cams, seg, points):

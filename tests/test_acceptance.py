@@ -177,7 +177,6 @@ def test_criterion_4_noiseless_exactness():
 
     # (a) project -> triangulate round trip < 1e-9 m
     rig = default_overlap_rig()
-    pair = stereo.make_stereo_pair(rig, 0, 1)
     pose = rng.uniform(-0.02, 0.02, 6)
     points = np.array(
         [[rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.7, 1.0)]
@@ -186,7 +185,9 @@ def test_criterion_4_noiseless_exactness():
     cam_a, cam_b = rig.camera(0), rig.camera(1)
     uv_a = pixels(to_camera(pose, cam_a, points), cam_a.intrinsics)
     uv_b = pixels(to_camera(pose, cam_b, points), cam_b.intrinsics)
-    rec, ok = stereo.triangulate_batch(rig, pose, pair, uv_a, uv_b)
+    rec, ok = stereo.triangulate_batch(pose[None], CameraStack.of(rig.cameras, [0, 0, 0, 0]),
+                                       np.zeros(100, dtype=int), np.ones(100, dtype=int),
+                                       uv_a, uv_b)
     worst_tri = float(np.linalg.norm(rec - points, axis=1).max()) if ok.all() else np.inf
 
     # (b) ground-truth scale system recovers (1,1,1,1) within 1e-9

@@ -66,6 +66,10 @@ def test_tracer_hooks_read_results():
     # Stereo pairs are matched and gated once per sequence: one call per
     # pair of 4cameras (two) and 2cameras (one), not one per frame.
     assert counts["stereo.epipolar_distances.calls"] == 3
+    # Each stereo replenish triangulates every pair's matches in one call,
+    # a frame without matches included: frame 0 of 4cameras and 2cameras
+    # and each re-triangulation, not one call per pair.
+    assert counts["stereo.triangulate_batch.calls"] == 2 + counts["pipeline.retriangulations"]
 
 
 def test_tracer_reads_the_streams_row_by_row(tmp_path):

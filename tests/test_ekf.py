@@ -39,6 +39,13 @@ def stack(rig):
     return CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
 
 
+def on_ray(uv, intr, depth):
+    # the point (1, 3) at the depth on pixel uv's ray, the camera at the origin
+    center, ray = back_project(np.reshape(uv, (1, 2)), np.eye(3)[None], np.zeros((1, 3)),
+                               CameraStack.centered([intr], [0]), np.zeros(1, dtype=int))
+    return center + depth * ray
+
+
 def single(n):
     return np.zeros(n, dtype=int)
 
@@ -519,7 +526,7 @@ def test_structure_depth_converges_with_parallax():
     pose_b = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
     uv_a = pixels(truth, cam.intrinsics)
     uv_b = pixels(truth - pose_b[:3], cam.intrinsics)
-    m = back_project(uv_a[None], cam.intrinsics, 1.0)  # orthographic init on A's ray
+    m = on_ray(uv_a, cam.intrinsics, 1.0)  # orthographic init on A's ray
     p = initial_structure_covariance(TUNING, 1)
     errors = [abs(m[0, 2] - truth[2])]
     for pose, uv in [(pose_b, uv_b), (pose_a, uv_a)] * 5:
@@ -540,7 +547,7 @@ def test_structure_stationary_camera_depth_stays_uncertain():
     cam = rig.camera(0)
     truth = np.array([0.004, -0.003, 0.8])
     uv = pixels(truth, cam.intrinsics)
-    m = back_project(uv[None], cam.intrinsics, 1.0)
+    m = on_ray(uv, cam.intrinsics, 1.0)
     p = initial_structure_covariance(TUNING, 1)
 
     noisy = uv + rng.normal(0, 0.5, 2)

@@ -192,11 +192,37 @@ def test_back_project_to_depth_plane():
     # The inverse pinhole: pixels to the plane z = depth, and back.
     intr = Intrinsics()
     uv = np.array([[320.0, 240.0], [420.0, 240.0]])
-    pts = back_project(uv, intr, 1.0)
+    center, ray = back_project(uv, np.eye(3)[None], np.zeros((1, 3)),
+                               CameraStack.centered([intr], [0]), np.zeros(2, dtype=int))
+    pts = center + ray
     np.testing.assert_allclose(pts[0], [0.0, 0.0, 1.0])
     np.testing.assert_allclose(pts[1], [0.1, 0.0, 1.0])
     np.testing.assert_allclose(pixels(pts, intr), uv, atol=1e-12)
-    np.testing.assert_allclose(back_project(uv, intr, 2.5), 2.5 * pts)
+    np.testing.assert_allclose(center + 2.5 * ray, 2.5 * pts)
+
+
+@pytest.mark.parametrize("rig", [default_overlap_rig(), default_nonoverlap_rig()],
+                         ids=["overlap", "nonoverlap"])
+def test_back_project_inverts_view_points_at_a_pose(rig):
+    # Each pixel's point at its camera-frame depth, on its ray through the
+    # rig camera at the body pose, is the world point that view_points saw.
+    rng = np.random.default_rng(31)
+    cams = CameraStack.of(rig.cameras, [0, 1, 0, 1])
+    poses = rng.uniform(-0.3, 0.3, (2, 6))
+    seg = rng.integers(0, 4, 500)
+    rot = rot_from_angles(poses[:, 3:])
+    local = np.column_stack([rng.uniform(-0.3, 0.3, (500, 2)), rng.uniform(0.5, 3.0, 500)])
+    center, ray = back_project(np.zeros((0, 2)), rot, poses[:, :3], cams, seg[:0])
+    assert center.shape == ray.shape == (0, 3)
+    body = rot[cams.body[seg]]
+    w = body @ cams.R[seg]   # each pixel's camera-to-world orientation
+    points = (poses[cams.body[seg], :3] + (body @ cams.D[seg][..., None])[..., 0]
+              + (w @ local[..., None])[..., 0])
+    p_cam, uv, front, *_ = view_points(points, rot, poses[:, :3], cams, seg)
+    assert front.all()
+    center, ray = back_project(uv, rot, poses[:, :3], cams, seg)
+    np.testing.assert_allclose(np.einsum("nij,ni->nj", w, ray)[:, 2], 1.0, rtol=1e-14)
+    np.testing.assert_allclose(center + p_cam[:, 2:] * ray, points, atol=1e-12)
 
 
 def test_equivalent_rotation_identity_basis():

@@ -1,7 +1,8 @@
 """The reduce-form kernels against their written-out forms, bit for bit.
 
-Every sum over a component axis in the placement, measurement and
-structure kernels is one broadcast product and one axis sum; the
+Every sum over a component axis in the placement, back-projection,
+measurement and structure kernels is one broadcast product and one axis
+sum; the
 references in reference.py add the same terms one by one. Bits are
 compared as bytes, so a -0.0 where the written-out form gives -0.0 counts,
 and the outputs must come in the references' memory layout.
@@ -12,6 +13,7 @@ import pytest
 
 from reference import (
     axis_rotations,
+    back_project_reference,
     pose_measurement_rows_reference,
     rotation_derivatives_reference,
     rotation_reference,
@@ -31,6 +33,7 @@ from rigpose.ekf import (
 from rigpose.geometry import (
     Z_MIN,
     CameraStack,
+    back_project,
     default_nonoverlap_rig,
     default_overlap_rig,
     rot_from_angles,
@@ -116,6 +119,21 @@ def test_reduce_kernels_have_the_written_out_bits(stack, n):
     for got, want in zip(structure_update_batch(points, covs, uv, x, cams, seg, 0.25),
                          structure_update_reference(points, covs, uv, x, cams, seg, 0.25)):
         assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 2000])
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_back_project_has_the_written_out_bits(stack, n):
+    # n = 0: a frame without stereo matches still triangulates, empty.
+    cams, n_filters = STACKS[stack]()
+    x, seg, _, uv, _ = kernel_inputs(cams, n_filters, n,
+                                     np.random.default_rng([ord(stack[0]), n, 2]))
+    got = back_project(uv, rot_from_angles(x[:, 3:6]), x[:, :3], cams, seg)
+    want = back_project_reference(uv, rotation_reference(x[:, 3:6]), x[:, :3], cams, seg)
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.shape == (n, 3)
+        assert_same_bits(g, w)
 
 
 def test_reduce_kernels_keep_a_negative_zero():

@@ -45,30 +45,48 @@ from rigpose.simulate import (
 )
 
 
+def rig_stack(rig):
+    # every camera of the rig on one body, as the stereo filter holds them
+    return CameraStack.of(rig.cameras, np.zeros(len(rig), dtype=int))
+
+
+def stereo_pairs(rig):
+    """(camera a, camera b, fundamental matrix) of each stereo pair."""
+    from rigpose.stereo import fundamental_from_calib
+
+    return [(a, b, fundamental_from_calib(rig_stack(rig), a, b)) for a, b in rig.stereo_pairs()]
+
+
 def compact_and_match(frames, rig, pcfg=None):
     """A stereo stream, or its per-frame lists, compacted, matched and gated
     as run_stereo_sequence does it: (stream, frame views, n features, pairs,
     gate, matches)."""
     from rigpose.pipeline import _compact_ids, _stereo_matches
-    from rigpose.stereo import make_stereo_pair
 
     stream, compact, n_features = _compact_ids(stream_of(frames), np.zeros(len(rig), dtype=int))
-    pairs = [make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
     tol = (pcfg or PipelineConfig()).epipolar_tol_px
-    gate, matches = _stereo_matches(stream, pairs, n_features, tol)
-    return stream, compact, n_features, pairs, gate, matches
+    gate, matches = _stereo_matches(stream, rig_stack(rig), rig.stereo_pairs(), n_features, tol)
+    return stream, compact, n_features, stereo_pairs(rig), gate, matches
 
 
-def matched_pairs(stream, match, j):
-    """A pair's matched (rows, pixels in camera a, pixels in camera b) at
-    frame j, in row order."""
-    a, b = match.ab[match.at[j]:match.at[j + 1]].T
-    assert np.all(stream.seg[a] == match.pair.cam_a) and np.all(stream.seg[b] == match.pair.cam_b)
+def matched_pairs(stream, matches, pairs, j):
+    """Each pair's matched (rows, pixels in camera a, pixels in camera b) at
+    frame j, in row order. The frame's matches hold the pairs one after
+    another, in pair order."""
+    a, b = matches.ab[matches.at[j]:matches.at[j + 1]].T
+    index = {cam_a: i for i, (cam_a, _, _) in enumerate(pairs)}
+    pair = np.array([index[k] for k in stream.seg[a].tolist()], dtype=int)
+    assert np.all(np.diff(pair) >= 0)
     assert np.all((stream.starts[j] <= a) & (a < stream.starts[j + 1]))
     assert np.all((stream.starts[j] <= b) & (b < stream.starts[j + 1]))
     np.testing.assert_array_equal(stream.rows[a], stream.rows[b])
-    assert np.all(np.diff(stream.rows[a]) > 0)
-    return stream.rows[a], stream.uv[a], stream.uv[b]
+    out = []
+    for i, (_, cam_b, _) in enumerate(pairs):
+        a_i, b_i = a[pair == i], b[pair == i]
+        assert np.all(stream.seg[b_i] == cam_b)
+        assert np.all(np.diff(stream.rows[a_i]) > 0)
+        out.append((stream.rows[a_i], stream.uv[a_i], stream.uv[b_i]))
+    return out
 
 
 def render_run(rig, cfg, traj=None, seed_index=0):
@@ -350,7 +368,7 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
     pose = series.x[j - 1]
     stream, compact, n_features, _, _, matches = compact_and_match(frames, rig, pcfg)
     store = _TrackTable(n_features)
-    _match_and_triangulate(stream, j - 1, rig, matches, pose, store)
+    _match_and_triangulate(stream, j - 1, rig_stack(rig), matches, pose[None], store)
     residuals = []
     for k in range(len(rig.cameras)):
         ids, uv = _camera(compact[j - 1], k)
@@ -407,8 +425,29 @@ def test_stereo_requires_enough_initial_features():
     frames = stream_of([[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 4])
     from rigpose.errors import InsufficientFeatures
 
-    with pytest.raises(InsufficientFeatures):
+    # each pair sees features 0 and 1 at one pixel in both cameras: parallel
+    # rays, so no match triangulates
+    with pytest.raises(InsufficientFeatures,
+                       match=r"the stereo filter has 0 features with structure at frame 0 "
+                             r"\(min_matches 4\)"):
         run_stereo_sequence(frames, rig)
+
+
+def test_nonoverlap_names_the_camera_without_enough_initial_features():
+    # Camera 2 keeps 3 of its frame-0 features: the start names it, its
+    # count and min_matches, though the cameras before it have enough.
+    from rigpose.errors import InsufficientFeatures
+
+    rig = default_nonoverlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
+    frames = [list(frame) for frame in frames]
+    ids, uv = frames[0][2]
+    frames[0][2] = (ids[:3], uv[:3])
+    assert all(len(ids) >= 4 for ids, _ in frames[0][:2])
+    with pytest.raises(InsufficientFeatures,
+                       match=r"camera 2 has 3 features with structure at frame 0 "
+                             r"\(min_matches 4\)"):
+        run_nonoverlap_sequence(stream_of(frames), rig)
 
 
 def test_sequences_reject_frames_without_an_entry_per_camera():
@@ -846,13 +885,13 @@ def test_stereo_matches_on_shuffled_rows_equal_the_default_intersection(tmp_path
     tol = PipelineConfig().epipolar_tol_px
     for j, frame in enumerate(compact):
         failed = []
-        for pair, match in zip(pairs, matches):
-            ids_a, uv_a = _camera(frame, pair.cam_a)
-            ids_b, uv_b = _camera(frame, pair.cam_b)
+        passing = matched_pairs(stream, matches, pairs, j)
+        for (cam_a, cam_b, fm), (rows, pa, pb) in zip(pairs, passing):
+            ids_a, uv_a = _camera(frame, cam_a)
+            ids_b, uv_b = _camera(frame, cam_b)
             assert np.any(np.diff(ids_a) < 0) and np.any(np.diff(ids_b) < 0)
             ref, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
-            dist = st.epipolar_distances(pair.F, uv_a[ia], uv_b[ib])
-            rows, pa, pb = matched_pairs(stream, match, j)
+            dist = st.epipolar_distances(fm, uv_a[ia], uv_b[ib])
             assert len(rows) > 0
             np.testing.assert_array_equal(rows, ref[dist <= tol])
             np.testing.assert_array_equal(pa, uv_a[ia][dist <= tol])
@@ -912,8 +951,8 @@ def assert_gate_matches_reference(frames, rig):
         for k, (ids, _) in enumerate(frame):
             kept = gate[view.span][view.at[k]:view.at[k + 1]]
             np.testing.assert_array_equal(kept, [int(f) not in failed for f in ids])
-        for match, (ids, pa, pb) in zip(matches, passing):
-            rows, uv_a, uv_b = matched_pairs(stream, match, j)
+        for (rows, uv_a, uv_b), (ids, pa, pb) in zip(matched_pairs(stream, matches, pairs, j),
+                                                     passing):
             np.testing.assert_array_equal(id_of_row[rows], ids)
             np.testing.assert_array_equal(uv_a, pa)
             np.testing.assert_array_equal(uv_b, pb)
@@ -959,10 +998,9 @@ def test_feature_failing_one_pair_drops_from_every_camera_of_that_frame_only():
     # epipolar line by 10 px while the back pair still passes it: p drops
     # from all four cameras at frame 1 and stays in all four at frames 0, 2.
     from reference import stereo_gate
-    from rigpose.stereo import make_stereo_pair
 
     rig, frames = _rendered_stereo_frames()
-    pairs = [make_stereo_pair(rig, a, b) for a, b in rig.stereo_pairs()]
+    pairs = stereo_pairs(rig)
     ref = stereo_gate(frames, pairs, PipelineConfig().epipolar_tol_px)
     front = set.intersection(*(set(passing[0][0].tolist()) for _, passing in ref))
     back = set.intersection(*(set(passing[1][0].tolist()) for _, passing in ref))
@@ -974,7 +1012,7 @@ def test_feature_failing_one_pair_drops_from_every_camera_of_that_frame_only():
             frame[k] = (np.where(ids == q, p, ids), uv)
     ids, uv = frames[1][1]
     uv_a = frames[1][0][1][frames[1][0][0] == p][0]
-    line = pairs[0].F @ [uv_a[0], uv_a[1], 1.0]
+    line = pairs[0][2] @ [uv_a[0], uv_a[1], 1.0]
     uv[ids == p] += 10.0 * line[:2] / np.hypot(line[0], line[1])
 
     ref = stereo_gate(frames, pairs, PipelineConfig().epipolar_tol_px)
@@ -984,6 +1022,42 @@ def test_feature_failing_one_pair_drops_from_every_camera_of_that_frame_only():
         seen = np.concatenate([ids for ids, _ in frame]) == p
         assert np.count_nonzero(seen) == 4
         assert np.all(gate[compact[j].span][seen] == (j != 1))
+
+
+def test_two_pairs_triangulating_one_feature_keep_the_later_pairs_point():
+    # The back pair of this rig faces forward too, so both pairs match and
+    # triangulate the features all four cameras see at frame 0, each pair
+    # to its own noisy point.
+    # One triangulation call takes both pairs' matches; the table keeps the
+    # later pair's point, as upserting pair after pair does, and the earlier
+    # pair's point where only it triangulates the feature.
+    from rigpose.geometry import Camera, CameraRig
+    from rigpose.pipeline import _match_and_triangulate, _TrackTable
+    from rigpose.stereo import triangulate_batch
+
+    rig = CameraRig([Camera(np.zeros(3), np.eye(3)), Camera([0.1, 0.0, 0.0], np.eye(3)),
+                     Camera([0.0, 0.0, -0.1], np.eye(3)), Camera([0.1, 0.0, -0.1], np.eye(3))],
+                    layout="overlapping")
+    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=2, noise_sigma=0.5, seed=23))
+    stream, _, n_features, pairs, _, matches = compact_and_match(frames, rig)
+    cams, poses = rig_stack(rig), np.zeros((1, 6))
+    store = _TrackTable(n_features)
+    _match_and_triangulate(stream, 0, cams, matches, poses, store)
+
+    want, per_pair = _TrackTable(n_features), []
+    a, b = matches.ab[matches.at[0]:matches.at[1]].T
+    for cam_a, _, _ in pairs:
+        a_i, b_i = a[stream.seg[a] == cam_a], b[stream.seg[a] == cam_a]
+        pts, ok = triangulate_batch(poses, cams, stream.seg[a_i], stream.seg[b_i],
+                                    stream.uv[a_i], stream.uv[b_i])
+        want.upsert(stream.rows[a_i[ok]], pts[ok])
+        per_pair.append(dict(zip(stream.rows[a_i[ok]].tolist(), pts[ok])))
+    both = sorted(per_pair[0].keys() & per_pair[1].keys())
+    assert len(both) >= 20
+    assert all(per_pair[0][r].tobytes() != per_pair[1][r].tobytes() for r in both)
+    np.testing.assert_array_equal(store.live, want.live)
+    assert store.means.tobytes() == want.means.tobytes()
+    assert store.means[both].tobytes() == np.array([per_pair[1][r] for r in both]).tobytes()
 
 
 def test_poses_and_truth_csv_roundtrip(tmp_path):

@@ -186,7 +186,9 @@ def test_render_sequence_matches_full_projection():
         (ids, uv), *_ = render_sequence(border, STILL, cameras, 0.0)[0]
         np.testing.assert_array_equal(ids, [0, 1, 2, 4])
         assert uv[0, 0] == 0.0 and uv[1, 1] == 0.0 and uv[2, 0] == 640.0 - 2.0**-30
-        border = np.vstack([border, back_project(near, intr, rng.uniform(0.05, 50.0, (400, 1)))])
+        center, ray = back_project(near, np.eye(3)[None], np.zeros((1, 3)),
+                                   CameraStack.centered([intr], [0]), np.zeros(400, dtype=int))
+        border = np.vstack([border, center + rng.uniform(0.05, 50.0, (400, 1)) * ray])
         for inner, outer in [(0.05, 0.2), (5.0, 50.0)]:
             cfg = SimConfig(n_points=3000, shell_inner=inner, shell_outer=outer, n_frames=8,
                             rot_max=0.2, trans_max=0.1 * outer)

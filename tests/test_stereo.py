@@ -4,6 +4,8 @@ import pytest
 from reference import pixels, to_camera
 from rigpose.errors import CoincidentCenters
 from rigpose.geometry import (
+    CameraStack,
+    back_project,
     camera_placement,
     default_overlap_rig,
     rot_from_angles,
@@ -11,9 +13,27 @@ from rigpose.geometry import (
 from rigpose.stereo import (
     epipolar_distances,
     fundamental_from_calib,
-    make_stereo_pair,
     triangulate_batch,
 )
+
+
+def stack(rig):
+    # every camera of the rig on one body
+    return CameraStack.of(rig.cameras, np.zeros(len(rig), dtype=int))
+
+
+class Pair:
+    """Cameras a and b of a rig and their fundamental matrix F."""
+
+    def __init__(self, rig, a, b):
+        self.rig, self.cam_a, self.cam_b = rig, a, b
+        self.F = fundamental_from_calib(stack(rig), a, b)
+
+    def triangulate(self, pose, uv_a, uv_b):
+        # triangulate_batch on matches of this pair, the body at the pose row
+        n = len(uv_a)
+        return triangulate_batch(np.asarray(pose, dtype=float)[None], stack(self.rig),
+                                 np.full(n, self.cam_a), np.full(n, self.cam_b), uv_a, uv_b)
 
 
 def project_pair(rig, pose, pair, point):
@@ -34,7 +54,7 @@ def distance(fm, p_a, p_b) -> float:
 
 
 def triangulate(rig, pose, pair, p_a, p_b):
-    points, ok = triangulate_batch(rig, pose, pair, [p_a], [p_b])
+    points, ok = pair.triangulate(pose, [p_a], [p_b])
     assert ok[0]
     return points[0]
 
@@ -42,7 +62,7 @@ def triangulate(rig, pose, pair, p_a, p_b):
 def test_fundamental_epipolar_residual_noiseless():
     # Calibration consistency over 1000 random points visible to the pair.
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     rng = np.random.default_rng(0)
     pose = np.zeros(6)
     pts_a, pts_b = [], []
@@ -61,7 +81,7 @@ def test_fundamental_epipolar_residual_noiseless():
 def test_fundamental_rank_two_and_unit_norm():
     rig = default_overlap_rig()
     for a, b in rig.stereo_pairs():
-        fm = fundamental_from_calib(rig, a, b)
+        fm = fundamental_from_calib(stack(rig), a, b)
         assert fm.shape == (3, 3)
         sv = np.linalg.svd(fm, compute_uv=False)
         assert sv[2] < 1e-10 * sv[0]
@@ -71,12 +91,12 @@ def test_fundamental_rank_two_and_unit_norm():
 def test_fundamental_coincident_centers():
     rig = default_overlap_rig()
     with pytest.raises(CoincidentCenters):
-        fundamental_from_calib(rig, 0, 0)
+        fundamental_from_calib(stack(rig), 0, 0)
 
 
 def test_epipolar_distance_exact_correspondence_is_zero():
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     uv_a, uv_b = project_pair(rig, np.zeros(6), pair, np.array([0.1, -0.05, 0.9]))
     assert distance(pair.F, uv_a, uv_b) < 1e-9
 
@@ -84,7 +104,7 @@ def test_epipolar_distance_exact_correspondence_is_zero():
 def test_epipolar_distance_perpendicular_displacement():
     # Displace p_b by exactly 2 px along the epipolar line's normal.
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     uv_a, uv_b = project_pair(rig, np.zeros(6), pair, np.array([0.05, 0.02, 0.85]))
     line = pair.F @ np.array([uv_a[0], uv_a[1], 1.0])
     normal = np.array([line[0], line[1]]) / np.hypot(line[0], line[1])
@@ -94,7 +114,7 @@ def test_epipolar_distance_perpendicular_displacement():
 
 def test_epipolar_distance_rejects_outlier_beyond_threshold():
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     uv_a, uv_b = project_pair(rig, np.zeros(6), pair, np.array([0.05, 0.02, 0.85]))
     line = pair.F @ np.array([uv_a[0], uv_a[1], 1.0])
     normal = np.array([line[0], line[1]]) / np.hypot(line[0], line[1])
@@ -107,12 +127,48 @@ def test_epipolar_distances_give_each_match_its_bits_alone():
     rig = default_overlap_rig()
     rng = np.random.default_rng(5)
     for a, b in rig.stereo_pairs():
-        fm = fundamental_from_calib(rig, a, b)
+        fm = fundamental_from_calib(stack(rig), a, b)
         pts_a = rng.uniform([0.0, 0.0], [640.0, 480.0], (2000, 2))
         pts_b = pts_a + rng.normal(0.0, 3.0, (2000, 2))
         whole = epipolar_distances(fm, pts_a, pts_b)
         alone = [epipolar_distances(fm, pts_a[i:i + 1], pts_b[i:i + 1]) for i in range(2000)]
         assert whole.tobytes() == np.concatenate(alone).tobytes()
+
+
+def test_triangulation_gives_each_match_its_bits_alone():
+    # A replenish triangulates every pair's matches of a frame in one call:
+    # each pixel's center and ray, and each match's point and flag, must
+    # get the bits a call on that pixel or match alone gives it. Every
+    # fifth match has its views swapped, so some flags are False.
+    rig = default_overlap_rig()
+    rng = np.random.default_rng(6)
+    pose = rng.uniform(-0.05, 0.05, 6)
+    seg_a, seg_b, uv_a, uv_b = [], [], [], []
+    for a, b in rig.stereo_pairs():
+        pair, sign = Pair(rig, a, b), 1.0 if a == 0 else -1.0
+        for _ in range(300):
+            point = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15),
+                              sign * rng.uniform(0.7, 1.0)])
+            p_a, p_b = project_pair(rig, pose, pair, point)
+            p_a, p_b = p_a + rng.normal(0, 0.5, 2), p_b + rng.normal(0, 0.5, 2)
+            swap = len(uv_a) % 5 == 0
+            uv_a.append(p_b if swap else p_a)
+            uv_b.append(p_a if swap else p_b)
+            seg_a.append(a)
+            seg_b.append(b)
+    seg_a, seg_b, uv_a, uv_b = map(np.array, (seg_a, seg_b, uv_a, uv_b))
+    cams, poses = stack(rig), pose[None]
+    rot = rot_from_angles(poses[:, 3:])
+    center, ray = back_project(uv_a, rot, poses[:, :3], cams, seg_a)
+    points, ok = triangulate_batch(poses, cams, seg_a, seg_b, uv_a, uv_b)
+    assert ok.any() and not ok.all()
+    for i in range(len(uv_a)):
+        one = slice(i, i + 1)
+        alone = back_project(uv_a[one], rot, poses[:, :3], cams, seg_a[one])
+        assert center[i].tobytes() == alone[0][0].tobytes()
+        assert ray[i].tobytes() == alone[1][0].tobytes()
+        point, flag = triangulate_batch(poses, cams, seg_a[one], seg_b[one], uv_a[one], uv_b[one])
+        assert points[i].tobytes() == point[0].tobytes() and ok[i] == flag[0]
 
 
 def test_epipolar_distance_degenerate_line():
@@ -126,7 +182,7 @@ def test_epipolar_distance_degenerate_line():
 
 def test_epipolar_distances_match_scalar():
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     rng = np.random.default_rng(1)
     pts_a, pts_b = [], []
     for _ in range(20):
@@ -141,7 +197,7 @@ def test_epipolar_distances_match_scalar():
 
 def test_triangulate_recovers_point_noiseless():
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     point = np.array([0.2, -0.1, 0.8])
     uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
     rec = triangulate(rig, np.zeros(6), pair, uv_a, uv_b)
@@ -150,7 +206,7 @@ def test_triangulate_recovers_point_noiseless():
 
 def test_triangulate_under_nontrivial_pose():
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 2, 3)
+    pair = Pair(rig, 2, 3)
     pose = np.array([0.03, -0.02, 0.01, 0.04, -0.03, 0.02])
     point = np.array([-0.1, 0.05, -0.85])
     uv_a, uv_b = project_pair(rig, pose, pair, point)
@@ -161,7 +217,7 @@ def test_triangulate_under_nontrivial_pose():
 def test_triangulate_symmetric_configuration():
     # Point on the perpendicular bisector plane of the baseline.
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     point = np.array([0.05, 0.0, 0.9])  # x = baseline/2
     uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
     rec = triangulate(rig, np.zeros(6), pair, uv_a, uv_b)
@@ -173,27 +229,27 @@ def test_triangulate_symmetric_configuration():
 def test_triangulate_parallel_rays_at_epipole():
     # Both pixels looking along the baseline direction: collinear rays.
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     intr = rig.camera(0).intrinsics
     # baseline is +x; a pixel far along +x approximates the epipole direction
     epipole = [intr.cx + intr.fx * 1e9, intr.cy]
-    _, ok = triangulate_batch(rig, np.zeros(6), pair, [epipole], [epipole])
+    _, ok = pair.triangulate(np.zeros(6), [epipole], [epipole])
     assert not ok[0]
 
 
 def test_triangulate_behind_camera():
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     # Swap the two views: the intersection lands behind both cameras.
     point = np.array([0.05, 0.0, 0.9])
     uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
-    _, ok = triangulate_batch(rig, np.zeros(6), pair, [uv_b], [uv_a])
+    _, ok = pair.triangulate(np.zeros(6), [uv_b], [uv_a])
     assert not ok[0]
 
 
 def test_triangulate_batch_matches_scalar():
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     rng = np.random.default_rng(2)
     pts = np.stack(
         [rng.uniform(-0.2, 0.2, 30), rng.uniform(-0.15, 0.15, 30), rng.uniform(0.7, 1.0, 30)],
@@ -202,14 +258,14 @@ def test_triangulate_batch_matches_scalar():
     uvs = [project_pair(rig, np.zeros(6), pair, p) for p in pts]
     uv_a = np.array([u[0] for u in uvs])
     uv_b = np.array([u[1] for u in uvs])
-    rec, ok = triangulate_batch(rig, np.zeros(6), pair, uv_a, uv_b)
+    rec, ok = pair.triangulate(np.zeros(6), uv_a, uv_b)
     assert ok.all()
     np.testing.assert_allclose(rec, pts, atol=1e-9)
 
 
 def test_reprojection_error_noiseless():
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     rng = np.random.default_rng(3)
     errs = []
     for _ in range(200):
@@ -243,7 +299,7 @@ def brute_force_ray_intersection(rig, pose, pair, uv_a, uv_b):
 def test_noisy_depth_error_against_oracle():
     # 0.5 px noise, ~1 m range, 0.1 m baseline: depth error < 0.05 m for 95%.
     rig = default_overlap_rig()
-    pair = make_stereo_pair(rig, 0, 1)
+    pair = Pair(rig, 0, 1)
     rng = np.random.default_rng(4)
     depth_errors = []
     for _ in range(400):
