@@ -182,8 +182,7 @@ def monte_carlo(
         raise InputError(f"need at least 1 run, got {sim.n_runs}")
     if sim.n_frames < 2:
         raise InputError(f"need at least 2 frames to report errors, got {sim.n_frames}")
-    if workers < 1:
-        raise InputError(f"need at least 1 worker, got {workers!r}")
+    check_number("workers", workers, "int", at_least=1)
     check_number("min_visible", min_visible, "int", at_least=0)
     setup = ExperimentSetup(
         sim=sim,

@@ -7,14 +7,21 @@ diagnostics. Each renumbers the stream's ids to track-table rows in one
 search of the stream's sorted distinct ids (sorted once per run) and steps
 frames through views of its columns.
 
-Both layouts step each frame from frame 2 on in one order: predict; count
-each pose filter's distinct features with live structure at the frame;
-replenish the filters below the tracked-feature threshold from the
-previous frame at the pose emitted there; measure and update once. No
-filter is re-seeded. The frame loop does only the work that reads the
-filter state: everything that depends on the pixels alone is done once per
-sequence, and a frame's measurable rows are read from the track table when
-the frame steps.
+One driver runs every filter stack of either layout, frame by frame.
+Frame 0 replenishes every filter at the identity pose and checks each
+filter's count against min_matches. Frame 1 seeds each filter from the
+truth, or by Lowe's method from the identity on its first camera's
+features, and that pose also seeds the velocity. Each later frame steps in
+one order: predict; count each pose filter's distinct features with live
+structure at the frame; replenish the filters below the tracked-feature
+threshold from the previous frame at the pose emitted there; measure and
+update once. No filter is re-seeded. A layout supplies only its replenish,
+the stereo gate, and the chains' structure pass. Each filter's record
+holds its feature count and its layout's replenish flag (retriangulated or
+redetected) at every frame. The frame loop does only
+the work that reads the filter state: everything that depends on the
+pixels alone is done once per sequence, and a frame's measurable rows are
+read from the track table when the frame steps.
 
 Overlapping (stereo) layout: each pair is matched and gated on its
 fundamental matrix once per sequence, as both depend only on the pixels.
@@ -36,12 +43,6 @@ them through the rigidity constraints: the per-axis medians of those body
 angles and every frame's scale-factor system are built once per run, and
 each frame then solves its system, carrying the previous scales over a
 degenerate one.
-
-Each filter stack starts one way: frame 0 is its layout's replenish of
-every filter at the identity pose (the stereo pairs' triangulation, the
-chains' re-detection) and one check of each filter's count against
-min_matches, frame 1 is the truth or a Lowe seed from the identity, and
-that frame-1 pose seeds the velocity.
 """
 
 from __future__ import annotations
@@ -304,40 +305,72 @@ def _feature_counts(store: _TrackTable, rows):
     return seen.reshape(-1, store.n).sum(axis=1)
 
 
-def _steps(state, frames, cams, store, pcfg, replenish, gate=None):
-    """Step frames 2.. of either layout, each in one order: predict; count
-    each filter's distinct features with live structure at frame j (through
-    the gate, a mask over the stream's rows); call replenish(j - 1,
-    depleted, poses) for the filters whose count is below the threshold,
-    with the poses (B, 6) emitted at frame j - 1; measure and update once,
-    where ekf.measure drops points behind their camera. A filter with no
-    measurements or a degenerate update keeps its predicted state, tagged
-    'ekf-skip'; a non-finite state aborts.
-
-    A frame's measurable rows are read from the track table when the frame
-    steps, and again after a replenish, so no copy of the table can go
-    stale. Yields per frame (j, state, then per filter the depleted flag,
-    the count of distinct features measured and the tag)."""
+def _run_filters(frames, cams, intr, store, tuning, pcfg, names, flag, replenish, seed=None,
+                 gate=None, structure=lambda j, poses: None):
+    """Run a stack of pose filters, one per body of the CameraStack cams and
+    named by names, over the frames of a compacted stream:
+    - frame 0: replenish(0, depleted, poses) of every filter at the identity
+      pose, then one check of each filter's count of features with
+      structure against min_matches;
+    - frame 1: each filter's row of seed (B, 6), or Lowe's seed from the
+      identity on the live rows of its first camera, whose intrinsics are
+      the filter's entry of intr; that pose also seeds the velocity;
+    - frames 2..: predict; count each filter's distinct features with live
+      structure at frame j (through the gate, a mask over the stream's
+      rows); replenish(j - 1, depleted, poses) the filters whose count is
+      below the threshold, at the poses (B, 6) emitted at frame j - 1;
+      measure and update once, where ekf.measure drops points behind their
+      camera. A filter with no measurements or a degenerate update keeps
+      its predicted state, tagged 'ekf-skip'; a non-finite state aborts.
+    structure(j, poses) runs after frame 1 and after each step. A frame's
+    measurable rows are read from the track table when the frame steps, and
+    again after a replenish, so no copy of the table can go stale. Returns
+    the poses (F, B, 6) and, per frame and filter, a tag and a record of its
+    feature count and of whether it was replenished, under the key flag."""
 
     def measurable(frame):
         live = store.live[frame.rows]
         return live if gate is None else live & gate[frame.span]
 
-    for j in range(2, len(frames)):
-        poses, frame = state.x[:, :6], frames[j]
+    n_filters = len(names)
+    replenish(0, np.ones(n_filters, dtype=bool), np.zeros((n_filters, 6)))
+    counts = store.live.reshape(n_filters, -1).sum(axis=1).tolist()
+    for name, count in zip(names, counts):
+        if count < pcfg.min_matches:
+            raise InsufficientFeatures(f"{name} has {count} features with structure at frame 0 "
+                                       f"(min_matches {pcfg.min_matches})")
+    poses = np.zeros((len(frames), n_filters, 6))
+    tags, records = [["init"] * n_filters], [[{"features": c, flag: False} for c in counts]]
+    if len(frames) == 1:
+        return poses, tags, records
+    records.append([])
+    for b, k in enumerate(np.searchsorted(cams.body, np.arange(n_filters))):
+        rows, uv = _camera(frames[1], k)
+        live = store.live[rows]
+        poses[1, b] = seed[b] if seed is not None else lowe_pose(
+            store.means[rows[live]], uv[live], intr[b], np.zeros(6))
+        records[1].append({"features": int(live.sum()), flag: False})
+    tags.append(["lowe" if seed is None else "ideal-seed"] * n_filters)
+    state = ekf.make_pose_filter(poses[1], poses[1], tuning)   # velocity seed: pose1 - identity
+    structure(1, poses[1])
+    for j, frame in enumerate(frames[2:], start=2):
         state = ekf.pose_predict(state)
         keep = measurable(frame)
         depleted = _feature_counts(store, frame.rows[keep]) < pcfg.redetect_threshold
         if depleted.any():
-            replenish(j - 1, depleted, poses)
+            replenish(j - 1, depleted, poses[j - 1])
             keep = measurable(frame)
         rows = frame.rows[keep]
         batch = ekf.measure(state.x, cams, rows, frame.uv[keep], frame.seg[keep], store.means[rows])
         state, skipped = ekf.pose_update(state, batch, cams)
         if not (np.isfinite(state.x).all() and np.isfinite(state.P).all()):
             raise EstimationFailure(f"filter state became non-finite at frame {j}")
-        yield (j, state, depleted.tolist(), _feature_counts(store, batch.ids).tolist(),
-               ["ekf-skip" if skip else "ekf" for skip in skipped.tolist()])
+        poses[j] = state.x[:, :6]
+        tags.append(["ekf-skip" if skip else "ekf" for skip in skipped.tolist()])
+        records.append([{flag: d, "features": c} for d, c in
+                        zip(depleted.tolist(), _feature_counts(store, batch.ids).tolist())])
+        structure(j, poses[j])
+    return poses, tags, records
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +388,6 @@ def _match_and_triangulate(stream, j, cams, matches, poses, store: _TrackTable) 
     rows, pts = stream.rows[a[ok]], pts[ok]
     last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
     store.upsert(rows[last], pts[last])
-
-
-def _start(store: _TrackTable, replenish, names, pcfg):
-    """Frame 0 of either layout: replenish every filter at the identity
-    pose, then check each filter's count of features with structure, named
-    by its entry of names. Returns the counts."""
-    replenish(0, np.ones(len(names), dtype=bool), np.zeros((len(names), 6)))
-    counts = store.live.reshape(len(names), -1).sum(axis=1).tolist()
-    for name, count in zip(names, counts):
-        if count < pcfg.min_matches:
-            raise InsufficientFeatures(f"{name} has {count} features with structure at frame 0 "
-                                       f"(min_matches {pcfg.min_matches})")
-    return counts
 
 
 def run_stereo_sequence(
@@ -391,34 +411,12 @@ def run_stereo_sequence(
     gate, matches = _stereo_matches(stream, cams, rig.stereo_pairs(), n_features,
                                     pcfg.epipolar_tol_px)
     store = _TrackTable(n_features)
-
-    def retriangulate(j, depleted, poses):
-        _match_and_triangulate(stream, j, cams, matches, poses, store)
-
-    count, = _start(store, retriangulate, ["the stereo filter"], pcfg)
-    series = PoseEstimateSeries(np.zeros((len(frames), 6)), ["init"], [{"features": count}])
-    if len(frames) == 1:
-        return series
-
-    # Seed at frame 1: the truth, or Lowe from the reference camera's tracked features.
-    ids1, uv1 = _camera(frames[1], 0)
-    mask = store.live[ids1]
-    if truth is not None:
-        pose1 = truth.x[1]
-    else:
-        pose1 = lowe_pose(store.means[ids1[mask]], uv1[mask], rig.camera(0).intrinsics,
-                          np.zeros(6))
-    state = ekf.make_pose_filter(pose1, pose1, tuning)   # velocity seed: pose1 - identity
-    series.x[1] = pose1
-    series.methods.append("lowe" if truth is None else "ideal-seed")
-    series.diagnostics.append({"features": int(mask.sum())})
-
-    for j, state, depleted, count, methods in _steps(state, frames, cams, store, pcfg,
-                                                    retriangulate, gate):
-        series.x[j] = state.x[0, :6]
-        series.methods.append(methods[0])
-        series.diagnostics.append({"retriangulated": depleted[0], "features": count[0]})
-    return series
+    poses, tags, records = _run_filters(
+        frames, cams, [rig.camera(0).intrinsics], store, tuning, pcfg,
+        ["the stereo filter"], "retriangulated",
+        lambda j, depleted, poses: _match_and_triangulate(stream, j, cams, matches, poses, store),
+        None if truth is None else truth.x[1:2], gate)
+    return PoseEstimateSeries(poses[:, 0], [tag[0] for tag in tags], [rec[0] for rec in records])
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +425,15 @@ def run_stereo_sequence(
 
 def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
     """The monocular chains of the given cameras stepped in lockstep as one
-    stack of pose filters, each in its camera's own initial frame: frame 0
-    is every chain's re-detection at the identity pose, an orthographic init
-    (a given scene's points, indexed by the stream's ids, are placed first,
-    in each camera at the identity body pose, and leave it nothing to do),
-    and a count check naming the camera that starved; then structure EKFs,
-    a Lowe seed from the identity (or local_truth (B, 6)), whose pose also
-    seeds the velocity, a pose EKF, and re-detection of depleted chains.
-    The seeds run per chain, all else once per frame. Returns local poses
-    (F, B, 6) and per frame a list of per-chain diagnostics, which from
-    frame 2 on carry the chain's step tag as "method"."""
+    stack of pose filters by _run_filters, each in its camera's own initial
+    frame: the chains' replenish is _redetect, an orthographic init (a
+    given scene's points, indexed by the stream's ids, are placed first, in
+    each camera at the identity body pose, and leave frame 0 nothing to
+    do), the seed rows are local_truth (B, 6) where given, and the
+    structure pass runs after frame 1 and after every step. Returns local
+    poses (F, B, 6) and per frame a list of per-chain tags and one of
+    per-chain records, which from frame 2 on carry the chain's tag as
+    "method"."""
     n_chains = len(rig_cameras)
     intr = [c.intrinsics for c in rig_cameras]
     cams = CameraStack.centered(intr, np.arange(n_chains))
@@ -448,29 +445,17 @@ def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
                             frames[0].seg)[0]
         store.upsert(frames[0].rows, true0, ekf.initial_structure_covariance(tuning, len(true0)))
 
-    def redetect(j, depleted, poses):
-        _redetect(store, frames[j], depleted, poses, cams, pcfg, tuning)
-
-    counts = _start(store, redetect, [f"camera {k}" for k in range(n_chains)], pcfg)
-    diags = [[{"features": c, "redetected": False} for c in counts], []]
-    if len(frames) == 1:
-        return np.zeros((1, n_chains, 6)), diags[:1]
-    vec1 = np.empty((n_chains, 6))
-    for k in range(n_chains):
-        rows1, uv1 = _camera(frames[1], k)
-        mask = store.live[rows1]
-        vec1[k] = local_truth[k] if local_truth is not None else lowe_pose(
-            store.means[rows1[mask]], uv1[mask], intr[k], np.zeros(6))
-        diags[1].append({"features": int(mask.sum()), "redetected": False})
-    state = ekf.make_pose_filter(vec1, vec1, tuning)  # velocity seed: pose1 - identity
-    locals_ = [np.zeros((n_chains, 6)), vec1.copy()]
-    _structure_pass(store, frames[1], vec1, cams, tuning)
-    for j, state, depleted, count, methods in _steps(state, frames, cams, store, pcfg, redetect):
-        locals_.append(state.x[:, :6].copy())
-        diags.append([{"redetected": r, "features": c, "method": m}
-                      for r, c, m in zip(depleted, count, methods)])
-        _structure_pass(store, frames[j], locals_[j], cams, tuning)
-    return np.array(locals_), diags
+    locals_, tags, records = _run_filters(
+        frames, cams, intr, store, tuning, pcfg, [f"camera {k}" for k in range(n_chains)],
+        "redetected",
+        lambda j, depleted, poses: _redetect(store, frames[j], depleted, poses, cams, pcfg, tuning),
+        local_truth,
+        structure=lambda j, poses: _structure_pass(store, frames[j], poses, cams, tuning))
+    # A chain's step record names its tag: perfbench/tracer.py counts steps by it.
+    for tag, record in zip(tags[2:], records[2:]):
+        for t, r in zip(tag, record):
+            r["method"] = t
+    return locals_, tags, records
 
 
 def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
@@ -532,13 +517,11 @@ def run_nonoverlap_sequence(
     local_truth = None
     if truth is not None and n_frames > 1:
         local_truth = fusion.true_local_pose(truth.x[1], cams)
-    locals_, diags = _run_chains(obs, rig.cameras, tuning, pcfg, local_truth, scene)
+    locals_, tags, records = _run_chains(obs, rig.cameras, tuning, pcfg, local_truth, scene)
 
     body = fusion.local_to_body_pose(locals_, cams)
-    seed_tags = ["init", "lowe" if truth is None else "ideal-seed"][:n_frames]
-    out = {f"cam{k + 1}": PoseEstimateSeries(body[:, k],
-                                             seed_tags + [diag[k]["method"] for diag in diags[2:]],
-                                             [diag[k] for diag in diags])
+    out = {f"cam{k + 1}": PoseEstimateSeries(body[:, k], [tag[k] for tag in tags],
+                                             [rec[k] for rec in records])
            for k in range(4)}
 
     rc = PoseEstimateSeries(np.zeros((n_frames, 6)), ["init"] + ["rc"] * (n_frames - 1),

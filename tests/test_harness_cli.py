@@ -122,6 +122,14 @@ def test_monte_carlo_rejects_unknown_method():
         tiny_report(methods=["5cameras"])
 
 
+@pytest.mark.parametrize("workers", [2.5, True, "2"])
+def test_monte_carlo_rejects_a_worker_count_that_is_not_an_int(workers):
+    # A float or a bool would run and be recorded as given; a string would
+    # end in a bare TypeError.
+    with pytest.raises(InputError, match="workers"):
+        tiny_report(workers=workers)
+
+
 def test_monte_carlo_flags_low_visibility_runs():
     # An unreachable visibility floor invalidates every run, which is an
     # error rather than a silently empty report.
@@ -410,7 +418,8 @@ def test_cli_run_tracks_layout_rig_mismatch_exits_1(tmp_path, capsys):
 def test_cli_run_tracks_diagnostics_jsonl(tmp_path, capsys, layout):
     # One record per frame for each series written. A record's method names
     # its series and its tag is the series' step tag, also where a chain's
-    # diagnostics carry their own "method" key.
+    # diagnostics carry their own "method" key. Every record of a pose
+    # filter holds its feature count and its layout's replenish flag.
     rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
     rig_path = tmp_path / "rig.json"
     write_rig(rig_path, rig)
@@ -433,9 +442,10 @@ def test_cli_run_tracks_diagnostics_jsonl(tmp_path, capsys, layout):
     names = ["stereo"] if layout == "stereo" else ["cam1", "cam2", "cam3", "cam4", "RC"]
     assert [r["method"] for r in records] == [name for name in names for _ in range(8)]
     assert {"method", "frame", "tag"} <= set(records[0])
+    flag = "retriangulated" if layout == "stereo" else "redetected"
     for r in records:
         if r["method"] != "RC":
-            assert "features" in r
+            assert "features" in r and isinstance(r[flag], bool), r
             assert r["tag"] in {0: {"init"}, 1: {"lowe"}}.get(r["frame"], {"ekf", "ekf-skip"}), r
     capsys.readouterr()
 

@@ -503,6 +503,9 @@ def test_nonoverlap_ideal_init_noiseless_reference_chain():
     ideal = run_nonoverlap_sequence(
         frames, rig, pcfg=pcfg, truth=traj, scene=scene
     )
+    for name in ("cam1", "cam2", "cam3", "cam4"):
+        assert ideal[name].methods[:2] == ["init", "ideal-seed"], name
+        assert set(ideal[name].methods[2:]) <= {"ekf", "ekf-skip"}, name
     errors = pose_error_report(ideal["cam1"], traj)
     assert np.all(errors < 5e-3)
     plain = run_nonoverlap_sequence(frames, rig, pcfg=pcfg)
@@ -576,11 +579,13 @@ def test_nonoverlap_chain_alone_matches_chain_in_lockstep():
     _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=40, noise_sigma=0.5,
                                              seed=25))
     tuning, pcfg = FilterTuning(), PipelineConfig(redetect_threshold=20)
-    together, diags = _run_chains(frames, rig.cameras, tuning, pcfg)
+    together, tags, diags = _run_chains(frames, rig.cameras, tuning, pcfg)
     assert sum(d[k]["redetected"] for d in diags for k in range(4)) >= 3
     for k in range(4):
-        alone, diags_k = _run_chains(slice_stream(frames, [k]), [rig.camera(k)], tuning, pcfg)
+        alone, tags_k, diags_k = _run_chains(slice_stream(frames, [k]), [rig.camera(k)], tuning,
+                                             pcfg)
         np.testing.assert_array_equal(alone[:, 0], together[:, k])
+        assert [t[0] for t in tags_k] == [t[k] for t in tags]
         assert [d[0] for d in diags_k] == [d[k] for d in diags]
 
 
@@ -630,7 +635,7 @@ def test_nonoverlap_series_are_mapped_from_the_chains_bit_for_bit():
     _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=40, noise_sigma=0.5,
                                              seed=25))
     pcfg = PipelineConfig(redetect_threshold=20)
-    locals_, diags = _run_chains(frames, rig.cameras, FilterTuning(), pcfg)
+    locals_, _, diags = _run_chains(frames, rig.cameras, FilterTuning(), pcfg)
     assert sum(d[k]["redetected"] for d in diags for k in range(4)) >= 3
     out = run_nonoverlap_sequence(frames, rig, pcfg=pcfg)
     cam1 = out["cam1"].x
@@ -698,7 +703,7 @@ def test_nonoverlap_rc_carries_solved_scales_over_degenerate_frames(monkeypatch)
     locals_ = np.stack([true_local_pose(pose, cams) for pose in body])
     locals_[..., :3] *= c[:, None]
     monkeypatch.setattr(pipeline, "_run_chains",
-                        lambda *args: (locals_, [[{"method": "ekf"}] * 4] * 10))
+                        lambda *args: (locals_, [["ekf"] * 4] * 10, [[{"method": "ekf"}] * 4] * 10))
     rc = run_nonoverlap_sequence([None] * 10, rig)["RC"]
     assert [diag["ill_conditioned"] for diag in rc.diagnostics[1:]] == [False] * 5 + [True] * 4
     np.testing.assert_allclose(rc.diagnostics[-1]["scales"], 1 / c, rtol=1e-9)

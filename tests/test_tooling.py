@@ -149,3 +149,20 @@ def test_random_streams_are_made_outside_loops():
                         if getattr(func, "attr", getattr(func, "id", None)) in makers:
                             found.add(f"{path.name}:{node.lineno}")
     assert not found, f"random streams made inside a loop: {sorted(found)}"
+
+
+def test_each_filter_step_is_called_from_one_function():
+    # One driver seeds, predicts, measures and updates every filter stack:
+    # a second caller of any of these would be a second frame loop or seed.
+    # lowe_pose places its candidates through pose_measurement_rows, which
+    # is not among them.
+    steps = {"lowe_pose", "make_pose_filter", "pose_predict", "measure", "pose_update"}
+    callers = {name: set() for name in steps}
+    for path in sorted((ROOT / "src" / "rigpose").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in steps:
+                    callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert all(len(where) == 1 for where in callers.values()), callers
