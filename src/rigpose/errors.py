@@ -40,10 +40,6 @@ class GimbalProximity(DegenerateGeometry):
     """Pitch too close to +-pi/2 for a stable Euler decomposition."""
 
 
-class InvalidCameraIndex(InputError):
-    """Camera index outside the rig's camera list."""
-
-
 class BehindCamera(DegenerateGeometry):
     """A point has nonpositive depth in the camera it should project into."""
 
@@ -69,7 +65,8 @@ class InsufficientFeatures(DegenerateGeometry):
 
 
 class LengthMismatch(InputError):
-    """Series compared against a trajectory of a different length."""
+    """A series scored against, or observations seeded from, a trajectory
+    of a different length."""
 
 
 class EstimationFailure(RigPoseError):

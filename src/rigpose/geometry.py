@@ -16,11 +16,12 @@ Coordinate conventions used across the package:
 * Pixels: u = fx * x/z + cx, v = fy * y/z + cy.
 
 Every placement of world points into rig cameras, and the pinhole after it,
-goes through one kernel, view_points, over a CameraStack: the renderer,
-the EKF measurement model, Lowe's method and the chains' ideal structure
-all share its bits. Its inverse, back_project, gives each pixel's center
-and ray through the same stack: stereo triangulation and the chains'
-re-detection place their structure through it.
+goes through one kernel, view_points, over a CameraStack, built from the
+rig's cameras by CameraStack.of: the renderer, the EKF measurement model,
+Lowe's method and the chains' ideal structure all share its bits. Its
+inverse, back_project, gives each pixel's center and ray through the same
+stack: stereo triangulation and the chains' re-detection place their
+structure through it.
 
 Angle decomposition is only valid away from |beta| = pi/2; the per-frame
 motion regime of this package stays far inside that bound.
@@ -29,7 +30,7 @@ motion regime of this package stays far inside that bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
@@ -37,7 +38,6 @@ import numpy as np
 from .errors import (
     MAX_MAGNITUDE,
     InputError,
-    InvalidCameraIndex,
     GimbalProximity,
     NonOrthonormalInput,
     check_config_fields,
@@ -202,11 +202,6 @@ class CameraRig:
     def __len__(self) -> int:
         return len(self.cameras)
 
-    def camera(self, k: int) -> Camera:
-        if not 0 <= k < len(self.cameras):
-            raise InvalidCameraIndex(f"camera index {k} out of range 0..{len(self.cameras) - 1}")
-        return self.cameras[k]
-
     def check_layout(self, layout: str) -> None:
         """Raise InputError unless this is a rig the layout's pipeline takes:
         stereo pairs (an even camera count) tagged overlapping, or four
@@ -236,16 +231,9 @@ class CameraStack:
 
     @classmethod
     def of(cls, cameras: list[Camera], body) -> "CameraStack":
-        return replace(cls.centered([c.intrinsics for c in cameras], body),
-                       D=np.stack([c.D for c in cameras]), R=np.stack([c.R for c in cameras]))
-
-    @classmethod
-    def centered(cls, intrinsics: list[Intrinsics], body) -> "CameraStack":
-        """Cameras at their body's origin along its axes (D = 0, R = I), one
-        per intrinsics: a monocular chain in its camera's own frame."""
-        n = len(intrinsics)
-        return cls(np.zeros((n, 3)), np.tile(np.eye(3), (n, 1, 1)),
-                   np.array([[i.fx, i.fy, i.cx, i.cy] for i in intrinsics]), np.asarray(body))
+        intr = [c.intrinsics for c in cameras]
+        return cls(np.stack([c.D for c in cameras]), np.stack([c.R for c in cameras]),
+                   np.array([[i.fx, i.fy, i.cx, i.cy] for i in intr]), np.asarray(body))
 
 
 def camera_placement(rot: np.ndarray, d: np.ndarray, cam) -> tuple[np.ndarray, np.ndarray]:

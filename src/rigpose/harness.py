@@ -173,9 +173,11 @@ def monte_carlo(
     both return the outcomes.
     """
     methods = tuple(methods) if methods else tuple(ALL_METHODS)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+        if m in methods[:i]:
+            raise InputError(f"method {m!r} is listed more than once")
     if sim.n_points < 1:
         raise InputError(f"need at least 1 scene point, got {sim.n_points}")
     if sim.n_runs < 1:

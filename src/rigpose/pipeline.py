@@ -7,21 +7,22 @@ diagnostics. Each renumbers the stream's ids to track-table rows in one
 search of the stream's sorted distinct ids (sorted once per run) and steps
 frames through views of its columns.
 
-One driver runs every filter stack of either layout, frame by frame.
+One driver runs every filter stack of either layout, frame by frame, on
+one CameraStack per layout that every kernel, replenish and seed reads.
 Frame 0 replenishes every filter at the identity pose and checks each
 filter's count against min_matches. Frame 1 seeds each filter from the
 truth, or by Lowe's method from the identity on its first camera's
-features, and that pose also seeds the velocity. Each later frame steps in
-one order: predict; count each pose filter's distinct features with live
-structure at the frame; replenish the filters below the tracked-feature
-threshold from the previous frame at the pose emitted there; measure and
-update once. No filter is re-seeded. A layout supplies only its replenish,
-the stereo gate, and the chains' structure pass. Each filter's record
-holds its feature count and its layout's replenish flag (retriangulated or
-redetected) at every frame. The frame loop does only
-the work that reads the filter state: everything that depends on the
-pixels alone is done once per sequence, and a frame's measurable rows are
-read from the track table when the frame steps.
+features through that stack, and that pose also seeds the velocity. Each
+later frame steps in one order: predict; count each pose filter's distinct
+features with live structure at the frame; replenish the filters below the
+tracked-feature threshold from the previous frame at the pose emitted
+there; measure and update once. No filter is re-seeded. A layout supplies
+only its replenish, the stereo gate, and the chains' structure pass. Each
+filter's record holds its feature count and its layout's replenish flag
+(retriangulated or redetected) at every frame. The frame loop does only the
+work that reads the filter state: everything that depends on the pixels
+alone is done once per sequence, and a frame's measurable rows are read
+from the track table when the frame steps.
 
 Overlapping (stereo) layout: each pair is matched and gated on its
 fundamental matrix once per sequence, as both depend only on the pixels.
@@ -32,17 +33,17 @@ One pose EKF consumes every camera's gated pixels; replenishing
 re-triangulates the previous frame's matches of every pair in one call.
 
 Non-overlapping layout: every camera runs its own monocular chain in its
-own initial frame, with orthographic structure initialization at a
-configured depth, per-feature structure EKFs, a Lowe seed, and a pose EKF;
-the four chains step in lockstep as one stack of filters, and replenishing
+own initial frame, on the rig's stack with each camera moved to its own
+body's origin, with orthographic structure initialization at a configured
+depth, per-feature structure EKFs, a Lowe seed, and a pose EKF; the four
+chains step in lockstep as one stack of filters, and replenishing
 re-detects the depleted chains' untracked features in one call. Both
 replenishes place their structure through geometry.back_project on the
-filters' CameraStack. Their local poses map to body
-poses (the per-camera series) in one call per run. The RC series fuses
-them through the rigidity constraints: the per-axis medians of those body
-angles and every frame's scale-factor system are built once per run, and
-each frame then solves its system, carrying the previous scales over a
-degenerate one.
+filters' CameraStack. Their local poses map to body poses (the per-camera
+series) in one call per run. The RC series fuses them through the rigidity
+constraints: the per-axis medians of those body angles and every frame's
+scale-factor system are built once per run, and each frame then solves its
+system, carrying the previous scales over a degenerate one.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import csv
 import itertools
 import json
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +72,6 @@ from .errors import (
 from .geometry import (
     CameraRig,
     CameraStack,
-    Intrinsics,
     back_project,
     rot_from_angles,
     view_points,
@@ -142,25 +142,27 @@ LOWE_MAX_ITER = 50
 LOWE_STEP_TOL = 1e-10
 
 
-def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init) -> np.ndarray:
-    """Refine a reference-camera pose row (6,) from 3D-2D matches, starting
-    at the pose row init, by minimizing the pixel reprojection error.
+def lowe_pose(points: np.ndarray, pixels: np.ndarray, cams: CameraStack, seg, init) -> np.ndarray:
+    """Refine a body pose row (6,) from 3D-2D matches, starting at the pose
+    row init, by minimizing the pixel reprojection error. Match i is seen by
+    camera seg[i] of the CameraStack cams, and every camera of the stack is
+    placed on the one body solved for, whatever its body index.
 
     Damped Gauss-Newton: each iteration halves its step, up to 24 times,
     until the residual does not increase; a candidate pose that puts a match
-    at or behind the camera costs inf. The first search that no halving
+    at or behind its camera costs inf. The first search that no halving
     makes cheaper ends the solve: as convergence at a noisy minimum when its
     step is below 1e-8, else with Diverged, in whatever iteration it comes.
     Each candidate pose is placed once, by ekf.pose_measurement_rows, which
     gives both its residual and the rows of the next step. Needs at least
     four matches; raises BehindCamera when init puts a match at or behind
-    the camera.
+    its camera.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if len(points) < 4:
         raise InsufficientMatches(f"need >= 4 matches, got {len(points)}")
-    cams, seg = CameraStack.centered([intr], [0]), np.zeros(len(points), dtype=int)
+    cams, seg = replace(cams, body=np.zeros_like(cams.body)), np.asarray(seg)
 
     def evaluate(vec):
         uv_pred, jac, front = ekf.pose_measurement_rows(vec[None], cams, seg, points)
@@ -204,9 +206,9 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, intr: Intrinsics, init) ->
 # A compacted stream's rows, pixels and row cameras; frame j is rows
 # starts[j]:starts[j + 1].
 _Stream = namedtuple("_Stream", "rows uv seg starts")
-# Views of one frame's rows, pixels and row cameras: camera k is rows
-# at[k]:at[k + 1], and span is where the frame sits in its stream.
-_Frame = namedtuple("_Frame", "rows uv seg at span")
+# Views of one frame's rows, pixels and row cameras, and where the frame
+# sits in its stream.
+_Frame = namedtuple("_Frame", "rows uv seg span")
 # Every stereo pair's passing matches: ab (M, 2) holds the stream rows of a
 # match's two cameras in (frame, pair, feature) order; frame j is ab
 # at[j]:at[j + 1].
@@ -227,16 +229,10 @@ def _compact_ids(obs, body):
     n, (n_frames, n_cams) = len(obs.distinct), obs.sizes.shape
     seg = np.repeat(np.tile(np.arange(n_cams), n_frames), obs.sizes.ravel())
     rows += (np.asarray(body) * n)[seg]
-    uv, at, starts = obs.uv, obs.at, obs.at[::n_cams]
-    views = [_Frame(rows[s:e], uv[s:e], seg[s:e], at[j * n_cams:(j + 1) * n_cams + 1] - s,
-                    slice(s, e)) for j, (s, e) in enumerate(zip(starts[:-1], starts[1:]))]
+    uv, starts = obs.uv, obs.at[::n_cams]
+    views = [_Frame(rows[s:e], uv[s:e], seg[s:e], slice(s, e))
+             for s, e in zip(starts[:-1], starts[1:])]
     return _Stream(rows, uv, seg, starts), views, n
-
-
-def _camera(frame, k: int):
-    """Camera k's (rows, pixels) of a frame."""
-    at = slice(frame.at[k], frame.at[k + 1])
-    return frame.rows[at], frame.uv[at]
 
 
 class _TrackTable:
@@ -298,6 +294,12 @@ def _stereo_matches(stream, cams, pairs, n: int, tol: float):
                           np.searchsorted(frame[order], np.arange(len(stream.starts))))
 
 
+def _check_truth(truth, obs) -> None:
+    """Raise LengthMismatch unless a given truth has one row per frame of obs."""
+    if truth is not None and len(truth) != len(obs):
+        raise LengthMismatch(f"truth has {len(truth)} frames, the observations have {len(obs)}")
+
+
 def _feature_counts(store: _TrackTable, rows):
     """Each filter's count of distinct features among the table rows."""
     seen = np.zeros(len(store.live), dtype=bool)
@@ -305,7 +307,7 @@ def _feature_counts(store: _TrackTable, rows):
     return seen.reshape(-1, store.n).sum(axis=1)
 
 
-def _run_filters(frames, cams, intr, store, tuning, pcfg, names, flag, replenish, seed=None,
+def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed=None,
                  gate=None, structure=lambda j, poses: None):
     """Run a stack of pose filters, one per body of the CameraStack cams and
     named by names, over the frames of a compacted stream:
@@ -313,8 +315,8 @@ def _run_filters(frames, cams, intr, store, tuning, pcfg, names, flag, replenish
       pose, then one check of each filter's count of features with
       structure against min_matches;
     - frame 1: each filter's row of seed (B, 6), or Lowe's seed from the
-      identity on the live rows of its first camera, whose intrinsics are
-      the filter's entry of intr; that pose also seeds the velocity;
+      identity on the live rows of its first camera; that pose also seeds
+      the velocity;
     - frames 2..: predict; count each filter's distinct features with live
       structure at frame j (through the gate, a mask over the stream's
       rows); replenish(j - 1, depleted, poses) the filters whose count is
@@ -344,12 +346,13 @@ def _run_filters(frames, cams, intr, store, tuning, pcfg, names, flag, replenish
     if len(frames) == 1:
         return poses, tags, records
     records.append([])
+    rows, uv, seg, _ = frames[1]
+    live = store.live[rows]
     for b, k in enumerate(np.searchsorted(cams.body, np.arange(n_filters))):
-        rows, uv = _camera(frames[1], k)
-        live = store.live[rows]
+        use = live & (seg == k)
         poses[1, b] = seed[b] if seed is not None else lowe_pose(
-            store.means[rows[live]], uv[live], intr[b], np.zeros(6))
-        records[1].append({"features": int(live.sum()), flag: False})
+            store.means[rows[use]], uv[use], cams, seg[use], np.zeros(6))
+        records[1].append({"features": int(use.sum()), flag: False})
     tags.append(["lowe" if seed is None else "ideal-seed"] * n_filters)
     state = ekf.make_pose_filter(poses[1], poses[1], tuning)   # velocity seed: pose1 - identity
     structure(1, poses[1])
@@ -400,20 +403,21 @@ def run_stereo_sequence(
     """Estimate the pose sequence of an overlapping (stereo) rig.
 
     obs: the rig cameras' observations (simulate.Observations).
-    A given truth seeds the filter (pose and velocity at frame 1) in place
-    of the Lowe seed. One pose filter takes every camera's rows: the
-    segmented kernels with B = 1 and one segment per rig camera.
+    A given truth, one row per frame (else LengthMismatch), seeds the filter
+    (pose and velocity at frame 1) in place of the Lowe seed. One pose
+    filter takes every camera's rows: the segmented kernels with B = 1 and
+    one segment per rig camera.
     """
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
+    _check_truth(truth, obs)
     cams = CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
     stream, frames, n_features = _compact_ids(obs, cams.body)
     gate, matches = _stereo_matches(stream, cams, rig.stereo_pairs(), n_features,
                                     pcfg.epipolar_tol_px)
     store = _TrackTable(n_features)
     poses, tags, records = _run_filters(
-        frames, cams, [rig.camera(0).intrinsics], store, tuning, pcfg,
-        ["the stereo filter"], "retriangulated",
+        frames, cams, store, tuning, pcfg, ["the stereo filter"], "retriangulated",
         lambda j, depleted, poses: _match_and_triangulate(stream, j, cams, matches, poses, store),
         None if truth is None else truth.x[1:2], gate)
     return PoseEstimateSeries(poses[:, 0], [tag[0] for tag in tags], [rec[0] for rec in records])
@@ -423,31 +427,30 @@ def run_stereo_sequence(
 # Non-overlapping layout
 # ---------------------------------------------------------------------------
 
-def _run_chains(obs, rig_cameras, tuning, pcfg, local_truth=None, scene=None):
-    """The monocular chains of the given cameras stepped in lockstep as one
-    stack of pose filters by _run_filters, each in its camera's own initial
-    frame: the chains' replenish is _redetect, an orthographic init (a
-    given scene's points, indexed by the stream's ids, are placed first, in
-    each camera at the identity body pose, and leave frame 0 nothing to
-    do), the seed rows are local_truth (B, 6) where given, and the
-    structure pass runs after frame 1 and after every step. Returns local
-    poses (F, B, 6) and per frame a list of per-chain tags and one of
-    per-chain records, which from frame 2 on carry the chain's tag as
-    "method"."""
-    n_chains = len(rig_cameras)
-    intr = [c.intrinsics for c in rig_cameras]
-    cams = CameraStack.centered(intr, np.arange(n_chains))
+def _run_chains(obs, rig_cams: CameraStack, tuning, pcfg, local_truth=None, scene=None):
+    """The monocular chains of the cameras of the rig stack rig_cams (one
+    body) stepped in lockstep as one stack of pose filters by _run_filters,
+    chain k on body k with its camera at the body's origin along its axes
+    (D = 0, R = I), so each runs in its camera's own initial frame: the
+    chains' replenish is _redetect, an orthographic init (a given scene's
+    points, indexed by the stream's ids, are placed first, through rig_cams
+    at the identity body pose, and leave frame 0 nothing to do), the seed
+    rows are local_truth (B, 6) where given, and the structure pass runs
+    after frame 1 and after every step. Returns local poses (F, B, 6) and
+    per frame a list of per-chain tags and one of per-chain records, which
+    from frame 2 on carry the chain's tag as "method"."""
+    n_chains = len(rig_cams.body)
+    cams = replace(rig_cams, D=np.zeros((n_chains, 3)), R=np.tile(np.eye(3), (n_chains, 1, 1)),
+                   body=np.arange(n_chains))
     _, frames, n_features = _compact_ids(obs, cams.body)
     store = _TrackTable(n_features, n_chains)
     if scene is not None:   # each frame-0 row's true point in its camera
         true0 = view_points(scene[obs.ids[frames[0].span]], rot_from_angles(np.zeros((1, 3))),
-                            np.zeros((1, 3)), CameraStack.of(rig_cameras, np.zeros(n_chains, int)),
-                            frames[0].seg)[0]
+                            np.zeros((1, 3)), rig_cams, frames[0].seg)[0]
         store.upsert(frames[0].rows, true0, ekf.initial_structure_covariance(tuning, len(true0)))
 
     locals_, tags, records = _run_filters(
-        frames, cams, intr, store, tuning, pcfg, [f"camera {k}" for k in range(n_chains)],
-        "redetected",
+        frames, cams, store, tuning, pcfg, [f"camera {k}" for k in range(n_chains)], "redetected",
         lambda j, depleted, poses: _redetect(store, frames[j], depleted, poses, cams, pcfg, tuning),
         local_truth,
         structure=lambda j, poses: _structure_pass(store, frames[j], poses, cams, tuning))
@@ -462,7 +465,7 @@ def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
     """Update the structure filters of every chain's observed live features
     with the poses x held fixed; features behind their camera are left
     untouched."""
-    rows, uv, seg, _, _ = frame
+    rows, uv, seg, _ = frame
     live = store.live[rows]
     rows = rows[live]
     means, covs, front = ekf.structure_update_batch(
@@ -505,19 +508,21 @@ def run_nonoverlap_sequence(
     translation at its solved scale; the medians and the scale systems
     are built for all frames at once, the solve runs per frame).
 
-    A given truth seeds the chains' filters with the true local poses at
-    frame 1, and a given scene initializes their structure at the true
-    local positions (scene rows indexed by the stream's feature ids).
+    A given truth, one row per frame (else LengthMismatch), seeds the
+    chains' filters with the true local poses at frame 1, and a given scene
+    initializes their structure at the true local positions (scene rows
+    indexed by the stream's feature ids).
     """
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
     rig.check_layout("non-overlapping")
+    _check_truth(truth, obs)
     n_frames = len(obs)
     cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     local_truth = None
     if truth is not None and n_frames > 1:
         local_truth = fusion.true_local_pose(truth.x[1], cams)
-    locals_, tags, records = _run_chains(obs, rig.cameras, tuning, pcfg, local_truth, scene)
+    locals_, tags, records = _run_chains(obs, cams, tuning, pcfg, local_truth, scene)
 
     body = fusion.local_to_body_pose(locals_, cams)
     out = {f"cam{k + 1}": PoseEstimateSeries(body[:, k], [tag[k] for tag in tags],

@@ -139,7 +139,7 @@ def test_criterion_3_jacobian_oracle():
     cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     for _ in range(100):
         k = int(rng.integers(0, 4))
-        cam = rig.camera(k)
+        cam = rig.cameras[k]
         pose_vec = np.concatenate(
             [rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.05, 0.05, 3),
              rng.uniform(-0.01, 0.01, 6)]
@@ -182,7 +182,7 @@ def test_criterion_4_noiseless_exactness():
         [[rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.7, 1.0)]
          for _ in range(100)]
     )
-    cam_a, cam_b = rig.camera(0), rig.camera(1)
+    cam_a, cam_b = rig.cameras[0], rig.cameras[1]
     uv_a = pixels(to_camera(pose, cam_a, points), cam_a.intrinsics)
     uv_b = pixels(to_camera(pose, cam_b, points), cam_b.intrinsics)
     rec, ok = stereo.triangulate_batch(pose[None], CameraStack.of(rig.cameras, [0, 0, 0, 0]),
@@ -211,7 +211,7 @@ def test_criterion_4_noiseless_exactness():
         worst_conj = max(worst_conj, abs(angle_eq - angle_local))
 
     # (d) lowe_pose recovers a 0.01-perturbed pose within 1e-8 on 50 matches
-    intr = rig.camera(0).intrinsics
+    intr, cams = rig.cameras[0].intrinsics, CameraStack.of([cam_a], [0])
     worst_lowe = 0.0
     for _ in range(10):
         truth = rng.uniform(-0.02, 0.02, 6)
@@ -222,7 +222,7 @@ def test_criterion_4_noiseless_exactness():
         )
         uv = pixels(to_camera(truth, cam_a, pts), intr)
         init = truth + rng.uniform(-0.01, 0.01, 6)
-        est = pipeline.lowe_pose(pts, uv, intr, init)
+        est = pipeline.lowe_pose(pts, uv, cams, np.zeros(50, dtype=int), init)
         worst_lowe = max(worst_lowe, float(np.abs(est - truth).max()))
 
     wall = time.monotonic() - started

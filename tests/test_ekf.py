@@ -42,7 +42,8 @@ def stack(rig):
 def on_ray(uv, intr, depth):
     # the point (1, 3) at the depth on pixel uv's ray, the camera at the origin
     center, ray = back_project(np.reshape(uv, (1, 2)), np.eye(3)[None], np.zeros((1, 3)),
-                               CameraStack.centered([intr], [0]), np.zeros(1, dtype=int))
+                               CameraStack.of([Camera(np.zeros(3), np.eye(3), intr)], [0]),
+                               np.zeros(1, dtype=int))
     return center + depth * ray
 
 
@@ -73,7 +74,7 @@ def observe(rig, pose_vec, points, cameras=(0,), noise=0.0, rng=None):
     pose = np.ravel(pose_vec)[:6]
     uvs = []
     for k in cameras:
-        cam = rig.camera(k)
+        cam = rig.cameras[k]
         uv = pixels(to_camera(pose, cam, points), cam.intrinsics)
         if noise > 0:
             uv = uv + rng.normal(0, noise, uv.shape)
@@ -152,8 +153,8 @@ def test_jacobian_velocity_columns_zero():
     moving[:, 6:] = rng.uniform(-0.05, 0.05, 6)
     points = spread_points(rng, 10)
     for k in (0, 1):
-        uv, jac, _ = rows_at(state.x, rig.camera(k), points)
-        uv_moving, jac_moving, _ = rows_at(moving, rig.camera(k), points)
+        uv, jac, _ = rows_at(state.x, rig.cameras[k], points)
+        uv_moving, jac_moving, _ = rows_at(moving, rig.cameras[k], points)
         assert jac.shape == (10, 2, 6)
         np.testing.assert_array_equal(uv_moving, uv)
         np.testing.assert_array_equal(jac_moving, jac)
@@ -175,7 +176,7 @@ def test_jacobian_matches_finite_differences_100_configurations():
     worst = 0.0
     for _ in range(100):
         k = int(rng.integers(0, 4))
-        cam = rig.camera(k)
+        cam = rig.cameras[k]
         pose_vec = np.concatenate(
             [rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.01, 0.01, 6)]
         )
@@ -202,7 +203,7 @@ def test_jacobian_behind_camera():
     # drops their rows and the filter updates with the rest.
     rig = reference_rig()
     points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 5e-7]])
-    _, _, front = rows_at(np.zeros(12), rig.camera(0), points)
+    _, _, front = rows_at(np.zeros(12), rig.cameras[0], points)
     np.testing.assert_array_equal(front, [True, False, False])
     state = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
     batch = measure(state.x, stack(rig), np.arange(3), np.full((3, 2), 300.0), single(3), points)
@@ -252,7 +253,7 @@ def test_update_stack_matches_each_filter_alone():
     state.P[1] = 0.0
     parts = {}
     for k in (0, 1, 3):
-        cam = rig.camera(k)
+        cam = rig.cameras[k]
         pts = spread_points(rng, 20 + 5 * k) @ cam.R.T + cam.D
         parts[k] = observe(rig, poses[k], pts, cameras=(k,), noise=0.5, rng=rng)
     cams = CameraStack.of(rig.cameras, np.arange(4))
@@ -264,7 +265,7 @@ def test_update_stack_matches_each_filter_alone():
         np.testing.assert_array_equal(out.P[k], state.P[k])
     for k, (ids, uv, _, pts) in parts.items():
         alone = PoseFilterState(state.x[k:k + 1], state.P[k:k + 1], state.Q, state.r_var)
-        cam = CameraStack.of([rig.camera(k)], [0])
+        cam = CameraStack.of([rig.cameras[k]], [0])
         one, skipped_alone = pose_update(
             alone, measure(alone.x, cam, ids, uv, single(len(ids)), pts), cam)
         assert skipped_alone.tolist() == [k == 1]
@@ -288,7 +289,7 @@ def test_update_with_a_singular_pose_block_skips_quietly_and_keeps_the_prior():
     state.P[2] = 0.0
     parts = []
     for k in range(4):
-        cam = rig.camera(k)
+        cam = rig.cameras[k]
         pts = spread_points(rng, 30) @ cam.R.T + cam.D
         parts.append(observe(rig, poses[k], pts, cameras=(k,), noise=0.5, rng=rng))
     cams = CameraStack.of(rig.cameras, np.arange(4))
@@ -299,7 +300,7 @@ def test_update_with_a_singular_pose_block_skips_quietly_and_keeps_the_prior():
         for k, prior in ((1, zero), (2, state)):
             alone = PoseFilterState(prior.x[k:k + 1], prior.P[k:k + 1], prior.Q, prior.r_var)
             ids, uv, _, pts = parts[k]
-            cam = CameraStack.of([rig.camera(k)], [0])
+            cam = CameraStack.of([rig.cameras[k]], [0])
             one, skipped_alone = pose_update(
                 alone, measure(alone.x, cam, ids, uv, single(len(ids)), pts), cam)
             assert skipped_alone.tolist() == [True]
@@ -358,7 +359,7 @@ def test_update_matches_covariance_form_oracle():
         state.P += m @ m.transpose(0, 2, 1)
         parts = []
         for k in range(n_filters):
-            cam = rig.camera(k)
+            cam = rig.cameras[k]
             pts = spread_points(rng, int(rng.integers(1, 201))) @ cam.R.T + cam.D
             truth = poses[k] + rng.normal(0, 1e-3, 6)
             parts.append(observe(rig, truth, pts, cameras=(k,), noise=0.5, rng=rng))
@@ -495,7 +496,7 @@ def structure_update_reference(m, p, observed, pose_vec, cam, r_var):
 
 
 def test_structure_update_zero_innovation():
-    cam = reference_rig().camera(0)
+    cam = reference_rig().cameras[0]
     point = np.array([0.05, -0.03, 0.8])
     uv = pixels(point, cam.intrinsics)
     m, _, _ = structure_update(
@@ -506,7 +507,7 @@ def test_structure_update_zero_innovation():
 
 def test_structure_update_behind_camera():
     # A point behind its camera is left out of the update.
-    cam = reference_rig().camera(0)
+    cam = reference_rig().cameras[0]
     m, p, front = structure_update(
         np.array([[0.0, 0.0, -0.5]]), np.eye(3)[None], np.array([[320.0, 240.0]]),
         np.zeros(6), cam, 0.25,
@@ -520,7 +521,7 @@ def test_structure_depth_converges_with_parallax():
     # Wrong initial depth, alternating views with lateral baseline: depth
     # error shrinks monotonically.
     rig = reference_rig()
-    cam = rig.camera(0)
+    cam = rig.cameras[0]
     truth = np.array([0.05, -0.03, 0.8])
     pose_a = np.zeros(6)
     pose_b = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -544,7 +545,7 @@ def test_structure_stationary_camera_depth_stays_uncertain():
     # noiseless stream leaves the estimate pinned to the observed ray.
     rng = np.random.default_rng(10)
     rig = reference_rig()
-    cam = rig.camera(0)
+    cam = rig.cameras[0]
     truth = np.array([0.004, -0.003, 0.8])
     uv = pixels(truth, cam.intrinsics)
     m = on_ray(uv, cam.intrinsics, 1.0)
@@ -568,7 +569,7 @@ def test_structure_batch_matches_single_updates():
     # the bits they get without it.
     rng = np.random.default_rng(9)
     rig = default_nonoverlap_rig()
-    cam = rig.camera(1)
+    cam = rig.cameras[1]
     pose_vec = np.concatenate([rng.uniform(-0.02, 0.02, 6), np.zeros(6)])
     pts = spread_points(rng, 8) @ cam.R.T + cam.D
     uv = pixels(to_camera(pose_vec[:6], cam, pts), cam.intrinsics)
@@ -601,7 +602,7 @@ def test_kernels_leave_out_points_at_or_behind_the_image_plane_quietly():
     with np.errstate(all="raise"):
         batch = measure(state.x, stack(rig), np.arange(4), uv, single(4), points)
         m, p, front = structure_update(points, initial_structure_covariance(TUNING, 4), uv,
-                                       np.zeros(6), rig.camera(0), 0.25)
+                                       np.zeros(6), rig.cameras[0], 0.25)
     assert batch.ids.tolist() == [0]
     assert batch.jac.shape == (1, 2, 6) and np.all(np.isfinite(batch.jac))
     assert front.tolist() == [True, False, False, False]

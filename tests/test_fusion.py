@@ -183,7 +183,7 @@ def test_rigidity_relation_holds_on_ground_truth():
         rot = rot_from_angles(pose[3:])
         local = true_local_pose(pose, CAMS)
         for k in (1, 2, 3):
-            cam = RIG.camera(k)
+            cam = RIG.cameras[k]
             lhs = rot @ cam.D + pose[:3]
             rhs = cam.R @ local[k, :3] + cam.D
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)

@@ -122,6 +122,13 @@ def test_monte_carlo_rejects_unknown_method():
         tiny_report(methods=["5cameras"])
 
 
+def test_monte_carlo_rejects_a_repeated_method():
+    # A repeated method's row would be summed once per copy and divided by
+    # the run count once.
+    with pytest.raises(InputError, match="'4cameras' is listed more than once"):
+        tiny_report(methods=["4cameras", "4cameras"])
+
+
 @pytest.mark.parametrize("workers", [2.5, True, "2"])
 def test_monte_carlo_rejects_a_worker_count_that_is_not_an_int(workers):
     # A float or a bool would run and be recorded as given; a string would
@@ -291,6 +298,13 @@ def test_cli_unknown_method_exits_1(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(cfg), "--methods", "not-a-method"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_cli_repeated_method_exits_1(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    code = cli.main(["simulate", "--config", str(cfg), "--methods", "4cameras,4cameras,2cameras"])
+    assert code == 1
+    assert "'4cameras' is listed more than once" in capsys.readouterr().err
 
 
 def test_cli_run_tracks_stereo_matches_in_process(tmp_path, capsys):

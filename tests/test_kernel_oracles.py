@@ -32,6 +32,7 @@ from rigpose.ekf import (
 )
 from rigpose.geometry import (
     Z_MIN,
+    Camera,
     CameraStack,
     back_project,
     default_nonoverlap_rig,
@@ -64,8 +65,8 @@ def stereo():
 
 def chains():
     """Four filters, each with one camera at its body's origin."""
-    return CameraStack.centered([c.intrinsics for c in default_nonoverlap_rig().cameras],
-                                [0, 1, 2, 3]), 4
+    return CameraStack.of([Camera(np.zeros(3), np.eye(3), c.intrinsics)
+                           for c in default_nonoverlap_rig().cameras], [0, 1, 2, 3]), 4
 
 
 def mixed():

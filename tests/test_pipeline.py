@@ -110,15 +110,21 @@ def spread_points(rng, n):
     )
 
 
+def one_camera(cam, n):
+    """The stack of one camera at the body origin and the segments of the n
+    matches it sees."""
+    return CameraStack.of([cam], [0]), np.zeros(n, dtype=int)
+
+
 def test_lowe_exact_init_is_fixed_point():
     rng = np.random.default_rng(0)
-    cam = default_overlap_rig().camera(0)
+    cam = default_overlap_rig().cameras[0]
     intr = cam.intrinsics
     truth = np.array([0.01, -0.02, 0.005, 0.015, 0.01, -0.02])
     pts = spread_points(rng, 30)
-    _, uv, *_ = view_points(pts, rot_from_angles(truth[3:])[None], truth[None, :3],
-                            CameraStack.of([cam], [0]), np.zeros(len(pts), dtype=int))
-    est = lowe_pose(pts, uv, intr, truth)
+    cams, seg = one_camera(cam, len(pts))
+    _, uv, *_ = view_points(pts, rot_from_angles(truth[3:])[None], truth[None, :3], cams, seg)
+    est = lowe_pose(pts, uv, cams, seg, truth)
     # the pixels and Lowe place the points through one kernel: no residual
     np.testing.assert_array_equal(est, truth)
     residual = uv - pixels(to_camera(est, cam, pts), intr)
@@ -127,33 +133,60 @@ def test_lowe_exact_init_is_fixed_point():
 
 def test_lowe_recovers_perturbed_pose():
     rng = np.random.default_rng(1)
-    cam = default_overlap_rig().camera(0)
+    cam = default_overlap_rig().cameras[0]
     intr = cam.intrinsics
     for _ in range(10):
         truth = rng.uniform(-0.02, 0.02, 6)
         pts = spread_points(rng, 50)
         uv = pixels(to_camera(truth, cam, pts), intr)
         init = truth + rng.uniform(-0.01, 0.01, 6)
-        est = lowe_pose(pts, uv, intr, init)
+        est = lowe_pose(pts, uv, *one_camera(cam, len(pts)), init)
         np.testing.assert_allclose(est, truth, atol=1e-8)
 
 
+def points_seen_by(rng, pose, cam, n):
+    """n world points spread in front of rig camera cam with the body at the
+    pose row: spread_points in the camera's frame, placed in the world."""
+    rot = rot_from_angles(pose[3:])
+    return pose[:3] + (rot @ cam.D) + spread_points(rng, n) @ (rot @ cam.R).T
+
+
+@pytest.mark.parametrize("body", ["one", "own"])
+@pytest.mark.parametrize("seen_by", [[1], [1, 2]])
+def test_lowe_recovers_the_body_pose_through_cameras_off_the_body_origin(seen_by, body):
+    # Camera 1 of the non-overlapping rig has D != 0 and R != I; with camera
+    # 2 as well, the seed of a rigid filter over several cameras. Every
+    # camera of the stack is placed on the one body, whatever its index.
+    rng = np.random.default_rng(5)
+    rig = default_nonoverlap_rig()
+    assert np.any(rig.cameras[1].D != 0) and np.any(rig.cameras[1].R != np.eye(3))
+    cams = CameraStack.of(rig.cameras, np.zeros(4, int) if body == "one" else np.arange(4))
+    for _ in range(5):
+        truth = rng.uniform(-0.02, 0.02, 6)
+        pts = np.concatenate([points_seen_by(rng, truth, rig.cameras[k], 30) for k in seen_by])
+        seg = np.repeat(seen_by, 30)
+        uv = np.concatenate([pixels(to_camera(truth, rig.cameras[k], pts[seg == k]),
+                                    rig.cameras[k].intrinsics) for k in seen_by])
+        init = truth + rng.uniform(-0.01, 0.01, 6)
+        np.testing.assert_allclose(lowe_pose(pts, uv, cams, seg, init), truth, atol=1e-8)
+
+
 def test_lowe_insufficient_matches():
-    intr = default_overlap_rig().camera(0).intrinsics
+    cam = default_overlap_rig().cameras[0]
     pts = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]])
     with pytest.raises(InsufficientMatches):
-        lowe_pose(pts, pixels(pts, intr), intr, np.zeros(6))
+        lowe_pose(pts, pixels(pts, cam.intrinsics), *one_camera(cam, len(pts)), np.zeros(6))
 
 
 @pytest.mark.parametrize("depth", [0.0, 1e-6, -0.5])
 def test_lowe_rejects_init_with_a_match_at_or_behind_the_camera(depth):
     rng = np.random.default_rng(3)
-    intr = default_overlap_rig().camera(0).intrinsics
+    cam = default_overlap_rig().cameras[0]
     pts = spread_points(rng, 20)
-    uv = pixels(pts, intr)
+    uv = pixels(pts, cam.intrinsics)
     pts[7] = [0.01, -0.02, depth]   # at that depth from the camera at init
     with pytest.raises(BehindCamera):
-        lowe_pose(pts, uv, intr, np.zeros(6))
+        lowe_pose(pts, uv, *one_camera(cam, len(pts)), np.zeros(6))
 
 
 def lowe_in_front_only_at(monkeypatch, init):
@@ -173,22 +206,24 @@ def lowe_in_front_only_at(monkeypatch, init):
 
 
 def lowe_case():
-    """(points, pixels, intrinsics, init) with init 0.01 off the truth."""
+    """(points, pixels, camera stack, segments, init) with init 0.01 off the
+    truth."""
     rng = np.random.default_rng(4)
-    cam = default_overlap_rig().camera(0)
+    cam = default_overlap_rig().cameras[0]
     truth = rng.uniform(-0.02, 0.02, 6)
     pts = spread_points(rng, 40)
-    return pts, pixels(to_camera(truth, cam, pts), cam.intrinsics), cam.intrinsics, truth + 0.01
+    return (pts, pixels(to_camera(truth, cam, pts), cam.intrinsics), *one_camera(cam, len(pts)),
+            truth + 0.01)
 
 
 def test_lowe_raises_diverged_after_its_first_failed_search(monkeypatch):
     # A search whose every candidate puts a match behind the camera ends the
     # solve: one placement of init and 25 candidates, with no repeat of the
     # same search.
-    pts, uv, intr, init = lowe_case()
+    *case, init = lowe_case()
     placed = lowe_in_front_only_at(monkeypatch, init)
     with pytest.raises(Diverged):
-        lowe_pose(pts, uv, intr, init)
+        lowe_pose(*case, init)
     assert len(placed) == 1 + 25
 
 
@@ -198,21 +233,21 @@ def test_lowe_failing_in_its_last_iterations_raises_diverged(monkeypatch):
     # failure still raises instead of returning init.
     from rigpose import pipeline
 
-    pts, uv, intr, init = lowe_case()
+    *case, init = lowe_case()
     lowe_in_front_only_at(monkeypatch, init)
     monkeypatch.setattr(pipeline, "LOWE_MAX_ITER", 3)
     with pytest.raises(Diverged):
-        lowe_pose(pts, uv, intr, init)
+        lowe_pose(*case, init)
 
 
 def test_lowe_converges_with_noisy_pixels():
     rng = np.random.default_rng(2)
-    cam = default_overlap_rig().camera(0)
+    cam = default_overlap_rig().cameras[0]
     intr = cam.intrinsics
     truth = np.array([0.01, 0.0, -0.01, 0.0, 0.01, 0.0])
     pts = spread_points(rng, 60)
     uv = pixels(to_camera(truth, cam, pts), intr) + rng.normal(0, 0.5, (60, 2))
-    est = lowe_pose(pts, uv, intr, np.zeros(6))
+    est = lowe_pose(pts, uv, *one_camera(cam, len(pts)), np.zeros(6))
     assert np.abs(est - truth).max() < 5e-3
 
 
@@ -362,7 +397,7 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
     events = [j for j, diag in enumerate(series.diagnostics) if diag.get("retriangulated")]
     assert events, "expected at least one re-triangulation event"
 
-    from rigpose.pipeline import _camera, _match_and_triangulate, _TrackTable
+    from rigpose.pipeline import _match_and_triangulate, _TrackTable
 
     j = events[0]
     pose = series.x[j - 1]
@@ -370,11 +405,12 @@ def test_stereo_retriangulated_structure_consistent_with_pose():
     store = _TrackTable(n_features)
     _match_and_triangulate(stream, j - 1, rig_stack(rig), matches, pose[None], store)
     residuals = []
-    for k in range(len(rig.cameras)):
-        ids, uv = _camera(compact[j - 1], k)
+    view = compact[j - 1]
+    for k, cam in enumerate(rig.cameras):
+        ids, uv = view.rows[view.seg == k], view.uv[view.seg == k]
         mask = store.live[ids]
         pts = store.means[ids[mask]]
-        predicted = pixels(to_camera(pose, rig.camera(k), pts), rig.camera(k).intrinsics)
+        predicted = pixels(to_camera(pose, cam, pts), cam.intrinsics)
         residuals.extend(np.linalg.norm(predicted - uv[mask], axis=1))
     residuals = np.array(residuals)
     assert np.mean(residuals < 2 * 0.5 * 2) >= 0.95  # 2 sigma per coordinate
@@ -579,11 +615,11 @@ def test_nonoverlap_chain_alone_matches_chain_in_lockstep():
     _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=40, noise_sigma=0.5,
                                              seed=25))
     tuning, pcfg = FilterTuning(), PipelineConfig(redetect_threshold=20)
-    together, tags, diags = _run_chains(frames, rig.cameras, tuning, pcfg)
+    together, tags, diags = _run_chains(frames, rig_stack(rig), tuning, pcfg)
     assert sum(d[k]["redetected"] for d in diags for k in range(4)) >= 3
     for k in range(4):
-        alone, tags_k, diags_k = _run_chains(slice_stream(frames, [k]), [rig.camera(k)], tuning,
-                                             pcfg)
+        alone, tags_k, diags_k = _run_chains(slice_stream(frames, [k]),
+                                             CameraStack.of([rig.cameras[k]], [0]), tuning, pcfg)
         np.testing.assert_array_equal(alone[:, 0], together[:, k])
         assert [t[0] for t in tags_k] == [t[k] for t in tags]
         assert [d[0] for d in diags_k] == [d[k] for d in diags]
@@ -635,7 +671,7 @@ def test_nonoverlap_series_are_mapped_from_the_chains_bit_for_bit():
     _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=40, noise_sigma=0.5,
                                              seed=25))
     pcfg = PipelineConfig(redetect_threshold=20)
-    locals_, _, diags = _run_chains(frames, rig.cameras, FilterTuning(), pcfg)
+    locals_, _, diags = _run_chains(frames, rig_stack(rig), FilterTuning(), pcfg)
     assert sum(d[k]["redetected"] for d in diags for k in range(4)) >= 3
     out = run_nonoverlap_sequence(frames, rig, pcfg=pcfg)
     cam1 = out["cam1"].x
@@ -714,6 +750,20 @@ def test_nonoverlap_requires_four_camera_rig():
     rig = default_overlap_rig()
     with pytest.raises(InputError):
         run_nonoverlap_sequence([[]], rig)
+
+
+@pytest.mark.parametrize("n_truth", [1, 3, 5], ids=["1", "F-1", "F+1"])
+@pytest.mark.parametrize("layout", ["stereo", "nonoverlap"])
+def test_estimators_reject_a_truth_of_another_length(layout, n_truth):
+    # A truth seeds the filters: it needs one row per frame of the F = 4.
+    from rigpose.simulate import Trajectory
+
+    rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
+    _, traj, frames = render_run(rig, SimConfig(n_points=2000, n_frames=4, seed=6))
+    truth = Trajectory(np.resize(traj.x, (n_truth, 6)))
+    with pytest.raises(LengthMismatch, match=f"truth has {n_truth} frames, the observations "
+                                             "have 4"):
+        run_layout(layout, frames, rig, truth=truth)
 
 
 def test_nonoverlap_rc_fallback_scales_on_first_frames():
@@ -881,7 +931,6 @@ def test_stereo_matches_on_shuffled_rows_equal_the_default_intersection(tmp_path
     # A shuffled tracks file gives each camera unique rows in unsorted file
     # order; the pairing that assumes unique rows must equal the default one.
     from rigpose import stereo as st
-    from rigpose.pipeline import _camera
 
     rig = default_overlap_rig()
     _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
@@ -892,8 +941,8 @@ def test_stereo_matches_on_shuffled_rows_equal_the_default_intersection(tmp_path
         failed = []
         passing = matched_pairs(stream, matches, pairs, j)
         for (cam_a, cam_b, fm), (rows, pa, pb) in zip(pairs, passing):
-            ids_a, uv_a = _camera(frame, cam_a)
-            ids_b, uv_b = _camera(frame, cam_b)
+            ids_a, uv_a = frame.rows[frame.seg == cam_a], frame.uv[frame.seg == cam_a]
+            ids_b, uv_b = frame.rows[frame.seg == cam_b], frame.uv[frame.seg == cam_b]
             assert np.any(np.diff(ids_a) < 0) and np.any(np.diff(ids_b) < 0)
             ref, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
             dist = st.epipolar_distances(fm, uv_a[ia], uv_b[ib])
@@ -954,7 +1003,7 @@ def assert_gate_matches_reference(frames, rig):
     reference = stereo_gate(frames, pairs, PipelineConfig().epipolar_tol_px)
     for j, (frame, view, (failed, passing)) in enumerate(zip(frames, compact, reference)):
         for k, (ids, _) in enumerate(frame):
-            kept = gate[view.span][view.at[k]:view.at[k + 1]]
+            kept = gate[view.span][view.seg == k]
             np.testing.assert_array_equal(kept, [int(f) not in failed for f in ids])
         for (rows, uv_a, uv_b), (ids, pa, pb) in zip(matched_pairs(stream, matches, pairs, j),
                                                      passing):
@@ -987,7 +1036,7 @@ def test_compact_ids_rank_ids_as_the_inverse_of_the_sorted_distinct_ids(ids):
     np.testing.assert_array_equal(stream.rows,
                                   np.column_stack([inverse, inverse[::-1] + n]).ravel())
     for view in views:
-        np.testing.assert_array_equal(view.at, [0, 1, 2])
+        np.testing.assert_array_equal(view.seg, [0, 1])
     assert n == len(distinct)
 
 

@@ -107,17 +107,17 @@ STILL = scripted_trajectory(1, np.zeros(6))  # one frame at the identity pose
 def test_render_noiseless_matches_exact_projection():
     rig = default_overlap_rig()
     scene = gen_scene(small_cfg(n_points=300), np.random.default_rng(6))
-    (ids, uv), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
+    (ids, uv), = render_sequence(scene, STILL, [rig.cameras[0]], 0.0)[0]
     pose, seg = np.zeros(6), np.zeros(len(ids), dtype=int)
     _, exact, *_ = view_points(scene[ids], rot_from_angles(pose[3:])[None], pose[None, :3],
-                               CameraStack.of([rig.camera(0)], [0]), seg)
+                               CameraStack.of([rig.cameras[0]], [0]), seg)
     np.testing.assert_array_equal(uv, exact)
 
 
 def test_render_excludes_behind_camera_points():
     rig = default_overlap_rig()
     scene = np.array([[0.0, 0.0, 0.8], [0.0, 0.0, -0.8]])
-    (ids, _), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
+    (ids, _), = render_sequence(scene, STILL, [rig.cameras[0]], 0.0)[0]
     assert list(ids) == [0]
 
 
@@ -126,8 +126,8 @@ def test_render_noise_statistics():
     rig = default_overlap_rig()
     scene = gen_scene(SimConfig(n_points=20_000, seed=7), np.random.default_rng(7))
     still = scripted_trajectory(10, np.zeros(6))
-    noisy = render_sequence(scene, still, [rig.camera(0)], 0.5, np.random.SeedSequence(8))
-    (exact_ids, exact), = render_sequence(scene, STILL, [rig.camera(0)], 0.0)[0]
+    noisy = render_sequence(scene, still, [rig.cameras[0]], 0.5, np.random.SeedSequence(8))
+    (exact_ids, exact), = render_sequence(scene, STILL, [rig.cameras[0]], 0.0)[0]
     assert all(np.array_equal(ids, exact_ids) for (ids, _), in noisy)
     residual = np.concatenate([(uv - exact).ravel() for (_, uv), in noisy])
     assert len(residual) >= 10_000 * 0.02  # enough samples to estimate sigma
@@ -187,7 +187,7 @@ def test_render_sequence_matches_full_projection():
         np.testing.assert_array_equal(ids, [0, 1, 2, 4])
         assert uv[0, 0] == 0.0 and uv[1, 1] == 0.0 and uv[2, 0] == 640.0 - 2.0**-30
         center, ray = back_project(near, np.eye(3)[None], np.zeros((1, 3)),
-                                   CameraStack.centered([intr], [0]), np.zeros(400, dtype=int))
+                                   CameraStack.of(cameras[:1], [0]), np.zeros(400, dtype=int))
         border = np.vstack([border, center + rng.uniform(0.05, 50.0, (400, 1)) * ray])
         for inner, outer in [(0.05, 0.2), (5.0, 50.0)]:
             cfg = SimConfig(n_points=3000, shell_inner=inner, shell_outer=outer, n_frames=8,

@@ -37,7 +37,7 @@ class Pair:
 
 
 def project_pair(rig, pose, pair, point):
-    cam_a, cam_b = rig.camera(pair.cam_a), rig.camera(pair.cam_b)
+    cam_a, cam_b = rig.cameras[pair.cam_a], rig.cameras[pair.cam_b]
     uv_a = pixels(to_camera(pose, cam_a, point), cam_a.intrinsics)
     uv_b = pixels(to_camera(pose, cam_b, point), cam_b.intrinsics)
     return uv_a, uv_b
@@ -221,8 +221,8 @@ def test_triangulate_symmetric_configuration():
     point = np.array([0.05, 0.0, 0.9])  # x = baseline/2
     uv_a, uv_b = project_pair(rig, np.zeros(6), pair, point)
     rec = triangulate(rig, np.zeros(6), pair, uv_a, uv_b)
-    d_a = np.linalg.norm(rec - rig.camera(0).D)
-    d_b = np.linalg.norm(rec - rig.camera(1).D)
+    d_a = np.linalg.norm(rec - rig.cameras[0].D)
+    d_b = np.linalg.norm(rec - rig.cameras[1].D)
     assert abs(d_a - d_b) < 1e-9
 
 
@@ -230,7 +230,7 @@ def test_triangulate_parallel_rays_at_epipole():
     # Both pixels looking along the baseline direction: collinear rays.
     rig = default_overlap_rig()
     pair = Pair(rig, 0, 1)
-    intr = rig.camera(0).intrinsics
+    intr = rig.cameras[0].intrinsics
     # baseline is +x; a pixel far along +x approximates the epipole direction
     epipole = [intr.cx + intr.fx * 1e9, intr.cy]
     _, ok = pair.triangulate(np.zeros(6), [epipole], [epipole])
@@ -283,7 +283,7 @@ def brute_force_ray_intersection(rig, pose, pair, uv_a, uv_b):
     """Independent oracle: solve the 3x2 least-squares ray system directly."""
 
     def ray(cam_idx, uv):
-        cam = rig.camera(cam_idx)
+        cam = rig.cameras[cam_idx]
         center, orient = camera_placement(rot_from_angles(pose[3:]), pose[:3], cam)
         xn = (uv[0] - cam.intrinsics.cx) / cam.intrinsics.fx
         yn = (uv[1] - cam.intrinsics.cy) / cam.intrinsics.fy

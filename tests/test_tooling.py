@@ -166,3 +166,14 @@ def test_each_filter_step_is_called_from_one_function():
                 if name in steps:
                     callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert all(len(where) == 1 for where in callers.values()), callers
+
+
+def test_the_pipeline_reads_its_cameras_from_the_stack():
+    # Every kernel, replenish and seed of the estimators reads its cameras
+    # from a CameraStack: no code of the pipeline looks up a camera's
+    # intrinsics beside it.
+    tree = ast.parse((ROOT / "src" / "rigpose" / "pipeline.py").read_text())
+    names = {getattr(node, field) for node in ast.walk(tree)
+             for field in ("id", "attr", "name", "arg")
+             if isinstance(getattr(node, field, None), str)}
+    assert not names & {"Intrinsics", "intrinsics"}
