@@ -61,7 +61,7 @@ def _config(args) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    check_output_paths(args.out, args.json_out)
+    check_output_paths([args.out, args.json_out], [args.config])
     cfg = _config(args)
     flags = {"n_runs": args.runs, "n_frames": args.frames, "seed": args.seed}
     sim = cfg["sim"].with_overrides(**{k: v for k, v in flags.items() if v is not None})
@@ -92,7 +92,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run_tracks(args) -> int:
-    check_output_paths(args.out, args.diagnostics)
+    check_output_paths([args.out, args.diagnostics],
+                       [args.tracks, args.rig, args.truth, args.config])
     rig = read_rig(args.rig)
     rig.check_layout("overlapping" if args.layout == "stereo" else "non-overlapping")
     obs = pipeline.read_tracks(args.tracks, len(rig))

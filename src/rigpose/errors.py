@@ -120,14 +120,22 @@ def open_path(path, mode: str = "r", **kwargs):
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def check_output_paths(*paths) -> None:
-    """Raise InputError, as open_path would on writing, for the first path
-    that is a directory or lies in a missing directory; None is skipped."""
-    for path in filter(None, paths):
+def check_output_paths(outputs, inputs=()) -> None:
+    """Raise InputError, as open_path would on writing, for the first output
+    path that is a directory or lies in a missing directory, and for one
+    that resolves to the same file as another output or an input (two
+    inputs may share a file); None is skipped."""
+    taken = {os.path.realpath(path): path for path in filter(None, inputs)}
+    for path in filter(None, outputs):
         if os.path.isdir(path):
             raise InputError(f"{path}: {os.strerror(errno.EISDIR)}")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise InputError(f"{path}: {os.strerror(errno.ENOENT)}")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise InputError(f"{path}: the same file as {taken[real]}, "
+                             "which the command also uses")
+        taken[real] = path
 
 
 def read_json(path):

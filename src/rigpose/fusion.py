@@ -12,15 +12,15 @@ The translations are tied together by
 
 whose nine scalar components in the three non-reference cameras form a
 9x4 linear system in the unknown scales s = (S_j, S_2j, S_3j, S_4j).
-The per-axis medians of the body angles (the fused rotations) and the
-frames' systems are built for a whole run at once; fuse_pose then solves
-one frame's system and gives the fused pose: those median angles and the
-reference translation rescaled by the solved S_j.
+fuse_series builds the RC series of a run: the per-axis medians of the
+body angles (the fused rotations) and all frames' systems in one call
+each, then fuse_pose solves one frame's system and gives the fused pose:
+those median angles and the reference translation rescaled by the solved
+S_j.
 
 The system loses rank on pure-rotation or zero-translation frames; the
 solver flags those, judging the condition from the least-squares solver's
-own singular values, and the caller falls back to the previous frame's
-scales.
+own singular values, and the frame keeps the previous frame's scales.
 """
 
 from __future__ import annotations
@@ -151,3 +151,24 @@ def fuse_pose(a, b, d_ref, angles, prev_scales) -> FusionResult:
         ill_conditioned=ill,
         residual=residual,
     )
+
+
+def fuse_series(locals_: np.ndarray, body: np.ndarray, cams: CameraStack):
+    """The RC series of a run from the chains' local poses (F, 4, 6) and
+    their body poses (F, 4, 6) (local_to_body_pose).
+
+    Returns the fused poses (F, 6), frame 0 at the identity, and one record
+    per frame: frame 0 holds unit scales, each later frame its scales, its
+    ill_conditioned flag and its residual. A degenerate frame keeps the
+    previous frame's scales.
+    """
+    x, records = np.zeros((len(locals_), 6)), [{"scales": [1.0] * 4}]
+    angles, d_ref = fuse_rotation_median(body[1:, :, 3:]), locals_[1:, 0, :3]
+    a, b = build_scale_system(d_ref, rot_from_angles(angles), locals_[1:, 1:, :3], cams)
+    scales = np.ones(4)
+    for j in range(1, len(locals_)):
+        fused = fuse_pose(a[j - 1], b[j - 1], d_ref[j - 1], angles[j - 1], scales)
+        x[j], scales = fused.pose, fused.scales
+        records.append({"scales": [float(s) for s in scales],
+                        "ill_conditioned": fused.ill_conditioned, "residual": fused.residual})
+    return x, records

@@ -75,10 +75,6 @@ def _axes(c, s, one: float = 1.0) -> np.ndarray:
 _GENERATORS = _axes(np.zeros(3), np.ones(3), 0.0)
 
 
-def rot_y(b: float) -> np.ndarray:
-    return _axes(np.cos([0.0, b, 0.0]), np.sin([0.0, b, 0.0]))[1]
-
-
 def rot_from_angles(angles) -> np.ndarray:
     """Build the rotation matrix R = Rx(alpha) @ Ry(beta) @ Rz(gamma); angles
     (..., 3) give rotations (..., 3, 3)."""
@@ -413,9 +409,9 @@ def default_nonoverlap_rig() -> CameraRig:
     return CameraRig(
         cameras=[
             Camera(D=np.zeros(3), R=np.eye(3)),
-            Camera(D=np.array([side_x, 0.0, side_z]), R=rot_y(np.pi / 2)),
-            Camera(D=np.array([0.0, 0.0, -BASELINE_M]), R=rot_y(np.pi)),
-            Camera(D=np.array([-side_x, 0.0, side_z]), R=rot_y(-np.pi / 2)),
+            Camera(D=np.array([side_x, 0.0, side_z]), R=rot_from_angles([0.0, np.pi / 2, 0.0])),
+            Camera(D=np.array([0.0, 0.0, -BASELINE_M]), R=rot_from_angles([0.0, np.pi, 0.0])),
+            Camera(D=np.array([-side_x, 0.0, side_z]), R=rot_from_angles([0.0, -np.pi / 2, 0.0])),
         ],
         layout="non-overlapping",
     )
@@ -429,8 +425,9 @@ def default_overlap_rig() -> CameraRig:
         cameras=[
             Camera(D=np.zeros(3), R=np.eye(3)),
             Camera(D=np.array([BASELINE_M, 0.0, 0.0]), R=np.eye(3)),
-            Camera(D=np.array([0.0, 0.0, -BASELINE_M]), R=rot_y(np.pi)),
-            Camera(D=np.array([BASELINE_M, 0.0, -BASELINE_M]), R=rot_y(np.pi)),
+            Camera(D=np.array([0.0, 0.0, -BASELINE_M]), R=rot_from_angles([0.0, np.pi, 0.0])),
+            Camera(D=np.array([BASELINE_M, 0.0, -BASELINE_M]),
+                   R=rot_from_angles([0.0, np.pi, 0.0])),
         ],
         layout="overlapping",
     )

@@ -40,10 +40,11 @@ chains step in lockstep as one stack of filters, and replenishing
 re-detects the depleted chains' untracked features in one call. Both
 replenishes place their structure through geometry.back_project on the
 filters' CameraStack. Their local poses map to body poses (the per-camera
-series) in one call per run. The RC series fuses them through the rigidity
-constraints: the per-axis medians of those body angles and every frame's
-scale-factor system are built once per run, and each frame then solves its
-system, carrying the previous scales over a degenerate one.
+series) in one call per run, and fusion.fuse_series builds the RC series
+from them in one call: the rigidity constraints' per-axis medians of those
+body angles and every frame's scale-factor system once per run, then each
+frame's solve, a degenerate frame carrying the previous scales over. The
+pipeline names none of the fusion's pieces.
 """
 
 from __future__ import annotations
@@ -503,10 +504,9 @@ def run_nonoverlap_sequence(
 
     Returns five series: 'cam1'..'cam4' (each camera's own body-pose
     estimate through the rigidity mapping with unit scales, all frames and
-    cameras in one call) and 'RC' (the rigidity-constrained fusion: per
-    frame the per-axis medians of the cam1..cam4 angles plus the reference
-    translation at its solved scale; the medians and the scale systems
-    are built for all frames at once, the solve runs per frame).
+    cameras in one call) and 'RC' (fusion.fuse_series of those: per frame
+    the per-axis medians of the cam1..cam4 angles plus the reference
+    translation at its solved scale).
 
     A given truth, one row per frame (else LengthMismatch), seeds the
     chains' filters with the true local poses at frame 1, and a given scene
@@ -529,20 +529,8 @@ def run_nonoverlap_sequence(
                                              [rec[k] for rec in records])
            for k in range(4)}
 
-    rc = PoseEstimateSeries(np.zeros((n_frames, 6)), ["init"] + ["rc"] * (n_frames - 1),
-                            [{"scales": [1.0] * 4}])
-    angles = fusion.fuse_rotation_median(body[1:, :, 3:])
-    d_ref = locals_[1:, 0, :3]
-    a, b = fusion.build_scale_system(d_ref, rot_from_angles(angles), locals_[1:, 1:, :3], cams)
-    prev_scales = np.ones(4)
-    for j in range(1, n_frames):
-        result = fusion.fuse_pose(a[j - 1], b[j - 1], d_ref[j - 1], angles[j - 1], prev_scales)
-        prev_scales = result.scales
-        rc.x[j] = result.pose
-        rc.diagnostics.append({"scales": [float(s) for s in result.scales],
-                               "ill_conditioned": result.ill_conditioned,
-                               "residual": result.residual})
-    out["RC"] = rc
+    x, records = fusion.fuse_series(locals_, body, cams)
+    out["RC"] = PoseEstimateSeries(x, ["init"] + ["rc"] * (n_frames - 1), records)
     return out
 
 

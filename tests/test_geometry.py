@@ -26,7 +26,6 @@ from rigpose.geometry import (
     rig_from_dict,
     rig_to_dict,
     rot_from_angles,
-    rot_y,
     view_points,
     write_rig,
 )
@@ -106,7 +105,7 @@ def test_angles_from_rot_rejects_non_rotation():
 
 def test_angles_from_rot_gimbal_proximity():
     with pytest.raises(GimbalProximity):
-        euler_angles(rot_y(np.pi / 2))
+        euler_angles(rot_from_angles([0.0, np.pi / 2, 0.0]))
 
 
 def test_world_to_camera_identity_pose():
@@ -347,7 +346,7 @@ def test_rig_json_roundtrip(tmp_path):
         Camera(D=np.zeros(3), R=np.eye(3),
                intrinsics=Intrinsics(fx=1024.0, fy=980.5, cx=400.0, cy=300.0,
                                      width=800, height=600)),
-        Camera(D=np.array([0.2, 0.0, 0.0]), R=rot_y(0.3),
+        Camera(D=np.array([0.2, 0.0, 0.0]), R=rot_from_angles([0.0, 0.3, 0.0]),
                intrinsics=Intrinsics(fx=512.0, fy=512.0, cx=160.0, cy=120.0,
                                      width=320, height=240)),
     ], layout="non-overlapping")

@@ -13,7 +13,7 @@ import pytest
 
 from reference import stream_of
 from rigpose import cli, harness, pipeline
-from rigpose.errors import InputError
+from rigpose.errors import InputError, check_output_paths
 from rigpose.geometry import (
     CameraRig,
     default_nonoverlap_rig,
@@ -796,6 +796,64 @@ def test_cli_checks_output_paths_before_any_work(tmp_path, capsys, monkeypatch, 
     assert sorted(tmp_path.rglob("*")) == before, "an output path was created"
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+def _every_path(tmp_path, command):
+    """argv of a command that runs, with each of its input and output flags
+    on a file of its own; the inputs exist, the outputs do not."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sim": {"n_points": 500}}))
+    if command == "simulate":
+        return ["simulate", "--runs", "1", "--frames", "3", "--config", str(config),
+                "--out", str(tmp_path / "r.csv"), "--json", str(tmp_path / "r.json")]
+    tracks, truth = _rendered(tmp_path, default_overlap_rig(), n_frames=4)
+    return _run_tracks(tmp_path, OVERLAP_RIG_TEXT, tracks) + [
+        "--truth", str(truth), "--config", str(config),
+        "--diagnostics", str(tmp_path / "d.jsonl")]
+
+
+SHARED_PATHS = [
+    ("simulate", "--out", "--json"),
+    ("simulate", "--out", "--config"),
+    ("simulate", "--json", "--config"),
+    *(("run-tracks", "--out", other)
+      for other in ("--tracks", "--rig", "--truth", "--config", "--diagnostics")),
+    *(("run-tracks", "--diagnostics", other)
+      for other in ("--tracks", "--rig", "--truth", "--config")),
+]
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["same-name", "symlink"])
+@pytest.mark.parametrize("command, output, other", SHARED_PATHS)
+def test_cli_refuses_an_output_on_another_path_of_the_command(
+    tmp_path, capsys, monkeypatch, command, output, other, link
+):
+    # An output that is the same file as another output or an input of the
+    # command, by name or through a link, is refused before any file is read
+    # or written, and the file it names keeps its content.
+    argv = _every_path(tmp_path, command)
+
+    def read(*args, **kwargs):
+        raise AssertionError("the command read an input")
+
+    for module, name in [(cli, "read_rig"), (harness, "load_config"), (pipeline, "read_tracks"),
+                         (pipeline, "read_truth")]:
+        monkeypatch.setattr(module, name, read)
+    shared = Path(argv[argv.index(other) + 1])
+    if not shared.exists():
+        shared.write_text("an earlier output\n")
+    before = shared.read_bytes()
+    if link:
+        (tmp_path / "link").symlink_to(shared)
+    assert cli.main(_swap(argv, output, tmp_path / "link" if link else shared)) == 1
+    assert shared.read_bytes() == before
+    err = capsys.readouterr().err
+    assert "error: " in err and "the same file as" in err, err
+
+
+def test_two_inputs_may_name_one_file(tmp_path):
+    (tmp_path / "in.json").write_text("{}")
+    check_output_paths([tmp_path / "out.csv", None], [tmp_path / "in.json", tmp_path / "in.json"])
 
 
 @pytest.mark.parametrize("rig, layout", [(default_nonoverlap_rig(), "stereo"),

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from reference import (
-    axis_rotations,
     back_project_reference,
     pose_measurement_rows_reference,
     rotation_derivatives_reference,
@@ -39,7 +38,6 @@ from rigpose.geometry import (
     default_overlap_rig,
     rot_from_angles,
     rot_with_derivatives,
-    rot_y,
     view_points,
 )
 from rigpose.simulate import SimConfig, gen_trajectory
@@ -191,8 +189,6 @@ def test_stacked_axis_rotations_have_the_per_axis_bits(n):
         assert_same_bits(rot_from_angles(a), rotation_reference(a))
         for got, want in zip(rot_with_derivatives(a), rotation_derivatives_reference(a)):
             assert_same_bits(got, want)
-    for b in [0.0, np.pi / 2, -np.pi / 2, np.pi, *NEAR_PI]:
-        assert_same_bits(rot_y(b), axis_rotations(1, np.cos(b), np.sin(b)))
 
 
 @pytest.mark.parametrize("n_frames", [1, 2, 100])

@@ -684,16 +684,20 @@ def test_nonoverlap_series_are_mapped_from_the_chains_bit_for_bit():
 
 
 def assert_rc_is_the_per_frame_fusion(rc, locals_, cams):
-    """The RC series' poses and per-frame diagnostics have the bits of
-    fusing the chains' local poses one frame at a time."""
-    from rigpose.fusion import local_to_body_pose
+    """The RC series' poses and per-frame diagnostics, and those fuse_series
+    gives, have the bits of fusing the chains' local poses one frame at a
+    time."""
+    from rigpose.fusion import fuse_series, local_to_body_pose
 
-    x, want = rc_fusion(locals_, local_to_body_pose(locals_, cams), cams)
-    assert rc.x.tobytes() == x.tobytes()
-    assert len(rc.diagnostics) == len(locals_)
-    for diag, (scales, ill, residual) in zip(rc.diagnostics[1:], want, strict=True):
-        assert diag == {"scales": [float(s) for s in scales], "ill_conditioned": ill,
-                        "residual": residual}
+    body = local_to_body_pose(locals_, cams)
+    x, want = rc_fusion(locals_, body, cams)
+    for poses, records in [(rc.x, rc.diagnostics), fuse_series(locals_, body, cams)]:
+        assert poses.tobytes() == x.tobytes()
+        assert records[0] == {"scales": [1.0] * 4}
+        assert len(records) == len(locals_)
+        for diag, (scales, ill, residual) in zip(records[1:], want, strict=True):
+            assert diag == {"scales": [float(s) for s in scales], "ill_conditioned": ill,
+                            "residual": residual}
 
 
 @pytest.mark.parametrize("case", ["desk", "still-then-moving"])

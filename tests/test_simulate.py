@@ -12,7 +12,6 @@ from rigpose.geometry import (
     default_nonoverlap_rig,
     default_overlap_rig,
     rot_from_angles,
-    rot_y,
     view_points,
 )
 from rigpose.simulate import (
@@ -174,8 +173,9 @@ def test_render_sequence_matches_full_projection():
     cameras = [
         Camera(np.zeros(3), np.eye(3), intr),
         Camera([0.1, 0.0, 0.0], np.eye(3)),
-        Camera([0.0, 0.0, -0.1], rot_y(np.pi)),
-        Camera([7.0, -1.0, 2.0], rot_y(-np.pi / 2)),   # 7 m out, facing the origin
+        Camera([0.0, 0.0, -0.1], rot_from_angles([0.0, np.pi, 0.0])),
+        # 7 m out, facing the origin
+        Camera([7.0, -1.0, 2.0], rot_from_angles([0.0, -np.pi / 2, 0.0])),
     ]
     rng = np.random.default_rng(12)
     # Points within 1e-6 px of each image border, 5 cm to 50 m deep.

@@ -177,3 +177,16 @@ def test_the_pipeline_reads_its_cameras_from_the_stack():
              for field in ("id", "attr", "name", "arg")
              if isinstance(getattr(node, field, None), str)}
     assert not names & {"Intrinsics", "intrinsics"}
+
+
+def test_the_rigidity_fusion_policy_lives_in_fusion():
+    # fusion.fuse_series builds the RC series: the medians, the scale
+    # systems, their solves and the scales a degenerate frame keeps. The
+    # pipeline hands it the chains' poses and names none of its pieces.
+    tree = ast.parse((ROOT / "src" / "rigpose" / "pipeline.py").read_text())
+    names = {getattr(node, field) for node in ast.walk(tree)
+             for field in ("id", "attr", "name")
+             if isinstance(getattr(node, field, None), str)}
+    pieces = {"fuse_pose", "solve_scales", "build_scale_system", "fuse_rotation_median",
+              "FusionResult"}
+    assert not names & pieces, sorted(names & pieces)
