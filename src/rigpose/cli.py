@@ -17,6 +17,7 @@ import sys
 from . import harness, pipeline
 from .errors import InputError, RigPoseError, check_output_paths
 from .geometry import read_rig
+from .simulate import SimConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,30 +54,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config(args) -> dict:
-    """The harness config of --config, or the defaults without one."""
-    if args.config:
-        return harness.load_config(args.config)
-    return harness.config_from_dict({}, "defaults")
-
-
 def _cmd_simulate(args) -> int:
     check_output_paths([args.out, args.json_out], [args.config])
-    cfg = _config(args)
+    cfg = harness.load_config(args.config) if args.config else {}
     flags = {"n_runs": args.runs, "n_frames": args.frames, "seed": args.seed}
-    sim = cfg["sim"].with_overrides(**{k: v for k, v in flags.items() if v is not None})
+    sim = cfg.pop("sim", SimConfig()).with_overrides(
+        **{k: v for k, v in flags.items() if v is not None})
     methods = args.methods.split(",") if args.methods else None
-
-    report = harness.monte_carlo(
-        sim,
-        rig_overlap=cfg["rig_overlap"],
-        rig_nonoverlap=cfg["rig_nonoverlap"],
-        tuning=cfg["tuning"],
-        pipeline_cfg=cfg["pipeline"],
-        methods=methods,
-        workers=args.workers,
-        min_visible=cfg["min_visible"],
-    )
+    report = harness.monte_carlo(sim, methods=methods, workers=args.workers, **cfg)
     if args.out:
         report.write_csv(args.out)
     if args.json_out:
@@ -97,21 +82,24 @@ def _cmd_run_tracks(args) -> int:
     rig = read_rig(args.rig)
     rig.check_layout("overlapping" if args.layout == "stereo" else "non-overlapping")
     obs = pipeline.read_tracks(args.tracks, len(rig))
-    cfg = _config(args)
-    tuning, pcfg = cfg["tuning"], cfg["pipeline"]
+    cfg = harness.load_config(args.config) if args.config else {}
+    truth = pipeline.read_truth(args.truth) if args.truth else None
+    pipeline.check_truth(truth, obs)
 
+    tuning, pcfg = cfg.get("tuning"), cfg.get("pipeline_cfg")
     if args.layout == "stereo":
         by_method = {"stereo": pipeline.run_stereo_sequence(obs, rig, tuning=tuning, pcfg=pcfg)}
     else:
         by_method = pipeline.run_nonoverlap_sequence(obs, rig, tuning=tuning, pcfg=pcfg)
+    # Scored before any output is written, so a sequence with no frame to
+    # score leaves no poses behind.
+    errors = {} if truth is None else {method: pipeline.pose_error_report(series, truth)
+                                       for method, series in by_method.items()}
 
     pipeline.write_poses(args.out, by_method)
     if args.diagnostics:
         pipeline.write_diagnostics(args.diagnostics, by_method)
-    if args.truth:
-        truth = pipeline.read_truth(args.truth)
-        errors = {method: pipeline.pose_error_report(series, truth)
-                  for method, series in by_method.items()}
+    if truth is not None:
         print("method," + ",".join(harness.PARAM_NAMES))
         for method, row in errors.items():
             print(method + "," + ",".join(f"{x:.6g}" for x in row))

@@ -44,10 +44,6 @@ class BehindCamera(DegenerateGeometry):
     """A point has nonpositive depth in the camera it should project into."""
 
 
-class CoincidentCenters(DegenerateGeometry):
-    """Two camera centers coincide; no epipolar geometry exists."""
-
-
 class IllConditioned(DegenerateGeometry):
     """Scale system too ill-conditioned to solve; fall back to previous scales."""
 

@@ -31,16 +31,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from numbers import Real
 
 import numpy as np
 
 from .errors import (
-    MAX_MAGNITUDE,
     InputError,
     GimbalProximity,
     NonOrthonormalInput,
     check_config_fields,
+    check_number,
     json_object,
     open_path,
     read_json,
@@ -353,10 +352,10 @@ def angles_from_rig_rotation(rot: np.ndarray) -> np.ndarray:
 
 
 def _three_numbers(value, what: str) -> np.ndarray:
-    if not (isinstance(value, list) and len(value) == 3 and all(
-            isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= MAX_MAGNITUDE
-            for v in value)):
-        raise InputError(f"{what} must be 3 numbers within +-{MAX_MAGNITUDE:g}, got {value!r}")
+    if not (isinstance(value, list) and len(value) == 3):
+        raise InputError(f"{what} must be a list of 3 numbers, got {value!r}")
+    for i, v in enumerate(value):
+        check_number(f"{what}[{i}]", v, "float")
     return np.array(value, dtype=float)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .geometry import (
     rig_to_dict,
 )
 from .pipeline import (
+    MIN_MATCHES,
     PipelineConfig,
     pose_error_report,
     run_nonoverlap_sequence,
@@ -240,22 +241,19 @@ def monte_carlo(
 
 
 def setup_hash(setup: ExperimentSetup) -> str:
-    payload = {
-        "sim": asdict(setup.sim),
-        "rig_overlap": rig_to_dict(setup.rig_overlap),
-        "rig_nonoverlap": rig_to_dict(setup.rig_nonoverlap),
-        "tuning": asdict(setup.tuning),
-        "pipeline": asdict(setup.pipeline),
-        "methods": list(setup.methods),
-        "min_visible": setup.min_visible,
-        "ideal_init": setup.ideal_init,
-    }
+    """The first 16 hex digits of the SHA-256 of the setup's init fields as
+    sorted JSON: a rig as its rig file's object, a config as its fields."""
+    payload = {f.name: getattr(setup, f.name) for f in fields(setup) if f.init}
+    # A config_hash names one setup across versions, so the payload keeps
+    # the fixed minimum under the key it had as a pipeline setting.
+    payload["pipeline"] = {**asdict(setup.pipeline), "min_matches": MIN_MATCHES}
     # Imported here, as it weighs on every import of the package, and
     # run-tracks never hashes a setup.
     import hashlib
 
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    blob = json.dumps(payload, sort_keys=True, default=lambda value: (
+        rig_to_dict(value) if hasattr(value, "cameras") else asdict(value)))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +261,26 @@ def setup_hash(setup: ExperimentSetup) -> str:
 # ---------------------------------------------------------------------------
 
 def config_from_dict(data, source: str) -> dict:
-    """Build the harness config from a mapping of blocks, all optional:
-    "sim", "rigs" {"overlapping", "non-overlapping"}, "tuning", "pipeline",
-    "min_visible". Returns a dict of constructed objects with defaults
-    filled in; errors name the source of the mapping."""
+    """monte_carlo's keyword arguments for the blocks a mapping holds, all
+    optional: "sim", "rigs" {"overlapping", "non-overlapping"}, "tuning",
+    "pipeline" and "min_visible". Each block given is built and checked
+    under the argument it fills (sim, rig_overlap, rig_nonoverlap, tuning,
+    pipeline_cfg, min_visible); an absent one is left out, so it takes its
+    default where it is used. Errors name the source of the mapping."""
     data = json_object(data, source, ("sim", "rigs", "tuning", "pipeline", "min_visible"))
     rigs = json_object(data.get("rigs", {}), f"{source}: rigs", ("overlapping", "non-overlapping"))
-    min_visible = data.get("min_visible", MIN_VISIBLE)
-    check_number("min_visible", min_visible, "int", at_least=0)
-    overlap = (rig_from_dict(rigs["overlapping"], source=f"{source}: rigs.overlapping")
-               if "overlapping" in rigs else default_overlap_rig())
-    nonoverlap = (rig_from_dict(rigs["non-overlapping"], source=f"{source}: rigs.non-overlapping")
-                  if "non-overlapping" in rigs else default_nonoverlap_rig())
-    return {
-        "sim": build_block(SimConfig, data.get("sim", {}), f"{source}: sim"),
-        "rig_overlap": overlap,
-        "rig_nonoverlap": nonoverlap,
-        "tuning": build_block(FilterTuning, data.get("tuning", {}), f"{source}: tuning"),
-        "pipeline": build_block(PipelineConfig, data.get("pipeline", {}), f"{source}: pipeline"),
-        "min_visible": min_visible,
-    }
+    cfg = {}
+    if "min_visible" in data:
+        cfg["min_visible"] = data["min_visible"]
+        check_number("min_visible", cfg["min_visible"], "int", at_least=0)
+    for key, arg in (("overlapping", "rig_overlap"), ("non-overlapping", "rig_nonoverlap")):
+        if key in rigs:
+            cfg[arg] = rig_from_dict(rigs[key], source=f"{source}: rigs.{key}")
+    for key, arg, cls in (("sim", "sim", SimConfig), ("tuning", "tuning", FilterTuning),
+                          ("pipeline", "pipeline_cfg", PipelineConfig)):
+        if key in data:
+            cfg[arg] = build_block(cls, data[key], f"{source}: {key}")
+    return cfg
 
 
 def load_config(path) -> dict:

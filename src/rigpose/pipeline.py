@@ -10,7 +10,7 @@ frames through views of its columns.
 One driver runs every filter stack of either layout, frame by frame, on
 one CameraStack per layout that every kernel, replenish and seed reads.
 Frame 0 replenishes every filter at the identity pose and checks each
-filter's count against min_matches. Frame 1 seeds each filter from the
+filter's count against MIN_MATCHES. Frame 1 seeds each filter from the
 truth, or by Lowe's method from the identity on its first camera's
 features through that stack, and that pose also seeds the velocity. Each
 later frame steps in one order: predict; count each pose filter's distinct
@@ -79,6 +79,10 @@ from .geometry import (
 )
 from .simulate import Observations, Trajectory, repeated_rows
 
+# The fewest 3D-2D matches Lowe's method solves a pose from, and so the
+# fewest features with structure each filter must hold at frame 0.
+MIN_MATCHES = 4
+
 
 @dataclass
 class PipelineConfig:
@@ -87,13 +91,10 @@ class PipelineConfig:
     redetect_threshold: int = 50    # replenish when tracked features drop below this
     epipolar_tol_px: float = 2.0    # stereo correspondence gate
     init_depth: float = 1.0         # z0 for orthographic structure init (m)
-    min_matches: int = 4            # Lowe / startup minimum
 
     def __post_init__(self):
-        check_config_fields(
-            self, "pipeline", at_least={"redetect_threshold": 0, "min_matches": 4},
-            positive=("epipolar_tol_px", "init_depth"),
-        )
+        check_config_fields(self, "pipeline", at_least={"redetect_threshold": 0},
+                            positive=("epipolar_tol_px", "init_depth"))
 
 
 @dataclass
@@ -156,13 +157,13 @@ def lowe_pose(points: np.ndarray, pixels: np.ndarray, cams: CameraStack, seg, in
     step is below 1e-8, else with Diverged, in whatever iteration it comes.
     Each candidate pose is placed once, by ekf.pose_measurement_rows, which
     gives both its residual and the rows of the next step. Needs at least
-    four matches; raises BehindCamera when init puts a match at or behind
-    its camera.
+    MIN_MATCHES matches; raises BehindCamera when init puts a match at or
+    behind its camera.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    if len(points) < 4:
-        raise InsufficientMatches(f"need >= 4 matches, got {len(points)}")
+    if len(points) < MIN_MATCHES:
+        raise InsufficientMatches(f"need >= {MIN_MATCHES} matches, got {len(points)}")
     cams, seg = replace(cams, body=np.zeros_like(cams.body)), np.asarray(seg)
 
     def evaluate(vec):
@@ -295,7 +296,7 @@ def _stereo_matches(stream, cams, pairs, n: int, tol: float):
                           np.searchsorted(frame[order], np.arange(len(stream.starts))))
 
 
-def _check_truth(truth, obs) -> None:
+def check_truth(truth, obs) -> None:
     """Raise LengthMismatch unless a given truth has one row per frame of obs."""
     if truth is not None and len(truth) != len(obs):
         raise LengthMismatch(f"truth has {len(truth)} frames, the observations have {len(obs)}")
@@ -314,7 +315,7 @@ def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed
     named by names, over the frames of a compacted stream:
     - frame 0: replenish(0, depleted, poses) of every filter at the identity
       pose, then one check of each filter's count of features with
-      structure against min_matches;
+      structure against MIN_MATCHES;
     - frame 1: each filter's row of seed (B, 6), or Lowe's seed from the
       identity on the live rows of its first camera; that pose also seeds
       the velocity;
@@ -339,9 +340,9 @@ def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed
     replenish(0, np.ones(n_filters, dtype=bool), np.zeros((n_filters, 6)))
     counts = store.live.reshape(n_filters, -1).sum(axis=1).tolist()
     for name, count in zip(names, counts):
-        if count < pcfg.min_matches:
+        if count < MIN_MATCHES:
             raise InsufficientFeatures(f"{name} has {count} features with structure at frame 0 "
-                                       f"(min_matches {pcfg.min_matches})")
+                                       f"(need at least {MIN_MATCHES})")
     poses = np.zeros((len(frames), n_filters, 6))
     tags, records = [["init"] * n_filters], [[{"features": c, flag: False} for c in counts]]
     if len(frames) == 1:
@@ -411,7 +412,7 @@ def run_stereo_sequence(
     """
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
-    _check_truth(truth, obs)
+    check_truth(truth, obs)
     cams = CameraStack.of(rig.cameras, np.zeros(len(rig.cameras), dtype=int))
     stream, frames, n_features = _compact_ids(obs, cams.body)
     gate, matches = _stereo_matches(stream, cams, rig.stereo_pairs(), n_features,
@@ -516,7 +517,7 @@ def run_nonoverlap_sequence(
     tuning = tuning or ekf.FilterTuning()
     pcfg = pcfg or PipelineConfig()
     rig.check_layout("non-overlapping")
-    _check_truth(truth, obs)
+    check_truth(truth, obs)
     n_frames = len(obs)
     cams = CameraStack.of(rig.cameras, np.zeros(4, dtype=int))
     local_truth = None

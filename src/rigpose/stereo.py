@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CoincidentCenters
-from .geometry import MIN_BASELINE, CameraStack, axis_sum, back_project, rot_from_angles
+from .geometry import CameraStack, axis_sum, back_project, rot_from_angles
 
 # Rays closer to parallel than this angle (radians) cannot be intersected.
 PARALLEL_TOL = 1e-8
@@ -30,9 +29,8 @@ def fundamental_from_calib(cams: CameraStack, a: int, b: int) -> np.ndarray:
     """F = K_b^-T [t]x R K_a^-1 from the fixed relative extrinsics of cameras
     a and b of a CameraStack: the rank-2 matrix mapping homogeneous pixels
     of camera a to epipolar lines in camera b, normalized to unit Frobenius
-    norm."""
-    if np.linalg.norm(cams.D[a] - cams.D[b]) < MIN_BASELINE:
-        raise CoincidentCenters(f"cameras {a} and {b} have coincident centers")
+    norm. The two cameras must not share a center, which CameraRig checks
+    of every stereo pair of an overlapping rig."""
     rel_rot = cams.R[b].T @ cams.R[a]
     rel_t = cams.R[b].T @ (cams.D[a] - cams.D[b])
     essential = _skew(rel_t) @ rel_rot

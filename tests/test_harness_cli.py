@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from reference import stream_of
-from rigpose import cli, harness, pipeline
+from rigpose import cli, geometry, harness, pipeline
 from rigpose.errors import InputError, check_output_paths
 from rigpose.geometry import (
     CameraRig,
@@ -187,27 +187,66 @@ def test_setup_hash_changes_with_config():
     assert harness.setup_hash(setup_a) == harness.setup_hash(setup_a)
 
 
+def test_setup_hash_is_pinned():
+    # A report's config_hash names its setup across versions: the same
+    # setup keeps the same hash.
+    setup = harness.ExperimentSetup(
+        sim=SimConfig(**TINY), rig_overlap=default_overlap_rig(),
+        rig_nonoverlap=default_nonoverlap_rig(), methods=("4cameras", "RC"), min_visible=15,
+        ideal_init=True,
+    )
+    assert harness.setup_hash(setup) == "dc63271a78fd7d15"
+
+
 def test_min_visible_default_is_one_value():
     in_setup = {f.name: f.default for f in dataclasses.fields(harness.ExperimentSetup)}
     in_signature = inspect.signature(harness.monte_carlo).parameters["min_visible"].default
-    in_config = harness.config_from_dict({}, "defaults")["min_visible"]
-    assert in_config == in_setup["min_visible"] == in_signature == harness.MIN_VISIBLE
+    assert "min_visible" not in harness.config_from_dict({}, "defaults")
+    assert in_setup["min_visible"] == in_signature == harness.MIN_VISIBLE
+
+
+CONFIG_BLOCKS = {
+    "sim": ({"sim": {"n_points": 777}}, "sim"),
+    "overlapping": ({"rigs": {"overlapping": rig_to_dict(default_overlap_rig())}}, "rig_overlap"),
+    "non-overlapping": ({"rigs": {"non-overlapping": rig_to_dict(default_nonoverlap_rig())}},
+                        "rig_nonoverlap"),
+    "tuning": ({"tuning": {"r_px": 0.7}}, "tuning"),
+    "pipeline": ({"pipeline": {"redetect_threshold": 33}}, "pipeline_cfg"),
+    "min_visible": ({"min_visible": 12}, "min_visible"),
+}
+
+
+def test_config_from_dict_of_no_blocks_is_empty():
+    assert harness.config_from_dict({}, "config") == {}
+    assert harness.config_from_dict({"rigs": {}}, "config") == {}
+
+
+@pytest.mark.parametrize("name", CONFIG_BLOCKS)
+def test_config_from_dict_holds_only_the_blocks_given(name):
+    # Each block given becomes the monte_carlo argument it fills; an absent
+    # one takes its default where it is used.
+    data, argument = CONFIG_BLOCKS[name]
+    assert list(harness.config_from_dict(data, "config")) == [argument]
+    assert argument in inspect.signature(harness.monte_carlo).parameters
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "sim": {"n_points": 777, "seed": 9},
+        "rigs": {"overlapping": rig_to_dict(default_overlap_rig())},
         "tuning": {"r_px": 0.7},
         "pipeline": {"redetect_threshold": 33},
         "min_visible": 12,
     }))
     cfg = harness.load_config(path)
     assert cfg["sim"].n_points == 777
+    assert cfg["sim"].n_frames == SimConfig().n_frames
     assert cfg["tuning"].r_px == 0.7
-    assert cfg["pipeline"].redetect_threshold == 33
+    assert cfg["pipeline_cfg"].redetect_threshold == 33
     assert cfg["min_visible"] == 12
     assert cfg["rig_overlap"].layout == "overlapping"
+    assert "rig_nonoverlap" not in cfg
 
 
 def test_load_config_rejects_unknown_blocks(tmp_path):
@@ -598,7 +637,6 @@ BAD_CONFIG_VALUES = {
     "tuning-negative-p0": {"tuning": {"p0_struct_depth": -0.25}},
     "pipeline-negative-epipolar-tol": {"pipeline": {"epipolar_tol_px": -1}},
     "pipeline-zero-init-depth": {"pipeline": {"init_depth": 0}},
-    "pipeline-three-min-matches": {"pipeline": {"min_matches": 3}},
     "pipeline-negative-redetect": {"pipeline": {"redetect_threshold": -1}},
     "sim-nan-noise": {"sim": {"noise_sigma": float("nan")}},
     "pipeline-infinite-init-depth": {"pipeline": {"init_depth": float("inf")}},
@@ -650,6 +688,10 @@ RIG_EDITS = {
     "unknown-camera-key": (lambda rig: rig["cameras"][1].update(fxx=1000.0),
                            "cameras[1]: unknown key 'fxx'"),
     "unknown-rig-key": (lambda rig: rig.update(baseline=0.1), "unknown key 'baseline'"),
+    "D-entry-true": (lambda rig: rig["cameras"][1].update(D=[0.1, 0.0, True]),
+                     "cameras[1].D[2] must be float, got True"),
+    "R_angles-two-entries": (lambda rig: rig["cameras"][1].update(R_angles=[0.0, 0.0]),
+                             "cameras[1].R_angles must be a list of 3 numbers"),
 }
 
 
@@ -871,6 +913,56 @@ def test_run_tracks_checks_the_rig_layout_before_reading_tracks(
     assert any(line.startswith("error: ") for line in err.splitlines()), err
 
 
+@pytest.mark.parametrize("layout", ["stereo", "nonoverlap"])
+@pytest.mark.parametrize("config", [None, {"tuning": {"r_px": 0.6}, "min_visible": 5}],
+                         ids=["no-config", "config"])
+def test_run_tracks_builds_no_default_rig(tmp_path, monkeypatch, layout, config):
+    # run-tracks estimates on its rig file, with the config's blocks or the
+    # estimators' own defaults: it has no use for the study's rigs.
+    rig = default_overlap_rig() if layout == "stereo" else default_nonoverlap_rig()
+    tracks, _ = _rendered(tmp_path, rig, n_frames=4)
+    argv = _run_tracks(tmp_path, json.dumps(rig_to_dict(rig)), tracks, layout)
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+
+    def default_rig():
+        raise AssertionError("a default rig was built")
+
+    for module in (geometry, harness):
+        for name in ("default_overlap_rig", "default_nonoverlap_rig"):
+            monkeypatch.setattr(module, name, default_rig)
+    assert cli.main(argv) == 0
+
+
+# Each fault of a six-frame sequence's truth file, and the text that the
+# error line must hold.
+TRUTH_FAULTS = {
+    "four-frames": (lambda text: "".join(text.splitlines(keepends=True)[:5]),
+                    "truth has 4 frames, the observations have 6"),
+    "bad-header": (lambda text: text.replace("frame,", "frames,", 1), "expected header"),
+}
+
+
+@pytest.mark.parametrize("name", TRUTH_FAULTS)
+def test_run_tracks_checks_the_truth_before_estimating(tmp_path, capsys, monkeypatch, name):
+    # Every input is read and checked before the estimator runs, so a bad
+    # truth leaves no output behind.
+    def estimate(*args, **kwargs):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr(pipeline, "run_stereo_sequence", estimate)
+    tracks, truth = _rendered(tmp_path, default_overlap_rig(), n_frames=6)
+    fault, message = TRUTH_FAULTS[name]
+    truth.write_text(fault(truth.read_text()))
+    argv = _run_tracks(tmp_path, OVERLAP_RIG_TEXT, tracks) + [
+        "--truth", str(truth), "--diagnostics", str(tmp_path / "d.jsonl")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err, err
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "d.jsonl").exists()
+
+
 @pytest.mark.parametrize("rigs", MALFORMED_RIG_SHAPES.values(), ids=MALFORMED_RIG_SHAPES)
 def test_monte_carlo_rejects_a_rig_shape_before_rendering(monkeypatch, rigs):
     # A rig the layout's pipeline cannot take fails every run the same way,
@@ -882,8 +974,7 @@ def test_monte_carlo_rejects_a_rig_shape_before_rendering(monkeypatch, rigs):
 
     monkeypatch.setattr(harness, "render_sequence", render)
     with pytest.raises(InputError, match="pipeline needs a rig tagged"):
-        harness.monte_carlo(SimConfig(n_runs=2, n_frames=3, n_points=500),
-                            rig_overlap=cfg["rig_overlap"], rig_nonoverlap=cfg["rig_nonoverlap"])
+        harness.monte_carlo(SimConfig(n_runs=2, n_frames=3, n_points=500), **cfg)
 
 
 def test_run_tracks_header_only_exits_1_without_a_numpy_warning(tmp_path, capsys):

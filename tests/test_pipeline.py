@@ -465,13 +465,13 @@ def test_stereo_requires_enough_initial_features():
     # rays, so no match triangulates
     with pytest.raises(InsufficientFeatures,
                        match=r"the stereo filter has 0 features with structure at frame 0 "
-                             r"\(min_matches 4\)"):
+                             r"\(need at least 4\)"):
         run_stereo_sequence(frames, rig)
 
 
 def test_nonoverlap_names_the_camera_without_enough_initial_features():
     # Camera 2 keeps 3 of its frame-0 features: the start names it, its
-    # count and min_matches, though the cameras before it have enough.
+    # count and the minimum, though the cameras before it have enough.
     from rigpose.errors import InsufficientFeatures
 
     rig = default_nonoverlap_rig()
@@ -482,7 +482,7 @@ def test_nonoverlap_names_the_camera_without_enough_initial_features():
     assert all(len(ids) >= 4 for ids, _ in frames[0][:2])
     with pytest.raises(InsufficientFeatures,
                        match=r"camera 2 has 3 features with structure at frame 0 "
-                             r"\(min_matches 4\)"):
+                             r"\(need at least 4\)"):
         run_nonoverlap_sequence(stream_of(frames), rig)
 
 

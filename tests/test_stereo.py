@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from reference import pixels, to_camera
-from rigpose.errors import CoincidentCenters
 from rigpose.geometry import (
     CameraStack,
     back_project,
@@ -86,12 +85,6 @@ def test_fundamental_rank_two_and_unit_norm():
         sv = np.linalg.svd(fm, compute_uv=False)
         assert sv[2] < 1e-10 * sv[0]
         assert np.linalg.norm(fm) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fundamental_coincident_centers():
-    rig = default_overlap_rig()
-    with pytest.raises(CoincidentCenters):
-        fundamental_from_calib(stack(rig), 0, 0)
 
 
 def test_epipolar_distance_exact_correspondence_is_zero():

@@ -168,6 +168,20 @@ def test_each_filter_step_is_called_from_one_function():
     assert all(len(where) == 1 for where in callers.values()), callers
 
 
+def test_only_monte_carlo_builds_the_default_rigs():
+    # The study's rigs are its defaults, built in one place: the config
+    # reader and run-tracks build no rig they do not use.
+    rigs = {"default_overlap_rig", "default_nonoverlap_rig"}
+    callers = set()
+    for path in sorted((ROOT / "src" / "rigpose").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if getattr(func, "attr", getattr(func, "id", None)) in rigs:
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"harness.monte_carlo"}, callers
+
+
 def test_the_pipeline_reads_its_cameras_from_the_stack():
     # Every kernel, replenish and seed of the estimators reads its cameras
     # from a CameraStack: no code of the pipeline looks up a camera's
