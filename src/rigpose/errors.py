@@ -57,7 +57,8 @@ class Diverged(DegenerateGeometry):
 
 
 class InsufficientFeatures(DegenerateGeometry):
-    """Too few validated feature matches to start a sequence."""
+    """Too few measurable features to start a filter: at frame 0, or at
+    frame 1 where Lowe's method seeds it."""
 
 
 class LengthMismatch(InputError):

@@ -9,20 +9,24 @@ frames through views of its columns.
 
 One driver runs every filter stack of either layout, frame by frame, on
 one CameraStack per layout that every kernel, replenish and seed reads.
-Frame 0 replenishes every filter at the identity pose and checks each
-filter's count against MIN_MATCHES. Frame 1 seeds each filter from the
-truth, or by Lowe's method from the identity on its first camera's
-features through that stack, and that pose also seeds the velocity. Each
-later frame steps in one order: predict; count each pose filter's distinct
-features with live structure at the frame; replenish the filters below the
-tracked-feature threshold from the previous frame at the pose emitted
-there; measure and update once. No filter is re-seeded. A layout supplies
-only its replenish, the stereo gate, and the chains' structure pass. Each
-filter's record holds its feature count and its layout's replenish flag
-(retriangulated or redetected) at every frame. The frame loop does only the
-work that reads the filter state: everything that depends on the pixels
-alone is done once per sequence, and a frame's measurable rows are read
-from the track table when the frame steps.
+Every frame reads one row rule: a frame's measurable rows are its rows
+with live structure that the stereo gate keeps. Frame 0 replenishes every
+filter at the identity pose and checks each filter's count of distinct
+measurable features against MIN_MATCHES. Frame 1 seeds each filter from
+the truth, or, after the same check, by Lowe's method from the identity on
+the measurable rows of every camera on its body through that stack, and
+that pose also seeds the velocity. Each later frame steps in one order:
+predict; count each pose filter's distinct measurable features; replenish
+the filters below the tracked-feature threshold from the previous frame at
+the pose emitted there; measure and update once. No filter is re-seeded. A
+layout supplies only its replenish, the stereo gate, and the chains'
+structure pass. Each filter's record holds its layout's replenish flag
+(retriangulated or redetected) and its count of distinct features
+(measurable at frames 0 and 1, measured from frame 2 on) at every frame,
+built by one helper. The frame loop does only the work that reads the
+filter state: everything that depends on the pixels alone is done once per
+sequence, and a frame's measurable rows are read from the track table when
+the frame steps.
 
 Overlapping (stereo) layout: each pair is matched and gated on its
 fundamental matrix once per sequence, as both depend only on the pixels.
@@ -80,7 +84,8 @@ from .geometry import (
 from .simulate import Observations, Trajectory, repeated_rows
 
 # The fewest 3D-2D matches Lowe's method solves a pose from, and so the
-# fewest features with structure each filter must hold at frame 0.
+# fewest measurable features each filter must hold at frame 0, and at frame
+# 1 where Lowe seeds it.
 MIN_MATCHES = 4
 
 
@@ -312,49 +317,56 @@ def _feature_counts(store: _TrackTable, rows):
 def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed=None,
                  gate=None, structure=lambda j, poses: None):
     """Run a stack of pose filters, one per body of the CameraStack cams and
-    named by names, over the frames of a compacted stream:
+    named by names, over the frames of a compacted stream. A frame's
+    measurable rows are its rows with live structure that the gate (a mask
+    over the stream's rows) keeps:
     - frame 0: replenish(0, depleted, poses) of every filter at the identity
-      pose, then one check of each filter's count of features with
-      structure against MIN_MATCHES;
+      pose, then one check of each filter's count of distinct measurable
+      features against MIN_MATCHES;
     - frame 1: each filter's row of seed (B, 6), or Lowe's seed from the
-      identity on the live rows of its first camera; that pose also seeds
-      the velocity;
-    - frames 2..: predict; count each filter's distinct features with live
-      structure at frame j (through the gate, a mask over the stream's
-      rows); replenish(j - 1, depleted, poses) the filters whose count is
-      below the threshold, at the poses (B, 6) emitted at frame j - 1;
+      identity on the measurable rows of every camera on its body, after
+      the same check; that pose also seeds the velocity;
+    - frames 2..: predict; count each filter's distinct measurable features
+      at frame j; replenish(j - 1, depleted, poses) the filters whose count
+      is below the threshold, at the poses (B, 6) emitted at frame j - 1;
       measure and update once, where ekf.measure drops points behind their
       camera. A filter with no measurements or a degenerate update keeps
       its predicted state, tagged 'ekf-skip'; a non-finite state aborts.
     structure(j, poses) runs after frame 1 and after each step. A frame's
     measurable rows are read from the track table when the frame steps, and
     again after a replenish, so no copy of the table can go stale. Returns
-    the poses (F, B, 6) and, per frame and filter, a tag and a record of its
-    feature count and of whether it was replenished, under the key flag."""
+    the poses (F, B, 6) and, per frame and filter, a tag and a record of
+    whether it was replenished, under the key flag, and of its count of
+    distinct features: measurable at frames 0 and 1, measured from frame 2
+    on."""
 
     def measurable(frame):
         live = store.live[frame.rows]
         return live if gate is None else live & gate[frame.span]
 
+    def record(j, rows, replenished, check=False):
+        counts = _feature_counts(store, rows).tolist()
+        for name, count in zip(names, counts if check else []):
+            if count < MIN_MATCHES:
+                raise InsufficientFeatures(f"{name} has {count} features with structure at "
+                                           f"frame {j} (need at least {MIN_MATCHES})")
+        records.append([{flag: r, "features": c} for r, c in zip(replenished.tolist(), counts)])
+
     n_filters = len(names)
     replenish(0, np.ones(n_filters, dtype=bool), np.zeros((n_filters, 6)))
-    counts = store.live.reshape(n_filters, -1).sum(axis=1).tolist()
-    for name, count in zip(names, counts):
-        if count < MIN_MATCHES:
-            raise InsufficientFeatures(f"{name} has {count} features with structure at frame 0 "
-                                       f"(need at least {MIN_MATCHES})")
+    unflagged = np.zeros(n_filters, dtype=bool)   # frames 0 and 1 record no replenish
     poses = np.zeros((len(frames), n_filters, 6))
-    tags, records = [["init"] * n_filters], [[{"features": c, flag: False} for c in counts]]
+    tags, records = [["init"] * n_filters], []
+    record(0, frames[0].rows[measurable(frames[0])], unflagged, check=True)
     if len(frames) == 1:
         return poses, tags, records
-    records.append([])
     rows, uv, seg, _ = frames[1]
-    live = store.live[rows]
-    for b, k in enumerate(np.searchsorted(cams.body, np.arange(n_filters))):
-        use = live & (seg == k)
+    keep = measurable(frames[1])
+    record(1, rows[keep], unflagged, check=seed is None)
+    for b in range(n_filters):
+        use = keep & (cams.body[seg] == b)
         poses[1, b] = seed[b] if seed is not None else lowe_pose(
             store.means[rows[use]], uv[use], cams, seg[use], np.zeros(6))
-        records[1].append({"features": int(use.sum()), flag: False})
     tags.append(["lowe" if seed is None else "ideal-seed"] * n_filters)
     state = ekf.make_pose_filter(poses[1], poses[1], tuning)   # velocity seed: pose1 - identity
     structure(1, poses[1])
@@ -372,8 +384,7 @@ def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed
             raise EstimationFailure(f"filter state became non-finite at frame {j}")
         poses[j] = state.x[:, :6]
         tags.append(["ekf-skip" if skip else "ekf" for skip in skipped.tolist()])
-        records.append([{flag: d, "features": c} for d, c in
-                        zip(depleted.tolist(), _feature_counts(store, batch.ids).tolist())])
+        record(j, batch.ids, depleted)
         structure(j, poses[j])
     return poses, tags, records
 

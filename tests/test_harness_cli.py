@@ -503,6 +503,31 @@ def test_cli_run_tracks_diagnostics_jsonl(tmp_path, capsys, layout):
     capsys.readouterr()
 
 
+def test_run_tracks_stereo_seeds_from_every_camera_when_camera_0_is_starved(tmp_path, capsys):
+    # Camera 0 keeps 3 rows at frame 1 and the other cameras keep theirs:
+    # the stereo filter's Lowe seed reads every camera's measurable rows, so
+    # the sequence runs to its end in process and through run-tracks.
+    rig = default_overlap_rig()
+    write_rig(tmp_path / "rig.json", rig)
+    sim = SimConfig(n_points=1500, n_frames=4, noise_sigma=0.5, seed=19)
+    scene_rng, traj_rng, noise_ss = run_streams(run_seed_sequences(sim.seed, 1)[0])
+    frames = render_sequence(gen_scene(sim, scene_rng), gen_trajectory(sim, traj_rng),
+                             rig.cameras, sim.noise_sigma, noise_ss)
+    starved = [list(entries) for entries in frames]
+    ids, uv = starved[1][0]
+    starved[1][0] = (ids[:3], uv[:3])
+    assert all(len(ids) > 20 for ids, _ in starved[1][1:])
+    starved = stream_of(starved)
+    series = pipeline.run_stereo_sequence(starved, rig)
+    assert series.methods == ["init", "lowe", "ekf", "ekf"]
+    write_tracks(tmp_path / "tracks.csv", starved)
+    assert cli.main(["run-tracks", "--layout", "stereo", "--rig", str(tmp_path / "rig.json"),
+                     "--tracks", str(tmp_path / "tracks.csv"),
+                     "--out", str(tmp_path / "poses.csv")]) == 0
+    assert len((tmp_path / "poses.csv").read_text().splitlines()) == 1 + sim.n_frames
+    capsys.readouterr()
+
+
 def _config(tmp_path, payload):
     # Under a one-run study, a value that slips past the checks fails the
     # test in seconds instead of starting the default 1,500-run study.

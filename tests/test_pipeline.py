@@ -456,32 +456,81 @@ def test_stereo_seeds_frame_1_from_the_truth_it_is_handed():
     assert seeded.x[1].tobytes() == traj.x[1].tobytes()
 
 
-def test_stereo_requires_enough_initial_features():
+def test_stereo_seed_reads_no_row_the_gate_drops():
+    # The first camera-0 row of frame 1, moved 30 or 60 px along v, fails
+    # its pair's 2 px gate either way, so the gate drops its feature from
+    # every camera of frame 1 and neither seed reads it.
     rig = default_overlap_rig()
-    frames = stream_of([[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 4])
+    _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=4, noise_sigma=0.5, seed=19))
+    ids, uv = frames[1][0]
+    # the front pair matches the feature at frames 0 and 1
+    assert ids[0] in np.intersect1d(frames[0][0][0], frames[0][1][0])
+    assert ids[0] in frames[1][1][0]
+    seeds = []
+    for dv in (30.0, 60.0):
+        moved, moved_uv = [list(entries) for entries in frames], uv.copy()
+        moved_uv[0, 1] += dv
+        moved[1][0] = (ids, moved_uv)
+        seeds.append(run_stereo_sequence(stream_of(moved), rig).x[1])
+    assert seeds[0].tobytes() == seeds[1].tobytes()
+
+
+def test_stereo_records_count_the_measurable_features_at_every_frame():
+    # At frames 0 and 1 a record counts the distinct features with live
+    # structure that the gate keeps, over every camera; from frame 2 on it
+    # counts those measured, the same features where none is behind a camera.
+    from rigpose.pipeline import _match_and_triangulate, _TrackTable
+
+    rig = default_overlap_rig()
+    _, _, frames = render_run(rig, SimConfig(n_points=2000, n_frames=6, noise_sigma=0.5, seed=3))
+    series = run_stereo_sequence(frames, rig)
+    assert not any(record["retriangulated"] for record in series.diagnostics)
+    stream, views, n_features, _, gate, matches = compact_and_match(frames, rig)
+    store = _TrackTable(n_features)
+    _match_and_triangulate(stream, 0, rig_stack(rig), matches, np.zeros((1, 6)), store)
+    for j, view in enumerate(views[:3]):
+        measurable = store.live[view.rows] & gate[view.span]
+        assert series.diagnostics[j]["features"] == len(np.unique(view.rows[measurable])), j
+
+
+@pytest.mark.parametrize("frame, count", [(0, 0), (1, 3)])
+def test_stereo_requires_enough_initial_features(frame, count):
+    rig = default_overlap_rig()
     from rigpose.errors import InsufficientFeatures
 
-    # each pair sees features 0 and 1 at one pixel in both cameras: parallel
-    # rays, so no match triangulates
+    if frame == 0:
+        # each pair sees features 0 and 1 at one pixel in both cameras:
+        # parallel rays, so no match triangulates
+        frames = [[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 4]
+    else:
+        # every camera keeps at frame 1 only 3 features that the front pair
+        # triangulates at frame 0, so Lowe's seed has 3 to solve from
+        _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5,
+                                                 seed=19))
+        frames = [list(entries) for entries in frames]
+        keep = np.intersect1d(frames[0][0][0], frames[0][1][0])[:3]
+        frames[1] = [(ids[np.isin(ids, keep)], uv[np.isin(ids, keep)]) for ids, uv in frames[1]]
     with pytest.raises(InsufficientFeatures,
-                       match=r"the stereo filter has 0 features with structure at frame 0 "
-                             r"\(need at least 4\)"):
-        run_stereo_sequence(frames, rig)
+                       match=rf"the stereo filter has {count} features with structure at "
+                             rf"frame {frame} \(need at least 4\)"):
+        run_stereo_sequence(stream_of(frames), rig)
 
 
-def test_nonoverlap_names_the_camera_without_enough_initial_features():
-    # Camera 2 keeps 3 of its frame-0 features: the start names it, its
-    # count and the minimum, though the cameras before it have enough.
+@pytest.mark.parametrize("frame", [0, 1])
+def test_nonoverlap_names_the_camera_without_enough_initial_features(frame):
+    # Camera 2 keeps 3 of its features at frame 0, or at frame 1 where Lowe
+    # seeds it: the start names it, its count and the minimum, though the
+    # cameras before it have enough.
     from rigpose.errors import InsufficientFeatures
 
     rig = default_nonoverlap_rig()
     _, _, frames = render_run(rig, SimConfig(n_points=1500, n_frames=3, noise_sigma=0.5, seed=19))
-    frames = [list(frame) for frame in frames]
-    ids, uv = frames[0][2]
-    frames[0][2] = (ids[:3], uv[:3])
-    assert all(len(ids) >= 4 for ids, _ in frames[0][:2])
+    frames = [list(entries) for entries in frames]
+    ids, uv = frames[frame][2]
+    frames[frame][2] = (ids[:3], uv[:3])
+    assert all(len(ids) >= 4 for ids, _ in frames[frame][:2])
     with pytest.raises(InsufficientFeatures,
-                       match=r"camera 2 has 3 features with structure at frame 0 "
+                       match=rf"camera 2 has 3 features with structure at frame {frame} "
                              r"\(need at least 4\)"):
         run_nonoverlap_sequence(stream_of(frames), rig)
 

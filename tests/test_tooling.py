@@ -204,3 +204,25 @@ def test_the_rigidity_fusion_policy_lives_in_fusion():
     pieces = {"fuse_pose", "solve_scales", "build_scale_system", "fuse_rotation_median",
               "FusionResult"}
     assert not names & pieces, sorted(names & pieces)
+
+
+def test_every_frame_of_the_driver_reads_one_row_rule():
+    # _run_filters reads the track table's live rows in one place,
+    # measurable (live structure through the gate), and selects no camera
+    # by its index: a frame-specific row rule, such as a seed from one
+    # camera's ungated rows, cannot come back.
+    tree = ast.parse((ROOT / "src" / "rigpose" / "pipeline.py").read_text())
+    driver = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_run_filters")
+    measurable = next(node for node in ast.walk(driver)
+                      if isinstance(node, ast.FunctionDef) and node.name == "measurable")
+
+    def live_reads(scope):
+        return [ast.unparse(node) for node in ast.walk(scope)
+                if isinstance(node, ast.Attribute) and node.attr == "live"]
+
+    assert live_reads(driver) == live_reads(measurable) == ["store.live"], live_reads(driver)
+    by_index = [ast.unparse(node) for node in ast.walk(driver) if isinstance(node, ast.Compare)
+                and any(getattr(side, "id", getattr(side, "attr", None)) == "seg"
+                        for side in [node.left, *node.comparators])]
+    assert not by_index, by_index
