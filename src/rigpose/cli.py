@@ -60,7 +60,7 @@ def _cmd_simulate(args) -> int:
     flags = {"n_runs": args.runs, "n_frames": args.frames, "seed": args.seed}
     sim = cfg.pop("sim", SimConfig()).with_overrides(
         **{k: v for k, v in flags.items() if v is not None})
-    methods = args.methods.split(",") if args.methods else None
+    methods = None if args.methods is None else args.methods.split(",")
     report = harness.monte_carlo(sim, methods=methods, workers=args.workers, **cfg)
     if args.out:
         report.write_csv(args.out)

@@ -5,7 +5,9 @@ derivatives), so x[:6] is the pose and x[6:] its velocity. The plant is
 constant velocity: pose += velocity each frame. Measurements are pixel
 locations of features with known 3D structure, so the measurement model is
 the rig transform composed with pinhole projection (geometry.view_points);
-its Jacobian w.r.t. the six pose parameters is analytic. The velocity
+its Jacobian w.r.t. the six pose parameters is analytic: the camera-frame
+point moves with the translation by -W^T and with each angle by a cross
+product with that angle's axis (pose_measurement_rows). The velocity
 states do not enter the measurement, so the update works on the 6x6 pose
 block W = P[:6, :6] with the six pose columns J alone: in information
 form (well conditioned for large measurement counts and small pixel
@@ -29,9 +31,10 @@ once, component-major with the points last, and every product with a
 3-vector or a 3x3 matrix is one broadcast product and one sum over the
 component axis (geometry.axis_sum), with no einsum and no per-point
 matmul. That axis is never the innermost, so NumPy adds its terms in index
-order and the bits are those of the written-out three-term sums, which
-tests/reference.py keeps as the oracle; a point's bits do not depend on
-the rest of its batch. pose_update sums a
+order and the bits are those of the written-out three-term sums; a cross
+product is two products of rolled components and their difference. The
+written-out forms are tests/reference.py's oracle, and a point's bits do
+not depend on the rest of its batch. pose_update sums a
 filter's measurement rows (J^T J and J^T innovation) per filter, on its
 contiguous slice: on a zero-padded stack they would sum in another order,
 and a filter must get the same bits whatever else is in its stack.
@@ -52,7 +55,6 @@ from .geometry import (
     axis_sum,
     pinhole_derivatives,
     rot_from_angles,
-    rot_with_derivatives,
     view_points,
 )
 
@@ -142,18 +144,29 @@ def pose_measurement_rows(x: np.ndarray, cams: CameraStack, seg, points: np.ndar
 
     Returns (uv (M, 2), jac (M, 2, 6), front (N,)): the pixels and the
     d(pixel)/d(d, angles) rows of the M points in front (depth > Z_MIN).
-    Each point's derivatives are elementwise sums of its camera's
-    coefficients, so its bits do not depend on the rest of the batch."""
-    d = x[:, :3]
-    rot, drs = rot_with_derivatives(x[:, 3:6])
-    _, uv, front, orient, (sf, p_front, pin) = view_points(points, rot, d, cams, seg=seg)
-    # component-major, points last: g[l, c, i] is row l, column c of dR_i R_k
-    g = (drs[cams.body] @ cams.R[:, None]).transpose(2, 3, 1, 0).take(sf, axis=-1)
-    m = points.T.compress(front, axis=-1) - d.T.take(cams.body[sf], axis=-1)
-    dp = np.empty((3, 6, len(sf)))   # dp[c, q] is dP_c/dq
+
+    With R = Rx Ry Rz, angle i turns the body about the world axis a_i, so
+    the camera-frame point P moves by dP/d(angle_i) = (P + R_k^T D_k) x b_i:
+    the point about the body origin, in camera axes, crossed with the axis
+    b_i = R_k^T R^T a_i in the same axes. R^T a_i is row 0 of R for alpha,
+    (sin gamma, cos gamma, 0) for beta and e_z for gamma. Each camera's
+    axes and offset R_k^T D_k come from one product per call; a point's
+    derivatives are elementwise in its camera's gathered coefficients, so
+    its bits do not depend on the rest of the batch."""
+    rot = rot_from_angles(x[:, 3:6])
+    _, uv, front, orient, (sf, p_front, pin) = view_points(points, rot, x[:, :3], cams, seg=seg)
+    # rows R^T a_0, R^T a_1, R^T a_2 of each camera's body, then D_k
+    rows = np.zeros((len(cams.body), 4, 3))
+    rows[:, 0] = rot[cams.body, 0]
+    rows[:, 1, 0], rows[:, 1, 1] = np.sin(x[cams.body, 5]), np.cos(x[cams.body, 5])
+    rows[:, 2, 2] = 1.0
+    rows[:, 3] = cams.D
+    # component-major, points last: coef[c, r, i] is (R_k^T rows[r])_c of point i
+    coef = axis_sum(rows[..., None] * cams.R[:, None], 2).T.take(sf, axis=-1)
+    q, b = p_front + coef[:, 3], coef[:, :3]
+    dp = np.empty((3, 6, len(sf)))   # dp[c, k] is dP_c/d(pose_k)
     dp[:, :3] = -orient.T.take(sf, axis=-1)   # dP_cam/dd = -W^T: row i of -W
-    # dP_cam/d(angle_i) = (dR_i R_k)^T (M - d), summed over the rows l
-    dp[:, 3:] = axis_sum(m[:, None, None] * g, 0)
+    dp[:, 3:] = q[[1, 2, 0], None] * b[[2, 0, 1]] - q[[2, 0, 1], None] * b[[1, 2, 0]]
     jac = pinhole_derivatives(p_front, dp, pin[:2])
     return uv, jac.transpose(2, 0, 1).copy(), front   # C order, as _pinhole's pixels
 

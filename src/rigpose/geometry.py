@@ -57,47 +57,20 @@ MIN_BASELINE = 1e-9
 
 # The source of each entry of a (3, 3, 3) stack of rotations about the x, y
 # and z axes, row by row: column q of (c_0, c_1, c_2, s_0, s_1, s_2, -s_0,
-# -s_1, -s_2, 0, one) for the cosines c and sines s of the three angles.
+# -s_1, -s_2, 0, 1) for the cosines c and sines s of the three angles.
 _FROM = np.array([10, 9, 9, 9, 0, 6, 9, 3, 0, 1, 9, 4, 9, 10, 9, 7, 9, 1,
                   2, 8, 9, 5, 2, 9, 9, 9, 10])
 
 
-def _axes(c, s, one: float = 1.0) -> np.ndarray:
-    """Rotations (..., 3, 3, 3) about the x, y and z axes with cosines c and
-    sines s (..., 3): entry [..., i, :, :] turns about axis i. With
-    (c, s, one) = (0, 1, 0) the axis generators K_i instead."""
-    source = np.concatenate([c, s, -s, np.full(np.shape(c)[:-1] + (2,), (0.0, one))], axis=-1)
-    return source.take(_FROM, axis=-1).reshape(source.shape[:-1] + (3, 3, 3))
-
-
-# dR_i/d(theta) = K_i R_i = R_i K_i for the rotation R_i about axis i
-_GENERATORS = _axes(np.zeros(3), np.ones(3), 0.0)
-
-
 def rot_from_angles(angles) -> np.ndarray:
     """Build the rotation matrix R = Rx(alpha) @ Ry(beta) @ Rz(gamma); angles
-    (..., 3) give rotations (..., 3, 3)."""
+    (..., 3) give rotations (..., 3, 3). The three axis rotations are one
+    gather (_FROM) of the angles' cosines and sines."""
     angles = np.asarray(angles, dtype=float)
-    r = _axes(np.cos(angles), np.sin(angles))
+    c, s = np.cos(angles), np.sin(angles)
+    source = np.concatenate([c, s, -s, np.full(c.shape[:-1] + (2,), (0.0, 1.0))], axis=-1)
+    r = source.take(_FROM, axis=-1).reshape(c.shape[:-1] + (3, 3, 3))
     return r[..., 0, :, :] @ r[..., 1, :, :] @ r[..., 2, :, :]
-
-
-def rot_with_derivatives(angles) -> tuple[np.ndarray, np.ndarray]:
-    """rot_from_angles(angles) and its partial derivatives, shape (..., 3, 3, 3),
-    from one evaluation of the three axis rotations.
-
-    Entry [..., i, :, :] of the derivatives is dR/d(angles[..., i]). A generator
-    only permutes and negates, so each has the bits of the product with dR_i.
-    """
-    angles = np.asarray(angles, dtype=float)
-    r = _axes(np.cos(angles), np.sin(angles))
-    rx, ry, rz = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
-    kx, ky, kz = _GENERATORS
-    rot = rx @ ry @ rz
-    drs = np.empty(r.shape)
-    for i, (left, right) in enumerate([(kx, rot), (rx @ ky @ ry, rz), (rot, kz)]):
-        np.matmul(left, right, out=drs[..., i, :, :])
-    return rot, drs
 
 
 def check_rotation(rot: np.ndarray) -> None:

@@ -173,7 +173,9 @@ def monte_carlo(
     in run-index order, the order in which the serial loop and pool.map
     both return the outcomes.
     """
-    methods = tuple(methods) if methods else tuple(ALL_METHODS)
+    methods = tuple(ALL_METHODS if methods is None else methods)
+    if not methods:
+        raise InputError(f"no method selected; choose from {ALL_METHODS}")
     for i, m in enumerate(methods):
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}; choose from {ALL_METHODS}")

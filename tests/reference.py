@@ -16,12 +16,12 @@ observation stream, through its one constructor, from the per-frame lists
 of per-camera (ids, pixels) that tests cut and edit by hand.
 
 The kernel oracles keep the package's earlier written-out forms, against
-which the reduce-form kernels are checked bit for bit: `axis_rotations`,
-`rotation_reference` and `rotation_derivatives_reference` build Rx, Ry
-and Rz one axis at a time; `view_points_reference`,
-`back_project_reference`, `pose_measurement_rows_reference` and
-`structure_update_reference` write every sum over a component axis as
-three (or two) separate terms added in index order;
+which the reduce-form kernels are checked bit for bit: `axis_rotations`
+and `rotation_reference` build Rx, Ry and Rz one axis at a time;
+`view_points_reference`, `back_project_reference`,
+`pose_measurement_rows_reference` and `structure_update_reference` write
+every sum over a component axis as three (or two) separate terms added in
+index order, and every cross product as its three differences;
 `trajectory_per_frame` decomposes the walk's rotation into Euler angles
 once per frame.
 """
@@ -150,12 +150,12 @@ def rc_fusion(locals_, body, cams):
     return x, frames
 
 
-def axis_rotations(i: int, c, s, one: float = 1.0) -> np.ndarray:
+def axis_rotations(i: int, c, s) -> np.ndarray:
     """Stacked rotations (..., 3, 3) about axis i with cosines c and sines s
-    (...,); with (c, s, one) = (0, 1, 0) the axis generator K_i instead."""
+    (...,)."""
     j, k = [(1, 2), (2, 0), (0, 1)][i]
     m = np.zeros(np.shape(c) + (3, 3))
-    m[..., i, i] = one
+    m[..., i, i] = 1.0
     m[..., j, j] = m[..., k, k] = c
     m[..., j, k] = -s
     m[..., k, j] = s
@@ -168,16 +168,6 @@ def rotation_reference(angles) -> np.ndarray:
     rx, ry, rz = (axis_rotations(i, np.cos(angles[..., i]), np.sin(angles[..., i]))
                   for i in range(3))
     return rx @ ry @ rz
-
-
-def rotation_derivatives_reference(angles):
-    """rotation_reference(angles) and dR/d(angles[..., i]) stacked on axis -3."""
-    angles = np.asarray(angles, dtype=float)
-    c, s = np.cos(angles), np.sin(angles)
-    rx, ry, rz = (axis_rotations(i, c[..., i], s[..., i]) for i in range(3))
-    kx, ky, kz = (axis_rotations(i, 0.0, 1.0, 0.0) for i in range(3))
-    rot = rx @ ry @ rz
-    return rot, np.stack([kx @ rot, rx @ ky @ ry @ rz, rot @ kz], axis=-3)
 
 
 def _pinhole_rows(p_cam, fx, fy, cx, cy):
@@ -226,20 +216,31 @@ def back_project_reference(uv, rot, d, cams, seg):
 
 
 def pose_measurement_rows_reference(x, cams, seg, points):
-    """ekf.pose_measurement_rows with dP/d(angle_i) = sum_l (M - d)_l (dR_i R_k)[l, c]
-    written out: (uv (M, 2), jac (M, 2, 6), front (N,))."""
-    d = x[:, :3]
-    rot, drs = rotation_derivatives_reference(x[:, 3:6])
-    p_cam, uv, front, orient = view_points_reference(points, rot, d, cams, seg)
+    """ekf.pose_measurement_rows with each angle column dP/d(angle_i) =
+    q x b_i written out term by term: q = P + R_k^T D_k and the axis b_i =
+    R_k^T v_i for v_i = R^T a_i, that is row 0 of R, (sin gamma, cos gamma,
+    0) and e_z, each camera's R_k^T v written out as sum_l v_l R_k[l, c]:
+    (uv (M, 2), jac (M, 2, 6), front (N,))."""
+    rot = rotation_reference(x[:, 3:6])
+    p_cam, uv, front, orient = view_points_reference(points, rot, x[:, :3], cams, seg)
     sf = seg[front]
-    g = np.take((drs[cams.body] @ cams.R[:, None]).transpose(2, 3, 1, 0), sf, axis=-1)
-    m = np.compress(front, points.T, axis=-1) - np.take(d.T, cams.body[sf], axis=-1)
+    gamma, rk = x[cams.body, 5], cams.R
+    zero, one = np.zeros(len(gamma)), np.ones(len(gamma))
+    vectors = [rot[cams.body, 0].T, (np.sin(gamma), np.cos(gamma), zero), (zero, zero, one),
+               cams.D.T]
+    # per camera, then gathered per point: [(R_k^T v)_0, (R_k^T v)_1, (R_k^T v)_2]
+    b0, b1, b2, offset = ([np.take(v[0] * rk[:, 0, c] + v[1] * rk[:, 1, c] + v[2] * rk[:, 2, c],
+                                   sf) for c in range(3)] for v in vectors)
+    p = np.compress(front, p_cam.T, axis=-1)
+    q0, q1, q2 = (p[c] + offset[c] for c in range(3))
     dp = np.empty((3, 6, len(sf)))
     dp[:, :3] = -np.take(orient.T, sf, axis=-1)
-    dp[:, 3:] = m[0] * g[0] + m[1] * g[1] + m[2] * g[2]
-    p_front = np.compress(front, p_cam.T, axis=-1).T
+    for i, b in enumerate((b0, b1, b2)):
+        dp[0, 3 + i] = q1 * b[2] - q2 * b[1]
+        dp[1, 3 + i] = q2 * b[0] - q0 * b[2]
+        dp[2, 3 + i] = q0 * b[1] - q1 * b[0]
     focal = np.take(cams.pinhole.T[:2], sf, axis=-1)
-    return uv, _pinhole_derivative_rows(p_front, dp.T, *focal), front
+    return uv, _pinhole_derivative_rows(p.T, dp.T, *focal), front
 
 
 def structure_update_reference(means, covs, observed_uv, x, cams, seg, r_var):

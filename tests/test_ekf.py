@@ -198,6 +198,51 @@ def test_jacobian_matches_finite_differences_100_configurations():
     assert worst < 1e-5
 
 
+def chain_stack():
+    # the four chains as the pipeline runs them: chain k on body k, its
+    # camera at the body's origin along its axes
+    return CameraStack.of([Camera(np.zeros(3), np.eye(3), c.intrinsics)
+                           for c in default_nonoverlap_rig().cameras], np.arange(4))
+
+
+@pytest.mark.parametrize("make_stack", [lambda: stack(default_overlap_rig()),
+                                        lambda: stack(default_nonoverlap_rig()), chain_stack],
+                         ids=["overlap", "nonoverlap", "chains"])
+def test_jacobian_matches_finite_differences_at_large_angles_on_stacks(make_stack):
+    # Far from the identity, where the beta and gamma axes R^T a_i differ
+    # from the world's: each filter of the stack has its own pose, and a
+    # step on one filter's state moves only that filter's rows.
+    rng = np.random.default_rng(16)
+    cams = make_stack()
+    n_filters = cams.body.max() + 1
+    seg = np.repeat(np.arange(len(cams.body)), 6)
+    h_step = 1e-6
+    worst = 0.0
+    for _ in range(10):
+        x = np.zeros((n_filters, 12))
+        x[:, :6] = rng.uniform([-0.5] * 3 + [-3.0, -1.2, -3.0], [0.5] * 3 + [3.0, 1.2, 3.0],
+                               (n_filters, 6))
+        uv = rng.uniform([0.0, 0.0], [640.0, 480.0], (len(seg), 2))
+        center, ray = back_project(uv, rot_from_angles(x[:, 3:6]), x[:, :3], cams, seg)
+        points = center + rng.uniform(0.5, 3.0, (len(seg), 1)) * ray
+        pixels, jac, front = pose_measurement_rows(x, cams, seg, points)
+        assert front.all()
+        for b in range(n_filters):
+            mine = cams.body[seg] == b
+            for i in range(6):
+                plus, minus = x.copy(), x.copy()
+                plus[b, i] += h_step
+                minus[b, i] -= h_step
+                up, jac_up, _ = pose_measurement_rows(plus, cams, seg, points)
+                um, _, _ = pose_measurement_rows(minus, cams, seg, points)
+                np.testing.assert_array_equal(up[~mine], pixels[~mine])
+                np.testing.assert_array_equal(jac_up[~mine], jac[~mine])
+                numeric = (up[mine] - um[mine]) / (2 * h_step)
+                denom = np.maximum(np.abs(numeric), 1.0)
+                worst = max(worst, (np.abs(numeric - jac[mine, :, i]) / denom).max())
+    assert worst < 1e-5
+
+
 def test_jacobian_behind_camera():
     # Points behind their camera or at depth <= Z_MIN are flagged; measure
     # drops their rows and the filter updates with the rest.

@@ -129,6 +129,12 @@ def test_monte_carlo_rejects_a_repeated_method():
         tiny_report(methods=["4cameras", "4cameras"])
 
 
+def test_monte_carlo_rejects_an_empty_method_selection():
+    # Only an absent selection means every method; an empty one ran all seven.
+    with pytest.raises(InputError, match="no method selected"):
+        tiny_report(methods=[])
+
+
 @pytest.mark.parametrize("workers", [2.5, True, "2"])
 def test_monte_carlo_rejects_a_worker_count_that_is_not_an_int(workers):
     # A float or a bool would run and be recorded as given; a string would
@@ -337,6 +343,14 @@ def test_cli_unknown_method_exits_1(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(cfg), "--methods", "not-a-method"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_cli_empty_method_selection_exits_1(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    code = cli.main(["simulate", "--config", str(cfg), "--methods", ""])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "unknown method ''" in captured.err and not captured.out
 
 
 def test_cli_repeated_method_exits_1(tmp_path, capsys):

@@ -226,3 +226,23 @@ def test_every_frame_of_the_driver_reads_one_row_rule():
                 and any(getattr(side, "id", getattr(side, "attr", None)) == "seg"
                         for side in [node.left, *node.comparators])]
     assert not by_index, by_index
+
+
+def test_the_kernel_oracles_call_no_kernel_they_mirror():
+    # tests/reference.py writes out what the kernels compute; an oracle that
+    # called a kernel, or anything of ekf, would check the kernel against
+    # itself.
+    ekf = {name for node in ast.parse((ROOT / "src" / "rigpose" / "ekf.py").read_text()).body
+           if not isinstance(node, (ast.Import, ast.ImportFrom)) for name in _bound(node)}
+    kernels = {"view_points", "back_project", "axis_sum", "pinhole_derivatives",
+               "rot_with_derivatives", "ekf"} | ekf
+    path = ROOT / "tests" / "reference.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None)
+            for alias in node.names:
+                imported.update(f"{module or ''}.{alias.name}".split("."))
+    assert len(ekf) > 8
+    found = (imported | _references(path, strings=False)) & kernels
+    assert not found, sorted(found)
