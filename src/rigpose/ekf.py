@@ -10,11 +10,11 @@ point moves with the translation by -W^T and with each angle by a cross
 product with that angle's axis (pose_measurement_rows). The velocity
 states do not enter the measurement, so the update works on the 6x6 pose
 block W = P[:6, :6] with the six pose columns J alone: in information
-form (well conditioned for large measurement counts and small pixel
-variance) it inverts W and W^-1 + J^T J / r, two 6x6 matrices. The
-covariance is propagated in Joseph form, which preserves symmetry and
-positive semidefiniteness for any gain. The prediction is block sums on
-the same partition.
+form it inverts one 6x6 matrix, I + J^T J W / r, whose eigenvalues are
+those of I + W^1/2 J^T J W^1/2 / r, all at least 1, so it exists for any
+covariance W and any rows. The covariance is propagated in Joseph form,
+which preserves symmetry and positive semidefiniteness for any gain. The
+prediction is block sums on the same partition.
 
 Filters come in stacks of B: PoseFilterState holds x (B, 12) and
 P (B, 12, 12), and a measurement batch is flat over segments, each one
@@ -60,6 +60,9 @@ from .geometry import (
 
 N_STATE = 12
 _EYE = np.eye(N_STATE)
+# The smallest r_px whose square is a normal float: below it the pixel
+# variance that the pose update divides by underflows toward 0.
+_R_PX_MIN = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass
@@ -78,7 +81,7 @@ class FilterTuning:
         variances = ("q_pose", "q_vel", "p0_pose", "p0_vel",
                      "p0_struct_lateral", "p0_struct_depth")
         check_config_fields(
-            self, "tuning", at_least=dict.fromkeys(variances, 0), positive=("r_px",)
+            self, "tuning", at_least={**dict.fromkeys(variances, 0), "r_px": _R_PX_MIN}
         )
 
     def process_noise(self) -> np.ndarray:
@@ -187,16 +190,6 @@ def predicted_depths(x: np.ndarray, cams: CameraStack, seg, points: np.ndarray) 
     return view_points(points, rot_from_angles(x[:, 3:6]), x[:, :3], cams, seg=seg)[0][:, 2]
 
 
-def _each(fn, mats: np.ndarray) -> np.ndarray:
-    """fn on a stack of matrices in one call; a matrix it fails on gives NaN."""
-    try:
-        return fn(mats)
-    except np.linalg.LinAlgError:
-        if len(mats) == 1:
-            return np.full_like(mats, np.nan)
-        return np.concatenate([_each(fn, mats[b:b + 1]) for b in range(len(mats))])
-
-
 def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraStack):
     """EKF measurement update of every filter of the stack with its share of
     the batch: filter b takes the rows of the cameras whose body is b.
@@ -204,12 +197,16 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
     The rows touch only the pose block W = P[:6, :6]: with J the (2n, 6)
     pose Jacobian of a filter's stacked pixel rows, H = [J 0], G = J^T J
     and h = J^T innovation, the information form on the partitioned state
-    gives W+ = (W^-1 + G/r)^-1 and P+[:, :6] = P[:, :6] W^-1 W+, so
-    K = P+[:, :6] J^T / r, algebraically identical to P H^T (H P H^T + R)^-1.
+    gives W+ = (W^-1 + G/r)^-1 and P+[:, :6] = P[:, :6] W^-1 W+, where
+    W^-1 W+ = ((W^-1 + G/r) W)^-1 = (I + G W / r)^-1 is the one inverse:
+    it needs no W^-1 and exists for every covariance (see the module
+    notes), and G W is formed before the division, so a small r does not
+    overflow G / r. Then K = P+[:, :6] J^T / r, algebraically identical to
+    P H^T (H P H^T + R)^-1.
     The state moves by K innovation = P+[:, :6] h / r and the covariance
     follows in Joseph form with K J = P+[:, :6] G / r and
     r K K^T = (K J) P+[:, :6]^T. Only G and h are summed per filter, on its
-    contiguous slice of rows; the inversions and products run on the whole
+    contiguous slice of rows; the inverse and products run on the whole
     stack.
 
     The batch comes from measure at state.x, so nothing is placed again.
@@ -217,9 +214,11 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
     filter's rows are a reshape of its slice, and NumPy's matmul leaves BLAS
     for a strided operand, whose sums come out in other bits.
 
-    Returns (state, skipped (B,)). A filter without rows, or whose W or
-    W^-1 + G/r cannot be inverted, or whose P+[:, :6] is not finite, keeps
-    its prior and is marked skipped; an empty batch skips every filter.
+    Returns (state, skipped (B,)). A filter without rows, or whose W is
+    all zero, has no gain: it keeps its prior and is marked skipped, and an
+    empty batch skips every filter. Every other filter takes its update,
+    and a non-finite one (r = 0, or a non-finite prior) comes back
+    non-finite for the caller to reject.
     """
     bounds = cams.body[batch.seg].searchsorted(np.arange(len(state.x) + 1))
     jac, innovation = np.ascontiguousarray(batch.jac), np.ascontiguousarray(batch.innovation)
@@ -228,10 +227,9 @@ def pose_update(state: PoseFilterState, batch: MeasurementBatch, cams: CameraSta
         j = jac[lo:hi].reshape(-1, 6)
         g[b] = j.T @ j
         h[b] = j.T @ innovation[lo:hi].reshape(-1)
-    r = state.r_var
-    w_inv = _each(np.linalg.inv, state.P[:, :6, :6])
-    p_cols = state.P[:, :, :6] @ w_inv @ _each(np.linalg.inv, w_inv + g / r)
-    skipped = (bounds[:-1] == bounds[1:]) | ~np.isfinite(p_cols).all(axis=(1, 2))
+    r, w = state.r_var, state.P[:, :6, :6]
+    p_cols = state.P[:, :, :6] @ np.linalg.inv(_EYE[:6, :6] + g @ w / r)
+    skipped = (bounds[:-1] == bounds[1:]) | ~w.any(axis=(1, 2))
     x = state.x + (p_cols @ h[..., None])[..., 0] / r
     kj = p_cols @ g / r
     ikh = np.empty(state.P.shape)

@@ -248,7 +248,7 @@ class _TrackTable:
     is its point and covs[i] its structure covariance (monocular chains)."""
 
     def __init__(self, n_features: int, n_filters: int = 1):
-        self.n = n_features
+        self.n, self.n_filters = n_features, n_filters
         self.live = np.zeros(n_filters * n_features, dtype=bool)
         self.means = np.zeros((n_filters * n_features, 3))
         self.covs = np.zeros((n_filters * n_features, 3, 3))
@@ -311,7 +311,7 @@ def _feature_counts(store: _TrackTable, rows):
     """Each filter's count of distinct features among the table rows."""
     seen = np.zeros(len(store.live), dtype=bool)
     seen[rows] = True
-    return seen.reshape(-1, store.n).sum(axis=1)
+    return seen.reshape(store.n_filters, store.n).sum(axis=1)
 
 
 def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed=None,
@@ -330,8 +330,9 @@ def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed
       at frame j; replenish(j - 1, depleted, poses) the filters whose count
       is below the threshold, at the poses (B, 6) emitted at frame j - 1;
       measure and update once, where ekf.measure drops points behind their
-      camera. A filter with no measurements or a degenerate update keeps
-      its predicted state, tagged 'ekf-skip'; a non-finite state aborts.
+      camera. A filter with no measurements, or a zero pose block, keeps
+      its predicted state, tagged 'ekf-skip'; a non-finite update aborts
+      with EstimationFailure.
     structure(j, poses) runs after frame 1 and after each step. A frame's
     measurable rows are read from the track table when the frame steps, and
     again after a replenish, so no copy of the table can go stale. Returns

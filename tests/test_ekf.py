@@ -91,6 +91,17 @@ def spread_points(rng, n=100):
     )
 
 
+def stereo_observe(rng, pose_vec, n):
+    # (ids, uv, seg, points) of the overlapping rig at pose_vec: n points in
+    # front seen by its front pair, then n behind seen by its rear pair
+    rig = default_overlap_rig()
+    front = observe(rig, pose_vec, spread_points(rng, n), cameras=(0, 1), noise=0.5, rng=rng)
+    rear = rig.cameras[2]
+    back = observe(rig, pose_vec, spread_points(rng, n) @ rear.R.T + rear.D, cameras=(2, 3),
+                   noise=0.5, rng=rng)
+    return tuple(np.concatenate(f) for f in zip(front, (back[0] + n,) + back[1:]))
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -358,6 +369,70 @@ def test_update_with_a_singular_pose_block_skips_quietly_and_keeps_the_prior():
         np.testing.assert_array_equal(out.P[k], state.P[k])
     np.testing.assert_array_equal(out_zero.x, zero.x)
     np.testing.assert_array_equal(out_zero.P, zero.P)
+
+
+def test_update_with_a_pose_block_singular_in_one_direction_is_taken():
+    # A pose block with a zero row and column (tz known exactly) has no
+    # inverse, but the update needs none: the filter takes its rows, matches
+    # the covariance form, which never inverts W, and leaves tz in place.
+    rng = np.random.default_rng(18)
+    rig = default_overlap_rig()
+    pose = rng.uniform(-0.02, 0.02, 6)
+    state = pose_predict(make_pose_filter(pose, rng.uniform(-0.01, 0.01, 6), TUNING))
+    m = rng.normal(0, 3e-3, (12, 12))
+    state.P[0] += m @ m.T
+    state.P[0, 2], state.P[0, :, 2] = 0.0, 0.0
+    assert np.linalg.matrix_rank(state.P[0, :6, :6]) == 5
+    batch = measure(state.x, stack(rig), *stereo_observe(rng, pose + rng.normal(0, 1e-3, 6), 20))
+    out, skipped = pose_update(state, batch, stack(rig))
+    assert skipped.tolist() == [False]
+    x, p = pose_update_reference(state.x[0], state.P[0], batch.jac, batch.innovation,
+                                 state.r_var)
+    assert np.abs(out.P[0] - p).max() <= 1e-12 * np.abs(p).max()
+    assert np.abs(out.x[0] - x).max() <= 1e-10 * np.abs(x - state.x[0]).max()
+    assert out.x[0, 2] == state.x[0, 2]
+
+
+def test_update_with_zero_pixel_variance_is_taken_and_comes_back_non_finite():
+    # r = 0 has no finite gain: the filter is not passed off as skipped with
+    # its prior, and its non-finite state is left for the caller to reject.
+    rng = np.random.default_rng(19)
+    rig = reference_rig()
+    prior = make_pose_filter(np.zeros(6), np.zeros(6), TUNING)
+    state = PoseFilterState(prior.x, prior.P, prior.Q, 0.0)
+    batch = measure(state.x, stack(rig), *observe(rig, np.full(6, 1e-3), spread_points(rng, 30),
+                                                  noise=0.5, rng=rng))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out, skipped = pose_update(state, batch, stack(rig))
+    assert skipped.tolist() == [False]
+    assert not (np.isfinite(out.x).all() and np.isfinite(out.P).all())
+
+
+def test_update_mixed_stack_gives_each_filter_its_bits_alone():
+    # The four chains and a stereo filter of four segments in one stack of
+    # five, as the pipeline could stack a run's filters: each filter's x and
+    # P have the bytes it gets in a stack of its own.
+    rng = np.random.default_rng(20)
+    chains = default_nonoverlap_rig()
+    cams = CameraStack.of(chains.cameras + default_overlap_rig().cameras, [0, 1, 2, 3, 4, 4, 4, 4])
+    poses = rng.uniform(-0.02, 0.02, (5, 6))
+    state = pose_predict(make_pose_filter(poses, rng.uniform(-0.01, 0.01, (5, 6)), TUNING))
+    alone = []   # (cameras, first segment in the stack, (ids, uv, seg, points)) per filter
+    for k, cam in enumerate(chains.cameras):
+        pts = spread_points(rng, 20 + 5 * k) @ cam.R.T + cam.D
+        ids, uv, _, pts = observe(chains, poses[k], pts, cameras=(k,), noise=0.5, rng=rng)
+        alone.append((CameraStack.of([cam], [0]), k, (ids, uv, single(len(ids)), pts)))
+    alone.append((stack(default_overlap_rig()), 4, stereo_observe(rng, poses[4], 20)))
+    obs = [np.concatenate(f) for f in zip(*[(ids, uv, seg + first, pts)
+                                            for _, first, (ids, uv, seg, pts) in alone])]
+    out, skipped = pose_update(state, measure(state.x, cams, *obs), cams)
+    assert not skipped.any()
+    for b, (cam, _, obs) in enumerate(alone):
+        one = PoseFilterState(state.x[b:b + 1], state.P[b:b + 1], state.Q, state.r_var)
+        one, skipped_alone = pose_update(one, measure(one.x, cam, *obs), cam)
+        assert skipped_alone.tolist() == [False]
+        assert out.x[b].tobytes() == one.x[0].tobytes()
+        assert out.P[b].tobytes() == one.P[0].tobytes()
 
 
 def test_filter_with_zero_velocity_variance_updates():

@@ -681,6 +681,7 @@ BAD_CONFIG_VALUES = {
     "pipeline-infinite-init-depth": {"pipeline": {"init_depth": float("inf")}},
     "tuning-infinite-q": {"tuning": {"q_pose": float("inf")}},
     "tuning-r_px-1e300": {"tuning": {"r_px": 1e300}},
+    "tuning-r_px-1e-200": {"tuning": {"r_px": 1e-200}},
 }
 
 
@@ -1023,6 +1024,17 @@ def test_run_tracks_header_only_exits_1_without_a_numpy_warning(tmp_path, capsys
         assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "no data rows" in err and "Warning" not in err, err
+
+
+def test_simulate_where_no_camera_sees_a_point_exits_2(tmp_path, capsys):
+    # Every point lies within 1e-8 m of the origin, where no camera sees it:
+    # the stream has no rows, and the start fails on too few features, as
+    # on a scene that shows 3 points, with no traceback.
+    sim = {"n_points": 1500, "n_frames": 6, "shell_inner": 1e-9, "shell_outer": 1e-8}
+    assert cli.main(_config(tmp_path, {"sim": sim, "min_visible": 0})) == 2
+    err = capsys.readouterr().err
+    assert ("InsufficientFeatures: the stereo filter has 0 features with structure at "
+            "frame 0") in err, err
 
 
 def test_readme_cli_block_lists_every_subcommand():

@@ -535,6 +535,22 @@ def test_nonoverlap_names_the_camera_without_enough_initial_features(frame):
         run_nonoverlap_sequence(stream_of(frames), rig)
 
 
+@pytest.mark.parametrize("run, rig, name", [
+    (run_stereo_sequence, default_overlap_rig(), "the stereo filter"),
+    (run_nonoverlap_sequence, default_nonoverlap_rig(), "camera 0"),
+], ids=["stereo", "nonoverlap"])
+def test_a_stream_without_rows_names_the_first_filter_at_frame_0(run, rig, name):
+    # No camera sees a feature at any frame: the start fails as it does on
+    # too few features, not on the empty arrays.
+    from rigpose.errors import InsufficientFeatures
+
+    empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    with pytest.raises(InsufficientFeatures,
+                       match=rf"{name} has 0 features with structure at frame 0 "
+                             r"\(need at least 4\)"):
+        run(stream_of([[empty] * len(rig)] * 3), rig)
+
+
 def test_sequences_reject_frames_without_an_entry_per_camera():
     frames = stream_of([[(np.array([0, 1]), np.array([[320.0, 240.0], [322.0, 241.0]]))] * 2] * 2)
     with pytest.raises(InputError, match="entry per camera"):
