@@ -30,9 +30,12 @@ the frame steps.
 
 Overlapping (stereo) layout: each pair is matched and gated on its
 fundamental matrix once per sequence, as both depend only on the pixels.
-The gate drops a feature from every camera of a frame where some pair's
-match fails it, and all pairs' passing matches are kept as one array of
-stream-row pairs in (frame, pair, feature) order with per-frame bounds.
+Each stream row's (frame, feature) key is computed once; each pair
+intersects its cameras' keys, and the gate, one membership test of the
+keys against the failed ones, drops a feature from every camera of a
+frame where some pair's match fails it. All pairs' passing matches are
+kept as one array of stream-row pairs in (frame, pair, feature) order
+with per-frame bounds.
 One pose EKF consumes every camera's gated pixels; replenishing
 re-triangulates the previous frame's matches of every pair in one call.
 
@@ -40,15 +43,16 @@ Non-overlapping layout: every camera runs its own monocular chain in its
 own initial frame, on the rig's stack with each camera moved to its own
 body's origin, with orthographic structure initialization at a configured
 depth, per-feature structure EKFs, a Lowe seed, and a pose EKF; the four
-chains step in lockstep as one stack of filters, and replenishing
-re-detects the depleted chains' untracked features in one call. Both
-replenishes place their structure through geometry.back_project on the
-filters' CameraStack. Their local poses map to body poses (the per-camera
-series) in one call per run, and fusion.fuse_series builds the RC series
-from them in one call: the rigidity constraints' per-axis medians of those
-body angles and every frame's scale-factor system once per run, then each
-frame's solve, a degenerate frame carrying the previous scales over. The
-pipeline names none of the fusion's pieces.
+chains step in lockstep as one stack of filters, the structure pass takes
+the driver's measurable rows, and replenishing re-detects the depleted
+chains' untracked features in one call. Both replenishes place their
+structure through geometry.back_project on the filters' CameraStack.
+Their local poses map to body poses (the per-camera series) in one call
+per run, and fusion.fuse_series builds the RC series from them in one
+call: the rigidity constraints' per-axis medians of those body angles and
+every frame's scale-factor system once per run, then each frame's solve,
+a degenerate frame carrying the previous scales over. The pipeline names
+none of the fusion's pieces.
 """
 
 from __future__ import annotations
@@ -260,45 +264,34 @@ class _TrackTable:
             self.covs[rows] = covs
 
 
-def _keys(stream, at, n: int):
-    """(frame, feature) keys of the stream rows at, in int64: F n can pass
-    2**31 on a long tracks file."""
-    key = np.searchsorted(stream.starts, at, side="right") - np.int64(1)
-    key *= n
-    key += stream.rows[at]
-    return key
-
-
 def _stereo_matches(stream, cams, pairs, n: int, tol: float):
     """Match and gate each stereo pair (a, b) of cameras of the stack over a
     whole stream: one intersection of the pair's (frame, feature) keys and
     one epipolar_distances call on its fundamental matrix. The rig has one
     body, so a stream row is its feature's rank; a camera's features are
     unique in a frame (the observation stream's constructor rejects
-    repeats), in any order. Returns the gate, a mask over the stream rows (a
-    feature failing any pair at a frame leaves every camera of that frame),
+    repeats), in any order. Each row's key, frame n + feature, is computed
+    once, in int64: F n can pass 2**31 on a long tracks file. Returns the
+    gate, a mask over the stream rows (a feature failing any pair at a frame
+    leaves every camera of that frame: one membership test of the keys),
     and every pair's passing matches as one _Matches."""
-    failed, passed, frame = [], [], []
+    key = np.repeat(np.arange(len(stream.starts) - 1) * np.int64(n), np.diff(stream.starts))
+    key += stream.rows
+    failed, passed = [], []
     for a, b in pairs:
         in_a, in_b = (np.flatnonzero(stream.seg == k) for k in (a, b))
-        key, ia, ib = np.intersect1d(_keys(stream, in_a, n), _keys(stream, in_b, n),
-                                     assume_unique=True, return_indices=True)
+        _, ia, ib = np.intersect1d(key[in_a], key[in_b], assume_unique=True, return_indices=True)
         ab = np.column_stack([in_a[ia], in_b[ib]])
         del in_a, in_b, ia, ib
         ok = stereo.epipolar_distances(stereo.fundamental_from_calib(cams, a, b),
                                        stream.uv[ab[:, 0]], stream.uv[ab[:, 1]]) <= tol
         passed.append(ab[ok])
-        frame.append(key[ok] // n)
-        failed.append(key[~ok])
-    failed, bad = np.concatenate(failed), np.zeros(n, dtype=bool)
-    bad[failed % n] = True
-    at = np.flatnonzero(bad[stream.rows])   # rows of a feature failing at some frame
-    gate = np.ones(len(stream.rows), dtype=bool)
-    gate[at[np.isin(_keys(stream, at, n), failed)]] = False
-    frame = np.concatenate(frame)
-    order = np.argsort(frame, kind="stable")   # (pair, frame, feature) to (frame, pair, feature)
-    return gate, _Matches(np.concatenate(passed)[order],
-                          np.searchsorted(frame[order], np.arange(len(stream.starts))))
+        failed.append(key[ab[~ok, 0]])
+    gate = ~np.isin(key, np.concatenate(failed))
+    ab = np.concatenate(passed)
+    frame = key[ab[:, 0]] // n
+    order = np.argsort(frame, kind="stable")   # from (pair, frame, feature) order
+    return gate, _Matches(ab[order], np.searchsorted(frame[order], np.arange(len(stream.starts))))
 
 
 def check_truth(truth, obs) -> None:
@@ -315,7 +308,7 @@ def _feature_counts(store: _TrackTable, rows):
 
 
 def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed=None,
-                 gate=None, structure=lambda j, poses: None):
+                 gate=None, structure=lambda rows, uv, seg, poses: None):
     """Run a stack of pose filters, one per body of the CameraStack cams and
     named by names, over the frames of a compacted stream. A frame's
     measurable rows are its rows with live structure that the gate (a mask
@@ -333,17 +326,21 @@ def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed
       camera. A filter with no measurements, or a zero pose block, keeps
       its predicted state, tagged 'ekf-skip'; a non-finite update aborts
       with EstimationFailure.
-    structure(j, poses) runs after frame 1 and after each step. A frame's
-    measurable rows are read from the track table when the frame steps, and
-    again after a replenish, so no copy of the table can go stale. Returns
-    the poses (F, B, 6) and, per frame and filter, a tag and a record of
-    whether it was replenished, under the key flag, and of its count of
-    distinct features: measurable at frames 0 and 1, measured from frame 2
-    on."""
+    structure(rows, uv, seg, poses) runs after frame 1 and after each step
+    on the frame's measurable rows, their pixels and their cameras: those
+    the Lowe seeds read, and those measured. A frame's measurable rows are
+    read from the track table when the frame steps, and again after a
+    replenish, so no copy of the table can go stale. Returns the poses
+    (F, B, 6) and, per frame and filter, a tag and a record of whether it
+    was replenished, under the key flag, and of its count of distinct
+    features: measurable at frames 0 and 1, measured from frame 2 on."""
 
     def measurable(frame):
-        live = store.live[frame.rows]
-        return live if gate is None else live & gate[frame.span]
+        """The frame's measurable rows, their pixels and their cameras."""
+        keep = store.live[frame.rows]
+        if gate is not None:
+            keep &= gate[frame.span]
+        return frame.rows[keep], frame.uv[keep], frame.seg[keep]
 
     def record(j, rows, replenished, check=False):
         counts = _feature_counts(store, rows).tolist()
@@ -358,35 +355,33 @@ def _run_filters(frames, cams, store, tuning, pcfg, names, flag, replenish, seed
     unflagged = np.zeros(n_filters, dtype=bool)   # frames 0 and 1 record no replenish
     poses = np.zeros((len(frames), n_filters, 6))
     tags, records = [["init"] * n_filters], []
-    record(0, frames[0].rows[measurable(frames[0])], unflagged, check=True)
+    record(0, measurable(frames[0])[0], unflagged, check=True)
     if len(frames) == 1:
         return poses, tags, records
-    rows, uv, seg, _ = frames[1]
-    keep = measurable(frames[1])
-    record(1, rows[keep], unflagged, check=seed is None)
+    rows, uv, seg = measurable(frames[1])
+    record(1, rows, unflagged, check=seed is None)
     for b in range(n_filters):
-        use = keep & (cams.body[seg] == b)
+        use = cams.body[seg] == b
         poses[1, b] = seed[b] if seed is not None else lowe_pose(
             store.means[rows[use]], uv[use], cams, seg[use], np.zeros(6))
     tags.append(["lowe" if seed is None else "ideal-seed"] * n_filters)
     state = ekf.make_pose_filter(poses[1], poses[1], tuning)   # velocity seed: pose1 - identity
-    structure(1, poses[1])
+    structure(rows, uv, seg, poses[1])
     for j, frame in enumerate(frames[2:], start=2):
         state = ekf.pose_predict(state)
-        keep = measurable(frame)
-        depleted = _feature_counts(store, frame.rows[keep]) < pcfg.redetect_threshold
+        rows, uv, seg = measurable(frame)
+        depleted = _feature_counts(store, rows) < pcfg.redetect_threshold
         if depleted.any():
             replenish(j - 1, depleted, poses[j - 1])
-            keep = measurable(frame)
-        rows = frame.rows[keep]
-        batch = ekf.measure(state.x, cams, rows, frame.uv[keep], frame.seg[keep], store.means[rows])
+            rows, uv, seg = measurable(frame)
+        batch = ekf.measure(state.x, cams, rows, uv, seg, store.means[rows])
         state, skipped = ekf.pose_update(state, batch, cams)
         if not (np.isfinite(state.x).all() and np.isfinite(state.P).all()):
             raise EstimationFailure(f"filter state became non-finite at frame {j}")
         poses[j] = state.x[:, :6]
         tags.append(["ekf-skip" if skip else "ekf" for skip in skipped.tolist()])
         record(j, batch.ids, depleted)
-        structure(j, poses[j])
+        structure(rows, uv, seg, poses[j])
     return poses, tags, records
 
 
@@ -467,7 +462,7 @@ def _run_chains(obs, rig_cams: CameraStack, tuning, pcfg, local_truth=None, scen
         frames, cams, store, tuning, pcfg, [f"camera {k}" for k in range(n_chains)], "redetected",
         lambda j, depleted, poses: _redetect(store, frames[j], depleted, poses, cams, pcfg, tuning),
         local_truth,
-        structure=lambda j, poses: _structure_pass(store, frames[j], poses, cams, tuning))
+        structure=lambda rows, uv, seg, x: _structure_pass(store, rows, uv, seg, x, cams, tuning))
     # A chain's step record names its tag: perfbench/tracer.py counts steps by it.
     for tag, record in zip(tags[2:], records[2:]):
         for t, r in zip(tag, record):
@@ -475,15 +470,13 @@ def _run_chains(obs, rig_cams: CameraStack, tuning, pcfg, local_truth=None, scen
     return locals_, tags, records
 
 
-def _structure_pass(store: _TrackTable, frame, x, cams: CameraStack, tuning):
-    """Update the structure filters of every chain's observed live features
-    with the poses x held fixed; features behind their camera are left
+def _structure_pass(store: _TrackTable, rows, uv, seg, x, cams: CameraStack, tuning):
+    """Update the structure filters of the table rows, seen at the pixels uv
+    by the cameras seg (a frame's measurable rows, from _run_filters), with
+    the poses x held fixed; features behind their camera are left
     untouched."""
-    rows, uv, seg, _ = frame
-    live = store.live[rows]
-    rows = rows[live]
     means, covs, front = ekf.structure_update_batch(
-        store.means[rows], store.covs[rows], uv[live], x, cams, seg[live], tuning.r_px**2
+        store.means[rows], store.covs[rows], uv, x, cams, seg, tuning.r_px**2
     )
     store.means[rows[front]] = means
     store.covs[rows[front]] = covs

@@ -300,8 +300,8 @@ def test_update_empty_batch():
 
 def test_update_stack_matches_each_filter_alone():
     # A stack of filters, each on its own camera, gives each filter the bits
-    # it gets alone. A filter without rows, or whose prior cannot be
-    # inverted, keeps its prior and is skipped, alone or in the stack.
+    # it gets alone. A filter without rows, or whose pose block is all
+    # zero, keeps its prior and is skipped, alone or in the stack.
     rng = np.random.default_rng(11)
     rig = default_nonoverlap_rig()
     poses = rng.uniform(-0.02, 0.02, (4, 6))
@@ -330,7 +330,7 @@ def test_update_stack_matches_each_filter_alone():
 
 
 def test_update_with_a_singular_pose_block_skips_quietly_and_keeps_the_prior():
-    # A filter whose pose block W cannot be inverted skips with no
+    # A filter whose pose block W is all zero skips with no
     # floating-point warning and keeps its prior bit for bit, alone and in
     # a stack: P = 0, and the first update after p0_pose = p0_vel = q_pose = 0,
     # whose predicted W is 0 while the velocity block holds q_vel.

@@ -1038,6 +1038,17 @@ def _pair_without_common_feature(tmp_path):
     return rig, frames
 
 
+def _frame_without_matches(tmp_path):
+    # frame 1: cameras 1 and 3 keep only features their partners 0 and 2 do
+    # not see, so no pair matches at that frame
+    rig, frames = _rendered_stereo_frames()
+    for a, b in rig.stereo_pairs():
+        ids, uv = frames[1][b]
+        alone = ~np.isin(ids, frames[1][a][0])
+        frames[1][b] = (ids[alone], uv[alone])
+    return rig, frames
+
+
 def _camera_without_rows(tmp_path):
     rig, frames = _rendered_stereo_frames()
     frames[2][3] = (np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
@@ -1057,6 +1068,7 @@ def _shuffled_tracks_rows(tmp_path):
 GATE_STREAMS = [
     pytest.param(_shuffled_tracks_rows, id="shuffled-tracks-rows"),
     pytest.param(_pair_without_common_feature, id="pair-without-common-feature"),
+    pytest.param(_frame_without_matches, id="frame-without-matches"),
     pytest.param(_camera_without_rows, id="camera-without-rows"),
     pytest.param(_ids_near_2_to_62, id="ids-near-2**62"),
 ]

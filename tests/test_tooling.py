@@ -210,10 +210,11 @@ def test_every_frame_of_the_driver_reads_one_row_rule():
     # _run_filters reads the track table's live rows in one place,
     # measurable (live structure through the gate), and selects no camera
     # by its index: a frame-specific row rule, such as a seed from one
-    # camera's ungated rows, cannot come back.
+    # camera's ungated rows, cannot come back. The chains' structure pass
+    # takes the driver's measurable rows and reads no live rows of its own.
     tree = ast.parse((ROOT / "src" / "rigpose" / "pipeline.py").read_text())
-    driver = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_run_filters")
+    top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    driver = top["_run_filters"]
     measurable = next(node for node in ast.walk(driver)
                       if isinstance(node, ast.FunctionDef) and node.name == "measurable")
 
@@ -222,6 +223,7 @@ def test_every_frame_of_the_driver_reads_one_row_rule():
                 if isinstance(node, ast.Attribute) and node.attr == "live"]
 
     assert live_reads(driver) == live_reads(measurable) == ["store.live"], live_reads(driver)
+    assert not live_reads(top["_structure_pass"]), live_reads(top["_structure_pass"])
     by_index = [ast.unparse(node) for node in ast.walk(driver) if isinstance(node, ast.Compare)
                 and any(getattr(side, "id", getattr(side, "attr", None)) == "seg"
                         for side in [node.left, *node.comparators])]
